@@ -7,12 +7,10 @@ exhaustive enumeration.  All arithmetic is exact rational.
 """
 
 from .core import (
-    DemandMatrix,
     FacilityMenu,
     Instance,
     Network,
     TrafficMatrix,
-    demand_matrix,
     edge_between,
     load_instance,
     parse_instance,

@@ -131,10 +131,12 @@ def _traffic_from_file(path: str) -> TrafficMatrix:
         doc = json.loads(Path(path).read_text(), parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or "traffic" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("traffic"), list):
         raise ParseError(f"{path}: expected an object with a 'traffic' array")
     entries: dict[Commodity, Fraction] = {}
     for row in doc["traffic"]:
+        if not isinstance(row, dict) or not {"from", "to", "amount"} <= row.keys():
+            raise ParseError(f"{path}: traffic rows need 'from', 'to' and 'amount'")
         key = (str(row["from"]), str(row["to"]))
         if key in entries:
             raise ParseError(f"{path}: duplicate traffic entry for {key[0]}>{key[1]}")

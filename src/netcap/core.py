@@ -219,37 +219,6 @@ class FacilityMenu:
         return range(1, len(self.capacities) + 1)
 
 
-@dataclass(frozen=True)
-class DemandMatrix:
-    """Per-commodity node imbalances d[k][u].
-
-    For commodity k = (i, j) with traffic t: d[j] = +t, d[i] = -t, zero
-    elsewhere, so each commodity's entries sum to zero.
-    """
-
-    entries: Mapping[Commodity, Mapping[Node, Fraction]]
-
-    def __post_init__(self) -> None:
-        for k, row in self.entries.items():
-            if sum(row.values(), Fraction(0)) != 0:
-                raise InvalidInstanceError(f"demand entries for commodity {k!r} do not sum to zero")
-
-    def value(self, commodity: Commodity, node: Node) -> Fraction:
-        return self.entries.get(commodity, {}).get(node, Fraction(0))
-
-
-def demand_matrix(traffic: TrafficMatrix, nodes: Iterable[Node]) -> DemandMatrix:
-    """Demand matrix of a traffic matrix over a fixed node set."""
-    known = set(nodes)
-    unknown = traffic.node_ids() - known
-    if unknown:
-        raise InvalidInstanceError(f"traffic references unknown nodes {sorted(unknown)!r}")
-    rows: dict[Commodity, dict[Node, Fraction]] = {}
-    for (o, d), t in traffic.items():
-        rows[(o, d)] = {d: t, o: -t}
-    return DemandMatrix(rows)
-
-
 def symmetric_counterpart(traffic: TrafficMatrix) -> TrafficMatrix:
     """Symmetric matrix with the same per-pair totals: (t[i,j] + t[j,i]) / 2."""
     out: dict[Commodity, Fraction] = {}
@@ -388,7 +357,10 @@ def parse_instance(text: str) -> Instance:
         traffic = TrafficMatrix(traffic_entries)
         existing_edge: dict[Edge, Fraction] = {}
         existing_arc: dict[Arc, Fraction] = {}
-        for key, raw in (doc.get("existing") or {}).items():
+        existing = doc.get("existing") or {}
+        if not isinstance(existing, dict):
+            raise ParseError("'existing' must be an object keyed by capacity")
+        for key, raw in existing.items():
             kind, pair = _parse_capacity_key(key)
             target = existing_edge if kind == "edge" else existing_arc
             if pair in target:

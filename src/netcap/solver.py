@@ -2,7 +2,11 @@
 
 Two-phase primal simplex on a dense Fraction tableau with Bland's rule for
 both the entering and leaving choices, so no cycling and no tolerances:
-every comparison is an exact rational comparison.  Integer models are solved
+every comparison is an exact rational comparison.  Phase 1, the drive-out
+of leftover artificials and phase 2 share one pivot routine.  An Optimal
+answer carries the duals read off its final reduced-cost row, and
+`optimality_certificate` checks them against the model rather than
+re-deriving them.  Integer models are solved
 by depth-first branch and bound on the first fractional integer variable in
 model order, pruning on exact bound comparisons.  Sized for desk-scale
 models (a few hundred variables), which is all this package needs.
@@ -44,9 +48,9 @@ class LpSolution:
     status: SolveStatus
     values: Mapping[VarRef, Fraction]
     objective: Fraction | None
-    # Certificate plumbing: indices into the deterministic standardization.
-    basis_columns: tuple[int, ...] = ()
-    kept_rows: tuple[int, ...] = ()
+    # One dual per row of the deterministic standardization; see
+    # optimality_certificate.
+    duals: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,36 @@ def _standardize(model: MipModel) -> _Standardized:
     )
 
 
+def _pivot(
+    tab: list[list[Fraction]],
+    basis: list[int],
+    leave: int,
+    enter: int,
+    red: list[Fraction],
+) -> None:
+    """Pivot column `enter` into the basis at row `leave`, updating `red`.
+
+    Zero cells of the pivot row are skipped, which matters because network
+    tableaus stay sparse.
+    """
+    prow = tab[leave]
+    piv = prow[enter]
+    if piv != 1:
+        inv = _ONE / piv
+        tab[leave] = prow = [c * inv if c else c for c in prow]
+    support = [j for j, p in enumerate(prow) if p]
+    for i, row in enumerate(tab):
+        f = row[enter]
+        if f and i != leave:
+            for j in support:
+                row[j] -= f * prow[j]
+    f = red[enter]
+    if f:
+        for j in support:
+            red[j] -= f * prow[j]
+    basis[leave] = enter
+
+
 def _bland_simplex(
     tab: list[list[Fraction]],
     basis: list[int],
@@ -129,7 +163,6 @@ def _bland_simplex(
     Columns at index >= width are blocked from entering.  Returns "optimal"
     or "unbounded".  The reduced-cost row is updated in place.
     """
-    m = len(tab)
     while True:
         enter = -1
         for j in range(width):
@@ -140,37 +173,16 @@ def _bland_simplex(
             return "optimal"
         leave = -1
         best: Fraction | None = None
-        for i in range(m):
-            a = tab[i][enter]
+        for i, row in enumerate(tab):
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
+                ratio = row[-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
             return "unbounded"
-        # pivot on (leave, enter); zero cells of the pivot row are skipped,
-        # which matters because network tableaus stay sparse
-        prow = tab[leave]
-        piv = prow[enter]
-        if piv != 1:
-            inv = _ONE / piv
-            tab[leave] = prow = [c * inv if c else c for c in prow]
-        support = [j for j, p in enumerate(prow) if p]
-        for i in range(m):
-            if i == leave:
-                continue
-            row = tab[i]
-            f = row[enter]
-            if f:
-                for j in support:
-                    row[j] -= f * prow[j]
-        f = red[enter]
-        if f:
-            for j in range(len(red)):
-                if prow[j]:
-                    red[j] -= f * prow[j]
-        basis[leave] = enter
+        _pivot(tab, basis, leave, enter, red)
 
 
 def _reduced_costs(
@@ -188,95 +200,82 @@ def _reduced_costs(
     return red
 
 
-def _solve_standardized(
-    std: _Standardized, objective_vec: list[Fraction], feasibility_only: bool = False
-) -> tuple[str, list[Fraction], list[int], list[int]]:
-    """Two-phase simplex.  Returns (status, values, basis, kept_row_indices)."""
-    m = len(std.rows)
-    if m == 0:
-        if not feasibility_only and any(c < 0 for c in objective_vec):
-            return "unbounded", [], [], []
-        return "optimal", [_ZERO] * std.n_cols, [], []
+def _phase1(
+    std: _Standardized,
+) -> tuple[list[list[Fraction]], list[int], list[int]] | None:
+    """Phase 1 from the identity basis of slacks and artificials.
+
+    Returns (tableau, basis, start) with `start[r]` the identity column row r
+    started from (its slack or its artificial), or None when infeasible.
+    The tableau keeps the artificial columns, so B^-1 stays readable there.
+    """
+    if std.inconsistent:
+        return None
     n_art = sum(std.needs_artificial)
     total = std.n_cols + n_art
     tab: list[list[Fraction]] = []
-    basis: list[int] = []
+    start: list[int] = []
     art_col = std.n_cols
-    art_cols: list[int] = []
-    for r in range(m):
+    for r, coeffs in enumerate(std.rows):
         row = [_ZERO] * (total + 1)
-        for j, c in std.rows[r]:
+        for j, c in coeffs:
             row[j] = c
         row[-1] = std.rhs[r]
         if std.needs_artificial[r]:
             row[art_col] = _ONE
-            basis.append(art_col)
-            art_cols.append(art_col)
+            start.append(art_col)
             art_col += 1
         else:
-            basis.append(std.slack_of_row[r])
+            start.append(std.slack_of_row[r])
         tab.append(row)
+    basis = list(start)
+    red = _reduced_costs(tab, basis, [_ZERO] * std.n_cols + [_ONE] * n_art)
+    _bland_simplex(tab, basis, red, total)  # bounded below by 0, never unbounded
+    if red[-1] != 0:  # the cell holds minus the artificials' total
+        return None
+    return tab, basis, start
 
-    kept = list(range(m))
-    if n_art:
-        phase1_cost = [_ZERO] * total
-        for j in art_cols:
-            phase1_cost[j] = _ONE
-        red = _reduced_costs(tab, basis, phase1_cost)
-        _bland_simplex(tab, basis, red, total)  # bounded below by 0, never unbounded
-        value = sum((tab[i][-1] for i in range(len(tab)) if basis[i] >= std.n_cols), _ZERO)
-        if value > 0:
-            return "infeasible", [], [], []
-        # Drive leftover artificials out of the basis; all-zero rows are redundant.
-        drop: list[int] = []
-        for i in range(len(tab)):
-            if basis[i] < std.n_cols:
-                continue
-            pivot_col = -1
-            for j in range(std.n_cols):
-                if tab[i][j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                drop.append(i)
-                continue
-            prow = tab[i]
-            piv = prow[pivot_col]
-            if piv != 1:
-                inv = _ONE / piv
-                tab[i] = prow = [c * inv if c else c for c in prow]
-            support = [j for j, p in enumerate(prow) if p]
-            for r2 in range(len(tab)):
-                if r2 == i:
-                    continue
-                row2 = tab[r2]
-                f = row2[pivot_col]
-                if f:
-                    for j in support:
-                        row2[j] -= f * prow[j]
-            basis[i] = pivot_col
-        for i in reversed(drop):
-            del tab[i]
-            del basis[i]
-            del kept[i]
 
-    if feasibility_only:
-        values = [_ZERO] * std.n_cols
-        for i, b in enumerate(basis):
-            values[b] = tab[i][-1]
-        return "optimal", values, basis, kept
+def _solve_standardized(
+    std: _Standardized, objective_vec: list[Fraction]
+) -> tuple[SolveStatus, list[Fraction], list[Fraction]]:
+    """Two-phase simplex.  Returns (status, values, duals).
 
-    # Phase 2 over real columns only; cost padded across artificial columns
-    # so the reduced-cost row stays aligned with the tableau.
+    The duals carry one entry per standardized row: u[r] = -red[start[r]],
+    read off the final phase-2 reduced-cost row at row r's identity column,
+    whose phase-2 cost is zero.
+    """
+    phase1 = _phase1(std)
+    if phase1 is None:
+        return SolveStatus.INFEASIBLE, [], []
+    tab, basis, start = phase1
+    n = std.n_cols
+    # Phase-2 costs, padded across artificial columns so the reduced-cost
+    # row stays aligned with the tableau.
+    total = n + sum(std.needs_artificial)
     cost = objective_vec + [_ZERO] * (total - len(objective_vec))
     red = _reduced_costs(tab, basis, cost)
-    status = _bland_simplex(tab, basis, red, std.n_cols)
-    if status == "unbounded":
-        return "unbounded", [], [], []
-    values = [_ZERO] * std.n_cols
+    # Drive artificials still basic (at level zero) out of the basis.  A row
+    # with no real column left is redundant and is dropped; its artificial
+    # costs zero, so the reduced-cost row, and the duals, are unchanged.
+    drop: list[int] = []
+    for i in range(len(tab)):
+        if basis[i] < n:
+            continue
+        enter = next((j for j in range(n) if tab[i][j]), -1)
+        if enter < 0:
+            drop.append(i)
+        else:
+            _pivot(tab, basis, i, enter, red)
+    for i in reversed(drop):
+        del tab[i]
+        del basis[i]
+    if _bland_simplex(tab, basis, red, n) == "unbounded":
+        return SolveStatus.UNBOUNDED, [], []
+    values = [_ZERO] * n
     for i, b in enumerate(basis):
         values[b] = tab[i][-1]
-    return "optimal", values, basis, kept
+    return SolveStatus.OPTIMAL, values, [-red[j] for j in start]
 
 
 def solve_lp(model: MipModel, *, ignore_integrality: bool = False) -> LpSolution:
@@ -292,17 +291,13 @@ def solve_lp(model: MipModel, *, ignore_integrality: bool = False) -> LpSolution
             "model has integer variables; use solve_mip or pass ignore_integrality=True"
         )
     std = _standardize(model)
-    if std.inconsistent:
-        return LpSolution(SolveStatus.INFEASIBLE, {}, None)
     vidx = model.var_index()
     objective_vec = [_ZERO] * std.n_structural
     for v, c in model.objective.items():
         objective_vec[vidx[v]] = c
-    status, values, basis, kept = _solve_standardized(std, objective_vec)
-    if status == "infeasible":
-        return LpSolution(SolveStatus.INFEASIBLE, {}, None)
-    if status == "unbounded":
-        return LpSolution(SolveStatus.UNBOUNDED, {}, None)
+    status, values, duals = _solve_standardized(std, objective_vec)
+    if status is not SolveStatus.OPTIMAL:
+        return LpSolution(status, {}, None)
     assignment = {
         v: values[j] for j, v in enumerate(model.variables) if values[j] != 0
     }
@@ -310,84 +305,44 @@ def solve_lp(model: MipModel, *, ignore_integrality: bool = False) -> LpSolution
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
     objective = model.objective_value(assignment)
-    return LpSolution(
-        SolveStatus.OPTIMAL,
-        assignment,
-        objective,
-        basis_columns=tuple(basis),
-        kept_rows=tuple(kept),
-    )
+    return LpSolution(SolveStatus.OPTIMAL, assignment, objective, duals=tuple(duals))
 
 
 def feasible(model: MipModel) -> bool:
     """Phase-1 feasibility of the continuous relaxation."""
-    std = _standardize(model)
-    if std.inconsistent:
-        return False
-    status, _, _, _ = _solve_standardized(std, [], feasibility_only=True)
-    return status == "optimal"
+    return _phase1(_standardize(model)) is not None
 
 
 def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
-    """Independent duality check of an Optimal LP solution.
+    """Check the duals an Optimal LP solution carries; no linear solve.
 
-    Rebuilds the standardization, solves u B = c_B for the returned basis by
-    Gaussian elimination, and verifies every reduced cost is nonnegative and
-    that u b equals the reported objective.  Exact throughout.
+    Rebuilds the standardization A z = b, z >= 0 and checks that the duals u
+    price every column nonnegatively (c_j - u A_j >= 0) and that u b equals
+    the reported objective, which by weak duality no feasible point beats.
+    The point itself must satisfy every row and attain that objective.
+    Exact throughout.
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise PreconditionError("certificate requires an Optimal solution")
     std = _standardize(model)
-    rows = [std.rows[i] for i in solution.kept_rows]
-    rhs = [std.rhs[i] for i in solution.kept_rows]
-    basis = list(solution.basis_columns)
-    m = len(rows)
-    if len(basis) != m:
+    u = solution.duals
+    if std.inconsistent or len(u) != len(std.rows):
         return False
-    cost = [_ZERO] * std.n_cols
+    reduced = [_ZERO] * std.n_cols
+    vidx = model.var_index()
     for v, c in model.objective.items():
-        cost[model.var_index()[v]] = c
-
-    # Solve u^T B = c_B via Gaussian elimination on B^T u = c_B.
-    bt = [[_ZERO] * m for _ in range(m)]
-    for r in range(m):
-        for j, c in rows[r]:
-            if j in solution.basis_columns:
-                bt[basis.index(j)][r] = c
-    target = [cost[b] for b in basis]
-    u = _gauss_solve(bt, target)
-    if u is None:
+        reduced[vidx[v]] = c
+    for ur, coeffs in zip(u, std.rows):
+        if ur:
+            for j, a in coeffs:
+                reduced[j] -= ur * a
+    if any(r < 0 for r in reduced):
         return False
-    # Dual feasibility: reduced cost of every column nonnegative.
-    for j in range(std.n_cols):
-        reduced = cost[j]
-        for r in range(m):
-            coef = next((c for col, c in rows[r] if col == j), _ZERO)
-            if coef:
-                reduced -= u[r] * coef
-        if reduced < 0:
-            return False
-    strong = sum((u[r] * rhs[r] for r in range(m)), _ZERO)
-    return strong == solution.objective
-
-
-def _gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square exact system; None when singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        inv = _ONE / prow[col]
-        aug[col] = prow = [c * inv for c in prow]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [c - f * p for c, p in zip(aug[r], prow)]
-    return [aug[i][-1] for i in range(n)]
+    dual_value = sum((ur * b for ur, b in zip(u, std.rhs)), _ZERO)
+    return (
+        dual_value == solution.objective == model.objective_value(solution.values)
+        and not model.violations(solution.values)
+    )
 
 
 def _bound_rows(model: MipModel, bounds: int | Mapping[VarRef, int]) -> list[LinearConstraint]:

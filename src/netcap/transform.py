@@ -322,7 +322,11 @@ def parse_point(text: str) -> ModelPoint:
         doc = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "flow" not in doc or "capacity" not in doc:
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("flow"), dict)
+        and isinstance(doc.get("capacity"), dict)
+    ):
         raise ParseError("point document needs 'flow' and 'capacity' maps")
     flow: dict[FlowKey, Fraction] = {}
     for key, raw in doc["flow"].items():

@@ -11,6 +11,7 @@ from netcap.core import (
     Instance,
     Network,
     TrafficMatrix,
+    render_instance,
     save_instance,
 )
 from netcap.formulate import ModelKind, parse_model
@@ -240,6 +241,37 @@ def test_verify_triangle_instance_file(tri, capsys):
     _, path = tri
     assert run(["verify", "triangle", path]) == 0
     assert "all checks agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "target, bad",
+    [
+        ("instance", {"existing": "1-2"}),
+        ("instance", {"existing": ["1-2", "1"]}),
+        ("point", {"flow": []}),
+        ("point", {"capacity": "1|1-2"}),
+        ("traffic", {"traffic": [1]}),
+    ],
+    ids=["existing-string", "existing-list", "flow-list", "capacity-string", "traffic-row-int"],
+)
+def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
+    inst, _ = tri
+    docs = {
+        "instance": json.loads(render_instance(inst)),
+        "point": {"flow": {}, "capacity": {}},
+        "traffic": {"traffic": []},
+    }
+    docs[target].update(bad)
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = ["transform", "redistribute", str(paths["instance"])]
+    argv += ["--point", str(paths["point"]), "--target", str(paths["traffic"])]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_missing_file_exits_two(capsys):

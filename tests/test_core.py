@@ -7,12 +7,10 @@ from fractions import Fraction
 import pytest
 
 from netcap.core import (
-    DemandMatrix,
     FacilityMenu,
     Instance,
     Network,
     TrafficMatrix,
-    demand_matrix,
     edge_between,
     load_instance,
     pairwise_similar,
@@ -120,23 +118,6 @@ def test_facility_menu():
         FacilityMenu((3, 1))
     with pytest.raises(InvalidInstanceError):
         FacilityMenu(())
-
-
-def test_demand_matrix_signs_and_conservation():
-    """Destination carries +t, origin -t, all rows sum to zero."""
-    t = TrafficMatrix({("1", "2"): Fraction(5, 4)})
-    nodes = ("1", "2", "3")
-    d = demand_matrix(t, nodes)
-    assert d.value(("1", "2"), "2") == Fraction(5, 4)
-    assert d.value(("1", "2"), "1") == Fraction(-5, 4)
-    assert d.value(("1", "2"), "3") == 0
-    for k in (("1", "2"), ("2", "1"), ("1", "3")):
-        assert sum(d.value(k, u) for u in nodes) == 0
-
-
-def test_demand_matrix_validates_zero_sum():
-    with pytest.raises(InvalidInstanceError):
-        DemandMatrix({("1", "2"): {"1": Fraction(1), "2": Fraction(1)}})
 
 
 def test_symmetric_counterpart():

@@ -1,22 +1,32 @@
 """Exact LP/MIP solving: pinned optima, certificates, statuses."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix
-from netcap.errors import MissingBoundError, PreconditionError
+from netcap import cuts, solver
+from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, symmetric_counterpart
+from netcap.cuts import check_cut_validity, cutset_inequality, translate_to_bidirected
+from netcap.errors import MissingBoundError, PreconditionError, VacuousCutError
 from netcap.formulate import (
     LinearConstraint,
     MipModel,
     ModelKind,
     VarRef,
+    add_flow_symmetry,
     build_bidirected,
     build_directed,
     build_undirected,
+    fix_variables,
 )
-from netcap.randgen import four_node_corollary_instance, triangle_corollary_instance
+from netcap.randgen import (
+    cut_check_instance,
+    four_node_corollary_instance,
+    random_cutset_spec,
+    triangle_corollary_instance,
+)
 from netcap.solver import (
     SolveStatus,
     accommodates,
@@ -84,7 +94,22 @@ def test_mip_returns_feasible_integral_points():
             assert res.values.get(v, Fraction(0)).denominator == 1
 
 
-def test_optimality_certificate_sweep():
+def _record_optimal_lps(monkeypatch, module):
+    """Rebind `module.solve_lp` to keep every (model, Optimal solution) it returns."""
+    seen = []
+    inner = module.solve_lp
+
+    def recording(model, **kwargs):
+        sol = inner(model, **kwargs)
+        if sol.status is SolveStatus.OPTIMAL:
+            seen.append((model, sol))
+        return sol
+
+    monkeypatch.setattr(module, "solve_lp", recording)
+    return seen
+
+
+def test_optimality_certificate_sweep(monkeypatch):
     """Every Optimal LP answer must carry a verifiable dual certificate."""
     rng = random.Random(41)
     for trial in range(10):
@@ -98,6 +123,67 @@ def test_optimality_certificate_sweep():
             sol = solve_lp(model, ignore_integrality=True)
             assert sol.status is SolveStatus.OPTIMAL
             assert optimality_certificate(model, sol)
+
+    # branch-and-bound node LPs: branch rows, and mirror-flow rows
+    node_lps = _record_optimal_lps(monkeypatch, solver)
+    for _ in range(3):
+        inst = triangle_corollary_instance(rng)
+        star = inst.with_traffic(symmetric_counterpart(inst.traffic))
+        for model in (
+            build_undirected(inst),
+            build_bidirected(inst),
+            add_flow_symmetry(build_undirected(star)),
+        ):
+            assert solve_mip(model, capacity_bound(inst)).status is SolveStatus.OPTIMAL
+    assert any(c.name.startswith("br") for m, _ in node_lps for c in m.constraints)
+    assert any(c.name.startswith("sym[") for m, _ in node_lps for c in m.constraints)
+
+    # cut-check probes: capacities fixed, flow part (with negative terms) minimized
+    probes = _record_optimal_lps(monkeypatch, cuts)
+    checked = 0
+    while checked < 4:
+        inst = cut_check_instance(rng)
+        try:
+            ineq = cutset_inequality(inst, random_cutset_spec(rng, inst))
+        except VacuousCutError:
+            continue
+        check_cut_validity(inst, ineq, bound=1)
+        check_cut_validity(inst, translate_to_bidirected(ineq), kind=ModelKind.BIDIRECTED, bound=1)
+        checked += 1
+    assert any(c < 0 for m, _ in probes for c in m.objective.values())
+
+    for model, sol in node_lps + probes:
+        assert optimality_certificate(model, sol)
+
+
+def test_optimality_certificate_rejects_tampering():
+    rng = random.Random(41)
+    model = build_undirected(triangle_corollary_instance(rng))
+    sol = solve_lp(model, ignore_integrality=True)
+    assert sol.objective > 0 and optimality_certificate(model, sol)
+    assert not optimality_certificate(model, replace(sol, objective=sol.objective + 1))
+    assert not optimality_certificate(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
+    assert not optimality_certificate(model, replace(sol, duals=sol.duals[:-1]))
+
+
+def test_feasible_agrees_with_phase_two():
+    """Phase 1 alone decides feasibility exactly as a full solve does."""
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(3):
+        inst = triangle_corollary_instance(rng)
+        for kind in (ModelKind.UNDIRECTED, ModelKind.BIDIRECTED):
+            model = build_for_feasibility(inst, kind)
+            caps = [v for v in model.variables if v.kind == "capacity"]
+            for _ in range(6):
+                fixed = fix_variables(model, {v: Fraction(rng.randint(0, 2)) for v in caps})
+                if not fixed.consistent:
+                    continue
+                m = fixed.model
+                verdict = feasible(m)
+                assert verdict == (solve_lp(m.with_objective({})).status is SolveStatus.OPTIMAL)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_certificate_requires_optimal():
