@@ -8,7 +8,7 @@ the resulting installation plans side by side.
 from fractions import Fraction
 
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix
-from netcap.formulate import ModelKind, build_bidirected, build_directed, build_undirected
+from netcap.formulate import ModelKind, build, build_undirected
 from netcap.projlab import capacity_bound
 from netcap.solver import SolveStatus, solve_mip
 from netcap.transform import result_point, render_point
@@ -26,14 +26,8 @@ inst = Instance(net, FacilityMenu((1, 3)), traffic)
 bound = capacity_bound(inst)
 print(f"traffic total {traffic.total()}, box bound {bound}")
 
-builders = {
-    ModelKind.UNDIRECTED: build_undirected,
-    ModelKind.BIDIRECTED: build_bidirected,
-    ModelKind.DIRECTED: build_directed,
-}
-for kind, build in builders.items():
-    model = build(inst)
-    res = solve_mip(model, bound)
+for kind in ModelKind:
+    res = solve_mip(build(inst, kind), bound)
     assert res.status is SolveStatus.OPTIMAL
     point = result_point(res.values)
     installed = dict(point.capacity_edge) or dict(point.capacity_arc)

@@ -54,6 +54,7 @@ from .formulate import (
     ModelKind,
     VarRef,
     add_flow_symmetry,
+    build,
     build_bidirected,
     build_directed,
     build_undirected,

@@ -12,7 +12,6 @@ a solve ends without an optimal point, or a requested cut is vacuous,
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from fractions import Fraction
@@ -25,6 +24,7 @@ from .core import (
     Instance,
     TrafficMatrix,
     load_instance,
+    parse_json,
     parse_rational,
     render_rational,
 )
@@ -41,9 +41,7 @@ from .formulate import (
     MipModel,
     ModelKind,
     add_flow_symmetry,
-    build_bidirected,
-    build_directed,
-    build_undirected,
+    build,
     equalize_directed,
     render_model,
 )
@@ -66,21 +64,11 @@ from .transform import (
     symmetrize,
 )
 
-_KINDS = {
-    "undirected": ModelKind.UNDIRECTED,
-    "bidirected": ModelKind.BIDIRECTED,
-    "directed": ModelKind.DIRECTED,
-}
+_MODEL_CHOICES = sorted(kind.value for kind in ModelKind)
 
 
 def _model_from_args(inst: Instance, args: argparse.Namespace) -> MipModel:
-    kind = _KINDS[args.model]
-    builders = {
-        ModelKind.UNDIRECTED: build_undirected,
-        ModelKind.BIDIRECTED: build_bidirected,
-        ModelKind.DIRECTED: build_directed,
-    }
-    model = builders[kind](inst)
+    model = build(inst, ModelKind(args.model))
     if getattr(args, "symmetrize_flows", False):
         model = add_flow_symmetry(model)
     if getattr(args, "equalize", False):
@@ -128,8 +116,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _traffic_from_file(path: str) -> TrafficMatrix:
     try:
-        doc = json.loads(Path(path).read_text(), parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+        doc = parse_json(Path(path).read_text())
+    except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("traffic"), list):
         raise ParseError(f"{path}: expected an object with a 'traffic' array")
@@ -251,9 +239,7 @@ def cmd_cut(args: argparse.Namespace) -> int:
 
 def cmd_project(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    result = project(
-        inst, _KINDS[args.model], variant=args.variant, bound=args.bound
-    )
+    result = project(inst, ModelKind(args.model), variant=args.variant, bound=args.bound)
     print(f"bound: {result.bound}")
     vectors = result.minimal_vectors()
     print(f"minimal vectors: {len(vectors)}")
@@ -305,7 +291,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", required=True, choices=sorted(_KINDS))
+        p.add_argument("--model", required=True, choices=_MODEL_CHOICES)
         p.add_argument("--symmetrize-flows", action="store_true", help="add mirror-flow rows")
         p.add_argument("--equalize", action="store_true", help="tie both orientations (directed only)")
 
@@ -352,7 +338,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_proj = sub.add_parser("project", help="minimal capacity vectors of a model's projection")
     p_proj.add_argument("instance")
-    p_proj.add_argument("--model", required=True, choices=sorted(_KINDS))
+    p_proj.add_argument("--model", required=True, choices=_MODEL_CHOICES)
     p_proj.add_argument("--variant", choices=VARIANTS, default="plain")
     p_proj.add_argument("--bound", type=int)
     p_proj.set_defaults(func=cmd_project)

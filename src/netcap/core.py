@@ -329,6 +329,18 @@ def _parse_capacity_key(key: str) -> tuple[str, Edge | Arc]:
     raise ParseError(f"capacity key {key!r} is neither 'i-j' nor 'i>j'")
 
 
+def parse_json(text: str) -> object:
+    """Parse a JSON document, reading non-integer numbers exactly.
+
+    Any ValueError, a syntax error or an integer literal over Python's digit
+    limit alike, becomes a ParseError.
+    """
+    try:
+        return json.loads(text, parse_float=Fraction)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def parse_instance(text: str) -> Instance:
     """Parse an instance from its JSON form.
 
@@ -337,10 +349,7 @@ def parse_instance(text: str) -> Instance:
     traffic (list of {"from", "to", "amount"}).  All amounts are exact;
     non-integer JSON numbers are read as decimal strings, never floats.
     """
-    try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     for key in ("nodes", "edges", "facilities", "traffic"):

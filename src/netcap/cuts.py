@@ -361,7 +361,6 @@ def check_cut_validity(
     *,
     kind: ModelKind = ModelKind.DIRECTED,
     bound: int | None = None,
-    limit: int | None = None,
 ) -> CutCheck:
     """Test an inequality against every feasible point of the model.
 
@@ -396,7 +395,7 @@ def check_cut_validity(
     b = capacity_bound(inst) if bound is None else bound
     if b < 0:
         raise PreconditionError("bound must be nonnegative")
-    check_box(len(refs), b, limit)
+    check_box(len(refs), b)
 
     flow_part = {v: c for v, c in ineq.coeffs.items() if v.kind == "flow"}
     probe = model.with_objective(flow_part)

@@ -18,10 +18,8 @@ DEFAULT_MAX_BOX = 1_000_000
 _ENV_VAR = "NETCAP_MAX_BOX"
 
 
-def max_box_limit(override: int | None = None) -> int:
-    """Box-size cap: explicit override, else NETCAP_MAX_BOX, else default."""
-    if override is not None:
-        return override
+def max_box_limit() -> int:
+    """Box-size cap: NETCAP_MAX_BOX, else the default."""
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_BOX
@@ -38,8 +36,8 @@ def box_size(dimensions: int, bound: int) -> int:
     return (bound + 1) ** dimensions
 
 
-def check_box(dimensions: int, bound: int, limit: int | None = None) -> None:
-    cap = max_box_limit(limit)
+def check_box(dimensions: int, bound: int) -> None:
+    cap = max_box_limit()
     size = box_size(dimensions, bound)
     if size > cap:
         raise BoxTooLargeError(

@@ -1,11 +1,16 @@
 """Mixed-integer models for the three capacity readings of an instance.
 
-A model couples per-commodity arc flows with integer capacity variables:
+A model couples per-commodity arc flows with integer capacity variables.
+`build(inst, kind)` writes all three readings from one rule: the flow on
+each arc is bounded by the capacity installed on the arc's key plus the
+existing capacity there.  The readings differ only in the key and in
+merging rows:
 
-* undirected: one capacity row per edge bounding the sum of both directions,
-* bidirected: two capacity rows per edge, one per direction, sharing the
-  edge's capacity variables,
-* directed: per-arc capacity variables and rows.
+* directed: capacity keyed by arc, one row per arc,
+* bidirected: capacity keyed by edge, one row per arc, so an edge's two
+  rows share its capacity variables,
+* undirected: capacity keyed by edge, and an edge's two arc rows merged
+  into one row over both directions.
 
 Variable order is deterministic: flows sorted by (commodity, arc), then
 capacity variables by (facility, edge or arc), all lexicographic.
@@ -269,11 +274,6 @@ def _commodity_set(
     return tuple(chosen)
 
 
-def _flow_vars(inst: Instance, commodities: tuple[Commodity, ...]) -> list[VarRef]:
-    arcs = inst.network.arcs
-    return [VarRef.flow(k, a) for k in commodities for a in arcs]
-
-
 def _balance_rows(
     inst: Instance, commodities: tuple[Commodity, ...]
 ) -> list[LinearConstraint]:
@@ -293,37 +293,55 @@ def _balance_rows(
     return rows
 
 
-def _default_objective(cap_vars: Iterable[VarRef], inst: Instance) -> dict[VarRef, Fraction]:
-    # Pure capacity cost: total installed capacity, every module at its size.
-    return {v: Fraction(inst.facilities.capacity(v.facility)) for v in cap_vars}
-
-
-def _finish(
-    kind: ModelKind,
+def build(
     inst: Instance,
-    flows: list[VarRef],
-    caps: list[VarRef],
-    rows: list[LinearConstraint],
-    objective: Mapping[VarRef, Fraction] | None,
+    kind: ModelKind,
+    *,
+    objective: Mapping[VarRef, Fraction] | None = None,
+    commodities: Iterable[Commodity] | None = None,
 ) -> MipModel:
-    variables = tuple(sorted(flows, key=lambda v: v.sort_key) + sorted(caps, key=lambda v: v.sort_key))
-    if objective is None:
-        objective = _default_objective(caps, inst)
-    return MipModel(
-        kind=kind,
-        variables=variables,
-        integer=frozenset(caps),
-        constraints=tuple(rows),
-        objective=dict(objective),
-    )
+    """The model of one capacity reading; the only place a kind picks a model.
 
-
-def _reject_arc_existing(inst: Instance, kind: str) -> None:
-    if inst.existing_arc:
+    Every reading bounds the flow on each arc by the capacity installed on
+    the arc's key plus the existing capacity there.  The directed reading
+    keys capacity by arc; the bidirected and undirected readings key it by
+    edge, and the undirected one merges an edge's two arc rows into one row
+    over both directions.  Without `objective`, the cost is the total
+    installed capacity.
+    """
+    directed = kind is ModelKind.DIRECTED
+    if inst.existing_arc and not directed:
         raise PreconditionError(
-            f"{kind} model takes edge-keyed existing capacities; "
+            f"{kind.value} model takes edge-keyed existing capacities; "
             f"arc-keyed entries {sorted(inst.existing_arc)!r} supplied"
         )
+    ks = _commodity_set(inst, commodities)
+    if directed:
+        keys, cap, existing = inst.network.arcs, VarRef.cap_arc, inst.arc_capacity
+    else:
+        keys, cap, existing = inst.network.edges, VarRef.cap_edge, inst.edge_capacity
+    sizes = [(m, Fraction(inst.facilities.capacity(m))) for m in inst.facilities.indices]
+    rows = _balance_rows(inst, ks)
+    for key in keys:
+        arcs = (key,) if directed else (key, key[::-1])
+        if kind is ModelKind.UNDIRECTED:
+            groups = [("{}-{}".format(*key), arcs)]
+        else:
+            groups = [("{}>{}".format(*a), (a,)) for a in arcs]
+        for label, group in groups:
+            coeffs = {VarRef.flow(k, a): Fraction(1) for k in ks for a in group}
+            coeffs.update((cap(m, key), -size) for m, size in sizes)
+            rows.append(LinearConstraint(f"cap[{label}]", coeffs, "<=", existing(key)))
+    # Facility-major, which is also the default objective's term order.
+    unit_cost = {cap(m, key): size for m, size in sizes for key in keys}
+    flows = [VarRef.flow(k, a) for k in ks for a in inst.network.arcs]
+    return MipModel(
+        kind=kind,
+        variables=tuple(sorted(flows + list(unit_cost), key=lambda v: v.sort_key)),
+        integer=frozenset(unit_cost),
+        constraints=tuple(rows),
+        objective=dict(unit_cost if objective is None else objective),
+    )
 
 
 def build_undirected(
@@ -331,22 +349,8 @@ def build_undirected(
     objective: Mapping[VarRef, Fraction] | None = None,
     commodities: Iterable[Commodity] | None = None,
 ) -> MipModel:
-    """Model with one capacity row per edge over the sum of both directions."""
-    _reject_arc_existing(inst, "undirected")
-    ks = _commodity_set(inst, commodities)
-    flows = _flow_vars(inst, ks)
-    caps = [VarRef.cap_edge(m, e) for m in inst.facilities.indices for e in inst.network.edges]
-    rows = _balance_rows(inst, ks)
-    for e in inst.network.edges:
-        i, j = e
-        coeffs: dict[VarRef, Fraction] = {}
-        for k in ks:
-            coeffs[VarRef.flow(k, (i, j))] = Fraction(1)
-            coeffs[VarRef.flow(k, (j, i))] = Fraction(1)
-        for m in inst.facilities.indices:
-            coeffs[VarRef.cap_edge(m, e)] = Fraction(-inst.facilities.capacity(m))
-        rows.append(LinearConstraint(f"cap[{i}-{j}]", coeffs, "<=", inst.edge_capacity(e)))
-    return _finish(ModelKind.UNDIRECTED, inst, flows, caps, rows, objective)
+    """One capacity row per edge over the flows of both directions."""
+    return build(inst, ModelKind.UNDIRECTED, objective=objective, commodities=commodities)
 
 
 def build_bidirected(
@@ -354,28 +358,8 @@ def build_bidirected(
     objective: Mapping[VarRef, Fraction] | None = None,
     commodities: Iterable[Commodity] | None = None,
 ) -> MipModel:
-    """Model where each direction of an edge is bounded by the edge capacity.
-
-    The per-edge bound on the larger of the two directional flow sums is
-    written as two rows, one per orientation.
-    """
-    _reject_arc_existing(inst, "bidirected")
-    ks = _commodity_set(inst, commodities)
-    flows = _flow_vars(inst, ks)
-    caps = [VarRef.cap_edge(m, e) for m in inst.facilities.indices for e in inst.network.edges]
-    rows = _balance_rows(inst, ks)
-    for e in inst.network.edges:
-        cap_terms = {
-            VarRef.cap_edge(m, e): Fraction(-inst.facilities.capacity(m))
-            for m in inst.facilities.indices
-        }
-        for arc in ((e[0], e[1]), (e[1], e[0])):
-            coeffs: dict[VarRef, Fraction] = {VarRef.flow(k, arc): Fraction(1) for k in ks}
-            coeffs.update(cap_terms)
-            rows.append(
-                LinearConstraint(f"cap[{arc[0]}>{arc[1]}]", coeffs, "<=", inst.edge_capacity(e))
-            )
-    return _finish(ModelKind.BIDIRECTED, inst, flows, caps, rows, objective)
+    """One capacity row per arc, both of an edge's rows on its capacity."""
+    return build(inst, ModelKind.BIDIRECTED, objective=objective, commodities=commodities)
 
 
 def build_directed(
@@ -383,23 +367,9 @@ def build_directed(
     objective: Mapping[VarRef, Fraction] | None = None,
     commodities: Iterable[Commodity] | None = None,
 ) -> MipModel:
-    """Model with independent capacity variables per arc.
-
-    Edge-keyed existing capacities count for both orientations; arc-keyed
-    entries override the orientation they name.
-    """
-    ks = _commodity_set(inst, commodities)
-    flows = _flow_vars(inst, ks)
-    caps = [VarRef.cap_arc(m, a) for m in inst.facilities.indices for a in inst.network.arcs]
-    rows = _balance_rows(inst, ks)
-    for arc in inst.network.arcs:
-        coeffs: dict[VarRef, Fraction] = {VarRef.flow(k, arc): Fraction(1) for k in ks}
-        for m in inst.facilities.indices:
-            coeffs[VarRef.cap_arc(m, arc)] = Fraction(-inst.facilities.capacity(m))
-        rows.append(
-            LinearConstraint(f"cap[{arc[0]}>{arc[1]}]", coeffs, "<=", inst.arc_capacity(arc))
-        )
-    return _finish(ModelKind.DIRECTED, inst, flows, caps, rows, objective)
+    """One capacity row per arc on the arc's own capacity; arc-keyed
+    existing capacities override the edge-keyed ones."""
+    return build(inst, ModelKind.DIRECTED, objective=objective, commodities=commodities)
 
 
 def add_flow_symmetry(model: MipModel) -> MipModel:

@@ -114,8 +114,6 @@ def _model_for(inst: Instance, kind: ModelKind, variant: str):
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
     if variant == "equalized":
-        if kind is not ModelKind.DIRECTED:
-            raise PreconditionError("variant 'equalized' applies to the directed model only")
         return equalize_directed(build_for_feasibility(inst, kind))
     return build_for_feasibility(inst, kind, symmetrize_flows=(variant == "symmetrized-flows"))
 
@@ -126,7 +124,6 @@ def project(
     *,
     variant: str = "plain",
     bound: int | None = None,
-    limit: int | None = None,
 ) -> ProjectionSet:
     """Minimal capacity vectors of the model's projection, within the box.
 
@@ -143,7 +140,7 @@ def project(
     b = capacity_bound(inst) if bound is None else bound
     if b < 0:
         raise PreconditionError("bound must be nonnegative")
-    check_box(len(components), b, limit)
+    check_box(len(components), b)
 
     def oracle(vec: tuple[int, ...]) -> bool:
         return feasible_with_capacity(model, dict(zip(refs, vec)))
@@ -199,9 +196,7 @@ class CorollaryReport:
         return "projection mismatch: " + "; ".join(self.mismatches())
 
 
-def verify_corollary(
-    inst: Instance, *, bound: int | None = None, limit: int | None = None
-) -> CorollaryReport:
+def verify_corollary(inst: Instance, *, bound: int | None = None) -> CorollaryReport:
     """Compare five projections that should coincide exactly.
 
     The variants: the undirected model of the traffic as given; the
@@ -215,18 +210,16 @@ def verify_corollary(
     inst_doubled = inst.with_traffic(scale_traffic(tstar, 2))
     b = capacity_bound(inst) if bound is None else bound
     entries = (
-        ("undirected/original", project(inst, ModelKind.UNDIRECTED, bound=b, limit=limit)),
-        ("undirected/averaged", project(inst_star, ModelKind.UNDIRECTED, bound=b, limit=limit)),
+        ("undirected/original", project(inst, ModelKind.UNDIRECTED, bound=b)),
+        ("undirected/averaged", project(inst_star, ModelKind.UNDIRECTED, bound=b)),
         (
             "undirected/averaged/mirror-flows",
-            project(inst_star, ModelKind.UNDIRECTED, variant="symmetrized-flows", bound=b, limit=limit),
+            project(inst_star, ModelKind.UNDIRECTED, variant="symmetrized-flows", bound=b),
         ),
-        ("bidirected/doubled-averaged", project(inst_doubled, ModelKind.BIDIRECTED, bound=b, limit=limit)),
+        ("bidirected/doubled-averaged", project(inst_doubled, ModelKind.BIDIRECTED, bound=b)),
         (
             "bidirected/doubled-averaged/mirror-flows",
-            project(
-                inst_doubled, ModelKind.BIDIRECTED, variant="symmetrized-flows", bound=b, limit=limit
-            ),
+            project(inst_doubled, ModelKind.BIDIRECTED, variant="symmetrized-flows", bound=b),
         ),
     )
     return CorollaryReport(entries=entries, bound=b)
@@ -347,8 +340,6 @@ def verify_triangle_remark(
     traffic: TrafficMatrix,
     bound: int,
     nodes: Iterable[Node] | None = None,
-    *,
-    limit: int | None = None,
 ) -> TriangleReport:
     """Check the triangle closed form against LP-based membership on the box,
     and for the symmetric counterpart check the two companion identities:
@@ -357,7 +348,7 @@ def verify_triangle_remark(
     halved traffic."""
     form = triangle_bidirected_projection(traffic, nodes)
     inst = _triangle_instance(traffic, form.nodes)
-    proj = project(inst, ModelKind.BIDIRECTED, bound=bound, limit=limit)
+    proj = project(inst, ModelKind.BIDIRECTED, bound=bound)
     mismatches = []
     points = 0
     for vec in graded_box(len(proj.components), bound):
@@ -371,12 +362,9 @@ def verify_triangle_remark(
     half_sum = math.ceil(Fraction(sum(star_form.node_requirements.values())) / 2)
     ceiling_ok = half_sum >= math.ceil(star_form.theta)
 
-    proj_star = project(inst.with_traffic(tstar), ModelKind.BIDIRECTED, bound=bound, limit=limit)
+    proj_star = project(inst.with_traffic(tstar), ModelKind.BIDIRECTED, bound=bound)
     proj_half = project(
-        inst.with_traffic(scale_traffic(traffic, Fraction(1, 2))),
-        ModelKind.UNDIRECTED,
-        bound=bound,
-        limit=limit,
+        inst.with_traffic(scale_traffic(traffic, Fraction(1, 2))), ModelKind.UNDIRECTED, bound=bound
     )
     halves_equal = proj_star.minimal == proj_half.minimal
 

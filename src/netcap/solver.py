@@ -27,11 +27,13 @@ from .formulate import (
     ModelKind,
     VarRef,
     add_flow_symmetry,
-    build_bidirected,
-    build_directed,
-    build_undirected,
+    build,
     fix_variables,
 )
+
+# Not called here.  The benchmark's tracer rebinds these three names on this
+# module (perfbench/tracing.py PATCHES), so they must stay importable from it.
+from .formulate import build_bidirected, build_directed, build_undirected  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -486,12 +488,7 @@ def build_for_feasibility(
     stay closed under reversal and cover all positive traffic.
     """
     ks = reduced_commodities(inst) if commodities is None else tuple(commodities)
-    if kind is ModelKind.UNDIRECTED:
-        model = build_undirected(inst, commodities=ks)
-    elif kind is ModelKind.BIDIRECTED:
-        model = build_bidirected(inst, commodities=ks)
-    else:
-        model = build_directed(inst, commodities=ks)
+    model = build(inst, kind, commodities=ks)
     if symmetrize_flows:
         model = add_flow_symmetry(model)
     return model

@@ -31,6 +31,7 @@ from .core import (
     TrafficMatrix,
     edge_between,
     pairwise_similar,
+    parse_json,
     parse_rational,
     render_rational,
     scale_traffic,
@@ -318,10 +319,7 @@ def render_point(point: ModelPoint) -> str:
 
 
 def parse_point(text: str) -> ModelPoint:
-    try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = parse_json(text)
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("flow"), dict)

@@ -243,6 +243,11 @@ def test_verify_triangle_instance_file(tri, capsys):
     assert "all checks agree" in capsys.readouterr().out
 
 
+# Stands in for an integer literal too long for json.loads (and json.dumps):
+# the test writes it into the file text directly.
+LONG_INT = "long-int-literal"
+
+
 @pytest.mark.parametrize(
     "target, bad",
     [
@@ -251,8 +256,20 @@ def test_verify_triangle_instance_file(tri, capsys):
         ("point", {"flow": []}),
         ("point", {"capacity": "1|1-2"}),
         ("traffic", {"traffic": [1]}),
+        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": LONG_INT}]}),
+        ("point", {"flow": {"1>2|1>2": LONG_INT}}),
+        ("traffic", {"traffic": [{"from": "1", "to": "2", "amount": LONG_INT}]}),
     ],
-    ids=["existing-string", "existing-list", "flow-list", "capacity-string", "traffic-row-int"],
+    ids=[
+        "existing-string",
+        "existing-list",
+        "flow-list",
+        "capacity-string",
+        "traffic-row-int",
+        "instance-long-int",
+        "point-long-int",
+        "traffic-long-int",
+    ],
 )
 def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
     inst, _ = tri
@@ -265,7 +282,7 @@ def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
     paths = {}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(doc))
+        paths[name].write_text(json.dumps(doc).replace(f'"{LONG_INT}"', "9" * 5000))
     argv = ["transform", "redistribute", str(paths["instance"])]
     argv += ["--point", str(paths["point"]), "--target", str(paths["traffic"])]
     assert run(argv) == 2

@@ -28,21 +28,21 @@ def test_graded_box_order_and_coverage():
     assert vectors[-1] == (2, 2, 2)
 
 
-def test_box_size_and_check():
+def test_box_size_and_check(monkeypatch):
     assert box_size(3, 2) == 27
     assert box_size(0, 5) == 1
-    check_box(3, 2, 27)
+    monkeypatch.setenv("NETCAP_MAX_BOX", "27")
+    check_box(3, 2)
+    monkeypatch.setenv("NETCAP_MAX_BOX", "26")
     with pytest.raises(BoxTooLargeError):
-        check_box(3, 2, 26)
+        check_box(3, 2)
 
 
 def test_max_box_limit_env(monkeypatch):
     monkeypatch.delenv("NETCAP_MAX_BOX", raising=False)
     default = max_box_limit()
-    assert max_box_limit(10) == 10
     monkeypatch.setenv("NETCAP_MAX_BOX", "123")
     assert max_box_limit() == 123
-    assert max_box_limit(7) == 7  # explicit override wins
     monkeypatch.setenv("NETCAP_MAX_BOX", "zero")
     with pytest.raises(BoxTooLargeError):
         max_box_limit()
