@@ -30,11 +30,9 @@ for kind in ModelKind:
     res = solve_mip(build(inst, kind), bound)
     assert res.status is SolveStatus.OPTIMAL
     point = result_point(res.values)
-    installed = dict(point.capacity_edge) or dict(point.capacity_arc)
     print(f"\n{kind.value}: optimal cost {res.objective}, {res.nodes} nodes explored")
-    for (facility, pair), count in sorted(installed.items()):
-        if count:
-            print(f"  facility {facility} on {pair}: {count}")
+    for ref, count in sorted(point.capacity.items(), key=lambda item: item[0].sort_key):
+        print(f"  facility {ref.facility} on {ref.edge or ref.arc}: {count}")
 
 # the undirected reading pools both directions, so it never costs less
 # than the bidirected one on the same traffic

@@ -32,8 +32,8 @@ bound = capacity_bound(inst)
 
 proj = project(inst, ModelKind.UNDIRECTED, bound=bound)
 print(f"undirected projection, box bound {bound}:")
-for cv in proj.minimal_vectors():
-    print(f"  {cv.render()}")
+for vec in proj.minimal_vectors():
+    print("  " + " ".join(f"{ref.key}={n}" for ref, n in zip(proj.components, vec)))
 
 report = verify_corollary(inst)
 print(f"\nfive-way comparison: {report.describe()}")

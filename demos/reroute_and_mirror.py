@@ -37,7 +37,7 @@ moved = redistribute(flow, traffic, target, net)
 print("per-edge pair loads before/after rerouting:")
 for e in net.edges:
     pair = edge_between(*e)
-    for p in ({edge_between("1", "2"), edge_between("1", "3")}):
+    for p in (edge_between("1", "2"), edge_between("1", "3")):
         before = edge_pair_load(flow, e, p)
         after = edge_pair_load(moved, e, p)
         assert before == after
@@ -48,7 +48,7 @@ for e in net.edges:
 # on an edge cannot tell the two flows apart
 cost = {}
 for e in net.edges:
-    for pair in ({("1", "2"), ("1", "3"), ("2", "3")}):
+    for pair in (("1", "2"), ("1", "3"), ("2", "3")):
         rate = Fraction(rng.randint(1, 5), 2)
         for k in (pair, (pair[1], pair[0])):
             for a in (e, (e[1], e[0])):

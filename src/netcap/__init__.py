@@ -65,7 +65,6 @@ from .formulate import (
     render_model,
 )
 from .projlab import (
-    CapacityVector,
     CorollaryReport,
     ProjectionSet,
     TriangleForm,

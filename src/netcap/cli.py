@@ -138,10 +138,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.op == "redistribute":
         target = _traffic_from_file(args.target)
         flow = redistribute(point.flow, inst.traffic, target, inst.network)
-        out = ModelPoint(flow, point.capacity_edge, point.capacity_arc)
+        out = ModelPoint(flow, point.capacity)
     elif args.op == "symmetrize":
         flow = symmetrize(point.flow, inst.traffic, inst.network)
-        out = ModelPoint(flow, point.capacity_edge, point.capacity_arc)
+        out = ModelPoint(flow, point.capacity)
     elif args.op == "lift":
         out = lift_to_bidirected(point, inst)
     else:
@@ -195,10 +195,7 @@ def _report_check(label: str, report: CutCheck) -> bool:
         return True
     print(f"{label}: violated on {len(report.violations)}/{report.points} enumerated points")
     vec, lhs = report.violations[0]
-    sep = ">" if label == "directed" else "-"
-    pairs = ", ".join(
-        f"{m}|{p[0]}{sep}{p[1]}={n}" for (m, p), n in zip(report.components, vec)
-    )
+    pairs = ", ".join(f"{ref.key}={n}" for ref, n in zip(report.components, vec))
     print(f"{label}: first counterexample: {pairs} (lhs {render_rational(lhs)})")
     return False
 
@@ -244,7 +241,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     vectors = result.minimal_vectors()
     print(f"minimal vectors: {len(vectors)}")
     for vec in vectors:
-        print(f"  {vec.render(directed=(args.model == 'directed'))}")
+        print("  " + " ".join(f"{ref.key}={n}" for ref, n in zip(result.components, vec)))
     return 0
 
 

@@ -24,11 +24,46 @@ Commodity = tuple[Node, Node]  # ordered (origin, destination)
 _RESERVED = set("->|,:")
 
 
+# Number text may spell at most this many digits in the numerator and in the
+# denominator it denotes: well below Python's 4300-digit int/str limit.
+MAX_DIGITS = 1000
+_DIGIT_LIMIT = 10**MAX_DIGITS
+
+
+def _too_long(text: str) -> ParseError:
+    shown = text if len(text) <= 40 else text[:37] + "..."
+    return ParseError(f"number {shown!r} has more than {MAX_DIGITS} digits")
+
+
+def _parse_number_text(text: str) -> Fraction:
+    """Read a number string exactly, refusing any over MAX_DIGITS digits.
+
+    Over-long text and a decimal exponent too large for the result to fit
+    are refused before `Fraction` builds a power of ten.
+    """
+    body = text.strip()
+    _, e, exponent = body.lower().partition("e")
+    if len(body) > 3 * MAX_DIGITS or (e and abs(int(exponent)) > MAX_DIGITS + len(body)):
+        raise _too_long(text)
+    q = Fraction(body)
+    if abs(q.numerator) >= _DIGIT_LIMIT or q.denominator >= _DIGIT_LIMIT:
+        raise _too_long(text)
+    return q
+
+
+def _parse_int_text(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise _too_long(text)
+    return int(text)
+
+
 def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a string.
 
     Strings may be integers ("7"), fractions ("3/2") or decimals ("1.5");
-    decimals are read exactly, digit by digit, never through a float.
+    decimals are read exactly, digit by digit, never through a float.  A
+    string whose numerator or denominator has over MAX_DIGITS digits is
+    refused.
     """
     if isinstance(value, bool):
         raise ParseError(f"not a rational value: {value!r}")
@@ -36,7 +71,7 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return _parse_number_text(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational value: {value!r}") from exc
     if isinstance(value, float):
@@ -332,12 +367,13 @@ def _parse_capacity_key(key: str) -> tuple[str, Edge | Arc]:
 def parse_json(text: str) -> object:
     """Parse a JSON document, reading non-integer numbers exactly.
 
-    Any ValueError, a syntax error or an integer literal over Python's digit
-    limit alike, becomes a ParseError.
+    Number literals go through the MAX_DIGITS check.  A syntax error
+    (ValueError) and nesting too deep for the decoder (RecursionError)
+    become a ParseError.
     """
     try:
-        return json.loads(text, parse_float=Fraction)
-    except ValueError as exc:
+        return json.loads(text, parse_float=_parse_number_text, parse_int=_parse_int_text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

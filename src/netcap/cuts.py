@@ -19,7 +19,7 @@ from .core import Arc, Commodity, Instance, Network, Node, render_rational
 from .enumeration import check_box, graded_box
 from .errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
 from .formulate import ModelKind, VarRef, fix_variables
-from .projlab import Component, capacity_bound
+from .projlab import capacity_bound
 from .solver import SolveStatus, build_for_feasibility, reduced_commodities, solve_lp
 
 
@@ -334,9 +334,13 @@ def translate_to_bidirected(ineq: LinearInequality) -> LinearInequality:
 
 @dataclass(frozen=True)
 class CutCheck:
-    """Exhaustive validity report for one inequality over a capacity box."""
+    """Exhaustive validity report for one inequality over a capacity box.
 
-    components: tuple[Component, ...]
+    Each violating vector lists counts aligned with `components`, the
+    model's capacity variables in `VarRef.sort_key` order.
+    """
+
+    components: tuple[VarRef, ...]
     bound: int
     points: int
     violations: tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -390,8 +394,7 @@ def check_cut_validity(
         raise PreconditionError(
             f"inequality names capacity variables missing from the {kind.value} model: {stray!r}"
         )
-    refs = sorted(cap_vars, key=lambda v: v.sort_key)
-    components = tuple((v.facility, v.edge or v.arc) for v in refs)
+    refs = tuple(sorted(cap_vars, key=lambda v: v.sort_key))
     b = capacity_bound(inst) if bound is None else bound
     if b < 0:
         raise PreconditionError("bound must be nonnegative")
@@ -417,6 +420,4 @@ def check_cut_validity(
         lhs = ypart + sol.objective + fixed.offset
         if lhs < ineq.rhs:
             violations.append((vec, lhs))
-    return CutCheck(
-        components=components, bound=b, points=points, violations=tuple(violations)
-    )
+    return CutCheck(components=refs, bound=b, points=points, violations=tuple(violations))

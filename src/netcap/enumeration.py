@@ -9,7 +9,6 @@ feasible while undominated is a minimal element of the feasible set.
 from __future__ import annotations
 
 import os
-from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .errors import BoxTooLargeError
@@ -47,9 +46,38 @@ def check_box(dimensions: int, bound: int) -> None:
 
 
 def graded_box(dimensions: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All vectors in {0..bound}^dimensions ordered by (total, lex)."""
-    vectors = sorted(product(range(bound + 1), repeat=dimensions), key=lambda v: (sum(v), v))
-    return iter(vectors)
+    """All vectors in {0..bound}^dimensions ordered by (total, lex).
+
+    Lazy: for each total, the vectors with that sum are stepped through in
+    lexicographic order, so nothing is built ahead of the one yielded.
+    """
+    if dimensions == 0:
+        yield ()
+        return
+    for total in range(dimensions * bound + 1):
+        vec = [0] * dimensions
+        _fill_right(vec, 0, total, bound)
+        while True:
+            yield tuple(vec)
+            # Lexicographic successor with the same total: raise the rightmost
+            # entry that can grow while its suffix can give up one unit, then
+            # refill that suffix as right-heavy (lex-smallest) as it goes.
+            rest = vec[-1]
+            for i in range(dimensions - 2, -1, -1):
+                if vec[i] < bound and rest > 0:
+                    break
+                rest += vec[i]
+            else:
+                break
+            vec[i] += 1
+            _fill_right(vec, i + 1, rest - 1, bound)
+
+
+def _fill_right(vec: list[int], start: int, amount: int, bound: int) -> None:
+    """Spread `amount` over vec[start:], filling from the right end."""
+    for j in range(len(vec) - 1, start - 1, -1):
+        vec[j] = min(bound, amount)
+        amount -= vec[j]
 
 
 def dominates(big: Iterable[int], small: Iterable[int]) -> bool:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .core import (
+    MAX_DIGITS,
     Arc,
     Commodity,
     Edge,
@@ -69,13 +70,19 @@ class VarRef:
         return VarRef(kind="capacity", facility=facility, arc=arc)
 
     @property
-    def name(self) -> str:
+    def key(self) -> str:
+        """The text inside the brackets of `name`: `o>d|i>j` for a flow,
+        `m|i-j` for an edge capacity, `m|i>j` for an arc capacity."""
         if self.kind == "flow":
             o, d = self.commodity
             i, j = self.arc
-            return f"x[{o}>{d}|{i}>{j}]"
-        key = f"{self.edge[0]}-{self.edge[1]}" if self.edge else f"{self.arc[0]}>{self.arc[1]}"
-        return f"y[{self.facility}|{key}]"
+            return f"{o}>{d}|{i}>{j}"
+        pair = f"{self.edge[0]}-{self.edge[1]}" if self.edge else f"{self.arc[0]}>{self.arc[1]}"
+        return f"{self.facility}|{pair}"
+
+    @property
+    def name(self) -> str:
+        return f"{'x' if self.kind == 'flow' else 'y'}[{self.key}]"
 
     @property
     def sort_key(self) -> tuple:
@@ -87,11 +94,11 @@ class VarRef:
         return self.name
 
 
-_VARNAME = re.compile(r"^([xy])\[([^|\]]+)\|([^|\]]+)\]$")
+_VARNAME = re.compile(r"^([xy])\[([^|]+)\|([^|]+)\]$")
 
 
 def parse_varref(name: str) -> VarRef:
-    """Inverse of VarRef.name."""
+    """Inverse of VarRef.name; edge endpoints are put in canonical order."""
     m = _VARNAME.match(name)
     if not m:
         raise ParseError(f"malformed variable name {name!r}")
@@ -102,7 +109,7 @@ def parse_varref(name: str) -> VarRef:
         o, _, d = first.partition(">")
         i, _, j = second.partition(">")
         return VarRef.flow((o, d), (i, j))
-    if not first.isdigit():
+    if not first.isdecimal() or len(first) > MAX_DIGITS:
         raise ParseError(f"malformed capacity variable {name!r}")
     facility = int(first)
     if ">" in second:
@@ -110,7 +117,7 @@ def parse_varref(name: str) -> VarRef:
         return VarRef.cap_arc(facility, (i, j))
     if "-" in second:
         i, _, j = second.partition("-")
-        return VarRef.cap_edge(facility, (i, j))
+        return VarRef.cap_edge(facility, edge_between(i, j))
     raise ParseError(f"malformed capacity variable {name!r}")
 
 

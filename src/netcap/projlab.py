@@ -31,55 +31,22 @@ from .errors import NoRoutingError, PreconditionError
 from .formulate import ModelKind, VarRef, equalize_directed
 from .solver import build_for_feasibility, feasible_with_capacity
 
-Component = tuple[int, tuple[str, str]]  # (facility index, edge or arc)
-
 VARIANTS = ("plain", "symmetrized-flows", "equalized")
 
 
 @dataclass(frozen=True)
-class CapacityVector:
-    """Integer module counts per (facility, edge-or-arc) component."""
-
-    items: tuple[tuple[Component, int], ...]
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[Component, int]) -> CapacityVector:
-        items = []
-        for key, count in mapping.items():
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise PreconditionError(f"capacity count for {key!r} must be a nonnegative integer")
-            facility, pair = key
-            items.append(((facility, tuple(pair)), count))
-        return CapacityVector(tuple(sorted(items)))
-
-    def as_dict(self) -> dict[Component, int]:
-        return dict(self.items)
-
-    def get(self, key: Component) -> int:
-        return self.as_dict().get(key, 0)
-
-    def dominates(self, other: CapacityVector) -> bool:
-        mine = self.as_dict()
-        return all(mine.get(k, 0) >= c for k, c in other.items)
-
-    def render(self, *, directed: bool = False) -> str:
-        # A lex-ordered arc and an edge look alike, so the caller says which.
-        sep = ">" if directed else "-"
-        parts = [
-            f"{facility}|{pair[0]}{sep}{pair[1]}={count}" for (facility, pair), count in self.items
-        ]
-        return " ".join(parts)
-
-
-@dataclass(frozen=True)
 class ProjectionSet:
-    """Minimal elements of an upward-closed capacity set within a box."""
+    """Minimal elements of an upward-closed capacity set within a box.
 
-    components: tuple[Component, ...]
+    Each vector lists counts aligned with `components`, the model's capacity
+    variables in `VarRef.sort_key` order.
+    """
+
+    components: tuple[VarRef, ...]
     bound: int
     minimal: frozenset[tuple[int, ...]]
 
-    def member(self, vector: Mapping[Component, int] | tuple[int, ...]) -> bool:
+    def member(self, vector: Mapping[VarRef, int] | tuple[int, ...]) -> bool:
         """Membership for vectors inside the box (upward closure of minimal)."""
         if isinstance(vector, tuple):
             aligned = vector
@@ -89,11 +56,9 @@ class ProjectionSet:
             raise PreconditionError("capacity vector does not match projection components")
         return any(all(a >= m for a, m in zip(aligned, mins)) for mins in self.minimal)
 
-    def minimal_vectors(self) -> list[CapacityVector]:
-        return [
-            CapacityVector(tuple(zip(self.components, vec)))
-            for vec in sorted(self.minimal, key=lambda v: (sum(v), v))
-        ]
+    def minimal_vectors(self) -> list[tuple[int, ...]]:
+        """The minimal vectors in graded (total, then lexicographic) order."""
+        return sorted(self.minimal, key=lambda v: (sum(v), v))
 
 
 def capacity_bound(inst: Instance) -> int:
@@ -132,25 +97,19 @@ def project(
     near the boundary of the feasible set.
     """
     model = _model_for(inst, kind, variant)
-    components: list[Component] = []
-    refs: list[VarRef] = []
-    for v in sorted((v for v in model.variables if v.kind == "capacity"), key=lambda v: v.sort_key):
-        components.append((v.facility, v.edge or v.arc))
-        refs.append(v)
+    refs = tuple(sorted((v for v in model.variables if v.kind == "capacity"), key=lambda v: v.sort_key))
     b = capacity_bound(inst) if bound is None else bound
     if b < 0:
         raise PreconditionError("bound must be nonnegative")
-    check_box(len(components), b)
+    check_box(len(refs), b)
 
     def oracle(vec: tuple[int, ...]) -> bool:
         return feasible_with_capacity(model, dict(zip(refs, vec)))
 
     cache = MonotoneFeasibility(oracle)
-    for vec in graded_box(len(components), b):
+    for vec in graded_box(len(refs), b):
         cache.feasible(vec)
-    return ProjectionSet(
-        components=tuple(components), bound=b, minimal=frozenset(cache.minimal)
-    )
+    return ProjectionSet(components=refs, bound=b, minimal=frozenset(cache.minimal))
 
 
 # -- five-way projection equality --------------------------------------------
@@ -353,7 +312,7 @@ def verify_triangle_remark(
     points = 0
     for vec in graded_box(len(proj.components), bound):
         points += 1
-        counts = {pair: v for (_, pair), v in zip(proj.components, vec)}
+        counts = {ref.edge: v for ref, v in zip(proj.components, vec)}
         if form.member(counts) != proj.member(vec):
             mismatches.append(vec)
 

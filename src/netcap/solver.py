@@ -419,30 +419,15 @@ def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
 # -- feasibility of capacity vectors -----------------------------------------
 
 def _as_cap_refs(
-    model: MipModel, capacities: Mapping
+    model: MipModel, capacities: Mapping[VarRef, int | Fraction]
 ) -> dict[VarRef, Fraction]:
-    """Normalize a capacity assignment to VarRef keys and check it is total."""
+    """Check a capacity assignment names only the model's capacity variables,
+    and all of them."""
     cap_vars = {v for v in model.variables if v.kind == "capacity"}
     fixed: dict[VarRef, Fraction] = {}
-    for key, val in capacities.items():
-        if isinstance(key, VarRef):
-            ref = key
-        else:
-            facility, pair = key
-            ref = next(
-                (
-                    v
-                    for v in cap_vars
-                    if v.facility == facility and (v.edge or v.arc) == tuple(pair)
-                ),
-                None,
-            )
-            if ref is None:
-                raise PreconditionError(f"capacity key {key!r} matches no model variable")
+    for ref, val in capacities.items():
         if ref not in cap_vars:
-            raise PreconditionError(f"capacity key {ref.name} matches no model variable")
-        if ref in fixed:
-            raise PreconditionError(f"duplicate capacity key {ref.name}")
+            raise PreconditionError(f"capacity key {ref!r} matches no model variable")
         fixed[ref] = Fraction(val)
     missing = cap_vars - set(fixed)
     if missing:
@@ -451,7 +436,7 @@ def _as_cap_refs(
     return fixed
 
 
-def feasible_with_capacity(model: MipModel, capacities: Mapping) -> bool:
+def feasible_with_capacity(model: MipModel, capacities: Mapping[VarRef, int | Fraction]) -> bool:
     """Phase-1 feasibility of the flow system once capacities are pinned."""
     fixed = _as_cap_refs(model, capacities)
     res = fix_variables(model, fixed)
@@ -497,15 +482,14 @@ def build_for_feasibility(
 def accommodates(
     inst: Instance,
     kind: ModelKind,
-    capacities: Mapping,
+    capacities: Mapping[VarRef, int | Fraction],
     *,
     symmetrize_flows: bool = False,
 ) -> bool:
     """True when the integer capacity vector can route the instance's traffic.
 
-    `capacities` maps (facility index, edge-or-arc pair) or VarRef to the
-    installed module count; it must cover the model's capacity variables
-    exactly.  With `symmetrize_flows`, feasibility additionally requires a
+    `capacities` maps each capacity VarRef to the installed module count; it
+    must cover the model's capacity variables exactly.  With `symmetrize_flows`, feasibility additionally requires a
     direction-symmetric routing (traffic must then be symmetric to stand a
     chance).
     """

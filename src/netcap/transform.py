@@ -43,6 +43,7 @@ from .formulate import (
     add_flow_symmetry,
     build_bidirected,
     build_undirected,
+    parse_varref,
 )
 
 FlowKey = tuple[Commodity, Arc]
@@ -78,37 +79,28 @@ class FlowVector:
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """A flow vector with an integer capacity vector.
+    """A flow vector with integer counts on capacity variables.
 
-    Capacity entries are keyed (facility index, edge) for the undirected and
-    bidirected models, (facility index, arc) for the directed one.
+    Capacity entries are keyed by the model's capacity `VarRef`s: edge-keyed
+    for the undirected and bidirected models, arc-keyed for the directed one.
     """
 
     flow: FlowVector
-    capacity_edge: Mapping[tuple[int, Edge], int] = field(default_factory=dict)
-    capacity_arc: Mapping[tuple[int, Arc], int] = field(default_factory=dict)
+    capacity: Mapping[VarRef, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for store in (self.capacity_edge, self.capacity_arc):
-            for key, count in store.items():
-                if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                    raise PreconditionError(f"capacity count for {key!r} must be a nonnegative integer")
+        for ref, count in self.capacity.items():
+            if not isinstance(ref, VarRef) or ref.kind != "capacity":
+                raise PreconditionError(f"capacity key {ref!r} is not a capacity variable")
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                raise PreconditionError(f"capacity count for {ref.name} must be a nonnegative integer")
 
-    def assignment(self, directed: bool) -> dict[VarRef, Fraction]:
+    def assignment(self) -> dict[VarRef, Fraction]:
         """Variable assignment for constraint evaluation."""
         values: dict[VarRef, Fraction] = {
             VarRef.flow(k, a): v for (k, a), v in self.flow.entries.items()
         }
-        if directed:
-            if self.capacity_edge:
-                raise PreconditionError("directed point must use arc-keyed capacities")
-            for (m, a), count in self.capacity_arc.items():
-                values[VarRef.cap_arc(m, tuple(a))] = Fraction(count)
-        else:
-            if self.capacity_arc:
-                raise PreconditionError("edge-capacity point expected, got arc-keyed capacities")
-            for (m, e), count in self.capacity_edge.items():
-                values[VarRef.cap_edge(m, tuple(e))] = Fraction(count)
+        values.update((ref, Fraction(count)) for ref, count in self.capacity.items())
         return values
 
 
@@ -243,8 +235,8 @@ def scale_flow_cost(
     }
 
 
-def _check_point(model: MipModel, point: ModelPoint, directed: bool, label: str) -> None:
-    values = point.assignment(directed)
+def _check_point(model: MipModel, point: ModelPoint, label: str) -> None:
+    values = point.assignment()
     known = set(model.variables)
     stray = [v.name for v in values if v not in known]
     if stray:
@@ -265,14 +257,11 @@ def lift_to_bidirected(point: ModelPoint, inst: Instance) -> ModelPoint:
     if not inst.traffic.is_symmetric():
         raise PreconditionError("lift_to_bidirected requires symmetric traffic")
     source = add_flow_symmetry(build_undirected(inst))
-    _check_point(source, point, directed=False, label="undirected point")
-    lifted = ModelPoint(
-        flow=scale_flow(point.flow, 2),
-        capacity_edge=dict(point.capacity_edge),
-    )
+    _check_point(source, point, "undirected point")
+    lifted = ModelPoint(scale_flow(point.flow, 2), dict(point.capacity))
     doubled = inst.with_traffic(scale_traffic(inst.traffic, 2))
     target = add_flow_symmetry(build_bidirected(doubled))
-    _check_point(target, lifted, directed=False, label="lifted point")
+    _check_point(target, lifted, "lifted point")
     return lifted
 
 
@@ -283,39 +272,32 @@ def drop_to_undirected(point: ModelPoint, inst: Instance) -> ModelPoint:
         raise PreconditionError("drop_to_undirected requires symmetric traffic")
     doubled = inst.with_traffic(scale_traffic(inst.traffic, 2))
     source = add_flow_symmetry(build_bidirected(doubled))
-    _check_point(source, point, directed=False, label="bidirected point")
-    dropped = ModelPoint(
-        flow=scale_flow(point.flow, Fraction(1, 2)),
-        capacity_edge=dict(point.capacity_edge),
-    )
+    _check_point(source, point, "bidirected point")
+    dropped = ModelPoint(scale_flow(point.flow, Fraction(1, 2)), dict(point.capacity))
     target = add_flow_symmetry(build_undirected(inst))
-    _check_point(target, dropped, directed=False, label="dropped point")
+    _check_point(target, dropped, "dropped point")
     return dropped
 
 
 # -- point files -------------------------------------------------------------
 
-def _flow_key_to_text(key: FlowKey) -> str:
-    (o, d), (i, j) = key
-    return f"{o}>{d}|{i}>{j}"
-
-
-def _cap_key_to_text(facility: int, pair: tuple[str, str], directed: bool) -> str:
-    sep = ">" if directed else "-"
-    return f"{facility}|{pair[0]}{sep}{pair[1]}"
-
-
 def render_point(point: ModelPoint) -> str:
     flow = {
-        _flow_key_to_text(ka): render_rational(v)
-        for ka, v in sorted(point.flow.entries.items())
+        VarRef.flow(k, a).key: render_rational(v)
+        for (k, a), v in sorted(point.flow.entries.items())
     }
-    capacity: dict[str, int] = {}
-    for (m, e), count in sorted(point.capacity_edge.items()):
-        capacity[_cap_key_to_text(m, e, directed=False)] = count
-    for (m, a), count in sorted(point.capacity_arc.items()):
-        capacity[_cap_key_to_text(m, a, directed=True)] = count
+    capacity = {
+        ref.key: count
+        for ref, count in sorted(point.capacity.items(), key=lambda item: item[0].sort_key)
+    }
     return json.dumps({"flow": flow, "capacity": capacity}, indent=2) + "\n"
+
+
+def _parse_key(letter: str, key: str, what: str) -> VarRef:
+    try:
+        return parse_varref(f"{letter}[{key}]")
+    except ParseError:
+        raise ParseError(f"malformed {what} key {key!r}") from None
 
 
 def parse_point(text: str) -> ModelPoint:
@@ -328,30 +310,16 @@ def parse_point(text: str) -> ModelPoint:
         raise ParseError("point document needs 'flow' and 'capacity' maps")
     flow: dict[FlowKey, Fraction] = {}
     for key, raw in doc["flow"].items():
-        parts = key.split("|")
-        if len(parts) != 2 or ">" not in parts[0] or ">" not in parts[1]:
-            raise ParseError(f"malformed flow key {key!r}")
-        o, _, d = parts[0].partition(">")
-        i, _, j = parts[1].partition(">")
-        flow[((o, d), (i, j))] = parse_rational(raw)
-    cap_edge: dict[tuple[int, Edge], int] = {}
-    cap_arc: dict[tuple[int, Arc], int] = {}
+        ref = _parse_key("x", key, "flow")
+        flow[(ref.commodity, ref.arc)] = parse_rational(raw)
+    capacity: dict[VarRef, int] = {}
     for key, raw in doc["capacity"].items():
-        head, sep, rest = key.partition("|")
-        if not sep or not head.isdigit():
-            raise ParseError(f"malformed capacity key {key!r}")
+        ref = _parse_key("y", key, "capacity")
         count = parse_rational(raw)
         if count.denominator != 1 or count < 0:
             raise ParseError(f"capacity count for {key!r} must be a nonnegative integer")
-        if ">" in rest:
-            i, _, j = rest.partition(">")
-            cap_arc[(int(head), (i, j))] = int(count)
-        elif "-" in rest:
-            i, _, j = rest.partition("-")
-            cap_edge[(int(head), edge_between(i, j))] = int(count)
-        else:
-            raise ParseError(f"malformed capacity key {key!r}")
-    return ModelPoint(FlowVector(flow), cap_edge, cap_arc)
+        capacity[ref] = int(count)
+    return ModelPoint(FlowVector(flow), capacity)
 
 
 def load_point(path: str | Path) -> ModelPoint:
@@ -365,15 +333,12 @@ def save_point(point: ModelPoint, path: str | Path) -> None:
 def result_point(values: Mapping[VarRef, Fraction]) -> ModelPoint:
     """Package a solver assignment as a ModelPoint."""
     flow: dict[FlowKey, Fraction] = {}
-    cap_edge: dict[tuple[int, Edge], int] = {}
-    cap_arc: dict[tuple[int, Arc], int] = {}
+    capacity: dict[VarRef, int] = {}
     for v, val in values.items():
         if val == 0:
             continue
         if v.kind == "flow":
             flow[(v.commodity, v.arc)] = val
-        elif v.edge is not None:
-            cap_edge[(v.facility, v.edge)] = int(val)
         else:
-            cap_arc[(v.facility, v.arc)] = int(val)
-    return ModelPoint(FlowVector(flow), cap_edge, cap_arc)
+            capacity[v] = int(val)
+    return ModelPoint(FlowVector(flow), capacity)

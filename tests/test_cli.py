@@ -84,7 +84,8 @@ def test_solve_writes_a_feasible_point(tri, tmp_path, capsys):
     assert "objective: 3" in text
     point = load_point(str(out))
     assert balance_violations(point.flow, inst.traffic, inst.network) == []
-    assert sum(point.capacity_edge.values()) == 3
+    assert sum(point.capacity.values()) == 3
+    assert all(ref.edge is not None for ref in point.capacity)
 
 
 def test_solve_infeasible_exits_one(tmp_path, capsys):
@@ -132,7 +133,7 @@ def test_transform_redistribute(tri, tmp_path, capsys):
         {("1", "2"): Fraction(1, 2), ("2", "1"): Fraction(3, 2), ("1", "3"): Fraction(1)}
     )
     assert balance_violations(moved.flow, want, inst.network) == []
-    assert moved.capacity_edge == load_point(str(point_file)).capacity_edge
+    assert moved.capacity == load_point(str(point_file)).capacity
 
 
 def test_transform_lift_drop_round_trip(tri_sym, tmp_path, capsys):
@@ -259,6 +260,9 @@ LONG_INT = "long-int-literal"
         ("instance", {"traffic": [{"from": "1", "to": "2", "amount": LONG_INT}]}),
         ("point", {"flow": {"1>2|1>2": LONG_INT}}),
         ("traffic", {"traffic": [{"from": "1", "to": "2", "amount": LONG_INT}]}),
+        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": "1e5000"}]}),
+        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": "1e10000000"}]}),
+        ("point", {"flow": {"1>2|1>2": "1e-5000"}}),
     ],
     ids=[
         "existing-string",
@@ -269,6 +273,9 @@ LONG_INT = "long-int-literal"
         "instance-long-int",
         "point-long-int",
         "traffic-long-int",
+        "instance-huge-exponent",
+        "instance-vast-exponent",
+        "point-huge-exponent",
     ],
 )
 def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
@@ -288,6 +295,19 @@ def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["build", "solve"])
+def test_huge_number_exits_two_before_any_work(tri, tmp_path, capsys, command):
+    inst, _ = tri
+    doc = json.loads(render_instance(inst))
+    doc["traffic"][0]["amount"] = "1e5000"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, str(path), "--model", "undirected"]) == 2
+    err = capsys.readouterr().err
+    assert "more than" in err and "digits" in err
     assert "Traceback" not in err
 
 

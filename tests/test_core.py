@@ -2,11 +2,13 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from netcap.core import (
+    MAX_DIGITS,
     FacilityMenu,
     Instance,
     Network,
@@ -15,6 +17,7 @@ from netcap.core import (
     load_instance,
     pairwise_similar,
     parse_instance,
+    parse_json,
     parse_rational,
     render_instance,
     render_rational,
@@ -39,6 +42,33 @@ def test_parse_rational_rejects_floats_and_bools():
         parse_rational(True)
     with pytest.raises(ParseError):
         parse_rational("not a number")
+
+
+def test_number_text_is_bounded_at_parse_time():
+    nines = "9" * MAX_DIGITS
+    assert parse_rational(nines) == 10**MAX_DIGITS - 1
+    assert parse_rational(f"1/{nines}").denominator == 10**MAX_DIGITS - 1
+    assert parse_rational(f"1e{MAX_DIGITS - 1}") == 10 ** (MAX_DIGITS - 1)
+    for bad in (nines + "9", f"1/{nines}9", f"1e{MAX_DIGITS}", "1e-5000", "1e10000000"):
+        with pytest.raises(ParseError, match="digits"):
+            parse_rational(bad)
+    assert parse_json(f"[{nines}, 1.5e3]") == [10**MAX_DIGITS - 1, 1500]
+    for bad in (nines + "9", "1e5000", "[1e10000000]"):
+        with pytest.raises(ParseError, match="digits"):
+            parse_json(bad)
+    with pytest.raises(ParseError):
+        parse_json("[" * 100_000)
+
+
+def test_huge_exponent_is_refused_before_the_power_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="digits"):
+            parse_rational("1e10000000")  # 10**10**7 would take over 4 MB
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_render_rational():

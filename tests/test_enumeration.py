@@ -1,10 +1,12 @@
 """Graded box enumeration and monotone dominance caching."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from netcap.enumeration import (
+    DEFAULT_MAX_BOX,
     MonotoneFeasibility,
     box_size,
     check_box,
@@ -26,6 +28,28 @@ def test_graded_box_order_and_coverage():
             assert a < b
     assert vectors[0] == (0, 0, 0)
     assert vectors[-1] == (2, 2, 2)
+
+
+def test_graded_box_equals_the_sorted_product():
+    for dimensions in range(5):
+        for bound in range(4):
+            want = sorted(product(range(bound + 1), repeat=dimensions), key=lambda v: (sum(v), v))
+            assert list(graded_box(dimensions, bound)) == want
+
+
+def test_graded_box_yields_before_building_the_box():
+    # 2**20 vectors, about the default NETCAP_MAX_BOX cap
+    assert box_size(20, 1) > DEFAULT_MAX_BOX
+    tracemalloc.start()
+    try:
+        box = graded_box(20, 1)
+        first, second = next(box), next(box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == (0,) * 20
+    assert second == (0,) * 19 + (1,)
+    assert peak < 100_000
 
 
 def test_box_size_and_check(monkeypatch):

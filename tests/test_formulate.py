@@ -44,6 +44,9 @@ def test_varref_names():
     assert VarRef.flow(("1", "2"), ("2", "1")).name == "x[1>2|2>1]"
     assert VarRef.cap_edge(2, ("1", "3")).name == "y[2|1-3]"
     assert VarRef.cap_arc(1, ("3", "1")).name == "y[1|3>1]"
+    assert VarRef.flow(("1", "2"), ("2", "1")).key == "1>2|2>1"
+    assert VarRef.cap_edge(2, ("1", "3")).key == "2|1-3"
+    assert VarRef.cap_arc(1, ("3", "1")).key == "1|3>1"
 
 
 def test_varref_parse_round_trip():
@@ -54,6 +57,8 @@ def test_varref_parse_round_trip():
     ]
     for ref in refs:
         assert parse_varref(ref.name) == ref
+    assert parse_varref("y[3|y-x]") == VarRef.cap_edge(3, ("x", "y"))
+    assert parse_varref("y[1|a]-b[]") == VarRef.cap_edge(1, ("a]", "b["))
 
 
 def test_parse_varref_rejects_malformed():

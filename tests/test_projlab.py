@@ -13,9 +13,8 @@ from netcap.core import (
     symmetric_counterpart,
 )
 from netcap.errors import NoRoutingError, PreconditionError
-from netcap.formulate import ModelKind
+from netcap.formulate import ModelKind, VarRef
 from netcap.projlab import (
-    CapacityVector,
     ProjectionSet,
     capacity_bound,
     project,
@@ -54,25 +53,10 @@ def test_capacity_bound():
         capacity_bound(stranded)
 
 
-def test_capacity_vector_semantics():
-    vec = CapacityVector.from_mapping({(1, ("1", "2")): 2, (1, ("1", "3")): 0})
-    assert vec.get((1, ("1", "2"))) == 2
-    assert vec.get((1, ("2", "3"))) == 0
-    assert vec.as_dict() == {(1, ("1", "2")): 2, (1, ("1", "3")): 0}
-    bigger = CapacityVector.from_mapping({(1, ("1", "2")): 2, (1, ("1", "3")): 1})
-    assert bigger.dominates(vec)
-    assert not vec.dominates(bigger)
-    assert vec.render() == "1|1-2=2 1|1-3=0"
-    assert vec.render(directed=True) == "1|1>2=2 1|1>3=0"
-    with pytest.raises(PreconditionError):
-        CapacityVector.from_mapping({(1, ("1", "2")): -1})
-    with pytest.raises(PreconditionError):
-        CapacityVector.from_mapping({(1, ("1", "2")): Fraction(1)})
-
-
 def test_projection_set_membership_is_upward_closure():
+    e12, e13 = VarRef.cap_edge(1, ("1", "2")), VarRef.cap_edge(1, ("1", "3"))
     proj = ProjectionSet(
-        components=((1, ("1", "2")), (1, ("1", "3"))),
+        components=(e12, e13),
         bound=3,
         minimal=frozenset({(1, 2), (2, 0)}),
     )
@@ -81,7 +65,8 @@ def test_projection_set_membership_is_upward_closure():
     assert proj.member((2, 1))
     assert not proj.member((1, 1))
     assert not proj.member((0, 3))
-    assert proj.member({(1, ("1", "2")): 2, (1, ("1", "3")): 0})
+    assert proj.member({e12: 2, e13: 0})
+    assert not proj.member({e13: 3})
     with pytest.raises(PreconditionError):
         proj.member((1, 2, 3))
 
@@ -89,10 +74,9 @@ def test_projection_set_membership_is_upward_closure():
 def test_pinned_triangle_projection():
     proj = project(_tri_instance(), ModelKind.UNDIRECTED)
     assert proj.bound == 3
-    assert proj.components == ((1, ("1", "2")), (1, ("1", "3")), (1, ("2", "3")))
+    assert [ref.key for ref in proj.components] == ["1|1-2", "1|1-3", "1|2-3"]
     assert proj.minimal == {(2, 1, 0), (1, 2, 1), (3, 0, 1), (0, 3, 2)}
-    rendered = [v.render() for v in proj.minimal_vectors()]
-    assert rendered[0] == "1|1-2=2 1|1-3=1 1|2-3=0"
+    assert proj.minimal_vectors() == [(2, 1, 0), (1, 2, 1), (3, 0, 1), (0, 3, 2)]
 
 
 def test_projection_membership_matches_direct_feasibility():
@@ -105,7 +89,7 @@ def test_projection_membership_matches_direct_feasibility():
         direct = accommodates(
             inst,
             ModelKind.UNDIRECTED,
-            {c: n for c, n in zip(proj.components, vec)},
+            dict(zip(proj.components, vec)),
         )
         assert proj.member(vec) == direct
 
@@ -118,6 +102,7 @@ def test_project_variant_validation():
         project(inst, ModelKind.UNDIRECTED, variant="equalized")
     eq = project(inst, ModelKind.DIRECTED, variant="equalized", bound=2)
     assert len(eq.components) == 6  # one per arc
+    assert all(ref.arc is not None for ref in eq.components)
 
 
 def test_rerouting_preserves_the_projection():

@@ -251,41 +251,34 @@ def test_capacity_vector_lookup_errors():
     inst = _two_node()
     model = build_undirected(inst)
     e = ("1", "2")
-    assert feasible_with_capacity(model, {(1, e): 1})
+    assert feasible_with_capacity(model, {VarRef.cap_edge(1, e): 1})
     with pytest.raises(PreconditionError):
-        feasible_with_capacity(model, {(2, e): 1})  # unknown facility
+        feasible_with_capacity(model, {VarRef.cap_edge(2, e): 1})  # unknown facility
     with pytest.raises(PreconditionError):
         feasible_with_capacity(model, {})  # missing entries
     with pytest.raises(PreconditionError):
-        feasible_with_capacity(
-            model, {(1, e): 1, VarRef.cap_edge(1, e): 1}  # duplicate key
-        )
+        feasible_with_capacity(model, {VarRef.cap_arc(1, e): 1})  # arc key, edge model
+    with pytest.raises(PreconditionError):
+        feasible_with_capacity(model, {(1, e): 1})  # bare tuples are not keys
 
 
 def test_accommodates_pinned():
     inst = _two_node(t12=Fraction(1), t21=Fraction(1))
-    e = ("1", "2")
-    assert not accommodates(inst, ModelKind.UNDIRECTED, {(1, e): 1})
-    assert accommodates(inst, ModelKind.UNDIRECTED, {(1, e): 2})
-    assert accommodates(inst, ModelKind.BIDIRECTED, {(1, e): 1})
-    assert accommodates(
-        inst, ModelKind.DIRECTED, {(1, ("1", "2")): 1, (1, ("2", "1")): 1}
-    )
-    assert not accommodates(
-        inst, ModelKind.DIRECTED, {(1, ("1", "2")): 2, (1, ("2", "1")): 0}
-    )
+    y = VarRef.cap_edge(1, ("1", "2"))
+    fwd, back = VarRef.cap_arc(1, ("1", "2")), VarRef.cap_arc(1, ("2", "1"))
+    assert not accommodates(inst, ModelKind.UNDIRECTED, {y: 1})
+    assert accommodates(inst, ModelKind.UNDIRECTED, {y: 2})
+    assert accommodates(inst, ModelKind.BIDIRECTED, {y: 1})
+    assert accommodates(inst, ModelKind.DIRECTED, {fwd: 1, back: 1})
+    assert not accommodates(inst, ModelKind.DIRECTED, {fwd: 2, back: 0})
 
 
 def test_symmetrized_flows_need_symmetric_traffic():
     lopsided = _two_node(t12=Fraction(1), t21=Fraction(0))
-    e = ("1", "2")
-    assert not accommodates(
-        lopsided, ModelKind.UNDIRECTED, {(1, e): 5}, symmetrize_flows=True
-    )
+    y = VarRef.cap_edge(1, ("1", "2"))
+    assert not accommodates(lopsided, ModelKind.UNDIRECTED, {y: 5}, symmetrize_flows=True)
     balanced = _two_node(t12=Fraction(1), t21=Fraction(1))
-    assert accommodates(
-        balanced, ModelKind.UNDIRECTED, {(1, e): 2}, symmetrize_flows=True
-    )
+    assert accommodates(balanced, ModelKind.UNDIRECTED, {y: 2}, symmetrize_flows=True)
 
 
 def test_reduced_commodities():

@@ -236,7 +236,7 @@ def test_lift_then_drop_is_identity():
     inst = _symmetric_triangle_instance()
     point = _mirror_point(inst)
     lifted = lift_to_bidirected(point, inst)
-    assert lifted.capacity_edge == point.capacity_edge
+    assert lifted.capacity == point.capacity
     assert lifted.flow == scale_flow(point.flow, 2)
     doubled = inst.with_traffic(scale_traffic(inst.traffic, 2))
     assert balance_violations(lifted.flow, doubled.traffic, inst.network) == []
@@ -260,7 +260,7 @@ def test_lift_rejects_infeasible_or_stray_points():
     skew[(("1", "2"), ("1", "3"))] = skew.get((("1", "2"), ("1", "3")), Fraction(0)) + 1
     skew[(("1", "2"), ("3", "2"))] = skew.get((("1", "2"), ("3", "2")), Fraction(0)) + 1
     with pytest.raises(PreconditionError):
-        lift_to_bidirected(ModelPoint(FlowVector(skew), dict(point.capacity_edge)), inst)
+        lift_to_bidirected(ModelPoint(FlowVector(skew), dict(point.capacity)), inst)
     # stray variable: flow for a node the instance does not have
     with pytest.raises(PreconditionError):
         lift_to_bidirected(
@@ -269,17 +269,17 @@ def test_lift_rejects_infeasible_or_stray_points():
 
 
 def test_point_assignment_guards_capacity_keying():
-    point = ModelPoint(
-        FlowVector({}), capacity_edge={(1, ("1", "2")): 1}
-    )
-    with pytest.raises(PreconditionError):
-        point.assignment(directed=True)
-    arc_point = ModelPoint(FlowVector({}), capacity_arc={(1, ("2", "1")): 1})
-    with pytest.raises(PreconditionError):
-        arc_point.assignment(directed=False)
-    assert arc_point.assignment(directed=True) == {
-        VarRef.cap_arc(1, ("2", "1")): Fraction(1)
+    inst = _symmetric_triangle_instance()
+    point = _mirror_point(inst)
+    # the same counts keyed by arc name variables the edge models lack
+    arc_keyed = {VarRef.cap_arc(r.facility, r.edge): n for r, n in point.capacity.items()}
+    with pytest.raises(PreconditionError, match="outside the model"):
+        lift_to_bidirected(ModelPoint(point.flow, arc_keyed), inst)
+    assert ModelPoint(FlowVector({}), arc_keyed).assignment() == {
+        r: Fraction(n) for r, n in arc_keyed.items()
     }
+    with pytest.raises(PreconditionError):
+        ModelPoint(FlowVector({}), {(1, ("1", "2")): 1})  # bare tuples are not keys
 
 
 def test_point_json_round_trip():
@@ -290,26 +290,33 @@ def test_point_json_round_trip():
                 (("2", "1"), ("2", "1")): Fraction(1, 4),
             }
         ),
-        capacity_edge={(1, ("1", "2")): 2},
+        {VarRef.cap_edge(1, ("1", "2")): 2},
     )
     assert parse_point(render_point(point)) == point
 
     directed = ModelPoint(
         FlowVector({(("1", "2"), ("1", "2")): Fraction(1)}),
-        capacity_arc={(2, ("1", "2")): 1, (2, ("2", "1")): 0},
+        {VarRef.cap_arc(2, ("1", "2")): 1, VarRef.cap_arc(2, ("2", "1")): 0},
     )
-    assert parse_point(render_point(directed)) == directed
+    text = render_point(directed)
+    assert '"2|1>2": 1' in text
+    assert parse_point(text) == directed
+    # edge keys are read in canonical order
+    swapped = parse_point('{"flow": {}, "capacity": {"1|2-1": 3}}')
+    assert swapped.capacity == {VarRef.cap_edge(1, ("1", "2")): 3}
 
 
 def test_parse_point_rejects_malformed():
     with pytest.raises(ParseError):
         parse_point("[]")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="malformed flow key"):
         parse_point('{"flow": {"1>2": "1"}, "capacity": {}}')
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="must be a nonnegative integer"):
         parse_point('{"flow": {}, "capacity": {"1|1-2": "1/2"}}')
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="malformed capacity key"):
         parse_point('{"flow": {}, "capacity": {"one|1-2": "1"}}')
+    with pytest.raises(ParseError, match="malformed capacity key"):
+        parse_point('{"flow": {}, "capacity": {"1|12": "1"}}')
 
 
 def test_result_point_partitions_solver_values():
@@ -320,5 +327,4 @@ def test_result_point_partitions_solver_values():
     }
     point = result_point(values)
     assert point.flow.get(("1", "2"), ("1", "2")) == 1
-    assert point.capacity_edge == {(1, ("1", "2")): 2}
-    assert point.capacity_arc == {}
+    assert point.capacity == {VarRef.cap_edge(1, ("1", "2")): 2}
