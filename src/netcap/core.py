@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -21,6 +22,7 @@ Edge = tuple[Node, Node]       # unordered, stored with the lex-smaller node fir
 Commodity = tuple[Node, Node]  # ordered (origin, destination)
 
 # Characters reserved as separators in edge/arc keys and variable names.
+# Whitespace is reserved too: it separates terms in the LP text format.
 _RESERVED = set("->|,:")
 
 
@@ -93,7 +95,7 @@ def render_rational(q: Fraction) -> str:
 def _check_node_id(node: Node) -> None:
     if not isinstance(node, str) or not node:
         raise InvalidInstanceError(f"node id must be a non-empty string: {node!r}")
-    bad = _RESERVED.intersection(node)
+    bad = {c for c in node if c in _RESERVED or c.isspace()}
     if bad:
         raise InvalidInstanceError(
             f"node id {node!r} contains reserved separator {sorted(bad)!r}"
@@ -135,7 +137,7 @@ class Network:
             raise InvalidInstanceError("duplicate edge")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
-    @property
+    @cached_property
     def arcs(self) -> tuple[Arc, ...]:
         """Both orientations of every edge, lexicographically sorted."""
         out: list[Arc] = []
@@ -144,7 +146,7 @@ class Network:
             out.append((j, i))
         return tuple(sorted(out))
 
-    @property
+    @cached_property
     def commodities(self) -> tuple[Commodity, ...]:
         """All ordered node pairs (origin, destination), sorted."""
         return tuple(
@@ -391,6 +393,11 @@ def parse_instance(text: str) -> Instance:
     for key in ("nodes", "edges", "facilities", "traffic"):
         if key not in doc:
             raise ParseError(f"instance document missing {key!r}")
+        if not isinstance(doc[key], list):
+            raise ParseError(f"instance {key!r} must be an array")
+    for e in doc["edges"]:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ParseError(f"edge {e!r} must be a two-element array")
     try:
         network = Network(nodes=tuple(doc["nodes"]), edges=tuple(tuple(e) for e in doc["edges"]))
         facilities = FacilityMenu(tuple(doc["facilities"]))

@@ -16,10 +16,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .core import Arc, Commodity, Instance, Network, Node, render_rational
-from .enumeration import check_box, graded_box
+from .enumeration import graded_box
 from .errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
-from .formulate import ModelKind, VarRef, fix_variables
-from .projlab import capacity_bound
+# fix_variables is not called here; the benchmark's tracer rebinds it on this
+# module (perfbench/tracing.py PATCHES), so it must stay importable from it.
+from .formulate import ModelKind, VarRef, fix_variables  # noqa: F401
+from .projlab import capacity_box
 from .solver import SolveStatus, build_for_feasibility, reduced_commodities, solve_lp
 
 
@@ -369,8 +371,8 @@ def check_cut_validity(
     """Test an inequality against every feasible point of the model.
 
     For each integer capacity vector in the box, capacities are pinned and
-    the inequality's flow part is minimized over the routing polytope; the
-    cut is valid iff that minimum never drops below the right-hand side.
+    the left-hand side is minimized over the routing polytope; the cut is
+    valid iff that minimum never drops below the right-hand side.
     Commodities named by the inequality are kept in the model even when
     they carry no traffic, since their circulations can reduce the
     inequality's backward-flow terms.
@@ -388,36 +390,24 @@ def check_cut_validity(
         ks.add((v.commodity[1], v.commodity[0]))
     model = build_for_feasibility(inst, kind, commodities=sorted(ks))
 
-    cap_vars = {v for v in model.variables if v.kind == "capacity"}
-    stray = [v.name for v in ineq.coeffs if v.kind == "capacity" and v not in cap_vars]
+    stray = [v.name for v in ineq.coeffs if v.kind == "capacity" and v not in model.variables]
     if stray:
         raise PreconditionError(
             f"inequality names capacity variables missing from the {kind.value} model: {stray!r}"
         )
-    refs = tuple(sorted(cap_vars, key=lambda v: v.sort_key))
-    b = capacity_bound(inst) if bound is None else bound
-    if b < 0:
-        raise PreconditionError("bound must be nonnegative")
-    check_box(len(refs), b)
+    refs, b = capacity_box(inst, model, bound)
 
-    flow_part = {v: c for v, c in ineq.coeffs.items() if v.kind == "flow"}
-    probe = model.with_objective(flow_part)
-    pos = {v: i for i, v in enumerate(refs)}
-    cap_part = [(pos[v], c) for v, c in ineq.coeffs.items() if v.kind == "capacity"]
+    probe = model.with_objective({v: c for v, c in ineq.coeffs.items() if v.kind == "flow"})
     points = 0
     violations: list[tuple[tuple[int, ...], Fraction]] = []
     for vec in graded_box(len(refs), b):
-        fixed = fix_variables(probe, {v: Fraction(n) for v, n in zip(refs, vec)})
-        if not fixed.consistent:
-            continue
-        sol = solve_lp(fixed.model)
+        sol = solve_lp(probe, fixed=dict(zip(refs, vec)))
         if sol.status is SolveStatus.INFEASIBLE:
             continue
         if sol.status is not SolveStatus.OPTIMAL:
             raise NetcapError(f"unexpected solver status {sol.status} during cut check")
         points += 1
-        ypart = sum((c * vec[i] for i, c in cap_part), Fraction(0))
-        lhs = ypart + sol.objective + fixed.offset
+        lhs = ineq.lhs_value(sol.values)
         if lhs < ineq.rhs:
             violations.append((vec, lhs))
     return CutCheck(components=refs, bound=b, points=points, violations=tuple(violations))

@@ -180,9 +180,6 @@ class MipModel:
             self, "objective", {v: Fraction(c) for v, c in self.objective.items() if c != 0}
         )
 
-    def var_index(self) -> dict[VarRef, int]:
-        return {v: i for i, v in enumerate(self.variables)}
-
     def constraint_names(self) -> set[str]:
         return {c.name for c in self.constraints}
 
@@ -216,25 +213,33 @@ class FixResult:
     consistent: bool
 
 
+def pinned_values(model: MipModel, fixed: Mapping[VarRef, Fraction]) -> dict[VarRef, Fraction]:
+    """Fixed values as Fractions, checked to be nonnegative and on model variables."""
+    stray = set(fixed) - set(model.variables)
+    if stray:
+        raise PreconditionError(f"fixing unknown variables {sorted(stray, key=lambda v: v.sort_key)!r}")
+    pinned = {v: Fraction(val) for v, val in fixed.items()}
+    for v, val in pinned.items():
+        if val < 0:
+            raise PreconditionError(f"negative value for {v.name}")
+    return pinned
+
+
 def fix_variables(model: MipModel, fixed: Mapping[VarRef, Fraction]) -> FixResult:
     """Substitute the given variables out of the model.
 
     Rows whose variables are all fixed become constant checks; the first
     violated one marks the result inconsistent.  The objective contribution
-    of fixed variables is returned as `offset`.
+    of fixed variables is returned as `offset`.  `solve_lp` and `feasible`
+    pin values without this rewrite.
     """
-    stray = set(fixed) - set(model.variables)
-    if stray:
-        raise PreconditionError(f"fixing unknown variables {sorted(stray, key=lambda v: v.sort_key)!r}")
-    for v, val in fixed.items():
-        if Fraction(val) < 0:
-            raise PreconditionError(f"negative value for {v.name}")
+    fixed = pinned_values(model, fixed)
     keep = tuple(v for v in model.variables if v not in fixed)
     consistent = True
     rows: list[LinearConstraint] = []
     for con in model.constraints:
         shift = sum(
-            (c * Fraction(fixed[v]) for v, c in con.coeffs.items() if v in fixed),
+            (c * fixed[v] for v, c in con.coeffs.items() if v in fixed),
             Fraction(0),
         )
         coeffs = {v: c for v, c in con.coeffs.items() if v not in fixed}
@@ -245,7 +250,7 @@ def fix_variables(model: MipModel, fixed: Mapping[VarRef, Fraction]) -> FixResul
             continue
         rows.append(row)
     offset = sum(
-        (c * Fraction(fixed[v]) for v, c in model.objective.items() if v in fixed),
+        (c * fixed[v] for v, c in model.objective.items() if v in fixed),
         Fraction(0),
     )
     reduced = MipModel(
@@ -463,7 +468,7 @@ def is_arc_symmetric(cost: Mapping[VarRef, Fraction]) -> bool:
 
 def render_model(model: MipModel) -> str:
     """Serialize a model to LP-style text with exact rational coefficients."""
-    order = model.var_index()
+    order = {v: i for i, v in enumerate(model.variables)}
 
     def terms(coeffs: Mapping[VarRef, Fraction]) -> str:
         parts = []

@@ -28,7 +28,7 @@ from .core import (
 )
 from .enumeration import MonotoneFeasibility, check_box, graded_box
 from .errors import NoRoutingError, PreconditionError
-from .formulate import ModelKind, VarRef, equalize_directed
+from .formulate import MipModel, ModelKind, VarRef, equalize_directed
 from .solver import build_for_feasibility, feasible_with_capacity
 
 VARIANTS = ("plain", "symmetrized-flows", "equalized")
@@ -75,6 +75,19 @@ def capacity_bound(inst: Instance) -> int:
     return math.ceil(total / inst.facilities.capacity(1))
 
 
+def capacity_box(
+    inst: Instance, model: MipModel, bound: int | None
+) -> tuple[tuple[VarRef, ...], int]:
+    """The box to enumerate: the model's capacity variables in `VarRef.sort_key`
+    order, and `bound`, which defaults to `capacity_bound(inst)`."""
+    refs = tuple(sorted((v for v in model.variables if v.kind == "capacity"), key=lambda v: v.sort_key))
+    b = capacity_bound(inst) if bound is None else bound
+    if b < 0:
+        raise PreconditionError("bound must be nonnegative")
+    check_box(len(refs), b)
+    return refs, b
+
+
 def _model_for(inst: Instance, kind: ModelKind, variant: str):
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
@@ -97,11 +110,7 @@ def project(
     near the boundary of the feasible set.
     """
     model = _model_for(inst, kind, variant)
-    refs = tuple(sorted((v for v in model.variables if v.kind == "capacity"), key=lambda v: v.sort_key))
-    b = capacity_bound(inst) if bound is None else bound
-    if b < 0:
-        raise PreconditionError("bound must be nonnegative")
-    check_box(len(refs), b)
+    refs, b = capacity_box(inst, model, bound)
 
     def oracle(vec: tuple[int, ...]) -> bool:
         return feasible_with_capacity(model, dict(zip(refs, vec)))

@@ -2,11 +2,12 @@
 
 Two-phase primal simplex on a dense Fraction tableau with Bland's rule for
 both the entering and leaving choices, so no cycling and no tolerances:
-every comparison is an exact rational comparison.  Phase 1, the drive-out
-of leftover artificials and phase 2 share one pivot routine.  An Optimal
-answer carries the duals read off its final reduced-cost row, and
-`optimality_certificate` checks them against the model rather than
-re-deriving them.  Integer models are solved
+every comparison is an exact rational comparison.  Pinned variables move
+to the right-hand side of the equality form; no reduced model is built.
+Phase 1, the drive-out of leftover artificials and phase 2 share one pivot
+routine.  An Optimal answer carries the duals read off its final
+reduced-cost row, and `optimality_certificate` checks them against the
+model rather than re-deriving them.  Integer models are solved
 by depth-first branch and bound on the first fractional integer variable in
 model order, pruning on exact bound comparisons.  Sized for desk-scale
 models (a few hundred variables), which is all this package needs.
@@ -14,9 +15,10 @@ models (a few hundred variables), which is all this package needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .core import Instance
@@ -28,15 +30,16 @@ from .formulate import (
     VarRef,
     add_flow_symmetry,
     build,
-    fix_variables,
+    pinned_values,
 )
 
-# Not called here.  The benchmark's tracer rebinds these three names on this
-# module (perfbench/tracing.py PATCHES), so they must stay importable from it.
-from .formulate import build_bidirected, build_directed, build_undirected  # noqa: F401
+# Not called here.  The benchmark's tracer rebinds these names on this module
+# (perfbench/tracing.py PATCHES), so they must stay importable from it.
+from .formulate import build_bidirected, build_directed, build_undirected, fix_variables  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NOTHING_FIXED: Mapping[VarRef, Fraction] = MappingProxyType({})
 
 
 class SolveStatus(Enum):
@@ -53,6 +56,7 @@ class LpSolution:
     # One dual per row of the deterministic standardization; see
     # optimality_certificate.
     duals: tuple[Fraction, ...] = ()
+    fixed: Mapping[VarRef, Fraction] = field(default_factory=dict)  # pinned in that standardization
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,9 @@ class MipResult:
 
 @dataclass(frozen=True)
 class _Standardized:
-    """Equality form with nonnegative rhs: A z = b over structural+slack columns."""
+    """Equality form with nonnegative rhs: A z = b over free-variable+slack columns."""
 
-    n_structural: int
+    columns: tuple[VarRef, ...]
     n_cols: int
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]  # sparse (col, coef)
     rhs: tuple[Fraction, ...]
@@ -76,23 +80,26 @@ class _Standardized:
     inconsistent: bool  # a constant row was violated
 
 
-def _standardize(model: MipModel) -> _Standardized:
-    index = model.var_index()
-    n = len(model.variables)
+def _standardize(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> _Standardized:
+    """Pinned variables' terms move to the right-hand side, so a row left
+    with no free variable is a constant check; free columns keep model order."""
+    pinned = pinned_values(model, fixed)
+    columns = tuple(v for v in model.variables if v not in pinned)
+    index = {v: j for j, v in enumerate(columns)}
+    n = len(columns)
     rows: list[tuple[tuple[int, Fraction], ...]] = []
     rhs: list[Fraction] = []
     needs_art: list[bool] = []
     slack_of_row: list[int | None] = []
     next_col = n
     for con in model.constraints:
-        coeffs = [(index[v], c) for v, c in con.coeffs.items()]
-        coeffs.sort()
-        b = con.rhs
+        coeffs = sorted((index[v], c) for v, c in con.coeffs.items() if v not in pinned)
+        b = con.rhs - sum((c * pinned[v] for v, c in con.coeffs.items() if v in pinned), _ZERO)
         sense = con.sense
         if not coeffs:
             ok = (b >= 0) if sense == "<=" else (b <= 0) if sense == ">=" else (b == 0)
             if not ok:
-                return _Standardized(n, n, (), (), (), (), True)
+                return _Standardized(columns, n, (), (), (), (), True)
             continue
         if b < 0:  # normalize to nonnegative rhs
             coeffs = [(j, -c) for j, c in coeffs]
@@ -114,7 +121,7 @@ def _standardize(model: MipModel) -> _Standardized:
         rows.append(tuple(coeffs))
         rhs.append(b)
     return _Standardized(
-        n_structural=n,
+        columns=columns,
         n_cols=next_col,
         rows=tuple(rows),
         rhs=tuple(rhs),
@@ -280,69 +287,68 @@ def _solve_standardized(
     return SolveStatus.OPTIMAL, values, [-red[j] for j in start]
 
 
-def solve_lp(model: MipModel, *, ignore_integrality: bool = False) -> LpSolution:
-    """Solve the model as a pure LP, exactly.
+def solve_lp(
+    model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED, ignore_integrality: bool = False
+) -> LpSolution:
+    """Solve the model as a pure LP, exactly, with the `fixed` variables pinned.
 
-    Models carrying integer variables are rejected unless
-    `ignore_integrality` is set, in which case the continuous relaxation is
-    solved.  Optimal solutions are re-checked against every original
-    constraint before being returned.
+    Integer variables left free are rejected unless `ignore_integrality` is
+    set, in which case the continuous relaxation is solved.  Optimal points
+    include the pinned values, count them in the objective, and are
+    re-checked against every original constraint before being returned.
     """
-    if model.integer and not ignore_integrality:
+    pinned = pinned_values(model, fixed)
+    if not ignore_integrality and any(v not in pinned for v in model.integer):
         raise PreconditionError(
             "model has integer variables; use solve_mip or pass ignore_integrality=True"
         )
-    std = _standardize(model)
-    vidx = model.var_index()
-    objective_vec = [_ZERO] * std.n_structural
-    for v, c in model.objective.items():
-        objective_vec[vidx[v]] = c
+    std = _standardize(model, pinned)
+    objective_vec = [model.objective.get(v, _ZERO) for v in std.columns]
     status, values, duals = _solve_standardized(std, objective_vec)
     if status is not SolveStatus.OPTIMAL:
         return LpSolution(status, {}, None)
-    assignment = {
-        v: values[j] for j, v in enumerate(model.variables) if values[j] != 0
-    }
+    point = dict(zip(std.columns, values)) | pinned
+    assignment = {v: point[v] for v in model.variables if point[v] != 0}
     bad = model.violations(assignment)
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
     objective = model.objective_value(assignment)
-    return LpSolution(SolveStatus.OPTIMAL, assignment, objective, duals=tuple(duals))
+    return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), pinned)
 
 
-def feasible(model: MipModel) -> bool:
-    """Phase-1 feasibility of the continuous relaxation."""
-    return _phase1(_standardize(model)) is not None
+def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> bool:
+    """Phase-1 feasibility of the continuous relaxation, `fixed` variables pinned."""
+    return _phase1(_standardize(model, fixed)) is not None
 
 
 def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
     """Check the duals an Optimal LP solution carries; no linear solve.
 
-    Rebuilds the standardization A z = b, z >= 0 and checks that the duals u
-    price every column nonnegatively (c_j - u A_j >= 0) and that u b equals
+    Rebuilds the standardization A z = b, z >= 0 with the solution's `fixed`
+    values pinned and checks that the duals u price every column
+    nonnegatively (c_j - u A_j >= 0) and that u b plus the pinned cost equals
     the reported objective, which by weak duality no feasible point beats.
-    The point itself must satisfy every row and attain that objective.
-    Exact throughout.
+    The point itself must hold the pinned values, satisfy every row and
+    attain that objective.  Exact throughout.
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise PreconditionError("certificate requires an Optimal solution")
-    std = _standardize(model)
+    std = _standardize(model, solution.fixed)
     u = solution.duals
     if std.inconsistent or len(u) != len(std.rows):
         return False
-    reduced = [_ZERO] * std.n_cols
-    vidx = model.var_index()
-    for v, c in model.objective.items():
-        reduced[vidx[v]] = c
+    reduced = [model.objective.get(v, _ZERO) for v in std.columns]
+    reduced += [_ZERO] * (std.n_cols - len(reduced))
     for ur, coeffs in zip(u, std.rows):
         if ur:
             for j, a in coeffs:
                 reduced[j] -= ur * a
     if any(r < 0 for r in reduced):
         return False
-    dual_value = sum((ur * b for ur, b in zip(u, std.rhs)), _ZERO)
+    dual_value = sum((ur * b for ur, b in zip(u, std.rhs)), model.objective_value(solution.fixed))
     return (
-        dual_value == solution.objective == model.objective_value(solution.values)
+        all(solution.values.get(v, _ZERO) == val for v, val in solution.fixed.items())
+        and dual_value == solution.objective == model.objective_value(solution.values)
         and not model.violations(solution.values)
     )
 
@@ -420,29 +426,23 @@ def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
 
 def _as_cap_refs(
     model: MipModel, capacities: Mapping[VarRef, int | Fraction]
-) -> dict[VarRef, Fraction]:
+) -> Mapping[VarRef, int | Fraction]:
     """Check a capacity assignment names only the model's capacity variables,
     and all of them."""
     cap_vars = {v for v in model.variables if v.kind == "capacity"}
-    fixed: dict[VarRef, Fraction] = {}
-    for ref, val in capacities.items():
+    for ref in capacities:
         if ref not in cap_vars:
             raise PreconditionError(f"capacity key {ref!r} matches no model variable")
-        fixed[ref] = Fraction(val)
-    missing = cap_vars - set(fixed)
+    missing = cap_vars - set(capacities)
     if missing:
         names = sorted(v.name for v in missing)
         raise PreconditionError(f"capacity vector missing entries for {names!r}")
-    return fixed
+    return capacities
 
 
 def feasible_with_capacity(model: MipModel, capacities: Mapping[VarRef, int | Fraction]) -> bool:
     """Phase-1 feasibility of the flow system once capacities are pinned."""
-    fixed = _as_cap_refs(model, capacities)
-    res = fix_variables(model, fixed)
-    if not res.consistent:
-        return False
-    return feasible(res.model)
+    return feasible(model, _as_cap_refs(model, capacities))
 
 
 def reduced_commodities(inst: Instance) -> tuple:

@@ -298,6 +298,32 @@ def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"nodes": "123"}, "'nodes' must be an array"),
+        ({"nodes": {"1": 0, "2": 0, "3": 0}}, "'nodes' must be an array"),
+        ({"edges": ["12", "13", "23"]}, "edge '12' must be a two-element array"),
+        ({"edges": [["1", "2", "3"]]}, "must be a two-element array"),
+        ({"facilities": "1"}, "'facilities' must be an array"),
+        ({"traffic": {}}, "'traffic' must be an array"),
+        ({"nodes": ["a b", "c"], "edges": [["a b", "c"]], "traffic": []}, "reserved separator [' ']"),
+    ],
+    ids=["nodes-string", "nodes-object", "edges-strings", "edge-triple", "facilities-string",
+         "traffic-object", "node-with-space"],
+)
+def test_instance_shape_errors_exit_two(tri, tmp_path, capsys, bad, message):
+    inst, _ = tri
+    doc = json.loads(render_instance(inst))
+    doc.update(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["build", str(path), "--model", "undirected"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["build", "solve"])
 def test_huge_number_exits_two_before_any_work(tri, tmp_path, capsys, command):
     inst, _ = tri

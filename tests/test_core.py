@@ -98,6 +98,7 @@ def test_network_shape():
     assert len(net.commodities) == 6
     assert net.out_arcs("1") == (("1", "2"), ("1", "3"))
     assert net.in_arcs("1") == (("2", "1"), ("3", "1"))
+    assert net.arcs is net.arcs and net.commodities is net.commodities  # computed once
 
 
 def test_network_validation():
@@ -112,7 +113,7 @@ def test_network_validation():
 
 
 def test_node_id_reserved_characters():
-    for bad in ("a>b", "a-b", "a,b", "a|b", "a:b", ""):
+    for bad in ("a>b", "a-b", "a,b", "a|b", "a:b", "", "a b", "a\tb", "\x85", "a\u2028b"):
         with pytest.raises(InvalidInstanceError):
             Network((bad, "z"), ())
 

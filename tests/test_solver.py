@@ -9,6 +9,7 @@ import pytest
 from netcap import cuts, solver
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, symmetric_counterpart
 from netcap.cuts import check_cut_validity, cutset_inequality, translate_to_bidirected
+from netcap.enumeration import graded_box
 from netcap.errors import MissingBoundError, PreconditionError, VacuousCutError
 from netcap.formulate import (
     LinearConstraint,
@@ -19,6 +20,7 @@ from netcap.formulate import (
     build_bidirected,
     build_directed,
     build_undirected,
+    equalize_directed,
     fix_variables,
 )
 from netcap.randgen import (
@@ -29,6 +31,7 @@ from netcap.randgen import (
 )
 from netcap.solver import (
     SolveStatus,
+    _standardize,
     accommodates,
     build_for_feasibility,
     feasible,
@@ -156,7 +159,7 @@ def test_optimality_certificate_sweep(monkeypatch):
         assert optimality_certificate(model, sol)
 
 
-def test_optimality_certificate_rejects_tampering():
+def test_optimality_certificate_rejects_tampering(monkeypatch):
     rng = random.Random(41)
     model = build_undirected(triangle_corollary_instance(rng))
     sol = solve_lp(model, ignore_integrality=True)
@@ -164,6 +167,25 @@ def test_optimality_certificate_rejects_tampering():
     assert not optimality_certificate(model, replace(sol, objective=sol.objective + 1))
     assert not optimality_certificate(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
     assert not optimality_certificate(model, replace(sol, duals=sol.duals[:-1]))
+
+    # Cut-check answers hold for the system with capacities pinned; with the
+    # pinned values dropped, their duals no longer certify the model.
+    probes = _record_optimal_lps(monkeypatch, cuts)
+    rng = random.Random(3)
+    while len(probes) < 10:
+        inst = cut_check_instance(rng)
+        try:
+            ineq = cutset_inequality(inst, random_cutset_spec(rng, inst))
+        except VacuousCutError:
+            continue
+        check_cut_validity(inst, ineq, bound=1)
+        check_cut_validity(inst, translate_to_bidirected(ineq), kind=ModelKind.BIDIRECTED, bound=1)
+    assert all(s.fixed and optimality_certificate(m, s) for m, s in probes)
+    assert any(not optimality_certificate(m, replace(s, fixed={})) for m, s in probes)
+    # more capacity than was pinned breaks no row and costs the probe nothing
+    m, s = probes[0]
+    v, val = next(iter(s.fixed.items()))
+    assert not optimality_certificate(m, replace(s, values={**s.values, v: val + 1}))
 
 
 def test_feasible_agrees_with_phase_two():
@@ -176,14 +198,85 @@ def test_feasible_agrees_with_phase_two():
             model = build_for_feasibility(inst, kind)
             caps = [v for v in model.variables if v.kind == "capacity"]
             for _ in range(6):
-                fixed = fix_variables(model, {v: Fraction(rng.randint(0, 2)) for v in caps})
-                if not fixed.consistent:
-                    continue
-                m = fixed.model
-                verdict = feasible(m)
-                assert verdict == (solve_lp(m.with_objective({})).status is SolveStatus.OPTIMAL)
+                y = {v: Fraction(rng.randint(0, 2)) for v in caps}
+                verdict = feasible(model, y)
+                probe = model.with_objective({})
+                assert verdict == (solve_lp(probe, fixed=y).status is SolveStatus.OPTIMAL)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _pinning_cases():
+    """Models with every kind of row that pinning capacities can touch."""
+    rng = random.Random(5)
+    tri = triangle_corollary_instance(rng)
+    edge_existing = Instance(tri.network, tri.facilities, tri.traffic, {("1", "2"): Fraction(1, 2)})
+    arc_existing = Instance(tri.network, tri.facilities, tri.traffic, {}, {("1", "3"): Fraction(1)})
+    star = tri.with_traffic(symmetric_counterpart(tri.traffic))
+    cases = [
+        (build_undirected(edge_existing), 2),
+        (build_bidirected(tri), 2),
+        (build_directed(arc_existing), 1),
+        (add_flow_symmetry(build_undirected(star)), 2),
+        (add_flow_symmetry(build_bidirected(star)), 1),
+        (equalize_directed(build_directed(tri)), 1),  # capacity-only rows
+    ]
+    for model, bound in cases:
+        # flow terms of both signs, so the pinned optimum moves flow around
+        objective = {v: Fraction(rng.choice((-1, 0, 1, 2))) for v in model.variables if v.kind == "flow"}
+        objective.update((v, c) for v, c in model.objective.items())
+        yield model.with_objective(objective), bound
+
+
+def test_pinning_matches_fix_variables():
+    """Pinning inside the LP gives exactly the system fix_variables writes out."""
+    outcomes = set()
+    for model, bound in _pinning_cases():
+        refs = [v for v in model.variables if v.kind == "capacity"]
+        for vec in graded_box(len(refs), bound):
+            y = dict(zip(refs, vec))
+            reference = fix_variables(model, y)
+            std = _standardize(model, y)
+            pinned = solve_lp(model, fixed=y)
+            if not reference.consistent:
+                assert std.inconsistent and pinned.status is SolveStatus.INFEASIBLE
+                assert not feasible(model, y)
+                outcomes.add("inconsistent")
+                continue
+            assert std == _standardize(reference.model, {})
+            direct = solve_lp(reference.model)
+            assert pinned.status is direct.status
+            assert feasible(model, y) == (direct.status is SolveStatus.OPTIMAL)
+            outcomes.add(direct.status)
+            if direct.status is SolveStatus.OPTIMAL:
+                assert pinned.objective == direct.objective + reference.offset
+                assert pinned.duals == direct.duals
+                assert pinned.values == direct.values | {v: n for v, n in y.items() if n}
+                assert pinned.fixed == y
+                assert optimality_certificate(model, pinned)
+    assert outcomes == {"inconsistent", SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
+
+
+def test_pinned_values_are_checked():
+    model = build_undirected(_two_node(menu=(4,)))
+    y = VarRef.cap_edge(1, ("1", "2"))
+    stray = VarRef.cap_edge(2, ("1", "2"))
+    for pin in (
+        lambda fixed: fix_variables(model, fixed),
+        lambda fixed: _standardize(model, fixed),
+        lambda fixed: feasible(model, fixed),
+        lambda fixed: solve_lp(model, fixed=fixed),
+    ):
+        with pytest.raises(PreconditionError, match=r"fixing unknown variables \[y\[2\|1-2\]\]"):
+            pin({stray: 1})
+        with pytest.raises(PreconditionError, match=r"negative value for y\[1\|1-2\]"):
+            pin({y: -1})
+    # integer variables must be pinned or relaxed, and pinned ones are paid for
+    with pytest.raises(PreconditionError, match="integer variables"):
+        solve_lp(model)
+    sol = solve_lp(model, fixed={y: 1})
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == 4 and sol.values[y] == 1
 
 
 def test_certificate_requires_optimal():
