@@ -11,13 +11,12 @@ from fractions import Fraction
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix
 from netcap.cuts import (
     CutsetSpec,
-    LinearInequality,
     check_cut_validity,
     cutset_inequality,
     mir_data,
     translate_to_bidirected,
 )
-from netcap.formulate import ModelKind
+from netcap.formulate import LinearConstraint, ModelKind
 
 net = Network(("1", "2"), (("1", "2"),))
 inst = Instance(
@@ -46,7 +45,7 @@ edge_report = check_cut_validity(inst, edge_ineq, kind=ModelKind.BIDIRECTED)
 print(f"  valid on all {edge_report.points} feasible capacity vectors: {edge_report.valid}")
 
 # tightening the right-hand side past the rounded value must break it
-too_strong = LinearInequality(ineq.coeffs, ineq.rhs + 1)
+too_strong = LinearConstraint("cut", ineq.coeffs, ">=", ineq.rhs + 1)
 broken = check_cut_validity(inst, too_strong)
 vec, lhs = broken.violations[0]
 print(f"\nrhs bumped to {too_strong.rhs}: valid {broken.valid}, "

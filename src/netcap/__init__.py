@@ -25,7 +25,6 @@ from .core import (
 from .cuts import (
     CutCheck,
     CutsetSpec,
-    LinearInequality,
     MirData,
     check_cut_validity,
     cut_arcs,
@@ -79,7 +78,6 @@ from .solver import (
     LpSolution,
     MipResult,
     SolveStatus,
-    accommodates,
     build_for_feasibility,
     feasible_with_capacity,
     optimality_certificate,

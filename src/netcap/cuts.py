@@ -5,22 +5,23 @@ commodities that must cross it, and chosen subsets of the forward and
 backward cut arcs whose capacity is folded into the rounding.  The
 resulting inequality is valid for every feasible point of the directed
 model, and it translates to the bidirected model by merging each arc's
-capacity coefficients onto the shared edge variable.
+capacity coefficients onto the shared edge variable.  Cuts are `>=` rows
+(`formulate.LinearConstraint`), so a model can take them as constraints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .core import Arc, Commodity, Instance, Network, Node, render_rational
+from .core import Arc, Commodity, Instance, Network, Node, edge_between, render_rational
 from .enumeration import graded_box
 from .errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
 # fix_variables is not called here; the benchmark's tracer rebinds it on this
 # module (perfbench/tracing.py PATCHES), so it must stay importable from it.
-from .formulate import ModelKind, VarRef, fix_variables  # noqa: F401
+from .formulate import LinearConstraint, ModelKind, VarRef, fix_variables  # noqa: F401
 from .projlab import capacity_box
 from .solver import SolveStatus, build_for_feasibility, reduced_commodities, solve_lp
 
@@ -200,52 +201,7 @@ def _phi_args(
     return c, module, r
 
 
-@dataclass(frozen=True)
-class LinearInequality:
-    """A `sum of terms >= rhs` inequality over model variables."""
-
-    coeffs: Mapping[VarRef, Fraction]
-    rhs: Fraction
-    _items: tuple[tuple[VarRef, Fraction], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        clean = {v: Fraction(c) for v, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
-        object.__setattr__(
-            self, "_items", tuple(sorted(clean.items(), key=lambda it: it[0].sort_key))
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearInequality):
-            return NotImplemented
-        return self._items == other._items and self.rhs == other.rhs
-
-    def __hash__(self) -> int:
-        return hash((self._items, self.rhs))
-
-    def lhs_value(self, values: Mapping[VarRef, Fraction]) -> Fraction:
-        return sum((c * values.get(v, Fraction(0)) for v, c in self._items), Fraction(0))
-
-    def satisfied_by(self, values: Mapping[VarRef, Fraction]) -> bool:
-        return self.lhs_value(values) >= self.rhs
-
-    def render(self) -> str:
-        if not self._items:
-            return f"0 >= {render_rational(self.rhs)}"
-        parts = []
-        for v, c in self._items:
-            sign = "-" if c < 0 else "+"
-            parts.append(f"{sign} {render_rational(abs(c))} {v.name}")
-        body = " ".join(parts)
-        if body.startswith("+ "):
-            body = body[2:]
-        return f"{body} >= {render_rational(self.rhs)}"
-
-
-def cutset_inequality(inst: Instance, spec: CutsetSpec) -> LinearInequality:
+def cutset_inequality(inst: Instance, spec: CutsetSpec) -> LinearConstraint:
     """Build the rounding cut for the directed model.
 
     Capacities on the chosen forward arcs enter with the phi-plus
@@ -279,10 +235,10 @@ def cutset_inequality(inst: Instance, spec: CutsetSpec) -> LinearInequality:
                 coeffs[VarRef.flow(k, arc)] = Fraction(1)
         for arc in data.s_minus:
             coeffs[VarRef.flow(k, arc)] = Fraction(-1)
-    return LinearInequality(coeffs, data.remainder * data.levels - data.backward_existing)
+    return LinearConstraint("cut", coeffs, ">=", data.remainder * data.levels - data.backward_existing)
 
 
-def single_facility_cutset(inst: Instance, spec: CutsetSpec) -> LinearInequality:
+def single_facility_cutset(inst: Instance, spec: CutsetSpec) -> LinearConstraint:
     """Direct construction for a menu holding one unit-size module.
 
     Forward chosen capacities get the fractional remainder, backward ones
@@ -312,31 +268,29 @@ def single_facility_cutset(inst: Instance, spec: CutsetSpec) -> LinearInequality
                 coeffs[VarRef.flow(k, arc)] = Fraction(1)
         for arc in data.s_minus:
             coeffs[VarRef.flow(k, arc)] = Fraction(-1)
-    return LinearInequality(coeffs, r * data.levels - data.backward_existing)
+    return LinearConstraint("cut", coeffs, ">=", r * data.levels - data.backward_existing)
 
 
-def translate_to_bidirected(ineq: LinearInequality) -> LinearInequality:
+def translate_to_bidirected(cut: LinearConstraint) -> LinearConstraint:
     """Rewrite arc-capacity terms onto shared edge-capacity variables.
 
     Both orientations of an edge map to one variable, so their
-    coefficients add; flow terms and the right-hand side are unchanged.
+    coefficients add; flow terms, the name, the sense and the right-hand
+    side are unchanged.
     """
     out: dict[VarRef, Fraction] = {}
-    for v, c in ineq.coeffs.items():
-        if v.kind == "flow":
-            out[v] = out.get(v, Fraction(0)) + c
-        elif v.edge is not None:
+    for v, c in cut.coeffs.items():
+        if v.edge is not None:
             raise PreconditionError(f"{v.name} is already an edge-capacity variable")
-        else:
-            i, j = v.arc
-            key = VarRef.cap_edge(v.facility, (min(i, j), max(i, j)))
-            out[key] = out.get(key, Fraction(0)) + c
-    return LinearInequality(out, ineq.rhs)
+        if v.kind == "capacity":
+            v = VarRef.cap_edge(v.facility, edge_between(*v.arc))
+        out[v] = out.get(v, Fraction(0)) + c
+    return replace(cut, coeffs=out)
 
 
 @dataclass(frozen=True)
 class CutCheck:
-    """Exhaustive validity report for one inequality over a capacity box.
+    """Exhaustive validity report for one `>=` row over a capacity box.
 
     Each violating vector lists counts aligned with `components`, the
     model's capacity variables in `VarRef.sort_key` order.
@@ -363,25 +317,29 @@ class CutCheck:
 
 def check_cut_validity(
     inst: Instance,
-    ineq: LinearInequality,
+    cut: LinearConstraint,
     *,
     kind: ModelKind = ModelKind.DIRECTED,
     bound: int | None = None,
 ) -> CutCheck:
-    """Test an inequality against every feasible point of the model.
+    """Test a `>=` row against every feasible point of the model.
 
     For each integer capacity vector in the box, capacities are pinned and
     the left-hand side is minimized over the routing polytope; the cut is
     valid iff that minimum never drops below the right-hand side.
-    Commodities named by the inequality are kept in the model even when
-    they carry no traffic, since their circulations can reduce the
-    inequality's backward-flow terms.
+    Commodities named by the cut are kept in the model even when they
+    carry no traffic, since their circulations can reduce the cut's
+    backward-flow terms.
     """
     if kind is ModelKind.UNDIRECTED:
         raise PreconditionError("cut checking targets the directed or bidirected model")
+    if cut.sense != ">=":
+        raise PreconditionError(
+            f"cut checking minimizes the left-hand side, so it needs a '>=' row, not {cut.sense!r}"
+        )
     ks = set(reduced_commodities(inst))
     known = set(inst.network.commodities)
-    for v in ineq.coeffs:
+    for v in cut.coeffs:
         if v.kind != "flow":
             continue
         if v.commodity not in known:
@@ -390,14 +348,14 @@ def check_cut_validity(
         ks.add((v.commodity[1], v.commodity[0]))
     model = build_for_feasibility(inst, kind, commodities=sorted(ks))
 
-    stray = [v.name for v in ineq.coeffs if v.kind == "capacity" and v not in model.variables]
+    stray = [v.name for v in cut.coeffs if v.kind == "capacity" and v not in model.variables]
     if stray:
         raise PreconditionError(
             f"inequality names capacity variables missing from the {kind.value} model: {stray!r}"
         )
     refs, b = capacity_box(inst, model, bound)
 
-    probe = model.with_objective({v: c for v, c in ineq.coeffs.items() if v.kind == "flow"})
+    probe = model.with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
     points = 0
     violations: list[tuple[tuple[int, ...], Fraction]] = []
     for vec in graded_box(len(refs), b):
@@ -407,7 +365,6 @@ def check_cut_validity(
         if sol.status is not SolveStatus.OPTIMAL:
             raise NetcapError(f"unexpected solver status {sol.status} during cut check")
         points += 1
-        lhs = ineq.lhs_value(sol.values)
-        if lhs < ineq.rhs:
-            violations.append((vec, lhs))
+        if not cut.satisfied_by(sol.values):
+            violations.append((vec, cut.lhs_value(sol.values)))
     return CutCheck(components=refs, bound=b, points=points, violations=tuple(violations))

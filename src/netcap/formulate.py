@@ -121,9 +121,18 @@ def parse_varref(name: str) -> VarRef:
     raise ParseError(f"malformed capacity variable {name!r}")
 
 
+def _render_terms(terms: Iterable[tuple[VarRef, Fraction]]) -> str:
+    """`± c name` per term, space-separated; empty when there are no terms."""
+    return " ".join(f"{'-' if c < 0 else '+'} {render_rational(abs(c))} {v.name}" for v, c in terms)
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
-    """A named row: sum(coeffs) <sense> rhs, with zero-free coefficients."""
+    """A named row: sum(coeffs) <sense> rhs, with zero-free coefficients.
+
+    Model rows and cut-set inequalities alike; a cut is a `>=` row that a
+    model can take with `with_constraints`.
+    """
 
     name: str
     coeffs: Mapping[VarRef, Fraction]
@@ -151,6 +160,11 @@ class LinearConstraint:
         if self.sense == ">=":
             return lhs >= self.rhs
         return lhs == self.rhs
+
+    def render(self) -> str:
+        """`lhs sense rhs`, terms in `VarRef.sort_key` order, no leading `+ `."""
+        body = _render_terms(sorted(self.coeffs.items(), key=lambda it: it[0].sort_key))
+        return f"{body.removeprefix('+ ') or '0'} {self.sense} {render_rational(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -471,12 +485,7 @@ def render_model(model: MipModel) -> str:
     order = {v: i for i, v in enumerate(model.variables)}
 
     def terms(coeffs: Mapping[VarRef, Fraction]) -> str:
-        parts = []
-        for v in sorted(coeffs, key=lambda v: order[v]):
-            c = coeffs[v]
-            sign = "-" if c < 0 else "+"
-            parts.append(f"{sign} {render_rational(abs(c))} {v.name}")
-        return " ".join(parts) if parts else "+ 0"
+        return _render_terms(sorted(coeffs.items(), key=lambda it: order[it[0]])) or "+ 0"
 
     lines = [f"\\ kind: {model.kind.value}", "minimize", f"  {terms(model.objective)}"]
     lines.append("subject to")

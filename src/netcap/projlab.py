@@ -26,7 +26,7 @@ from .core import (
     scale_traffic,
     symmetric_counterpart,
 )
-from .enumeration import MonotoneFeasibility, check_box, graded_box
+from .enumeration import MonotoneFeasibility, check_box, dominates, graded_box
 from .errors import NoRoutingError, PreconditionError
 from .formulate import MipModel, ModelKind, VarRef, equalize_directed
 from .solver import build_for_feasibility, feasible_with_capacity
@@ -46,15 +46,14 @@ class ProjectionSet:
     bound: int
     minimal: frozenset[tuple[int, ...]]
 
-    def member(self, vector: Mapping[VarRef, int] | tuple[int, ...]) -> bool:
-        """Membership for vectors inside the box (upward closure of minimal)."""
-        if isinstance(vector, tuple):
-            aligned = vector
-        else:
-            aligned = tuple(vector.get(c, 0) for c in self.components)
-        if len(aligned) != len(self.components):
-            raise PreconditionError("capacity vector does not match projection components")
-        return any(all(a >= m for a, m in zip(aligned, mins)) for mins in self.minimal)
+    def member(self, vector: tuple[int, ...]) -> bool:
+        """Membership of a count tuple aligned with `components`, inside the
+        box (upward closure of `minimal`)."""
+        if not isinstance(vector, tuple) or len(vector) != len(self.components):
+            raise PreconditionError(
+                "capacity vector must be a count tuple aligned with the projection components"
+            )
+        return any(dominates(vector, mins) for mins in self.minimal)
 
     def minimal_vectors(self) -> list[tuple[int, ...]]:
         """The minimal vectors in graded (total, then lexicographic) order."""

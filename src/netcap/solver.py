@@ -73,6 +73,7 @@ class _Standardized:
 
     columns: tuple[VarRef, ...]
     n_cols: int
+    cost: tuple[Fraction, ...]  # objective over free columns, then zero per slack
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]  # sparse (col, coef)
     rhs: tuple[Fraction, ...]
     needs_artificial: tuple[bool, ...]
@@ -87,6 +88,7 @@ def _standardize(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FI
     columns = tuple(v for v in model.variables if v not in pinned)
     index = {v: j for j, v in enumerate(columns)}
     n = len(columns)
+    cost = [model.objective.get(v, _ZERO) for v in columns]
     rows: list[tuple[tuple[int, Fraction], ...]] = []
     rhs: list[Fraction] = []
     needs_art: list[bool] = []
@@ -99,7 +101,7 @@ def _standardize(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FI
         if not coeffs:
             ok = (b >= 0) if sense == "<=" else (b <= 0) if sense == ">=" else (b == 0)
             if not ok:
-                return _Standardized(columns, n, (), (), (), (), True)
+                return _Standardized(columns, n, tuple(cost), (), (), (), (), True)
             continue
         if b < 0:  # normalize to nonnegative rhs
             coeffs = [(j, -c) for j, c in coeffs]
@@ -123,6 +125,7 @@ def _standardize(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FI
     return _Standardized(
         columns=columns,
         n_cols=next_col,
+        cost=tuple(cost + [_ZERO] * (next_col - n)),
         rows=tuple(rows),
         rhs=tuple(rhs),
         needs_artificial=tuple(needs_art),
@@ -136,9 +139,10 @@ def _pivot(
     basis: list[int],
     leave: int,
     enter: int,
-    red: list[Fraction],
+    reds: list[list[Fraction]],
 ) -> None:
-    """Pivot column `enter` into the basis at row `leave`, updating `red`.
+    """Pivot column `enter` into the basis at row `leave`, updating every
+    reduced-cost row in `reds`.
 
     Zero cells of the pivot row are skipped, which matters because network
     tableaus stay sparse.
@@ -154,24 +158,27 @@ def _pivot(
         if f and i != leave:
             for j in support:
                 row[j] -= f * prow[j]
-    f = red[enter]
-    if f:
-        for j in support:
-            red[j] -= f * prow[j]
+    for red in reds:
+        f = red[enter]
+        if f:
+            for j in support:
+                red[j] -= f * prow[j]
     basis[leave] = enter
 
 
 def _bland_simplex(
     tab: list[list[Fraction]],
     basis: list[int],
-    red: list[Fraction],
+    reds: list[list[Fraction]],
     width: int,
 ) -> str:
-    """Run simplex to completion on reduced-cost row `red` (minimization).
+    """Run simplex to completion on reduced-cost row `reds[0]` (minimization).
 
     Columns at index >= width are blocked from entering.  Returns "optimal"
-    or "unbounded".  The reduced-cost row is updated in place.
+    or "unbounded".  Every row of `reds` is updated in place, so later
+    rows are carried along.
     """
+    red = reds[0]
     while True:
         enter = -1
         for j in range(width):
@@ -191,40 +198,30 @@ def _bland_simplex(
                     leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(tab, basis, leave, enter, red)
-
-
-def _reduced_costs(
-    tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]
-) -> list[Fraction]:
-    red = list(cost)
-    red.append(_ZERO)  # objective cell (negated value)
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row = tab[i]
-            for j in range(len(red)):
-                if row[j]:
-                    red[j] -= cb * row[j]
-    return red
+        _pivot(tab, basis, leave, enter, reds)
 
 
 def _phase1(
     std: _Standardized,
-) -> tuple[list[list[Fraction]], list[int], list[int]] | None:
+) -> tuple[list[list[Fraction]], list[int], list[int], list[Fraction]] | None:
     """Phase 1 from the identity basis of slacks and artificials.
 
-    Returns (tableau, basis, start) with `start[r]` the identity column row r
-    started from (its slack or its artificial), or None when infeasible.
-    The tableau keeps the artificial columns, so B^-1 stays readable there.
+    Returns (tableau, basis, start, red) with `start[r]` the identity column
+    row r started from (its slack or its artificial) and `red` the phase-2
+    reduced-cost row for the final basis, or None when infeasible.  The
+    tableau keeps the artificial columns, so B^-1 stays readable there.
+    Each artificial costs one in phase 1 and starts basic in its row, so
+    the phase-1 row starts as minus the sum of the artificial rows; the
+    starting basis costs zero in phase 2, so the phase-2 row starts as the
+    cost vector, and phase-1 pivots carry it along.
     """
     if std.inconsistent:
         return None
-    n_art = sum(std.needs_artificial)
-    total = std.n_cols + n_art
+    total = std.n_cols + sum(std.needs_artificial)
     tab: list[list[Fraction]] = []
     start: list[int] = []
     art_col = std.n_cols
+    red1 = [_ZERO] * (total + 1)  # the last cell holds minus the artificials' total
     for r, coeffs in enumerate(std.rows):
         row = [_ZERO] * (total + 1)
         for j, c in coeffs:
@@ -234,20 +231,21 @@ def _phase1(
             row[art_col] = _ONE
             start.append(art_col)
             art_col += 1
+            for j, c in coeffs:
+                red1[j] -= c
+            red1[-1] -= std.rhs[r]
         else:
             start.append(std.slack_of_row[r])
         tab.append(row)
     basis = list(start)
-    red = _reduced_costs(tab, basis, [_ZERO] * std.n_cols + [_ONE] * n_art)
-    _bland_simplex(tab, basis, red, total)  # bounded below by 0, never unbounded
-    if red[-1] != 0:  # the cell holds minus the artificials' total
+    red2 = list(std.cost) + [_ZERO] * (total + 1 - std.n_cols)
+    _bland_simplex(tab, basis, [red1, red2], total)  # bounded below by 0, never unbounded
+    if red1[-1] != 0:
         return None
-    return tab, basis, start
+    return tab, basis, start, red2
 
 
-def _solve_standardized(
-    std: _Standardized, objective_vec: list[Fraction]
-) -> tuple[SolveStatus, list[Fraction], list[Fraction]]:
+def _solve_standardized(std: _Standardized) -> tuple[SolveStatus, list[Fraction], list[Fraction]]:
     """Two-phase simplex.  Returns (status, values, duals).
 
     The duals carry one entry per standardized row: u[r] = -red[start[r]],
@@ -257,13 +255,8 @@ def _solve_standardized(
     phase1 = _phase1(std)
     if phase1 is None:
         return SolveStatus.INFEASIBLE, [], []
-    tab, basis, start = phase1
+    tab, basis, start, red = phase1
     n = std.n_cols
-    # Phase-2 costs, padded across artificial columns so the reduced-cost
-    # row stays aligned with the tableau.
-    total = n + sum(std.needs_artificial)
-    cost = objective_vec + [_ZERO] * (total - len(objective_vec))
-    red = _reduced_costs(tab, basis, cost)
     # Drive artificials still basic (at level zero) out of the basis.  A row
     # with no real column left is redundant and is dropped; its artificial
     # costs zero, so the reduced-cost row, and the duals, are unchanged.
@@ -275,11 +268,11 @@ def _solve_standardized(
         if enter < 0:
             drop.append(i)
         else:
-            _pivot(tab, basis, i, enter, red)
+            _pivot(tab, basis, i, enter, [red])
     for i in reversed(drop):
         del tab[i]
         del basis[i]
-    if _bland_simplex(tab, basis, red, n) == "unbounded":
+    if _bland_simplex(tab, basis, [red], n) == "unbounded":
         return SolveStatus.UNBOUNDED, [], []
     values = [_ZERO] * n
     for i, b in enumerate(basis):
@@ -303,8 +296,7 @@ def solve_lp(
             "model has integer variables; use solve_mip or pass ignore_integrality=True"
         )
     std = _standardize(model, pinned)
-    objective_vec = [model.objective.get(v, _ZERO) for v in std.columns]
-    status, values, duals = _solve_standardized(std, objective_vec)
+    status, values, duals = _solve_standardized(std)
     if status is not SolveStatus.OPTIMAL:
         return LpSolution(status, {}, None)
     point = dict(zip(std.columns, values)) | pinned
@@ -337,8 +329,7 @@ def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
     u = solution.duals
     if std.inconsistent or len(u) != len(std.rows):
         return False
-    reduced = [model.objective.get(v, _ZERO) for v in std.columns]
-    reduced += [_ZERO] * (std.n_cols - len(reduced))
+    reduced = list(std.cost)
     for ur, coeffs in zip(u, std.rows):
         if ur:
             for j, a in coeffs:
@@ -478,20 +469,3 @@ def build_for_feasibility(
         model = add_flow_symmetry(model)
     return model
 
-
-def accommodates(
-    inst: Instance,
-    kind: ModelKind,
-    capacities: Mapping[VarRef, int | Fraction],
-    *,
-    symmetrize_flows: bool = False,
-) -> bool:
-    """True when the integer capacity vector can route the instance's traffic.
-
-    `capacities` maps each capacity VarRef to the installed module count; it
-    must cover the model's capacity variables exactly.  With `symmetrize_flows`, feasibility additionally requires a
-    direction-symmetric routing (traffic must then be symmetric to stand a
-    chance).
-    """
-    model = build_for_feasibility(inst, kind, symmetrize_flows=symmetrize_flows)
-    return feasible_with_capacity(model, capacities)

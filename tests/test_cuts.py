@@ -8,7 +8,6 @@ import pytest
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix
 from netcap.cuts import (
     CutsetSpec,
-    LinearInequality,
     check_cut_validity,
     cut_arcs,
     cutset_inequality,
@@ -19,8 +18,10 @@ from netcap.cuts import (
     translate_to_bidirected,
 )
 from netcap.errors import InvalidCutError, PreconditionError, VacuousCutError
-from netcap.formulate import ModelKind, VarRef
+from netcap.formulate import LinearConstraint, ModelKind, VarRef, build_directed, parse_model, render_model
+from netcap.projlab import capacity_bound
 from netcap.randgen import cut_check_instance, random_cutset_spec, triangle_network
+from netcap.solver import SolveStatus, solve_lp, solve_mip
 
 
 def _two_node(menu=(1,), t12=Fraction(3, 2), t21=Fraction(0), **kw):
@@ -88,6 +89,19 @@ def test_mir_data_flips_negative_crossing():
     assert cutset_inequality(inst, mirrored) == cutset_inequality(inst, forward)
 
 
+def test_cuts_are_ge_rows():
+    inst = _two_node()
+    spec = CutsetSpec(side_u=("1",), commodities=(("1", "2"),), s_plus=(("1", "2"),))
+    for cut in (cutset_inequality(inst, spec), single_facility_cutset(inst, spec)):
+        assert isinstance(cut, LinearConstraint)
+        assert (cut.name, cut.sense) == ("cut", ">=")
+        translated = translate_to_bidirected(cut)
+        assert (translated.name, translated.sense, translated.rhs) == ("cut", ">=", cut.rhs)
+    assert LinearConstraint("cut", {}, ">=", Fraction(1, 2)).render() == "0 >= 1/2"
+    leading_minus = {VarRef.flow(("1", "2"), ("2", "1")): -1, VarRef.cap_arc(1, ("1", "2")): 2}
+    assert LinearConstraint("cut", leading_minus, ">=", 0).render() == "- 1 x[1>2|2>1] + 2 y[1|1>2] >= 0"
+
+
 def test_cutset_inequality_pinned_forms():
     inst = _two_node()
     capacity_form = CutsetSpec(
@@ -150,7 +164,7 @@ def test_backward_existing_capacity_lowers_rhs():
     report = check_cut_validity(inst, ineq, bound=2)
     assert report.valid
 
-    unshifted = LinearInequality(dict(ineq.coeffs), Fraction(1))
+    unshifted = LinearConstraint("cut", ineq.coeffs, ">=", Fraction(1))
     bad = check_cut_validity(inst, unshifted, bound=2)
     assert not bad.valid
     vec, lhs = bad.violations[0]
@@ -240,7 +254,7 @@ def test_check_cut_validity_pinned():
     assert "valid at all" in report.describe()
 
     # tightening the rhs past the true optimum must surface violations
-    too_strong = LinearInequality(dict(ineq.coeffs), Fraction(3, 2))
+    too_strong = LinearConstraint("cut", ineq.coeffs, ">=", Fraction(3, 2))
     bad = check_cut_validity(inst, too_strong)
     assert not bad.valid
     assert "violated at" in bad.describe()
@@ -255,11 +269,15 @@ def test_check_cut_validity_guards():
     with pytest.raises(PreconditionError):
         check_cut_validity(inst, ineq, kind=ModelKind.BIDIRECTED)  # arc-keyed y
 
-    stray_commodity = LinearInequality(
-        {VarRef.flow(("1", "9"), ("1", "2")): Fraction(1)}, Fraction(0)
+    stray_commodity = LinearConstraint(
+        "cut", {VarRef.flow(("1", "9"), ("1", "2")): Fraction(1)}, ">=", Fraction(0)
     )
     with pytest.raises(PreconditionError):
         check_cut_validity(inst, stray_commodity)
+    # the check minimizes the left-hand side, which proves nothing for <= or =
+    for sense in ("<=", "="):
+        with pytest.raises(PreconditionError):
+            check_cut_validity(inst, LinearConstraint("cut", ineq.coeffs, sense, ineq.rhs))
 
 
 def test_random_cuts_hold_on_both_models():
@@ -276,3 +294,30 @@ def test_random_cuts_hold_on_both_models():
         translated = translate_to_bidirected(ineq)
         assert check_cut_validity(inst, translated, kind=ModelKind.BIDIRECTED).valid
         checked += 1
+
+
+def test_cut_is_a_row_the_directed_model_takes():
+    """A valid cut leaves the directed model's integer optimum unchanged,
+    can raise its LP bound, and the model carrying it round-trips through
+    the LP text format."""
+    rng = random.Random(61)
+    added = tightened = 0
+    while added < 8:
+        inst = cut_check_instance(rng)
+        spec = random_cutset_spec(rng, inst)
+        try:
+            cut = cutset_inequality(inst, spec)
+        except VacuousCutError:
+            continue
+        model = build_directed(inst)
+        with_cut = model.with_constraints([cut])
+        bound = capacity_bound(inst)
+        plain, cut_result = solve_mip(model, bound), solve_mip(with_cut, bound)
+        assert plain.status is cut_result.status is SolveStatus.OPTIMAL
+        assert cut_result.objective == plain.objective
+        relaxed = [solve_lp(m, ignore_integrality=True).objective for m in (model, with_cut)]
+        assert relaxed[0] <= relaxed[1] <= plain.objective
+        tightened += relaxed[0] < relaxed[1]
+        assert parse_model(render_model(with_cut)) == with_cut
+        added += 1
+    assert tightened

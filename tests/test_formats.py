@@ -169,7 +169,34 @@ def broken_point_texts(draw):
     return _text(doc)
 
 
-@pytest.mark.parametrize("parse, texts", [(parse_instance, broken_instance_texts), (parse_point, broken_point_texts)])
+# Fragments spliced into LP text: bad numbers, half-written or foreign
+# variable names, senses, section words and bare separators.
+model_fragments = st.sampled_from(
+    ["1e5000", "9" * 1200, "1/" + "7" * 1001, "1/0", "nan", "-", "+ 0", "y[", "x[1>2|", "y[1|1>2]",
+     "y[x|1-2]", "y[1|1-1]", "x[1|1]", ">=", "<=", "=", ":", "\\ kind: sideways", "\\ kind: directed",
+     "minimize", "subject to", "bounds", "integers", "end", "\n", " "]
+)
+
+
+@st.composite
+def broken_model_texts(draw):
+    inst = draw(instances(max_nodes=3, arc_existing=False))
+    text = render_model(build(inst, draw(st.sampled_from(list(ModelKind)))))
+    for _ in range(draw(st.integers(1, 2))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 12)))
+        text = text[:start] + draw(model_fragments | st.text(max_size=4)) + text[stop:]
+    return text
+
+
+@pytest.mark.parametrize(
+    "parse, texts",
+    [
+        (parse_instance, broken_instance_texts),
+        (parse_point, broken_point_texts),
+        (parse_model, broken_model_texts),
+    ],
+)
 def test_malformed_documents_raise_only_netcap_errors(parse, texts):
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(texts())

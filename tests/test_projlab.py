@@ -28,7 +28,7 @@ from netcap.randgen import (
     triangle_corollary_instance,
     triangle_network,
 )
-from netcap.solver import accommodates
+from netcap.solver import build_for_feasibility, feasible_with_capacity
 
 _TRI_TRAFFIC = TrafficMatrix(
     {("1", "2"): Fraction(3, 2), ("2", "1"): Fraction(1, 2), ("1", "3"): Fraction(1)}
@@ -65,10 +65,14 @@ def test_projection_set_membership_is_upward_closure():
     assert proj.member((2, 1))
     assert not proj.member((1, 1))
     assert not proj.member((0, 3))
-    assert proj.member({e12: 2, e13: 0})
-    assert not proj.member({e13: 3})
+    assert proj.member((2, 0))
     with pytest.raises(PreconditionError):
         proj.member((1, 2, 3))
+    # only the aligned tuple is read: no mapping, not even one keyed by the
+    # components, and never an arc key read as nothing on an edge component
+    for vector in ([2, 0], {e12: 2, e13: 0}, {VarRef.cap_arc(1, ("1", "2")): 2, e13: 2}):
+        with pytest.raises(PreconditionError):
+            proj.member(vector)
 
 
 def test_pinned_triangle_projection():
@@ -84,13 +88,10 @@ def test_projection_membership_matches_direct_feasibility():
     rng = random.Random(61)
     inst = _tri_instance()
     proj = project(inst, ModelKind.UNDIRECTED)
+    model = build_for_feasibility(inst, ModelKind.UNDIRECTED)
     for _ in range(25):
         vec = tuple(rng.randint(0, 3) for _ in proj.components)
-        direct = accommodates(
-            inst,
-            ModelKind.UNDIRECTED,
-            dict(zip(proj.components, vec)),
-        )
+        direct = feasible_with_capacity(model, dict(zip(proj.components, vec)))
         assert proj.member(vec) == direct
 
 

@@ -32,7 +32,6 @@ from netcap.randgen import (
 from netcap.solver import (
     SolveStatus,
     _standardize,
-    accommodates,
     build_for_feasibility,
     feasible,
     feasible_with_capacity,
@@ -359,19 +358,25 @@ def test_accommodates_pinned():
     inst = _two_node(t12=Fraction(1), t21=Fraction(1))
     y = VarRef.cap_edge(1, ("1", "2"))
     fwd, back = VarRef.cap_arc(1, ("1", "2")), VarRef.cap_arc(1, ("2", "1"))
-    assert not accommodates(inst, ModelKind.UNDIRECTED, {y: 1})
-    assert accommodates(inst, ModelKind.UNDIRECTED, {y: 2})
-    assert accommodates(inst, ModelKind.BIDIRECTED, {y: 1})
-    assert accommodates(inst, ModelKind.DIRECTED, {fwd: 1, back: 1})
-    assert not accommodates(inst, ModelKind.DIRECTED, {fwd: 2, back: 0})
+    undirected, bidirected, directed = (
+        build_for_feasibility(inst, kind)
+        for kind in (ModelKind.UNDIRECTED, ModelKind.BIDIRECTED, ModelKind.DIRECTED)
+    )
+    assert not feasible_with_capacity(undirected, {y: 1})
+    assert feasible_with_capacity(undirected, {y: 2})
+    assert feasible_with_capacity(bidirected, {y: 1})
+    assert feasible_with_capacity(directed, {fwd: 1, back: 1})
+    assert not feasible_with_capacity(directed, {fwd: 2, back: 0})
 
 
 def test_symmetrized_flows_need_symmetric_traffic():
     lopsided = _two_node(t12=Fraction(1), t21=Fraction(0))
     y = VarRef.cap_edge(1, ("1", "2"))
-    assert not accommodates(lopsided, ModelKind.UNDIRECTED, {y: 5}, symmetrize_flows=True)
+    model = build_for_feasibility(lopsided, ModelKind.UNDIRECTED, symmetrize_flows=True)
+    assert not feasible_with_capacity(model, {y: 5})
     balanced = _two_node(t12=Fraction(1), t21=Fraction(1))
-    assert accommodates(balanced, ModelKind.UNDIRECTED, {y: 2}, symmetrize_flows=True)
+    model = build_for_feasibility(balanced, ModelKind.UNDIRECTED, symmetrize_flows=True)
+    assert feasible_with_capacity(model, {y: 2})
 
 
 def test_reduced_commodities():
