@@ -147,6 +147,9 @@ class LinearConstraint:
         )
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
+    def __hash__(self) -> int:  # consistent with the generated __eq__, whatever the key order
+        return hash((self.name, frozenset(self.coeffs.items()), self.sense, self.rhs))
+
     def lhs_value(self, values: Mapping[VarRef, Fraction]) -> Fraction:
         return sum(
             (c * values.get(v, Fraction(0)) for v, c in self.coeffs.items()),

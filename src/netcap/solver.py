@@ -1,16 +1,25 @@
 """Exact rational LP and MIP solving.
 
-Two-phase primal simplex on a dense Fraction tableau with Bland's rule for
-both the entering and leaving choices, so no cycling and no tolerances:
-every comparison is an exact rational comparison.  Pinned variables move
-to the right-hand side of the equality form; no reduced model is built.
-Phase 1, the drive-out of leftover artificials and phase 2 share one pivot
-routine.  An Optimal answer carries the duals read off its final
-reduced-cost row, and `optimality_certificate` checks them against the
-model rather than re-deriving them.  Integer models are solved
-by depth-first branch and bound on the first fractional integer variable in
-model order, pruning on exact bound comparisons.  Sized for desk-scale
-models (a few hundred variables), which is all this package needs.
+Two-phase primal simplex with Bland's rule for both the entering and
+leaving choices, so no cycling and no tolerances.  The tableau is
+integer-preserving (Edmonds 1967; Bareiss 1968): every cell is an integer
+over one common denominator, the absolute basis determinant, each pivot
+divides exactly, and every comparison is an integer sign test or a
+cross-multiplication.  The LP enters scaled uniformly: free-column
+coefficients and rhs by one lcm, the cost by its own, slacks and
+artificials left at +-1.  That is a positive change of variables, so the
+pivots are the rational tableau's.  Scaling row by row would re-weight the
+phase-1 artificials and so change the pivots.  In the simplex, `Fraction`
+appears only where data is scaled in and values and duals are read out.
+Pinned variables move to the right-hand side of the equality form; no
+reduced model is built.  Phase 1, the drive-out of leftover artificials
+and phase 2 share one pivot routine.  An Optimal answer carries the duals
+read off its final reduced-cost row, and `optimality_certificate` checks
+them against the model rather than re-deriving them.  Integer models are
+solved by depth-first branch and bound on the first fractional integer
+variable in model order, pruning on exact bound comparisons.  Sized for
+desk-scale models (a few hundred variables), which is all this package
+needs.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -107,177 +117,165 @@ def _standardize(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FI
             coeffs = [(j, -c) for j, c in coeffs]
             b = -b
             sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        if sense == "<=":
-            coeffs.append((next_col, _ONE))
-            slack_of_row.append(next_col)
-            needs_art.append(False)
-            next_col += 1
-        elif sense == ">=":
-            coeffs.append((next_col, -_ONE))
-            slack_of_row.append(next_col)
-            needs_art.append(True)
-            next_col += 1
-        else:
+        if sense == "=":
             slack_of_row.append(None)
-            needs_art.append(True)
+        else:
+            coeffs.append((next_col, _ONE if sense == "<=" else -_ONE))
+            slack_of_row.append(next_col)
+            next_col += 1
+        needs_art.append(sense != "<=")
         rows.append(tuple(coeffs))
         rhs.append(b)
+    cost += [_ZERO] * (next_col - n)
     return _Standardized(
-        columns=columns,
-        n_cols=next_col,
-        cost=tuple(cost + [_ZERO] * (next_col - n)),
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-        needs_artificial=tuple(needs_art),
-        slack_of_row=tuple(slack_of_row),
-        inconsistent=False,
+        columns, next_col, tuple(cost), tuple(rows), tuple(rhs), tuple(needs_art), tuple(slack_of_row), False
     )
 
 
-def _pivot(
-    tab: list[list[Fraction]],
-    basis: list[int],
-    leave: int,
-    enter: int,
-    reds: list[list[Fraction]],
-) -> None:
-    """Pivot column `enter` into the basis at row `leave`, updating every
-    reduced-cost row in `reds`.
+class _Tableau:
+    """Each cell of `rows` (rhs last) and of the reduced-cost rows `reds` is
+    `d`, the absolute basis determinant, times its value.  Row r started with
+    identity column `start[r]`; the rows were scaled in by `scale`, the cost
+    by `cost_scale`."""
 
-    Zero cells of the pivot row are skipped, which matters because network
-    tableaus stay sparse.
+    __slots__ = ("rows", "reds", "basis", "start", "scale", "cost_scale", "d")
+
+    def __init__(
+        self, rows: list[list[int]], reds: list[list[int]], start: list[int], scale: int, cost_scale: int
+    ):
+        self.rows, self.reds, self.basis, self.start = rows, reds, list(start), start
+        self.scale, self.cost_scale, self.d = scale, cost_scale, 1  # the starting basis is the identity
+
+
+def _pivot(t: _Tableau, leave: int, enter: int) -> None:
+    """Bareiss pivot of column `enter` into the basis at row `leave`.
+
+    Each cell becomes (p*cell - f*prow[j]) // d, with p the pivot and f the
+    row's cell in column `enter`; the division is exact, and p is the new d.
+    A negative pivot (the drive-out can meet one) negates its row first, so
+    d stays positive.  A row with f = 0 only scales by p/d, a no-op when p = d.
     """
-    prow = tab[leave]
-    piv = prow[enter]
-    if piv != 1:
-        inv = _ONE / piv
-        tab[leave] = prow = [c * inv if c else c for c in prow]
-    support = [j for j, p in enumerate(prow) if p]
-    for i, row in enumerate(tab):
-        f = row[enter]
-        if f and i != leave:
-            for j in support:
-                row[j] -= f * prow[j]
-    for red in reds:
-        f = red[enter]
-        if f:
-            for j in support:
-                red[j] -= f * prow[j]
-    basis[leave] = enter
+    prow = t.rows[leave]
+    p = prow[enter]
+    if p < 0:
+        t.rows[leave] = prow = [-c for c in prow]
+        p = -p
+    d = t.d
+    support = [j for j, c in enumerate(prow) if c]
+    for rows in (t.rows, t.reds):
+        for i, row in enumerate(rows):
+            if row is prow:
+                continue
+            f = row[enter]
+            # Off the pivot row's support the cell is p*a // d; zeros stay zero.
+            new = row if p == d else [a and p * a // d for a in row]
+            if f:
+                for j in support:
+                    new[j] = (p * row[j] - f * prow[j]) // d
+            rows[i] = new
+    t.d = p
+    t.basis[leave] = enter
 
 
-def _bland_simplex(
-    tab: list[list[Fraction]],
-    basis: list[int],
-    reds: list[list[Fraction]],
-    width: int,
-) -> str:
-    """Run simplex to completion on reduced-cost row `reds[0]` (minimization).
+def _bland_simplex(t: _Tableau, width: int) -> str:
+    """Run simplex to completion on reduced-cost row `t.reds[0]` (minimization).
 
     Columns at index >= width are blocked from entering.  Returns "optimal"
-    or "unbounded".  Every row of `reds` is updated in place, so later
-    rows are carried along.
+    or "unbounded".  Later rows of `t.reds` are carried along.  Only signs
+    and cross-multiplied ratios are compared, as every cell shares `t.d`.
     """
-    red = reds[0]
     while True:
-        enter = -1
-        for j in range(width):
-            if red[j] < 0:
-                enter = j
-                break
+        red = t.reds[0]
+        enter = next((j for j in range(width) if red[j] < 0), -1)
         if enter < 0:
             return "optimal"
-        leave = -1
-        best: Fraction | None = None
-        for i, row in enumerate(tab):
+        leave, best_b, best_a = -1, 0, 1
+        for i, row in enumerate(t.rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                mine, best = row[-1] * best_a, best_b * a  # row[-1]/a against best_b/best_a
+                if leave < 0 or mine < best or (mine == best and t.basis[i] < t.basis[leave]):
+                    leave, best_b, best_a = i, row[-1], a
         if leave < 0:
             return "unbounded"
-        _pivot(tab, basis, leave, enter, reds)
+        _pivot(t, leave, enter)
 
 
-def _phase1(
-    std: _Standardized,
-) -> tuple[list[list[Fraction]], list[int], list[int], list[Fraction]] | None:
+def _phase1(std: _Standardized) -> _Tableau | None:
     """Phase 1 from the identity basis of slacks and artificials.
 
-    Returns (tableau, basis, start, red) with `start[r]` the identity column
-    row r started from (its slack or its artificial) and `red` the phase-2
-    reduced-cost row for the final basis, or None when infeasible.  The
-    tableau keeps the artificial columns, so B^-1 stays readable there.
-    Each artificial costs one in phase 1 and starts basic in its row, so
-    the phase-1 row starts as minus the sum of the artificial rows; the
-    starting basis costs zero in phase 2, so the phase-2 row starts as the
-    cost vector, and phase-1 pivots carry it along.
+    Returns the tableau, scaled in uniformly, whose one reduced-cost row is
+    phase 2's for the final basis, or None when infeasible.  It keeps the
+    artificial columns, so B^-1 stays readable there.  Each artificial costs
+    one in phase 1 and starts basic in its row, so the phase-1 row starts as
+    minus the sum of the artificial rows; the starting basis costs zero in
+    phase 2, so the phase-2 row starts as the cost vector.
     """
     if std.inconsistent:
         return None
+    n_free = len(std.columns)
     total = std.n_cols + sum(std.needs_artificial)
-    tab: list[list[Fraction]] = []
+    scale = lcm(*{c.denominator for coeffs in std.rows for _, c in coeffs}, *{b.denominator for b in std.rhs})
+    cost_scale = lcm(*{c.denominator for c in std.cost})
+    rows: list[list[int]] = []
     start: list[int] = []
     art_col = std.n_cols
-    red1 = [_ZERO] * (total + 1)  # the last cell holds minus the artificials' total
-    for r, coeffs in enumerate(std.rows):
-        row = [_ZERO] * (total + 1)
+    red1 = [0] * (total + 1)  # the last cell holds minus the artificials' total
+    for coeffs, b, needs_art, slack in zip(std.rows, std.rhs, std.needs_artificial, std.slack_of_row):
+        row = [0] * (total + 1)
         for j, c in coeffs:
-            row[j] = c
-        row[-1] = std.rhs[r]
-        if std.needs_artificial[r]:
-            row[art_col] = _ONE
+            row[j] = c.numerator * (scale // c.denominator) if j < n_free else int(c)
+        row[-1] = b.numerator * (scale // b.denominator)
+        if needs_art:
+            row[art_col] = 1
             start.append(art_col)
             art_col += 1
-            for j, c in coeffs:
-                red1[j] -= c
-            red1[-1] -= std.rhs[r]
+            for j, _ in coeffs:
+                red1[j] -= row[j]
+            red1[-1] -= row[-1]
         else:
-            start.append(std.slack_of_row[r])
-        tab.append(row)
-    basis = list(start)
-    red2 = list(std.cost) + [_ZERO] * (total + 1 - std.n_cols)
-    _bland_simplex(tab, basis, [red1, red2], total)  # bounded below by 0, never unbounded
-    if red1[-1] != 0:
-        return None
-    return tab, basis, start, red2
+            start.append(slack)
+        rows.append(row)
+    red2 = [c.numerator * (cost_scale // c.denominator) for c in std.cost] + [0] * (total + 1 - std.n_cols)
+    t = _Tableau(rows, [red1, red2], start, scale, cost_scale)
+    _bland_simplex(t, total)  # bounded below by 0, never unbounded
+    return None if t.reds.pop(0)[-1] else t  # phase 1's row retires; its last cell is 0 iff feasible
 
 
 def _solve_standardized(std: _Standardized) -> tuple[SolveStatus, list[Fraction], list[Fraction]]:
-    """Two-phase simplex.  Returns (status, values, duals).
+    """Two-phase simplex.  Returns (status, values of the free columns, duals).
 
     The duals carry one entry per standardized row: u[r] = -red[start[r]],
     read off the final phase-2 reduced-cost row at row r's identity column,
-    whose phase-2 cost is zero.
+    whose phase-2 cost is zero, and scaled back to the rational model.
     """
-    phase1 = _phase1(std)
-    if phase1 is None:
+    t = _phase1(std)
+    if t is None:
         return SolveStatus.INFEASIBLE, [], []
-    tab, basis, start, red = phase1
     n = std.n_cols
     # Drive artificials still basic (at level zero) out of the basis.  A row
     # with no real column left is redundant and is dropped; its artificial
     # costs zero, so the reduced-cost row, and the duals, are unchanged.
     drop: list[int] = []
-    for i in range(len(tab)):
-        if basis[i] < n:
+    for i in range(len(t.rows)):
+        if t.basis[i] < n:
             continue
-        enter = next((j for j in range(n) if tab[i][j]), -1)
+        enter = next((j for j in range(n) if t.rows[i][j]), -1)
         if enter < 0:
             drop.append(i)
         else:
-            _pivot(tab, basis, i, enter, [red])
+            _pivot(t, i, enter)
     for i in reversed(drop):
-        del tab[i]
-        del basis[i]
-    if _bland_simplex(tab, basis, [red], n) == "unbounded":
+        del t.rows[i]
+        del t.basis[i]
+    if _bland_simplex(t, n) == "unbounded":
         return SolveStatus.UNBOUNDED, [], []
-    values = [_ZERO] * n
-    for i, b in enumerate(basis):
-        values[b] = tab[i][-1]
-    return SolveStatus.OPTIMAL, values, [-red[j] for j in start]
+    values = [_ZERO] * len(std.columns)
+    for row, b in zip(t.rows, t.basis):
+        if b < len(values):
+            values[b] = Fraction(row[-1], t.d)
+    red = t.reds[0]
+    return SolveStatus.OPTIMAL, values, [Fraction(-red[j] * t.scale, t.d * t.cost_scale) for j in t.start]
 
 
 def solve_lp(

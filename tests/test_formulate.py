@@ -256,6 +256,18 @@ def test_fix_variables_rejects_bad_input():
         fix_variables(model, {model.variables[0]: Fraction(-1)})
 
 
+def test_constraints_hash_like_they_compare():
+    x, y = VarRef.cap_edge(1, ("1", "2")), VarRef.flow(("1", "2"), ("1", "2"))
+    cut = LinearConstraint("cut", {x: 2, y: -1}, ">=", 1)
+    reordered = LinearConstraint("cut", {y: Fraction(-1), x: Fraction(2)}, ">=", Fraction(1))
+    assert cut == reordered and hash(cut) == hash(reordered)
+    assert hash(LinearConstraint("cut", {}, ">=", 1)) == hash(LinearConstraint("cut", {}, ">=", 1))
+    assert {cut, reordered} == {cut}
+    other_rhs = LinearConstraint("cut", {x: 2, y: -1}, ">=", 2)
+    other_sense = LinearConstraint("cut", {x: 2, y: -1}, "<=", 1)
+    assert len({cut, reordered, other_rhs, other_sense}) == 3
+
+
 def test_violations_flag_negative_values():
     inst = _two_node()
     model = build_undirected(inst)

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netcap import cuts, solver
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, symmetric_counterpart
@@ -31,6 +33,8 @@ from netcap.randgen import (
 )
 from netcap.solver import (
     SolveStatus,
+    _phase1,
+    _solve_standardized,
     _standardize,
     build_for_feasibility,
     feasible,
@@ -398,3 +402,143 @@ def test_build_for_feasibility_matches_full_model():
         for _ in range(6):
             vec = {v: rng.randint(0, 2) for v in e_vars}
             assert feasible_with_capacity(small, vec) == feasible_with_capacity(full, vec)
+
+
+# -- the integer kernel against the rational tableau it replaced -------------
+
+def _rational_simplex(std):
+    """Reference: two-phase Bland simplex on a dense Fraction tableau, with
+    the same drive-out and dual read-out.  Returns (status, values of the
+    free columns, duals, the (leave, enter) pivots)."""
+    pivots = []
+
+    def pivot(tab, basis, reds, leave, enter):
+        pivots.append((leave, enter))
+        tab[leave] = prow = [c / tab[leave][enter] for c in tab[leave]]
+        for row in tab + reds:
+            f = row[enter]
+            if f and row is not prow:
+                row[:] = [a - f * b for a, b in zip(row, prow)]
+        basis[leave] = enter
+
+    def simplex(tab, basis, reds, width):
+        while True:
+            enter = next((j for j in range(width) if reds[0][j] < 0), -1)
+            if enter < 0:
+                return "optimal"
+            ratios = [(row[-1] / row[enter], basis[i], i) for i, row in enumerate(tab) if row[enter] > 0]
+            if not ratios:
+                return "unbounded"
+            pivot(tab, basis, reds, min(ratios)[2], enter)
+
+    if std.inconsistent:
+        return SolveStatus.INFEASIBLE, [], [], pivots
+    total = std.n_cols + sum(std.needs_artificial)
+    tab, start, red1 = [], [], [Fraction(0)] * (total + 1)
+    for coeffs, b, needs_art, slack in zip(std.rows, std.rhs, std.needs_artificial, std.slack_of_row):
+        row = [Fraction(0)] * (total + 1)
+        for j, c in coeffs:
+            row[j] = c
+        row[-1] = b
+        start.append(std.n_cols + sum(std.needs_artificial[: len(tab)]) if needs_art else slack)
+        if needs_art:
+            row[start[-1]] = Fraction(1)
+            red1 = [r - a for r, a in zip(red1, row)]
+            red1[start[-1]] = Fraction(0)
+        tab.append(row)
+    basis = list(start)
+    red2 = list(std.cost) + [Fraction(0)] * (total + 1 - std.n_cols)
+    simplex(tab, basis, [red1, red2], total)
+    if red1[-1]:
+        return SolveStatus.INFEASIBLE, [], [], pivots
+    n = std.n_cols
+    for i in range(len(tab)):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tab[i][j]), -1)
+            if enter >= 0:
+                pivot(tab, basis, [red2], i, enter)
+    keep = [i for i in range(len(tab)) if basis[i] < n]
+    tab, basis = [tab[i] for i in keep], [basis[i] for i in keep]
+    if simplex(tab, basis, [red2], n) == "unbounded":
+        return SolveStatus.UNBOUNDED, [], [], pivots
+    values = [Fraction(0)] * len(std.columns)
+    for row, b in zip(tab, basis):
+        if b < len(values):
+            values[b] = row[-1]
+    return SolveStatus.OPTIMAL, values, [-red2[j] for j in start], pivots
+
+
+_LP_VARS = tuple(VarRef.cap_edge(m, ("1", "2")) for m in range(1, 5))
+
+
+def _small_lp(rows, cost, pins=()):
+    """A continuous model over len(cost) variables: `rows` holds
+    (coefficients, sense, rhs), `pins` (variable index, pinned value)."""
+    xs = _LP_VARS[: len(cost)]
+    constraints = tuple(
+        LinearConstraint(f"r{i}", dict(zip(xs, map(Fraction, coeffs))), sense, Fraction(rhs))
+        for i, (coeffs, sense, rhs) in enumerate(rows)
+    )
+    model = MipModel(ModelKind.UNDIRECTED, xs, frozenset(), constraints, dict(zip(xs, map(Fraction, cost))))
+    return model, {xs[k]: Fraction(v) for k, v in pins}
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def _small_lps(draw):
+    n = draw(st.integers(1, 4))
+    coeffs = st.lists(_RATIONALS, min_size=n, max_size=n)
+    rows = draw(st.lists(st.tuples(coeffs, st.sampled_from(("<=", ">=", "=")), _RATIONALS), min_size=1, max_size=4))
+    pins = draw(st.dictionaries(st.integers(0, n - 1), st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))))
+    return _small_lp(rows, draw(coeffs), sorted(pins.items()))
+
+
+def _kernel_run(std):
+    """The integer kernel's answer on `std`, with its pivots and their cells."""
+    pivots, cells = [], []
+    inner = solver._pivot
+
+    def recording(t, leave, enter):
+        pivots.append((leave, enter))
+        cells.append(t.rows[leave][enter])
+        inner(t, leave, enter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_pivot", recording)
+        status, values, duals = _solve_standardized(std)
+    return (status, values, duals, pivots), cells
+
+
+# A drive-out pivot on a negative cell, and a rational rhs (scale 6 > 1).
+NEGATIVE_DRIVE_OUT = _small_lp([((1, 1), "=", 0), ((1, -1), "=", 0), ((0, 1), "<=", 1)], (1, -1))
+RATIONAL_RHS = _small_lp([((1, 1), ">=", Fraction(5, 3)), ((1, -1), "<=", Fraction(4, 3))], (1, 2), [(1, Fraction(1, 2))])
+# Phase 1 ends at once here; scaling the second row alone by 2 would give x
+# a negative phase-1 reduced cost and a pivot.
+ROW_WEIGHTS = _small_lp([((1,), "<=", -1), ((1,), ">=", Fraction(1, 2))], (0,))
+
+
+def test_kernel_examples_reach_their_cases():
+    _, cells = _kernel_run(_standardize(*NEGATIVE_DRIVE_OUT))
+    assert any(c < 0 for c in cells)
+    tableau = _phase1(_standardize(*RATIONAL_RHS))
+    assert tableau is not None and tableau.scale > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps())
+@example(NEGATIVE_DRIVE_OUT)
+@example(RATIONAL_RHS)
+@example(ROW_WEIGHTS)
+def test_integer_kernel_matches_rational_reference(lp):
+    """Same status, pivots, values and duals as the Fraction tableau; every
+    Optimal answer is certified."""
+    model, fixed = lp
+    std = _standardize(model, fixed)
+    got, _ = _kernel_run(std)
+    assert got == _rational_simplex(std)
+    sol = solve_lp(model, fixed=fixed)
+    assert sol.status is got[0]
+    if sol.status is SolveStatus.OPTIMAL:
+        assert optimality_certificate(model, sol)
