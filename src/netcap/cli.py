@@ -280,6 +280,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netcap",
@@ -345,14 +355,14 @@ def _parser() -> argparse.ArgumentParser:
     p_cor = vsub.add_parser("corollary", help="five-way projection equality")
     p_cor.add_argument("instance", nargs="?")
     p_cor.add_argument("--bound", type=int)
-    p_cor.add_argument("--trials", type=int, default=5)
+    p_cor.add_argument("--trials", type=_positive_int, default=5)
     p_cor.add_argument("--seed", type=int, default=0)
     p_cor.add_argument("--shape", choices=("triangle", "four-node"), default="triangle")
     p_cor.set_defaults(func=cmd_verify)
     p_tri = vsub.add_parser("triangle", help="triangle closed form vs enumeration")
     p_tri.add_argument("instance", nargs="?")
     p_tri.add_argument("--bound", type=int, default=3)
-    p_tri.add_argument("--trials", type=int, default=5)
+    p_tri.add_argument("--trials", type=_positive_int, default=5)
     p_tri.add_argument("--seed", type=int, default=0)
     p_tri.set_defaults(func=cmd_verify)
 

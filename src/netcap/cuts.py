@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Arc, Commodity, Instance, Network, Node, edge_between, render_rational
+from .core import Arc, Commodity, Instance, Network, Node, edge_between, parse_rational, render_rational
 from .enumeration import graded_box
 from .errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
 # fix_variables is not called here; the benchmark's tracer rebinds it on this
@@ -190,12 +190,12 @@ def phi_minus(c: int | Fraction, module: int, remainder: Fraction) -> Fraction:
 def _phi_args(
     c: int | Fraction, module: int, remainder: Fraction
 ) -> tuple[Fraction, int, Fraction]:
-    c = Fraction(c)
+    c = parse_rational(c)
     if c < 0:
         raise PreconditionError("capacity argument must be nonnegative")
     if not isinstance(module, int) or isinstance(module, bool) or module < 1:
         raise PreconditionError("module size must be a positive integer")
-    r = Fraction(remainder)
+    r = parse_rational(remainder)
     if not 0 <= r < module:
         raise PreconditionError("remainder must lie in [0, module)")
     return c, module, r

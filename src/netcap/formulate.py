@@ -142,10 +142,9 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.sense not in ("<=", "=", ">="):
             raise InvalidInstanceError(f"bad constraint sense {self.sense!r}")
-        object.__setattr__(
-            self, "coeffs", {v: Fraction(c) for v, c in self.coeffs.items() if c != 0}
-        )
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        coeffs = {v: parse_rational(c) for v, c in self.coeffs.items()}
+        object.__setattr__(self, "coeffs", {v: c for v, c in coeffs.items() if c})
+        object.__setattr__(self, "rhs", parse_rational(self.rhs))
 
     def __hash__(self) -> int:  # consistent with the generated __eq__, whatever the key order
         return hash((self.name, frozenset(self.coeffs.items()), self.sense, self.rhs))
@@ -193,9 +192,8 @@ class MipModel:
             missing = set(con.coeffs) - known
             if missing:
                 raise InvalidInstanceError(f"constraint {con.name!r} references unknown variables")
-        object.__setattr__(
-            self, "objective", {v: Fraction(c) for v, c in self.objective.items() if c != 0}
-        )
+        objective = {v: parse_rational(c) for v, c in self.objective.items()}
+        object.__setattr__(self, "objective", {v: c for v, c in objective.items() if c})
 
     def constraint_names(self) -> set[str]:
         return {c.name for c in self.constraints}
@@ -235,7 +233,7 @@ def pinned_values(model: MipModel, fixed: Mapping[VarRef, Fraction]) -> dict[Var
     stray = set(fixed) - set(model.variables)
     if stray:
         raise PreconditionError(f"fixing unknown variables {sorted(stray, key=lambda v: v.sort_key)!r}")
-    pinned = {v: Fraction(val) for v, val in fixed.items()}
+    pinned = {v: parse_rational(val) for v, val in fixed.items()}
     for v, val in pinned.items():
         if val < 0:
             raise PreconditionError(f"negative value for {v.name}")

@@ -11,15 +11,17 @@ artificials left at +-1.  That is a positive change of variables, so the
 pivots are the rational tableau's.  Scaling row by row would re-weight the
 phase-1 artificials and so change the pivots.  In the simplex, `Fraction`
 appears only where data is scaled in and values and duals are read out.
-Pinned variables move to the right-hand side of the equality form; no
-reduced model is built.  Phase 1, the drive-out of leftover artificials
-and phase 2 share one pivot routine.  An Optimal answer carries the duals
-read off its final reduced-cost row, and `optimality_certificate` checks
-them against the model rather than re-deriving them.  Integer models are
-solved by depth-first branch and bound on the first fractional integer
-variable in model order, pruning on exact bound comparisons.  Sized for
-desk-scale models (a few hundred variables), which is all this package
-needs.
+The model's rows go straight into the tableau: pinned variables move to
+the right-hand side, rows left constant are checked there, and rows with
+a negative rhs are negated; no reduced model or standard form is built
+first.  Phase 1, the drive-out of leftover artificials and phase 2 share
+one pivot routine.  An Optimal answer carries one dual per model row, read
+off its final reduced-cost row and signed back to the row as written, and
+`optimality_certificate` checks them against the model's rows alone,
+without any of the simplex.  Integer models are solved by depth-first
+branch and bound on the first fractional integer variable in model order,
+pruning on exact bound comparisons.  Sized for desk-scale models (a few
+hundred variables), which is all this package needs.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ class LpSolution:
     status: SolveStatus
     values: Mapping[VarRef, Fraction]
     objective: Fraction | None
-    # One dual per row of the deterministic standardization; see
-    # optimality_certificate.
+    # One dual per model constraint, in model order, in the row's own sign
+    # convention; see optimality_certificate.
     duals: tuple[Fraction, ...] = ()
-    fixed: Mapping[VarRef, Fraction] = field(default_factory=dict)  # pinned in that standardization
+    fixed: Mapping[VarRef, Fraction] = field(default_factory=dict)  # pinned while solving
 
 
 @dataclass(frozen=True)
@@ -77,74 +79,27 @@ class MipResult:
     nodes: int = 0
 
 
-@dataclass(frozen=True)
-class _Standardized:
-    """Equality form with nonnegative rhs: A z = b over free-variable+slack columns."""
-
-    columns: tuple[VarRef, ...]
-    n_cols: int
-    cost: tuple[Fraction, ...]  # objective over free columns, then zero per slack
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]  # sparse (col, coef)
-    rhs: tuple[Fraction, ...]
-    needs_artificial: tuple[bool, ...]
-    slack_of_row: tuple[int | None, ...]
-    inconsistent: bool  # a constant row was violated
-
-
-def _standardize(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> _Standardized:
-    """Pinned variables' terms move to the right-hand side, so a row left
-    with no free variable is a constant check; free columns keep model order."""
-    pinned = pinned_values(model, fixed)
-    columns = tuple(v for v in model.variables if v not in pinned)
-    index = {v: j for j, v in enumerate(columns)}
-    n = len(columns)
-    cost = [model.objective.get(v, _ZERO) for v in columns]
-    rows: list[tuple[tuple[int, Fraction], ...]] = []
-    rhs: list[Fraction] = []
-    needs_art: list[bool] = []
-    slack_of_row: list[int | None] = []
-    next_col = n
-    for con in model.constraints:
-        coeffs = sorted((index[v], c) for v, c in con.coeffs.items() if v not in pinned)
-        b = con.rhs - sum((c * pinned[v] for v, c in con.coeffs.items() if v in pinned), _ZERO)
-        sense = con.sense
-        if not coeffs:
-            ok = (b >= 0) if sense == "<=" else (b <= 0) if sense == ">=" else (b == 0)
-            if not ok:
-                return _Standardized(columns, n, tuple(cost), (), (), (), (), True)
-            continue
-        if b < 0:  # normalize to nonnegative rhs
-            coeffs = [(j, -c) for j, c in coeffs]
-            b = -b
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        if sense == "=":
-            slack_of_row.append(None)
-        else:
-            coeffs.append((next_col, _ONE if sense == "<=" else -_ONE))
-            slack_of_row.append(next_col)
-            next_col += 1
-        needs_art.append(sense != "<=")
-        rows.append(tuple(coeffs))
-        rhs.append(b)
-    cost += [_ZERO] * (next_col - n)
-    return _Standardized(
-        columns, next_col, tuple(cost), tuple(rows), tuple(rhs), tuple(needs_art), tuple(slack_of_row), False
-    )
-
-
 class _Tableau:
     """Each cell of `rows` (rhs last) and of the reduced-cost rows `reds` is
     `d`, the absolute basis determinant, times its value.  Row r started with
-    identity column `start[r]`; the rows were scaled in by `scale`, the cost
-    by `cost_scale`."""
+    identity column `start[r]` and is model row `origin[r][0]` times the sign
+    `origin[r][1]`; columns from `width` on are artificial.  The rows were
+    scaled in by `scale`, the cost by `cost_scale`."""
 
-    __slots__ = ("rows", "reds", "basis", "start", "scale", "cost_scale", "d")
+    __slots__ = ("rows", "reds", "basis", "start", "origin", "width", "scale", "cost_scale", "d")
 
     def __init__(
-        self, rows: list[list[int]], reds: list[list[int]], start: list[int], scale: int, cost_scale: int
+        self,
+        rows: list[list[int]],
+        reds: list[list[int]],
+        start: list[int],
+        origin: list[tuple[int, int]],
+        width: int,
+        scale: int,
+        cost_scale: int,
     ):
-        self.rows, self.reds, self.basis, self.start = rows, reds, list(start), start
-        self.scale, self.cost_scale, self.d = scale, cost_scale, 1  # the starting basis is the identity
+        self.rows, self.reds, self.basis, self.start, self.origin = rows, reds, list(start), start, origin
+        self.width, self.scale, self.cost_scale, self.d = width, scale, cost_scale, 1  # identity basis
 
 
 def _pivot(t: _Tableau, leave: int, enter: int) -> None:
@@ -201,58 +156,98 @@ def _bland_simplex(t: _Tableau, width: int) -> str:
         _pivot(t, leave, enter)
 
 
-def _phase1(std: _Standardized) -> _Tableau | None:
-    """Phase 1 from the identity basis of slacks and artificials.
+def _phase1(model: MipModel, pinned: Mapping[VarRef, Fraction]) -> _Tableau | None:
+    """Phase 1 of the model with the `pinned` values moved to the right-hand side.
 
-    Returns the tableau, scaled in uniformly, whose one reduced-cost row is
-    phase 2's for the final basis, or None when infeasible.  It keeps the
-    artificial columns, so B^-1 stays readable there.  Each artificial costs
-    one in phase 1 and starts basic in its row, so the phase-1 row starts as
-    minus the sum of the artificial rows; the starting basis costs zero in
-    phase 2, so the phase-2 row starts as the cost vector.
+    A row left with no free variable is a constant check, and None is
+    returned when one fails; a row with a negative right-hand side is
+    negated.  Columns are the free variables in model order, then a slack
+    per inequality row, then an artificial per `=` or `>=` row, each in row
+    order.  Returns the tableau, scaled in uniformly, whose one reduced-cost
+    row is phase 2's for the final basis, or None when infeasible.  It keeps
+    the artificial columns, so B^-1 stays readable there.  Each artificial
+    costs one in phase 1 and starts basic in its row, so the phase-1 row
+    starts as minus the sum of the artificial rows; the starting basis costs
+    zero in phase 2, so the phase-2 row starts as the cost vector.
     """
-    if std.inconsistent:
-        return None
-    n_free = len(std.columns)
-    total = std.n_cols + sum(std.needs_artificial)
-    scale = lcm(*{c.denominator for coeffs in std.rows for _, c in coeffs}, *{b.denominator for b in std.rhs})
-    cost_scale = lcm(*{c.denominator for c in std.cost})
+    index = {v: j for j, v in enumerate(v for v in model.variables if v not in pinned)}
+    kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
+    for r, con in enumerate(model.constraints):
+        b, terms = con.rhs, []
+        for v, c in con.coeffs.items():
+            if v in pinned:
+                b -= c * pinned[v]
+            else:
+                terms.append((index[v], c))
+        sense = con.sense
+        if not terms:
+            if b < 0 if sense == "<=" else b > 0 if sense == ">=" else b:
+                return None
+            continue
+        if b < 0:
+            kept.append((r, -1, terms, -b, {"<=": ">=", ">=": "<=", "=": "="}[sense]))
+        else:
+            kept.append((r, 1, terms, b, sense))
+    n = len(index)
+    slack = n
+    art = width = n + sum(sense != "=" for *_, sense in kept)
+    total = width + sum(sense != "<=" for *_, sense in kept)
+    scale = lcm(
+        *{c.denominator for _, _, terms, _, _ in kept for _, c in terms}, *{b.denominator for *_, b, _ in kept}
+    )
+    cost = [model.objective.get(v, _ZERO) for v in index]
+    cost_scale = lcm(*{c.denominator for c in cost})
     rows: list[list[int]] = []
     start: list[int] = []
-    art_col = std.n_cols
     red1 = [0] * (total + 1)  # the last cell holds minus the artificials' total
-    for coeffs, b, needs_art, slack in zip(std.rows, std.rhs, std.needs_artificial, std.slack_of_row):
+    for _, sign, terms, b, sense in kept:
         row = [0] * (total + 1)
-        for j, c in coeffs:
-            row[j] = c.numerator * (scale // c.denominator) if j < n_free else int(c)
+        for j, c in terms:
+            row[j] = sign * c.numerator * (scale // c.denominator)
         row[-1] = b.numerator * (scale // b.denominator)
-        if needs_art:
-            row[art_col] = 1
-            start.append(art_col)
-            art_col += 1
-            for j, _ in coeffs:
+        cols = [j for j, _ in terms]
+        if sense != "=":
+            row[slack] = 1 if sense == "<=" else -1
+            cols.append(slack)
+            slack += 1
+        if sense == "<=":
+            start.append(slack - 1)
+        else:
+            for j in cols:
                 red1[j] -= row[j]
             red1[-1] -= row[-1]
-        else:
-            start.append(slack)
+            row[art] = 1
+            start.append(art)
+            art += 1
         rows.append(row)
-    red2 = [c.numerator * (cost_scale // c.denominator) for c in std.cost] + [0] * (total + 1 - std.n_cols)
-    t = _Tableau(rows, [red1, red2], start, scale, cost_scale)
+    red2 = [c.numerator * (cost_scale // c.denominator) for c in cost] + [0] * (total + 1 - n)
+    t = _Tableau(rows, [red1, red2], start, [(r, sign) for r, sign, *_ in kept], width, scale, cost_scale)
     _bland_simplex(t, total)  # bounded below by 0, never unbounded
     return None if t.reds.pop(0)[-1] else t  # phase 1's row retires; its last cell is 0 iff feasible
 
 
-def _solve_standardized(std: _Standardized) -> tuple[SolveStatus, list[Fraction], list[Fraction]]:
-    """Two-phase simplex.  Returns (status, values of the free columns, duals).
+def solve_lp(
+    model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED, ignore_integrality: bool = False
+) -> LpSolution:
+    """Solve the model as a pure LP, exactly, with the `fixed` variables pinned.
 
-    The duals carry one entry per standardized row: u[r] = -red[start[r]],
-    read off the final phase-2 reduced-cost row at row r's identity column,
-    whose phase-2 cost is zero, and scaled back to the rational model.
+    Integer variables left free are rejected unless `ignore_integrality` is
+    set, in which case the continuous relaxation is solved.  Optimal points
+    include the pinned values, count them in the objective, and are
+    re-checked against every original constraint before being returned.
+    The duals are read off the final phase-2 reduced-cost row at each row's
+    starting column, whose phase-2 cost is zero: u = -red[start[r]], scaled
+    back to the rational model and signed back to model row origin[r].
     """
-    t = _phase1(std)
+    pinned = pinned_values(model, fixed)
+    if not ignore_integrality and any(v not in pinned for v in model.integer):
+        raise PreconditionError(
+            "model has integer variables; use solve_mip or pass ignore_integrality=True"
+        )
+    t = _phase1(model, pinned)
     if t is None:
-        return SolveStatus.INFEASIBLE, [], []
-    n = std.n_cols
+        return LpSolution(SolveStatus.INFEASIBLE, {}, None)
+    n = t.width
     # Drive artificials still basic (at level zero) out of the basis.  A row
     # with no real column left is redundant and is dropped; its artificial
     # costs zero, so the reduced-cost row, and the duals, are unchanged.
@@ -269,74 +264,59 @@ def _solve_standardized(std: _Standardized) -> tuple[SolveStatus, list[Fraction]
         del t.rows[i]
         del t.basis[i]
     if _bland_simplex(t, n) == "unbounded":
-        return SolveStatus.UNBOUNDED, [], []
-    values = [_ZERO] * len(std.columns)
-    for row, b in zip(t.rows, t.basis):
-        if b < len(values):
-            values[b] = Fraction(row[-1], t.d)
-    red = t.reds[0]
-    return SolveStatus.OPTIMAL, values, [Fraction(-red[j] * t.scale, t.d * t.cost_scale) for j in t.start]
-
-
-def solve_lp(
-    model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED, ignore_integrality: bool = False
-) -> LpSolution:
-    """Solve the model as a pure LP, exactly, with the `fixed` variables pinned.
-
-    Integer variables left free are rejected unless `ignore_integrality` is
-    set, in which case the continuous relaxation is solved.  Optimal points
-    include the pinned values, count them in the objective, and are
-    re-checked against every original constraint before being returned.
-    """
-    pinned = pinned_values(model, fixed)
-    if not ignore_integrality and any(v not in pinned for v in model.integer):
-        raise PreconditionError(
-            "model has integer variables; use solve_mip or pass ignore_integrality=True"
-        )
-    std = _standardize(model, pinned)
-    status, values, duals = _solve_standardized(std)
-    if status is not SolveStatus.OPTIMAL:
-        return LpSolution(status, {}, None)
-    point = dict(zip(std.columns, values)) | pinned
-    assignment = {v: point[v] for v in model.variables if point[v] != 0}
+        return LpSolution(SolveStatus.UNBOUNDED, {}, None)
+    columns = [v for v in model.variables if v not in pinned]
+    values = {columns[b]: Fraction(row[-1], t.d) for row, b in zip(t.rows, t.basis) if b < len(columns)}
+    point = values | pinned
+    assignment = {v: point[v] for v in model.variables if point.get(v)}
     bad = model.violations(assignment)
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
+    red, duals = t.reds[0], [_ZERO] * len(model.constraints)
+    for j, (r, sign) in zip(t.start, t.origin):
+        duals[r] = Fraction(-sign * red[j] * t.scale, t.d * t.cost_scale)
     objective = model.objective_value(assignment)
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), pinned)
 
 
 def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> bool:
     """Phase-1 feasibility of the continuous relaxation, `fixed` variables pinned."""
-    return _phase1(_standardize(model, fixed)) is not None
+    return _phase1(model, pinned_values(model, fixed)) is not None
 
 
 def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
-    """Check the duals an Optimal LP solution carries; no linear solve.
+    """Check the duals an Optimal LP solution carries against the model's
+    rows alone; nothing is solved or standardized.
 
-    Rebuilds the standardization A z = b, z >= 0 with the solution's `fixed`
-    values pinned and checks that the duals u price every column
-    nonnegatively (c_j - u A_j >= 0) and that u b plus the pinned cost equals
-    the reported objective, which by weak duality no feasible point beats.
-    The point itself must hold the pinned values, satisfy every row and
-    attain that objective.  Exact throughout.
+    With the solution's `fixed` values pinned, row r reads a_r x (sense) b_r,
+    where b_r is its rhs less the pinned terms.  The duals u, one per row,
+    must combine the rows validly (u_r <= 0 on `<=`, u_r >= 0 on `>=`), price
+    every free variable nonnegatively (c_v - sum_r u_r a_rv >= 0), and give
+    sum_r u_r b_r plus the pinned cost equal to the reported objective, which
+    by weak duality no feasible point beats.  The point itself must hold the
+    pinned values, satisfy every row and attain that objective.  Exact
+    throughout.
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise PreconditionError("certificate requires an Optimal solution")
-    std = _standardize(model, solution.fixed)
-    u = solution.duals
-    if std.inconsistent or len(u) != len(std.rows):
+    fixed, u = solution.fixed, solution.duals
+    if len(u) != len(model.constraints) or not set(fixed) <= set(model.variables):
         return False
-    reduced = list(std.cost)
-    for ur, coeffs in zip(u, std.rows):
+    reduced = {v: model.objective.get(v, _ZERO) for v in model.variables if v not in fixed}
+    dual_value = model.objective_value(fixed)
+    for ur, con in zip(u, model.constraints):
+        if ur > 0 and con.sense == "<=" or ur < 0 and con.sense == ">=":
+            return False
         if ur:
-            for j, a in coeffs:
-                reduced[j] -= ur * a
-    if any(r < 0 for r in reduced):
-        return False
-    dual_value = sum((ur * b for ur, b in zip(u, std.rhs)), model.objective_value(solution.fixed))
+            for v, a in con.coeffs.items():
+                if v in fixed:
+                    dual_value -= ur * a * fixed[v]
+                else:
+                    reduced[v] -= ur * a
+            dual_value += ur * con.rhs
     return (
-        all(solution.values.get(v, _ZERO) == val for v, val in solution.fixed.items())
+        all(r >= 0 for r in reduced.values())
+        and all(solution.values.get(v, _ZERO) == val for v, val in fixed.items())
         and dual_value == solution.objective == model.objective_value(solution.values)
         and not model.violations(solution.values)
     )
@@ -347,13 +327,13 @@ def _bound_rows(model: MipModel, bounds: int | Mapping[VarRef, int]) -> list[Lin
     for v in model.variables:
         if v not in model.integer:
             continue
-        if isinstance(bounds, int):
+        if not isinstance(bounds, Mapping):
             ub = bounds
+        elif v not in bounds:
+            raise MissingBoundError(f"no upper bound for integer variable {v.name}")
         else:
-            if v not in bounds:
-                raise MissingBoundError(f"no upper bound for integer variable {v.name}")
             ub = bounds[v]
-        if not isinstance(ub, int) or ub < 0:
+        if not isinstance(ub, int) or isinstance(ub, bool) or ub < 0:
             raise MissingBoundError(f"bound for {v.name} must be a nonnegative integer: {ub!r}")
         rows.append(LinearConstraint(f"ub[{v.name}]", {v: _ONE}, "<=", Fraction(ub)))
     return rows

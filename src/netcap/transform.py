@@ -230,9 +230,7 @@ def scale_flow_cost(
 ) -> dict[VarRef, Fraction]:
     """Scale only the flow coefficients of a cost vector."""
     f = parse_rational(factor)
-    return {
-        v: (c * f if v.kind == "flow" else Fraction(c)) for v, c in cost.items()
-    }
+    return {v: parse_rational(c) * (f if v.kind == "flow" else 1) for v, c in cost.items()}
 
 
 def _check_point(model: MipModel, point: ModelPoint, label: str) -> None:

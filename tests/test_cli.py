@@ -238,6 +238,15 @@ def test_verify_triangle_trials_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("what", ["corollary", "triangle"])
+@pytest.mark.parametrize("trials", ["0", "-3", "two"])
+def test_verify_refuses_nonpositive_trials(what, trials, capsys):
+    assert run(["verify", what, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err and "positive integer" in captured.err
+    assert "all checks agree" not in captured.out
+
+
 def test_verify_triangle_instance_file(tri, capsys):
     _, path = tri
     assert run(["verify", "triangle", path]) == 0

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netcap import cuts, solver
+from netcap import cuts, solver, transform
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, symmetric_counterpart
-from netcap.cuts import check_cut_validity, cutset_inequality, translate_to_bidirected
+from netcap.cuts import check_cut_validity, cutset_inequality, phi_minus, phi_plus, translate_to_bidirected
 from netcap.enumeration import graded_box
-from netcap.errors import MissingBoundError, PreconditionError, VacuousCutError
+from netcap.errors import MissingBoundError, NetcapError, PreconditionError, VacuousCutError
 from netcap.formulate import (
     LinearConstraint,
     MipModel,
@@ -24,6 +24,7 @@ from netcap.formulate import (
     build_undirected,
     equalize_directed,
     fix_variables,
+    pinned_values,
 )
 from netcap.randgen import (
     cut_check_instance,
@@ -32,10 +33,9 @@ from netcap.randgen import (
     triangle_corollary_instance,
 )
 from netcap.solver import (
+    LpSolution,
     SolveStatus,
     _phase1,
-    _solve_standardized,
-    _standardize,
     build_for_feasibility,
     feasible,
     feasible_with_capacity,
@@ -118,6 +118,7 @@ def _record_optimal_lps(monkeypatch, module):
 def test_optimality_certificate_sweep(monkeypatch):
     """Every Optimal LP answer must carry a verifiable dual certificate."""
     rng = random.Random(41)
+    relaxations = []
     for trial in range(10):
         inst = (
             triangle_corollary_instance(rng)
@@ -128,7 +129,9 @@ def test_optimality_certificate_sweep(monkeypatch):
             model = build(inst)
             sol = solve_lp(model, ignore_integrality=True)
             assert sol.status is SolveStatus.OPTIMAL
+            assert len(sol.duals) == len(model.constraints)
             assert optimality_certificate(model, sol)
+            relaxations.append((model, sol))
 
     # branch-and-bound node LPs: branch rows, and mirror-flow rows
     node_lps = _record_optimal_lps(monkeypatch, solver)
@@ -161,6 +164,16 @@ def test_optimality_certificate_sweep(monkeypatch):
     for model, sol in node_lps + probes:
         assert optimality_certificate(model, sol)
 
+    # The check reads the model's rows alone: with the LP kernel made to
+    # raise, every recorded answer still certifies.
+    def kernel(*args):
+        raise AssertionError("optimality_certificate reached the LP kernel")
+
+    for name in ("_phase1", "_pivot", "_bland_simplex"):
+        monkeypatch.setattr(solver, name, kernel)
+    for model, sol in relaxations + node_lps + probes:
+        assert optimality_certificate(model, sol)
+
 
 def test_optimality_certificate_rejects_tampering(monkeypatch):
     rng = random.Random(41)
@@ -170,6 +183,25 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
     assert not optimality_certificate(model, replace(sol, objective=sol.objective + 1))
     assert not optimality_certificate(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
     assert not optimality_certificate(model, replace(sol, duals=sol.duals[:-1]))
+    # a nonzero dual on an inequality row, negated, combines the row the wrong way
+    flips = [i for i, (u, c) in enumerate(zip(sol.duals, model.constraints)) if u and c.sense != "="]
+    assert flips
+    for i in flips:
+        duals = list(sol.duals)
+        duals[i] = -duals[i]
+        assert not optimality_certificate(model, replace(sol, duals=tuple(duals)))
+    # x = 1 is not optimal for min -x under x <= 2 and x <= 4, yet duals
+    # (-3/2, 1/2) price x at zero and sum to -1 through a wrong-signed
+    # second row; the same with both rows written as >=
+    for sign in (1, -1):
+        sense = "<=" if sign > 0 else ">="
+        lp, _ = _small_lp([((sign,), sense, 2 * sign), ((sign,), sense, 4 * sign)], (-1,))
+        duals = (Fraction(-3, 2) * sign, Fraction(1, 2) * sign)
+        false = LpSolution(SolveStatus.OPTIMAL, {_LP_VARS[0]: Fraction(1)}, Fraction(-1), duals)
+        assert not optimality_certificate(lp, false)
+    # a pin on a variable the model lacks is refused, not raised
+    stray = VarRef.cap_edge(9, ("1", "2"))
+    assert not optimality_certificate(model, replace(sol, fixed={stray: Fraction(0)}))
 
     # Cut-check answers hold for the system with capacities pinned; with the
     # pinned values dropped, their duals no longer certify the model.
@@ -232,32 +264,85 @@ def _pinning_cases():
 
 
 def test_pinning_matches_fix_variables():
-    """Pinning inside the LP gives exactly the system fix_variables writes out."""
+    """Pinning inside the LP solves exactly the system fix_variables writes out."""
     outcomes = set()
     for model, bound in _pinning_cases():
         refs = [v for v in model.variables if v.kind == "capacity"]
         for vec in graded_box(len(refs), bound):
             y = dict(zip(refs, vec))
             reference = fix_variables(model, y)
-            std = _standardize(model, y)
-            pinned = solve_lp(model, fixed=y)
+            (pinned, pinned_pivots), _ = _kernel_run(model, y)
             if not reference.consistent:
-                assert std.inconsistent and pinned.status is SolveStatus.INFEASIBLE
+                assert pinned.status is SolveStatus.INFEASIBLE and not pinned_pivots
                 assert not feasible(model, y)
                 outcomes.add("inconsistent")
                 continue
-            assert std == _standardize(reference.model, {})
-            direct = solve_lp(reference.model)
+            (direct, direct_pivots), _ = _kernel_run(reference.model, {})
+            assert pinned_pivots == direct_pivots
             assert pinned.status is direct.status
             assert feasible(model, y) == (direct.status is SolveStatus.OPTIMAL)
             outcomes.add(direct.status)
             if direct.status is SolveStatus.OPTIMAL:
                 assert pinned.objective == direct.objective + reference.offset
-                assert pinned.duals == direct.duals
+                # fix_variables keeps the rows with a free variable, in order
+                kept = [i for i, c in enumerate(model.constraints) if set(c.coeffs) - set(y)]
+                assert [pinned.duals[i] for i in kept] == list(direct.duals)
+                assert not any(u for i, u in enumerate(pinned.duals) if i not in kept)
                 assert pinned.values == direct.values | {v: n for v, n in y.items() if n}
                 assert pinned.fixed == y
                 assert optimality_certificate(model, pinned)
     assert outcomes == {"inconsistent", SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
+
+
+def test_pinned_certificate_reads_constant_and_negated_rows():
+    """With both arc capacities pinned, equalize_directed's eq row is a
+    constant check, and a cut x <= 2y - 1 has its rhs turned negative, so
+    the kernel negates that row; its dual comes back in the model's sign."""
+    model = equalize_directed(build_directed(_two_node(menu=(2,), t12=Fraction(0))))
+    x = VarRef.flow(("1", "2"), ("1", "2"))
+    y, y_back = VarRef.cap_arc(1, ("1", "2")), VarRef.cap_arc(1, ("2", "1"))
+    model = model.with_constraints([LinearConstraint("cut", {x: -1, y: 2}, ">=", 1)])
+    model = model.with_objective({x: -1})
+    fixed = {y: Fraction(1), y_back: Fraction(1)}
+    names = [c.name for c in model.constraints]
+    eq, cut = next(i for i, name in enumerate(names) if name.startswith("eq[")), names.index("cut")
+    assert set(model.constraints[eq].coeffs) <= set(fixed)
+    assert (cut, -1) in _phase1(model, fixed).origin
+
+    sol = solve_lp(model, fixed=fixed)
+    assert sol.status is SolveStatus.OPTIMAL and sol.objective == -1
+    assert sol.duals[eq] == 0 and sol.duals[cut] > 0
+    assert optimality_certificate(model, sol)
+    flipped = list(sol.duals)
+    flipped[cut] = -flipped[cut]
+    assert not optimality_certificate(model, replace(sol, duals=tuple(flipped)))
+
+
+_Y = VarRef.cap_edge(1, ("1", "2"))
+_X = VarRef.flow(("1", "2"), ("1", "2"))
+# Entry points of the model layer that take a number, and what they accept.
+_EXACT = (0, 1, Fraction(1, 2))
+_EXACT_ENTRY_POINTS = {
+    "row coefficient": (lambda q: LinearConstraint("r", {_Y: q}, "<=", 1), _EXACT),
+    "row rhs": (lambda q: LinearConstraint("r", {_Y: 1}, "<=", q), _EXACT),
+    "objective": (lambda q: build_undirected(_two_node()).with_objective({_Y: q}), _EXACT),
+    "pinned value": (lambda q: feasible(build_undirected(_two_node()), {_Y: q}), _EXACT),
+    "phi capacity": (lambda q: phi_plus(q, 2, Fraction(1, 4)), _EXACT),
+    "phi remainder": (lambda q: phi_minus(3, 2, q), _EXACT),
+    "flow cost": (lambda q: transform.scale_flow_cost({_X: q, _Y: 1}, 2), _EXACT),
+    "capacity cost": (lambda q: transform.scale_flow_cost({_X: 1, _Y: q}, 2), _EXACT),
+    "mip bound": (lambda q: solve_mip(build_undirected(_two_node()), q), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_EXACT_ENTRY_POINTS))
+def test_model_layer_refuses_floats_and_bools(entry):
+    enter, exact = _EXACT_ENTRY_POINTS[entry]
+    for inexact in (0.0, 0.5, 1.0, True, False):
+        with pytest.raises(NetcapError):
+            enter(inexact)
+    for q in exact:
+        enter(q)
 
 
 def test_pinned_values_are_checked():
@@ -266,7 +351,7 @@ def test_pinned_values_are_checked():
     stray = VarRef.cap_edge(2, ("1", "2"))
     for pin in (
         lambda fixed: fix_variables(model, fixed),
-        lambda fixed: _standardize(model, fixed),
+        lambda fixed: pinned_values(model, fixed),
         lambda fixed: feasible(model, fixed),
         lambda fixed: solve_lp(model, fixed=fixed),
     ):
@@ -286,8 +371,6 @@ def test_certificate_requires_optimal():
     inst = _two_node()
     model = build_undirected(inst)
     sol = solve_lp(model, ignore_integrality=True)
-    from netcap.solver import LpSolution
-
     fake = LpSolution(SolveStatus.INFEASIBLE, {}, None)
     with pytest.raises(PreconditionError):
         optimality_certificate(model, fake)
@@ -406,10 +489,11 @@ def test_build_for_feasibility_matches_full_model():
 
 # -- the integer kernel against the rational tableau it replaced -------------
 
-def _rational_simplex(std):
-    """Reference: two-phase Bland simplex on a dense Fraction tableau, with
-    the same drive-out and dual read-out.  Returns (status, values of the
-    free columns, duals, the (leave, enter) pivots)."""
+def _rational_simplex(model, fixed):
+    """Reference: standardize (model, fixed) into a dense Fraction tableau and
+    run two-phase Bland simplex on it, with the same column order, drive-out
+    and dual read-out.  Returns (status, values, one dual per model row, the
+    (leave, enter) pivots), values and duals empty unless Optimal."""
     pivots = []
 
     def pivot(tab, basis, reds, leave, enter):
@@ -431,41 +515,59 @@ def _rational_simplex(std):
                 return "unbounded"
             pivot(tab, basis, reds, min(ratios)[2], enter)
 
-    if std.inconsistent:
-        return SolveStatus.INFEASIBLE, [], [], pivots
-    total = std.n_cols + sum(std.needs_artificial)
+    failed = SolveStatus.INFEASIBLE, {}, (), pivots
+    free = [v for v in model.variables if v not in fixed]
+    rows = []  # (model row, sign, free coefficients, rhs >= 0, sense)
+    for r, con in enumerate(model.constraints):
+        b = con.rhs - sum(c * fixed[v] for v, c in con.coeffs.items() if v in fixed)
+        coeffs = {free.index(v): c for v, c in con.coeffs.items() if v not in fixed}
+        if not coeffs:
+            if not LinearConstraint("constant", {}, con.sense, b).satisfied_by({}):
+                return failed
+            continue
+        sign = -1 if b < 0 else 1
+        sense = {"<=": ">=", ">=": "<=", "=": "="}[con.sense] if sign < 0 else con.sense
+        rows.append((r, sign, {j: sign * c for j, c in coeffs.items()}, sign * b, sense))
+    n = len(free)
+    slacks = [i for i, row in enumerate(rows) if row[4] != "="]
+    arts = [i for i, row in enumerate(rows) if row[4] != "<="]
+    width = n + len(slacks)
+    total = width + len(arts)
     tab, start, red1 = [], [], [Fraction(0)] * (total + 1)
-    for coeffs, b, needs_art, slack in zip(std.rows, std.rhs, std.needs_artificial, std.slack_of_row):
+    for i, (_, _, coeffs, b, sense) in enumerate(rows):
         row = [Fraction(0)] * (total + 1)
-        for j, c in coeffs:
+        for j, c in coeffs.items():
             row[j] = c
         row[-1] = b
-        start.append(std.n_cols + sum(std.needs_artificial[: len(tab)]) if needs_art else slack)
-        if needs_art:
-            row[start[-1]] = Fraction(1)
+        if sense != "=":
+            row[n + slacks.index(i)] = Fraction(1 if sense == "<=" else -1)
+        if sense == "<=":
+            start.append(n + slacks.index(i))
+        else:
+            start.append(width + arts.index(i))
             red1 = [r - a for r, a in zip(red1, row)]
-            red1[start[-1]] = Fraction(0)
+            row[start[-1]] = Fraction(1)
         tab.append(row)
     basis = list(start)
-    red2 = list(std.cost) + [Fraction(0)] * (total + 1 - std.n_cols)
+    red2 = [model.objective.get(v, Fraction(0)) for v in free] + [Fraction(0)] * (total + 1 - n)
     simplex(tab, basis, [red1, red2], total)
     if red1[-1]:
-        return SolveStatus.INFEASIBLE, [], [], pivots
-    n = std.n_cols
+        return failed
     for i in range(len(tab)):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if tab[i][j]), -1)
+        if basis[i] >= width:
+            enter = next((j for j in range(width) if tab[i][j]), -1)
             if enter >= 0:
                 pivot(tab, basis, [red2], i, enter)
-    keep = [i for i in range(len(tab)) if basis[i] < n]
+    keep = [i for i in range(len(tab)) if basis[i] < width]
     tab, basis = [tab[i] for i in keep], [basis[i] for i in keep]
-    if simplex(tab, basis, [red2], n) == "unbounded":
-        return SolveStatus.UNBOUNDED, [], [], pivots
-    values = [Fraction(0)] * len(std.columns)
-    for row, b in zip(tab, basis):
-        if b < len(values):
-            values[b] = row[-1]
-    return SolveStatus.OPTIMAL, values, [-red2[j] for j in start], pivots
+    if simplex(tab, basis, [red2], width) == "unbounded":
+        return SolveStatus.UNBOUNDED, {}, (), pivots
+    point = {free[b]: row[-1] for row, b in zip(tab, basis) if b < n} | dict(fixed)
+    duals = [Fraction(0)] * len(model.constraints)
+    for (r, sign, *_), j in zip(rows, start):
+        duals[r] = -sign * red2[j]
+    values = {v: point[v] for v in model.variables if point.get(v)}
+    return SolveStatus.OPTIMAL, values, tuple(duals), pivots
 
 
 _LP_VARS = tuple(VarRef.cap_edge(m, ("1", "2")) for m in range(1, 5))
@@ -495,8 +597,9 @@ def _small_lps(draw):
     return _small_lp(rows, draw(coeffs), sorted(pins.items()))
 
 
-def _kernel_run(std):
-    """The integer kernel's answer on `std`, with its pivots and their cells."""
+def _kernel_run(model, fixed):
+    """`solve_lp(model, fixed=fixed)` with its (leave, enter) pivots, and the
+    cells it pivoted on."""
     pivots, cells = [], []
     inner = solver._pivot
 
@@ -507,8 +610,8 @@ def _kernel_run(std):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_pivot", recording)
-        status, values, duals = _solve_standardized(std)
-    return (status, values, duals, pivots), cells
+        sol = solve_lp(model, fixed=fixed)
+    return (sol, pivots), cells
 
 
 # A drive-out pivot on a negative cell, and a rational rhs (scale 6 > 1).
@@ -520,9 +623,9 @@ ROW_WEIGHTS = _small_lp([((1,), "<=", -1), ((1,), ">=", Fraction(1, 2))], (0,))
 
 
 def test_kernel_examples_reach_their_cases():
-    _, cells = _kernel_run(_standardize(*NEGATIVE_DRIVE_OUT))
+    _, cells = _kernel_run(*NEGATIVE_DRIVE_OUT)
     assert any(c < 0 for c in cells)
-    tableau = _phase1(_standardize(*RATIONAL_RHS))
+    tableau = _phase1(*RATIONAL_RHS)
     assert tableau is not None and tableau.scale > 1
 
 
@@ -532,13 +635,10 @@ def test_kernel_examples_reach_their_cases():
 @example(RATIONAL_RHS)
 @example(ROW_WEIGHTS)
 def test_integer_kernel_matches_rational_reference(lp):
-    """Same status, pivots, values and duals as the Fraction tableau; every
-    Optimal answer is certified."""
+    """Same status, pivots, values and model-row duals as the Fraction
+    tableau; every Optimal answer is certified."""
     model, fixed = lp
-    std = _standardize(model, fixed)
-    got, _ = _kernel_run(std)
-    assert got == _rational_simplex(std)
-    sol = solve_lp(model, fixed=fixed)
-    assert sol.status is got[0]
+    (sol, pivots), _ = _kernel_run(model, fixed)
+    assert (sol.status, dict(sol.values), sol.duals, pivots) == _rational_simplex(model, fixed)
     if sol.status is SolveStatus.OPTIMAL:
         assert optimality_certificate(model, sol)
