@@ -80,10 +80,12 @@ from .solver import (
     SolveStatus,
     build_for_feasibility,
     feasible_with_capacity,
+    infeasibility_certificate,
     optimality_certificate,
     reduced_commodities,
     solve_lp,
     solve_mip,
+    unboundedness_certificate,
 )
 from .transform import (
     FlowVector,

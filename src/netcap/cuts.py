@@ -23,7 +23,7 @@ from .errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutE
 # module (perfbench/tracing.py PATCHES), so it must stay importable from it.
 from .formulate import LinearConstraint, ModelKind, VarRef, fix_variables  # noqa: F401
 from .projlab import capacity_box
-from .solver import SolveStatus, build_for_feasibility, reduced_commodities, solve_lp
+from .solver import FarkasCache, SolveStatus, build_for_feasibility, reduced_commodities, solve_lp
 
 
 def _arc_set(arcs: Iterable[Arc]) -> frozenset[Arc]:
@@ -326,7 +326,11 @@ def check_cut_validity(
 
     For each integer capacity vector in the box, capacities are pinned and
     the left-hand side is minimized over the routing polytope; the cut is
-    valid iff that minimum never drops below the right-hand side.
+    valid iff that minimum never drops below the right-hand side.  A vector
+    is decided by a cached ray or by an LP: one that a capacity inequality
+    cached from an earlier Farkas ray refutes has no routing and is skipped
+    (`FarkasCache`); any other is minimized, and an infeasible one adds its
+    checked ray to the cache.
     Commodities named by the cut are kept in the model even when they
     carry no traffic, since their circulations can reduce the cut's
     backward-flow terms.
@@ -358,9 +362,13 @@ def check_cut_validity(
     probe = model.with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
     points = 0
     violations: list[tuple[tuple[int, ...], Fraction]] = []
+    rays = FarkasCache(probe, refs)
     for vec in graded_box(len(refs), b):
+        if rays.refutes(vec):
+            continue
         sol = solve_lp(probe, fixed=dict(zip(refs, vec)))
         if sol.status is SolveStatus.INFEASIBLE:
+            rays.learn(sol)
             continue
         if sol.status is not SolveStatus.OPTIMAL:
             raise NetcapError(f"unexpected solver status {sol.status} during cut check")

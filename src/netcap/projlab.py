@@ -29,7 +29,11 @@ from .core import (
 from .enumeration import MonotoneFeasibility, check_box, dominates, graded_box
 from .errors import NoRoutingError, PreconditionError
 from .formulate import MipModel, ModelKind, VarRef, equalize_directed
-from .solver import build_for_feasibility, feasible_with_capacity
+from .solver import FarkasCache, build_for_feasibility
+
+# Not called here.  The benchmark's tracer rebinds this name on this module
+# (perfbench/tracing.py PATCHES), so it must stay importable from it.
+from .solver import feasible_with_capacity  # noqa: F401
 
 VARIANTS = ("plain", "symmetrized-flows", "equalized")
 
@@ -104,17 +108,18 @@ def project(
 ) -> ProjectionSet:
     """Minimal capacity vectors of the model's projection, within the box.
 
-    Enumerates {0..bound}^components in graded order, testing flow-LP
-    feasibility with capacities pinned; dominance pruning keeps the LP count
-    near the boundary of the feasible set.
+    Enumerates {0..bound}^components in graded order, and decides each
+    vector by dominance, by a cached ray, or by an LP: a vector above a
+    known minimal one is feasible; one that a capacity inequality cached
+    from an earlier Farkas ray refutes is infeasible (`FarkasCache`); any
+    other is decided by phase 1 of the flow LP with its capacities pinned,
+    and an infeasible one adds its checked ray to the cache.  Dominance keeps
+    the LPs near the boundary of the feasible set, and the cached rays keep
+    them off most vectors below it.
     """
     model = _model_for(inst, kind, variant)
     refs, b = capacity_box(inst, model, bound)
-
-    def oracle(vec: tuple[int, ...]) -> bool:
-        return feasible_with_capacity(model, dict(zip(refs, vec)))
-
-    cache = MonotoneFeasibility(oracle)
+    cache = MonotoneFeasibility(FarkasCache(model, refs).feasible)
     for vec in graded_box(len(refs), b):
         cache.feasible(vec)
     return ProjectionSet(components=refs, bound=b, minimal=frozenset(cache.minimal))

@@ -15,13 +15,22 @@ The model's rows go straight into the tableau: pinned variables move to
 the right-hand side, rows left constant are checked there, and rows with
 a negative rhs are negated; no reduced model or standard form is built
 first.  Phase 1, the drive-out of leftover artificials and phase 2 share
-one pivot routine.  An Optimal answer carries one dual per model row, read
-off its final reduced-cost row and signed back to the row as written, and
-`optimality_certificate` checks them against the model's rows alone,
-without any of the simplex.  Integer models are solved by depth-first
-branch and bound on the first fractional integer variable in model order,
-pruning on exact bound comparisons.  Sized for desk-scale models (a few
-hundred variables), which is all this package needs.
+one pivot routine.  Every answer carries a certificate in the model's own
+terms, and each status has a checker that reads the model's rows alone,
+without any of the simplex: an Optimal answer carries one dual per model
+row, read off its final reduced-cost row and signed back to the row as
+written (`optimality_certificate`); an Infeasible one a Farkas ray, one
+multiplier per model row read off the final phase-1 row
+(`infeasibility_certificate`); an Unbounded one a feasible point and a
+direction of unbounded descent read off the column that entered with no
+row to leave (`unboundedness_certificate`).  A Farkas ray found with the
+capacities pinned is a capacity-only inequality valid for every capacity
+vector, so `FarkasCache` keeps the checked ones and capacity sweeps test
+each box vector against them before solving anything.  Integer models are
+solved by depth-first branch and bound on the first fractional integer
+variable in model order, pruning on exact bound comparisons.  Sized for
+desk-scale models (a few hundred variables), which is all this package
+needs.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -65,10 +75,14 @@ class LpSolution:
     status: SolveStatus
     values: Mapping[VarRef, Fraction]
     objective: Fraction | None
-    # One dual per model constraint, in model order, in the row's own sign
-    # convention; see optimality_certificate.
+    # One multiplier per model constraint, in model order, in the row's own
+    # sign convention: the duals when Optimal (optimality_certificate), a
+    # Farkas ray when Infeasible (infeasibility_certificate).
     duals: tuple[Fraction, ...] = ()
     fixed: Mapping[VarRef, Fraction] = field(default_factory=dict)  # pinned while solving
+    # When Unbounded, a direction along which `values` stays feasible and the
+    # cost falls without bound (unboundedness_certificate).
+    ray: Mapping[VarRef, Fraction] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -132,18 +146,19 @@ def _pivot(t: _Tableau, leave: int, enter: int) -> None:
     t.basis[leave] = enter
 
 
-def _bland_simplex(t: _Tableau, width: int) -> str:
+def _bland_simplex(t: _Tableau, width: int) -> int:
     """Run simplex to completion on reduced-cost row `t.reds[0]` (minimization).
 
-    Columns at index >= width are blocked from entering.  Returns "optimal"
-    or "unbounded".  Later rows of `t.reds` are carried along.  Only signs
-    and cross-multiplied ratios are compared, as every cell shares `t.d`.
+    Columns at index >= width are blocked from entering.  Returns -1 at an
+    optimum, or the entering column whose ratio test found no row when the
+    cost is unbounded below.  Later rows of `t.reds` are carried along.  Only
+    signs and cross-multiplied ratios are compared, as every cell shares `t.d`.
     """
     while True:
         red = t.reds[0]
         enter = next((j for j in range(width) if red[j] < 0), -1)
         if enter < 0:
-            return "optimal"
+            return -1
         leave, best_b, best_a = -1, 0, 1
         for i, row in enumerate(t.rows):
             a = row[enter]
@@ -152,24 +167,31 @@ def _bland_simplex(t: _Tableau, width: int) -> str:
                 if leave < 0 or mine < best or (mine == best and t.basis[i] < t.basis[leave]):
                     leave, best_b, best_a = i, row[-1], a
         if leave < 0:
-            return "unbounded"
+            return enter
         _pivot(t, leave, enter)
 
 
-def _phase1(model: MipModel, pinned: Mapping[VarRef, Fraction]) -> _Tableau | None:
+def _phase1(model: MipModel, pinned: Mapping[VarRef, Fraction]) -> _Tableau | LpSolution:
     """Phase 1 of the model with the `pinned` values moved to the right-hand side.
 
-    A row left with no free variable is a constant check, and None is
-    returned when one fails; a row with a negative right-hand side is
-    negated.  Columns are the free variables in model order, then a slack
-    per inequality row, then an artificial per `=` or `>=` row, each in row
-    order.  Returns the tableau, scaled in uniformly, whose one reduced-cost
-    row is phase 2's for the final basis, or None when infeasible.  It keeps
+    A row left with no free variable is a constant check; a row with a
+    negative right-hand side is negated.  Columns are the free variables in
+    model order, then a slack per inequality row, then an artificial per `=`
+    or `>=` row, each in row order.  Returns the tableau, scaled in
+    uniformly, whose one reduced-cost row is phase 2's for the final basis,
+    or, when infeasible, the Infeasible answer with its Farkas ray.  It keeps
     the artificial columns, so B^-1 stays readable there.  Each artificial
     costs one in phase 1 and starts basic in its row, so the phase-1 row
     starts as minus the sum of the artificial rows; the starting basis costs
     zero in phase 2, so the phase-2 row starts as the cost vector.
+
+    The ray is phase 1's optimal dual: at row r's starting column, whose
+    phase-1 cost is 1 for an artificial and 0 for a slack, y_r = cost1 -
+    red1.  It is the rational tableau's value (a uniform row scaling leaves
+    the duals as they are), signed back to model row origin[r].  A failed
+    constant row is a ray by itself: +-1 on that row, by the sign of its rhs.
     """
+    ray = [_ZERO] * len(model.constraints)
     index = {v: j for j, v in enumerate(v for v in model.variables if v not in pinned)}
     kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
     for r, con in enumerate(model.constraints):
@@ -182,7 +204,8 @@ def _phase1(model: MipModel, pinned: Mapping[VarRef, Fraction]) -> _Tableau | No
         sense = con.sense
         if not terms:
             if b < 0 if sense == "<=" else b > 0 if sense == ">=" else b:
-                return None
+                ray[r] = _ONE if b > 0 else -_ONE
+                return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), pinned)
             continue
         if b < 0:
             kept.append((r, -1, terms, -b, {"<=": ">=", ">=": "<=", "=": "="}[sense]))
@@ -223,7 +246,12 @@ def _phase1(model: MipModel, pinned: Mapping[VarRef, Fraction]) -> _Tableau | No
     red2 = [c.numerator * (cost_scale // c.denominator) for c in cost] + [0] * (total + 1 - n)
     t = _Tableau(rows, [red1, red2], start, [(r, sign) for r, sign, *_ in kept], width, scale, cost_scale)
     _bland_simplex(t, total)  # bounded below by 0, never unbounded
-    return None if t.reds.pop(0)[-1] else t  # phase 1's row retires; its last cell is 0 iff feasible
+    red1 = t.reds.pop(0)  # phase 1's row retires; its last cell is 0 iff feasible
+    if not red1[-1]:
+        return t
+    for j, (r, sign) in zip(start, t.origin):
+        ray[r] = Fraction(sign * ((t.d if j >= width else 0) - red1[j]), t.d)
+    return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), pinned)
 
 
 def solve_lp(
@@ -237,7 +265,11 @@ def solve_lp(
     re-checked against every original constraint before being returned.
     The duals are read off the final phase-2 reduced-cost row at each row's
     starting column, whose phase-2 cost is zero: u = -red[start[r]], scaled
-    back to the rational model and signed back to model row origin[r].
+    back to the rational model and signed back to model row origin[r].  An
+    Infeasible answer carries phase 1's Farkas ray (see _phase1).  An
+    Unbounded one carries the last basic point, checked like an optimum, and
+    the ray along the column that entered with no row to leave: that column
+    rises by one and each basic variable falls by its cell in it.
     """
     pinned = pinned_values(model, fixed)
     if not ignore_integrality and any(v not in pinned for v in model.integer):
@@ -245,8 +277,8 @@ def solve_lp(
             "model has integer variables; use solve_mip or pass ignore_integrality=True"
         )
     t = _phase1(model, pinned)
-    if t is None:
-        return LpSolution(SolveStatus.INFEASIBLE, {}, None)
+    if isinstance(t, LpSolution):
+        return t
     n = t.width
     # Drive artificials still basic (at level zero) out of the basis.  A row
     # with no real column left is redundant and is dropped; its artificial
@@ -263,8 +295,7 @@ def solve_lp(
     for i in reversed(drop):
         del t.rows[i]
         del t.basis[i]
-    if _bland_simplex(t, n) == "unbounded":
-        return LpSolution(SolveStatus.UNBOUNDED, {}, None)
+    unbounded = _bland_simplex(t, n)
     columns = [v for v in model.variables if v not in pinned]
     values = {columns[b]: Fraction(row[-1], t.d) for row, b in zip(t.rows, t.basis) if b < len(columns)}
     point = values | pinned
@@ -272,6 +303,15 @@ def solve_lp(
     bad = model.violations(assignment)
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
+    if unbounded >= 0:
+        ray = {
+            columns[b]: Fraction(-row[unbounded], t.d)
+            for row, b in zip(t.rows, t.basis)
+            if b < len(columns) and row[unbounded]
+        }
+        if unbounded < len(columns):
+            ray[columns[unbounded]] = _ONE
+        return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), pinned, ray)
     red, duals = t.reds[0], [_ZERO] * len(model.constraints)
     for j, (r, sign) in zip(t.start, t.origin):
         duals[r] = Fraction(-sign * red[j] * t.scale, t.d * t.cost_scale)
@@ -281,7 +321,36 @@ def solve_lp(
 
 def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> bool:
     """Phase-1 feasibility of the continuous relaxation, `fixed` variables pinned."""
-    return _phase1(model, pinned_values(model, fixed)) is not None
+    return isinstance(_phase1(model, pinned_values(model, fixed)), _Tableau)
+
+
+def _combine(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], int, int] | None:
+    """The row g x >= alpha with g = sum_r u_r a_r and alpha = sum_r u_r rhs_r,
+    u being the solution's multipliers, as integers over one positive
+    denominator: (that times g, times alpha, it).
+
+    Every point of the model satisfies the row when each u_r combines its row
+    the valid way: u_r <= 0 on `<=`, u_r >= 0 on `>=`, either sign on `=`.
+    None when one does not, when u is not one multiplier per row, or when the
+    solution pins a variable the model lacks.  The sums run in integers, u
+    and the rows each scaled in by one lcm, as the kernel scales its tableau.
+    """
+    u = solution.duals
+    if len(u) != len(model.constraints) or not set(solution.fixed) <= set(model.variables):
+        return None
+    rows = [(ur, con) for ur, con in zip(u, model.constraints) if ur]
+    if any(ur > 0 and con.sense == "<=" or ur < 0 and con.sense == ">=" for ur, con in rows):
+        return None
+    u_scale = lcm(*(ur.denominator for ur, _ in rows))
+    row_scale = lcm(*(c.denominator for _, con in rows for c in (con.rhs, *con.coeffs.values())))
+    g: dict[VarRef, int] = {}
+    alpha = 0
+    for ur, con in rows:
+        n = ur.numerator * (u_scale // ur.denominator)
+        for v, a in con.coeffs.items():
+            g[v] = g.get(v, 0) + n * a.numerator * (row_scale // a.denominator)
+        alpha += n * con.rhs.numerator * (row_scale // con.rhs.denominator)
+    return g, alpha, u_scale * row_scale
 
 
 def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
@@ -299,25 +368,82 @@ def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
     """
     if solution.status is not SolveStatus.OPTIMAL:
         raise PreconditionError("certificate requires an Optimal solution")
-    fixed, u = solution.fixed, solution.duals
-    if len(u) != len(model.constraints) or not set(fixed) <= set(model.variables):
+    fixed = solution.fixed
+    combined = _combine(model, solution)
+    if combined is None:
         return False
-    reduced = {v: model.objective.get(v, _ZERO) for v in model.variables if v not in fixed}
-    dual_value = model.objective_value(fixed)
-    for ur, con in zip(u, model.constraints):
-        if ur > 0 and con.sense == "<=" or ur < 0 and con.sense == ">=":
-            return False
-        if ur:
-            for v, a in con.coeffs.items():
-                if v in fixed:
-                    dual_value -= ur * a * fixed[v]
-                else:
-                    reduced[v] -= ur * a
-            dual_value += ur * con.rhs
+    g, alpha, scale = combined
+    dual_value = Fraction(alpha - sum(g.get(v, 0) * val for v, val in fixed.items()), scale)
+    dual_value += model.objective_value(fixed)
     return (
-        all(r >= 0 for r in reduced.values())
+        all(model.objective.get(v, _ZERO) * scale >= g.get(v, 0) for v in model.variables if v not in fixed)
         and all(solution.values.get(v, _ZERO) == val for v, val in fixed.items())
         and dual_value == solution.objective == model.objective_value(solution.values)
+        and not model.violations(solution.values)
+    )
+
+
+def _farkas_row(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], int] | None:
+    """The row g x >= alpha of an Infeasible answer's ray, times a positive
+    integer, when the ray proves the model infeasible with `solution.fixed`
+    pinned; else None.
+
+    The row holds at every point of the model.  With g_v <= 0 on every free
+    variable, its free part is at most zero for x >= 0, so no point has
+    alpha - sum_pinned g_v y_v > 0, and the pinned y has just that.
+    """
+    fixed = solution.fixed
+    combined = _combine(model, solution)
+    if combined is None:
+        return None
+    g, alpha, _ = combined
+    if any(c > 0 for v, c in g.items() if v not in fixed):
+        return None
+    if alpha - sum(g.get(v, 0) * val for v, val in fixed.items()) <= 0:
+        return None
+    return g, alpha
+
+
+def infeasibility_certificate(model: MipModel, solution: LpSolution) -> bool:
+    """Check the Farkas ray an Infeasible LP solution carries against the
+    model's rows alone, by dot products; nothing is solved or standardized.
+
+    With the solution's `fixed` values y pinned, b_r(y) is row r's rhs less
+    its pinned terms.  The multipliers u, one per row, must have the sign
+    their row's sense allows (u_r <= 0 on `<=`, u_r >= 0 on `>=`, free on
+    `=`), give sum_r u_r a_rv <= 0 on every free variable v, and give
+    sum_r u_r b_r(y) > 0.  A solution x >= 0 would then satisfy
+    sum_r u_r a_r x >= sum_r u_r b_r(y) > 0 with a left side at most zero,
+    so there is none.
+    """
+    if solution.status is not SolveStatus.INFEASIBLE:
+        raise PreconditionError("certificate requires an Infeasible solution")
+    return _farkas_row(model, solution) is not None
+
+
+def unboundedness_certificate(model: MipModel, solution: LpSolution) -> bool:
+    """Check the point and ray an Unbounded LP solution carries against the
+    model's rows alone; nothing is solved or standardized.
+
+    The point must hold the `fixed` values and satisfy every row.  The ray d
+    must leave the pinned variables alone, be nonnegative, keep every row's
+    sense (a_r d <= 0 on `<=`, >= 0 on `>=`, = 0 on `=`) and lower the cost
+    (c d < 0): then the point plus t d is feasible for every t >= 0, and its
+    cost falls without bound.
+    """
+    if solution.status is not SolveStatus.UNBOUNDED:
+        raise PreconditionError("certificate requires an Unbounded solution")
+    fixed, d = solution.fixed, solution.ray
+    if not set(fixed) | set(d) <= set(model.variables) or set(fixed) & set(d):
+        return False
+    for con in model.constraints:
+        ad = con.lhs_value(d)
+        if ad > 0 and con.sense != ">=" or ad < 0 and con.sense != "<=":
+            return False
+    return (
+        all(c >= 0 for c in d.values())
+        and model.objective_value(d) < 0
+        and all(solution.values.get(v, _ZERO) == val for v, val in fixed.items())
         and not model.violations(solution.values)
     )
 
@@ -412,6 +538,53 @@ def _as_cap_refs(
 def feasible_with_capacity(model: MipModel, capacities: Mapping[VarRef, int | Fraction]) -> bool:
     """Phase-1 feasibility of the flow system once capacities are pinned."""
     return feasible(model, _as_cap_refs(model, capacities))
+
+
+class FarkasCache:
+    """Capacity inequalities read off checked Farkas rays, for a sweep of
+    capacity vectors over one model.
+
+    Every vector of a sweep pins the same variables, `refs`.  A ray that
+    proves one vector infeasible combines the rows into g x >= alpha with
+    g_v <= 0 on every free variable, so beta y >= alpha, beta being g on
+    `refs`, holds for every feasible capacity vector y (for the undirected
+    model, a metric inequality), and refutes each y with beta y < alpha.
+    `learn` checks each ray as `infeasibility_certificate` does before it
+    keeps the inequality, as coprime integers, so that testing a vector is
+    integer arithmetic; an inequality already kept is kept once.
+    """
+
+    def __init__(self, model: MipModel, refs: tuple[VarRef, ...]):
+        self.model, self.refs = model, refs
+        self._tests: dict[tuple[int, tuple[int, ...]], None] = {}  # (alpha, beta), in learning order
+
+    def refutes(self, vec: tuple[int, ...]) -> bool:
+        """Whether a kept inequality beta y >= alpha fails at y = vec."""
+        return any(sum(map(mul, beta, vec)) < alpha for alpha, beta in self._tests)
+
+    def learn(self, solution: LpSolution) -> None:
+        """Keep the inequality of an Infeasible answer with `refs` pinned."""
+        if set(solution.fixed) != set(self.refs):
+            raise PreconditionError("the answer pins other variables than the sweep")
+        row = _farkas_row(self.model, solution)
+        if row is None:
+            raise NetcapError("solver returned a Farkas ray that does not prove infeasibility")
+        g, alpha = row
+        ints = [alpha] + [g.get(v, 0) for v in self.refs]
+        common = gcd(*ints)
+        self._tests[ints[0] // common, tuple(c // common for c in ints[1:])] = None
+
+    def feasible(self, vec: tuple[int, ...]) -> bool:
+        """Whether the model is feasible with `refs` pinned to `vec`: no if a
+        kept inequality refutes it, else phase 1 decides and an infeasible
+        answer's ray is learned."""
+        if self.refutes(vec):
+            return False
+        answer = _phase1(self.model, pinned_values(self.model, dict(zip(self.refs, vec))))
+        if isinstance(answer, _Tableau):
+            return True
+        self.learn(answer)
+        return False
 
 
 def reduced_commodities(inst: Instance) -> tuple:

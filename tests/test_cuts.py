@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from netcap import cuts
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix
 from netcap.cuts import (
     CutsetSpec,
@@ -294,6 +297,65 @@ def test_random_cuts_hold_on_both_models():
         translated = translate_to_bidirected(ineq)
         assert check_cut_validity(inst, translated, kind=ModelKind.BIDIRECTED).valid
         checked += 1
+
+
+@st.composite
+def _small_cut_checks(draw):
+    """A two-node or triangle instance, a cut-set inequality on it, the
+    reading to check it on and a bound, with at most 81 vectors in the box."""
+    two_node = draw(st.booleans())
+    net = Network(("1", "2"), (("1", "2"),)) if two_node else triangle_network()
+    amounts = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(9, 4)])
+    traffic = TrafficMatrix({(o, d): draw(amounts) for o in net.nodes for d in net.nodes if o != d})
+    existing = {e: draw(st.sampled_from([Fraction(0), Fraction(1, 2)])) for e in net.edges}
+    menu = draw(st.sampled_from([(1,), (2,), (1, 3)] if two_node else [(1,), (2,)]))
+    inst = Instance(net, FacilityMenu(menu), traffic, {e: c for e, c in existing.items() if c})
+    side = draw(st.sets(st.sampled_from(net.nodes), min_size=1, max_size=len(net.nodes) - 1))
+    forward, backward = cut_arcs(net, side)
+    spec = CutsetSpec(
+        side,
+        draw(st.sets(st.sampled_from(net.commodities), min_size=1)),
+        draw(st.sets(st.sampled_from(forward))),
+        draw(st.sets(st.sampled_from(backward))),
+        draw(st.sampled_from(inst.facilities.indices)),
+    )
+    try:
+        cut = cutset_inequality(inst, spec)
+    except VacuousCutError:
+        assume(False)
+    kind = draw(st.sampled_from([ModelKind.DIRECTED, ModelKind.BIDIRECTED]))
+    if kind is ModelKind.BIDIRECTED:
+        cut = translate_to_bidirected(cut)
+    dims = len(net.edges) * len(menu) * (2 if kind is ModelKind.DIRECTED else 1)
+    bound = draw(st.sampled_from([b for b in (1, 2, 3) if (b + 1) ** dims <= 81]))
+    return inst, cut, kind, bound
+
+
+class _NoRays:
+    """Stands in for FarkasCache: refutes nothing and keeps nothing, so
+    check_cut_validity solves an LP at every vector of the box."""
+
+    def __init__(self, model, refs):
+        pass
+
+    def refutes(self, vec):
+        return False
+
+    def learn(self, solution):
+        pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_cut_checks())
+def test_cut_check_matches_a_per_vector_sweep(case):
+    """Cached rays skip only vectors that an LP finds infeasible: the same
+    points and violations as solve_lp run on every vector of the box."""
+    inst, cut, kind, bound = case
+    check = check_cut_validity(inst, cut, kind=kind, bound=bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "FarkasCache", _NoRays)
+        sweep = check_cut_validity(inst, cut, kind=kind, bound=bound)
+    assert (check.points, check.violations) == (sweep.points, sweep.violations)
 
 
 def test_cut_is_a_row_the_directed_model_takes():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from netcap.core import (
     FacilityMenu,
@@ -12,11 +14,15 @@ from netcap.core import (
     TrafficMatrix,
     symmetric_counterpart,
 )
+from netcap.enumeration import dominates, graded_box
 from netcap.errors import NoRoutingError, PreconditionError
 from netcap.formulate import ModelKind, VarRef
 from netcap.projlab import (
+    VARIANTS,
     ProjectionSet,
+    _model_for,
     capacity_bound,
+    capacity_box,
     project,
     triangle_bidirected_projection,
     verify_corollary,
@@ -93,6 +99,43 @@ def test_projection_membership_matches_direct_feasibility():
         vec = tuple(rng.randint(0, 3) for _ in proj.components)
         direct = feasible_with_capacity(model, dict(zip(proj.components, vec)))
         assert proj.member(vec) == direct
+
+
+_READINGS = [
+    (kind, variant)
+    for kind in ModelKind
+    for variant in VARIANTS
+    if variant != "equalized" or kind is ModelKind.DIRECTED
+]
+
+
+@st.composite
+def _small_projections(draw):
+    """A two-node or triangle instance, a reading and a bound, with at most
+    81 vectors in the box."""
+    net = Network(("1", "2"), (("1", "2"),)) if draw(st.booleans()) else triangle_network()
+    amounts = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(2)])
+    traffic = TrafficMatrix({(o, d): draw(amounts) for o in net.nodes for d in net.nodes if o != d})
+    kind, variant = draw(st.sampled_from(_READINGS))
+    inst = Instance(net, FacilityMenu(draw(st.sampled_from([(1,), (2,), (1, 2)]))), traffic)
+    dims = len(net.edges) * len(inst.facilities.capacities) * (2 if kind is ModelKind.DIRECTED else 1)
+    assume(2**dims <= 81)
+    bound = draw(st.sampled_from([b for b in (1, 2, 3) if (b + 1) ** dims <= 81]))
+    return inst, kind, variant, bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_projections())
+def test_project_matches_a_per_vector_sweep(case):
+    """Dominance and cached rays decide the same minimal vectors as phase 1
+    run on every vector of the box."""
+    inst, kind, variant, bound = case
+    model = _model_for(inst, kind, variant)
+    refs, b = capacity_box(inst, model, bound)
+    feasible = [v for v in graded_box(len(refs), b) if feasible_with_capacity(model, dict(zip(refs, v)))]
+    minimal = {v for v in feasible if not any(w != v and dominates(v, w) for w in feasible)}
+    proj = project(inst, kind, variant=variant, bound=bound)
+    assert proj.components == refs and proj.minimal == minimal
 
 
 def test_project_variant_validation():

@@ -33,18 +33,27 @@ from netcap.randgen import (
     triangle_corollary_instance,
 )
 from netcap.solver import (
+    FarkasCache,
     LpSolution,
     SolveStatus,
     _phase1,
     build_for_feasibility,
     feasible,
     feasible_with_capacity,
+    infeasibility_certificate,
     optimality_certificate,
     reduced_commodities,
     solve_lp,
     solve_mip,
+    unboundedness_certificate,
 )
-from netcap.projlab import capacity_bound
+from netcap.projlab import capacity_bound, project
+
+_CERTIFICATES = {
+    SolveStatus.OPTIMAL: optimality_certificate,
+    SolveStatus.INFEASIBLE: infeasibility_certificate,
+    SolveStatus.UNBOUNDED: unboundedness_certificate,
+}
 
 
 def _two_node(menu=(1,), t12=Fraction(1), t21=Fraction(0)):
@@ -100,23 +109,37 @@ def test_mip_returns_feasible_integral_points():
             assert res.values.get(v, Fraction(0)).denominator == 1
 
 
-def _record_optimal_lps(monkeypatch, module):
-    """Rebind `module.solve_lp` to keep every (model, Optimal solution) it returns."""
+def _record_lps(monkeypatch, module):
+    """Rebind `module.solve_lp` to keep every (model, solution) it returns."""
     seen = []
     inner = module.solve_lp
 
     def recording(model, **kwargs):
         sol = inner(model, **kwargs)
-        if sol.status is SolveStatus.OPTIMAL:
-            seen.append((model, sol))
+        seen.append((model, sol))
         return sol
 
     monkeypatch.setattr(module, "solve_lp", recording)
     return seen
 
 
+def _record_learned_rays(monkeypatch):
+    """Rebind `FarkasCache.learn` to keep every (model, Infeasible answer) a
+    capacity sweep learns from."""
+    seen = []
+    inner = solver.FarkasCache.learn
+
+    def recording(cache, sol):
+        seen.append((cache.model, sol))
+        return inner(cache, sol)
+
+    monkeypatch.setattr(solver.FarkasCache, "learn", recording)
+    return seen
+
+
 def test_optimality_certificate_sweep(monkeypatch):
-    """Every Optimal LP answer must carry a verifiable dual certificate."""
+    """Every LP answer must carry a verifiable certificate: duals when
+    Optimal, a Farkas ray when Infeasible."""
     rng = random.Random(41)
     relaxations = []
     for trial in range(10):
@@ -134,7 +157,7 @@ def test_optimality_certificate_sweep(monkeypatch):
             relaxations.append((model, sol))
 
     # branch-and-bound node LPs: branch rows, and mirror-flow rows
-    node_lps = _record_optimal_lps(monkeypatch, solver)
+    node_lps = _record_lps(monkeypatch, solver)
     for _ in range(3):
         inst = triangle_corollary_instance(rng)
         star = inst.with_traffic(symmetric_counterpart(inst.traffic))
@@ -148,7 +171,8 @@ def test_optimality_certificate_sweep(monkeypatch):
     assert any(c.name.startswith("sym[") for m, _ in node_lps for c in m.constraints)
 
     # cut-check probes: capacities fixed, flow part (with negative terms) minimized
-    probes = _record_optimal_lps(monkeypatch, cuts)
+    probes = _record_lps(monkeypatch, cuts)
+    rays = _record_learned_rays(monkeypatch)
     checked = 0
     while checked < 4:
         inst = cut_check_instance(rng)
@@ -161,18 +185,29 @@ def test_optimality_certificate_sweep(monkeypatch):
         checked += 1
     assert any(c < 0 for m, _ in probes for c in m.objective.values())
 
-    for model, sol in node_lps + probes:
-        assert optimality_certificate(model, sol)
+    # projection sweeps: phase-1 rays, constant rows among them
+    for _ in range(2):
+        inst = triangle_corollary_instance(rng)
+        project(inst, ModelKind.UNDIRECTED)
+        project(inst, ModelKind.DIRECTED, variant="equalized", bound=1)
+    assert any(sum(map(bool, sol.duals)) == 1 for _, sol in rays)
+
+    answers = relaxations + node_lps + probes + rays
+    for lps in (node_lps, probes, rays):
+        assert any(sol.status is SolveStatus.INFEASIBLE for _, sol in lps)
+    for model, sol in answers:
+        assert len(sol.duals) == len(model.constraints)
+        assert _CERTIFICATES[sol.status](model, sol)
 
     # The check reads the model's rows alone: with the LP kernel made to
     # raise, every recorded answer still certifies.
     def kernel(*args):
-        raise AssertionError("optimality_certificate reached the LP kernel")
+        raise AssertionError("a certificate check reached the LP kernel")
 
     for name in ("_phase1", "_pivot", "_bland_simplex"):
         monkeypatch.setattr(solver, name, kernel)
-    for model, sol in relaxations + node_lps + probes:
-        assert optimality_certificate(model, sol)
+    for model, sol in answers:
+        assert _CERTIFICATES[sol.status](model, sol)
 
 
 def test_optimality_certificate_rejects_tampering(monkeypatch):
@@ -205,7 +240,8 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
 
     # Cut-check answers hold for the system with capacities pinned; with the
     # pinned values dropped, their duals no longer certify the model.
-    probes = _record_optimal_lps(monkeypatch, cuts)
+    recorded = _record_lps(monkeypatch, cuts)
+    probes = []
     rng = random.Random(3)
     while len(probes) < 10:
         inst = cut_check_instance(rng)
@@ -215,12 +251,47 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
             continue
         check_cut_validity(inst, ineq, bound=1)
         check_cut_validity(inst, translate_to_bidirected(ineq), kind=ModelKind.BIDIRECTED, bound=1)
+        probes = [(m, s) for m, s in recorded if s.status is SolveStatus.OPTIMAL]
     assert all(s.fixed and optimality_certificate(m, s) for m, s in probes)
     assert any(not optimality_certificate(m, replace(s, fixed={})) for m, s in probes)
     # more capacity than was pinned breaks no row and costs the probe nothing
     m, s = probes[0]
     v, val = next(iter(s.fixed.items()))
     assert not optimality_certificate(m, replace(s, values={**s.values, v: val + 1}))
+
+
+def test_infeasibility_certificate_rejects_tampering():
+    rng = random.Random(41)
+    model = build_for_feasibility(triangle_corollary_instance(rng), ModelKind.UNDIRECTED)
+    caps = [v for v in model.variables if v.kind == "capacity"]
+    sol = solve_lp(model.with_objective({}), fixed={v: 0 for v in caps})
+    assert sol.status is SolveStatus.INFEASIBLE and infeasibility_certificate(model, sol)
+    assert len(sol.duals) == len(model.constraints) and sol.fixed
+    assert not infeasibility_certificate(model, replace(sol, duals=sol.duals[:-1]))
+    assert not infeasibility_certificate(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
+    # a nonzero multiplier on an inequality row, negated, combines the row the wrong way
+    flips = [i for i, (u, c) in enumerate(zip(sol.duals, model.constraints)) if u and c.sense != "="]
+    assert flips
+    for i in flips:
+        duals = list(sol.duals)
+        duals[i] = -duals[i]
+        assert not infeasibility_certificate(model, replace(sol, duals=tuple(duals)))
+    # a pin on a variable the model lacks is refused, not raised
+    stray = VarRef.cap_edge(9, ("1", "2"))
+    assert not infeasibility_certificate(model, replace(sol, fixed={**sol.fixed, stray: Fraction(0)}))
+    # with enough capacity pinned the same ray proves nothing
+    assert not infeasibility_certificate(model, replace(sol, fixed={v: Fraction(9) for v in caps}))
+
+    # x <= 1 and x >= 2: the ray (-1, 1) needs both rows, and with x >= 1
+    # in place of x >= 2 it sums to 0 over a feasible system
+    lp, _ = _small_lp([((1,), "<=", 1), ((1,), ">=", 2)], (0,))
+    ray = LpSolution(SolveStatus.INFEASIBLE, {}, None, (Fraction(-1), Fraction(1)))
+    assert solve_lp(lp).duals == ray.duals and infeasibility_certificate(lp, ray)
+    for zeroed in ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))):
+        assert not infeasibility_certificate(lp, replace(ray, duals=zeroed))
+    tight, _ = _small_lp([((1,), "<=", 1), ((1,), ">=", 1)], (0,))
+    assert solve_lp(tight).status is SolveStatus.OPTIMAL
+    assert not infeasibility_certificate(tight, ray)
 
 
 def test_feasible_agrees_with_phase_two():
@@ -318,6 +389,30 @@ def test_pinned_certificate_reads_constant_and_negated_rows():
     assert not optimality_certificate(model, replace(sol, duals=tuple(flipped)))
 
 
+def test_constant_row_ray_refutes_its_vectors():
+    """Pinning y[1|1>2] = 1 and y[1|2>1] = 0 leaves equalize_directed's eq
+    row 0 = -1: its ray is -1 on that row alone, which proves y12 <= y21 and
+    so refutes exactly the vectors with y12 > y21."""
+    model = equalize_directed(build_for_feasibility(_two_node(t12=Fraction(1), t21=Fraction(1)), ModelKind.DIRECTED))
+    y12, y21 = VarRef.cap_arc(1, ("1", "2")), VarRef.cap_arc(1, ("2", "1"))
+    refs = (y12, y21)
+    eq = next(i for i, c in enumerate(model.constraints) if c.name.startswith("eq["))
+    sol = solve_lp(model.with_objective({}), fixed={y12: 1, y21: 0})
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.duals == tuple(Fraction(-1) if i == eq else 0 for i in range(len(model.constraints)))
+    assert infeasibility_certificate(model, sol)
+    cache = FarkasCache(model, refs)
+    cache.learn(sol)
+    for vec in graded_box(2, 3):
+        assert cache.refutes(vec) == (vec[0] > vec[1])
+        assert not (cache.refutes(vec) and feasible_with_capacity(model, dict(zip(refs, vec))))
+    # a ray that does not certify, or one found with other pins, is not kept
+    with pytest.raises(NetcapError):
+        cache.learn(replace(sol, duals=tuple(-u for u in sol.duals)))
+    with pytest.raises(PreconditionError):
+        cache.learn(replace(sol, fixed={y12: Fraction(1)}))
+
+
 _Y = VarRef.cap_edge(1, ("1", "2"))
 _X = VarRef.flow(("1", "2"), ("1", "2"))
 # Entry points of the model layer that take a number, and what they accept.
@@ -375,6 +470,12 @@ def test_certificate_requires_optimal():
     with pytest.raises(PreconditionError):
         optimality_certificate(model, fake)
     assert sol.status is SolveStatus.OPTIMAL
+    # each checker takes its own status only
+    for status, check in _CERTIFICATES.items():
+        for other in SolveStatus:
+            if other is not status:
+                with pytest.raises(PreconditionError):
+                    check(model, replace(sol, status=other))
 
 
 def test_infeasible_statuses():
@@ -403,9 +504,32 @@ def _free_variable_model(extra_rows=()):
 
 
 def test_unbounded_statuses():
-    model, _, y = _free_variable_model()
-    assert solve_lp(model, ignore_integrality=True).status is SolveStatus.UNBOUNDED
+    model, x, y = _free_variable_model()
+    sol = solve_lp(model, ignore_integrality=True)
+    assert sol.status is SolveStatus.UNBOUNDED and sol.ray == {x: 1}
+    assert unboundedness_certificate(model, sol)
     assert solve_mip(model, 3).status is SolveStatus.UNBOUNDED
+
+    # min -x under x - y <= 0: x enters, then y enters with no row to leave,
+    # so the ray raises both; every tampered ray or point is refused
+    model, x, y = _free_variable_model((LinearConstraint("r", {x: 1, y: -1}, "<=", 0),))
+    sol = solve_lp(model, ignore_integrality=True)
+    assert sol.status is SolveStatus.UNBOUNDED and sol.ray == {x: 1, y: 1}
+    assert unboundedness_certificate(model, sol)
+    for ray in (
+        {x: 1},  # breaks x - y <= 0
+        {y: 1},  # costs nothing
+        {x: -1, y: -1},  # not nonnegative
+        {},
+    ):
+        assert not unboundedness_certificate(model, replace(sol, ray=ray))
+    assert not unboundedness_certificate(model, replace(sol, values={x: Fraction(1)}))
+    # with y pinned the ray may not move it, and the pin must hold in the point
+    pinned = solve_lp(model, fixed={y: 2}, ignore_integrality=True)
+    assert pinned.status is SolveStatus.OPTIMAL and pinned.objective == -2
+    assert not unboundedness_certificate(model, replace(sol, fixed={y: Fraction(0)}))
+    stray = VarRef.cap_edge(9, ("1", "2"))
+    assert not unboundedness_certificate(model, replace(sol, fixed={stray: Fraction(0)}))
 
     # same ray, but the integer part is contradictory: infeasible wins
     dead_row = LinearConstraint("dead", {y: Fraction(1)}, "<=", Fraction(-1))
@@ -492,8 +616,10 @@ def test_build_for_feasibility_matches_full_model():
 def _rational_simplex(model, fixed):
     """Reference: standardize (model, fixed) into a dense Fraction tableau and
     run two-phase Bland simplex on it, with the same column order, drive-out
-    and dual read-out.  Returns (status, values, one dual per model row, the
-    (leave, enter) pivots), values and duals empty unless Optimal."""
+    and read-outs.  Returns (status, values, one multiplier per model row, the
+    unbounded ray, the (leave, enter) pivots): the multipliers are the duals
+    when Optimal and the Farkas ray when Infeasible; values are the last
+    basic point unless Infeasible."""
     pivots = []
 
     def pivot(tab, basis, reds, leave, enter):
@@ -506,16 +632,17 @@ def _rational_simplex(model, fixed):
         basis[leave] = enter
 
     def simplex(tab, basis, reds, width):
+        """-1 at an optimum, else the entering column with no leaving row."""
         while True:
             enter = next((j for j in range(width) if reds[0][j] < 0), -1)
             if enter < 0:
-                return "optimal"
+                return -1
             ratios = [(row[-1] / row[enter], basis[i], i) for i, row in enumerate(tab) if row[enter] > 0]
             if not ratios:
-                return "unbounded"
+                return enter
             pivot(tab, basis, reds, min(ratios)[2], enter)
 
-    failed = SolveStatus.INFEASIBLE, {}, (), pivots
+    ray = [Fraction(0)] * len(model.constraints)
     free = [v for v in model.variables if v not in fixed]
     rows = []  # (model row, sign, free coefficients, rhs >= 0, sense)
     for r, con in enumerate(model.constraints):
@@ -523,7 +650,8 @@ def _rational_simplex(model, fixed):
         coeffs = {free.index(v): c for v, c in con.coeffs.items() if v not in fixed}
         if not coeffs:
             if not LinearConstraint("constant", {}, con.sense, b).satisfied_by({}):
-                return failed
+                ray[r] = Fraction(1 if b > 0 else -1)
+                return SolveStatus.INFEASIBLE, {}, tuple(ray), {}, pivots
             continue
         sign = -1 if b < 0 else 1
         sense = {"<=": ">=", ">=": "<=", "=": "="}[con.sense] if sign < 0 else con.sense
@@ -552,7 +680,10 @@ def _rational_simplex(model, fixed):
     red2 = [model.objective.get(v, Fraction(0)) for v in free] + [Fraction(0)] * (total + 1 - n)
     simplex(tab, basis, [red1, red2], total)
     if red1[-1]:
-        return failed
+        # the phase-1 duals: cost 1 on an artificial, 0 on a slack, less the reduced cost
+        for (r, sign, *_), j in zip(rows, start):
+            ray[r] = sign * ((1 if j >= width else 0) - red1[j])
+        return SolveStatus.INFEASIBLE, {}, tuple(ray), {}, pivots
     for i in range(len(tab)):
         if basis[i] >= width:
             enter = next((j for j in range(width) if tab[i][j]), -1)
@@ -560,14 +691,18 @@ def _rational_simplex(model, fixed):
                 pivot(tab, basis, [red2], i, enter)
     keep = [i for i in range(len(tab)) if basis[i] < width]
     tab, basis = [tab[i] for i in keep], [basis[i] for i in keep]
-    if simplex(tab, basis, [red2], width) == "unbounded":
-        return SolveStatus.UNBOUNDED, {}, (), pivots
+    unbounded = simplex(tab, basis, [red2], width)
     point = {free[b]: row[-1] for row, b in zip(tab, basis) if b < n} | dict(fixed)
+    values = {v: point[v] for v in model.variables if point.get(v)}
+    if unbounded >= 0:
+        direction = {free[b]: -row[unbounded] for row, b in zip(tab, basis) if b < n and row[unbounded]}
+        if unbounded < n:
+            direction[free[unbounded]] = Fraction(1)
+        return SolveStatus.UNBOUNDED, values, (), direction, pivots
     duals = [Fraction(0)] * len(model.constraints)
     for (r, sign, *_), j in zip(rows, start):
         duals[r] = -sign * red2[j]
-    values = {v: point[v] for v in model.variables if point.get(v)}
-    return SolveStatus.OPTIMAL, values, tuple(duals), pivots
+    return SolveStatus.OPTIMAL, values, tuple(duals), {}, pivots
 
 
 _LP_VARS = tuple(VarRef.cap_edge(m, ("1", "2")) for m in range(1, 5))
@@ -635,10 +770,18 @@ def test_kernel_examples_reach_their_cases():
 @example(RATIONAL_RHS)
 @example(ROW_WEIGHTS)
 def test_integer_kernel_matches_rational_reference(lp):
-    """Same status, pivots, values and model-row duals as the Fraction
-    tableau; every Optimal answer is certified."""
+    """Same status, pivots, values, model-row duals or Farkas ray, and
+    unbounded ray as the Fraction tableau; every answer is certified.  An
+    unbounded ray is compared up to a positive factor: the kernel steps a
+    slack scaled in with its row."""
     model, fixed = lp
     (sol, pivots), _ = _kernel_run(model, fixed)
-    assert (sol.status, dict(sol.values), sol.duals, pivots) == _rational_simplex(model, fixed)
-    if sol.status is SolveStatus.OPTIMAL:
-        assert optimality_certificate(model, sol)
+
+    def unit(ray):
+        return {v: c / sum(ray.values()) for v, c in ray.items()}
+
+    status, values, duals, ray, reference_pivots = _rational_simplex(model, fixed)
+    assert (sol.status, dict(sol.values), sol.duals, unit(sol.ray), pivots) == (
+        status, values, duals, unit(ray), reference_pivots
+    )
+    assert _CERTIFICATES[sol.status](model, sol)
