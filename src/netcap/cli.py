@@ -6,12 +6,14 @@ project (capacity projections), verify (exhaustive structural checks).
 
 Exit codes: 0 on success or full agreement, 1 when a verification fails,
 a solve ends without an optimal point, or a requested cut is vacuous,
-2 on usage and input errors.  All numbers print as exact rationals.
+2 on usage and input errors, and 141, with no message, when the reader of
+standard output closes it early.  All numbers print as exact rationals.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -47,6 +49,7 @@ from .formulate import (
 )
 from .projlab import VARIANTS, capacity_bound, project, verify_corollary, verify_triangle_remark
 from .randgen import (
+    TRIANGLE_NODES,
     four_node_corollary_instance,
     triangle_corollary_instance,
     triangle_remark_traffic,
@@ -265,11 +268,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures += 0 if rep.equal else 1
     else:
         if args.instance:
-            traffics = [("instance", load_instance(args.instance).traffic)]
+            inst = load_instance(args.instance)
+            traffics = [("instance", inst.traffic, inst.network.nodes)]
         else:
-            traffics = [(f"trial {i}", triangle_remark_traffic(rng)) for i in range(args.trials)]
-        for label, traffic in traffics:
-            rep = verify_triangle_remark(traffic, args.bound)
+            traffics = [(f"trial {i}", triangle_remark_traffic(rng), TRIANGLE_NODES) for i in range(args.trials)]
+        for label, traffic, nodes in traffics:
+            rep = verify_triangle_remark(traffic, args.bound, nodes)
             print(f"{label}: {rep.describe()}")
             total += 1
             failures += 0 if rep.passed else 1
@@ -376,7 +380,16 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early.  Point stdout at devnull so the flush at
+        # exit stays quiet, and exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except VacuousCutError as exc:
         print(f"vacuous cut: {exc}", file=sys.stderr)
         return 1

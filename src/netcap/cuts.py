@@ -17,13 +17,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import Arc, Commodity, Instance, Network, Node, edge_between, parse_rational, render_rational
-from .enumeration import graded_box
+from .enumeration import dominates, graded_box
 from .errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
 # fix_variables is not called here; the benchmark's tracer rebinds it on this
 # module (perfbench/tracing.py PATCHES), so it must stay importable from it.
 from .formulate import LinearConstraint, ModelKind, VarRef, fix_variables  # noqa: F401
 from .projlab import capacity_box
-from .solver import FarkasCache, SolveStatus, build_for_feasibility, reduced_commodities, solve_lp
+from .solver import DualBoundCache, FarkasCache, SolveStatus, build_for_feasibility, reduced_commodities, solve_lp
 
 
 def _arc_set(arcs: Iterable[Arc]) -> frozenset[Arc]:
@@ -293,13 +293,19 @@ class CutCheck:
     """Exhaustive validity report for one `>=` row over a capacity box.
 
     Each violating vector lists counts aligned with `components`, the
-    model's capacity variables in `VarRef.sort_key` order.
+    model's capacity variables in `VarRef.sort_key` order.  The last three
+    fields say how the box's vectors were decided, and together they cover
+    it: by an LP, refuted by a cached Farkas ray, or, being known feasible by
+    dominance, proved by a cached dual bound.
     """
 
     components: tuple[VarRef, ...]
     bound: int
     points: int
     violations: tuple[tuple[tuple[int, ...], Fraction], ...]
+    lp_solved: int
+    ray_refuted: int
+    bound_proved: int
 
     @property
     def valid(self) -> bool:
@@ -326,11 +332,17 @@ def check_cut_validity(
 
     For each integer capacity vector in the box, capacities are pinned and
     the left-hand side is minimized over the routing polytope; the cut is
-    valid iff that minimum never drops below the right-hand side.  A vector
-    is decided by a cached ray or by an LP: one that a capacity inequality
-    cached from an earlier Farkas ray refutes has no routing and is skipped
-    (`FarkasCache`); any other is minimized, and an infeasible one adds its
-    checked ray to the cache.
+    valid iff that minimum never drops below the right-hand side.  The box
+    is swept in graded order, and each vector is decided in three steps
+    before an LP.  One that dominates a vector found feasible is feasible
+    too (more capacity never hurts), and when a cached dual bound proves the
+    cut there (`DualBoundCache`), it counts as a point without an LP.  One
+    that dominates none and that a capacity inequality cached from an
+    earlier Farkas ray refutes has no routing and is skipped
+    (`FarkasCache`).  Any other is minimized: an optimal answer adds its
+    checked duals to the bound cache, an infeasible one its checked ray to
+    the ray cache, and an infeasible answer at a dominating vector raises,
+    since monotonicity has broken.
     Commodities named by the cut are kept in the model even when they
     carry no traffic, since their circulations can reduce the cut's
     backward-flow terms.
@@ -360,19 +372,40 @@ def check_cut_validity(
     refs, b = capacity_box(inst, model, bound)
 
     probe = model.with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
-    points = 0
+    rays, bounds = FarkasCache(probe, refs), DualBoundCache(probe, refs, cut)
+    minimal: list[tuple[int, ...]] = []  # feasible vectors dominating no other
+    points = solved = refuted = proved = 0
     violations: list[tuple[tuple[int, ...], Fraction]] = []
-    rays = FarkasCache(probe, refs)
     for vec in graded_box(len(refs), b):
-        if rays.refutes(vec):
+        dominated = any(dominates(vec, m) for m in minimal)
+        if dominated and bounds.proves(vec):
+            points += 1
+            proved += 1
             continue
+        if not dominated and rays.refutes(vec):
+            refuted += 1
+            continue
+        solved += 1
         sol = solve_lp(probe, fixed=dict(zip(refs, vec)))
         if sol.status is SolveStatus.INFEASIBLE:
+            if dominated:
+                raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
             rays.learn(sol)
             continue
         if sol.status is not SolveStatus.OPTIMAL:
             raise NetcapError(f"unexpected solver status {sol.status} during cut check")
+        bounds.learn(sol)
+        if not dominated:
+            minimal.append(vec)
         points += 1
         if not cut.satisfied_by(sol.values):
             violations.append((vec, cut.lhs_value(sol.values)))
-    return CutCheck(components=refs, bound=b, points=points, violations=tuple(violations))
+    return CutCheck(
+        components=refs,
+        bound=b,
+        points=points,
+        violations=tuple(violations),
+        lp_solved=solved,
+        ray_refuted=refuted,
+        bound_proved=proved,
+    )

@@ -26,11 +26,14 @@ direction of unbounded descent read off the column that entered with no
 row to leave (`unboundedness_certificate`).  A Farkas ray found with the
 capacities pinned is a capacity-only inequality valid for every capacity
 vector, so `FarkasCache` keeps the checked ones and capacity sweeps test
-each box vector against them before solving anything.  Integer models are
-solved by depth-first branch and bound on the first fractional integer
-variable in model order, pruning on exact bound comparisons.  Sized for
-desk-scale models (a few hundred variables), which is all this package
-needs.
+each box vector against them before solving anything.  Likewise the duals
+of an Optimal answer found with the capacities pinned bound the objective
+from below at every feasible capacity vector (weak duality), so
+`DualBoundCache` keeps the checked ones and a cut check proves its row at a
+vector known to be feasible without an LP.  Integer models are solved by
+depth-first branch and bound on the first fractional integer variable in
+model order, pruning on exact bound comparisons.  Sized for desk-scale
+models (a few hundred variables), which is all this package needs.
 """
 
 from __future__ import annotations
@@ -353,6 +356,23 @@ def _combine(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], 
     return g, alpha, u_scale * row_scale
 
 
+def _dual_row(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], int, int] | None:
+    """`_combine`'s (g, alpha, scale) for a solution's duals when they also
+    price every free variable nonnegatively, c_v scale >= g_v; else None.
+
+    Then, at every point of the model, the objective's part on the free
+    variables is at least (alpha - sum_pinned g_v y_v) / scale: weak duality,
+    whatever values y the `solution.fixed` variables are pinned to.
+    """
+    combined = _combine(model, solution)
+    if combined is None:
+        return None
+    g, _, scale = combined
+    if any(model.objective.get(v, _ZERO) * scale < g.get(v, 0) for v in model.variables if v not in solution.fixed):
+        return None
+    return combined
+
+
 def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
     """Check the duals an Optimal LP solution carries against the model's
     rows alone; nothing is solved or standardized.
@@ -369,15 +389,14 @@ def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
     if solution.status is not SolveStatus.OPTIMAL:
         raise PreconditionError("certificate requires an Optimal solution")
     fixed = solution.fixed
-    combined = _combine(model, solution)
-    if combined is None:
+    row = _dual_row(model, solution)
+    if row is None:
         return False
-    g, alpha, scale = combined
+    g, alpha, scale = row
     dual_value = Fraction(alpha - sum(g.get(v, 0) * val for v, val in fixed.items()), scale)
     dual_value += model.objective_value(fixed)
     return (
-        all(model.objective.get(v, _ZERO) * scale >= g.get(v, 0) for v in model.variables if v not in fixed)
-        and all(solution.values.get(v, _ZERO) == val for v, val in fixed.items())
+        all(solution.values.get(v, _ZERO) == val for v, val in fixed.items())
         and dual_value == solution.objective == model.objective_value(solution.values)
         and not model.violations(solution.values)
     )
@@ -585,6 +604,55 @@ class FarkasCache:
             return True
         self.learn(answer)
         return False
+
+
+class DualBoundCache:
+    """Lower bounds on a `>=` row read off checked optimal duals, for a sweep
+    of capacity vectors over one model whose objective is the row's part off
+    `refs`.
+
+    Every vector of a sweep pins the same variables, `refs`, so the dual
+    feasible set is the same across the box.  Duals u that combine the rows
+    validly into g x >= alpha (times `scale`) and price every free column
+    nonnegatively (c_v scale >= g_v) bound the objective at every feasible y
+    from below by (alpha - sum_v g_v y_v) / scale: weak duality, a Benders
+    optimality cut.  The row holds at y when that bound plus the row's terms
+    on `refs` reaches its rhs, which is one integer test B y <= A.  `learn`
+    checks the duals as `optimality_certificate` does (`_dual_row`) before it
+    keeps the test, as coprime integers; a test already kept is kept once.
+    A kept test proves the row only at a vector known to be feasible.
+    """
+
+    def __init__(self, model: MipModel, refs: tuple[VarRef, ...], row: LinearConstraint):
+        if row.sense != ">=" or dict(model.objective) != {v: c for v, c in row.coeffs.items() if v not in refs}:
+            raise PreconditionError("the model's objective must be the '>=' row's part off the sweep")
+        self.model, self.refs = model, refs
+        on_refs = [row.coeffs.get(v, _ZERO) for v in refs]
+        self._row_scale = lcm(row.rhs.denominator, *(c.denominator for c in on_refs))
+        self._rhs = row.rhs.numerator * (self._row_scale // row.rhs.denominator)
+        self._on_refs = [c.numerator * (self._row_scale // c.denominator) for c in on_refs]
+        self._tests: dict[tuple[int, tuple[int, ...]], None] = {}  # (A, B), in learning order
+
+    def proves(self, vec: tuple[int, ...]) -> bool:
+        """Whether a kept test B y <= A holds at y = vec."""
+        return any(sum(map(mul, b, vec)) <= a for a, b in self._tests)
+
+    def learn(self, solution: LpSolution) -> None:
+        """Keep the test of an Optimal answer with `refs` pinned."""
+        if solution.status is not SolveStatus.OPTIMAL:
+            raise PreconditionError("only an Optimal answer carries a dual bound")
+        if set(solution.fixed) != set(self.refs):
+            raise PreconditionError("the answer pins other variables than the sweep")
+        row = _dual_row(self.model, solution)
+        if row is None:
+            raise NetcapError("solver returned duals that do not bound the objective")
+        g, alpha, scale = row
+        # Times row_scale * scale > 0: (alpha - g y) row_scale + scale (cap y - rhs) >= 0.
+        ints = [alpha * self._row_scale - scale * self._rhs] + [
+            g.get(v, 0) * self._row_scale - scale * c for v, c in zip(self.refs, self._on_refs)
+        ]
+        common = gcd(*ints) or 1
+        self._tests[ints[0] // common, tuple(c // common for c in ints[1:])] = None
 
 
 def reduced_commodities(inst: Instance) -> tuple:

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: outputs, files, exit codes."""
 
 import json
+import os
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,7 @@ from netcap.core import (
     save_instance,
 )
 from netcap.formulate import ModelKind, parse_model
-from netcap.randgen import triangle_network
+from netcap.randgen import triangle_network, triangle_remark_traffic
 from netcap.transform import balance_violations, load_point
 
 
@@ -251,6 +254,34 @@ def test_verify_triangle_instance_file(tri, capsys):
     _, path = tri
     assert run(["verify", "triangle", path]) == 0
     assert "all checks agree" in capsys.readouterr().out
+
+
+def test_verify_triangle_two_node_draw(tmp_path, capsys):
+    """A generated traffic matrix can name only two of the triangle's nodes;
+    the trial still runs on the triangle, as does an instance file with it."""
+    traffic = triangle_remark_traffic(random.Random(15))  # trial 0 of --seed 15
+    assert {n for (o, d), t in traffic.items() if t for n in (o, d)} == {"2", "3"}
+    assert run(["verify", "triangle", "--trials", "1", "--seed", "15"]) == 0
+    assert "all checks agree" in capsys.readouterr().out
+    path = tmp_path / "two-node.json"
+    save_instance(Instance(triangle_network(), FacilityMenu((1,)), traffic), path)
+    assert run(["verify", "triangle", str(path)]) == 0
+    assert "all checks agree" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_quietly(tri, monkeypatch, capsys):
+    """A reader that closes the pipe early ends the run with 141 and no
+    message, and stdout then goes to devnull, so flushing it stays quiet."""
+    _, path = tri
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        with pytest.raises(BrokenPipeError):
+            print("x", flush=True)
+        assert run(["project", path, "--model", "undirected"]) == 141
+        print("more", flush=True)
+    assert capsys.readouterr().err == ""
 
 
 # Stands in for an integer literal too long for json.loads (and json.dumps):

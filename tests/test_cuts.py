@@ -1,14 +1,16 @@
 """Rounding cuts: coefficients, construction, translation, validity checks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netcap import cuts
-from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix
+from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, load_instance
 from netcap.cuts import (
     CutsetSpec,
     check_cut_validity,
@@ -20,11 +22,12 @@ from netcap.cuts import (
     single_facility_cutset,
     translate_to_bidirected,
 )
-from netcap.errors import InvalidCutError, PreconditionError, VacuousCutError
+from netcap.enumeration import dominates, graded_box
+from netcap.errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
 from netcap.formulate import LinearConstraint, ModelKind, VarRef, build_directed, parse_model, render_model
 from netcap.projlab import capacity_bound
 from netcap.randgen import cut_check_instance, random_cutset_spec, triangle_network
-from netcap.solver import SolveStatus, solve_lp, solve_mip
+from netcap.solver import DualBoundCache, LpSolution, SolveStatus, optimality_certificate, solve_lp, solve_mip
 
 
 def _two_node(menu=(1,), t12=Fraction(3, 2), t21=Fraction(0), **kw):
@@ -301,8 +304,9 @@ def test_random_cuts_hold_on_both_models():
 
 @st.composite
 def _small_cut_checks(draw):
-    """A two-node or triangle instance, a cut-set inequality on it, the
-    reading to check it on and a bound, with at most 81 vectors in the box."""
+    """A two-node or triangle instance, a cut-set inequality on it, maybe
+    strengthened, the reading to check it on and a bound, with at most 81
+    vectors in the box."""
     two_node = draw(st.booleans())
     net = Network(("1", "2"), (("1", "2"),)) if two_node else triangle_network()
     amounts = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(9, 4)])
@@ -323,6 +327,8 @@ def _small_cut_checks(draw):
         cut = cutset_inequality(inst, spec)
     except VacuousCutError:
         assume(False)
+    # a strengthened copy is violated at some points, which a valid cut never is
+    cut = replace(cut, rhs=cut.rhs + draw(st.sampled_from([0, Fraction(1, 2), 1])))
     kind = draw(st.sampled_from([ModelKind.DIRECTED, ModelKind.BIDIRECTED]))
     if kind is ModelKind.BIDIRECTED:
         cut = translate_to_bidirected(cut)
@@ -331,31 +337,165 @@ def _small_cut_checks(draw):
     return inst, cut, kind, bound
 
 
-class _NoRays:
-    """Stands in for FarkasCache: refutes nothing and keeps nothing, so
-    check_cut_validity solves an LP at every vector of the box."""
+class _NoCache:
+    """Stands in for FarkasCache and DualBoundCache: refutes nothing, proves
+    nothing and keeps nothing."""
 
-    def __init__(self, model, refs):
+    def __init__(self, *args):
         pass
 
     def refutes(self, vec):
+        return False
+
+    def proves(self, vec):
         return False
 
     def learn(self, solution):
         pass
 
 
+def _per_vector_sweep(inst, cut, kind, bound):
+    """check_cut_validity with both caches and dominance switched off, so
+    that it solves an LP at every vector of the box."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "FarkasCache", _NoCache)
+        mp.setattr(cuts, "DualBoundCache", _NoCache)
+        mp.setattr(cuts, "dominates", lambda big, small: False)
+        return check_cut_validity(inst, cut, kind=kind, bound=bound)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_small_cut_checks())
 def test_cut_check_matches_a_per_vector_sweep(case):
-    """Cached rays skip only vectors that an LP finds infeasible: the same
-    points and violations as solve_lp run on every vector of the box."""
+    """Dominance, cached dual bounds and cached rays decide only vectors an
+    LP decides the same way: the same points and violations as solve_lp run
+    on every vector of the box."""
     inst, cut, kind, bound = case
     check = check_cut_validity(inst, cut, kind=kind, bound=bound)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuts, "FarkasCache", _NoRays)
-        sweep = check_cut_validity(inst, cut, kind=kind, bound=bound)
+    sweep = _per_vector_sweep(inst, cut, kind, bound)
+    assert sweep.lp_solved == (bound + 1) ** len(sweep.components)
     assert (check.points, check.violations) == (sweep.points, sweep.violations)
+
+
+def _readme_cut():
+    """The README's triangle and its cut 1 x[1>2|1>3] + 1/2 y[1|1>2] + 2 y[2|1>2] >= 1."""
+    inst = load_instance(Path(__file__).resolve().parent / "data" / "instances" / "triangle.json")
+    spec = CutsetSpec(side_u=("1",), commodities=(("1", "2"),), s_plus=(("1", "2"),))
+    return inst, cutset_inequality(inst, spec)
+
+
+def test_cut_check_counts_cover_the_box():
+    """Each vector is solved, refuted by a ray or, dominating a feasible
+    one, proved by a dual bound; the counts repeat from run to run."""
+    inst, cut = _readme_cut()
+    check = check_cut_validity(inst, cut, bound=1)
+    assert (check.points, check.lp_solved, check.ray_refuted, check.bound_proved) == (3000, 27, 1089, 2980)
+    rng = random.Random(71)
+    checks = []
+    while len(checks) < 8:
+        inst = cut_check_instance(rng)
+        spec = random_cutset_spec(rng, inst)
+        try:
+            cut = cutset_inequality(inst, spec)
+        except VacuousCutError:
+            continue
+        for kind, row in ((ModelKind.DIRECTED, cut), (ModelKind.BIDIRECTED, translate_to_bidirected(cut))):
+            check = check_cut_validity(inst, row, kind=kind)
+            box = (check.bound + 1) ** len(check.components)
+            assert check.lp_solved + check.ray_refuted + check.bound_proved == box
+            assert check.bound_proved <= check.points <= check.bound_proved + check.lp_solved
+            assert check_cut_validity(inst, row, kind=kind) == check
+            checks.append(check)
+    assert all(sum(getattr(c, name) for c in checks) for name in ("lp_solved", "ray_refuted", "bound_proved"))
+
+
+def _bound_answers(inst, cut):
+    """The dual-bound cache of a directed cut check, bound 1, and each
+    Optimal answer it kept."""
+    kept = []
+
+    class Recording(DualBoundCache):
+        def learn(self, solution):
+            super().learn(solution)
+            kept.append((self, solution))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "DualBoundCache", Recording)
+        check_cut_validity(inst, cut, bound=1)
+    return kept
+
+
+def _with_dual(solution, r, u):
+    return replace(solution, duals=solution.duals[:r] + (u,) + solution.duals[r + 1 :])
+
+
+def test_dual_bound_cache_refuses_tampered_duals():
+    """A dual that combines a row the wrong way, or that prices a free flow
+    column below zero, bounds nothing, and an answer found with other pins
+    belongs to another sweep: each raises and nothing is kept."""
+    inst, cut = _readme_cut()
+    cache, sol = next(
+        (c, s)
+        for c, s in _bound_answers(inst, cut)
+        if any(u and con.sense != "=" for u, con in zip(s.duals, c.model.constraints))
+    )
+    model, box = cache.model, list(graded_box(len(cache.refs), 1))
+    fresh = DualBoundCache(model, cache.refs, cut)
+    fresh.learn(sol)
+    proved = [fresh.proves(vec) for vec in box]
+    assert any(proved)
+
+    r = next(i for i, (u, con) in enumerate(zip(sol.duals, model.constraints)) if u and con.sense != "=")
+    flipped = _with_dual(sol, r, -sol.duals[r])
+    e = next(
+        i
+        for i, con in enumerate(model.constraints)
+        if con.sense == "=" and any(c > 0 and v.kind == "flow" for v, c in con.coeffs.items())
+    )
+    underpriced = _with_dual(sol, e, sol.duals[e] + 1000)
+    for bad in (flipped, underpriced):
+        assert not optimality_certificate(model, bad)
+        with pytest.raises(NetcapError):
+            fresh.learn(bad)
+    with pytest.raises(PreconditionError):
+        fresh.learn(replace(sol, fixed=dict(list(sol.fixed.items())[1:])))
+    with pytest.raises(PreconditionError):
+        fresh.learn(replace(sol, status=SolveStatus.INFEASIBLE))
+    assert [fresh.proves(vec) for vec in box] == proved
+
+
+def test_dual_bound_cache_needs_the_rows_objective():
+    """The bound is on the model's objective, so it proves only a `>=` row
+    whose part off the sweep is that objective."""
+    inst, cut = _readme_cut()
+    cache, _ = _bound_answers(inst, cut)[0]
+    for row in (replace(cut, sense="<="), replace(cut, coeffs={v: 2 * c for v, c in cut.coeffs.items()})):
+        with pytest.raises(PreconditionError):
+            DualBoundCache(cache.model, cache.refs, row)
+
+
+def test_infeasible_lp_at_a_dominating_vector_raises():
+    """Feasibility is upward closed in the capacities, so an LP that finds a
+    vector infeasible above a feasible one is refused, not believed."""
+    inst = _two_node(t21=Fraction(1, 2))
+    cut = cutset_inequality(inst, CutsetSpec(side_u=("1",), commodities=(("1", "2"),), s_plus=(("1", "2"),)))
+    feasible_at = []
+
+    def lying(model, *, fixed):
+        vec = tuple(fixed.values())
+        if any(dominates(vec, f) for f in feasible_at):
+            return LpSolution(SolveStatus.INFEASIBLE, {}, None, (), fixed)
+        sol = solve_lp(model, fixed=fixed)
+        if sol.status is SolveStatus.OPTIMAL:
+            feasible_at.append(vec)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "solve_lp", lying)
+        mp.setattr(cuts, "DualBoundCache", _NoCache)
+        with pytest.raises(NetcapError, match="dominates a feasible"):
+            check_cut_validity(inst, cut)
+    assert feasible_at
 
 
 def test_cut_is_a_row_the_directed_model_takes():
