@@ -269,7 +269,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.instance:
             inst = load_instance(args.instance)
-            traffics = [("instance", inst.traffic, inst.network.nodes)]
+            # A network of three nodes is the triangle; on any other, the
+            # triangle is the one the traffic names.
+            nodes = inst.network.nodes if len(inst.network.nodes) == 3 else None
+            traffics = [("instance", inst.traffic, nodes)]
         else:
             traffics = [(f"trial {i}", triangle_remark_traffic(rng), TRIANGLE_NODES) for i in range(args.trials)]
         for label, traffic, nodes in traffics:

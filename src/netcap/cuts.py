@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import Arc, Commodity, Instance, Network, Node, edge_between, parse_rational, render_rational
-from .enumeration import dominates, graded_box
+from .enumeration import MonotoneFeasibility, graded_box
 from .errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
 # fix_variables is not called here; the benchmark's tracer rebinds it on this
 # module (perfbench/tracing.py PATCHES), so it must stay importable from it.
@@ -373,11 +373,11 @@ def check_cut_validity(
 
     probe = model.with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
     rays, bounds = FarkasCache(probe, refs), DualBoundCache(probe, refs, cut)
-    minimal: list[tuple[int, ...]] = []  # feasible vectors dominating no other
+    feasible = MonotoneFeasibility()
     points = solved = refuted = proved = 0
     violations: list[tuple[tuple[int, ...], Fraction]] = []
     for vec in graded_box(len(refs), b):
-        dominated = any(dominates(vec, m) for m in minimal)
+        dominated = feasible.dominated(vec)
         if dominated and bounds.proves(vec):
             points += 1
             proved += 1
@@ -396,7 +396,7 @@ def check_cut_validity(
             raise NetcapError(f"unexpected solver status {sol.status} during cut check")
         bounds.learn(sol)
         if not dominated:
-            minimal.append(vec)
+            feasible.record(vec)
         points += 1
         if not cut.satisfied_by(sol.values):
             violations.append((vec, cut.lhs_value(sol.values)))

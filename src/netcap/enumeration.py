@@ -89,19 +89,28 @@ class MonotoneFeasibility:
 
     The oracle is consulted only for vectors not dominating any known
     feasible minimal element; in graded-order sweeps every oracle hit that
-    comes back feasible is therefore minimal.
+    comes back feasible is therefore minimal.  A sweep that decides vectors
+    itself leaves out the oracle and calls `dominated` and `record` instead.
     """
 
-    def __init__(self, oracle: Callable[[tuple[int, ...]], bool]):
+    def __init__(self, oracle: Callable[[tuple[int, ...]], bool] | None = None):
         self._oracle = oracle
         self.minimal: list[tuple[int, ...]] = []
         self.oracle_calls = 0
 
+    def dominated(self, vector: tuple[int, ...]) -> bool:
+        """Whether `vector` dominates a recorded feasible one, so is feasible."""
+        return any(dominates(vector, m) for m in self.minimal)
+
+    def record(self, vector: tuple[int, ...]) -> None:
+        """Note a feasible vector that dominates none recorded."""
+        self.minimal.append(vector)
+
     def feasible(self, vector: tuple[int, ...]) -> bool:
-        if any(dominates(vector, m) for m in self.minimal):
+        if self.dominated(vector):
             return True
         self.oracle_calls += 1
         if self._oracle(vector):
-            self.minimal.append(vector)
+            self.record(vector)
             return True
         return False

@@ -620,7 +620,11 @@ class DualBoundCache:
     on `refs` reaches its rhs, which is one integer test B y <= A.  `learn`
     checks the duals as `optimality_certificate` does (`_dual_row`) before it
     keeps the test, as coprime integers; a test already kept is kept once.
-    A kept test proves the row only at a vector known to be feasible.
+    Duals already learned give that same test, so they are neither checked
+    nor combined again: a sweep over a failing row, where few vectors are
+    proved and nearly every one is solved, meets the same few duals over
+    and over.  A kept test proves the row only at a vector known to be
+    feasible.
     """
 
     def __init__(self, model: MipModel, refs: tuple[VarRef, ...], row: LinearConstraint):
@@ -632,6 +636,7 @@ class DualBoundCache:
         self._rhs = row.rhs.numerator * (self._row_scale // row.rhs.denominator)
         self._on_refs = [c.numerator * (self._row_scale // c.denominator) for c in on_refs]
         self._tests: dict[tuple[int, tuple[int, ...]], None] = {}  # (A, B), in learning order
+        self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
 
     def proves(self, vec: tuple[int, ...]) -> bool:
         """Whether a kept test B y <= A holds at y = vec."""
@@ -643,6 +648,8 @@ class DualBoundCache:
             raise PreconditionError("only an Optimal answer carries a dual bound")
         if set(solution.fixed) != set(self.refs):
             raise PreconditionError("the answer pins other variables than the sweep")
+        if solution.duals in self._learned:
+            return
         row = _dual_row(self.model, solution)
         if row is None:
             raise NetcapError("solver returned duals that do not bound the objective")
@@ -653,6 +660,7 @@ class DualBoundCache:
         ]
         common = gcd(*ints) or 1
         self._tests[ints[0] // common, tuple(c // common for c in ints[1:])] = None
+        self._learned.add(solution.duals)
 
 
 def reduced_commodities(inst: Instance) -> tuple:

@@ -269,6 +269,17 @@ def test_verify_triangle_two_node_draw(tmp_path, capsys):
     assert "all checks agree" in capsys.readouterr().out
 
 
+def test_verify_triangle_instance_on_a_larger_network(tmp_path, capsys):
+    """An instance whose network is not a triangle is checked on the
+    triangle its traffic names."""
+    net = Network(("1", "2", "3", "4"), (("1", "2"), ("1", "3"), ("2", "3"), ("3", "4")))
+    traffic = TrafficMatrix({("1", "2"): Fraction(1), ("2", "3"): Fraction(1, 2), ("3", "1"): Fraction(3, 2)})
+    path = tmp_path / "four-node.json"
+    save_instance(Instance(net, FacilityMenu((1,)), traffic), path)
+    assert run(["verify", "triangle", str(path), "--bound", "2"]) == 0
+    assert "all checks agree" in capsys.readouterr().out
+
+
 def test_closed_stdout_exits_quietly(tri, monkeypatch, capsys):
     """A reader that closes the pipe early ends the run with 141 and no
     message, and stdout then goes to devnull, so flushing it stays quiet."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netcap import cuts
+from netcap import cuts, solver
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, load_instance
 from netcap.cuts import (
     CutsetSpec,
@@ -338,8 +338,9 @@ def _small_cut_checks(draw):
 
 
 class _NoCache:
-    """Stands in for FarkasCache and DualBoundCache: refutes nothing, proves
-    nothing and keeps nothing."""
+    """Stands in for FarkasCache, DualBoundCache and MonotoneFeasibility:
+    refutes nothing, proves nothing, finds nothing dominated and keeps
+    nothing."""
 
     def __init__(self, *args):
         pass
@@ -350,7 +351,13 @@ class _NoCache:
     def proves(self, vec):
         return False
 
+    def dominated(self, vec):
+        return False
+
     def learn(self, solution):
+        pass
+
+    def record(self, vec):
         pass
 
 
@@ -358,9 +365,8 @@ def _per_vector_sweep(inst, cut, kind, bound):
     """check_cut_validity with both caches and dominance switched off, so
     that it solves an LP at every vector of the box."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuts, "FarkasCache", _NoCache)
-        mp.setattr(cuts, "DualBoundCache", _NoCache)
-        mp.setattr(cuts, "dominates", lambda big, small: False)
+        for name in ("FarkasCache", "DualBoundCache", "MonotoneFeasibility"):
+            mp.setattr(cuts, name, _NoCache)
         return check_cut_validity(inst, cut, kind=kind, bound=bound)
 
 
@@ -462,6 +468,29 @@ def test_dual_bound_cache_refuses_tampered_duals():
     with pytest.raises(PreconditionError):
         fresh.learn(replace(sol, status=SolveStatus.INFEASIBLE))
     assert [fresh.proves(vec) for vec in box] == proved
+
+
+def test_dual_bound_cache_checks_each_dual_once(monkeypatch):
+    """A cut that fails is solved at most vectors of the box, yet its LPs
+    return the same few duals again and again; each is checked once."""
+    inst, cut = _readme_cut()
+    learned, checked = [], []
+    dual_row = solver._dual_row
+
+    class Recording(DualBoundCache):
+        def learn(self, solution):
+            learned.append(solution.duals)
+            super().learn(solution)
+
+    def counting(model, solution):
+        checked.append(solution.duals)
+        return dual_row(model, solution)
+
+    monkeypatch.setattr(cuts, "DualBoundCache", Recording)
+    monkeypatch.setattr(solver, "_dual_row", counting)
+    check = check_cut_validity(inst, replace(cut, rhs=cut.rhs + 1), bound=1)
+    assert check.violations and len(learned) > 1000
+    assert sorted(checked) == sorted(set(learned)) and len(checked) < 10
 
 
 def test_dual_bound_cache_needs_the_rows_objective():
