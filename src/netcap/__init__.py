@@ -35,7 +35,7 @@ from .cuts import (
     single_facility_cutset,
     translate_to_bidirected,
 )
-from .enumeration import MonotoneFeasibility, box_size, graded_box, max_box_limit
+from .enumeration import box_size, graded_box, max_box_limit
 from .errors import (
     BoxTooLargeError,
     InvalidCutError,

@@ -28,6 +28,7 @@ from .core import (
     load_instance,
     parse_json,
     parse_rational,
+    read_text,
     render_rational,
 )
 from .cuts import (
@@ -118,8 +119,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _traffic_from_file(path: str) -> TrafficMatrix:
+    text = read_text(path)
     try:
-        doc = parse_json(Path(path).read_text())
+        doc = parse_json(text)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("traffic"), list):

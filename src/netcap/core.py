@@ -423,8 +423,16 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"malformed instance document: {exc}") from exc
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text, read as UTF-8; bytes that are not UTF-8 raise ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_instance(path: str | Path) -> Instance:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(read_text(path))
 
 
 def render_instance(inst: Instance) -> str:

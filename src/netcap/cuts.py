@@ -17,13 +17,15 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import Arc, Commodity, Instance, Network, Node, edge_between, parse_rational, render_rational
-from .enumeration import MonotoneFeasibility, graded_box
-from .errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
-# fix_variables is not called here; the benchmark's tracer rebinds it on this
-# module (perfbench/tracing.py PATCHES), so it must stay importable from it.
+from .enumeration import graded_box
+from .errors import InvalidCutError, PreconditionError, VacuousCutError
+# fix_variables and solve_lp are not called here; the benchmark's tracer
+# rebinds them on this module (perfbench/tracing.py PATCHES), so they must
+# stay importable from it.
 from .formulate import LinearConstraint, ModelKind, VarRef, fix_variables  # noqa: F401
 from .projlab import capacity_box
-from .solver import DualBoundCache, FarkasCache, SolveStatus, build_for_feasibility, reduced_commodities, solve_lp
+from .solver import CapacitySweep, build_for_feasibility, reduced_commodities
+from .solver import solve_lp  # noqa: F401
 
 
 def _arc_set(arcs: Iterable[Arc]) -> frozenset[Arc]:
@@ -104,9 +106,7 @@ def mir_data(inst: Instance, spec: CutsetSpec) -> MirData:
     """Validate a cut spec against an instance and compute its rounding data."""
     net = inst.network
     u = set(spec.side_u)
-    stray = u - set(net.nodes)
-    if stray:
-        raise InvalidCutError(f"unknown nodes in cut side: {sorted(stray)!r}")
+    forward, backward = cut_arcs(net, u)
     if not u or u == set(net.nodes):
         raise InvalidCutError("cut side must be a nonempty proper subset of the nodes")
     if not spec.commodities:
@@ -120,7 +120,6 @@ def mir_data(inst: Instance, spec: CutsetSpec) -> MirData:
             f"facility index {spec.facility} outside menu of {len(inst.facilities.capacities)}"
         )
 
-    forward, backward = cut_arcs(net, u)
     if not spec.s_plus <= set(forward):
         extra = sorted(spec.s_plus - set(forward))
         raise InvalidCutError(f"s_plus arcs not in the forward cut: {extra!r}")
@@ -294,9 +293,9 @@ class CutCheck:
 
     Each violating vector lists counts aligned with `components`, the
     model's capacity variables in `VarRef.sort_key` order.  The last three
-    fields say how the box's vectors were decided, and together they cover
-    it: by an LP, refuted by a cached Farkas ray, or, being known feasible by
-    dominance, proved by a cached dual bound.
+    fields are the `CapacitySweep`'s counts of how the box's vectors were
+    decided, and together they cover it: by an LP, refuted by a kept Farkas
+    ray, or, being known feasible by dominance, proved by a kept dual bound.
     """
 
     components: tuple[VarRef, ...]
@@ -333,16 +332,10 @@ def check_cut_validity(
     For each integer capacity vector in the box, capacities are pinned and
     the left-hand side is minimized over the routing polytope; the cut is
     valid iff that minimum never drops below the right-hand side.  The box
-    is swept in graded order, and each vector is decided in three steps
-    before an LP.  One that dominates a vector found feasible is feasible
-    too (more capacity never hurts), and when a cached dual bound proves the
-    cut there (`DualBoundCache`), it counts as a point without an LP.  One
-    that dominates none and that a capacity inequality cached from an
-    earlier Farkas ray refutes has no routing and is skipped
-    (`FarkasCache`).  Any other is minimized: an optimal answer adds its
-    checked duals to the bound cache, an infeasible one its checked ray to
-    the ray cache, and an infeasible answer at a dominating vector raises,
-    since monotonicity has broken.
+    is swept in graded order by one `CapacitySweep` given the cut: a vector
+    above one found feasible where a kept dual bound proves the cut counts
+    as a point, and one that a kept Farkas ray refutes is skipped, both
+    without an LP; any other is minimized.
     Commodities named by the cut are kept in the model even when they
     carry no traffic, since their circulations can reduce the cut's
     backward-flow terms.
@@ -372,40 +365,22 @@ def check_cut_validity(
     refs, b = capacity_box(inst, model, bound)
 
     probe = model.with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
-    rays, bounds = FarkasCache(probe, refs), DualBoundCache(probe, refs, cut)
-    feasible = MonotoneFeasibility()
-    points = solved = refuted = proved = 0
+    sweep = CapacitySweep(probe, refs, cut)
+    points = 0
     violations: list[tuple[tuple[int, ...], Fraction]] = []
     for vec in graded_box(len(refs), b):
-        dominated = feasible.dominated(vec)
-        if dominated and bounds.proves(vec):
-            points += 1
-            proved += 1
+        answer = sweep.decide(vec)
+        if answer is False:
             continue
-        if not dominated and rays.refutes(vec):
-            refuted += 1
-            continue
-        solved += 1
-        sol = solve_lp(probe, fixed=dict(zip(refs, vec)))
-        if sol.status is SolveStatus.INFEASIBLE:
-            if dominated:
-                raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
-            rays.learn(sol)
-            continue
-        if sol.status is not SolveStatus.OPTIMAL:
-            raise NetcapError(f"unexpected solver status {sol.status} during cut check")
-        bounds.learn(sol)
-        if not dominated:
-            feasible.record(vec)
         points += 1
-        if not cut.satisfied_by(sol.values):
-            violations.append((vec, cut.lhs_value(sol.values)))
+        if answer is not True and not cut.satisfied_by(answer.values):
+            violations.append((vec, cut.lhs_value(answer.values)))
     return CutCheck(
         components=refs,
         bound=b,
         points=points,
         violations=tuple(violations),
-        lp_solved=solved,
-        ray_refuted=refuted,
-        bound_proved=proved,
+        lp_solved=sweep.lp_solved,
+        ray_refuted=sweep.ray_refuted,
+        bound_proved=sweep.bound_proved,
     )

@@ -1,15 +1,16 @@
-"""Box enumeration over integer capacity vectors, with dominance caching.
+"""Box enumeration over integer capacity vectors.
 
 Feasibility of a capacity vector is monotone (more capacity never hurts), so
-sweeps iterate the box in graded order (by total, then lexicographic) and
-skip any vector that dominates a known-feasible one.  A vector found
-feasible while undominated is a minimal element of the feasible set.
+sweeps (`solver.CapacitySweep`) iterate the box in graded order (by total,
+then lexicographic) and take any vector that dominates a known-feasible one
+as feasible.  A vector found feasible while undominated is then a minimal
+element of the feasible set.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import BoxTooLargeError
 
@@ -82,35 +83,3 @@ def _fill_right(vec: list[int], start: int, amount: int, bound: int) -> None:
 
 def dominates(big: Iterable[int], small: Iterable[int]) -> bool:
     return all(a >= b for a, b in zip(big, small))
-
-
-class MonotoneFeasibility:
-    """Memoized feasibility of an upward-closed set over box vectors.
-
-    The oracle is consulted only for vectors not dominating any known
-    feasible minimal element; in graded-order sweeps every oracle hit that
-    comes back feasible is therefore minimal.  A sweep that decides vectors
-    itself leaves out the oracle and calls `dominated` and `record` instead.
-    """
-
-    def __init__(self, oracle: Callable[[tuple[int, ...]], bool] | None = None):
-        self._oracle = oracle
-        self.minimal: list[tuple[int, ...]] = []
-        self.oracle_calls = 0
-
-    def dominated(self, vector: tuple[int, ...]) -> bool:
-        """Whether `vector` dominates a recorded feasible one, so is feasible."""
-        return any(dominates(vector, m) for m in self.minimal)
-
-    def record(self, vector: tuple[int, ...]) -> None:
-        """Note a feasible vector that dominates none recorded."""
-        self.minimal.append(vector)
-
-    def feasible(self, vector: tuple[int, ...]) -> bool:
-        if self.dominated(vector):
-            return True
-        self.oracle_calls += 1
-        if self._oracle(vector):
-            self.record(vector)
-            return True
-        return False

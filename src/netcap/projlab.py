@@ -26,10 +26,10 @@ from .core import (
     scale_traffic,
     symmetric_counterpart,
 )
-from .enumeration import MonotoneFeasibility, check_box, dominates, graded_box
+from .enumeration import check_box, dominates, graded_box
 from .errors import NoRoutingError, PreconditionError
 from .formulate import MipModel, ModelKind, VarRef, equalize_directed
-from .solver import FarkasCache, build_for_feasibility
+from .solver import CapacitySweep, build_for_feasibility
 
 # Not called here.  The benchmark's tracer rebinds this name on this module
 # (perfbench/tracing.py PATCHES), so it must stay importable from it.
@@ -108,21 +108,18 @@ def project(
 ) -> ProjectionSet:
     """Minimal capacity vectors of the model's projection, within the box.
 
-    Enumerates {0..bound}^components in graded order, and decides each
-    vector by dominance, by a cached ray, or by an LP: a vector above a
-    known minimal one is feasible; one that a capacity inequality cached
-    from an earlier Farkas ray refutes is infeasible (`FarkasCache`); any
-    other is decided by phase 1 of the flow LP with its capacities pinned,
-    and an infeasible one adds its checked ray to the cache.  Dominance keeps
-    the LPs near the boundary of the feasible set, and the cached rays keep
-    them off most vectors below it.
+    Enumerates {0..bound}^components in graded order and decides each
+    vector with one `CapacitySweep`: by dominance over the minimal vectors
+    found so far, by a kept Farkas ray, or by phase 1 of the flow LP with
+    its capacities pinned.  Dominance keeps the LPs near the boundary of
+    the feasible set, and the kept rays keep them off most vectors below it.
     """
     model = _model_for(inst, kind, variant)
     refs, b = capacity_box(inst, model, bound)
-    cache = MonotoneFeasibility(FarkasCache(model, refs).feasible)
+    sweep = CapacitySweep(model, refs)
     for vec in graded_box(len(refs), b):
-        cache.feasible(vec)
-    return ProjectionSet(components=refs, bound=b, minimal=frozenset(cache.minimal))
+        sweep.decide(vec)
+    return ProjectionSet(components=refs, bound=b, minimal=frozenset(sweep.minimal))
 
 
 # -- five-way projection equality --------------------------------------------

@@ -23,17 +23,18 @@ written (`optimality_certificate`); an Infeasible one a Farkas ray, one
 multiplier per model row read off the final phase-1 row
 (`infeasibility_certificate`); an Unbounded one a feasible point and a
 direction of unbounded descent read off the column that entered with no
-row to leave (`unboundedness_certificate`).  A Farkas ray found with the
-capacities pinned is a capacity-only inequality valid for every capacity
-vector, so `FarkasCache` keeps the checked ones and capacity sweeps test
-each box vector against them before solving anything.  Likewise the duals
-of an Optimal answer found with the capacities pinned bound the objective
-from below at every feasible capacity vector (weak duality), so
-`DualBoundCache` keeps the checked ones and a cut check proves its row at a
-vector known to be feasible without an LP.  Integer models are solved by
-depth-first branch and bound on the first fractional integer variable in
-model order, pruning on exact bound comparisons.  Sized for desk-scale
-models (a few hundred variables), which is all this package needs.
+row to leave (`unboundedness_certificate`).  A capacity sweep
+(`CapacitySweep`) pins the same variables at every vector of a box and
+keeps the certificates it meets: a Farkas ray found with the capacities
+pinned is a capacity-only inequality valid at every capacity vector, and
+the duals of an Optimal answer bound the objective from below at every
+feasible one (weak duality).  Each is checked before it is kept, so the
+sweep refutes a vector, or proves a `>=` row at a vector known to be
+feasible, with one integer dot product instead of an LP.  Integer models
+are solved by depth-first branch and bound on the first fractional integer
+variable in model order, pruning on exact bound comparisons.  Sized for
+desk-scale models (a few hundred variables), which is all this package
+needs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .core import Instance
+from .enumeration import dominates
 from .errors import MissingBoundError, NetcapError, PreconditionError
 from .formulate import (
     LinearConstraint,
@@ -559,108 +561,132 @@ def feasible_with_capacity(model: MipModel, capacities: Mapping[VarRef, int | Fr
     return feasible(model, _as_cap_refs(model, capacities))
 
 
-class FarkasCache:
-    """Capacity inequalities read off checked Farkas rays, for a sweep of
-    capacity vectors over one model.
+class CapacitySweep:
+    """Decides the capacity vectors of a box, swept in graded order over one
+    model, by dominance, by a checked certificate kept from an earlier
+    vector, or by an LP.
 
-    Every vector of a sweep pins the same variables, `refs`.  A ray that
-    proves one vector infeasible combines the rows into g x >= alpha with
-    g_v <= 0 on every free variable, so beta y >= alpha, beta being g on
-    `refs`, holds for every feasible capacity vector y (for the undirected
-    model, a metric inequality), and refutes each y with beta y < alpha.
-    `learn` checks each ray as `infeasibility_certificate` does before it
-    keeps the inequality, as coprime integers, so that testing a vector is
-    integer arithmetic; an inequality already kept is kept once.
+    Every vector pins the same variables, `refs`, and feasibility is upward
+    closed in them (more capacity never hurts), so in a graded sweep every
+    vector found feasible while undominated is minimal (`minimal`).
+
+    A Farkas ray that proves one vector infeasible combines the rows into
+    g x >= alpha with g_v <= 0 on every free variable, so beta y >= alpha,
+    beta being g on `refs`, holds at every feasible y (for the undirected
+    model, a metric inequality) and refutes each y with beta y < alpha.
+
+    Given a `>=` row whose part off `refs` is the model's objective, the
+    sweep also asks whether the row holds at each feasible vector.  The dual
+    feasible set does not depend on y, so duals u of an Optimal answer that
+    combine the rows validly into g x >= alpha (times `scale`) and price
+    every free column nonnegatively (c_v scale >= g_v) bound the objective
+    at every feasible y from below by (alpha - sum_v g_v y_v) / scale: weak
+    duality, a Benders optimality cut.  The row holds at y when that bound
+    plus the row's terms on `refs` reaches its rhs, one test B y <= A.
+
+    `learn` checks each certificate as its status's checker does before it
+    keeps the test, as coprime integers, so that testing a vector is one
+    integer dot product; a test already kept is kept once.  `lp_solved`,
+    `ray_refuted` and `bound_proved` count how vectors were decided.
     """
 
-    def __init__(self, model: MipModel, refs: tuple[VarRef, ...]):
-        self.model, self.refs = model, refs
-        self._tests: dict[tuple[int, tuple[int, ...]], None] = {}  # (alpha, beta), in learning order
-
-    def refutes(self, vec: tuple[int, ...]) -> bool:
-        """Whether a kept inequality beta y >= alpha fails at y = vec."""
-        return any(sum(map(mul, beta, vec)) < alpha for alpha, beta in self._tests)
-
-    def learn(self, solution: LpSolution) -> None:
-        """Keep the inequality of an Infeasible answer with `refs` pinned."""
-        if set(solution.fixed) != set(self.refs):
-            raise PreconditionError("the answer pins other variables than the sweep")
-        row = _farkas_row(self.model, solution)
+    def __init__(self, model: MipModel, refs: tuple[VarRef, ...], row: LinearConstraint | None = None):
+        self.model, self.refs, self.row = model, refs, row
+        self.minimal: list[tuple[int, ...]] = []
+        self.lp_solved = self.ray_refuted = self.bound_proved = 0
+        # (alpha, beta) and (A, B), in learning order
+        self._rays: dict[tuple[int, tuple[int, ...]], None] = {}
+        self._bounds: dict[tuple[int, tuple[int, ...]], None] = {}
+        self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
         if row is None:
-            raise NetcapError("solver returned a Farkas ray that does not prove infeasibility")
-        g, alpha = row
-        ints = [alpha] + [g.get(v, 0) for v in self.refs]
-        common = gcd(*ints)
-        self._tests[ints[0] // common, tuple(c // common for c in ints[1:])] = None
-
-    def feasible(self, vec: tuple[int, ...]) -> bool:
-        """Whether the model is feasible with `refs` pinned to `vec`: no if a
-        kept inequality refutes it, else phase 1 decides and an infeasible
-        answer's ray is learned."""
-        if self.refutes(vec):
-            return False
-        answer = _phase1(self.model, pinned_values(self.model, dict(zip(self.refs, vec))))
-        if isinstance(answer, _Tableau):
-            return True
-        self.learn(answer)
-        return False
-
-
-class DualBoundCache:
-    """Lower bounds on a `>=` row read off checked optimal duals, for a sweep
-    of capacity vectors over one model whose objective is the row's part off
-    `refs`.
-
-    Every vector of a sweep pins the same variables, `refs`, so the dual
-    feasible set is the same across the box.  Duals u that combine the rows
-    validly into g x >= alpha (times `scale`) and price every free column
-    nonnegatively (c_v scale >= g_v) bound the objective at every feasible y
-    from below by (alpha - sum_v g_v y_v) / scale: weak duality, a Benders
-    optimality cut.  The row holds at y when that bound plus the row's terms
-    on `refs` reaches its rhs, which is one integer test B y <= A.  `learn`
-    checks the duals as `optimality_certificate` does (`_dual_row`) before it
-    keeps the test, as coprime integers; a test already kept is kept once.
-    Duals already learned give that same test, so they are neither checked
-    nor combined again: a sweep over a failing row, where few vectors are
-    proved and nearly every one is solved, meets the same few duals over
-    and over.  A kept test proves the row only at a vector known to be
-    feasible.
-    """
-
-    def __init__(self, model: MipModel, refs: tuple[VarRef, ...], row: LinearConstraint):
+            return
         if row.sense != ">=" or dict(model.objective) != {v: c for v, c in row.coeffs.items() if v not in refs}:
             raise PreconditionError("the model's objective must be the '>=' row's part off the sweep")
-        self.model, self.refs = model, refs
         on_refs = [row.coeffs.get(v, _ZERO) for v in refs]
         self._row_scale = lcm(row.rhs.denominator, *(c.denominator for c in on_refs))
         self._rhs = row.rhs.numerator * (self._row_scale // row.rhs.denominator)
         self._on_refs = [c.numerator * (self._row_scale // c.denominator) for c in on_refs]
-        self._tests: dict[tuple[int, tuple[int, ...]], None] = {}  # (A, B), in learning order
-        self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
+
+    def decide(self, vec: tuple[int, ...]) -> bool | LpSolution:
+        """Whether the model is feasible with `refs` pinned to `vec`; with a
+        row, the Optimal answer instead when an LP had to find the row's
+        least value there.
+
+        A vector that dominates a recorded one is feasible, and without a row
+        that settles it; with one, a kept dual test may prove the row there.
+        An undominated vector that a kept ray refutes is infeasible.  Any
+        other is solved, by phase 1 alone without a row, and the answer's
+        certificate is learned.  An Infeasible answer at a dominating vector
+        raises, since monotonicity has broken.
+        """
+        dominated = any(dominates(vec, m) for m in self.minimal)
+        if dominated and self.row is None:
+            return True
+        if dominated and self.proves(vec):
+            self.bound_proved += 1
+            return True
+        if not dominated and self.refutes(vec):
+            self.ray_refuted += 1
+            return False
+        self.lp_solved += 1
+        fixed = dict(zip(self.refs, vec))
+        if self.row is None:
+            answer = _phase1(self.model, pinned_values(self.model, fixed))
+            if isinstance(answer, _Tableau):
+                self.minimal.append(vec)
+                return True
+        else:
+            answer = solve_lp(self.model, fixed=fixed)
+            if answer.status is SolveStatus.INFEASIBLE and dominated:
+                raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
+        self.learn(answer)
+        if answer.status is SolveStatus.INFEASIBLE:
+            return False
+        if not dominated:
+            self.minimal.append(vec)
+        return answer
+
+    def refutes(self, vec: tuple[int, ...]) -> bool:
+        """Whether a kept ray test beta y >= alpha fails at y = vec."""
+        return any(sum(map(mul, beta, vec)) < alpha for alpha, beta in self._rays)
 
     def proves(self, vec: tuple[int, ...]) -> bool:
-        """Whether a kept test B y <= A holds at y = vec."""
-        return any(sum(map(mul, b, vec)) <= a for a, b in self._tests)
+        """Whether a kept dual test B y <= A holds at y = vec."""
+        return any(sum(map(mul, b, vec)) <= a for a, b in self._bounds)
 
     def learn(self, solution: LpSolution) -> None:
-        """Keep the test of an Optimal answer with `refs` pinned."""
-        if solution.status is not SolveStatus.OPTIMAL:
-            raise PreconditionError("only an Optimal answer carries a dual bound")
+        """Keep the test of an Infeasible answer's ray or, with a row, of an
+        Optimal answer's duals, found with `refs` pinned.  Duals already
+        learned give the same test, so they are neither checked nor combined
+        again: a sweep over a failing row, where nearly every vector is
+        solved, meets the same few duals over and over."""
         if set(solution.fixed) != set(self.refs):
             raise PreconditionError("the answer pins other variables than the sweep")
-        if solution.duals in self._learned:
-            return
-        row = _dual_row(self.model, solution)
-        if row is None:
-            raise NetcapError("solver returned duals that do not bound the objective")
-        g, alpha, scale = row
-        # Times row_scale * scale > 0: (alpha - g y) row_scale + scale (cap y - rhs) >= 0.
-        ints = [alpha * self._row_scale - scale * self._rhs] + [
-            g.get(v, 0) * self._row_scale - scale * c for v, c in zip(self.refs, self._on_refs)
-        ]
-        common = gcd(*ints) or 1
-        self._tests[ints[0] // common, tuple(c // common for c in ints[1:])] = None
-        self._learned.add(solution.duals)
+        if solution.status is SolveStatus.INFEASIBLE:
+            ray = _farkas_row(self.model, solution)
+            if ray is None:
+                raise NetcapError("solver returned a Farkas ray that does not prove infeasibility")
+            g, alpha = ray
+            self._rays[_coprime([alpha] + [g.get(v, 0) for v in self.refs])] = None
+        elif solution.status is not SolveStatus.OPTIMAL or self.row is None:
+            raise PreconditionError("only an Infeasible answer, or an Optimal one given a row, gives a test")
+        elif solution.duals not in self._learned:
+            bound = _dual_row(self.model, solution)
+            if bound is None:
+                raise NetcapError("solver returned duals that do not bound the objective")
+            g, alpha, scale = bound
+            # Times row_scale * scale > 0: (alpha - g y) row_scale + scale (cap y - rhs) >= 0.
+            test = [alpha * self._row_scale - scale * self._rhs]
+            test += [g.get(v, 0) * self._row_scale - scale * c for v, c in zip(self.refs, self._on_refs)]
+            self._bounds[_coprime(test)] = None
+            self._learned.add(solution.duals)
+
+
+def _coprime(ints: list[int]) -> tuple[int, tuple[int, ...]]:
+    """A test (rhs, coefficients), given as [rhs, *coefficients], divided by
+    their gcd."""
+    common = gcd(*ints) or 1
+    return ints[0] // common, tuple(c // common for c in ints[1:])
 
 
 def reduced_commodities(inst: Instance) -> tuple:

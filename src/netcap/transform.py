@@ -33,6 +33,7 @@ from .core import (
     pairwise_similar,
     parse_json,
     parse_rational,
+    read_text,
     render_rational,
     scale_traffic,
 )
@@ -321,7 +322,7 @@ def parse_point(text: str) -> ModelPoint:
 
 
 def load_point(path: str | Path) -> ModelPoint:
-    return parse_point(Path(path).read_text())
+    return parse_point(read_text(path))
 
 
 def save_point(point: ModelPoint, path: str | Path) -> None:

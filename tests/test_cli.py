@@ -314,6 +314,9 @@ LONG_INT = "long-int-literal"
         ("instance", {"traffic": [{"from": "1", "to": "2", "amount": "1e5000"}]}),
         ("instance", {"traffic": [{"from": "1", "to": "2", "amount": "1e10000000"}]}),
         ("point", {"flow": {"1>2|1>2": "1e-5000"}}),
+        ("instance", b"\xff\xfe"),
+        ("point", b"\xff\xfe"),
+        ("traffic", b"\xff\xfe"),
     ],
     ids=[
         "existing-string",
@@ -327,6 +330,9 @@ LONG_INT = "long-int-literal"
         "instance-huge-exponent",
         "instance-vast-exponent",
         "point-huge-exponent",
+        "instance-not-utf8",
+        "point-not-utf8",
+        "traffic-not-utf8",
     ],
 )
 def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
@@ -336,11 +342,15 @@ def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
         "point": {"flow": {}, "capacity": {}},
         "traffic": {"traffic": []},
     }
-    docs[target].update(bad)
+    # bytes are written ahead of the target's JSON, anything else updates it
+    prefix = {target: bad} if isinstance(bad, bytes) else {}
+    if not prefix:
+        docs[target].update(bad)
     paths = {}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(doc).replace(f'"{LONG_INT}"', "9" * 5000))
+        text = json.dumps(doc).replace(f'"{LONG_INT}"', "9" * 5000)
+        paths[name].write_bytes(prefix.get(name, b"") + text.encode())
     argv = ["transform", "redistribute", str(paths["instance"])]
     argv += ["--point", str(paths["point"]), "--target", str(paths["traffic"])]
     assert run(argv) == 2

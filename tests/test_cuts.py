@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,10 @@ from netcap.cuts import (
 )
 from netcap.enumeration import dominates, graded_box
 from netcap.errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
-from netcap.formulate import LinearConstraint, ModelKind, VarRef, build_directed, parse_model, render_model
+from netcap.formulate import LinearConstraint, ModelKind, VarRef, build, build_directed, parse_model, render_model
 from netcap.projlab import capacity_bound
 from netcap.randgen import cut_check_instance, random_cutset_spec, triangle_network
-from netcap.solver import DualBoundCache, LpSolution, SolveStatus, optimality_certificate, solve_lp, solve_mip
+from netcap.solver import CapacitySweep, LpSolution, SolveStatus, optimality_certificate, solve_lp, solve_mip
 
 
 def _two_node(menu=(1,), t12=Fraction(3, 2), t21=Fraction(0), **kw):
@@ -337,37 +338,21 @@ def _small_cut_checks(draw):
     return inst, cut, kind, bound
 
 
-class _NoCache:
-    """Stands in for FarkasCache, DualBoundCache and MonotoneFeasibility:
-    refutes nothing, proves nothing, finds nothing dominated and keeps
-    nothing."""
-
-    def __init__(self, *args):
-        pass
-
-    def refutes(self, vec):
-        return False
-
-    def proves(self, vec):
-        return False
-
-    def dominated(self, vec):
-        return False
-
-    def learn(self, solution):
-        pass
-
-    def record(self, vec):
-        pass
-
-
-def _per_vector_sweep(inst, cut, kind, bound):
-    """check_cut_validity with both caches and dominance switched off, so
-    that it solves an LP at every vector of the box."""
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("FarkasCache", "DualBoundCache", "MonotoneFeasibility"):
-            mp.setattr(cuts, name, _NoCache)
-        return check_cut_validity(inst, cut, kind=kind, bound=bound)
+def _per_vector_sweep(inst, cut, kind, bound, components):
+    """The points and violations of a cut found by minimizing its flow part
+    with solve_lp at every vector of the box, in graded order, on the full
+    model: no dominance, no kept certificate and no commodity left out."""
+    model = build(inst, kind).with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
+    points, violations = 0, []
+    for vec in sorted(product(range(bound + 1), repeat=len(components)), key=lambda v: (sum(v), v)):
+        sol = solve_lp(model, fixed=dict(zip(components, vec)))
+        if sol.status is SolveStatus.INFEASIBLE:
+            continue
+        assert sol.status is SolveStatus.OPTIMAL
+        points += 1
+        if not cut.satisfied_by(sol.values):
+            violations.append((vec, cut.lhs_value(sol.values)))
+    return points, tuple(violations)
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,9 +363,7 @@ def test_cut_check_matches_a_per_vector_sweep(case):
     on every vector of the box."""
     inst, cut, kind, bound = case
     check = check_cut_validity(inst, cut, kind=kind, bound=bound)
-    sweep = _per_vector_sweep(inst, cut, kind, bound)
-    assert sweep.lp_solved == (bound + 1) ** len(sweep.components)
-    assert (check.points, check.violations) == (sweep.points, sweep.violations)
+    assert (check.points, check.violations) == _per_vector_sweep(inst, cut, kind, bound, check.components)
 
 
 def _readme_cut():
@@ -416,17 +399,18 @@ def test_cut_check_counts_cover_the_box():
 
 
 def _bound_answers(inst, cut):
-    """The dual-bound cache of a directed cut check, bound 1, and each
-    Optimal answer it kept."""
+    """The sweep of a directed cut check, bound 1, and each Optimal answer
+    it learned from."""
     kept = []
 
-    class Recording(DualBoundCache):
+    class Recording(CapacitySweep):
         def learn(self, solution):
             super().learn(solution)
-            kept.append((self, solution))
+            if solution.status is SolveStatus.OPTIMAL:
+                kept.append((self, solution))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuts, "DualBoundCache", Recording)
+        mp.setattr(cuts, "CapacitySweep", Recording)
         check_cut_validity(inst, cut, bound=1)
     return kept
 
@@ -437,8 +421,9 @@ def _with_dual(solution, r, u):
 
 def test_dual_bound_cache_refuses_tampered_duals():
     """A dual that combines a row the wrong way, or that prices a free flow
-    column below zero, bounds nothing, and an answer found with other pins
-    belongs to another sweep: each raises and nothing is kept."""
+    column below zero, bounds nothing, an answer found with other pins
+    belongs to another sweep, and an Optimal answer read as Infeasible
+    carries no Farkas ray: each raises and nothing is kept."""
     inst, cut = _readme_cut()
     cache, sol = next(
         (c, s)
@@ -446,7 +431,7 @@ def test_dual_bound_cache_refuses_tampered_duals():
         if any(u and con.sense != "=" for u, con in zip(s.duals, c.model.constraints))
     )
     model, box = cache.model, list(graded_box(len(cache.refs), 1))
-    fresh = DualBoundCache(model, cache.refs, cut)
+    fresh = CapacitySweep(model, cache.refs, cut)
     fresh.learn(sol)
     proved = [fresh.proves(vec) for vec in box]
     assert any(proved)
@@ -465,9 +450,13 @@ def test_dual_bound_cache_refuses_tampered_duals():
             fresh.learn(bad)
     with pytest.raises(PreconditionError):
         fresh.learn(replace(sol, fixed=dict(list(sol.fixed.items())[1:])))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NetcapError, match="Farkas ray"):
         fresh.learn(replace(sol, status=SolveStatus.INFEASIBLE))
     assert [fresh.proves(vec) for vec in box] == proved
+    assert not any(fresh.refutes(vec) for vec in box)
+    # without a row, an Optimal answer gives no test
+    with pytest.raises(PreconditionError):
+        CapacitySweep(model, cache.refs).learn(sol)
 
 
 def test_dual_bound_cache_checks_each_dual_once(monkeypatch):
@@ -477,16 +466,17 @@ def test_dual_bound_cache_checks_each_dual_once(monkeypatch):
     learned, checked = [], []
     dual_row = solver._dual_row
 
-    class Recording(DualBoundCache):
+    class Recording(CapacitySweep):
         def learn(self, solution):
-            learned.append(solution.duals)
+            if solution.status is SolveStatus.OPTIMAL:
+                learned.append(solution.duals)
             super().learn(solution)
 
     def counting(model, solution):
         checked.append(solution.duals)
         return dual_row(model, solution)
 
-    monkeypatch.setattr(cuts, "DualBoundCache", Recording)
+    monkeypatch.setattr(cuts, "CapacitySweep", Recording)
     monkeypatch.setattr(solver, "_dual_row", counting)
     check = check_cut_validity(inst, replace(cut, rhs=cut.rhs + 1), bound=1)
     assert check.violations and len(learned) > 1000
@@ -500,7 +490,7 @@ def test_dual_bound_cache_needs_the_rows_objective():
     cache, _ = _bound_answers(inst, cut)[0]
     for row in (replace(cut, sense="<="), replace(cut, coeffs={v: 2 * c for v, c in cut.coeffs.items()})):
         with pytest.raises(PreconditionError):
-            DualBoundCache(cache.model, cache.refs, row)
+            CapacitySweep(cache.model, cache.refs, row)
 
 
 def test_infeasible_lp_at_a_dominating_vector_raises():
@@ -520,8 +510,8 @@ def test_infeasible_lp_at_a_dominating_vector_raises():
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuts, "solve_lp", lying)
-        mp.setattr(cuts, "DualBoundCache", _NoCache)
+        mp.setattr(solver, "solve_lp", lying)
+        mp.setattr(CapacitySweep, "proves", lambda self, vec: False)
         with pytest.raises(NetcapError, match="dominates a feasible"):
             check_cut_validity(inst, cut)
     assert feasible_at

@@ -1,13 +1,14 @@
-"""Graded box enumeration and monotone dominance caching."""
+"""Graded box enumeration and the dominance rule of capacity sweeps."""
 
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from netcap.core import load_instance
 from netcap.enumeration import (
     DEFAULT_MAX_BOX,
-    MonotoneFeasibility,
     box_size,
     check_box,
     dominates,
@@ -15,6 +16,9 @@ from netcap.enumeration import (
     max_box_limit,
 )
 from netcap.errors import BoxTooLargeError
+from netcap.formulate import ModelKind
+from netcap.projlab import _model_for, capacity_box, project
+from netcap.solver import CapacitySweep
 
 
 def test_graded_box_order_and_coverage():
@@ -83,36 +87,18 @@ def test_dominates():
     assert not dominates((1, 2), (2, 1))
 
 
-def _brute_minimal(oracle, bound, dims):
-    feas = [v for v in product(range(bound + 1), repeat=dims) if oracle(v)]
-    return {
-        v
-        for v in feas
-        if not any(w != v and dominates(v, w) for w in feas)
-    }
-
-
-def test_monotone_cache_finds_minimal_set():
-    def oracle(vec):
-        a, b, c = vec
-        return 2 * a + b + c >= 3
-
-    cache = MonotoneFeasibility(oracle)
-    for vec in graded_box(3, 3):
-        cache.feasible(vec)
-    assert set(cache.minimal) == _brute_minimal(oracle, 3, 3)
-    assert cache.oracle_calls < box_size(3, 3)
-
-
-def test_monotone_cache_skips_dominating_vectors():
-    calls = []
-
-    def oracle(vec):
-        calls.append(vec)
-        return sum(vec) >= 1
-
-    cache = MonotoneFeasibility(oracle)
-    assert not cache.feasible((0, 0))
-    assert cache.feasible((0, 1))
-    assert cache.feasible((2, 2))  # dominated answer needs no oracle call
-    assert calls == [(0, 0), (0, 1)]
+def test_sweep_solves_no_vector_above_a_recorded_one():
+    """The README's undirected projection: a vector that dominates one
+    recorded feasible is decided without an LP, so the sweep solves a pinned
+    number of LPs and never one above a recorded vector."""
+    inst = load_instance(Path(__file__).resolve().parent / "data" / "instances" / "triangle.json")
+    model = _model_for(inst, ModelKind.UNDIRECTED, "plain")
+    refs, b = capacity_box(inst, model, None)
+    sweep = CapacitySweep(model, refs)
+    for vec in graded_box(len(refs), b):
+        recorded, solved = list(sweep.minimal), sweep.lp_solved
+        feasible = sweep.decide(vec)
+        if any(dominates(vec, m) for m in recorded):
+            assert feasible is True and sweep.lp_solved == solved
+    assert (sweep.lp_solved, sweep.ray_refuted, sweep.bound_proved) == (11, 47, 0)
+    assert frozenset(sweep.minimal) == project(inst, ModelKind.UNDIRECTED).minimal

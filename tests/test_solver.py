@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netcap import cuts, solver, transform
+from netcap import solver, transform
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, symmetric_counterpart
 from netcap.cuts import check_cut_validity, cutset_inequality, phi_minus, phi_plus, translate_to_bidirected
 from netcap.enumeration import graded_box
@@ -33,7 +33,7 @@ from netcap.randgen import (
     triangle_corollary_instance,
 )
 from netcap.solver import (
-    FarkasCache,
+    CapacitySweep,
     LpSolution,
     SolveStatus,
     _phase1,
@@ -124,16 +124,17 @@ def _record_lps(monkeypatch, module):
 
 
 def _record_learned_rays(monkeypatch):
-    """Rebind `FarkasCache.learn` to keep every (model, Infeasible answer) a
-    capacity sweep learns from."""
+    """Rebind `CapacitySweep.learn` to keep every (model, Infeasible answer)
+    a capacity sweep learns from."""
     seen = []
-    inner = solver.FarkasCache.learn
+    inner = solver.CapacitySweep.learn
 
-    def recording(cache, sol):
-        seen.append((cache.model, sol))
-        return inner(cache, sol)
+    def recording(sweep, sol):
+        if sol.status is SolveStatus.INFEASIBLE:
+            seen.append((sweep.model, sol))
+        return inner(sweep, sol)
 
-    monkeypatch.setattr(solver.FarkasCache, "learn", recording)
+    monkeypatch.setattr(solver.CapacitySweep, "learn", recording)
     return seen
 
 
@@ -170,8 +171,11 @@ def test_optimality_certificate_sweep(monkeypatch):
     assert any(c.name.startswith("br") for m, _ in node_lps for c in m.constraints)
     assert any(c.name.startswith("sym[") for m, _ in node_lps for c in m.constraints)
 
-    # cut-check probes: capacities fixed, flow part (with negative terms) minimized
-    probes = _record_lps(monkeypatch, cuts)
+    # cut-check probes: capacities fixed, flow part (with negative terms)
+    # minimized; the sweep calls solver.solve_lp, which node_lps also wraps,
+    # so node_lps stops at the branch-and-bound LPs
+    node_lps = list(node_lps)
+    probes = _record_lps(monkeypatch, solver)
     rays = _record_learned_rays(monkeypatch)
     checked = 0
     while checked < 4:
@@ -240,7 +244,7 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
 
     # Cut-check answers hold for the system with capacities pinned; with the
     # pinned values dropped, their duals no longer certify the model.
-    recorded = _record_lps(monkeypatch, cuts)
+    recorded = _record_lps(monkeypatch, solver)
     probes = []
     rng = random.Random(3)
     while len(probes) < 10:
@@ -401,16 +405,16 @@ def test_constant_row_ray_refutes_its_vectors():
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.duals == tuple(Fraction(-1) if i == eq else 0 for i in range(len(model.constraints)))
     assert infeasibility_certificate(model, sol)
-    cache = FarkasCache(model, refs)
-    cache.learn(sol)
+    sweep = CapacitySweep(model, refs)
+    sweep.learn(sol)
     for vec in graded_box(2, 3):
-        assert cache.refutes(vec) == (vec[0] > vec[1])
-        assert not (cache.refutes(vec) and feasible_with_capacity(model, dict(zip(refs, vec))))
+        assert sweep.refutes(vec) == (vec[0] > vec[1])
+        assert not (sweep.refutes(vec) and feasible_with_capacity(model, dict(zip(refs, vec))))
     # a ray that does not certify, or one found with other pins, is not kept
     with pytest.raises(NetcapError):
-        cache.learn(replace(sol, duals=tuple(-u for u in sol.duals)))
+        sweep.learn(replace(sol, duals=tuple(-u for u in sol.duals)))
     with pytest.raises(PreconditionError):
-        cache.learn(replace(sol, fixed={y12: Fraction(1)}))
+        sweep.learn(replace(sol, fixed={y12: Fraction(1)}))
 
 
 _Y = VarRef.cap_edge(1, ("1", "2"))
