@@ -18,7 +18,7 @@ from netcap.enumeration import (
 from netcap.errors import BoxTooLargeError
 from netcap.formulate import ModelKind
 from netcap.projlab import _model_for, capacity_box, project
-from netcap.solver import CapacitySweep
+from netcap.solver import CapacitySweep, feasible_with_capacity
 
 
 def test_graded_box_order_and_coverage():
@@ -87,13 +87,32 @@ def test_dominates():
     assert not dominates((1, 2), (2, 1))
 
 
+def _triangle_sweep(bound):
+    inst = load_instance(Path(__file__).resolve().parent / "data" / "instances" / "triangle.json")
+    model = _model_for(inst, ModelKind.UNDIRECTED, "plain")
+    refs, b = capacity_box(inst, model, bound)
+    return inst, model, refs, b
+
+
+def test_monotone_cache_finds_minimal_set():
+    """A graded sweep's dominance cache keeps exactly the minimal feasible
+    vectors that phase 1 at every box vector finds, with fewer LPs than the
+    box has vectors."""
+    _, model, refs, b = _triangle_sweep(3)
+    feas = [v for v in product(range(b + 1), repeat=len(refs)) if feasible_with_capacity(model, dict(zip(refs, v)))]
+    brute = {v for v in feas if not any(w != v and dominates(v, w) for w in feas)}
+    sweep = CapacitySweep(model, refs)
+    for vec in graded_box(len(refs), b):
+        assert sweep.decide(vec) == (vec in feas)
+    assert brute and set(sweep.minimal) == brute
+    assert sweep.lp_solved < box_size(len(refs), b)
+
+
 def test_sweep_solves_no_vector_above_a_recorded_one():
     """The README's undirected projection: a vector that dominates one
     recorded feasible is decided without an LP, so the sweep solves a pinned
     number of LPs and never one above a recorded vector."""
-    inst = load_instance(Path(__file__).resolve().parent / "data" / "instances" / "triangle.json")
-    model = _model_for(inst, ModelKind.UNDIRECTED, "plain")
-    refs, b = capacity_box(inst, model, None)
+    inst, model, refs, b = _triangle_sweep(None)
     sweep = CapacitySweep(model, refs)
     for vec in graded_box(len(refs), b):
         recorded, solved = list(sweep.minimal), sweep.lp_solved
