@@ -17,7 +17,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from .core import (
@@ -30,6 +29,7 @@ from .core import (
     parse_rational,
     read_text,
     render_rational,
+    write_text,
 )
 from .cuts import (
     CutCheck,
@@ -82,7 +82,7 @@ def _model_from_args(inst: Instance, args: argparse.Namespace) -> MipModel:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        write_text(output, text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -407,6 +407,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # Print in UTF-8, the encoding files are read and written in, whatever
+    # the locale; each stream keeps its error handler.
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -307,28 +307,20 @@ class Instance:
         stray = self.traffic.node_ids() - set(self.network.nodes)
         if stray:
             raise InvalidInstanceError(f"traffic references unknown nodes {sorted(stray)!r}")
-        edges = set(self.network.edges)
-        arcs = set(self.network.arcs)
-        clean_e: dict[Edge, Fraction] = {}
-        for e, raw in self.existing_edge.items():
-            cap = parse_rational(raw)
-            if tuple(e) not in edges:
-                raise InvalidInstanceError(f"existing capacity on unknown edge {e!r}")
-            if cap < 0:
-                raise InvalidInstanceError(f"negative existing capacity on edge {e!r}")
-            if cap != 0:
-                clean_e[tuple(e)] = cap
-        clean_a: dict[Arc, Fraction] = {}
-        for a, raw in self.existing_arc.items():
-            cap = parse_rational(raw)
-            if tuple(a) not in arcs:
-                raise InvalidInstanceError(f"existing capacity on unknown arc {a!r}")
-            if cap < 0:
-                raise InvalidInstanceError(f"negative existing capacity on arc {a!r}")
-            if cap != 0:
-                clean_a[tuple(a)] = cap
-        object.__setattr__(self, "existing_edge", clean_e)
-        object.__setattr__(self, "existing_arc", clean_a)
+        for name, what, known in (
+            ("existing_edge", "edge", set(self.network.edges)),
+            ("existing_arc", "arc", set(self.network.arcs)),
+        ):
+            clean: dict[tuple[Node, Node], Fraction] = {}
+            for key, raw in getattr(self, name).items():
+                cap = parse_rational(raw)
+                if tuple(key) not in known:
+                    raise InvalidInstanceError(f"existing capacity on unknown {what} {key!r}")
+                if cap < 0:
+                    raise InvalidInstanceError(f"negative existing capacity on {what} {key!r}")
+                if cap != 0:
+                    clean[tuple(key)] = cap
+            object.__setattr__(self, name, clean)
 
     def with_traffic(self, traffic: TrafficMatrix) -> Instance:
         return Instance(
@@ -431,6 +423,11 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write a file's text as UTF-8, the encoding `read_text` reads."""
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def load_instance(path: str | Path) -> Instance:
     return parse_instance(read_text(path))
 
@@ -456,4 +453,4 @@ def render_instance(inst: Instance) -> str:
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(render_instance(inst))
+    write_text(path, render_instance(inst))

@@ -332,29 +332,23 @@ def check_cut_validity(
     For each integer capacity vector in the box, capacities are pinned and
     the left-hand side is minimized over the routing polytope; the cut is
     valid iff that minimum never drops below the right-hand side.  The box
-    is swept in graded order by one `CapacitySweep` given the cut: a vector
-    above one found feasible where a kept dual bound proves the cut counts
-    as a point, and one that a kept Farkas ray refutes is skipped, both
-    without an LP; any other is minimized.
+    is swept in graded order by one `CapacitySweep` given the cut, which
+    minimizes the cut's flow part and records the vectors where it fails:
+    a vector above one found feasible where a kept dual bound proves the
+    cut counts as a point, and one that a kept Farkas ray refutes is
+    skipped, both without an LP; any other is minimized.  The sweep
+    refuses a row that is not `>=`.
     Commodities named by the cut are kept in the model even when they
     carry no traffic, since their circulations can reduce the cut's
-    backward-flow terms.
+    backward-flow terms; an unknown one raises PreconditionError.
     """
     if kind is ModelKind.UNDIRECTED:
         raise PreconditionError("cut checking targets the directed or bidirected model")
-    if cut.sense != ">=":
-        raise PreconditionError(
-            f"cut checking minimizes the left-hand side, so it needs a '>=' row, not {cut.sense!r}"
-        )
     ks = set(reduced_commodities(inst))
-    known = set(inst.network.commodities)
     for v in cut.coeffs:
-        if v.kind != "flow":
-            continue
-        if v.commodity not in known:
-            raise PreconditionError(f"{v.name} references an unknown commodity")
-        ks.add(v.commodity)
-        ks.add((v.commodity[1], v.commodity[0]))
+        if v.kind == "flow":
+            ks.add(v.commodity)
+            ks.add((v.commodity[1], v.commodity[0]))
     model = build_for_feasibility(inst, kind, commodities=sorted(ks))
 
     stray = [v.name for v in cut.coeffs if v.kind == "capacity" and v not in model.variables]
@@ -363,23 +357,13 @@ def check_cut_validity(
             f"inequality names capacity variables missing from the {kind.value} model: {stray!r}"
         )
     refs, b = capacity_box(inst, model, bound)
-
-    probe = model.with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
-    sweep = CapacitySweep(probe, refs, cut)
-    points = 0
-    violations: list[tuple[tuple[int, ...], Fraction]] = []
-    for vec in graded_box(len(refs), b):
-        answer = sweep.decide(vec)
-        if answer is False:
-            continue
-        points += 1
-        if answer is not True and not cut.satisfied_by(answer.values):
-            violations.append((vec, cut.lhs_value(answer.values)))
+    sweep = CapacitySweep(model, refs, cut)
+    points = sum(sweep.decide(vec) for vec in graded_box(len(refs), b))
     return CutCheck(
         components=refs,
         bound=b,
         points=points,
-        violations=tuple(violations),
+        violations=tuple(sweep.violations),
         lp_solved=sweep.lp_solved,
         ray_refuted=sweep.ray_refuted,
         bound_proved=sweep.bound_proved,

@@ -195,9 +195,6 @@ class MipModel:
         objective = {v: parse_rational(c) for v, c in self.objective.items()}
         object.__setattr__(self, "objective", {v: c for v, c in objective.items() if c})
 
-    def constraint_names(self) -> set[str]:
-        return {c.name for c in self.constraints}
-
     def with_constraints(self, extra: Iterable[LinearConstraint]) -> MipModel:
         return replace(self, constraints=self.constraints + tuple(extra))
 
@@ -399,57 +396,41 @@ def build_directed(
     return build(inst, ModelKind.DIRECTED, objective=objective, commodities=commodities)
 
 
+def _with_ties(model: MipModel, ties: Iterable[tuple[str, VarRef, VarRef]]) -> MipModel:
+    """Append a `name: v - w = 0` row for each tie whose name the model lacks."""
+    present = {c.name for c in model.constraints}
+    return model.with_constraints(
+        LinearConstraint(name, {v: Fraction(1), w: Fraction(-1)}, "=", Fraction(0))
+        for name, v, w in ties
+        if name not in present
+    )
+
+
 def add_flow_symmetry(model: MipModel) -> MipModel:
     """Append x[(u,v),(i,j)] = x[(v,u),(j,i)] rows, once per unordered pair.
 
     Already-present rows are not duplicated, so the operation is idempotent.
     """
-    flows = [v for v in model.variables if v.kind == "flow"]
-    present = model.constraint_names()
-    rows = []
-    for v in flows:
-        k, a = v.commodity, v.arc
-        mirror = ((k[1], k[0]), (a[1], a[0]))
-        if (k, a) > mirror:
-            continue  # the mirrored variable emits this row
-        name = f"sym[{k[0]}>{k[1]}|{a[0]}>{a[1]}]"
-        if name in present:
+    ties = []
+    for v in model.variables:
+        if v.kind != "flow":
             continue
-        rows.append(
-            LinearConstraint(
-                name,
-                {v: Fraction(1), VarRef.flow(*mirror): Fraction(-1)},
-                "=",
-                Fraction(0),
-            )
-        )
-    return model.with_constraints(rows)
+        (o, d), (i, j) = v.commodity, v.arc
+        if ((o, d), (i, j)) <= ((d, o), (j, i)):  # else the mirrored variable ties this one
+            ties.append((f"sym[{o}>{d}|{i}>{j}]", v, VarRef.flow((d, o), (j, i))))
+    return _with_ties(model, ties)
 
 
 def equalize_directed(model: MipModel) -> MipModel:
     """Append y[m|(i,j)] = y[m|(j,i)] rows tying the two orientations."""
     if model.kind is not ModelKind.DIRECTED:
         raise PreconditionError(f"equalize_directed needs a directed model, got {model.kind.value}")
-    present = model.constraint_names()
-    rows = []
-    for v in model.variables:
-        if v.kind != "capacity" or v.arc is None:
-            continue
-        i, j = v.arc
-        if i > j:
-            continue
-        name = f"eq[{v.facility}|{i}-{j}]"
-        if name in present:
-            continue
-        rows.append(
-            LinearConstraint(
-                name,
-                {v: Fraction(1), VarRef.cap_arc(v.facility, (j, i)): Fraction(-1)},
-                "=",
-                Fraction(0),
-            )
-        )
-    return model.with_constraints(rows)
+    ties = [
+        (f"eq[{v.facility}|{v.arc[0]}-{v.arc[1]}]", v, VarRef.cap_arc(v.facility, v.arc[::-1]))
+        for v in model.variables
+        if v.kind == "capacity" and v.arc is not None and v.arc[0] <= v.arc[1]
+    ]
+    return _with_ties(model, ties)
 
 
 def is_arc_symmetric(cost: Mapping[VarRef, Fraction]) -> bool:

@@ -28,7 +28,7 @@ from .core import (
 )
 from .enumeration import check_box, dominates, graded_box
 from .errors import NoRoutingError, PreconditionError
-from .formulate import MipModel, ModelKind, VarRef, equalize_directed
+from .formulate import MipModel, ModelKind, VarRef, add_flow_symmetry, equalize_directed
 from .solver import CapacitySweep, build_for_feasibility
 
 # Not called here.  The benchmark's tracer rebinds this name on this module
@@ -94,9 +94,10 @@ def capacity_box(
 def _model_for(inst: Instance, kind: ModelKind, variant: str):
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
+    model = build_for_feasibility(inst, kind)
     if variant == "equalized":
-        return equalize_directed(build_for_feasibility(inst, kind))
-    return build_for_feasibility(inst, kind, symmetrize_flows=(variant == "symmetrized-flows"))
+        return equalize_directed(model)
+    return add_flow_symmetry(model) if variant == "symmetrized-flows" else model
 
 
 def project(

@@ -55,14 +55,13 @@ from .formulate import (
     MipModel,
     ModelKind,
     VarRef,
-    add_flow_symmetry,
     build,
     pinned_values,
 )
 
 # Not called here.  The benchmark's tracer rebinds these names on this module
 # (perfbench/tracing.py PATCHES), so they must stay importable from it.
-from .formulate import build_bidirected, build_directed, build_undirected, fix_variables  # noqa: F401
+from .formulate import add_flow_symmetry, build_bidirected, build_directed, build_undirected, fix_variables  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -575,14 +574,17 @@ class CapacitySweep:
     beta being g on `refs`, holds at every feasible y (for the undirected
     model, a metric inequality) and refutes each y with beta y < alpha.
 
-    Given a `>=` row whose part off `refs` is the model's objective, the
-    sweep also asks whether the row holds at each feasible vector.  The dual
-    feasible set does not depend on y, so duals u of an Optimal answer that
-    combine the rows validly into g x >= alpha (times `scale`) and price
-    every free column nonnegatively (c_v scale >= g_v) bound the objective
-    at every feasible y from below by (alpha - sum_v g_v y_v) / scale: weak
-    duality, a Benders optimality cut.  The row holds at y when that bound
-    plus the row's terms on `refs` reaches its rhs, one test B y <= A.
+    Given a `>=` row, the sweep also asks whether the row holds at each
+    feasible vector.  Its model then minimizes the row's part off `refs`,
+    which replaces the model's objective, and each vector where an LP finds
+    the row broken is recorded with the row's least left-hand side there,
+    as (vec, lhs), in `violations`.  The dual feasible set does not depend
+    on y, so duals u of an Optimal answer that combine the rows validly
+    into g x >= alpha (times `scale`) and price every free column
+    nonnegatively (c_v scale >= g_v) bound the objective at every feasible
+    y from below by (alpha - sum_v g_v y_v) / scale: weak duality, a
+    Benders optimality cut.  The row holds at y when that bound plus the
+    row's terms on `refs` reaches its rhs, one test B y <= A.
 
     `learn` checks each certificate as its status's checker does before it
     keeps the test, as coprime integers, so that testing a vector is one
@@ -593,6 +595,7 @@ class CapacitySweep:
     def __init__(self, model: MipModel, refs: tuple[VarRef, ...], row: LinearConstraint | None = None):
         self.model, self.refs, self.row = model, refs, row
         self.minimal: list[tuple[int, ...]] = []
+        self.violations: list[tuple[tuple[int, ...], Fraction]] = []
         self.lp_solved = self.ray_refuted = self.bound_proved = 0
         # (alpha, beta) and (A, B), in learning order
         self._rays: dict[tuple[int, tuple[int, ...]], None] = {}
@@ -600,24 +603,26 @@ class CapacitySweep:
         self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
         if row is None:
             return
-        if row.sense != ">=" or dict(model.objective) != {v: c for v, c in row.coeffs.items() if v not in refs}:
-            raise PreconditionError("the model's objective must be the '>=' row's part off the sweep")
+        if row.sense != ">=":
+            raise PreconditionError(
+                f"the sweep minimizes the row's left-hand side, so it needs a '>=' row, not {row.sense!r}"
+            )
+        self.model = model.with_objective({v: c for v, c in row.coeffs.items() if v not in refs})
         on_refs = [row.coeffs.get(v, _ZERO) for v in refs]
         self._row_scale = lcm(row.rhs.denominator, *(c.denominator for c in on_refs))
         self._rhs = row.rhs.numerator * (self._row_scale // row.rhs.denominator)
         self._on_refs = [c.numerator * (self._row_scale // c.denominator) for c in on_refs]
 
-    def decide(self, vec: tuple[int, ...]) -> bool | LpSolution:
-        """Whether the model is feasible with `refs` pinned to `vec`; with a
-        row, the Optimal answer instead when an LP had to find the row's
-        least value there.
+    def decide(self, vec: tuple[int, ...]) -> bool:
+        """Whether the model is feasible with `refs` pinned to `vec`.
 
         A vector that dominates a recorded one is feasible, and without a row
         that settles it; with one, a kept dual test may prove the row there.
         An undominated vector that a kept ray refutes is infeasible.  Any
         other is solved, by phase 1 alone without a row, and the answer's
-        certificate is learned.  An Infeasible answer at a dominating vector
-        raises, since monotonicity has broken.
+        certificate is learned; with a row, an Optimal answer whose point
+        breaks the row adds (vec, lhs) to `violations`.  An Infeasible answer
+        at a dominating vector raises, since monotonicity has broken.
         """
         dominated = any(dominates(vec, m) for m in self.minimal)
         if dominated and self.row is None:
@@ -644,7 +649,10 @@ class CapacitySweep:
             return False
         if not dominated:
             self.minimal.append(vec)
-        return answer
+        lhs = self.row.lhs_value(answer.values)
+        if lhs < self.row.rhs:
+            self.violations.append((vec, lhs))
+        return True
 
     def refutes(self, vec: tuple[int, ...]) -> bool:
         """Whether a kept ray test beta y >= alpha fails at y = vec."""
@@ -704,21 +712,15 @@ def reduced_commodities(inst: Instance) -> tuple:
     return tuple(sorted(active))
 
 
-def build_for_feasibility(
-    inst: Instance,
-    kind: ModelKind,
-    *,
-    symmetrize_flows: bool = False,
-    commodities: Iterable | None = None,
-) -> MipModel:
-    """Build the smallest model equivalent to `kind` for feasibility checks.
+def build_for_feasibility(inst: Instance, kind: ModelKind, *, commodities: Iterable | None = None) -> MipModel:
+    """Build the smallest model equivalent to `kind` for feasibility checks:
+    `build` over `reduced_commodities`.  A variant's tie rows
+    (`add_flow_symmetry`, `equalize_directed`) are added by the caller.
 
     `commodities` widens (or replaces) the reduced commodity set; it must
-    stay closed under reversal and cover all positive traffic.
+    stay closed under reversal and cover all positive traffic, and an
+    unknown commodity raises PreconditionError.
     """
     ks = reduced_commodities(inst) if commodities is None else tuple(commodities)
-    model = build(inst, kind, commodities=ks)
-    if symmetrize_flows:
-        model = add_flow_symmetry(model)
-    return model
+    return build(inst, kind, commodities=ks)
 

@@ -36,6 +36,7 @@ from .core import (
     read_text,
     render_rational,
     scale_traffic,
+    write_text,
 )
 from .errors import ParseError, PreconditionError
 from .formulate import (
@@ -326,7 +327,7 @@ def load_point(path: str | Path) -> ModelPoint:
 
 
 def save_point(point: ModelPoint, path: str | Path) -> None:
-    Path(path).write_text(render_point(point))
+    write_text(path, render_point(point))
 
 
 def result_point(values: Mapping[VarRef, Fraction]) -> ModelPoint:

@@ -3,11 +3,14 @@
 import json
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import netcap
 from netcap.cli import run
 from netcap.core import (
     FacilityMenu,
@@ -293,6 +296,30 @@ def test_closed_stdout_exits_quietly(tri, monkeypatch, capsys):
         assert run(["project", path, "--model", "undirected"]) == 141
         print("more", flush=True)
     assert capsys.readouterr().err == ""
+
+
+def _netcap_in_ascii_locale(*args, cwd):
+    """Run the console entry point in a subprocess whose locale encoding is
+    ASCII: the C locale, with neither UTF-8 mode nor locale coercion."""
+    src = str(Path(netcap.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    command = [sys.executable, "-c", "from netcap.cli import main; main()", *args]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, check=False)
+
+
+def test_output_is_utf8_in_an_ascii_locale(tmp_path):
+    """Files are read as UTF-8, so they are written and printed as UTF-8 too,
+    whatever the locale: a node named é reaches an LP file and stdout."""
+    inst = Instance(Network(("b", "é"), (("b", "é"),)), FacilityMenu((1,)), TrafficMatrix({("é", "b"): Fraction(1)}))
+    save_instance(inst, tmp_path / "inst.json")
+    built = _netcap_in_ascii_locale("build", "inst.json", "--model", "undirected", "-o", "m.lp", cwd=tmp_path)
+    assert built.returncode == 0, built.stderr
+    assert "+ 1 y[1|b-é]" in (tmp_path / "m.lp").read_bytes().decode("utf-8")
+    projected = _netcap_in_ascii_locale("project", "inst.json", "--model", "undirected", cwd=tmp_path)
+    assert projected.returncode == 0, projected.stderr
+    assert projected.stdout.decode("utf-8").endswith("  1|b-é=1\n")
 
 
 # Stands in for an integer literal too long for json.loads (and json.dumps):

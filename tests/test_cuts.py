@@ -26,9 +26,17 @@ from netcap.cuts import (
 from netcap.enumeration import dominates, graded_box
 from netcap.errors import InvalidCutError, NetcapError, PreconditionError, VacuousCutError
 from netcap.formulate import LinearConstraint, ModelKind, VarRef, build, build_directed, parse_model, render_model
-from netcap.projlab import capacity_bound
+from netcap.projlab import capacity_bound, capacity_box
 from netcap.randgen import cut_check_instance, random_cutset_spec, triangle_network
-from netcap.solver import CapacitySweep, LpSolution, SolveStatus, optimality_certificate, solve_lp, solve_mip
+from netcap.solver import (
+    CapacitySweep,
+    LpSolution,
+    SolveStatus,
+    build_for_feasibility,
+    optimality_certificate,
+    solve_lp,
+    solve_mip,
+)
 
 
 def _two_node(menu=(1,), t12=Fraction(3, 2), t21=Fraction(0), **kw):
@@ -483,14 +491,28 @@ def test_dual_bound_cache_checks_each_dual_once(monkeypatch):
     assert sorted(checked) == sorted(set(learned)) and len(checked) < 10
 
 
-def test_dual_bound_cache_needs_the_rows_objective():
-    """The bound is on the model's objective, so it proves only a `>=` row
-    whose part off the sweep is that objective."""
+def test_row_sweep_reads_its_objective_off_the_row():
+    """Given a row, the sweep minimizes the row's part off its refs, whatever
+    the model's objective: a sweep of the plain feasibility model and one of
+    a model that already minimizes the cut's flow part decide the README
+    cut's box alike, on the cut and on a copy that fails.  The minimum
+    proves nothing for a `<=` or `=` row, so the sweep refuses one."""
     inst, cut = _readme_cut()
-    cache, _ = _bound_answers(inst, cut)[0]
-    for row in (replace(cut, sense="<="), replace(cut, coeffs={v: 2 * c for v, c in cut.coeffs.items()})):
+    plain = build_for_feasibility(inst, ModelKind.DIRECTED)
+    probe = plain.with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
+    refs, bound = capacity_box(inst, plain, 1)
+    for row in (cut, replace(cut, rhs=cut.rhs + 1)):
+        runs = []
+        for model in (plain, probe):
+            sweep = CapacitySweep(model, refs, row)
+            assert sweep.model == probe
+            decided = [sweep.decide(vec) for vec in graded_box(len(refs), bound)]
+            runs.append((decided, sweep.violations, sweep.lp_solved, sweep.ray_refuted, sweep.bound_proved))
+        assert runs[0] == runs[1]
+    assert runs[0][1]  # the strengthened copy fails somewhere
+    for sense in ("<=", "="):
         with pytest.raises(PreconditionError):
-            CapacitySweep(cache.model, cache.refs, row)
+            CapacitySweep(plain, refs, replace(cut, sense=sense))
 
 
 def test_infeasible_lp_at_a_dominating_vector_raises():

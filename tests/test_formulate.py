@@ -214,6 +214,11 @@ def test_add_flow_symmetry_rows_and_idempotence():
     assert added == 18
     again = add_flow_symmetry(sym)
     assert len(again.constraints) == len(sym.constraints)
+    # equalize_directed ties the two orientations of each edge once: 1 facility x 3 edges
+    directed = build_directed(inst)
+    eq = equalize_directed(directed)
+    assert len(eq.constraints) - len(directed.constraints) == 3
+    assert equalize_directed(eq).constraints == eq.constraints
 
     point = {
         VarRef.flow(("1", "2"), ("1", "2")): Fraction(1),

@@ -587,10 +587,10 @@ def test_accommodates_pinned():
 def test_symmetrized_flows_need_symmetric_traffic():
     lopsided = _two_node(t12=Fraction(1), t21=Fraction(0))
     y = VarRef.cap_edge(1, ("1", "2"))
-    model = build_for_feasibility(lopsided, ModelKind.UNDIRECTED, symmetrize_flows=True)
+    model = add_flow_symmetry(build_for_feasibility(lopsided, ModelKind.UNDIRECTED))
     assert not feasible_with_capacity(model, {y: 5})
     balanced = _two_node(t12=Fraction(1), t21=Fraction(1))
-    model = build_for_feasibility(balanced, ModelKind.UNDIRECTED, symmetrize_flows=True)
+    model = add_flow_symmetry(build_for_feasibility(balanced, ModelKind.UNDIRECTED))
     assert feasible_with_capacity(model, {y: 2})
 
 
