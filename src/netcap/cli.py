@@ -16,17 +16,15 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    Arc,
     Commodity,
     Instance,
-    TrafficMatrix,
     load_instance,
     parse_json,
-    parse_rational,
+    parse_traffic,
+    read_pair,
     read_text,
     render_rational,
     write_text,
@@ -63,6 +61,7 @@ from .transform import (
     load_point,
     redistribute,
     render_point,
+    require_capacity_keys,
     result_point,
     save_point,
     symmetrize,
@@ -118,35 +117,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _traffic_from_file(path: str) -> TrafficMatrix:
-    text = read_text(path)
-    try:
-        doc = parse_json(text)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("traffic"), list):
-        raise ParseError(f"{path}: expected an object with a 'traffic' array")
-    entries: dict[Commodity, Fraction] = {}
-    for row in doc["traffic"]:
-        if not isinstance(row, dict) or not {"from", "to", "amount"} <= row.keys():
-            raise ParseError(f"{path}: traffic rows need 'from', 'to' and 'amount'")
-        key = (str(row["from"]), str(row["to"]))
-        if key in entries:
-            raise ParseError(f"{path}: duplicate traffic entry for {key[0]}>{key[1]}")
-        entries[key] = parse_rational(row["amount"])
-    return TrafficMatrix(entries)
-
-
 def cmd_transform(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     point = load_point(args.point)
+    if args.op in ("redistribute", "symmetrize"):
+        require_capacity_keys(point, inst)
     if args.op == "redistribute":
-        target = _traffic_from_file(args.target)
-        flow = redistribute(point.flow, inst.traffic, target, inst.network)
-        out = ModelPoint(flow, point.capacity)
+        target = parse_traffic(parse_json(read_text(args.target)))
+        out = ModelPoint(redistribute(point.flow, inst.traffic, target, inst.network), point.capacity)
     elif args.op == "symmetrize":
-        flow = symmetrize(point.flow, inst.traffic, inst.network)
-        out = ModelPoint(flow, point.capacity)
+        out = ModelPoint(symmetrize(point.flow, inst.traffic, inst.network), point.capacity)
     elif args.op == "lift":
         out = lift_to_bidirected(point, inst)
     else:
@@ -159,39 +139,26 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tokens(raw: str) -> list[str]:
+    """The non-empty items of a comma-separated list."""
+    return [token for token in map(str.strip, raw.split(",")) if token]
+
+
+def _parse_commodity(token: str) -> Commodity:
+    if ">" in token:
+        return read_pair(token, ">")[1]
+    if len(token) == 2:
+        return token[0], token[1]
+    raise ParseError(f"cannot read commodity {token!r}; use o>d, or two single-character node ids")
+
+
 def _parse_commodities(raw: str, inst: Instance) -> frozenset[Commodity]:
     if raw == "all":
         return frozenset(inst.network.commodities)
-    out = set()
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ">" in token:
-            o, _, d = token.partition(">")
-        elif len(token) == 2:
-            o, d = token[0], token[1]
-        else:
-            raise ParseError(
-                f"cannot read commodity {token!r}; use o>d, or two single-character node ids"
-            )
-        out.add((o, d))
+    out = frozenset(map(_parse_commodity, _tokens(raw)))
     if not out:
         raise ParseError("empty commodity list")
-    return frozenset(out)
-
-
-def _parse_arcs(raw: str) -> frozenset[Arc]:
-    out = set()
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ">" not in token:
-            raise ParseError(f"cannot read arc {token!r}; use tail>head")
-        i, _, j = token.partition(">")
-        out.add((i, j))
-    return frozenset(out)
+    return out
 
 
 def _report_check(label: str, report: CutCheck) -> bool:
@@ -208,10 +175,10 @@ def _report_check(label: str, report: CutCheck) -> bool:
 def cmd_cut(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     spec = CutsetSpec(
-        side_u=frozenset(t.strip() for t in args.side_u.split(",") if t.strip()),
+        side_u=frozenset(_tokens(args.side_u)),
         commodities=_parse_commodities(args.commodities, inst),
-        s_plus=_parse_arcs(args.splus),
-        s_minus=_parse_arcs(args.sminus),
+        s_plus=frozenset(read_pair(t, ">")[1] for t in _tokens(args.splus)),
+        s_minus=frozenset(read_pair(t, ">")[1] for t in _tokens(args.sminus)),
         facility=args.facility,
     )
     data = mir_data(inst, spec)

@@ -95,6 +95,10 @@ def render_rational(q: Fraction) -> str:
 def _check_node_id(node: Node) -> None:
     if not isinstance(node, str) or not node:
         raise InvalidInstanceError(f"node id must be a non-empty string: {node!r}")
+    try:
+        node.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidInstanceError(f"node id {node!r} cannot be written as UTF-8") from None
     bad = {c for c in node if c in _RESERVED or c.isspace()}
     if bad:
         raise InvalidInstanceError(
@@ -107,6 +111,19 @@ def edge_between(i: Node, j: Node) -> Edge:
     if i == j:
         raise InvalidInstanceError(f"self-loop edge at node {i!r}")
     return (i, j) if i < j else (j, i)
+
+
+def read_pair(key: str, separators: str = ">-") -> tuple[str, tuple[Node, Node]]:
+    """Read an `i>j` key (an arc or a commodity) or an `i-j` key (an edge)
+    into its separator and pair, an edge in canonical order.  The first of
+    `separators` in `key` splits it; with none, or an empty end, ParseError."""
+    for sep in separators:
+        if sep in key:
+            i, _, j = key.partition(sep)
+            if i and j:
+                return sep, (edge_between(i, j) if sep == "-" else (i, j))
+            break
+    raise ParseError(f"cannot read {key!r} as {' or '.join(f'i{sep}j' for sep in separators)}")
 
 
 @dataclass(frozen=True)
@@ -344,20 +361,6 @@ class Instance:
 
 # -- instance files ----------------------------------------------------------
 
-def _parse_capacity_key(key: str) -> tuple[str, Edge | Arc]:
-    if ">" in key:
-        tail, _, head = key.partition(">")
-        if not tail or not head:
-            raise ParseError(f"malformed arc key {key!r}")
-        return "arc", (tail, head)
-    if "-" in key:
-        i, _, j = key.partition("-")
-        if not i or not j:
-            raise ParseError(f"malformed edge key {key!r}")
-        return "edge", edge_between(i, j)
-    raise ParseError(f"capacity key {key!r} is neither 'i-j' nor 'i>j'")
-
-
 def parse_json(text: str) -> object:
     """Parse a JSON document, reading non-integer numbers exactly.
 
@@ -371,12 +374,33 @@ def parse_json(text: str) -> object:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+def parse_traffic(doc: object) -> TrafficMatrix:
+    """The traffic of a JSON document: an object whose `traffic` array holds
+    rows {"from", "to", "amount"}.  Endpoints are strings, amounts exact and
+    nonnegative; the amounts of a repeated pair add up."""
+    rows = doc.get("traffic") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise ParseError("expected an object with a 'traffic' array")
+    entries: dict[Commodity, Fraction] = {}
+    for row in rows:
+        if not isinstance(row, dict) or not {"from", "to", "amount"} <= row.keys():
+            raise ParseError("traffic rows need 'from', 'to' and 'amount'")
+        key = (row["from"], row["to"])
+        if not all(isinstance(n, str) for n in key):
+            raise ParseError(f"traffic endpoints must be strings: {key!r}")
+        amount = parse_rational(row["amount"])
+        if amount < 0:  # checked per row, so that a repeat cannot offset it
+            raise ParseError(f"negative traffic amount for {key[0]}>{key[1]}")
+        entries[key] = entries.get(key, Fraction(0)) + amount
+    return TrafficMatrix(entries)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse an instance from its JSON form.
 
     Schema: nodes (list of strings), edges (list of two-element lists),
     facilities (list of ints), existing (object keyed "i-j" or "i>j"),
-    traffic (list of {"from", "to", "amount"}).  All amounts are exact;
+    traffic (read by `parse_traffic`).  All amounts are exact;
     non-integer JSON numbers are read as decimal strings, never floats.
     """
     doc = parse_json(text)
@@ -393,20 +417,15 @@ def parse_instance(text: str) -> Instance:
     try:
         network = Network(nodes=tuple(doc["nodes"]), edges=tuple(tuple(e) for e in doc["edges"]))
         facilities = FacilityMenu(tuple(doc["facilities"]))
-        traffic_entries: dict[Commodity, Fraction] = {}
-        for row in doc["traffic"]:
-            o, d = row["from"], row["to"]
-            amount = parse_rational(row["amount"])
-            traffic_entries[(o, d)] = traffic_entries.get((o, d), Fraction(0)) + amount
-        traffic = TrafficMatrix(traffic_entries)
+        traffic = parse_traffic(doc)
         existing_edge: dict[Edge, Fraction] = {}
         existing_arc: dict[Arc, Fraction] = {}
         existing = doc.get("existing") or {}
         if not isinstance(existing, dict):
             raise ParseError("'existing' must be an object keyed by capacity")
         for key, raw in existing.items():
-            kind, pair = _parse_capacity_key(key)
-            target = existing_edge if kind == "edge" else existing_arc
+            sep, pair = read_pair(key)
+            target = existing_arc if sep == ">" else existing_edge
             if pair in target:
                 raise ParseError(f"duplicate existing-capacity key {key!r}")
             target[pair] = parse_rational(raw)

@@ -30,8 +30,11 @@ from .core import (
     Commodity,
     Edge,
     Instance,
+    Network,
+    TrafficMatrix,
     edge_between,
     parse_rational,
+    read_pair,
     render_rational,
 )
 from .errors import InvalidInstanceError, ParseError, PreconditionError
@@ -104,21 +107,11 @@ def parse_varref(name: str) -> VarRef:
         raise ParseError(f"malformed variable name {name!r}")
     letter, first, second = m.groups()
     if letter == "x":
-        if ">" not in first or ">" not in second:
-            raise ParseError(f"malformed flow variable {name!r}")
-        o, _, d = first.partition(">")
-        i, _, j = second.partition(">")
-        return VarRef.flow((o, d), (i, j))
+        return VarRef.flow(read_pair(first, ">")[1], read_pair(second, ">")[1])
     if not first.isdecimal() or len(first) > MAX_DIGITS:
         raise ParseError(f"malformed capacity variable {name!r}")
-    facility = int(first)
-    if ">" in second:
-        i, _, j = second.partition(">")
-        return VarRef.cap_arc(facility, (i, j))
-    if "-" in second:
-        i, _, j = second.partition("-")
-        return VarRef.cap_edge(facility, edge_between(i, j))
-    raise ParseError(f"malformed capacity variable {name!r}")
+    sep, pair = read_pair(second)
+    return (VarRef.cap_arc if sep == ">" else VarRef.cap_edge)(int(first), pair)
 
 
 def _render_terms(terms: Iterable[tuple[VarRef, Fraction]]) -> str:
@@ -298,19 +291,20 @@ def _commodity_set(
     return tuple(chosen)
 
 
-def _balance_rows(
-    inst: Instance, commodities: tuple[Commodity, ...]
+def balance_rows(
+    network: Network, traffic: TrafficMatrix, commodities: Iterable[Commodity]
 ) -> list[LinearConstraint]:
-    # Row sense: outflow - inflow = +t at the origin, -t at the destination.
+    """Flow balance, stated once for every model and transform: per commodity
+    and node, `bal[o>d|n]`: outflow - inflow = +t at the origin, -t at the
+    destination and 0 elsewhere, over the network's arcs."""
     rows = []
-    net = inst.network
     for o, d in commodities:
-        t = inst.traffic.get(o, d)
-        for node in sorted(net.nodes):
+        t = traffic.get(o, d)
+        for node in sorted(network.nodes):
             coeffs: dict[VarRef, Fraction] = {}
-            for a in net.out_arcs(node):
+            for a in network.out_arcs(node):
                 coeffs[VarRef.flow((o, d), a)] = Fraction(1)
-            for a in net.in_arcs(node):
+            for a in network.in_arcs(node):
                 coeffs[VarRef.flow((o, d), a)] = Fraction(-1)
             rhs = t if node == o else (-t if node == d else Fraction(0))
             rows.append(LinearConstraint(f"bal[{o}>{d}|{node}]", coeffs, "=", rhs))
@@ -345,7 +339,7 @@ def build(
     else:
         keys, cap, existing = inst.network.edges, VarRef.cap_edge, inst.edge_capacity
     sizes = [(m, Fraction(inst.facilities.capacity(m))) for m in inst.facilities.indices]
-    rows = _balance_rows(inst, ks)
+    rows = balance_rows(inst.network, inst.traffic, ks)
     for key in keys:
         arcs = (key,) if directed else (key, key[::-1])
         if kind is ModelKind.UNDIRECTED:

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 from .core import (
     Arc,
     Commodity,
-    Edge,
     FacilityMenu,
     Instance,
     Network,
@@ -31,6 +30,8 @@ from .transform import FlowVector
 
 TRIANGLE_NODES = ("1", "2", "3")
 FOUR_NODES = ("1", "2", "3", "4")
+# A network routes this traffic exactly when it is connected.
+_ALL_FOUR_PAIRS = TrafficMatrix({(o, d): 1 for o in FOUR_NODES for d in FOUR_NODES if o != d})
 
 
 def rational_entry(
@@ -73,20 +74,6 @@ def symmetric_random_traffic(rng: random.Random, nodes: Iterable[Node], **kw) ->
     return symmetric_counterpart(random_traffic(rng, nodes, **kw))
 
 
-def _connected(nodes: Sequence[Node], edges: Sequence[Edge]) -> bool:
-    parent = {n: n for n in nodes}
-
-    def find(n: Node) -> Node:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    return len({find(n) for n in nodes}) == 1
-
-
 def triangle_network() -> Network:
     a, b, c = TRIANGLE_NODES
     return Network(TRIANGLE_NODES, (edge_between(a, b), edge_between(a, c), edge_between(b, c)))
@@ -111,10 +98,9 @@ def four_node_corollary_instance(rng: random.Random) -> Instance:
     box (bound+1)^edges stays below ~1600 points."""
     all_edges = [edge_between(a, b) for a, b in combinations(FOUR_NODES, 2)]
     while True:
-        edges = rng.sample(all_edges, rng.randint(4, 6))
-        if not _connected(FOUR_NODES, edges):
+        net = Network(FOUR_NODES, tuple(rng.sample(all_edges, rng.randint(4, 6))))
+        if not net.is_routable(_ALL_FOUR_PAIRS):
             continue
-        net = Network(FOUR_NODES, tuple(sorted(edges)))
         menu = FacilityMenu((rng.choice((1, 2)),))
         traffic = random_traffic(rng, FOUR_NODES, max_numerator=4, denominators=(1, 2, 4), zero_chance=0.5)
         if traffic.total() == 0:
@@ -123,7 +109,7 @@ def four_node_corollary_instance(rng: random.Random) -> Instance:
             continue
         inst = Instance(net, menu, traffic)
         b = capacity_bound(inst)
-        if b >= 1 and (b + 1) ** len(edges) <= 1600:
+        if b >= 1 and (b + 1) ** len(net.edges) <= 1600:
             return inst
 
 
@@ -216,31 +202,24 @@ def _add(flow: dict[tuple[Commodity, Arc], Fraction], k: Commodity, arcs: Iterab
         flow[key] = flow.get(key, Fraction(0)) + amount
 
 
-def random_balanced_flow(
-    rng: random.Random,
-    network: Network,
-    traffic: TrafficMatrix,
-    *,
-    split_chance: float = 0.5,
-    circulation_chance: float = 0.5,
-) -> FlowVector:
-    """A random routing of the traffic: each commodity takes one or two
-    random simple paths, and with some probability a commodity also carries
-    a circulation around a closed walk.  The result satisfies every flow
-    balance row by construction."""
+def random_balanced_flow(rng: random.Random, network: Network, traffic: TrafficMatrix) -> FlowVector:
+    """A random routing of the traffic: each commodity takes one random
+    simple path, or half the time two when it has two, and half the time
+    one random commodity also carries a circulation around a closed walk.
+    The result satisfies every flow balance row by construction."""
     flow: dict[tuple[Commodity, Arc], Fraction] = {}
     for (o, d), t in traffic.items():
         paths = _simple_paths(network, o, d)
         if not paths:
             raise NoRoutingError(f"no route from {o} to {d}")
-        if len(paths) >= 2 and rng.random() < split_chance:
+        if len(paths) >= 2 and rng.random() < 0.5:
             first, second = rng.sample(paths, 2)
             share = Fraction(rng.randint(0, 4), 4)
             _add(flow, (o, d), first, t * share)
             _add(flow, (o, d), second, t * (1 - share))
         else:
             _add(flow, (o, d), rng.choice(paths), t)
-    if rng.random() < circulation_chance:
+    if rng.random() < 0.5:
         nodes = network.nodes
         u, v = rng.sample(list(nodes), 2)
         there = _simple_paths(network, u, v)

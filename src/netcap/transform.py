@@ -10,8 +10,11 @@ The four operations implement the package's equivalences:
 * lift_to_bidirected / drop_to_undirected: the exact 2x / x/2 correspondence
   between undirected points for traffic T and bidirected points for 2T.
 
-Preconditions are checked by direct constraint evaluation, and every
-transform re-validates its output before returning it.
+Every transform checks its input, and again its output, by evaluating model
+rows: `formulate.balance_rows` for redistribute and symmetrize, the
+mirror-flow models of both readings for lift and drop.  A flow variable off
+the network's commodities and arcs, or a capacity variable the model lacks,
+is refused as outside the model.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
 
 from .core import (
     Arc,
@@ -40,11 +43,12 @@ from .core import (
 )
 from .errors import ParseError, PreconditionError
 from .formulate import (
-    MipModel,
+    LinearConstraint,
+    ModelKind,
     VarRef,
     add_flow_symmetry,
-    build_bidirected,
-    build_undirected,
+    balance_rows,
+    build,
     parse_varref,
 )
 
@@ -106,38 +110,43 @@ class ModelPoint:
         return values
 
 
+# A model as the transforms check it: its rows and its variables.
+_RowsAndVariables = tuple[Sequence[LinearConstraint], Collection[VarRef]]
+
+
+def _violations(model: _RowsAndVariables, point: ModelPoint) -> list[str]:
+    """Names of the rows the point breaks, then of its variables the model lacks."""
+    rows, known = model
+    values = point.assignment()
+    broken = [row.name for row in rows if not row.satisfied_by(values)]
+    stray = sorted((v for v in values if v not in known), key=lambda v: v.sort_key)
+    return broken + [v.name for v in stray]
+
+
+def _require(label: str, model: _RowsAndVariables, point: ModelPoint) -> None:
+    bad = _violations(model, point)
+    if bad:
+        raise PreconditionError(f"{label} breaks rows or lies outside the model at {bad[:4]!r}")
+
+
+def _balance_model(network: Network, traffic: TrafficMatrix) -> _RowsAndVariables:
+    """Balance rows for every commodity of the network or the traffic, over
+    the flow variables of the network's commodities on its arcs."""
+    rows = balance_rows(network, traffic, sorted(set(network.commodities) | set(traffic.entries)))
+    return rows, {VarRef.flow(k, a) for k in network.commodities for a in network.arcs}
+
+
 def balance_violations(
     flow: FlowVector, traffic: TrafficMatrix, network: Network
 ) -> list[str]:
-    """Commodity/node pairs where outflow - inflow misses the required net supply."""
-    bad: list[str] = []
-    relevant = sorted(flow.commodities() | set(traffic.entries))
-    for o, d in relevant:
-        t = traffic.get(o, d)
-        for node in network.nodes:
-            net_out = Fraction(0)
-            for a in network.out_arcs(node):
-                net_out += flow.get((o, d), a)
-            for a in network.in_arcs(node):
-                net_out -= flow.get((o, d), a)
-            want = t if node == o else (-t if node == d else Fraction(0))
-            if net_out != want:
-                bad.append(f"{o}>{d}@{node}")
-    return bad
-
-
-def _require_balanced(flow: FlowVector, traffic: TrafficMatrix, network: Network, label: str) -> None:
-    bad = balance_violations(flow, traffic, network)
-    if bad:
-        raise PreconditionError(f"{label} violates flow balance at {bad[:4]!r}")
+    """Where a flow fails to route `traffic` on `network`: the names of the
+    broken balance rows (`bal[1>2|1]`), then those of the flow variables off
+    the network's commodities and arcs (`x[1>2|1>3]`)."""
+    return _violations(_balance_model(network, traffic), ModelPoint(flow))
 
 
 def _unordered_pairs(*groups) -> list[Edge]:
-    pairs = set()
-    for group in groups:
-        for o, d in group:
-            pairs.add(edge_between(o, d))
-    return sorted(pairs)
+    return sorted({edge_between(o, d) for group in groups for o, d in group})
 
 
 def edge_pair_load(flow: FlowVector, edge: Edge, pair: Edge) -> Fraction:
@@ -166,7 +175,7 @@ def redistribute(
     """
     if not pairwise_similar(traffic, target, nodes=network.nodes):
         raise PreconditionError("traffic matrices are not pairwise similar")
-    _require_balanced(flow, traffic, network, "input flow")
+    _require("input flow", _balance_model(network, traffic), ModelPoint(flow))
     out: dict[FlowKey, Fraction] = {}
     for u, v in _unordered_pairs(flow.commodities(), traffic.entries, target.entries):
         total = traffic.get(u, v) + traffic.get(v, u)
@@ -177,7 +186,7 @@ def redistribute(
             out[((u, v), (i, j))] = share * pooled_uv
             out[((v, u), (i, j))] = (1 - share) * pooled_vu
     result = FlowVector(out)
-    _require_balanced(result, target, network, "redistributed flow")
+    _require("redistributed flow", _balance_model(network, target), ModelPoint(result))
     for e in network.edges:
         for pair in _unordered_pairs(flow.commodities(), traffic.entries, target.entries):
             if edge_pair_load(result, e, pair) != edge_pair_load(flow, e, pair):
@@ -209,12 +218,13 @@ def symmetrize(flow: FlowVector, traffic: TrafficMatrix, network: Network) -> Fl
     """
     if not traffic.is_symmetric():
         raise PreconditionError("symmetrize requires a symmetric traffic matrix")
-    _require_balanced(flow, traffic, network, "input flow")
+    balance = _balance_model(network, traffic)
+    _require("input flow", balance, ModelPoint(flow))
     mirrored = reverse_flow(flow)
     keys = set(flow.entries) | set(mirrored.entries)
     out = {ka: (flow.entries.get(ka, Fraction(0)) + mirrored.entries.get(ka, Fraction(0))) / 2 for ka in keys}
     result = FlowVector(out)
-    _require_balanced(result, traffic, network, "symmetrized flow")
+    _require("symmetrized flow", balance, ModelPoint(result))
     if not is_direction_symmetric(result):
         raise PreconditionError("internal: symmetrized flow is not direction-symmetric")
     return result
@@ -235,15 +245,25 @@ def scale_flow_cost(
     return {v: parse_rational(c) * (f if v.kind == "flow" else 1) for v, c in cost.items()}
 
 
-def _check_point(model: MipModel, point: ModelPoint, label: str) -> None:
-    values = point.assignment()
-    known = set(model.variables)
-    stray = [v.name for v in values if v not in known]
-    if stray:
-        raise PreconditionError(f"{label} references variables outside the model: {stray[:4]!r}")
-    bad = model.violations(values)
-    if bad:
-        raise PreconditionError(f"{label} violates {len(bad)} constraints, first {bad[:4]!r}")
+def _mirror_model(inst: Instance, kind: ModelKind) -> _RowsAndVariables:
+    """The mirror-flow model of a reading: undirected for the instance's
+    traffic T, bidirected for 2T."""
+    if kind is ModelKind.BIDIRECTED:
+        inst = inst.with_traffic(scale_traffic(inst.traffic, 2))
+    model = add_flow_symmetry(build(inst, kind))
+    return model.constraints, set(model.variables)
+
+
+def _carry(point: ModelPoint, inst: Instance, source: ModelKind, factor: Fraction) -> ModelPoint:
+    """Scale a mirror-flow point's flows from the `source` reading into the
+    other one; capacities carry over, and both ends are checked."""
+    target = ModelKind.UNDIRECTED if source is ModelKind.BIDIRECTED else ModelKind.BIDIRECTED
+    if not inst.traffic.is_symmetric():
+        raise PreconditionError(f"{source.value} to {target.value} requires symmetric traffic")
+    _require(f"{source.value} point", _mirror_model(inst, source), point)
+    out = ModelPoint(scale_flow(point.flow, factor), dict(point.capacity))
+    _require(f"{target.value} point", _mirror_model(inst, target), out)
+    return out
 
 
 def lift_to_bidirected(point: ModelPoint, inst: Instance) -> ModelPoint:
@@ -254,29 +274,22 @@ def lift_to_bidirected(point: ModelPoint, inst: Instance) -> ModelPoint:
     the undirected model with mirror-flow rows, the output against the
     bidirected model of the doubled instance.
     """
-    if not inst.traffic.is_symmetric():
-        raise PreconditionError("lift_to_bidirected requires symmetric traffic")
-    source = add_flow_symmetry(build_undirected(inst))
-    _check_point(source, point, "undirected point")
-    lifted = ModelPoint(scale_flow(point.flow, 2), dict(point.capacity))
-    doubled = inst.with_traffic(scale_traffic(inst.traffic, 2))
-    target = add_flow_symmetry(build_bidirected(doubled))
-    _check_point(target, lifted, "lifted point")
-    return lifted
+    return _carry(point, inst, ModelKind.UNDIRECTED, Fraction(2))
 
 
 def drop_to_undirected(point: ModelPoint, inst: Instance) -> ModelPoint:
     """Inverse of lift_to_bidirected: halve a bidirected mirror-flow point
     for traffic 2T into an undirected point for the symmetric traffic T."""
-    if not inst.traffic.is_symmetric():
-        raise PreconditionError("drop_to_undirected requires symmetric traffic")
-    doubled = inst.with_traffic(scale_traffic(inst.traffic, 2))
-    source = add_flow_symmetry(build_bidirected(doubled))
-    _check_point(source, point, "bidirected point")
-    dropped = ModelPoint(scale_flow(point.flow, Fraction(1, 2)), dict(point.capacity))
-    target = add_flow_symmetry(build_undirected(inst))
-    _check_point(target, dropped, "dropped point")
-    return dropped
+    return _carry(point, inst, ModelKind.BIDIRECTED, Fraction(1, 2))
+
+
+def require_capacity_keys(point: ModelPoint, inst: Instance) -> None:
+    """Refuse a capacity key that names no facility of the menu on an edge
+    or arc of the network."""
+    net, menu = inst.network, inst.facilities.indices
+    known = {VarRef.cap_edge(m, e) for m in menu for e in net.edges}
+    known |= {VarRef.cap_arc(m, a) for m in menu for a in net.arcs}
+    _require("point", ((), known), ModelPoint(FlowVector({}), point.capacity))
 
 
 # -- point files -------------------------------------------------------------
@@ -339,6 +352,8 @@ def result_point(values: Mapping[VarRef, Fraction]) -> ModelPoint:
             continue
         if v.kind == "flow":
             flow[(v.commodity, v.arc)] = val
+        elif val.denominator != 1:
+            raise PreconditionError(f"capacity {v.name} = {render_rational(val)} is not an integer")
         else:
             capacity[v] = int(val)
     return ModelPoint(FlowVector(flow), capacity)

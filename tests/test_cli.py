@@ -112,9 +112,10 @@ def test_transform_redistribute(tri, tmp_path, capsys):
     run(["solve", path, "--model", "undirected", "-o", str(point_file)])
     target = {
         "traffic": [
-            {"from": "1", "to": "2", "amount": "1/2"},
+            {"from": "1", "to": "2", "amount": "1/4"},
             {"from": "2", "to": "1", "amount": "3/2"},
             {"from": "1", "to": "3", "amount": "1"},
+            {"from": "1", "to": "2", "amount": "1/4"},  # a repeated pair adds up
         ]
     }
     target_file = tmp_path / "target.json"
@@ -166,6 +167,75 @@ def test_transform_symmetrize(tri_sym, tmp_path, capsys):
     assert run(["transform", "symmetrize", path, "--point", str(point_file)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"flow", "capacity"}
+
+
+def _path_network_files(tmp_path):
+    """The path 1-2-3 with symmetric traffic between its ends, and a point
+    that routes it through 2 but also puts flow on 1>3, which is no edge."""
+    inst = Instance(
+        Network(("1", "2", "3"), (("1", "2"), ("2", "3"))),
+        FacilityMenu((1,)),
+        TrafficMatrix({("1", "3"): Fraction(1), ("3", "1"): Fraction(1)}),
+    )
+    save_instance(inst, tmp_path / "path.json")
+    flow = {"1>3|1>2": "1", "1>3|2>3": "1", "3>1|3>2": "1", "3>1|2>1": "1", "1>3|1>3": "1"}
+    (tmp_path / "point.json").write_text(json.dumps({"flow": flow, "capacity": {}}))
+    (tmp_path / "target.json").write_text(render_instance(inst))
+    return str(tmp_path / "path.json"), str(tmp_path / "point.json"), str(tmp_path / "target.json")
+
+
+@pytest.mark.parametrize("op", ["symmetrize", "redistribute", "lift"])
+def test_transforms_refuse_a_flow_off_the_network(tmp_path, capsys, op):
+    path, point, target = _path_network_files(tmp_path)
+    argv = ["transform", op, path, "--point", point]
+    argv += ["--target", target] if op == "redistribute" else []
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x[1>3|1>3]" in err
+
+
+@pytest.mark.parametrize("key", ["1|1-9", "7|1>2"], ids=["unknown-node", "unknown-facility"])
+@pytest.mark.parametrize("op", ["symmetrize", "redistribute"])
+def test_flow_transforms_refuse_capacity_keys_off_the_instance(tri_sym, tmp_path, capsys, op, key):
+    """A capacity key must name a facility of the menu on an edge or arc of
+    the network, or the point is not copied through."""
+    _, path = tri_sym
+    point_file = tmp_path / "point.json"
+    assert run(["solve", path, "--model", "undirected", "-o", str(point_file)]) == 0
+    doc = json.loads(point_file.read_text())
+    doc["capacity"][key] = 2
+    point_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["transform", op, path, "--point", str(point_file)]
+    argv += ["--target", path] if op == "redistribute" else []
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"y[{key}]" in err
+
+
+@pytest.mark.parametrize("where", ["instance", "target"])
+def test_traffic_endpoints_must_be_strings(tri, tmp_path, capsys, where):
+    inst, path = tri
+    point_file = tmp_path / "point.json"
+    run(["solve", path, "--model", "undirected", "-o", str(point_file)])
+    docs = {name: json.loads(render_instance(inst)) for name in ("instance", "target")}
+    docs[where]["traffic"][0]["from"] = int(docs[where]["traffic"][0]["from"])
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["transform", "redistribute", str(tmp_path / "instance.json")]
+    argv += ["--point", str(point_file), "--target", str(tmp_path / "target.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be strings" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--splus", "1>"), ("--sminus", ">1"), ("--commodities", "1>")])
+def test_cut_refuses_an_empty_end(tri, capsys, flag, value):
+    _, path = tri
+    argv = ["cut", path, "--side-u", "1", "--commodities", "1>2", "--facility", "1", flag, value]
+    assert run(argv) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_cut_pinned_output(tmp_path, capsys):
@@ -344,6 +414,7 @@ LONG_INT = "long-int-literal"
         ("instance", b"\xff\xfe"),
         ("point", b"\xff\xfe"),
         ("traffic", b"\xff\xfe"),
+        ("instance", {"nodes": ["1", "2", "3", "\ud800"]}),
     ],
     ids=[
         "existing-string",
@@ -360,6 +431,7 @@ LONG_INT = "long-int-literal"
         "instance-not-utf8",
         "point-not-utf8",
         "traffic-not-utf8",
+        "node-not-utf8",
     ],
 )
 def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):

@@ -19,6 +19,8 @@ from netcap.core import (
     parse_instance,
     parse_json,
     parse_rational,
+    parse_traffic,
+    read_pair,
     render_instance,
     render_rational,
     save_instance,
@@ -113,9 +115,21 @@ def test_network_validation():
 
 
 def test_node_id_reserved_characters():
-    for bad in ("a>b", "a-b", "a,b", "a|b", "a:b", "", "a b", "a\tb", "\x85", "a\u2028b"):
+    # The last cannot be written as UTF-8: a lone surrogate, which JSON can spell.
+    for bad in ("a>b", "a-b", "a,b", "a|b", "a:b", "", "a b", "a\tb", "\x85", "a\u2028b", "a\ud800"):
         with pytest.raises(InvalidInstanceError):
             Network((bad, "z"), ())
+
+
+def test_read_pair_splits_arcs_and_edges():
+    assert read_pair("2>1") == (">", ("2", "1"))
+    assert read_pair("2-1") == ("-", ("1", "2"))
+    assert read_pair("a-b>c") == (">", ("a-b", "c"))  # `>` is tried first
+    assert read_pair("1>2", ">") == (">", ("1", "2"))
+    for key, separators in (("1>", ">-"), (">2", ">-"), ("1-", ">-"), ("-2", ">-"), ("12", ">-"),
+                            ("1-2", ">"), ("", ">")):
+        with pytest.raises(ParseError, match="cannot read"):
+            read_pair(key, separators)
 
 
 def test_traffic_matrix_basics():
@@ -278,6 +292,29 @@ def test_parse_instance_accumulates_repeated_traffic_rows():
     assert parse_instance(json.dumps(doc)).traffic.get("1", "2") == 3
 
 
+def test_parse_traffic_reads_one_row_shape():
+    """The one reader of `traffic` arrays: repeated pairs add up, endpoints
+    are strings, and every row names `from`, `to` and `amount`."""
+    rows = [
+        {"from": "1", "to": "2", "amount": "1/4"},
+        {"from": "2", "to": "1", "amount": 1},
+        {"from": "1", "to": "2", "amount": "1/4"},
+    ]
+    traffic = parse_traffic({"traffic": rows})
+    assert traffic == TrafficMatrix({("1", "2"): Fraction(1, 2), ("2", "1"): Fraction(1)})
+    for bad in (
+        [],
+        {"traffic": {}},
+        {"traffic": [1]},
+        {"traffic": [{"from": "1", "to": "2"}]},
+        {"traffic": [{"from": 1, "to": "2", "amount": "1"}]},
+        {"traffic": [{"from": "1", "to": ["2"], "amount": "1"}]},
+        {"traffic": [{"from": "1", "to": "2", "amount": "2"}, {"from": "1", "to": "2", "amount": "-1"}]},
+    ):
+        with pytest.raises(ParseError):
+            parse_traffic(bad)
+
+
 def test_parse_instance_rejects_duplicate_existing_key():
     doc = {
         "nodes": ["1", "2"],
@@ -298,8 +335,10 @@ def test_parse_instance_rejects_malformed_existing_key():
         "existing": {"12": "1"},
         "traffic": [],
     }
-    with pytest.raises(ParseError):
-        parse_instance(json.dumps(doc))
+    for key in ("12", "1-", ">2"):
+        doc["existing"] = {key: "1"}
+        with pytest.raises(ParseError):
+            parse_instance(json.dumps(doc))
 
 
 def test_render_parse_instance_inverse_sweep():

@@ -62,7 +62,8 @@ def test_varref_parse_round_trip():
 
 
 def test_parse_varref_rejects_malformed():
-    for bad in ("x[1>2]", "z[1|1-2]", "y[one|1-2]", "y[1|12]", "x[12|1>2]", "x"):
+    for bad in ("x[1>2]", "z[1|1-2]", "y[one|1-2]", "y[1|12]", "x[12|1>2]", "x",
+                "x[1>|1>2]", "y[1|1-]", "y[1|>2]"):
         with pytest.raises(ParseError):
             parse_varref(bad)
 

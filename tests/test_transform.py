@@ -57,7 +57,7 @@ def test_balance_violations_pinpoints_nodes():
     net = triangle_network()
     traffic = TrafficMatrix({("1", "2"): Fraction(1)})
     empty = FlowVector({})
-    assert sorted(balance_violations(empty, traffic, net)) == ["1>2@1", "1>2@2"]
+    assert balance_violations(empty, traffic, net) == ["bal[1>2|1]", "bal[1>2|2]"]
     routed = FlowVector({(("1", "2"), ("1", "2")): Fraction(1)})
     assert balance_violations(routed, traffic, net) == []
     detour = FlowVector(
@@ -67,6 +67,40 @@ def test_balance_violations_pinpoints_nodes():
         }
     )
     assert balance_violations(detour, traffic, net) == []
+
+
+def test_flow_transforms_refuse_flows_off_the_network():
+    """A flow on a pair that is no edge of the network, or of a commodity
+    whose node the network lacks, is refused by both flow transforms, even
+    where it is balanced on the network's own arcs."""
+    path = Network(("1", "2", "3"), (("1", "2"), ("2", "3")))
+    traffic = TrafficMatrix({("1", "3"): Fraction(1), ("3", "1"): Fraction(1)})
+    routed = {
+        (("1", "3"), ("1", "2")): Fraction(1),
+        (("1", "3"), ("2", "3")): Fraction(1),
+        (("3", "1"), ("3", "2")): Fraction(1),
+        (("3", "1"), ("2", "1")): Fraction(1),
+    }
+    shortcut = FlowVector({**routed, (("1", "3"), ("1", "3")): Fraction(1)})
+    stranger = FlowVector(
+        {**routed, (("1", "9"), ("1", "2")): Fraction(1), (("1", "9"), ("2", "1")): Fraction(1)}
+    )
+    assert balance_violations(FlowVector(routed), traffic, path) == []
+    assert balance_violations(shortcut, traffic, path) == ["x[1>3|1>3]"]
+    assert balance_violations(stranger, traffic, path) == ["x[1>9|1>2]", "x[1>9|2>1]"]
+    for flow in (shortcut, stranger):
+        with pytest.raises(PreconditionError, match="outside the model"):
+            symmetrize(flow, traffic, path)
+        with pytest.raises(PreconditionError, match="outside the model"):
+            redistribute(flow, traffic, traffic, path)
+
+
+def test_balance_violations_read_traffic_off_the_network():
+    """Traffic of a commodity the network lacks cannot be routed, so its
+    origin's balance row is broken rather than skipped."""
+    net = Network(("1", "2"), (("1", "2"),))
+    traffic = TrafficMatrix({("1", "9"): Fraction(1)})
+    assert balance_violations(FlowVector({}), traffic, net) == ["bal[1>9|1]"]
 
 
 def test_redistribute_reverses_a_route():
@@ -317,6 +351,11 @@ def test_parse_point_rejects_malformed():
         parse_point('{"flow": {}, "capacity": {"one|1-2": "1"}}')
     with pytest.raises(ParseError, match="malformed capacity key"):
         parse_point('{"flow": {}, "capacity": {"1|12": "1"}}')
+
+
+def test_result_point_refuses_fractional_capacity():
+    with pytest.raises(PreconditionError, match="not an integer"):
+        result_point({VarRef.cap_edge(1, ("1", "2")): Fraction(3, 2)})
 
 
 def test_result_point_partitions_solver_values():
