@@ -2,25 +2,33 @@
 
 Two-phase primal simplex with Bland's rule for both the entering and
 leaving choices, so no cycling and no tolerances.  The tableau is
-integer-preserving (Edmonds 1967; Bareiss 1968): every cell is an integer
-over one common denominator, the absolute basis determinant, each pivot
-divides exactly, and every comparison is an integer sign test or a
-cross-multiplication.  The LP enters scaled uniformly: free-column
-coefficients and rhs by one lcm, the cost by its own, slacks and
-artificials left at +-1.  That is a positive change of variables, so the
-pivots are the rational tableau's.  Scaling row by row would re-weight the
-phase-1 artificials and so change the pivots.  In the simplex, `Fraction`
-appears only where data is scaled in and values and duals are read out.
-The model's rows go straight into the tableau: pinned variables move to
-the right-hand side, rows left constant are checked there, and rows with
-a negative rhs are negated; no reduced model or standard form is built
-first.  Phase 1, the drive-out of leftover artificials and phase 2 share
-one pivot routine.  Every answer carries a certificate in the model's own
-terms, and each status has a checker that reads the model's rows alone,
-without any of the simplex: an Optimal answer carries one dual per model
-row, read off its final reduced-cost row and signed back to the row as
-written (`optimality_certificate`); an Infeasible one a Farkas ray, one
-multiplier per model row read off the final phase-1 row
+integer-preserving (Edmonds 1967; Bareiss 1968): each row is an integer
+vector over its own denominator, the absolute basis determinant at the
+last pivot that touched it.  A pivot leaves alone every row whose cell in
+the entering column is zero, brings only the pivot row to the current
+determinant, and divides exactly; every comparison is an integer sign test
+or a cross-multiplication of two cells of one row.  The LP enters scaled
+uniformly: free-column coefficients and rhs by one lcm, the cost by its
+own, slacks and artificials left at +-1.  That is a positive change of
+variables, so the pivots are the rational tableau's, whatever the lcm.
+Scaling row by row would re-weight the phase-1 artificials and so change
+the pivots.  In the simplex, `Fraction` appears only where values and
+duals are read out.  A model's rows are turned into integers once for the
+variables every solve pins (`_Rows`): a capacity sweep pins the same
+capacities at each vector of its box, and branch and bound pins nothing
+and adds its branch rows after the model's at each node.  Per solve, the
+pinned terms move to the right-hand side by one integer dot product per
+row, rows left constant are checked there, and rows with a negative rhs
+are negated; no reduced model or standard form is built.  Phase 1, the
+drive-out of leftover artificials and phase 2 share one pivot routine.
+The point a solve returns is re-checked against every model row in
+integers, each row scaled from the model's own coefficients rather than
+read off the tableau (`_recheck`).  Every answer carries a certificate in
+the model's own terms, and each status has a checker that reads the
+model's rows alone, without any of the simplex: an Optimal answer carries
+one dual per model row, read off its final reduced-cost row and signed
+back to the row as written (`optimality_certificate`); an Infeasible one a
+Farkas ray, one multiplier per model row read off the final phase-1 row
 (`infeasibility_certificate`); an Unbounded one a feasible point and a
 direction of unbounded descent read off the column that entered with no
 row to leave (`unboundedness_certificate`).  A capacity sweep
@@ -32,7 +40,8 @@ feasible one (weak duality).  Each is checked before it is kept, so the
 sweep refutes a vector, or proves a `>=` row at a vector known to be
 feasible, with one integer dot product instead of an LP.  Integer models
 are solved by depth-first branch and bound on the first fractional integer
-variable in model order, pruning on exact bound comparisons.  Sized for
+variable in model order, pruning on exact bound comparisons, the bound
+rounded up to the objective's step when every term is integral.  Sized for
 desk-scale models (a few hundred variables), which is all this package
 needs.
 """
@@ -98,13 +107,15 @@ class MipResult:
 
 
 class _Tableau:
-    """Each cell of `rows` (rhs last) and of the reduced-cost rows `reds` is
-    `d`, the absolute basis determinant, times its value.  Row r started with
+    """Row i of `rows` (rhs last) holds `den[i]` times its values, and
+    reduced-cost row k of `reds` holds `red_den[k]` times its own.  Each
+    denominator is the absolute basis determinant at the last pivot that
+    touched its row, and `d` is the current one.  Row r started with
     identity column `start[r]` and is model row `origin[r][0]` times the sign
     `origin[r][1]`; columns from `width` on are artificial.  The rows were
     scaled in by `scale`, the cost by `cost_scale`."""
 
-    __slots__ = ("rows", "reds", "basis", "start", "origin", "width", "scale", "cost_scale", "d")
+    __slots__ = ("rows", "den", "reds", "red_den", "basis", "start", "origin", "width", "scale", "cost_scale", "d")
 
     def __init__(
         self,
@@ -117,36 +128,42 @@ class _Tableau:
         cost_scale: int,
     ):
         self.rows, self.reds, self.basis, self.start, self.origin = rows, reds, list(start), start, origin
-        self.width, self.scale, self.cost_scale, self.d = width, scale, cost_scale, 1  # identity basis
+        self.den, self.red_den = [1] * len(rows), [1] * len(reds)  # identity basis
+        self.width, self.scale, self.cost_scale, self.d = width, scale, cost_scale, 1
 
 
 def _pivot(t: _Tableau, leave: int, enter: int) -> None:
     """Bareiss pivot of column `enter` into the basis at row `leave`.
 
-    Each cell becomes (p*cell - f*prow[j]) // d, with p the pivot and f the
-    row's cell in column `enter`; the division is exact, and p is the new d.
-    A negative pivot (the drive-out can meet one) negates its row first, so
-    d stays positive.  A row with f = 0 only scales by p/d, a no-op when p = d.
+    The pivot row is first brought to the current d, each cell a becoming
+    a*d // den; its cell p in column `enter` is the new d, and a negative
+    pivot (the drive-out can meet one) negates the row first, so d stays
+    positive.  A row whose cell f in column `enter` is 0 is not touched and
+    keeps its denominator.  Any other row, over its own denominator den,
+    becomes (p*a - f*prow[j]) // den over p, which is p*a // den off the
+    pivot row's support.  Every division is exact: a row over any earlier
+    determinant is integral over the current one.
     """
-    prow = t.rows[leave]
+    prow, d, was = t.rows[leave], t.d, t.den[leave]
+    if was != d:
+        prow = [a and a * d // was for a in prow]
     p = prow[enter]
     if p < 0:
-        t.rows[leave] = prow = [-c for c in prow]
+        prow = [-a for a in prow]
         p = -p
-    d = t.d
-    support = [j for j, c in enumerate(prow) if c]
-    for rows in (t.rows, t.reds):
+    t.rows[leave] = prow
+    support = [j for j, a in enumerate(prow) if a]
+    for rows, den in ((t.rows, t.den), (t.reds, t.red_den)):
         for i, row in enumerate(rows):
-            if row is prow:
-                continue
             f = row[enter]
-            # Off the pivot row's support the cell is p*a // d; zeros stay zero.
-            new = row if p == d else [a and p * a // d for a in row]
-            if f:
-                for j in support:
-                    new[j] = (p * row[j] - f * prow[j]) // d
-            rows[i] = new
-    t.d = p
+            if not f or row is prow:
+                continue
+            was = den[i]
+            new = row if p == was else [a and p * a // was for a in row]
+            for j in support:
+                new[j] = (p * row[j] - f * prow[j]) // was
+            rows[i], den[i] = new, p
+    t.den[leave] = t.d = p
     t.basis[leave] = enter
 
 
@@ -156,7 +173,8 @@ def _bland_simplex(t: _Tableau, width: int) -> int:
     Columns at index >= width are blocked from entering.  Returns -1 at an
     optimum, or the entering column whose ratio test found no row when the
     cost is unbounded below.  Later rows of `t.reds` are carried along.  Only
-    signs and cross-multiplied ratios are compared, as every cell shares `t.d`.
+    signs and cross-multiplied ratios are compared, and each ratio divides
+    two cells of one row, so it does not depend on the row's denominator.
     """
     while True:
         red = t.reds[0]
@@ -175,19 +193,108 @@ def _bland_simplex(t: _Tableau, width: int) -> int:
         _pivot(t, leave, enter)
 
 
-def _phase1(model: MipModel, pinned: Mapping[VarRef, Fraction]) -> _Tableau | LpSolution:
-    """Phase 1 of the model with the `pinned` values moved to the right-hand side.
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
-    A row left with no free variable is a constant check; a row with a
-    negative right-hand side is negated.  Columns are the free variables in
-    model order, then a slack per inequality row, then an artificial per `=`
-    or `>=` row, each in row order.  Returns the tableau, scaled in
-    uniformly, whose one reduced-cost row is phase 2's for the final basis,
-    or, when infeasible, the Infeasible answer with its Farkas ray.  It keeps
-    the artificial columns, so B^-1 stays readable there.  Each artificial
-    costs one in phase 1 and starts basic in its row, so the phase-1 row
-    starts as minus the sum of the artificial rows; the starting basis costs
-    zero in phase 2, so the phase-2 row starts as the cost vector.
+
+class _Rows:
+    """A model's rows in integers, built once for the variables `refs` that
+    every solve pins: a sweep pins its capacities at each vector of a box,
+    and branch and bound pins nothing and adds branch rows at each node.
+
+    `rows` holds, per model row, its free terms (column, coefficient), its
+    pinned terms (index into `refs`, coefficient), its rhs and its sense,
+    all times `scale`, one lcm over every row; so with integral pinned
+    values, b(y) is one integer dot product per row.  Columns are the free
+    variables in model order.  `cost` is the objective on them times
+    `cost_scale`.  `checks` re-states each row on its own, from the model's
+    coefficients and with its own lcm, over positions in `model.variables`,
+    and `objective` the objective likewise, for the check of a returned
+    point (`_recheck`); nothing there is read off the tableau.
+    """
+
+    __slots__ = (
+        "model", "refs", "position", "slot", "columns", "scale", "rows", "cost", "cost_scale", "checks", "objective"
+    )
+
+    def __init__(self, model: MipModel, refs: tuple[VarRef, ...]):
+        self.model, self.refs = model, refs
+        self.position = {v: i for i, v in enumerate(model.variables)}
+        # per model variable: its free column j >= 0, or ~k for refs[k]
+        self.slot = [0] * len(model.variables)
+        for k, v in enumerate(refs):
+            self.slot[self.position[v]] = ~k
+        self.columns = [i for i, s in enumerate(self.slot) if s >= 0]
+        for j, i in enumerate(self.columns):
+            self.slot[i] = j
+        self.scale = lcm(*{c.denominator for con in model.constraints for c in (con.rhs, *con.coeffs.values())})
+        self.rows = [self.split(con) for con in model.constraints]
+        cost = [model.objective.get(model.variables[i], _ZERO) for i in self.columns]
+        self.cost_scale = lcm(*{c.denominator for c in cost})
+        self.cost = [c.numerator * (self.cost_scale // c.denominator) for c in cost]
+        self.checks = [self.check(con) for con in model.constraints]
+        obj_scale = lcm(*(c.denominator for c in model.objective.values()))
+        self.objective = obj_scale, _integer_terms(model.objective, self.position, obj_scale)
+
+    def split(self, con: LinearConstraint) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, str]:
+        """(free terms, pinned terms, rhs, sense) of a row, times `scale`.
+        A row added after the model's must have denominators that divide
+        `scale`, as a branch row's integral data does."""
+        free, pinned, scale = [], [], self.scale
+        for v, c in con.coeffs.items():
+            s = self.slot[self.position[v]]
+            (free if s >= 0 else pinned).append((s if s >= 0 else ~s, c.numerator * (scale // c.denominator)))
+        return free, pinned, con.rhs.numerator * (scale // con.rhs.denominator), con.sense
+
+    def check(self, con: LinearConstraint) -> tuple[str, list[tuple[int, int]], int, str]:
+        """(name, terms by variable position, rhs, sense) of a row, times its own lcm."""
+        row_scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+        terms = _integer_terms(con.coeffs, self.position, row_scale)
+        return con.name, terms, con.rhs.numerator * (row_scale // con.rhs.denominator), con.sense
+
+
+def _integer_terms(
+    coeffs: Mapping[VarRef, Fraction], position: Mapping[VarRef, int], scale: int
+) -> list[tuple[int, int]]:
+    """(variable position, coefficient times `scale`) per term."""
+    return [(position[v], c.numerator * (scale // c.denominator)) for v, c in coeffs.items()]
+
+
+def _recheck(rows: _Rows, point: list, extra: Iterable[LinearConstraint] = ()) -> tuple[list[str], Fraction]:
+    """`model.violations` and `objective_value` of `point`, one value per
+    model variable, the model's rows followed by `extra`, in integers.
+
+    The point is put over one common denominator, and each row, scaled by
+    its own lcm, is compared with its rhs by integer dot products.
+    """
+    common = lcm(*(x.denominator for x in point))
+    xs = [x.numerator * (common // x.denominator) for x in point]
+    bad = []
+    for name, terms, rhs, sense in (*rows.checks, *map(rows.check, extra)):
+        lhs, rhs = sum(c * xs[i] for i, c in terms), rhs * common
+        if lhs > rhs if sense == "<=" else lhs < rhs if sense == ">=" else lhs != rhs:
+            bad.append(name)
+    bad.extend(v.name for v, x in zip(rows.model.variables, xs) if x < 0)
+    obj_scale, terms = rows.objective
+    return bad, Fraction(sum(c * xs[i] for i, c in terms), obj_scale * common)
+
+
+def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> _Tableau | LpSolution:
+    """Phase 1 of the model with `rows.refs` pinned to the values `y` and
+    the rows `extra` added after the model's.
+
+    Pinned terms move to the right-hand side, b(y) being one dot product per
+    row; for pinned values with denominators, every row is first scaled by
+    their lcm q, and the tableau by `rows.scale` times q.  A row left with no
+    free variable is a constant check; a row with a negative right-hand side
+    is negated.  Columns are the free variables in model order, then a slack
+    per inequality row, then an artificial per `=` or `>=` row, each in row
+    order.  Returns the tableau, scaled in uniformly, whose one reduced-cost
+    row is phase 2's for the final basis, or, when infeasible, the
+    Infeasible answer with its Farkas ray.  It keeps the artificial columns,
+    so B^-1 stays readable there.  Each artificial costs one in phase 1 and
+    starts basic in its row, so the phase-1 row starts as minus the sum of
+    the artificial rows; the starting basis costs zero in phase 2, so the
+    phase-2 row starts as the cost vector.
 
     The ray is phase 1's optimal dual: at row r's starting column, whose
     phase-1 cost is 1 for an artificial and 0 for a slack, y_r = cost1 -
@@ -195,92 +302,64 @@ def _phase1(model: MipModel, pinned: Mapping[VarRef, Fraction]) -> _Tableau | Lp
     the duals as they are), signed back to model row origin[r].  A failed
     constant row is a ray by itself: +-1 on that row, by the sign of its rhs.
     """
-    ray = [_ZERO] * len(model.constraints)
-    index = {v: j for j, v in enumerate(v for v in model.variables if v not in pinned)}
+    q = lcm(*(v.denominator for v in y))
+    pins = [v.numerator * (q // v.denominator) for v in y]
+    every = rows.rows + [rows.split(con) for con in extra]
     kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
-    for r, con in enumerate(model.constraints):
-        b, terms = con.rhs, []
-        for v, c in con.coeffs.items():
-            if v in pinned:
-                b -= c * pinned[v]
-            else:
-                terms.append((index[v], c))
-        sense = con.sense
-        if not terms:
+    for r, (free, pinned, rhs, sense) in enumerate(every):
+        b = rhs * q - sum(c * pins[k] for k, c in pinned)
+        if not free:
             if b < 0 if sense == "<=" else b > 0 if sense == ">=" else b:
+                ray = [_ZERO] * len(every)
                 ray[r] = _ONE if b > 0 else -_ONE
-                return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), pinned)
+                return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), dict(zip(rows.refs, map(Fraction, y))))
             continue
-        if b < 0:
-            kept.append((r, -1, terms, -b, {"<=": ">=", ">=": "<=", "=": "="}[sense]))
-        else:
-            kept.append((r, 1, terms, b, sense))
-    n = len(index)
-    slack = n
+        kept.append((r, -1, free, -b, _FLIP[sense]) if b < 0 else (r, 1, free, b, sense))
+    n = slack = len(rows.columns)
     art = width = n + sum(sense != "=" for *_, sense in kept)
     total = width + sum(sense != "<=" for *_, sense in kept)
-    scale = lcm(
-        *{c.denominator for _, _, terms, _, _ in kept for _, c in terms}, *{b.denominator for *_, b, _ in kept}
-    )
-    cost = [model.objective.get(v, _ZERO) for v in index]
-    cost_scale = lcm(*{c.denominator for c in cost})
-    rows: list[list[int]] = []
+    table: list[list[int]] = []
     start: list[int] = []
     red1 = [0] * (total + 1)  # the last cell holds minus the artificials' total
-    for _, sign, terms, b, sense in kept:
+    for _, sign, free, b, sense in kept:
         row = [0] * (total + 1)
-        for j, c in terms:
-            row[j] = sign * c.numerator * (scale // c.denominator)
-        row[-1] = b.numerator * (scale // b.denominator)
-        cols = [j for j, _ in terms]
+        unit = sign * q
+        for j, c in free:
+            row[j] = unit * c
+        row[-1] = b
         if sense != "=":
             row[slack] = 1 if sense == "<=" else -1
-            cols.append(slack)
             slack += 1
         if sense == "<=":
             start.append(slack - 1)
         else:
-            for j in cols:
+            for j, _ in free:
                 red1[j] -= row[j]
-            red1[-1] -= row[-1]
+            if sense == ">=":
+                red1[slack - 1] += 1
+            red1[-1] -= b
             row[art] = 1
             start.append(art)
             art += 1
-        rows.append(row)
-    red2 = [c.numerator * (cost_scale // c.denominator) for c in cost] + [0] * (total + 1 - n)
-    t = _Tableau(rows, [red1, red2], start, [(r, sign) for r, sign, *_ in kept], width, scale, cost_scale)
+        table.append(row)
+    red2 = rows.cost + [0] * (total + 1 - n)
+    origin = [(r, sign) for r, sign, *_ in kept]
+    t = _Tableau(table, [red1, red2], start, origin, width, rows.scale * q, rows.cost_scale)
     _bland_simplex(t, total)  # bounded below by 0, never unbounded
-    red1 = t.reds.pop(0)  # phase 1's row retires; its last cell is 0 iff feasible
+    red1, den1 = t.reds.pop(0), t.red_den.pop(0)  # phase 1's row retires; its last cell is 0 iff feasible
     if not red1[-1]:
         return t
-    for j, (r, sign) in zip(start, t.origin):
-        ray[r] = Fraction(sign * ((t.d if j >= width else 0) - red1[j]), t.d)
-    return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), pinned)
+    ray = [_ZERO] * len(every)
+    for j, (r, sign) in zip(start, origin):
+        ray[r] = Fraction(sign * ((den1 if j >= width else 0) - red1[j]), den1)
+    return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), dict(zip(rows.refs, map(Fraction, y))))
 
 
-def solve_lp(
-    model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED, ignore_integrality: bool = False
-) -> LpSolution:
-    """Solve the model as a pure LP, exactly, with the `fixed` variables pinned.
-
-    Integer variables left free are rejected unless `ignore_integrality` is
-    set, in which case the continuous relaxation is solved.  Optimal points
-    include the pinned values, count them in the objective, and are
-    re-checked against every original constraint before being returned.
-    The duals are read off the final phase-2 reduced-cost row at each row's
-    starting column, whose phase-2 cost is zero: u = -red[start[r]], scaled
-    back to the rational model and signed back to model row origin[r].  An
-    Infeasible answer carries phase 1's Farkas ray (see _phase1).  An
-    Unbounded one carries the last basic point, checked like an optimum, and
-    the ray along the column that entered with no row to leave: that column
-    rises by one and each basic variable falls by its cell in it.
-    """
-    pinned = pinned_values(model, fixed)
-    if not ignore_integrality and any(v not in pinned for v in model.integer):
-        raise PreconditionError(
-            "model has integer variables; use solve_mip or pass ignore_integrality=True"
-        )
-    t = _phase1(model, pinned)
+def _solve(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> LpSolution:
+    """Both phases of the model with `rows.refs` pinned to `y` and the rows
+    `extra` added after the model's; see `solve_lp`.  Multipliers index the
+    model's rows, then `extra`."""
+    t = _phase1(rows, y, extra)
     if isinstance(t, LpSolution):
         return t
     n = t.width
@@ -297,35 +376,63 @@ def solve_lp(
         else:
             _pivot(t, i, enter)
     for i in reversed(drop):
-        del t.rows[i]
-        del t.basis[i]
+        del t.rows[i], t.den[i], t.basis[i]
     unbounded = _bland_simplex(t, n)
-    columns = [v for v in model.variables if v not in pinned]
-    values = {columns[b]: Fraction(row[-1], t.d) for row, b in zip(t.rows, t.basis) if b < len(columns)}
-    point = values | pinned
-    assignment = {v: point[v] for v in model.variables if point.get(v)}
-    bad = model.violations(assignment)
+    variables, columns, y = rows.model.variables, rows.columns, tuple(map(Fraction, y))
+    point: list = [_ZERO] * len(variables)
+    for k, i in enumerate(rows.slot):
+        if i < 0:
+            point[k] = y[~i]
+    basic = [(i, row, den) for row, i, den in zip(t.rows, t.basis, t.den) if i < len(columns)]
+    for i, row, den in basic:
+        point[columns[i]] = Fraction(row[-1], den)
+    bad, objective = _recheck(rows, point, extra)
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
+    assignment = {v: x for v, x in zip(variables, point) if x}
+    fixed = dict(zip(rows.refs, y))
     if unbounded >= 0:
-        ray = {
-            columns[b]: Fraction(-row[unbounded], t.d)
-            for row, b in zip(t.rows, t.basis)
-            if b < len(columns) and row[unbounded]
-        }
+        ray = {variables[columns[i]]: Fraction(-row[unbounded], den) for i, row, den in basic if row[unbounded]}
         if unbounded < len(columns):
-            ray[columns[unbounded]] = _ONE
-        return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), pinned, ray)
-    red, duals = t.reds[0], [_ZERO] * len(model.constraints)
+            ray[variables[columns[unbounded]]] = _ONE
+        return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), fixed, ray)
+    red, den = t.reds[0], t.red_den[0]
+    duals = [_ZERO] * (len(rows.rows) + len(extra))
     for j, (r, sign) in zip(t.start, t.origin):
-        duals[r] = Fraction(-sign * red[j] * t.scale, t.d * t.cost_scale)
-    objective = model.objective_value(assignment)
-    return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), pinned)
+        duals[r] = Fraction(-sign * red[j] * t.scale, den * t.cost_scale)
+    return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), fixed)
+
+
+def solve_lp(
+    model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED, ignore_integrality: bool = False
+) -> LpSolution:
+    """Solve the model as a pure LP, exactly, with the `fixed` variables pinned.
+
+    Integer variables left free are rejected unless `ignore_integrality` is
+    set, in which case the continuous relaxation is solved.  Optimal points
+    include the pinned values, count them in the objective, and are
+    re-checked in integers against every original constraint before being
+    returned (`_recheck`).  The duals are read off the final phase-2
+    reduced-cost row at each row's starting column, whose phase-2 cost is
+    zero: u = -red[start[r]], scaled back to the rational model and signed
+    back to model row origin[r].  An Infeasible answer carries phase 1's
+    Farkas ray (see _phase1).  An Unbounded one carries the last basic
+    point, checked like an optimum, and the ray along the column that
+    entered with no row to leave: that column rises by one and each basic
+    variable falls by its cell in it.
+    """
+    pinned = pinned_values(model, fixed)
+    if not ignore_integrality and any(v not in pinned for v in model.integer):
+        raise PreconditionError(
+            "model has integer variables; use solve_mip or pass ignore_integrality=True"
+        )
+    return _solve(_Rows(model, tuple(pinned)), tuple(pinned.values()))
 
 
 def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> bool:
     """Phase-1 feasibility of the continuous relaxation, `fixed` variables pinned."""
-    return isinstance(_phase1(model, pinned_values(model, fixed)), _Tableau)
+    pinned = pinned_values(model, fixed)
+    return isinstance(_phase1(_Rows(model, tuple(pinned)), tuple(pinned.values())), _Tableau)
 
 
 def _combine(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], int, int] | None:
@@ -485,6 +592,16 @@ def _bound_rows(model: MipModel, bounds: int | Mapping[VarRef, int]) -> list[Lin
     return rows
 
 
+def _objective_step(model: MipModel) -> int:
+    """The gcd of the objective's coefficients when every term is an integer
+    variable with an integer coefficient, so every integral point costs a
+    multiple of it; else 0."""
+    terms = model.objective.items()
+    if not all(v in model.integer and c.denominator == 1 for v, c in terms):
+        return 0
+    return gcd(*(c.numerator for _, c in terms))
+
+
 def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
     """Exact branch and bound over the model's integer variables.
 
@@ -492,13 +609,21 @@ def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
     int or a per-variable map); lower bounds are zero throughout.  Branching
     picks the first fractional integer variable in model order and explores
     the floor branch first; nodes are pruned when their LP bound cannot beat
-    the incumbent, all by exact comparison.
+    the incumbent, all by exact comparison.  When every objective term is an
+    integer variable with an integer coefficient, as in the default
+    objective, the LP bound is first rounded up to a multiple of the
+    coefficients' gcd, which every integral point below the node costs at
+    least; such a node could only tie the incumbent, never replace it, so
+    the rounding saves nodes and changes no answer.  The integer rows of the
+    bounded model are built once; each node adds its branch rows after them.
     """
     if not model.integer:
         sol = solve_lp(model)
         return MipResult(sol.status, sol.values, sol.objective, nodes=1)
     base = model.with_constraints(_bound_rows(model, bounds))
+    rows = _Rows(base, ())
     int_order = [v for v in base.variables if v in base.integer]
+    step = _objective_step(model)
     incumbent: Mapping[VarRef, Fraction] | None = None
     incumbent_obj: Fraction | None = None
     nodes = 0
@@ -506,7 +631,7 @@ def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
     while stack:
         extra = stack.pop()
         nodes += 1
-        sol = solve_lp(base.with_constraints(extra), ignore_integrality=True)
+        sol = _solve(rows, (), extra)
         if sol.status is SolveStatus.INFEASIBLE:
             continue
         if sol.status is SolveStatus.UNBOUNDED:
@@ -517,7 +642,8 @@ def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
             if probe.status is SolveStatus.OPTIMAL:
                 return MipResult(SolveStatus.UNBOUNDED, {}, None, nodes=nodes)
             return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=nodes)
-        if incumbent_obj is not None and sol.objective >= incumbent_obj:
+        bound = -(-sol.objective // step) * step if step else sol.objective
+        if incumbent_obj is not None and bound >= incumbent_obj:
             continue
         frac = next(
             (v for v in int_order if sol.values.get(v, _ZERO).denominator != 1), None
@@ -589,7 +715,8 @@ class CapacitySweep:
     `learn` checks each certificate as its status's checker does before it
     keeps the test, as coprime integers, so that testing a vector is one
     integer dot product; a test already kept is kept once.  `lp_solved`,
-    `ray_refuted` and `bound_proved` count how vectors were decided.
+    `ray_refuted` and `bound_proved` count how vectors were decided.  The
+    model's integer rows are built once, for the whole sweep.
     """
 
     def __init__(self, model: MipModel, refs: tuple[VarRef, ...], row: LinearConstraint | None = None):
@@ -601,17 +728,18 @@ class CapacitySweep:
         self._rays: dict[tuple[int, tuple[int, ...]], None] = {}
         self._bounds: dict[tuple[int, tuple[int, ...]], None] = {}
         self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
-        if row is None:
-            return
-        if row.sense != ">=":
-            raise PreconditionError(
-                f"the sweep minimizes the row's left-hand side, so it needs a '>=' row, not {row.sense!r}"
-            )
-        self.model = model.with_objective({v: c for v, c in row.coeffs.items() if v not in refs})
-        on_refs = [row.coeffs.get(v, _ZERO) for v in refs]
-        self._row_scale = lcm(row.rhs.denominator, *(c.denominator for c in on_refs))
-        self._rhs = row.rhs.numerator * (self._row_scale // row.rhs.denominator)
-        self._on_refs = [c.numerator * (self._row_scale // c.denominator) for c in on_refs]
+        pinned_values(model, dict.fromkeys(refs, 0))  # refs are the model's variables
+        if row is not None:
+            if row.sense != ">=":
+                raise PreconditionError(
+                    f"the sweep minimizes the row's left-hand side, so it needs a '>=' row, not {row.sense!r}"
+                )
+            self.model = model.with_objective({v: c for v, c in row.coeffs.items() if v not in refs})
+            on_refs = [row.coeffs.get(v, _ZERO) for v in refs]
+            self._row_scale = lcm(row.rhs.denominator, *(c.denominator for c in on_refs))
+            self._rhs = row.rhs.numerator * (self._row_scale // row.rhs.denominator)
+            self._on_refs = [c.numerator * (self._row_scale // c.denominator) for c in on_refs]
+        self._rows = _Rows(self.model, refs)
 
     def decide(self, vec: tuple[int, ...]) -> bool:
         """Whether the model is feasible with `refs` pinned to `vec`.
@@ -634,14 +762,13 @@ class CapacitySweep:
             self.ray_refuted += 1
             return False
         self.lp_solved += 1
-        fixed = dict(zip(self.refs, vec))
         if self.row is None:
-            answer = _phase1(self.model, pinned_values(self.model, fixed))
+            answer = _phase1(self._rows, vec)
             if isinstance(answer, _Tableau):
                 self.minimal.append(vec)
                 return True
         else:
-            answer = solve_lp(self.model, fixed=fixed)
+            answer = _solve(self._rows, vec)
             if answer.status is SolveStatus.INFEASIBLE and dominated:
                 raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
         self.learn(answer)

@@ -94,6 +94,32 @@ def test_solve_writes_a_feasible_point(tri, tmp_path, capsys):
     assert all(ref.edge is not None for ref in point.capacity)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "flags, recorded",
+    [
+        (["--model", "undirected"], "triangle-undirected.json"),
+        (["--model", "undirected", "--symmetrize-flows"], None),
+        (["--model", "bidirected"], "triangle-bidirected.json"),
+        (["--model", "directed"], "triangle-directed.json"),
+    ],
+    ids=["undirected", "undirected-symmetrized", "bidirected", "directed"],
+)
+def test_solve_points_match_recorded(tmp_path, capsys, flags, recorded):
+    """`netcap solve -o` on tests/data/instances/triangle.json writes the
+    point files under tests/data/solutions/ byte for byte.  Its traffic is
+    not symmetric, so mirror-flow rows leave it infeasible and no file."""
+    out = tmp_path / "point.json"
+    status = run(["solve", str(DATA / "instances" / "triangle.json"), *flags, "-o", str(out)])
+    text = capsys.readouterr().out
+    if recorded is None:
+        assert status == 1 and "status: infeasible" in text and not out.exists()
+    else:
+        assert status == 0 and out.read_bytes() == (DATA / "solutions" / recorded).read_bytes()
+
+
 def test_solve_infeasible_exits_one(tmp_path, capsys):
     inst = Instance(
         Network(("1", "2", "3"), (("1", "2"),)),
@@ -398,23 +424,23 @@ LONG_INT = "long-int-literal"
 
 
 @pytest.mark.parametrize(
-    "target, bad",
+    "target, bad, message",
     [
-        ("instance", {"existing": "1-2"}),
-        ("instance", {"existing": ["1-2", "1"]}),
-        ("point", {"flow": []}),
-        ("point", {"capacity": "1|1-2"}),
-        ("traffic", {"traffic": [1]}),
-        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": LONG_INT}]}),
-        ("point", {"flow": {"1>2|1>2": LONG_INT}}),
-        ("traffic", {"traffic": [{"from": "1", "to": "2", "amount": LONG_INT}]}),
-        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": "1e5000"}]}),
-        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": "1e10000000"}]}),
-        ("point", {"flow": {"1>2|1>2": "1e-5000"}}),
-        ("instance", b"\xff\xfe"),
-        ("point", b"\xff\xfe"),
-        ("traffic", b"\xff\xfe"),
-        ("instance", {"nodes": ["1", "2", "3", "\ud800"]}),
+        ("instance", {"existing": "1-2"}, "'existing' must be an object"),
+        ("instance", {"existing": ["1-2", "1"]}, "'existing' must be an object"),
+        ("point", {"flow": []}, "point document needs 'flow' and 'capacity' maps"),
+        ("point", {"capacity": "1|1-2"}, "point document needs 'flow' and 'capacity' maps"),
+        ("traffic", {"traffic": [1]}, "traffic rows need 'from', 'to' and 'amount'"),
+        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": LONG_INT}]}, "number '999"),
+        ("point", {"flow": {"1>2|1>2": LONG_INT}}, "number '999"),
+        ("traffic", {"traffic": [{"from": "1", "to": "2", "amount": LONG_INT}]}, "number '999"),
+        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": "1e5000"}]}, "number '1e5000' has more than"),
+        ("instance", {"traffic": [{"from": "1", "to": "2", "amount": "1e10000000"}]}, "number '1e10000000' has more than"),
+        ("point", {"flow": {"1>2|1>2": "1e-5000"}}, "number '1e-5000' has more than"),
+        ("instance", b"\xff\xfe", "instance.json: not UTF-8 text"),
+        ("point", b"\xff\xfe", "point.json: not UTF-8 text"),
+        ("traffic", b"\xff\xfe", "traffic.json: not UTF-8 text"),
+        ("instance", {"nodes": ["1", "2", "3", "\ud800"]}, "node id '\\ud800' cannot be written as UTF-8"),
     ],
     ids=[
         "existing-string",
@@ -434,27 +460,37 @@ LONG_INT = "long-int-literal"
         "node-not-utf8",
     ],
 )
-def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad):
+def test_malformed_input_exits_two(tri, tmp_path, capsys, target, bad, message):
+    """Each fault exits 2 with its own message: the same files without it
+    (the point routes tri's traffic, the target repeats it) go through."""
     inst, _ = tri
+    instance = json.loads(render_instance(inst))
+    routed = {"1>2|1>2": "3/2", "2>1|2>1": "1/2", "1>3|1>3": "1"}
     docs = {
-        "instance": json.loads(render_instance(inst)),
-        "point": {"flow": {}, "capacity": {}},
-        "traffic": {"traffic": []},
+        "instance": instance,
+        "point": {"flow": routed, "capacity": {}},
+        "traffic": {"traffic": instance["traffic"]},
     }
+
+    def redistribute(docs, prefix):
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            text = json.dumps(doc).replace(f'"{LONG_INT}"', "9" * 5000)
+            paths[name].write_bytes(prefix.get(name, b"") + text.encode())
+        argv = ["transform", "redistribute", str(paths["instance"])]
+        argv += ["--point", str(paths["point"]), "--target", str(paths["traffic"])]
+        return run(argv)
+
+    assert redistribute(docs, {}) == 0
+    capsys.readouterr()
     # bytes are written ahead of the target's JSON, anything else updates it
     prefix = {target: bad} if isinstance(bad, bytes) else {}
     if not prefix:
-        docs[target].update(bad)
-    paths = {}
-    for name, doc in docs.items():
-        paths[name] = tmp_path / f"{name}.json"
-        text = json.dumps(doc).replace(f'"{LONG_INT}"', "9" * 5000)
-        paths[name].write_bytes(prefix.get(name, b"") + text.encode())
-    argv = ["transform", "redistribute", str(paths["instance"])]
-    argv += ["--point", str(paths["point"]), "--target", str(paths["traffic"])]
-    assert run(argv) == 2
+        docs[target] = {**docs[target], **bad}
+    assert redistribute(docs, prefix) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and message in err
     assert "Traceback" not in err
 
 

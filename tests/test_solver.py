@@ -1,6 +1,7 @@
 """Exact LP/MIP solving: pinned optima, certificates, statuses."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from netcap.solver import (
     LpSolution,
     SolveStatus,
     _phase1,
+    _Rows,
     build_for_feasibility,
     feasible,
     feasible_with_capacity,
@@ -109,17 +111,20 @@ def test_mip_returns_feasible_integral_points():
             assert res.values.get(v, Fraction(0)).denominator == 1
 
 
-def _record_lps(monkeypatch, module):
-    """Rebind `module.solve_lp` to keep every (model, solution) it returns."""
+def _record_solves(monkeypatch):
+    """Rebind `solver._solve`, which runs both phases of every LP (each
+    `solve_lp` call, each branch-and-bound node, each LP of a capacity sweep
+    given a row), to keep every (model, solution) it returns; a node's
+    model carries its branch rows."""
     seen = []
-    inner = module.solve_lp
+    inner = solver._solve
 
-    def recording(model, **kwargs):
-        sol = inner(model, **kwargs)
-        seen.append((model, sol))
+    def recording(rows, y, extra=()):
+        sol = inner(rows, y, extra)
+        seen.append((rows.model.with_constraints(extra), sol))
         return sol
 
-    monkeypatch.setattr(module, "solve_lp", recording)
+    monkeypatch.setattr(solver, "_solve", recording)
     return seen
 
 
@@ -158,7 +163,7 @@ def test_optimality_certificate_sweep(monkeypatch):
             relaxations.append((model, sol))
 
     # branch-and-bound node LPs: branch rows, and mirror-flow rows
-    node_lps = _record_lps(monkeypatch, solver)
+    node_lps = _record_solves(monkeypatch)
     for _ in range(3):
         inst = triangle_corollary_instance(rng)
         star = inst.with_traffic(symmetric_counterpart(inst.traffic))
@@ -172,10 +177,10 @@ def test_optimality_certificate_sweep(monkeypatch):
     assert any(c.name.startswith("sym[") for m, _ in node_lps for c in m.constraints)
 
     # cut-check probes: capacities fixed, flow part (with negative terms)
-    # minimized; the sweep calls solver.solve_lp, which node_lps also wraps,
+    # minimized; the sweep calls solver._solve, which node_lps also wraps,
     # so node_lps stops at the branch-and-bound LPs
     node_lps = list(node_lps)
-    probes = _record_lps(monkeypatch, solver)
+    probes = _record_solves(monkeypatch)
     rays = _record_learned_rays(monkeypatch)
     checked = 0
     while checked < 4:
@@ -244,7 +249,7 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
 
     # Cut-check answers hold for the system with capacities pinned; with the
     # pinned values dropped, their duals no longer certify the model.
-    recorded = _record_lps(monkeypatch, solver)
+    recorded = _record_solves(monkeypatch)
     probes = []
     rng = random.Random(3)
     while len(probes) < 10:
@@ -382,7 +387,7 @@ def test_pinned_certificate_reads_constant_and_negated_rows():
     names = [c.name for c in model.constraints]
     eq, cut = next(i for i, name in enumerate(names) if name.startswith("eq[")), names.index("cut")
     assert set(model.constraints[eq].coeffs) <= set(fixed)
-    assert (cut, -1) in _phase1(model, fixed).origin
+    assert (cut, -1) in _phase1(_Rows(model, tuple(fixed)), tuple(fixed.values())).origin
 
     sol = solve_lp(model, fixed=fixed)
     assert sol.status is SolveStatus.OPTIMAL and sol.objective == -1
@@ -759,13 +764,38 @@ RATIONAL_RHS = _small_lp([((1, 1), ">=", Fraction(5, 3)), ((1, -1), "<=", Fracti
 # Phase 1 ends at once here; scaling the second row alone by 2 would give x
 # a negative phase-1 reduced cost and a pivot.
 ROW_WEIGHTS = _small_lp([((1,), "<=", -1), ((1,), ">=", Fraction(1, 2))], (0,))
+# Row 0 (3 x0 = 2) is last touched by the first of three pivots, so its
+# basic value 2/3 is read over a denominator that lags the final d.
+LAGGING_ROW = _small_lp([((3, 0), "=", 2), ((0, 1), ">=", 1), ((-2, 2), "=", 3)], (-1, -1))
 
 
 def test_kernel_examples_reach_their_cases():
     _, cells = _kernel_run(*NEGATIVE_DRIVE_OUT)
     assert any(c < 0 for c in cells)
-    tableau = _phase1(*RATIONAL_RHS)
+    model, fixed = RATIONAL_RHS
+    tableau = _phase1(_Rows(model, tuple(fixed)), tuple(fixed.values()))
     assert tableau is not None and tableau.scale > 1
+
+    # LAGGING_ROW: a basic row that the last two pivots left alone is read
+    # over its own denominator, which is not the final d
+    dens, tableaux = [], []
+    pivot, simplex = solver._pivot, solver._bland_simplex
+
+    def recording(t, leave, enter):
+        pivot(t, leave, enter)
+        dens.append(list(t.den))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_pivot", recording)
+        mp.setattr(solver, "_bland_simplex", lambda t, width: tableaux.append(t) or simplex(t, width))
+        sol = solve_lp(LAGGING_ROW[0])
+    final = tableaux[-1]
+    assert len(dens) >= 3 and len(final.rows) == len(dens[-1])
+    lagging = [
+        i for i, b in enumerate(final.basis)
+        if b < len(LAGGING_ROW[0].variables) and final.den[i] != final.d and dens[-3][i] == final.den[i]
+    ]
+    assert lagging and sol.values[_LP_VARS[0]] == Fraction(2, 3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -773,6 +803,7 @@ def test_kernel_examples_reach_their_cases():
 @example(NEGATIVE_DRIVE_OUT)
 @example(RATIONAL_RHS)
 @example(ROW_WEIGHTS)
+@example(LAGGING_ROW)
 def test_integer_kernel_matches_rational_reference(lp):
     """Same status, pivots, values, model-row duals or Farkas ray, and
     unbounded ray as the Fraction tableau; every answer is certified.  An
@@ -789,3 +820,55 @@ def test_integer_kernel_matches_rational_reference(lp):
         status, values, duals, unit(ray), reference_pivots
     )
     assert _CERTIFICATES[sol.status](model, sol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps(), st.lists(_RATIONALS, min_size=4, max_size=4), st.integers(0, 4))
+@example(LAGGING_ROW, [Fraction(2, 3), Fraction(13, 6), Fraction(0), Fraction(0)], 1)  # every row holds
+def test_integer_recheck_names_what_violations_names(lp, values, kept):
+    """`_recheck` reads a point in integers as `model.violations` and
+    `objective_value` read it in Fractions, with negative values and with
+    rows added after the model's."""
+    model, _ = lp
+    point = values[: len(model.variables)]
+    rows = _Rows(replace(model, constraints=model.constraints[:kept]), ())
+    bad, objective = solver._recheck(rows, point, model.constraints[kept:])
+    assignment = dict(zip(model.variables, point))
+    assert bad == model.violations(assignment)
+    assert objective == model.objective_value(assignment)
+
+
+def test_solve_lp_refuses_a_point_that_breaks_a_row(monkeypatch):
+    """The point is checked against the model's own rows, not the tableau's,
+    so a kernel that reads a wrong point, or scales a row wrongly, raises."""
+    model, _ = _small_lp([((1, 1), "<=", 4), ((1, 0), ">=", 1)], (1, 1))
+    assert solve_lp(model).values == {_LP_VARS[0]: 1}
+    simplex = solver._bland_simplex
+
+    def shifted(by):
+        def wrong(t, width):
+            out = simplex(t, width)
+            if len(t.reds) == 1:  # phase 2: move every basic variable by `by`
+                for i, b in enumerate(t.basis):
+                    if b < len(model.variables):
+                        t.rows[i][-1] += by * t.den[i]
+            return out
+        return wrong
+
+    for by, names in ((10, ["r0"]), (-10, ["r1", _LP_VARS[0].name])):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_bland_simplex", shifted(by))
+            with pytest.raises(NetcapError, match=rf"infeasible point; broken rows {re.escape(repr(names))}"):
+                solve_lp(model)
+
+    # a row scaled into the tableau with twice its rhs: x0 <= 2 is solved as x0 <= 4
+    tight, _ = _small_lp([((1,), "<=", 2)], (-1,))
+    split = solver._Rows.split
+
+    def doubled(rows, con):
+        free, pinned, rhs, sense = split(rows, con)
+        return free, pinned, 2 * rhs, sense
+
+    monkeypatch.setattr(solver._Rows, "split", doubled)
+    with pytest.raises(NetcapError, match=r"broken rows \['r0'\]"):
+        solve_lp(tight)
