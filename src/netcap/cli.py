@@ -16,7 +16,7 @@ import argparse
 import os
 import random
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Commodity,
@@ -256,14 +256,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
-    return value
+def _at_least(floor: int) -> Callable[[str], int]:
+    """An argparse type that reads an integer no less than `floor`, 0 or 1."""
+    word = "positive" if floor else "nonnegative"
+
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be a {word} integer: {text!r}")
+        return value
+
+    return read
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -287,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve the capacity installation problem exactly")
     p_solve.add_argument("instance")
     add_model_flags(p_solve)
-    p_solve.add_argument("--bound", type=int, help="box bound for integer capacities")
+    p_solve.add_argument("--bound", type=_at_least(0), help="box bound for integer capacities")
     p_solve.add_argument("-o", "--output", help="write the optimal point here")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -316,29 +322,29 @@ def _parser() -> argparse.ArgumentParser:
     p_cut.add_argument("--facility", type=int, default=1)
     p_cut.add_argument("--translate", action="store_true", help="also emit the edge-capacity form")
     p_cut.add_argument("--check", action="store_true", help="enumerate feasible points and verify")
-    p_cut.add_argument("--bound", type=int, help="box bound for the validity check")
+    p_cut.add_argument("--bound", type=_at_least(0), help="box bound for the validity check")
     p_cut.set_defaults(func=cmd_cut)
 
     p_proj = sub.add_parser("project", help="minimal capacity vectors of a model's projection")
     p_proj.add_argument("instance")
     p_proj.add_argument("--model", required=True, choices=_MODEL_CHOICES)
     p_proj.add_argument("--variant", choices=VARIANTS, default="plain")
-    p_proj.add_argument("--bound", type=int)
+    p_proj.add_argument("--bound", type=_at_least(0))
     p_proj.set_defaults(func=cmd_project)
 
     p_ver = sub.add_parser("verify", help="run exhaustive structural checks")
     vsub = p_ver.add_subparsers(dest="what", required=True)
     p_cor = vsub.add_parser("corollary", help="five-way projection equality")
     p_cor.add_argument("instance", nargs="?")
-    p_cor.add_argument("--bound", type=int)
-    p_cor.add_argument("--trials", type=_positive_int, default=5)
+    p_cor.add_argument("--bound", type=_at_least(0))
+    p_cor.add_argument("--trials", type=_at_least(1), default=5)
     p_cor.add_argument("--seed", type=int, default=0)
     p_cor.add_argument("--shape", choices=("triangle", "four-node"), default="triangle")
     p_cor.set_defaults(func=cmd_verify)
     p_tri = vsub.add_parser("triangle", help="triangle closed form vs enumeration")
     p_tri.add_argument("instance", nargs="?")
-    p_tri.add_argument("--bound", type=int, default=3)
-    p_tri.add_argument("--trials", type=_positive_int, default=5)
+    p_tri.add_argument("--bound", type=_at_least(0), default=3)
+    p_tri.add_argument("--trials", type=_at_least(1), default=5)
     p_tri.add_argument("--seed", type=int, default=0)
     p_tri.set_defaults(func=cmd_verify)
 

@@ -232,11 +232,6 @@ class TrafficMatrix:
     def is_symmetric(self) -> bool:
         return all(t == self.get(d, o) for (o, d), t in self.entries.items())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrafficMatrix):
-            return NotImplemented
-        return dict(self.entries) == dict(other.entries)
-
 
 @dataclass(frozen=True)
 class FacilityMenu:

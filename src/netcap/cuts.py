@@ -22,9 +22,9 @@ from .errors import InvalidCutError, PreconditionError, VacuousCutError
 # fix_variables and solve_lp are not called here; the benchmark's tracer
 # rebinds them on this module (perfbench/tracing.py PATCHES), so they must
 # stay importable from it.
-from .formulate import LinearConstraint, ModelKind, VarRef, fix_variables  # noqa: F401
+from .formulate import LinearConstraint, ModelKind, VarRef, build, fix_variables  # noqa: F401
 from .projlab import capacity_box
-from .solver import CapacitySweep, build_for_feasibility, reduced_commodities
+from .solver import CapacitySweep, reduced_commodities
 from .solver import solve_lp  # noqa: F401
 
 
@@ -349,7 +349,7 @@ def check_cut_validity(
         if v.kind == "flow":
             ks.add(v.commodity)
             ks.add((v.commodity[1], v.commodity[0]))
-    model = build_for_feasibility(inst, kind, commodities=sorted(ks))
+    model = build(inst, kind, commodities=ks)
 
     stray = [v.name for v in cut.coeffs if v.kind == "capacity" and v not in model.variables]
     if stray:

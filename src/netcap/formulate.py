@@ -119,6 +119,12 @@ def _render_terms(terms: Iterable[tuple[VarRef, Fraction]]) -> str:
     return " ".join(f"{'-' if c < 0 else '+'} {render_rational(abs(c))} {v.name}" for v, c in terms)
 
 
+def holds(lhs: int | Fraction, sense: str, rhs: int | Fraction) -> bool:
+    """Whether `lhs sense rhs` holds: the one statement of the three senses,
+    read by every check of a row, in Fractions or in integers."""
+    return lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """A named row: sum(coeffs) <sense> rhs, with zero-free coefficients.
@@ -149,12 +155,7 @@ class LinearConstraint:
         )
 
     def satisfied_by(self, values: Mapping[VarRef, Fraction]) -> bool:
-        lhs = self.lhs_value(values)
-        if self.sense == "<=":
-            return lhs <= self.rhs
-        if self.sense == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        return holds(self.lhs_value(values), self.sense, self.rhs)
 
     def render(self) -> str:
         """`lhs sense rhs`, terms in `VarRef.sort_key` order, no leading `+ `."""

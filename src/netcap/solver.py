@@ -65,6 +65,7 @@ from .formulate import (
     ModelKind,
     VarRef,
     build,
+    holds,
     pinned_values,
 )
 
@@ -270,8 +271,7 @@ def _recheck(rows: _Rows, point: list, extra: Iterable[LinearConstraint] = ()) -
     xs = [x.numerator * (common // x.denominator) for x in point]
     bad = []
     for name, terms, rhs, sense in (*rows.checks, *map(rows.check, extra)):
-        lhs, rhs = sum(c * xs[i] for i, c in terms), rhs * common
-        if lhs > rhs if sense == "<=" else lhs < rhs if sense == ">=" else lhs != rhs:
+        if not holds(sum(c * xs[i] for i, c in terms), sense, rhs * common):
             bad.append(name)
     bad.extend(v.name for v, x in zip(rows.model.variables, xs) if x < 0)
     obj_scale, terms = rows.objective
@@ -309,7 +309,7 @@ def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> 
     for r, (free, pinned, rhs, sense) in enumerate(every):
         b = rhs * q - sum(c * pins[k] for k, c in pinned)
         if not free:
-            if b < 0 if sense == "<=" else b > 0 if sense == ">=" else b:
+            if not holds(0, sense, b):
                 ray = [_ZERO] * len(every)
                 ray[r] = _ONE if b > 0 else -_ONE
                 return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), dict(zip(rows.refs, map(Fraction, y))))
@@ -481,6 +481,13 @@ def _dual_row(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int],
     return combined
 
 
+def _keeps_pins_and_rows(model: MipModel, solution: LpSolution) -> bool:
+    """Whether the solution's point holds its `fixed` values and satisfies
+    every model row: the point half of the Optimal and Unbounded checks."""
+    pins_kept = all(solution.values.get(v, _ZERO) == val for v, val in solution.fixed.items())
+    return pins_kept and not model.violations(solution.values)
+
+
 def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
     """Check the duals an Optimal LP solution carries against the model's
     rows alone; nothing is solved or standardized.
@@ -503,11 +510,8 @@ def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
     g, alpha, scale = row
     dual_value = Fraction(alpha - sum(g.get(v, 0) * val for v, val in fixed.items()), scale)
     dual_value += model.objective_value(fixed)
-    return (
-        all(solution.values.get(v, _ZERO) == val for v, val in fixed.items())
-        and dual_value == solution.objective == model.objective_value(solution.values)
-        and not model.violations(solution.values)
-    )
+    attained = dual_value == solution.objective == model.objective_value(solution.values)
+    return attained and _keeps_pins_and_rows(model, solution)
 
 
 def _farkas_row(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], int] | None:
@@ -563,15 +567,11 @@ def unboundedness_certificate(model: MipModel, solution: LpSolution) -> bool:
     fixed, d = solution.fixed, solution.ray
     if not set(fixed) | set(d) <= set(model.variables) or set(fixed) & set(d):
         return False
-    for con in model.constraints:
-        ad = con.lhs_value(d)
-        if ad > 0 and con.sense != ">=" or ad < 0 and con.sense != "<=":
-            return False
     return (
-        all(c >= 0 for c in d.values())
+        all(holds(con.lhs_value(d), con.sense, 0) for con in model.constraints)
+        and all(c >= 0 for c in d.values())
         and model.objective_value(d) < 0
-        and all(solution.values.get(v, _ZERO) == val for v, val in fixed.items())
-        and not model.violations(solution.values)
+        and _keeps_pins_and_rows(model, solution)
     )
 
 
@@ -616,10 +616,10 @@ def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
     least; such a node could only tie the incumbent, never replace it, so
     the rounding saves nodes and changes no answer.  The integer rows of the
     bounded model are built once; each node adds its branch rows after them.
+    A model with no integer variables is solved at the root, in one node.
+    An Unbounded result carries no point (`values` is empty), whether or
+    not the model has integer variables.
     """
-    if not model.integer:
-        sol = solve_lp(model)
-        return MipResult(sol.status, sol.values, sol.objective, nodes=1)
     base = model.with_constraints(_bound_rows(model, bounds))
     rows = _Rows(base, ())
     int_order = [v for v in base.variables if v in base.integer]
@@ -839,15 +839,11 @@ def reduced_commodities(inst: Instance) -> tuple:
     return tuple(sorted(active))
 
 
-def build_for_feasibility(inst: Instance, kind: ModelKind, *, commodities: Iterable | None = None) -> MipModel:
+def build_for_feasibility(inst: Instance, kind: ModelKind) -> MipModel:
     """Build the smallest model equivalent to `kind` for feasibility checks:
     `build` over `reduced_commodities`.  A variant's tie rows
-    (`add_flow_symmetry`, `equalize_directed`) are added by the caller.
-
-    `commodities` widens (or replaces) the reduced commodity set; it must
-    stay closed under reversal and cover all positive traffic, and an
-    unknown commodity raises PreconditionError.
+    (`add_flow_symmetry`, `equalize_directed`) are added by the caller, and
+    a caller that needs more commodities calls `build` with them.
     """
-    ks = reduced_commodities(inst) if commodities is None else tuple(commodities)
-    return build(inst, kind, commodities=ks)
+    return build(inst, kind, commodities=reduced_commodities(inst))
 

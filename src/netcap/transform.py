@@ -77,11 +77,6 @@ class FlowVector:
     def commodities(self) -> set[Commodity]:
         return {k for k, _ in self.entries}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlowVector):
-            return NotImplemented
-        return dict(self.entries) == dict(other.entries)
-
 
 @dataclass(frozen=True)
 class ModelPoint:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import netcap
+from netcap import cli
 from netcap.cli import run
 from netcap.core import (
     FacilityMenu,
@@ -20,7 +21,9 @@ from netcap.core import (
     render_instance,
     save_instance,
 )
-from netcap.formulate import ModelKind, parse_model
+from netcap.cuts import CutCheck
+from netcap.formulate import ModelKind, VarRef, parse_model
+from netcap.projlab import CorollaryReport, ProjectionSet
 from netcap.randgen import triangle_network, triangle_remark_traffic
 from netcap.transform import balance_violations, load_point
 
@@ -130,6 +133,15 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     save_instance(inst, path)
     assert run(["solve", str(path), "--model", "undirected"]) == 1
     assert "status: infeasible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", [kind.value for kind in ModelKind])
+def test_solve_with_no_edges_and_no_traffic(tmp_path, capsys, model):
+    """A model with no integer variables is solved at its root, in one node."""
+    path = tmp_path / "empty.json"
+    save_instance(Instance(Network(("1", "2"), ()), FacilityMenu((1,)), TrafficMatrix({})), path)
+    assert run(["solve", str(path), "--model", model]) == 0
+    assert capsys.readouterr().out == "status: optimal\nnodes: 1\nobjective: 0\n"
 
 
 def test_transform_redistribute(tri, tmp_path, capsys):
@@ -300,6 +312,23 @@ def test_cut_vacuous_exits_one(tri, capsys):
     assert "vacuous" in capsys.readouterr().err.lower()
 
 
+def test_cut_reports_a_counterexample_and_exits_one(tri, monkeypatch, capsys):
+    """A check that finds the cut broken prints its first counterexample on
+    each model it checks, and the command exits 1."""
+    _, path = tri
+    refs = (VarRef.cap_arc(1, ("1", "2")), VarRef.cap_arc(1, ("2", "1")))
+    broken = CutCheck(refs, 2, 5, (((0, 1), Fraction(1, 2)), ((0, 2), Fraction(3, 4))), 5, 0, 0)
+    monkeypatch.setattr(cli, "check_cut_validity", lambda *args, **kwargs: broken)
+    argv = ["cut", path, "--side-u", "1", "--commodities", "1>2", "--translate", "--check"]
+    assert run(argv) == 1
+    tail = capsys.readouterr().out.splitlines()[-4:]
+    assert tail == [
+        f"{label}: {line}"
+        for label in ("directed", "bidirected")
+        for line in ("violated on 2/5 enumerated points", "first counterexample: 1|1>2=0, 1|2>1=1 (lhs 1/2)")
+    ]
+
+
 def test_cut_unknown_node_exits_two(tri, capsys):
     _, path = tri
     assert run(["cut", path, "--side-u", "9", "--commodities", "1>2"]) == 2
@@ -347,6 +376,42 @@ def test_verify_refuses_nonpositive_trials(what, trials, capsys):
     captured = capsys.readouterr()
     assert "--trials" in captured.err and "positive integer" in captured.err
     assert "all checks agree" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{path}", "--model", "directed"],
+        ["cut", "{path}", "--side-u", "1", "--commodities", "1>2", "--check"],
+        ["project", "{path}", "--model", "undirected"],
+        ["verify", "corollary"],
+        ["verify", "triangle"],
+    ],
+    ids=["solve", "cut", "project", "verify-corollary", "verify-triangle"],
+)
+def test_negative_bound_exits_two_before_any_output(tri, argv, capsys):
+    _, path = tri
+    assert run([arg.format(path=path) for arg in argv] + ["--bound", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bound" in captured.err and "nonnegative integer" in captured.err
+
+
+def test_verify_reports_how_many_checks_disagree(monkeypatch, capsys):
+    refs = (VarRef.cap_edge(1, ("1", "2")),)
+
+    def report(*minimal_sets):
+        entries = tuple((f"p{i}", ProjectionSet(refs, 2, frozenset(m))) for i, m in enumerate(minimal_sets))
+        return CorollaryReport(entries, bound=2)
+
+    reports = iter([report({(1,)}, {(1,)}), report({(1,)}, {(2,)})])
+    monkeypatch.setattr(cli, "verify_corollary", lambda inst, bound: next(reports))
+    assert run(["verify", "corollary", "--trials", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "trial 0: 2 projections identical; 1 minimal vectors (bound 2)",
+        "trial 1: projection mismatch: p1 differs from p0: only in first [(1,)], only in second [(2,)]",
+        "FAILED: 1 of 2 checks disagree",
+    ]
 
 
 def test_verify_triangle_instance_file(tri, capsys):

@@ -19,7 +19,9 @@ from netcap.errors import NoRoutingError, PreconditionError
 from netcap.formulate import ModelKind, VarRef
 from netcap.projlab import (
     VARIANTS,
+    CorollaryReport,
     ProjectionSet,
+    TriangleReport,
     _model_for,
     capacity_bound,
     capacity_box,
@@ -175,6 +177,39 @@ def test_verify_corollary_on_random_triangle():
         "bidirected/doubled-averaged",
         "bidirected/doubled-averaged/mirror-flows",
     ]
+
+
+def test_failing_corollary_report_names_what_differs():
+    """Each projection that differs from the first is named with up to
+    three vectors found only in the first and three only in it."""
+    refs = (VarRef.cap_edge(1, ("1", "2")), VarRef.cap_edge(1, ("1", "3")))
+
+    def entry(label, *vectors):
+        return label, ProjectionSet(refs, 4, frozenset(vectors))
+
+    report = CorollaryReport(
+        (
+            entry("first", (0, 1), (1, 0)),
+            entry("same", (0, 1), (1, 0)),
+            entry("other", (0, 1), (0, 2), (0, 3), (0, 4), (2, 0)),
+        ),
+        bound=4,
+    )
+    assert not report.equal
+    mismatch = "other differs from first: only in first [(1, 0)], only in second [(0, 2), (0, 3), (0, 4)]"
+    assert report.mismatches() == [mismatch]
+    assert report.describe() == f"projection mismatch: {mismatch}"
+
+
+def test_failing_triangle_report_names_each_failed_check():
+    every = TriangleReport(bound=3, points=64, mismatches=((1, 0, 2), (2, 2, 0)), ceiling_ok=False, halves_equal=False)
+    assert not every.passed
+    assert every.describe() == (
+        "triangle check failed: 2 membership mismatches, first (1, 0, 2); "
+        "ceiling inequality fails; half-traffic projection differs"
+    )
+    halves = TriangleReport(bound=3, points=64, mismatches=(), ceiling_ok=True, halves_equal=False)
+    assert halves.describe() == "triangle check failed: half-traffic projection differs"
 
 
 def test_triangle_closed_form_pinned():

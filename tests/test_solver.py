@@ -822,6 +822,24 @@ def test_integer_kernel_matches_rational_reference(lp):
     assert _CERTIFICATES[sol.status](model, sol)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_small_lps())
+@example(NEGATIVE_DRIVE_OUT)
+@example(LAGGING_ROW)
+def test_mip_without_integer_variables_is_its_root_lp(lp):
+    """Branch and bound on a model with no integer variables stops at its
+    root: one node, `solve_lp`'s status and, at an optimum, its objective
+    and point; other statuses carry no point."""
+    model, _ = lp
+    assert not model.integer
+    mip, root = solve_mip(model, 0), solve_lp(model)
+    assert (mip.status, mip.nodes) == (root.status, 1)
+    if mip.status is SolveStatus.OPTIMAL:
+        assert (mip.objective, mip.values) == (root.objective, root.values)
+    else:
+        assert (mip.objective, mip.values) == (None, {})
+
+
 @settings(max_examples=300, deadline=None)
 @given(_small_lps(), st.lists(_RATIONALS, min_size=4, max_size=4), st.integers(0, 4))
 @example(LAGGING_ROW, [Fraction(2, 3), Fraction(13, 6), Fraction(0), Fraction(0)], 1)  # every row holds
