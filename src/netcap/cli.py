@@ -4,10 +4,11 @@ Subcommands: build (model export), solve (exact branch and bound),
 transform (flow surgeries between models), cut (rounding inequalities),
 project (capacity projections), verify (exhaustive structural checks).
 
-Exit codes: 0 on success or full agreement, 1 when a verification fails,
-a solve ends without an optimal point, or a requested cut is vacuous,
-2 on usage and input errors, and 141, with no message, when the reader of
-standard output closes it early.  All numbers print as exact rationals.
+Exit codes: 0 on success or full agreement, 1 when a verification fails
+or finds no feasible capacity vector in its box, a solve ends without an
+optimal point, or a requested cut is vacuous, 2 on usage and input
+errors, and 141, with no message, when the reader of standard output
+closes it early.  All numbers print as exact rationals.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import sys
 from typing import Callable, Sequence
 
 from .core import (
-    Commodity,
     Instance,
+    Node,
     load_instance,
     parse_json,
     parse_traffic,
@@ -37,7 +38,7 @@ from .cuts import (
     mir_data,
     translate_to_bidirected,
 )
-from .errors import NetcapError, NoRoutingError, ParseError, VacuousCutError
+from .errors import NetcapError, NoRoutingError, VacuousCutError
 from .formulate import (
     MipModel,
     ModelKind,
@@ -144,24 +145,15 @@ def _tokens(raw: str) -> list[str]:
     return [token for token in map(str.strip, raw.split(",")) if token]
 
 
-def _parse_commodity(token: str) -> Commodity:
-    if ">" in token:
-        return read_pair(token, ">")[1]
-    if len(token) == 2:
-        return token[0], token[1]
-    raise ParseError(f"cannot read commodity {token!r}; use o>d, or two single-character node ids")
-
-
-def _parse_commodities(raw: str, inst: Instance) -> frozenset[Commodity]:
-    if raw == "all":
-        return frozenset(inst.network.commodities)
-    out = frozenset(map(_parse_commodity, _tokens(raw)))
-    if not out:
-        raise ParseError("empty commodity list")
-    return out
+def _pairs(raw: str) -> frozenset[tuple[Node, Node]]:
+    """The `i>j` pairs (arcs or commodities) of a comma-separated list."""
+    return frozenset(read_pair(token, ">")[1] for token in _tokens(raw))
 
 
 def _report_check(label: str, report: CutCheck) -> bool:
+    if not report.points:
+        print(f"{label}: no capacity vector in the box is feasible (bound {report.bound})")
+        return False
     if report.valid:
         print(f"{label}: valid on {report.points}/{report.points} enumerated points")
         return True
@@ -176,9 +168,9 @@ def cmd_cut(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     spec = CutsetSpec(
         side_u=frozenset(_tokens(args.side_u)),
-        commodities=_parse_commodities(args.commodities, inst),
-        s_plus=frozenset(read_pair(t, ">")[1] for t in _tokens(args.splus)),
-        s_minus=frozenset(read_pair(t, ">")[1] for t in _tokens(args.sminus)),
+        commodities=inst.network.commodities if args.commodities == "all" else _pairs(args.commodities),
+        s_plus=_pairs(args.splus),
+        s_minus=_pairs(args.sminus),
         facility=args.facility,
     )
     data = mir_data(inst, spec)
@@ -219,7 +211,7 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
-    failures = total = 0
+    failures = empty = total = 0
     if args.what == "corollary":
         if args.instance:
             cases = [("instance", load_instance(args.instance))]
@@ -232,9 +224,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             cases = [(f"trial {i}", gen(rng)) for i in range(args.trials)]
         for label, inst in cases:
             rep = verify_corollary(inst, bound=args.bound)
-            print(f"{label}: {rep.describe()}")
+            if rep.equal and not rep.minimal_count:  # the projections agree over nothing
+                print(f"{label}: no capacity vector in the box is feasible (bound {rep.bound})")
+                empty += 1
+            else:
+                print(f"{label}: {rep.describe()}")
+                failures += 0 if rep.equal else 1
             total += 1
-            failures += 0 if rep.equal else 1
     else:
         if args.instance:
             inst = load_instance(args.instance)
@@ -251,6 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures += 0 if rep.passed else 1
     if failures:
         print(f"FAILED: {failures} of {total} checks disagree")
+    if failures or empty:
         return 1
     print("all checks agree")
     return 0

@@ -73,12 +73,10 @@ class MirData:
     """
 
     side_u: tuple[Node, ...]
-    side_v: tuple[Node, ...]
     commodities: tuple[Commodity, ...]
     s_plus: tuple[Arc, ...]
     s_minus: tuple[Arc, ...]
     arcs_forward: tuple[Arc, ...]
-    arcs_backward: tuple[Arc, ...]
     facility: int
     module: int
     crossing: Fraction
@@ -137,7 +135,7 @@ def mir_data(inst: Instance, spec: CutsetSpec) -> MirData:
     flipped = crossing < 0
     if flipped:
         u = set(net.nodes) - u
-        forward, backward = backward, forward
+        forward = backward
         s_plus, s_minus = spec.s_minus, spec.s_plus
         crossing = -crossing
     else:
@@ -151,12 +149,10 @@ def mir_data(inst: Instance, spec: CutsetSpec) -> MirData:
     levels = math.ceil(adjusted / module)
     return MirData(
         side_u=tuple(sorted(u)),
-        side_v=tuple(sorted(set(net.nodes) - u)),
         commodities=tuple(sorted(spec.commodities)),
         s_plus=tuple(sorted(s_plus)),
         s_minus=tuple(sorted(s_minus)),
         arcs_forward=tuple(sorted(forward)),
-        arcs_backward=tuple(sorted(backward)),
         facility=spec.facility,
         module=module,
         crossing=crossing,

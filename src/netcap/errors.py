@@ -44,4 +44,5 @@ class BoxTooLargeError(NetcapError):
 
 
 class MissingBoundError(NetcapError):
-    """An integer variable has no upper bound, so search cannot terminate."""
+    """The upper bound given for integer variables is not a nonnegative int,
+    so branch and bound has no finite box to search."""

@@ -363,32 +363,20 @@ def build(
     )
 
 
-def build_undirected(
-    inst: Instance,
-    objective: Mapping[VarRef, Fraction] | None = None,
-    commodities: Iterable[Commodity] | None = None,
-) -> MipModel:
+def build_undirected(inst: Instance, objective: Mapping[VarRef, Fraction] | None = None) -> MipModel:
     """One capacity row per edge over the flows of both directions."""
-    return build(inst, ModelKind.UNDIRECTED, objective=objective, commodities=commodities)
+    return build(inst, ModelKind.UNDIRECTED, objective=objective)
 
 
-def build_bidirected(
-    inst: Instance,
-    objective: Mapping[VarRef, Fraction] | None = None,
-    commodities: Iterable[Commodity] | None = None,
-) -> MipModel:
+def build_bidirected(inst: Instance, objective: Mapping[VarRef, Fraction] | None = None) -> MipModel:
     """One capacity row per arc, both of an edge's rows on its capacity."""
-    return build(inst, ModelKind.BIDIRECTED, objective=objective, commodities=commodities)
+    return build(inst, ModelKind.BIDIRECTED, objective=objective)
 
 
-def build_directed(
-    inst: Instance,
-    objective: Mapping[VarRef, Fraction] | None = None,
-    commodities: Iterable[Commodity] | None = None,
-) -> MipModel:
+def build_directed(inst: Instance, objective: Mapping[VarRef, Fraction] | None = None) -> MipModel:
     """One capacity row per arc on the arc's own capacity; arc-keyed
     existing capacities override the edge-keyed ones."""
-    return build(inst, ModelKind.DIRECTED, objective=objective, commodities=commodities)
+    return build(inst, ModelKind.DIRECTED, objective=objective)
 
 
 def _with_ties(model: MipModel, ties: Iterable[tuple[str, VarRef, VarRef]]) -> MipModel:

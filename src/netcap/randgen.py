@@ -70,8 +70,8 @@ def random_traffic(
     return TrafficMatrix(entries)
 
 
-def symmetric_random_traffic(rng: random.Random, nodes: Iterable[Node], **kw) -> TrafficMatrix:
-    return symmetric_counterpart(random_traffic(rng, nodes, **kw))
+def symmetric_random_traffic(rng: random.Random, nodes: Iterable[Node]) -> TrafficMatrix:
+    return symmetric_counterpart(random_traffic(rng, nodes))
 
 
 def triangle_network() -> Network:

@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import Instance
 from .enumeration import dominates
@@ -229,12 +229,10 @@ class _Rows:
             self.slot[i] = j
         self.scale = lcm(*{c.denominator for con in model.constraints for c in (con.rhs, *con.coeffs.values())})
         self.rows = [self.split(con) for con in model.constraints]
-        cost = [model.objective.get(model.variables[i], _ZERO) for i in self.columns]
-        self.cost_scale = lcm(*{c.denominator for c in cost})
-        self.cost = [c.numerator * (self.cost_scale // c.denominator) for c in cost]
+        self.cost_scale, self.cost = _scaled([model.objective.get(model.variables[i], _ZERO) for i in self.columns])
         self.checks = [self.check(con) for con in model.constraints]
-        obj_scale = lcm(*(c.denominator for c in model.objective.values()))
-        self.objective = obj_scale, _integer_terms(model.objective, self.position, obj_scale)
+        obj_scale, obj = _scaled(list(model.objective.values()))
+        self.objective = obj_scale, [(self.position[v], c) for v, c in zip(model.objective, obj)]
 
     def split(self, con: LinearConstraint) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, str]:
         """(free terms, pinned terms, rhs, sense) of a row, times `scale`.
@@ -248,16 +246,15 @@ class _Rows:
 
     def check(self, con: LinearConstraint) -> tuple[str, list[tuple[int, int]], int, str]:
         """(name, terms by variable position, rhs, sense) of a row, times its own lcm."""
-        row_scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
-        terms = _integer_terms(con.coeffs, self.position, row_scale)
-        return con.name, terms, con.rhs.numerator * (row_scale // con.rhs.denominator), con.sense
+        _, (rhs, *coeffs) = _scaled((con.rhs, *con.coeffs.values()))
+        return con.name, [(self.position[v], c) for v, c in zip(con.coeffs, coeffs)], rhs, con.sense
 
 
-def _integer_terms(
-    coeffs: Mapping[VarRef, Fraction], position: Mapping[VarRef, int], scale: int
-) -> list[tuple[int, int]]:
-    """(variable position, coefficient times `scale`) per term."""
-    return [(position[v], c.numerator * (scale // c.denominator)) for v, c in coeffs.items()]
+def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators, and each value times it: the
+    values as integers over one positive denominator."""
+    scale = lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 def _recheck(rows: _Rows, point: list, extra: Iterable[LinearConstraint] = ()) -> tuple[list[str], Fraction]:
@@ -267,8 +264,7 @@ def _recheck(rows: _Rows, point: list, extra: Iterable[LinearConstraint] = ()) -
     The point is put over one common denominator, and each row, scaled by
     its own lcm, is compared with its rhs by integer dot products.
     """
-    common = lcm(*(x.denominator for x in point))
-    xs = [x.numerator * (common // x.denominator) for x in point]
+    common, xs = _scaled(point)
     bad = []
     for name, terms, rhs, sense in (*rows.checks, *map(rows.check, extra)):
         if not holds(sum(c * xs[i] for i, c in terms), sense, rhs * common):
@@ -302,8 +298,7 @@ def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> 
     the duals as they are), signed back to model row origin[r].  A failed
     constant row is a ray by itself: +-1 on that row, by the sign of its rhs.
     """
-    q = lcm(*(v.denominator for v in y))
-    pins = [v.numerator * (q // v.denominator) for v in y]
+    q, pins = _scaled(y)
     every = rows.rows + [rows.split(con) for con in extra]
     kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
     for r, (free, pinned, rhs, sense) in enumerate(every):
@@ -452,12 +447,11 @@ def _combine(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], 
     rows = [(ur, con) for ur, con in zip(u, model.constraints) if ur]
     if any(ur > 0 and con.sense == "<=" or ur < 0 and con.sense == ">=" for ur, con in rows):
         return None
-    u_scale = lcm(*(ur.denominator for ur, _ in rows))
+    u_scale, us = _scaled([ur for ur, _ in rows])
     row_scale = lcm(*(c.denominator for _, con in rows for c in (con.rhs, *con.coeffs.values())))
     g: dict[VarRef, int] = {}
     alpha = 0
-    for ur, con in rows:
-        n = ur.numerator * (u_scale // ur.denominator)
+    for n, (_, con) in zip(us, rows):
         for v, a in con.coeffs.items():
             g[v] = g.get(v, 0) + n * a.numerator * (row_scale // a.denominator)
         alpha += n * con.rhs.numerator * (row_scale // con.rhs.denominator)
@@ -575,21 +569,12 @@ def unboundedness_certificate(model: MipModel, solution: LpSolution) -> bool:
     )
 
 
-def _bound_rows(model: MipModel, bounds: int | Mapping[VarRef, int]) -> list[LinearConstraint]:
-    rows = []
-    for v in model.variables:
-        if v not in model.integer:
-            continue
-        if not isinstance(bounds, Mapping):
-            ub = bounds
-        elif v not in bounds:
-            raise MissingBoundError(f"no upper bound for integer variable {v.name}")
-        else:
-            ub = bounds[v]
-        if not isinstance(ub, int) or isinstance(ub, bool) or ub < 0:
-            raise MissingBoundError(f"bound for {v.name} must be a nonnegative integer: {ub!r}")
-        rows.append(LinearConstraint(f"ub[{v.name}]", {v: _ONE}, "<=", Fraction(ub)))
-    return rows
+def _bound_rows(model: MipModel, bound: int) -> list[LinearConstraint]:
+    """An `ub[...]` row, v <= bound, per integer variable v, in model order."""
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+        raise MissingBoundError(f"the bound on integer variables must be a nonnegative integer: {bound!r}")
+    ub = Fraction(bound)
+    return [LinearConstraint(f"ub[{v.name}]", {v: _ONE}, "<=", ub) for v in model.variables if v in model.integer]
 
 
 def _objective_step(model: MipModel) -> int:
@@ -602,11 +587,11 @@ def _objective_step(model: MipModel) -> int:
     return gcd(*(c.numerator for _, c in terms))
 
 
-def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
+def solve_mip(model: MipModel, bound: int) -> MipResult:
     """Exact branch and bound over the model's integer variables.
 
-    Every integer variable must come with a finite upper bound (a uniform
-    int or a per-variable map); lower bounds are zero throughout.  Branching
+    Every integer variable lies in [0, bound], `bound` being one
+    nonnegative int; any other bound raises MissingBoundError.  Branching
     picks the first fractional integer variable in model order and explores
     the floor branch first; nodes are pruned when their LP bound cannot beat
     the incumbent, all by exact comparison.  When every objective term is an
@@ -620,7 +605,7 @@ def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
     An Unbounded result carries no point (`values` is empty), whether or
     not the model has integer variables.
     """
-    base = model.with_constraints(_bound_rows(model, bounds))
+    base = model.with_constraints(_bound_rows(model, bound))
     rows = _Rows(base, ())
     int_order = [v for v in base.variables if v in base.integer]
     step = _objective_step(model)
@@ -638,12 +623,12 @@ def solve_mip(model: MipModel, bounds: int | Mapping[VarRef, int]) -> MipResult:
             # Integer variables are boxed, so the ray lives in continuous
             # variables and survives any further branching: the MIP is
             # unbounded iff it is feasible at all.
-            probe = solve_mip(model.with_objective({}), bounds)
+            probe = solve_mip(model.with_objective({}), bound)
             if probe.status is SolveStatus.OPTIMAL:
                 return MipResult(SolveStatus.UNBOUNDED, {}, None, nodes=nodes)
             return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=nodes)
-        bound = -(-sol.objective // step) * step if step else sol.objective
-        if incumbent_obj is not None and bound >= incumbent_obj:
+        node_bound = -(-sol.objective // step) * step if step else sol.objective
+        if incumbent_obj is not None and node_bound >= incumbent_obj:
             continue
         frac = next(
             (v for v in int_order if sol.values.get(v, _ZERO).denominator != 1), None
@@ -736,9 +721,7 @@ class CapacitySweep:
                 )
             self.model = model.with_objective({v: c for v, c in row.coeffs.items() if v not in refs})
             on_refs = [row.coeffs.get(v, _ZERO) for v in refs]
-            self._row_scale = lcm(row.rhs.denominator, *(c.denominator for c in on_refs))
-            self._rhs = row.rhs.numerator * (self._row_scale // row.rhs.denominator)
-            self._on_refs = [c.numerator * (self._row_scale // c.denominator) for c in on_refs]
+            self._row_scale, (self._rhs, *self._on_refs) = _scaled((row.rhs, *on_refs))
         self._rows = _Rows(self.model, refs)
 
     def decide(self, vec: tuple[int, ...]) -> bool:

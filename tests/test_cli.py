@@ -306,6 +306,27 @@ def test_cut_pinned_output(tmp_path, capsys):
     assert "bidirected: valid on" in text
 
 
+@pytest.mark.parametrize("value, message", [("12", "cannot read '12' as i>j"), (",", "commodity bundle is empty")])
+def test_cut_refuses_commodities_that_are_not_o_d_pairs(tri, capsys, value, message):
+    """A commodity is read as o>d only, so `12` does not name the pair 1>2;
+    and the bundle must not be empty."""
+    _, path = tri
+    assert run(["cut", path, "--side-u", "1", "--commodities", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cut_check_with_no_feasible_vector_exits_one(capsys):
+    """A box too small to route the traffic holds no point to check the cut
+    at; the check says so, names the bound, and claims no validity."""
+    argv = ["cut", str(DATA / "instances" / "triangle.json"), "--side-u", "1", "--commodities", "1>2"]
+    assert run(argv + ["--check", "--bound", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "directed: no capacity vector in the box is feasible (bound 0)" in out.splitlines()
+    assert "valid" not in out
+
+
 def test_cut_vacuous_exits_one(tri, capsys):
     _, path = tri
     assert run(["cut", path, "--side-u", "1", "--commodities", "all"]) == 1
@@ -358,6 +379,12 @@ def test_verify_corollary_trials(capsys):
     out = capsys.readouterr().out
     assert "projections identical" in out
     assert "all checks agree" in out
+
+
+def test_verify_corollary_with_no_feasible_vector_exits_one(capsys):
+    """Five empty projections are equal, but over nothing: no agreement."""
+    assert run(["verify", "corollary", "--trials", "1", "--seed", "1", "--bound", "0"]) == 1
+    assert capsys.readouterr().out == "trial 0: no capacity vector in the box is feasible (bound 0)\n"
 
 
 def test_verify_triangle_trials_deterministic(capsys):

@@ -13,6 +13,7 @@ from netcap.formulate import (
     ModelKind,
     VarRef,
     add_flow_symmetry,
+    build,
     build_bidirected,
     build_directed,
     build_undirected,
@@ -285,15 +286,13 @@ def test_violations_flag_negative_values():
 def test_commodity_subset_validation():
     inst = _triangle()
     with pytest.raises(PreconditionError):
-        build_undirected(inst, commodities=[("1", "9"), ("9", "1")])
+        build(inst, ModelKind.UNDIRECTED, commodities=[("1", "9"), ("9", "1")])
     with pytest.raises(PreconditionError):
-        build_undirected(inst, commodities=[("1", "2")])  # reversal missing
+        build(inst, ModelKind.UNDIRECTED, commodities=[("1", "2")])  # reversal missing
     with pytest.raises(PreconditionError):
         # drops the positive 1->2 demand
-        build_undirected(inst, commodities=[("1", "3"), ("3", "1")])
-    model = build_undirected(
-        inst, commodities=[("1", "2"), ("2", "1")]
-    )
+        build(inst, ModelKind.UNDIRECTED, commodities=[("1", "3"), ("3", "1")])
+    model = build(inst, ModelKind.UNDIRECTED, commodities=[("1", "2"), ("2", "1")])
     assert sum(v.kind == "flow" for v in model.variables) == 12
 
 

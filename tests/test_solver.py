@@ -550,13 +550,11 @@ def test_bound_validation():
     inst = _two_node()
     model = build_undirected(inst)
     y = VarRef.cap_edge(1, ("1", "2"))
-    assert solve_mip(model, {y: 2}).status is SolveStatus.OPTIMAL
-    with pytest.raises(MissingBoundError):
-        solve_mip(model, {})
-    with pytest.raises(MissingBoundError):
-        solve_mip(model, {y: -1})
-    with pytest.raises(MissingBoundError):
-        solve_mip(model, {y: Fraction(2)})
+    assert solve_mip(model, 2).status is SolveStatus.OPTIMAL
+    assert solve_mip(model, 0).status is SolveStatus.INFEASIBLE
+    for bad in ({y: 2}, {}, -1, Fraction(2), True):
+        with pytest.raises(MissingBoundError):
+            solve_mip(model, bad)
 
 
 def test_capacity_vector_lookup_errors():
