@@ -79,13 +79,11 @@ from .solver import (
     MipResult,
     SolveStatus,
     build_for_feasibility,
+    certify,
     feasible_with_capacity,
-    infeasibility_certificate,
-    optimality_certificate,
     reduced_commodities,
     solve_lp,
     solve_mip,
-    unboundedness_certificate,
 )
 from .transform import (
     FlowVector,

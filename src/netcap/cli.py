@@ -17,11 +17,13 @@ import argparse
 import os
 import random
 import sys
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .core import (
     Instance,
     Node,
+    edge_between,
     load_instance,
     parse_json,
     parse_traffic,
@@ -38,7 +40,7 @@ from .cuts import (
     mir_data,
     translate_to_bidirected,
 )
-from .errors import NetcapError, NoRoutingError, VacuousCutError
+from .errors import NetcapError, NoRoutingError, PreconditionError, VacuousCutError
 from .formulate import (
     MipModel,
     ModelKind,
@@ -47,7 +49,14 @@ from .formulate import (
     equalize_directed,
     render_model,
 )
-from .projlab import VARIANTS, capacity_bound, project, verify_corollary, verify_triangle_remark
+from .projlab import (
+    VARIANTS,
+    capacity_bound,
+    project,
+    triangle_bidirected_projection,
+    verify_corollary,
+    verify_triangle_remark,
+)
 from .randgen import (
     TRIANGLE_NODES,
     four_node_corollary_instance,
@@ -151,17 +160,9 @@ def _pairs(raw: str) -> frozenset[tuple[Node, Node]]:
 
 
 def _report_check(label: str, report: CutCheck) -> bool:
-    if not report.points:
-        print(f"{label}: no capacity vector in the box is feasible (bound {report.bound})")
-        return False
-    if report.valid:
-        print(f"{label}: valid on {report.points}/{report.points} enumerated points")
-        return True
-    print(f"{label}: violated on {len(report.violations)}/{report.points} enumerated points")
-    vec, lhs = report.violations[0]
-    pairs = ", ".join(f"{ref.key}={n}" for ref, n in zip(report.components, vec))
-    print(f"{label}: first counterexample: {pairs} (lhs {render_rational(lhs)})")
-    return False
+    for line in report.describe().splitlines():
+        print(f"{label}: {line}")
+    return report.valid and report.points > 0
 
 
 def cmd_cut(args: argparse.Namespace) -> int:
@@ -209,6 +210,23 @@ def cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
+def _triangle_nodes(inst: Instance) -> tuple[Node, ...]:
+    """The triangle that `verify triangle` checks an instance on: the
+    network's nodes when it has three, else the nodes the traffic names.
+    The check reads the complete triangle with the menu [1] and no existing
+    capacity, so any other instance raises PreconditionError."""
+    if inst.facilities.capacities != (1,):
+        raise PreconditionError(f"verify triangle needs the menu [1], not {list(inst.facilities.capacities)}")
+    if inst.existing_edge or inst.existing_arc:
+        raise PreconditionError("verify triangle needs an instance without existing capacity")
+    network_nodes = inst.network.nodes if len(inst.network.nodes) == 3 else None
+    nodes = triangle_bidirected_projection(inst.traffic, network_nodes).nodes
+    for i, j in combinations(nodes, 2):
+        if edge_between(i, j) not in inst.network.edges:
+            raise PreconditionError(f"verify triangle needs the complete triangle; the network lacks edge {i}-{j}")
+    return nodes
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     failures = empty = total = 0
@@ -234,10 +252,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.instance:
             inst = load_instance(args.instance)
-            # A network of three nodes is the triangle; on any other, the
-            # triangle is the one the traffic names.
-            nodes = inst.network.nodes if len(inst.network.nodes) == 3 else None
-            traffics = [("instance", inst.traffic, nodes)]
+            traffics = [("instance", inst.traffic, _triangle_nodes(inst))]
         else:
             traffics = [(f"trial {i}", triangle_remark_traffic(rng), TRIANGLE_NODES) for i in range(args.trials)]
         for label, traffic, nodes in traffics:

@@ -5,8 +5,10 @@ commodities that must cross it, and chosen subsets of the forward and
 backward cut arcs whose capacity is folded into the rounding.  The
 resulting inequality is valid for every feasible point of the directed
 model, and it translates to the bidirected model by merging each arc's
-capacity coefficients onto the shared edge variable.  Cuts are `>=` rows
-(`formulate.LinearConstraint`), so a model can take them as constraints.
+capacity coefficients onto the shared edge variable.  The translated form
+holds on the undirected model too, whose merged rows imply the
+bidirected ones.  Cuts are `>=` rows (`formulate.LinearConstraint`), so a
+model can take them as constraints.
 """
 
 from __future__ import annotations
@@ -307,12 +309,16 @@ class CutCheck:
         return not self.violations
 
     def describe(self) -> str:
+        """The lines `netcap cut --check` prints for this check."""
+        if not self.points:
+            return f"no capacity vector in the box is feasible (bound {self.bound})"
         if self.valid:
-            return f"valid at all {self.points} feasible capacity vectors (bound {self.bound})"
+            return f"valid on {self.points}/{self.points} enumerated points"
         vec, lhs = self.violations[0]
+        pairs = ", ".join(f"{ref.key}={n}" for ref, n in zip(self.components, vec))
         return (
-            f"violated at {len(self.violations)} of {self.points} points; "
-            f"first: y={vec!r} with lhs {render_rational(lhs)}"
+            f"violated on {len(self.violations)}/{self.points} enumerated points\n"
+            f"first counterexample: {pairs} (lhs {render_rational(lhs)})"
         )
 
 
@@ -333,13 +339,14 @@ def check_cut_validity(
     a vector above one found feasible where a kept dual bound proves the
     cut counts as a point, and one that a kept Farkas ray refutes is
     skipped, both without an LP; any other is minimized.  The sweep
-    refuses a row that is not `>=`.
+    refuses a row that is not `>=`.  Any reading takes a row on its own
+    variables: an edge-keyed (translated) cut serves both edge readings,
+    and an arc-keyed one only the directed, since the others lack its
+    capacity variables (PreconditionError).
     Commodities named by the cut are kept in the model even when they
     carry no traffic, since their circulations can reduce the cut's
     backward-flow terms; an unknown one raises PreconditionError.
     """
-    if kind is ModelKind.UNDIRECTED:
-        raise PreconditionError("cut checking targets the directed or bidirected model")
     ks = set(reduced_commodities(inst))
     for v in cut.coeffs:
         if v.kind == "flow":

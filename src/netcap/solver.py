@@ -24,26 +24,26 @@ drive-out of leftover artificials and phase 2 share one pivot routine.
 The point a solve returns is re-checked against every model row in
 integers, each row scaled from the model's own coefficients rather than
 read off the tableau (`_recheck`).  Every answer carries a certificate in
-the model's own terms, and each status has a checker that reads the
+the model's own terms, and one check, `certify`, reads it against the
 model's rows alone, without any of the simplex: an Optimal answer carries
 one dual per model row, read off its final reduced-cost row and signed
-back to the row as written (`optimality_certificate`); an Infeasible one a
-Farkas ray, one multiplier per model row read off the final phase-1 row
-(`infeasibility_certificate`); an Unbounded one a feasible point and a
-direction of unbounded descent read off the column that entered with no
-row to leave (`unboundedness_certificate`).  A capacity sweep
-(`CapacitySweep`) pins the same variables at every vector of a box and
-keeps the certificates it meets: a Farkas ray found with the capacities
-pinned is a capacity-only inequality valid at every capacity vector, and
-the duals of an Optimal answer bound the objective from below at every
-feasible one (weak duality).  Each is checked before it is kept, so the
-sweep refutes a vector, or proves a `>=` row at a vector known to be
-feasible, with one integer dot product instead of an LP.  Integer models
-are solved by depth-first branch and bound on the first fractional integer
-variable in model order, pruning on exact bound comparisons, the bound
-rounded up to the objective's step when every term is integral.  Sized for
-desk-scale models (a few hundred variables), which is all this package
-needs.
+back to the row as written; an Infeasible one a Farkas ray, one multiplier
+per model row read off the final phase-1 row; an Unbounded one a feasible
+point and a direction of unbounded descent read off the column that
+entered with no row to leave.  The duals and the ray each combine the
+model's rows into one row g x >= alpha that every point satisfies
+(`_proved_row`).  A capacity sweep (`CapacitySweep`) pins the same
+variables at every vector of a box and keeps the rows it meets: a Farkas
+ray found with the capacities pinned is a capacity-only inequality valid
+at every capacity vector, and the duals of an Optimal answer bound the
+objective from below at every feasible one (weak duality).  Each is
+checked before it is kept, so the sweep refutes a vector, or proves a
+`>=` row at a vector known to be feasible, with one integer dot product
+instead of an LP.  Integer models are solved by depth-first branch and
+bound on the first fractional integer variable in model order, pruning on
+exact bound comparisons, the bound rounded up to the objective's step when
+every term is integral.  Sized for desk-scale models (a few hundred
+variables), which is all this package needs.
 """
 
 from __future__ import annotations
@@ -90,12 +90,12 @@ class LpSolution:
     values: Mapping[VarRef, Fraction]
     objective: Fraction | None
     # One multiplier per model constraint, in model order, in the row's own
-    # sign convention: the duals when Optimal (optimality_certificate), a
-    # Farkas ray when Infeasible (infeasibility_certificate).
+    # sign convention: the duals when Optimal, a Farkas ray when Infeasible;
+    # either combines the rows into the row that `certify` checks.
     duals: tuple[Fraction, ...] = ()
     fixed: Mapping[VarRef, Fraction] = field(default_factory=dict)  # pinned while solving
     # When Unbounded, a direction along which `values` stays feasible and the
-    # cost falls without bound (unboundedness_certificate).
+    # cost falls without bound; `certify` checks it.
     ray: Mapping[VarRef, Fraction] = field(default_factory=dict)
 
 
@@ -430,19 +430,23 @@ def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED)
     return isinstance(_phase1(_Rows(model, tuple(pinned)), tuple(pinned.values())), _Tableau)
 
 
-def _combine(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], int, int] | None:
-    """The row g x >= alpha with g = sum_r u_r a_r and alpha = sum_r u_r rhs_r,
-    u being the solution's multipliers, as integers over one positive
-    denominator: (that times g, times alpha, it).
+def _proved_row(model: MipModel, answer: LpSolution) -> tuple[dict[VarRef, int], int, int] | None:
+    """The row g x >= alpha, times a positive `scale`, that an Infeasible
+    answer's ray or an Optimal answer's duals prove, as (g, alpha, scale) in
+    integers; None when they prove nothing.
 
-    Every point of the model satisfies the row when each u_r combines its row
-    the valid way: u_r <= 0 on `<=`, u_r >= 0 on `>=`, either sign on `=`.
-    None when one does not, when u is not one multiplier per row, or when the
-    solution pins a variable the model lacks.  The sums run in integers, u
-    and the rows each scaled in by one lcm, as the kernel scales its tableau.
+    The multipliers u, one per row, must each combine their row the valid
+    way (u_r <= 0 on `<=`, u_r >= 0 on `>=`, either sign on `=`), and the
+    answer may pin only the model's variables: then g = sum_r u_r a_r and
+    alpha = sum_r u_r rhs_r hold at every point.  With the pins y, a ray
+    must give g_v <= 0 on every free variable and alpha > g y, so no point
+    has those pins; duals must price every free variable nonnegatively,
+    c_v scale >= g_v, so the objective's free part is at least
+    (alpha - g y) / scale at every point (weak duality).  u and the rows are
+    scaled in by one lcm each, as the kernel scales its tableau.
     """
-    u = solution.duals
-    if len(u) != len(model.constraints) or not set(solution.fixed) <= set(model.variables):
+    u, fixed = answer.duals, answer.fixed
+    if len(u) != len(model.constraints) or not set(fixed) <= set(model.variables):
         return None
     rows = [(ur, con) for ur, con in zip(u, model.constraints) if ur]
     if any(ur > 0 and con.sense == "<=" or ur < 0 and con.sense == ">=" for ur, con in rows):
@@ -455,118 +459,50 @@ def _combine(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], 
         for v, a in con.coeffs.items():
             g[v] = g.get(v, 0) + n * a.numerator * (row_scale // a.denominator)
         alpha += n * con.rhs.numerator * (row_scale // con.rhs.denominator)
-    return g, alpha, u_scale * row_scale
-
-
-def _dual_row(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], int, int] | None:
-    """`_combine`'s (g, alpha, scale) for a solution's duals when they also
-    price every free variable nonnegatively, c_v scale >= g_v; else None.
-
-    Then, at every point of the model, the objective's part on the free
-    variables is at least (alpha - sum_pinned g_v y_v) / scale: weak duality,
-    whatever values y the `solution.fixed` variables are pinned to.
-    """
-    combined = _combine(model, solution)
-    if combined is None:
+    scale = u_scale * row_scale
+    if answer.status is SolveStatus.INFEASIBLE:
+        if any(c > 0 for v, c in g.items() if v not in fixed):
+            return None
+        if alpha - sum(g.get(v, 0) * val for v, val in fixed.items()) <= 0:
+            return None
+    elif answer.status is not SolveStatus.OPTIMAL or any(
+        model.objective.get(v, _ZERO) * scale < g.get(v, 0) for v in model.variables if v not in fixed
+    ):
         return None
-    g, _, scale = combined
-    if any(model.objective.get(v, _ZERO) * scale < g.get(v, 0) for v in model.variables if v not in solution.fixed):
-        return None
-    return combined
+    return g, alpha, scale
 
 
-def _keeps_pins_and_rows(model: MipModel, solution: LpSolution) -> bool:
-    """Whether the solution's point holds its `fixed` values and satisfies
-    every model row: the point half of the Optimal and Unbounded checks."""
-    pins_kept = all(solution.values.get(v, _ZERO) == val for v, val in solution.fixed.items())
-    return pins_kept and not model.violations(solution.values)
+def certify(model: MipModel, answer: LpSolution) -> bool:
+    """Whether an LP answer's certificate proves its status, read against
+    the model's rows alone; nothing is solved or standardized.
 
-
-def optimality_certificate(model: MipModel, solution: LpSolution) -> bool:
-    """Check the duals an Optimal LP solution carries against the model's
-    rows alone; nothing is solved or standardized.
-
-    With the solution's `fixed` values pinned, row r reads a_r x (sense) b_r,
-    where b_r is its rhs less the pinned terms.  The duals u, one per row,
-    must combine the rows validly (u_r <= 0 on `<=`, u_r >= 0 on `>=`), price
-    every free variable nonnegatively (c_v - sum_r u_r a_rv >= 0), and give
-    sum_r u_r b_r plus the pinned cost equal to the reported objective, which
-    by weak duality no feasible point beats.  The point itself must hold the
-    pinned values, satisfy every row and attain that objective.  Exact
-    throughout.
+    Infeasible: the ray proves a row (`_proved_row`).  Optimal: the duals
+    prove one, and its bound, (alpha - g y) / scale plus the pinned cost,
+    equals the reported objective and the point's.  Unbounded: the ray d
+    leaves the pins alone, is nonnegative, keeps every row's sense (a_r d
+    <= 0 on `<=`, >= 0 on `>=`, = 0 on `=`) and lowers the cost (c d < 0).
+    Optimal and Unbounded: the point holds the pins and satisfies every
+    row.  An answer relabelled with another status does not certify.
     """
-    if solution.status is not SolveStatus.OPTIMAL:
-        raise PreconditionError("certificate requires an Optimal solution")
-    fixed = solution.fixed
-    row = _dual_row(model, solution)
-    if row is None:
-        return False
-    g, alpha, scale = row
-    dual_value = Fraction(alpha - sum(g.get(v, 0) * val for v, val in fixed.items()), scale)
-    dual_value += model.objective_value(fixed)
-    attained = dual_value == solution.objective == model.objective_value(solution.values)
-    return attained and _keeps_pins_and_rows(model, solution)
-
-
-def _farkas_row(model: MipModel, solution: LpSolution) -> tuple[dict[VarRef, int], int] | None:
-    """The row g x >= alpha of an Infeasible answer's ray, times a positive
-    integer, when the ray proves the model infeasible with `solution.fixed`
-    pinned; else None.
-
-    The row holds at every point of the model.  With g_v <= 0 on every free
-    variable, its free part is at most zero for x >= 0, so no point has
-    alpha - sum_pinned g_v y_v > 0, and the pinned y has just that.
-    """
-    fixed = solution.fixed
-    combined = _combine(model, solution)
-    if combined is None:
-        return None
-    g, alpha, _ = combined
-    if any(c > 0 for v, c in g.items() if v not in fixed):
-        return None
-    if alpha - sum(g.get(v, 0) * val for v, val in fixed.items()) <= 0:
-        return None
-    return g, alpha
-
-
-def infeasibility_certificate(model: MipModel, solution: LpSolution) -> bool:
-    """Check the Farkas ray an Infeasible LP solution carries against the
-    model's rows alone, by dot products; nothing is solved or standardized.
-
-    With the solution's `fixed` values y pinned, b_r(y) is row r's rhs less
-    its pinned terms.  The multipliers u, one per row, must have the sign
-    their row's sense allows (u_r <= 0 on `<=`, u_r >= 0 on `>=`, free on
-    `=`), give sum_r u_r a_rv <= 0 on every free variable v, and give
-    sum_r u_r b_r(y) > 0.  A solution x >= 0 would then satisfy
-    sum_r u_r a_r x >= sum_r u_r b_r(y) > 0 with a left side at most zero,
-    so there is none.
-    """
-    if solution.status is not SolveStatus.INFEASIBLE:
-        raise PreconditionError("certificate requires an Infeasible solution")
-    return _farkas_row(model, solution) is not None
-
-
-def unboundedness_certificate(model: MipModel, solution: LpSolution) -> bool:
-    """Check the point and ray an Unbounded LP solution carries against the
-    model's rows alone; nothing is solved or standardized.
-
-    The point must hold the `fixed` values and satisfy every row.  The ray d
-    must leave the pinned variables alone, be nonnegative, keep every row's
-    sense (a_r d <= 0 on `<=`, >= 0 on `>=`, = 0 on `=`) and lower the cost
-    (c d < 0): then the point plus t d is feasible for every t >= 0, and its
-    cost falls without bound.
-    """
-    if solution.status is not SolveStatus.UNBOUNDED:
-        raise PreconditionError("certificate requires an Unbounded solution")
-    fixed, d = solution.fixed, solution.ray
-    if not set(fixed) | set(d) <= set(model.variables) or set(fixed) & set(d):
-        return False
-    return (
-        all(holds(con.lhs_value(d), con.sense, 0) for con in model.constraints)
-        and all(c >= 0 for c in d.values())
-        and model.objective_value(d) < 0
-        and _keeps_pins_and_rows(model, solution)
-    )
+    fixed = answer.fixed
+    if answer.status is SolveStatus.UNBOUNDED:
+        d = answer.ray
+        if not set(fixed) | set(d) <= set(model.variables) or set(fixed) & set(d):
+            return False
+        if not all(holds(con.lhs_value(d), con.sense, 0) for con in model.constraints):
+            return False
+        if any(c < 0 for c in d.values()) or model.objective_value(d) >= 0:
+            return False
+    else:
+        proved = _proved_row(model, answer)
+        if proved is None or answer.status is SolveStatus.INFEASIBLE:
+            return proved is not None
+        g, alpha, scale = proved
+        dual_value = Fraction(alpha - sum(g.get(v, 0) * val for v, val in fixed.items()), scale)
+        if not dual_value + model.objective_value(fixed) == answer.objective == model.objective_value(answer.values):
+            return False
+    pins_kept = all(answer.values.get(v, _ZERO) == val for v, val in fixed.items())
+    return pins_kept and not model.violations(answer.values)
 
 
 def _bound_rows(model: MipModel, bound: int) -> list[LinearConstraint]:
@@ -690,16 +626,16 @@ class CapacitySweep:
     which replaces the model's objective, and each vector where an LP finds
     the row broken is recorded with the row's least left-hand side there,
     as (vec, lhs), in `violations`.  The dual feasible set does not depend
-    on y, so duals u of an Optimal answer that combine the rows validly
-    into g x >= alpha (times `scale`) and price every free column
-    nonnegatively (c_v scale >= g_v) bound the objective at every feasible
-    y from below by (alpha - sum_v g_v y_v) / scale: weak duality, a
-    Benders optimality cut.  The row holds at y when that bound plus the
-    row's terms on `refs` reaches its rhs, one test B y <= A.
+    on y, so the row g x >= alpha (times `scale`) that an Optimal answer's
+    duals prove bounds the objective at every feasible y from below by
+    (alpha - g y) / scale: weak duality, a Benders optimality cut.  The row
+    holds at y when that bound plus the row's terms on `refs` reaches its
+    rhs, one test B y <= A.
 
-    `learn` checks each certificate as its status's checker does before it
-    keeps the test, as coprime integers, so that testing a vector is one
-    integer dot product; a test already kept is kept once.  `lp_solved`,
+    `learn` checks each certificate by the row it proves (`_proved_row`),
+    as `certify` does, before it keeps the test, as coprime integers, so
+    that testing a vector is one integer dot product; a test already kept
+    is kept once.  `lp_solved`,
     `ray_refuted` and `bound_proved` count how vectors were decided.  The
     model's integer rows are built once, for the whole sweep.
     """
@@ -780,24 +716,27 @@ class CapacitySweep:
         solved, meets the same few duals over and over."""
         if set(solution.fixed) != set(self.refs):
             raise PreconditionError("the answer pins other variables than the sweep")
-        if solution.status is SolveStatus.INFEASIBLE:
-            ray = _farkas_row(self.model, solution)
-            if ray is None:
-                raise NetcapError("solver returned a Farkas ray that does not prove infeasibility")
-            g, alpha = ray
-            self._rays[_coprime([alpha] + [g.get(v, 0) for v in self.refs])] = None
-        elif solution.status is not SolveStatus.OPTIMAL or self.row is None:
+        optimal = solution.status is SolveStatus.OPTIMAL
+        if optimal and self.row is None or solution.status is SolveStatus.UNBOUNDED:
             raise PreconditionError("only an Infeasible answer, or an Optimal one given a row, gives a test")
-        elif solution.duals not in self._learned:
-            bound = _dual_row(self.model, solution)
-            if bound is None:
-                raise NetcapError("solver returned duals that do not bound the objective")
-            g, alpha, scale = bound
-            # Times row_scale * scale > 0: (alpha - g y) row_scale + scale (cap y - rhs) >= 0.
-            test = [alpha * self._row_scale - scale * self._rhs]
-            test += [g.get(v, 0) * self._row_scale - scale * c for v, c in zip(self.refs, self._on_refs)]
-            self._bounds[_coprime(test)] = None
-            self._learned.add(solution.duals)
+        if optimal and solution.duals in self._learned:
+            return
+        proved = _proved_row(self.model, solution)
+        if proved is None:
+            raise NetcapError(
+                "solver returned duals that do not bound the objective"
+                if optimal
+                else "solver returned a Farkas ray that does not prove infeasibility"
+            )
+        g, alpha, scale = proved
+        if not optimal:
+            self._rays[_coprime([alpha] + [g.get(v, 0) for v in self.refs])] = None
+            return
+        # Times row_scale * scale > 0: (alpha - g y) row_scale + scale (cap y - rhs) >= 0.
+        test = [alpha * self._row_scale - scale * self._rhs]
+        test += [g.get(v, 0) * self._row_scale - scale * c for v, c in zip(self.refs, self._on_refs)]
+        self._bounds[_coprime(test)] = None
+        self._learned.add(solution.duals)
 
 
 def _coprime(ints: list[int]) -> tuple[int, tuple[int, ...]]:

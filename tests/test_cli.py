@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -469,6 +470,27 @@ def test_verify_triangle_instance_on_a_larger_network(tmp_path, capsys):
     save_instance(Instance(net, FacilityMenu((1,)), traffic), path)
     assert run(["verify", "triangle", str(path), "--bound", "2"]) == 0
     assert "all checks agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"facilities": FacilityMenu((2,))}, "needs the menu [1], not [2]"),
+        ({"existing_edge": {("1", "3"): Fraction(1)}}, "without existing capacity"),
+        ({"network": Network(("1", "2", "3"), (("1", "2"), ("2", "3")))}, "the network lacks edge 1-3"),
+    ],
+    ids=["menu-2", "existing-capacity", "path"],
+)
+def test_verify_triangle_refuses_an_instance_it_does_not_check(tri, tmp_path, change, reason, capsys):
+    """`verify triangle` reads the complete triangle with the menu [1] and
+    no existing capacity; any other instance exits 2 before any output,
+    naming the reason, rather than checking that triangle in its place."""
+    inst, _ = tri
+    path = tmp_path / "other.json"
+    save_instance(replace(inst, **change), path)
+    assert run(["verify", "triangle", str(path), "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err
 
 
 def test_closed_stdout_exits_quietly(tri, monkeypatch, capsys):

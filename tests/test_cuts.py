@@ -33,7 +33,7 @@ from netcap.solver import (
     LpSolution,
     SolveStatus,
     build_for_feasibility,
-    optimality_certificate,
+    certify,
     solve_lp,
     solve_mip,
 )
@@ -266,23 +266,23 @@ def test_check_cut_validity_pinned():
     report = check_cut_validity(inst, ineq)
     assert report.valid
     assert report.points > 0
-    assert "valid at all" in report.describe()
+    assert report.describe() == f"valid on {report.points}/{report.points} enumerated points"
 
     # tightening the rhs past the true optimum must surface violations
     too_strong = LinearConstraint("cut", ineq.coeffs, ">=", Fraction(3, 2))
     bad = check_cut_validity(inst, too_strong)
     assert not bad.valid
-    assert "violated at" in bad.describe()
+    assert bad.describe().startswith(f"violated on {len(bad.violations)}/{bad.points} enumerated points\n")
 
 
 def test_check_cut_validity_guards():
     inst = _two_node()
     spec = CutsetSpec(side_u=("1",), commodities=(("1", "2"),), s_plus=(("1", "2"),))
     ineq = cutset_inequality(inst, spec)
-    with pytest.raises(PreconditionError):
-        check_cut_validity(inst, ineq, kind=ModelKind.UNDIRECTED)
-    with pytest.raises(PreconditionError):
-        check_cut_validity(inst, ineq, kind=ModelKind.BIDIRECTED)  # arc-keyed y
+    # arc-keyed y: both edge readings lack the cut's capacity variables
+    for kind in (ModelKind.UNDIRECTED, ModelKind.BIDIRECTED):
+        with pytest.raises(PreconditionError, match=f"missing from the {kind.value} model"):
+            check_cut_validity(inst, ineq, kind=kind)
 
     stray_commodity = LinearConstraint(
         "cut", {VarRef.flow(("1", "9"), ("1", "2")): Fraction(1)}, ">=", Fraction(0)
@@ -307,7 +307,9 @@ def test_random_cuts_hold_on_both_models():
             continue
         assert check_cut_validity(inst, ineq).valid, (inst, spec)
         translated = translate_to_bidirected(ineq)
-        assert check_cut_validity(inst, translated, kind=ModelKind.BIDIRECTED).valid
+        # the edge-keyed form serves both edge readings
+        for kind in (ModelKind.BIDIRECTED, ModelKind.UNDIRECTED):
+            assert check_cut_validity(inst, translated, kind=kind).valid
         checked += 1
 
 
@@ -338,8 +340,9 @@ def _small_cut_checks(draw):
         assume(False)
     # a strengthened copy is violated at some points, which a valid cut never is
     cut = replace(cut, rhs=cut.rhs + draw(st.sampled_from([0, Fraction(1, 2), 1])))
-    kind = draw(st.sampled_from([ModelKind.DIRECTED, ModelKind.BIDIRECTED]))
-    if kind is ModelKind.BIDIRECTED:
+    # a translated (edge-keyed) cut serves both edge readings
+    kind = draw(st.sampled_from([ModelKind.DIRECTED, ModelKind.BIDIRECTED, ModelKind.UNDIRECTED]))
+    if kind is not ModelKind.DIRECTED:
         cut = translate_to_bidirected(cut)
     dims = len(net.edges) * len(menu) * (2 if kind is ModelKind.DIRECTED else 1)
     bound = draw(st.sampled_from([b for b in (1, 2, 3) if (b + 1) ** dims <= 81]))
@@ -363,7 +366,7 @@ def _per_vector_sweep(inst, cut, kind, bound, components):
     return points, tuple(violations)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(_small_cut_checks())
 def test_cut_check_matches_a_per_vector_sweep(case):
     """Dominance, cached dual bounds and cached rays decide only vectors an
@@ -453,7 +456,7 @@ def test_dual_bound_cache_refuses_tampered_duals():
     )
     underpriced = _with_dual(sol, e, sol.duals[e] + 1000)
     for bad in (flipped, underpriced):
-        assert not optimality_certificate(model, bad)
+        assert not certify(model, bad)
         with pytest.raises(NetcapError):
             fresh.learn(bad)
     with pytest.raises(PreconditionError):
@@ -472,7 +475,7 @@ def test_dual_bound_cache_checks_each_dual_once(monkeypatch):
     return the same few duals again and again; each is checked once."""
     inst, cut = _readme_cut()
     learned, checked = [], []
-    dual_row = solver._dual_row
+    proved_row = solver._proved_row
 
     class Recording(CapacitySweep):
         def learn(self, solution):
@@ -481,11 +484,12 @@ def test_dual_bound_cache_checks_each_dual_once(monkeypatch):
             super().learn(solution)
 
     def counting(model, solution):
-        checked.append(solution.duals)
-        return dual_row(model, solution)
+        if solution.status is SolveStatus.OPTIMAL:
+            checked.append(solution.duals)
+        return proved_row(model, solution)
 
     monkeypatch.setattr(cuts, "CapacitySweep", Recording)
-    monkeypatch.setattr(solver, "_dual_row", counting)
+    monkeypatch.setattr(solver, "_proved_row", counting)
     check = check_cut_validity(inst, replace(cut, rhs=cut.rhs + 1), bound=1)
     assert check.violations and len(learned) > 1000
     assert sorted(checked) == sorted(set(learned)) and len(checked) < 10

@@ -40,23 +40,14 @@ from netcap.solver import (
     _phase1,
     _Rows,
     build_for_feasibility,
+    certify,
     feasible,
     feasible_with_capacity,
-    infeasibility_certificate,
-    optimality_certificate,
     reduced_commodities,
     solve_lp,
     solve_mip,
-    unboundedness_certificate,
 )
 from netcap.projlab import capacity_bound, project
-
-_CERTIFICATES = {
-    SolveStatus.OPTIMAL: optimality_certificate,
-    SolveStatus.INFEASIBLE: infeasibility_certificate,
-    SolveStatus.UNBOUNDED: unboundedness_certificate,
-}
-
 
 def _two_node(menu=(1,), t12=Fraction(1), t21=Fraction(0)):
     net = Network(("1", "2"), (("1", "2"),))
@@ -159,7 +150,7 @@ def test_optimality_certificate_sweep(monkeypatch):
             sol = solve_lp(model, ignore_integrality=True)
             assert sol.status is SolveStatus.OPTIMAL
             assert len(sol.duals) == len(model.constraints)
-            assert optimality_certificate(model, sol)
+            assert certify(model, sol)
             relaxations.append((model, sol))
 
     # branch-and-bound node LPs: branch rows, and mirror-flow rows
@@ -206,7 +197,7 @@ def test_optimality_certificate_sweep(monkeypatch):
         assert any(sol.status is SolveStatus.INFEASIBLE for _, sol in lps)
     for model, sol in answers:
         assert len(sol.duals) == len(model.constraints)
-        assert _CERTIFICATES[sol.status](model, sol)
+        assert certify(model, sol)
 
     # The check reads the model's rows alone: with the LP kernel made to
     # raise, every recorded answer still certifies.
@@ -216,24 +207,25 @@ def test_optimality_certificate_sweep(monkeypatch):
     for name in ("_phase1", "_pivot", "_bland_simplex"):
         monkeypatch.setattr(solver, name, kernel)
     for model, sol in answers:
-        assert _CERTIFICATES[sol.status](model, sol)
+        assert certify(model, sol)
 
 
 def test_optimality_certificate_rejects_tampering(monkeypatch):
     rng = random.Random(41)
     model = build_undirected(triangle_corollary_instance(rng))
     sol = solve_lp(model, ignore_integrality=True)
-    assert sol.objective > 0 and optimality_certificate(model, sol)
-    assert not optimality_certificate(model, replace(sol, objective=sol.objective + 1))
-    assert not optimality_certificate(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
-    assert not optimality_certificate(model, replace(sol, duals=sol.duals[:-1]))
+    assert sol.objective > 0 and certify(model, sol)
+    assert not certify(model, replace(sol, objective=sol.objective + 1))
+    assert not certify(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
+    assert not certify(model, replace(sol, duals=sol.duals[:-1]))
+    assert not certify(model, replace(sol, duals=sol.duals + (Fraction(0),)))  # one multiplier too many
     # a nonzero dual on an inequality row, negated, combines the row the wrong way
     flips = [i for i, (u, c) in enumerate(zip(sol.duals, model.constraints)) if u and c.sense != "="]
     assert flips
     for i in flips:
         duals = list(sol.duals)
         duals[i] = -duals[i]
-        assert not optimality_certificate(model, replace(sol, duals=tuple(duals)))
+        assert not certify(model, replace(sol, duals=tuple(duals)))
     # x = 1 is not optimal for min -x under x <= 2 and x <= 4, yet duals
     # (-3/2, 1/2) price x at zero and sum to -1 through a wrong-signed
     # second row; the same with both rows written as >=
@@ -242,10 +234,10 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
         lp, _ = _small_lp([((sign,), sense, 2 * sign), ((sign,), sense, 4 * sign)], (-1,))
         duals = (Fraction(-3, 2) * sign, Fraction(1, 2) * sign)
         false = LpSolution(SolveStatus.OPTIMAL, {_LP_VARS[0]: Fraction(1)}, Fraction(-1), duals)
-        assert not optimality_certificate(lp, false)
+        assert not certify(lp, false)
     # a pin on a variable the model lacks is refused, not raised
     stray = VarRef.cap_edge(9, ("1", "2"))
-    assert not optimality_certificate(model, replace(sol, fixed={stray: Fraction(0)}))
+    assert not certify(model, replace(sol, fixed={stray: Fraction(0)}))
 
     # Cut-check answers hold for the system with capacities pinned; with the
     # pinned values dropped, their duals no longer certify the model.
@@ -261,12 +253,12 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
         check_cut_validity(inst, ineq, bound=1)
         check_cut_validity(inst, translate_to_bidirected(ineq), kind=ModelKind.BIDIRECTED, bound=1)
         probes = [(m, s) for m, s in recorded if s.status is SolveStatus.OPTIMAL]
-    assert all(s.fixed and optimality_certificate(m, s) for m, s in probes)
-    assert any(not optimality_certificate(m, replace(s, fixed={})) for m, s in probes)
+    assert all(s.fixed and certify(m, s) for m, s in probes)
+    assert any(not certify(m, replace(s, fixed={})) for m, s in probes)
     # more capacity than was pinned breaks no row and costs the probe nothing
     m, s = probes[0]
     v, val = next(iter(s.fixed.items()))
-    assert not optimality_certificate(m, replace(s, values={**s.values, v: val + 1}))
+    assert not certify(m, replace(s, values={**s.values, v: val + 1}))
 
 
 def test_infeasibility_certificate_rejects_tampering():
@@ -274,33 +266,34 @@ def test_infeasibility_certificate_rejects_tampering():
     model = build_for_feasibility(triangle_corollary_instance(rng), ModelKind.UNDIRECTED)
     caps = [v for v in model.variables if v.kind == "capacity"]
     sol = solve_lp(model.with_objective({}), fixed={v: 0 for v in caps})
-    assert sol.status is SolveStatus.INFEASIBLE and infeasibility_certificate(model, sol)
+    assert sol.status is SolveStatus.INFEASIBLE and certify(model, sol)
     assert len(sol.duals) == len(model.constraints) and sol.fixed
-    assert not infeasibility_certificate(model, replace(sol, duals=sol.duals[:-1]))
-    assert not infeasibility_certificate(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
+    assert not certify(model, replace(sol, duals=sol.duals[:-1]))
+    assert not certify(model, replace(sol, duals=sol.duals + (Fraction(0),)))
+    assert not certify(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
     # a nonzero multiplier on an inequality row, negated, combines the row the wrong way
     flips = [i for i, (u, c) in enumerate(zip(sol.duals, model.constraints)) if u and c.sense != "="]
     assert flips
     for i in flips:
         duals = list(sol.duals)
         duals[i] = -duals[i]
-        assert not infeasibility_certificate(model, replace(sol, duals=tuple(duals)))
+        assert not certify(model, replace(sol, duals=tuple(duals)))
     # a pin on a variable the model lacks is refused, not raised
     stray = VarRef.cap_edge(9, ("1", "2"))
-    assert not infeasibility_certificate(model, replace(sol, fixed={**sol.fixed, stray: Fraction(0)}))
+    assert not certify(model, replace(sol, fixed={**sol.fixed, stray: Fraction(0)}))
     # with enough capacity pinned the same ray proves nothing
-    assert not infeasibility_certificate(model, replace(sol, fixed={v: Fraction(9) for v in caps}))
+    assert not certify(model, replace(sol, fixed={v: Fraction(9) for v in caps}))
 
     # x <= 1 and x >= 2: the ray (-1, 1) needs both rows, and with x >= 1
     # in place of x >= 2 it sums to 0 over a feasible system
     lp, _ = _small_lp([((1,), "<=", 1), ((1,), ">=", 2)], (0,))
     ray = LpSolution(SolveStatus.INFEASIBLE, {}, None, (Fraction(-1), Fraction(1)))
-    assert solve_lp(lp).duals == ray.duals and infeasibility_certificate(lp, ray)
+    assert solve_lp(lp).duals == ray.duals and certify(lp, ray)
     for zeroed in ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))):
-        assert not infeasibility_certificate(lp, replace(ray, duals=zeroed))
+        assert not certify(lp, replace(ray, duals=zeroed))
     tight, _ = _small_lp([((1,), "<=", 1), ((1,), ">=", 1)], (0,))
     assert solve_lp(tight).status is SolveStatus.OPTIMAL
-    assert not infeasibility_certificate(tight, ray)
+    assert not certify(tight, ray)
 
 
 def test_feasible_agrees_with_phase_two():
@@ -370,7 +363,7 @@ def test_pinning_matches_fix_variables():
                 assert not any(u for i, u in enumerate(pinned.duals) if i not in kept)
                 assert pinned.values == direct.values | {v: n for v, n in y.items() if n}
                 assert pinned.fixed == y
-                assert optimality_certificate(model, pinned)
+                assert certify(model, pinned)
     assert outcomes == {"inconsistent", SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
 
 
@@ -392,10 +385,10 @@ def test_pinned_certificate_reads_constant_and_negated_rows():
     sol = solve_lp(model, fixed=fixed)
     assert sol.status is SolveStatus.OPTIMAL and sol.objective == -1
     assert sol.duals[eq] == 0 and sol.duals[cut] > 0
-    assert optimality_certificate(model, sol)
+    assert certify(model, sol)
     flipped = list(sol.duals)
     flipped[cut] = -flipped[cut]
-    assert not optimality_certificate(model, replace(sol, duals=tuple(flipped)))
+    assert not certify(model, replace(sol, duals=tuple(flipped)))
 
 
 def test_constant_row_ray_refutes_its_vectors():
@@ -409,7 +402,7 @@ def test_constant_row_ray_refutes_its_vectors():
     sol = solve_lp(model.with_objective({}), fixed={y12: 1, y21: 0})
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.duals == tuple(Fraction(-1) if i == eq else 0 for i in range(len(model.constraints)))
-    assert infeasibility_certificate(model, sol)
+    assert certify(model, sol)
     sweep = CapacitySweep(model, refs)
     sweep.learn(sol)
     for vec in graded_box(2, 3):
@@ -471,20 +464,20 @@ def test_pinned_values_are_checked():
     assert sol.objective == 4 and sol.values[y] == 1
 
 
-def test_certificate_requires_optimal():
-    inst = _two_node()
-    model = build_undirected(inst)
-    sol = solve_lp(model, ignore_integrality=True)
-    fake = LpSolution(SolveStatus.INFEASIBLE, {}, None)
-    with pytest.raises(PreconditionError):
-        optimality_certificate(model, fake)
-    assert sol.status is SolveStatus.OPTIMAL
-    # each checker takes its own status only
-    for status, check in _CERTIFICATES.items():
+def test_relabelled_answer_does_not_certify():
+    """Each certificate proves its own status only: an Optimal, an
+    Infeasible and an Unbounded answer, each relabelled as either other
+    status, do not certify."""
+    model = build_undirected(_two_node())
+    optimal = solve_lp(model, ignore_integrality=True)
+    infeasible = solve_lp(model, fixed={VarRef.cap_edge(1, ("1", "2")): 0})
+    free, _, _ = _free_variable_model()
+    unbounded = solve_lp(free, ignore_integrality=True)
+    for m, sol in ((model, optimal), (model, infeasible), (free, unbounded)):
+        assert certify(m, sol)
         for other in SolveStatus:
-            if other is not status:
-                with pytest.raises(PreconditionError):
-                    check(model, replace(sol, status=other))
+            if other is not sol.status:
+                assert not certify(m, replace(sol, status=other))
 
 
 def test_infeasible_statuses():
@@ -516,7 +509,9 @@ def test_unbounded_statuses():
     model, x, y = _free_variable_model()
     sol = solve_lp(model, ignore_integrality=True)
     assert sol.status is SolveStatus.UNBOUNDED and sol.ray == {x: 1}
-    assert unboundedness_certificate(model, sol)
+    assert certify(model, sol)
+    # with no row to keep, only d >= 0 refuses a ray that lowers the cost
+    assert not certify(model, replace(sol, ray={x: Fraction(1), y: Fraction(-1)}))
     assert solve_mip(model, 3).status is SolveStatus.UNBOUNDED
 
     # min -x under x - y <= 0: x enters, then y enters with no row to leave,
@@ -524,21 +519,21 @@ def test_unbounded_statuses():
     model, x, y = _free_variable_model((LinearConstraint("r", {x: 1, y: -1}, "<=", 0),))
     sol = solve_lp(model, ignore_integrality=True)
     assert sol.status is SolveStatus.UNBOUNDED and sol.ray == {x: 1, y: 1}
-    assert unboundedness_certificate(model, sol)
+    assert certify(model, sol)
     for ray in (
         {x: 1},  # breaks x - y <= 0
         {y: 1},  # costs nothing
         {x: -1, y: -1},  # not nonnegative
         {},
     ):
-        assert not unboundedness_certificate(model, replace(sol, ray=ray))
-    assert not unboundedness_certificate(model, replace(sol, values={x: Fraction(1)}))
+        assert not certify(model, replace(sol, ray=ray))
+    assert not certify(model, replace(sol, values={x: Fraction(1)}))
     # with y pinned the ray may not move it, and the pin must hold in the point
     pinned = solve_lp(model, fixed={y: 2}, ignore_integrality=True)
     assert pinned.status is SolveStatus.OPTIMAL and pinned.objective == -2
-    assert not unboundedness_certificate(model, replace(sol, fixed={y: Fraction(0)}))
+    assert not certify(model, replace(sol, fixed={y: Fraction(0)}))
     stray = VarRef.cap_edge(9, ("1", "2"))
-    assert not unboundedness_certificate(model, replace(sol, fixed={stray: Fraction(0)}))
+    assert not certify(model, replace(sol, fixed={stray: Fraction(0)}))
 
     # same ray, but the integer part is contradictory: infeasible wins
     dead_row = LinearConstraint("dead", {y: Fraction(1)}, "<=", Fraction(-1))
@@ -817,7 +812,7 @@ def test_integer_kernel_matches_rational_reference(lp):
     assert (sol.status, dict(sol.values), sol.duals, unit(sol.ray), pivots) == (
         status, values, duals, unit(ray), reference_pivots
     )
-    assert _CERTIFICATES[sol.status](model, sol)
+    assert certify(model, sol)
 
 
 @settings(max_examples=200, deadline=None)
