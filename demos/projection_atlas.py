@@ -17,6 +17,7 @@ from netcap.projlab import (
     verify_triangle_remark,
 )
 from netcap.randgen import triangle_network
+from netcap.solver import build_for_feasibility
 
 net = triangle_network()
 traffic = TrafficMatrix(
@@ -30,7 +31,7 @@ traffic = TrafficMatrix(
 inst = Instance(net, FacilityMenu((1,)), traffic)
 bound = capacity_bound(inst)
 
-proj = project(inst, ModelKind.UNDIRECTED, bound=bound)
+proj = project(build_for_feasibility(inst, ModelKind.UNDIRECTED), bound)
 print(f"undirected projection, box bound {bound}:")
 for vec in proj.minimal_vectors():
     print("  " + " ".join(f"{ref.key}={n}" for ref, n in zip(proj.components, vec)))

@@ -3,6 +3,8 @@
 Subcommands: build (model export), solve (exact branch and bound),
 transform (flow surgeries between models), cut (rounding inequalities),
 project (capacity projections), verify (exhaustive structural checks).
+`build`, `solve` and `project` read the model that `--model` and
+`--variant` pick; `project` builds it with `solver.build_for_feasibility`.
 
 Exit codes: 0 on success or full agreement, 1 when a verification fails
 or finds no feasible capacity vector in its box, a solve ends without an
@@ -50,7 +52,6 @@ from .formulate import (
     render_model,
 )
 from .projlab import (
-    VARIANTS,
     capacity_bound,
     project,
     triangle_bidirected_projection,
@@ -63,7 +64,7 @@ from .randgen import (
     triangle_corollary_instance,
     triangle_remark_traffic,
 )
-from .solver import SolveStatus, solve_mip
+from .solver import SolveStatus, build_for_feasibility, solve_mip
 from .transform import (
     ModelPoint,
     drop_to_undirected,
@@ -79,14 +80,16 @@ from .transform import (
 
 _MODEL_CHOICES = sorted(kind.value for kind in ModelKind)
 
+# The rows each `--variant` adds to the model it reads.
+_VARIANTS: dict[str, Callable[[MipModel], MipModel]] = {
+    "plain": lambda model: model,
+    "symmetrized-flows": add_flow_symmetry,
+    "equalized": equalize_directed,
+}
 
-def _model_from_args(inst: Instance, args: argparse.Namespace) -> MipModel:
-    model = build(inst, ModelKind(args.model))
-    if getattr(args, "symmetrize_flows", False):
-        model = add_flow_symmetry(model)
-    if getattr(args, "equalize", False):
-        model = equalize_directed(model)
-    return model
+
+def _model_from_args(inst: Instance, args: argparse.Namespace, base: Callable = build) -> MipModel:
+    return _VARIANTS[args.variant](base(inst, ModelKind(args.model)))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -201,7 +204,8 @@ def cmd_cut(args: argparse.Namespace) -> int:
 
 def cmd_project(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    result = project(inst, ModelKind(args.model), variant=args.variant, bound=args.bound)
+    model = _model_from_args(inst, args, build_for_feasibility)
+    result = project(model, capacity_bound(inst) if args.bound is None else args.bound)
     print(f"bound: {result.bound}")
     vectors = result.minimal_vectors()
     print(f"minimal vectors: {len(vectors)}")
@@ -242,12 +246,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             cases = [(f"trial {i}", gen(rng)) for i in range(args.trials)]
         for label, inst in cases:
             rep = verify_corollary(inst, bound=args.bound)
-            if rep.equal and not rep.minimal_count:  # the projections agree over nothing
-                print(f"{label}: no capacity vector in the box is feasible (bound {rep.bound})")
-                empty += 1
-            else:
-                print(f"{label}: {rep.describe()}")
-                failures += 0 if rep.equal else 1
+            print(f"{label}: {rep.describe()}")
+            empty += rep.equal and not rep.minimal_count
+            failures += 0 if rep.equal else 1
             total += 1
     else:
         if args.instance:
@@ -293,8 +294,8 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", required=True, choices=_MODEL_CHOICES)
-        p.add_argument("--symmetrize-flows", action="store_true", help="add mirror-flow rows")
-        p.add_argument("--equalize", action="store_true", help="tie both orientations (directed only)")
+        variants = "symmetrized-flows adds mirror-flow rows; equalized ties both orientations (directed only)"
+        p.add_argument("--variant", choices=tuple(_VARIANTS), default="plain", help=variants)
 
     p_build = sub.add_parser("build", help="export a model as LP text")
     p_build.add_argument("instance")
@@ -339,8 +340,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_proj = sub.add_parser("project", help="minimal capacity vectors of a model's projection")
     p_proj.add_argument("instance")
-    p_proj.add_argument("--model", required=True, choices=_MODEL_CHOICES)
-    p_proj.add_argument("--variant", choices=VARIANTS, default="plain")
+    add_model_flags(p_proj)
     p_proj.add_argument("--bound", type=_at_least(0))
     p_proj.set_defaults(func=cmd_project)
 

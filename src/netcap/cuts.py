@@ -25,7 +25,7 @@ from .errors import InvalidCutError, PreconditionError, VacuousCutError
 # rebinds them on this module (perfbench/tracing.py PATCHES), so they must
 # stay importable from it.
 from .formulate import LinearConstraint, ModelKind, VarRef, build, fix_variables  # noqa: F401
-from .projlab import capacity_box
+from .projlab import capacity_bound, capacity_box
 from .solver import CapacitySweep, reduced_commodities
 from .solver import solve_lp  # noqa: F401
 
@@ -331,7 +331,8 @@ def check_cut_validity(
 ) -> CutCheck:
     """Test a `>=` row against every feasible point of the model.
 
-    For each integer capacity vector in the box, capacities are pinned and
+    For each integer capacity vector in the box {0..bound}^components
+    (`bound` defaults to `capacity_bound(inst)`), capacities are pinned and
     the left-hand side is minimized over the routing polytope; the cut is
     valid iff that minimum never drops below the right-hand side.  The box
     is swept in graded order by one `CapacitySweep` given the cut, which
@@ -359,7 +360,8 @@ def check_cut_validity(
         raise PreconditionError(
             f"inequality names capacity variables missing from the {kind.value} model: {stray!r}"
         )
-    refs, b = capacity_box(inst, model, bound)
+    b = capacity_bound(inst) if bound is None else bound
+    refs = capacity_box(model, b)
     sweep = CapacitySweep(model, refs, cut)
     points = sum(sweep.decide(vec) for vec in graded_box(len(refs), b))
     return CutCheck(

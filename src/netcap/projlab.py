@@ -2,8 +2,9 @@
 
 The projection of a capacity model is the set of integer capacity vectors
 that can route the traffic.  These sets are upward closed, so they are
-represented by their minimal elements within an enumeration box.  The
-module verifies two structural facts by exhaustive enumeration: the
+represented by their minimal elements within an enumeration box.
+`project(model, bound)` sweeps the box of a model its caller builds, as
+`solver.solve_mip(model, bound)` solves one.  The module verifies two structural facts by exhaustive enumeration: the
 five-way projection equality across model/traffic variants, and the
 closed-form description of the bidirected projection on a triangle.
 """
@@ -28,14 +29,12 @@ from .core import (
 )
 from .enumeration import check_box, dominates, graded_box
 from .errors import NoRoutingError, PreconditionError
-from .formulate import MipModel, ModelKind, VarRef, add_flow_symmetry, equalize_directed
+from .formulate import MipModel, ModelKind, VarRef, add_flow_symmetry
 from .solver import CapacitySweep, build_for_feasibility
 
 # Not called here.  The benchmark's tracer rebinds this name on this module
 # (perfbench/tracing.py PATCHES), so it must stay importable from it.
 from .solver import feasible_with_capacity  # noqa: F401
-
-VARIANTS = ("plain", "symmetrized-flows", "equalized")
 
 
 @dataclass(frozen=True)
@@ -78,49 +77,31 @@ def capacity_bound(inst: Instance) -> int:
     return math.ceil(total / inst.facilities.capacity(1))
 
 
-def capacity_box(
-    inst: Instance, model: MipModel, bound: int | None
-) -> tuple[tuple[VarRef, ...], int]:
+def capacity_box(model: MipModel, bound: int) -> tuple[VarRef, ...]:
     """The box to enumerate: the model's capacity variables in `VarRef.sort_key`
-    order, and `bound`, which defaults to `capacity_bound(inst)`."""
+    order, once `bound` is known to be a nonnegative int and the box no
+    larger than the limit (`enumeration.check_box`)."""
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+        raise PreconditionError(f"the box bound must be a nonnegative integer: {bound!r}")
     refs = tuple(sorted((v for v in model.variables if v.kind == "capacity"), key=lambda v: v.sort_key))
-    b = capacity_bound(inst) if bound is None else bound
-    if b < 0:
-        raise PreconditionError("bound must be nonnegative")
-    check_box(len(refs), b)
-    return refs, b
+    check_box(len(refs), bound)
+    return refs
 
 
-def _model_for(inst: Instance, kind: ModelKind, variant: str):
-    if variant not in VARIANTS:
-        raise PreconditionError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    model = build_for_feasibility(inst, kind)
-    if variant == "equalized":
-        return equalize_directed(model)
-    return add_flow_symmetry(model) if variant == "symmetrized-flows" else model
+def project(model: MipModel, bound: int) -> ProjectionSet:
+    """Minimal capacity vectors of the model's projection in {0..bound}^components.
 
-
-def project(
-    inst: Instance,
-    kind: ModelKind,
-    *,
-    variant: str = "plain",
-    bound: int | None = None,
-) -> ProjectionSet:
-    """Minimal capacity vectors of the model's projection, within the box.
-
-    Enumerates {0..bound}^components in graded order and decides each
-    vector with one `CapacitySweep`: by dominance over the minimal vectors
-    found so far, by a kept Farkas ray, or by phase 1 of the flow LP with
-    its capacities pinned.  Dominance keeps the LPs near the boundary of
-    the feasible set, and the kept rays keep them off most vectors below it.
+    Enumerates the box in graded order and decides each vector with one
+    `CapacitySweep`: by dominance over the minimal vectors found so far, by
+    a kept Farkas ray, or by phase 1 of the flow LP with its capacities
+    pinned.  Dominance keeps the LPs near the boundary of the feasible set,
+    and the kept rays keep them off most vectors below it.
     """
-    model = _model_for(inst, kind, variant)
-    refs, b = capacity_box(inst, model, bound)
+    refs = capacity_box(model, bound)
     sweep = CapacitySweep(model, refs)
-    for vec in graded_box(len(refs), b):
+    for vec in graded_box(len(refs), bound):
         sweep.decide(vec)
-    return ProjectionSet(components=refs, bound=b, minimal=frozenset(sweep.minimal))
+    return ProjectionSet(components=refs, bound=bound, minimal=frozenset(sweep.minimal))
 
 
 # -- five-way projection equality --------------------------------------------
@@ -158,12 +139,12 @@ class CorollaryReport:
         return out
 
     def describe(self) -> str:
-        if self.equal:
-            return (
-                f"{len(self.entries)} projections identical; "
-                f"{self.minimal_count} minimal vectors (bound {self.bound})"
-            )
-        return "projection mismatch: " + "; ".join(self.mismatches())
+        """The line `netcap verify corollary` prints for this report."""
+        if not self.equal:
+            return "projection mismatch: " + "; ".join(self.mismatches())
+        if not self.minimal_count:  # the projections agree over nothing
+            return f"no capacity vector in the box is feasible (bound {self.bound})"
+        return f"{len(self.entries)} projections identical; {self.minimal_count} minimal vectors (bound {self.bound})"
 
 
 def verify_corollary(inst: Instance, *, bound: int | None = None) -> CorollaryReport:
@@ -176,21 +157,16 @@ def verify_corollary(inst: Instance, *, bound: int | None = None) -> CorollaryRe
     same capacity components and box.
     """
     tstar = symmetric_counterpart(inst.traffic)
-    inst_star = inst.with_traffic(tstar)
-    inst_doubled = inst.with_traffic(scale_traffic(tstar, 2))
     b = capacity_bound(inst) if bound is None else bound
+    original = build_for_feasibility(inst, ModelKind.UNDIRECTED)
+    averaged = build_for_feasibility(inst.with_traffic(tstar), ModelKind.UNDIRECTED)
+    doubled = build_for_feasibility(inst.with_traffic(scale_traffic(tstar, 2)), ModelKind.BIDIRECTED)
     entries = (
-        ("undirected/original", project(inst, ModelKind.UNDIRECTED, bound=b)),
-        ("undirected/averaged", project(inst_star, ModelKind.UNDIRECTED, bound=b)),
-        (
-            "undirected/averaged/mirror-flows",
-            project(inst_star, ModelKind.UNDIRECTED, variant="symmetrized-flows", bound=b),
-        ),
-        ("bidirected/doubled-averaged", project(inst_doubled, ModelKind.BIDIRECTED, bound=b)),
-        (
-            "bidirected/doubled-averaged/mirror-flows",
-            project(inst_doubled, ModelKind.BIDIRECTED, variant="symmetrized-flows", bound=b),
-        ),
+        ("undirected/original", project(original, b)),
+        ("undirected/averaged", project(averaged, b)),
+        ("undirected/averaged/mirror-flows", project(add_flow_symmetry(averaged), b)),
+        ("bidirected/doubled-averaged", project(doubled, b)),
+        ("bidirected/doubled-averaged/mirror-flows", project(add_flow_symmetry(doubled), b)),
     )
     return CorollaryReport(entries=entries, bound=b)
 
@@ -318,7 +294,7 @@ def verify_triangle_remark(
     halved traffic."""
     form = triangle_bidirected_projection(traffic, nodes)
     inst = _triangle_instance(traffic, form.nodes)
-    proj = project(inst, ModelKind.BIDIRECTED, bound=bound)
+    proj = project(build_for_feasibility(inst, ModelKind.BIDIRECTED), bound)
     mismatches = []
     points = 0
     for vec in graded_box(len(proj.components), bound):
@@ -332,10 +308,9 @@ def verify_triangle_remark(
     half_sum = math.ceil(Fraction(sum(star_form.node_requirements.values())) / 2)
     ceiling_ok = half_sum >= math.ceil(star_form.theta)
 
-    proj_star = project(inst.with_traffic(tstar), ModelKind.BIDIRECTED, bound=bound)
-    proj_half = project(
-        inst.with_traffic(scale_traffic(traffic, Fraction(1, 2))), ModelKind.UNDIRECTED, bound=bound
-    )
+    proj_star = project(build_for_feasibility(inst.with_traffic(tstar), ModelKind.BIDIRECTED), bound)
+    half = inst.with_traffic(scale_traffic(traffic, Fraction(1, 2)))
+    proj_half = project(build_for_feasibility(half, ModelKind.UNDIRECTED), bound)
     halves_equal = proj_star.minimal == proj_half.minimal
 
     return TriangleReport(

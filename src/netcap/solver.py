@@ -398,28 +398,26 @@ def _solve(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> L
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), fixed)
 
 
-def solve_lp(
-    model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED, ignore_integrality: bool = False
-) -> LpSolution:
+def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> LpSolution:
     """Solve the model as a pure LP, exactly, with the `fixed` variables pinned.
 
-    Integer variables left free are rejected unless `ignore_integrality` is
-    set, in which case the continuous relaxation is solved.  Optimal points
-    include the pinned values, count them in the objective, and are
-    re-checked in integers against every original constraint before being
-    returned (`_recheck`).  The duals are read off the final phase-2
-    reduced-cost row at each row's starting column, whose phase-2 cost is
-    zero: u = -red[start[r]], scaled back to the rational model and signed
-    back to model row origin[r].  An Infeasible answer carries phase 1's
+    Integer variables left free are rejected; the continuous relaxation is
+    the model without integer marks, `replace(model, integer=frozenset())`.
+    Optimal points include the pinned values, count them in the objective,
+    and are re-checked in integers against every original constraint
+    before being returned (`_recheck`).  The duals are read off the final
+    phase-2 reduced-cost row at each row's starting column, whose phase-2
+    cost is zero: u = -red[start[r]], scaled back to the rational model and
+    signed back to model row origin[r].  An Infeasible answer carries phase 1's
     Farkas ray (see _phase1).  An Unbounded one carries the last basic
     point, checked like an optimum, and the ray along the column that
     entered with no row to leave: that column rises by one and each basic
     variable falls by its cell in it.
     """
     pinned = pinned_values(model, fixed)
-    if not ignore_integrality and any(v not in pinned for v in model.integer):
+    if any(v not in pinned for v in model.integer):
         raise PreconditionError(
-            "model has integer variables; use solve_mip or pass ignore_integrality=True"
+            "model has integer variables; use solve_mip, pin them, or clear the model's integer marks"
         )
     return _solve(_Rows(model, tuple(pinned)), tuple(pinned.values()))
 

@@ -19,13 +19,15 @@ from netcap.core import (
     Instance,
     Network,
     TrafficMatrix,
+    load_instance,
     render_instance,
     save_instance,
 )
 from netcap.cuts import CutCheck
-from netcap.formulate import ModelKind, VarRef, parse_model
-from netcap.projlab import CorollaryReport, ProjectionSet
+from netcap.formulate import ModelKind, VarRef, equalize_directed, parse_model
+from netcap.projlab import CorollaryReport, ProjectionSet, project
 from netcap.randgen import triangle_network, triangle_remark_traffic
+from netcap.solver import build_for_feasibility
 from netcap.transform import balance_violations, load_point
 
 
@@ -73,7 +75,7 @@ def test_build_round_trips(tri, capsys):
 def test_build_writes_file(tri, tmp_path, capsys):
     _, path = tri
     out = tmp_path / "model.lp"
-    assert run(["build", path, "--model", "directed", "--equalize", "-o", str(out)]) == 0
+    assert run(["build", path, "--model", "directed", "--variant", "equalized", "-o", str(out)]) == 0
     capsys.readouterr()
     model = parse_model(out.read_text())
     assert any(c.name.startswith("eq[") for c in model.constraints)
@@ -81,7 +83,7 @@ def test_build_writes_file(tri, tmp_path, capsys):
 
 def test_build_equalize_needs_directed(tri, capsys):
     _, path = tri
-    assert run(["build", path, "--model", "undirected", "--equalize"]) == 2
+    assert run(["build", path, "--model", "undirected", "--variant", "equalized"]) == 2
     assert "directed" in capsys.readouterr().err
 
 
@@ -105,7 +107,7 @@ DATA = Path(__file__).resolve().parent / "data"
     "flags, recorded",
     [
         (["--model", "undirected"], "triangle-undirected.json"),
-        (["--model", "undirected", "--symmetrize-flows"], None),
+        (["--model", "undirected", "--variant", "symmetrized-flows"], None),
         (["--model", "bidirected"], "triangle-bidirected.json"),
         (["--model", "directed"], "triangle-directed.json"),
     ],
@@ -185,7 +187,7 @@ def test_transform_redistribute(tri, tmp_path, capsys):
 def test_transform_lift_drop_round_trip(tri_sym, tmp_path, capsys):
     _, path = tri_sym
     point_file = tmp_path / "point.json"
-    run(["solve", path, "--model", "undirected", "--symmetrize-flows", "-o", str(point_file)])
+    run(["solve", path, "--model", "undirected", "--variant", "symmetrized-flows", "-o", str(point_file)])
     lifted_file = tmp_path / "lifted.json"
     assert run(
         ["transform", "lift", path, "--point", str(point_file), "-o", str(lifted_file)]
@@ -375,11 +377,43 @@ def test_project_directed_uses_arc_separator(tri, capsys):
     assert "1|1>2=" in out
 
 
+def test_project_equalized_prints_the_equalized_projection(capsys):
+    """`project --variant equalized` sweeps the directed feasibility model
+    with both orientations of each edge tied."""
+    path = DATA / "instances" / "triangle.json"
+    assert run(["project", str(path), "--model", "directed", "--variant", "equalized", "--bound", "1"]) == 0
+    proj = project(equalize_directed(build_for_feasibility(load_instance(path), ModelKind.DIRECTED)), 1)
+    lines = [" ".join(f"{ref.key}={n}" for ref, n in zip(proj.components, vec)) for vec in proj.minimal_vectors()]
+    assert len(lines) == 5
+    assert capsys.readouterr().out == "".join(
+        line + "\n" for line in ["bound: 1", f"minimal vectors: {len(lines)}", *("  " + v for v in lines)]
+    )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--model", "undirected", "--variant", "equalized"], ["--model", "directed", "--variant", "sideways"]],
+    ids=["equalized-undirected", "unknown"],
+)
+def test_project_refuses_a_variant_it_cannot_read(tri, flags, capsys):
+    _, path = tri
+    assert run(["project", path, *flags, "--bound", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+
+
 def test_verify_corollary_trials(capsys):
     assert run(["verify", "corollary", "--trials", "1", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "projections identical" in out
     assert "all checks agree" in out
+
+
+def test_verify_corollary_four_node(capsys):
+    assert run(["verify", "corollary", "--shape", "four-node", "--trials", "1", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "projections identical" in out
+    assert out.endswith("all checks agree\n")
 
 
 def test_verify_corollary_with_no_feasible_vector_exits_one(capsys):

@@ -504,7 +504,8 @@ def test_row_sweep_reads_its_objective_off_the_row():
     inst, cut = _readme_cut()
     plain = build_for_feasibility(inst, ModelKind.DIRECTED)
     probe = plain.with_objective({v: c for v, c in cut.coeffs.items() if v.kind == "flow"})
-    refs, bound = capacity_box(inst, plain, 1)
+    bound = 1
+    refs = capacity_box(plain, bound)
     for row in (cut, replace(cut, rhs=cut.rhs + 1)):
         runs = []
         for model in (plain, probe):
@@ -563,7 +564,7 @@ def test_cut_is_a_row_the_directed_model_takes():
         plain, cut_result = solve_mip(model, bound), solve_mip(with_cut, bound)
         assert plain.status is cut_result.status is SolveStatus.OPTIMAL
         assert cut_result.objective == plain.objective
-        relaxed = [solve_lp(m, ignore_integrality=True).objective for m in (model, with_cut)]
+        relaxed = [solve_lp(replace(m, integer=frozenset())).objective for m in (model, with_cut)]
         assert relaxed[0] <= relaxed[1] <= plain.objective
         tightened += relaxed[0] < relaxed[1]
         assert parse_model(render_model(with_cut)) == with_cut

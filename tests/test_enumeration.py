@@ -17,8 +17,8 @@ from netcap.enumeration import (
 )
 from netcap.errors import BoxTooLargeError
 from netcap.formulate import ModelKind
-from netcap.projlab import _model_for, capacity_box, project
-from netcap.solver import CapacitySweep, feasible_with_capacity
+from netcap.projlab import capacity_bound, capacity_box, project
+from netcap.solver import CapacitySweep, build_for_feasibility, feasible_with_capacity
 
 
 def test_graded_box_order_and_coverage():
@@ -89,16 +89,16 @@ def test_dominates():
 
 def _triangle_sweep(bound):
     inst = load_instance(Path(__file__).resolve().parent / "data" / "instances" / "triangle.json")
-    model = _model_for(inst, ModelKind.UNDIRECTED, "plain")
-    refs, b = capacity_box(inst, model, bound)
-    return inst, model, refs, b
+    model = build_for_feasibility(inst, ModelKind.UNDIRECTED)
+    b = capacity_bound(inst) if bound is None else bound
+    return model, capacity_box(model, b), b
 
 
 def test_monotone_cache_finds_minimal_set():
     """A graded sweep's dominance cache keeps exactly the minimal feasible
     vectors that phase 1 at every box vector finds, with fewer LPs than the
     box has vectors."""
-    _, model, refs, b = _triangle_sweep(3)
+    model, refs, b = _triangle_sweep(3)
     feas = [v for v in product(range(b + 1), repeat=len(refs)) if feasible_with_capacity(model, dict(zip(refs, v)))]
     brute = {v for v in feas if not any(w != v and dominates(v, w) for w in feas)}
     sweep = CapacitySweep(model, refs)
@@ -112,7 +112,7 @@ def test_sweep_solves_no_vector_above_a_recorded_one():
     """The README's undirected projection: a vector that dominates one
     recorded feasible is decided without an LP, so the sweep solves a pinned
     number of LPs and never one above a recorded vector."""
-    inst, model, refs, b = _triangle_sweep(None)
+    model, refs, b = _triangle_sweep(None)
     sweep = CapacitySweep(model, refs)
     for vec in graded_box(len(refs), b):
         recorded, solved = list(sweep.minimal), sweep.lp_solved
@@ -120,4 +120,4 @@ def test_sweep_solves_no_vector_above_a_recorded_one():
         if any(dominates(vec, m) for m in recorded):
             assert feasible is True and sweep.lp_solved == solved
     assert (sweep.lp_solved, sweep.ray_refuted, sweep.bound_proved) == (11, 47, 0)
-    assert frozenset(sweep.minimal) == project(inst, ModelKind.UNDIRECTED).minimal
+    assert frozenset(sweep.minimal) == project(model, b).minimal

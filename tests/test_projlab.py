@@ -16,13 +16,11 @@ from netcap.core import (
 )
 from netcap.enumeration import dominates, graded_box
 from netcap.errors import NoRoutingError, PreconditionError
-from netcap.formulate import ModelKind, VarRef
+from netcap.formulate import ModelKind, VarRef, add_flow_symmetry, equalize_directed
 from netcap.projlab import (
-    VARIANTS,
     CorollaryReport,
     ProjectionSet,
     TriangleReport,
-    _model_for,
     capacity_bound,
     capacity_box,
     project,
@@ -45,6 +43,12 @@ _TRI_TRAFFIC = TrafficMatrix(
 
 def _tri_instance(traffic=_TRI_TRAFFIC, menu=(1,)):
     return Instance(triangle_network(), FacilityMenu(menu), traffic)
+
+
+def _project(inst, kind, bound=None):
+    """The projection of the feasibility model of `inst` in reading `kind`,
+    in the box `capacity_bound(inst)` when `bound` is None."""
+    return project(build_for_feasibility(inst, kind), capacity_bound(inst) if bound is None else bound)
 
 
 def test_capacity_bound():
@@ -84,7 +88,7 @@ def test_projection_set_membership_is_upward_closure():
 
 
 def test_pinned_triangle_projection():
-    proj = project(_tri_instance(), ModelKind.UNDIRECTED)
+    proj = _project(_tri_instance(), ModelKind.UNDIRECTED)
     assert proj.bound == 3
     assert [ref.key for ref in proj.components] == ["1|1-2", "1|1-3", "1|2-3"]
     assert proj.minimal == {(2, 1, 0), (1, 2, 1), (3, 0, 1), (0, 3, 2)}
@@ -95,18 +99,21 @@ def test_projection_membership_matches_direct_feasibility():
     """Sampled box vectors must agree with a from-scratch model solve."""
     rng = random.Random(61)
     inst = _tri_instance()
-    proj = project(inst, ModelKind.UNDIRECTED)
     model = build_for_feasibility(inst, ModelKind.UNDIRECTED)
+    proj = project(model, capacity_bound(inst))
     for _ in range(25):
         vec = tuple(rng.randint(0, 3) for _ in proj.components)
         direct = feasible_with_capacity(model, dict(zip(proj.components, vec)))
         assert proj.member(vec) == direct
 
 
+# The rows each reading adds to the feasibility model.
+_VARIANTS = {"plain": lambda model: model, "symmetrized-flows": add_flow_symmetry, "equalized": equalize_directed}
+
 _READINGS = [
     (kind, variant)
     for kind in ModelKind
-    for variant in VARIANTS
+    for variant in _VARIANTS
     if variant != "equalized" or kind is ModelKind.DIRECTED
 ]
 
@@ -132,21 +139,25 @@ def test_project_matches_a_per_vector_sweep(case):
     """Dominance and cached rays decide the same minimal vectors as phase 1
     run on every vector of the box."""
     inst, kind, variant, bound = case
-    model = _model_for(inst, kind, variant)
-    refs, b = capacity_box(inst, model, bound)
-    feasible = [v for v in graded_box(len(refs), b) if feasible_with_capacity(model, dict(zip(refs, v)))]
+    model = _VARIANTS[variant](build_for_feasibility(inst, kind))
+    refs = capacity_box(model, bound)
+    feasible = [v for v in graded_box(len(refs), bound) if feasible_with_capacity(model, dict(zip(refs, v)))]
     minimal = {v for v in feasible if not any(w != v and dominates(v, w) for w in feasible)}
-    proj = project(inst, kind, variant=variant, bound=bound)
+    proj = project(model, bound)
     assert proj.components == refs and proj.minimal == minimal
 
 
 def test_project_variant_validation():
+    """Only the directed reading can be equalized, and the box bound must be
+    a nonnegative int, as `solve_mip`'s must."""
     inst = _tri_instance()
     with pytest.raises(PreconditionError):
-        project(inst, ModelKind.UNDIRECTED, variant="sideways")
-    with pytest.raises(PreconditionError):
-        project(inst, ModelKind.UNDIRECTED, variant="equalized")
-    eq = project(inst, ModelKind.DIRECTED, variant="equalized", bound=2)
+        equalize_directed(build_for_feasibility(inst, ModelKind.UNDIRECTED))
+    model = equalize_directed(build_for_feasibility(inst, ModelKind.DIRECTED))
+    for bound in (-1, True, Fraction(1), None):
+        with pytest.raises(PreconditionError, match="nonnegative integer"):
+            project(model, bound)
+    eq = project(model, 2)
     assert len(eq.components) == 6  # one per arc
     assert all(ref.arc is not None for ref in eq.components)
 
@@ -157,8 +168,8 @@ def test_rerouting_preserves_the_projection():
     for _ in range(3):
         inst = triangle_corollary_instance(rng)
         target = pair_preserving_target(rng, inst.traffic)
-        base = project(inst, ModelKind.UNDIRECTED)
-        moved = project(inst.with_traffic(target), ModelKind.UNDIRECTED, bound=base.bound)
+        base = _project(inst, ModelKind.UNDIRECTED)
+        moved = _project(inst.with_traffic(target), ModelKind.UNDIRECTED, base.bound)
         assert base.minimal == moved.minimal
 
 
@@ -199,6 +210,18 @@ def test_failing_corollary_report_names_what_differs():
     mismatch = "other differs from first: only in first [(1, 0)], only in second [(0, 2), (0, 3), (0, 4)]"
     assert report.mismatches() == [mismatch]
     assert report.describe() == f"projection mismatch: {mismatch}"
+
+
+def test_empty_corollary_report_says_the_box_holds_nothing_feasible():
+    """Projections that agree on no minimal vector agree over nothing: the
+    report says so, and a projection that is empty alone still differs."""
+    refs = (VarRef.cap_edge(1, ("1", "2")),)
+    empty = ("empty", ProjectionSet(refs, 0, frozenset()))
+    report = CorollaryReport((empty, empty), bound=0)
+    assert report.equal and report.minimal_count == 0
+    assert report.describe() == "no capacity vector in the box is feasible (bound 0)"
+    lone = CorollaryReport((empty, ("full", ProjectionSet(refs, 0, frozenset({(0,)})))), bound=0)
+    assert lone.describe().startswith("projection mismatch: full differs from empty")
 
 
 def test_failing_triangle_report_names_each_failed_check():

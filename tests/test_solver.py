@@ -54,6 +54,11 @@ def _two_node(menu=(1,), t12=Fraction(1), t21=Fraction(0)):
     return Instance(net, FacilityMenu(menu), TrafficMatrix({("1", "2"): t12, ("2", "1"): t21}))
 
 
+def _relaxed(model):
+    """The continuous relaxation: the model without its integer marks."""
+    return replace(model, integer=frozenset())
+
+
 def test_pinned_optima_across_kinds():
     one_way = _two_node(t12=Fraction(1))
     both_ways = _two_node(t12=Fraction(1), t21=Fraction(1))
@@ -72,7 +77,7 @@ def test_pinned_optima_across_kinds():
 
 def test_fractional_relaxation_value():
     inst = _two_node(t12=Fraction(3, 2))
-    sol = solve_lp(build_undirected(inst), ignore_integrality=True)
+    sol = solve_lp(_relaxed(build_undirected(inst)))
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == Fraction(3, 2)
     mip = solve_mip(build_undirected(inst), 4)
@@ -147,7 +152,7 @@ def test_optimality_certificate_sweep(monkeypatch):
         )
         for build in (build_undirected, build_bidirected, build_directed):
             model = build(inst)
-            sol = solve_lp(model, ignore_integrality=True)
+            sol = solve_lp(_relaxed(model))
             assert sol.status is SolveStatus.OPTIMAL
             assert len(sol.duals) == len(model.constraints)
             assert certify(model, sol)
@@ -188,8 +193,8 @@ def test_optimality_certificate_sweep(monkeypatch):
     # projection sweeps: phase-1 rays, constant rows among them
     for _ in range(2):
         inst = triangle_corollary_instance(rng)
-        project(inst, ModelKind.UNDIRECTED)
-        project(inst, ModelKind.DIRECTED, variant="equalized", bound=1)
+        project(build_for_feasibility(inst, ModelKind.UNDIRECTED), capacity_bound(inst))
+        project(equalize_directed(build_for_feasibility(inst, ModelKind.DIRECTED)), 1)
     assert any(sum(map(bool, sol.duals)) == 1 for _, sol in rays)
 
     answers = relaxations + node_lps + probes + rays
@@ -213,7 +218,7 @@ def test_optimality_certificate_sweep(monkeypatch):
 def test_optimality_certificate_rejects_tampering(monkeypatch):
     rng = random.Random(41)
     model = build_undirected(triangle_corollary_instance(rng))
-    sol = solve_lp(model, ignore_integrality=True)
+    sol = solve_lp(_relaxed(model))
     assert sol.objective > 0 and certify(model, sol)
     assert not certify(model, replace(sol, objective=sol.objective + 1))
     assert not certify(model, replace(sol, duals=(Fraction(0),) * len(sol.duals)))
@@ -469,10 +474,10 @@ def test_relabelled_answer_does_not_certify():
     Infeasible and an Unbounded answer, each relabelled as either other
     status, do not certify."""
     model = build_undirected(_two_node())
-    optimal = solve_lp(model, ignore_integrality=True)
+    optimal = solve_lp(_relaxed(model))
     infeasible = solve_lp(model, fixed={VarRef.cap_edge(1, ("1", "2")): 0})
     free, _, _ = _free_variable_model()
-    unbounded = solve_lp(free, ignore_integrality=True)
+    unbounded = solve_lp(_relaxed(free))
     for m, sol in ((model, optimal), (model, infeasible), (free, unbounded)):
         assert certify(m, sol)
         for other in SolveStatus:
@@ -507,7 +512,7 @@ def _free_variable_model(extra_rows=()):
 
 def test_unbounded_statuses():
     model, x, y = _free_variable_model()
-    sol = solve_lp(model, ignore_integrality=True)
+    sol = solve_lp(_relaxed(model))
     assert sol.status is SolveStatus.UNBOUNDED and sol.ray == {x: 1}
     assert certify(model, sol)
     # with no row to keep, only d >= 0 refuses a ray that lowers the cost
@@ -517,7 +522,7 @@ def test_unbounded_statuses():
     # min -x under x - y <= 0: x enters, then y enters with no row to leave,
     # so the ray raises both; every tampered ray or point is refused
     model, x, y = _free_variable_model((LinearConstraint("r", {x: 1, y: -1}, "<=", 0),))
-    sol = solve_lp(model, ignore_integrality=True)
+    sol = solve_lp(_relaxed(model))
     assert sol.status is SolveStatus.UNBOUNDED and sol.ray == {x: 1, y: 1}
     assert certify(model, sol)
     for ray in (
@@ -529,7 +534,7 @@ def test_unbounded_statuses():
         assert not certify(model, replace(sol, ray=ray))
     assert not certify(model, replace(sol, values={x: Fraction(1)}))
     # with y pinned the ray may not move it, and the pin must hold in the point
-    pinned = solve_lp(model, fixed={y: 2}, ignore_integrality=True)
+    pinned = solve_lp(_relaxed(model), fixed={y: 2})
     assert pinned.status is SolveStatus.OPTIMAL and pinned.objective == -2
     assert not certify(model, replace(sol, fixed={y: Fraction(0)}))
     stray = VarRef.cap_edge(9, ("1", "2"))
