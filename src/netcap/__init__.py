@@ -60,7 +60,6 @@ from .formulate import (
     equalize_directed,
     fix_variables,
     is_arc_symmetric,
-    parse_model,
     render_model,
 )
 from .projlab import (

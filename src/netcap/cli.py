@@ -6,11 +6,12 @@ project (capacity projections), verify (exhaustive structural checks).
 `build`, `solve` and `project` read the model that `--model` and
 `--variant` pick; `project` builds it with `solver.build_for_feasibility`.
 
-Exit codes: 0 on success or full agreement, 1 when a verification fails
-or finds no feasible capacity vector in its box, a solve ends without an
-optimal point, or a requested cut is vacuous, 2 on usage and input
-errors, and 141, with no message, when the reader of standard output
-closes it early.  All numbers print as exact rationals.
+Exit codes: 0 on success or full agreement, 1 when a verification fails,
+`verify corollary`, `cut --check` or `project` finds no feasible capacity
+vector in its box, a solve ends without an optimal point, or a requested
+cut is vacuous, 2 on usage and input errors, and 141, with no message,
+when the reader of standard output closes it early.  All numbers print as
+exact rationals.
 """
 
 from __future__ import annotations
@@ -206,12 +207,8 @@ def cmd_project(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     model = _model_from_args(inst, args, build_for_feasibility)
     result = project(model, capacity_bound(inst) if args.bound is None else args.bound)
-    print(f"bound: {result.bound}")
-    vectors = result.minimal_vectors()
-    print(f"minimal vectors: {len(vectors)}")
-    for vec in vectors:
-        print("  " + " ".join(f"{ref.key}={n}" for ref, n in zip(result.components, vec)))
-    return 0
+    print(result.describe())
+    return 0 if result.minimal else 1
 
 
 def _triangle_nodes(inst: Instance) -> tuple[Node, ...]:

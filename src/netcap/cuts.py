@@ -25,7 +25,7 @@ from .errors import InvalidCutError, PreconditionError, VacuousCutError
 # rebinds them on this module (perfbench/tracing.py PATCHES), so they must
 # stay importable from it.
 from .formulate import LinearConstraint, ModelKind, VarRef, build, fix_variables  # noqa: F401
-from .projlab import capacity_bound, capacity_box
+from .projlab import capacity_bound, capacity_box, no_feasible_vector
 from .solver import CapacitySweep, reduced_commodities
 from .solver import solve_lp  # noqa: F401
 
@@ -214,7 +214,6 @@ def cutset_inequality(inst: Instance, spec: CutsetSpec) -> LinearConstraint:
         raise VacuousCutError(
             "adjusted crossing demand is a multiple of the module size; "
             "the rounding yields nothing",
-            data=data,
         )
     coeffs: dict[VarRef, Fraction] = {}
     for m in inst.facilities.indices:
@@ -250,7 +249,6 @@ def single_facility_cutset(inst: Instance, spec: CutsetSpec) -> LinearConstraint
     if data.remainder == 0:
         raise VacuousCutError(
             "crossing demand is an integer here, so the rounding yields nothing",
-            data=data,
         )
     r = data.remainder
     coeffs: dict[VarRef, Fraction] = {}
@@ -311,7 +309,7 @@ class CutCheck:
     def describe(self) -> str:
         """The lines `netcap cut --check` prints for this check."""
         if not self.points:
-            return f"no capacity vector in the box is feasible (bound {self.bound})"
+            return no_feasible_vector(self.bound)
         if self.valid:
             return f"valid on {self.points}/{self.points} enumerated points"
         vec, lhs = self.violations[0]

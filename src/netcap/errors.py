@@ -12,7 +12,8 @@ class InvalidInstanceError(NetcapError):
 
 
 class ParseError(NetcapError):
-    """An instance file, point file or LP text could not be parsed."""
+    """An instance, point or traffic file, or a name or number in one,
+    could not be parsed."""
 
 
 class PreconditionError(NetcapError):
@@ -29,10 +30,6 @@ class VacuousCutError(NetcapError):
     Distinct from :class:`InvalidCutError`: the request was well formed but
     the resulting inequality would be trivial, so none is produced.
     """
-
-    def __init__(self, message: str, data=None):
-        super().__init__(message)
-        self.data = data
 
 
 class NoRoutingError(NetcapError):

@@ -19,7 +19,7 @@ capacity variables by (facility, edge or arc), all lexicographic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -465,88 +465,3 @@ def render_model(model: MipModel) -> str:
             lines.append(f"  {v.name}")
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-_TERM = re.compile(r"([+-])\s+(\S+)\s+(\S+)")
-
-
-def _parse_terms(text: str, where: str) -> dict[VarRef, Fraction]:
-    text = text.strip()
-    if text == "+ 0":
-        return {}
-    coeffs: dict[VarRef, Fraction] = {}
-    pos = 0
-    for m in _TERM.finditer(text):
-        if m.start() != pos:
-            raise ParseError(f"malformed expression in {where}: {text!r}")
-        pos = m.end() + 1 if m.end() < len(text) else m.end()
-        sign, coef, name = m.groups()
-        value = parse_rational(coef)
-        if sign == "-":
-            value = -value
-        ref = parse_varref(name)
-        if ref in coeffs:
-            raise ParseError(f"variable {name} repeated in {where}")
-        coeffs[ref] = value
-    if pos != len(text):
-        raise ParseError(f"malformed expression in {where}: {text!r}")
-    return coeffs
-
-
-def parse_model(text: str) -> MipModel:
-    """Inverse of render_model."""
-    kind: ModelKind | None = None
-    section = None
-    objective: dict[VarRef, Fraction] = {}
-    constraints: list[LinearConstraint] = []
-    variables: list[VarRef] = []
-    integer: set[VarRef] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("\\"):
-            comment = line[1:].strip()
-            if comment.startswith("kind:"):
-                label = comment.partition(":")[2].strip()
-                try:
-                    kind = ModelKind(label)
-                except ValueError as exc:
-                    raise ParseError(f"unknown model kind {label!r}") from exc
-            continue
-        if line in ("minimize", "subject to", "bounds", "integers", "end"):
-            section = line
-            continue
-        if section == "minimize":
-            objective = _parse_terms(line, "objective")
-        elif section == "subject to":
-            name, sep, rest = line.partition(":")
-            if not sep:
-                raise ParseError(f"constraint line without name: {line!r}")
-            m = re.match(r"^(.*?)\s*(<=|>=|=)\s*(\S+)$", rest.strip())
-            if not m:
-                raise ParseError(f"malformed constraint: {line!r}")
-            expr, sense, rhs = m.groups()
-            constraints.append(
-                LinearConstraint(name.strip(), _parse_terms(expr, name), sense, parse_rational(rhs))
-            )
-        elif section == "bounds":
-            m = re.match(r"^(\S+)\s*>=\s*0$", line)
-            if not m:
-                raise ParseError(f"unsupported bound line: {line!r}")
-            variables.append(parse_varref(m.group(1)))
-        elif section == "integers":
-            integer.add(parse_varref(line))
-        else:
-            raise ParseError(f"content outside any section: {line!r}")
-    if kind is None:
-        raise ParseError("missing '\\ kind:' header")
-    if section != "end":
-        raise ParseError("missing 'end' marker")
-    return MipModel(
-        kind=kind,
-        variables=tuple(variables),
-        integer=frozenset(integer),
-        constraints=tuple(constraints),
-        objective=objective,
-    )

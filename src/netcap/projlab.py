@@ -37,6 +37,11 @@ from .solver import CapacitySweep, build_for_feasibility
 from .solver import feasible_with_capacity  # noqa: F401
 
 
+def no_feasible_vector(bound: int) -> str:
+    """What a report says when no capacity vector in its box is feasible."""
+    return f"no capacity vector in the box is feasible (bound {bound})"
+
+
 @dataclass(frozen=True)
 class ProjectionSet:
     """Minimal elements of an upward-closed capacity set within a box.
@@ -61,6 +66,15 @@ class ProjectionSet:
     def minimal_vectors(self) -> list[tuple[int, ...]]:
         """The minimal vectors in graded (total, then lexicographic) order."""
         return sorted(self.minimal, key=lambda v: (sum(v), v))
+
+    def describe(self) -> str:
+        """The lines `netcap project` prints for this projection."""
+        vectors = self.minimal_vectors()
+        if not vectors:
+            return no_feasible_vector(self.bound)
+        lines = [f"bound: {self.bound}", f"minimal vectors: {len(vectors)}"]
+        lines += ("  " + " ".join(f"{ref.key}={n}" for ref, n in zip(self.components, vec)) for vec in vectors)
+        return "\n".join(lines)
 
 
 def capacity_bound(inst: Instance) -> int:
@@ -143,7 +157,7 @@ class CorollaryReport:
         if not self.equal:
             return "projection mismatch: " + "; ".join(self.mismatches())
         if not self.minimal_count:  # the projections agree over nothing
-            return f"no capacity vector in the box is feasible (bound {self.bound})"
+            return no_feasible_vector(self.bound)
         return f"{len(self.entries)} projections identical; {self.minimal_count} minimal vectors (bound {self.bound})"
 
 

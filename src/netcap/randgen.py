@@ -34,19 +34,6 @@ FOUR_NODES = ("1", "2", "3", "4")
 _ALL_FOUR_PAIRS = TrafficMatrix({(o, d): 1 for o in FOUR_NODES for d in FOUR_NODES if o != d})
 
 
-def rational_entry(
-    rng: random.Random,
-    *,
-    max_numerator: int = 8,
-    denominators: Sequence[int] = (1, 2, 4),
-    zero_chance: float = 0.0,
-) -> Fraction:
-    """One nonnegative rational with a small denominator."""
-    if zero_chance and rng.random() < zero_chance:
-        return Fraction(0)
-    return Fraction(rng.randint(0, max_numerator), rng.choice(tuple(denominators)))
-
-
 def random_traffic(
     rng: random.Random,
     nodes: Iterable[Node],
@@ -55,18 +42,18 @@ def random_traffic(
     denominators: Sequence[int] = (1, 2, 4),
     zero_chance: float = 0.3,
 ) -> TrafficMatrix:
-    """Independent random entries for every ordered node pair."""
+    """Independent random entries for every ordered node pair, each 0 with
+    probability `zero_chance`, else a numerator up to `max_numerator` over
+    one of `denominators`."""
     entries = {}
     for o in nodes:
         for d in nodes:
             if o == d:
                 continue
-            entries[(o, d)] = rational_entry(
-                rng,
-                max_numerator=max_numerator,
-                denominators=denominators,
-                zero_chance=zero_chance,
-            )
+            if zero_chance and rng.random() < zero_chance:
+                entries[(o, d)] = Fraction(0)
+            else:
+                entries[(o, d)] = Fraction(rng.randint(0, max_numerator), rng.choice(tuple(denominators)))
     return TrafficMatrix(entries)
 
 

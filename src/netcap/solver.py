@@ -479,8 +479,9 @@ def certify(model: MipModel, answer: LpSolution) -> bool:
     equals the reported objective and the point's.  Unbounded: the ray d
     leaves the pins alone, is nonnegative, keeps every row's sense (a_r d
     <= 0 on `<=`, >= 0 on `>=`, = 0 on `=`) and lowers the cost (c d < 0).
-    Optimal and Unbounded: the point holds the pins and satisfies every
-    row.  An answer relabelled with another status does not certify.
+    Optimal and Unbounded: the point names only model variables, holds
+    the pins and satisfies every row.  An answer relabelled with another
+    status does not certify.
     """
     fixed = answer.fixed
     if answer.status is SolveStatus.UNBOUNDED:
@@ -499,8 +500,9 @@ def certify(model: MipModel, answer: LpSolution) -> bool:
         dual_value = Fraction(alpha - sum(g.get(v, 0) * val for v, val in fixed.items()), scale)
         if not dual_value + model.objective_value(fixed) == answer.objective == model.objective_value(answer.values):
             return False
+    on_model = set(answer.values) <= set(model.variables)
     pins_kept = all(answer.values.get(v, _ZERO) == val for v, val in fixed.items())
-    return pins_kept and not model.violations(answer.values)
+    return on_model and pins_kept and not model.violations(answer.values)
 
 
 def _bound_rows(model: MipModel, bound: int) -> list[LinearConstraint]:

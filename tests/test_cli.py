@@ -24,7 +24,7 @@ from netcap.core import (
     save_instance,
 )
 from netcap.cuts import CutCheck
-from netcap.formulate import ModelKind, VarRef, equalize_directed, parse_model
+from netcap.formulate import ModelKind, VarRef, build, equalize_directed, render_model
 from netcap.projlab import CorollaryReport, ProjectionSet, project
 from netcap.randgen import triangle_network, triangle_remark_traffic
 from netcap.solver import build_for_feasibility
@@ -65,20 +65,17 @@ def tri_sym(tmp_path):
 
 
 def test_build_round_trips(tri, capsys):
-    _, path = tri
+    inst, path = tri
     assert run(["build", path, "--model", "undirected"]) == 0
-    model = parse_model(capsys.readouterr().out)
-    assert model.kind is ModelKind.UNDIRECTED
-    assert any(v.kind == "capacity" for v in model.variables)
+    assert capsys.readouterr().out == render_model(build(inst, ModelKind.UNDIRECTED))
 
 
 def test_build_writes_file(tri, tmp_path, capsys):
-    _, path = tri
+    inst, path = tri
     out = tmp_path / "model.lp"
     assert run(["build", path, "--model", "directed", "--variant", "equalized", "-o", str(out)]) == 0
     capsys.readouterr()
-    model = parse_model(out.read_text())
-    assert any(c.name.startswith("eq[") for c in model.constraints)
+    assert out.read_text(encoding="utf-8") == render_model(equalize_directed(build(inst, ModelKind.DIRECTED)))
 
 
 def test_build_equalize_needs_directed(tri, capsys):
@@ -388,6 +385,20 @@ def test_project_equalized_prints_the_equalized_projection(capsys):
     assert capsys.readouterr().out == "".join(
         line + "\n" for line in ["bound: 1", f"minimal vectors: {len(lines)}", *("  " + v for v in lines)]
     )
+
+
+@pytest.mark.parametrize(
+    "flags, bound",
+    [(["--model", "undirected", "--variant", "symmetrized-flows"], 2), (["--model", "directed", "--bound", "0"], 0)],
+    ids=["mirror-flows", "bound-zero"],
+)
+def test_project_with_no_feasible_vector_exits_one(flags, bound, capsys):
+    """Mirror-flow rows make triangle.json's asymmetric traffic unroutable,
+    and with `--bound 0` its existing capacity alone cannot route it: the
+    projection is empty, as `verify corollary` and `cut --check` say, and
+    the command exits 1."""
+    assert run(["project", str(DATA / "instances" / "triangle.json"), *flags]) == 1
+    assert capsys.readouterr().out == f"no capacity vector in the box is feasible (bound {bound})\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
-"""Property tests for the three text formats: instances, point files and
-LP-format models round-trip exactly, and malformed documents fail only with
-netcap's own errors (which the command line turns into exit code 2)."""
+"""Property tests for the two text formats netcap reads: instances and point
+files round-trip exactly, and malformed documents fail only with netcap's
+own errors (which the command line turns into exit code 2)."""
 
 import json
 from fractions import Fraction
@@ -20,7 +20,7 @@ from netcap.core import (
     render_instance,
 )
 from netcap.errors import NetcapError
-from netcap.formulate import ModelKind, VarRef, add_flow_symmetry, build, parse_model, render_model
+from netcap.formulate import VarRef
 from netcap.transform import FlowVector, ModelPoint, parse_point, render_point
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -40,8 +40,8 @@ positive_rationals = rationals.filter(lambda q: q > 0)
 
 
 @st.composite
-def instances(draw, nodes=node_ids, max_nodes=4, arc_existing=True):
-    names = tuple(draw(st.lists(nodes, min_size=2, max_size=max_nodes, unique=True)))
+def instances(draw):
+    names = tuple(draw(st.lists(node_ids, min_size=2, max_size=4, unique=True)))
     pairs = [edge_between(a, b) for a, b in combinations(names, 2)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True))
     network = Network(names, tuple(edges))
@@ -49,9 +49,7 @@ def instances(draw, nodes=node_ids, max_nodes=4, arc_existing=True):
     commodities = [(o, d) for o in names for d in names if o != d]
     traffic = draw(st.dictionaries(st.sampled_from(commodities), rationals, max_size=6))
     existing_edge = draw(st.dictionaries(st.sampled_from(edges), rationals)) if edges else {}
-    existing_arc = {}
-    if arc_existing and edges:
-        existing_arc = draw(st.dictionaries(st.sampled_from(network.arcs), rationals))
+    existing_arc = draw(st.dictionaries(st.sampled_from(network.arcs), rationals)) if edges else {}
     return Instance(network, FacilityMenu(menu), TrafficMatrix(traffic), existing_edge, existing_arc)
 
 
@@ -80,22 +78,6 @@ def test_point_round_trip(point):
 @given(instances())
 def test_instance_round_trip(inst):
     assert parse_instance(render_instance(inst)) == inst
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    instances(max_nodes=3, arc_existing=False),
-    st.sampled_from(list(ModelKind)),
-    st.booleans(),
-)
-def test_model_round_trip(inst, kind, mirror):
-    model = build(inst, kind)
-    if mirror:
-        model = add_flow_symmetry(model)
-    text = render_model(model)
-    again = parse_model(text)
-    assert again == model
-    assert render_model(again) == text
 
 
 # -- malformed documents -----------------------------------------------------
@@ -169,32 +151,11 @@ def broken_point_texts(draw):
     return _text(doc)
 
 
-# Fragments spliced into LP text: bad numbers, half-written or foreign
-# variable names, senses, section words and bare separators.
-model_fragments = st.sampled_from(
-    ["1e5000", "9" * 1200, "1/" + "7" * 1001, "1/0", "nan", "-", "+ 0", "y[", "x[1>2|", "y[1|1>2]",
-     "y[x|1-2]", "y[1|1-1]", "x[1|1]", ">=", "<=", "=", ":", "\\ kind: sideways", "\\ kind: directed",
-     "minimize", "subject to", "bounds", "integers", "end", "\n", " "]
-)
-
-
-@st.composite
-def broken_model_texts(draw):
-    inst = draw(instances(max_nodes=3, arc_existing=False))
-    text = render_model(build(inst, draw(st.sampled_from(list(ModelKind)))))
-    for _ in range(draw(st.integers(1, 2))):
-        start = draw(st.integers(0, len(text)))
-        stop = draw(st.integers(start, min(len(text), start + 12)))
-        text = text[:start] + draw(model_fragments | st.text(max_size=4)) + text[stop:]
-    return text
-
-
 @pytest.mark.parametrize(
     "parse, texts",
     [
         (parse_instance, broken_instance_texts),
         (parse_point, broken_point_texts),
-        (parse_model, broken_model_texts),
     ],
 )
 def test_malformed_documents_raise_only_netcap_errors(parse, texts):

@@ -4,13 +4,14 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netcap import solver, transform
-from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, symmetric_counterpart
+from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, load_instance, symmetric_counterpart
 from netcap.cuts import check_cut_validity, cutset_inequality, phi_minus, phi_plus, translate_to_bidirected
 from netcap.enumeration import graded_box
 from netcap.errors import MissingBoundError, NetcapError, PreconditionError, VacuousCutError
@@ -483,6 +484,21 @@ def test_relabelled_answer_does_not_certify():
         for other in SolveStatus:
             if other is not sol.status:
                 assert not certify(m, replace(sol, status=other))
+
+
+def test_answer_naming_a_variable_off_the_model_does_not_certify():
+    """An Optimal or Unbounded point with a value on a variable the model
+    lacks does not certify, though no row reads that variable."""
+    inst = load_instance(Path(__file__).resolve().parent / "data" / "instances" / "triangle.json")
+    model = build_directed(inst)
+    sol = solve_lp(model, fixed={v: 3 for v in model.integer})
+    assert sol.status is SolveStatus.OPTIMAL and certify(model, sol)
+    stray = {VarRef.flow(("9", "8"), ("1", "2")): Fraction(5)}
+    assert not certify(model, replace(sol, values={**sol.values, **stray}))
+    free, _, _ = _free_variable_model()
+    unbounded = solve_lp(_relaxed(free))
+    assert unbounded.status is SolveStatus.UNBOUNDED and certify(free, unbounded)
+    assert not certify(free, replace(unbounded, values={**unbounded.values, **stray}))
 
 
 def test_infeasible_statuses():
