@@ -19,8 +19,16 @@ capacities at each vector of its box, and branch and bound pins nothing
 and adds its branch rows after the model's at each node.  Per solve, the
 pinned terms move to the right-hand side by one integer dot product per
 row, rows left constant are checked there, and rows with a negative rhs
-are negated; no reduced model or standard form is built.  Phase 1, the
-drive-out of leftover artificials and phase 2 share one pivot routine.
+are negated; no reduced model or standard form is built.  Ties merge
+there too, a classical presolve step (Andersen and Andersen 1995): an `=`
+row a v - a w = 0 of two free variables, such as a mirror-flow `sym[...]`
+row, or an `eq[...]` row when nothing is pinned, puts w's terms and cost
+on v's column and leaves the row 0 = 0, so the tableau carries neither
+the row nor w.  Each answer is postsolved onto the model's own rows: w
+takes v's value, and its entry in an unbounded ray, and the tie row the
+multiplier under which both columns price (duals) or both keep a
+nonpositive coefficient (a ray).  Phase 1, the drive-out of leftover
+artificials and phase 2 share one pivot routine.
 The point a solve returns is re-checked against every model row in
 integers, each row scaled from the model's own coefficients rather than
 read off the tableau (`_recheck`).  Every answer carries a certificate in
@@ -206,15 +214,29 @@ class _Rows:
     pinned terms (index into `refs`, coefficient), its rhs and its sense,
     all times `scale`, one lcm over every row; so with integral pinned
     values, b(y) is one integer dot product per row.  Columns are the free
-    variables in model order.  `cost` is the objective on them times
-    `cost_scale`.  `checks` re-states each row on its own, from the model's
-    coefficients and with its own lcm, over positions in `model.variables`,
-    and `objective` the objective likewise, for the check of a returned
-    point (`_recheck`); nothing there is read off the tableau.
+    variables in model order, less the merged ones.  `cost` is the
+    objective on them times `cost_scale`.  `checks` re-states each row on
+    its own, from the model's coefficients and with its own lcm, over
+    positions in `model.variables`, and `objective` the objective likewise,
+    for the check of a returned point (`_recheck`); nothing there is read
+    off the tableau.
+
+    A tie, an `=` row a v - a w = 0 of two free variables, merges w into v,
+    the earlier of the two in model order, when neither is merged already:
+    `slot[w]` is v's column, so w's coefficients in every row, branch rows
+    included, and its cost add onto v's column, and the tie row itself
+    becomes the constant row 0 = 0 (an integer mark needs nothing: w's value
+    is v's, and a branch row on w is a row on v's column).  A tie with a
+    pinned side and a tie that shares a column with an earlier merge stay
+    rows.  `ties` lists each merge as (tie row, v's position, w's position,
+    a, v's other terms as (row, coefficient)), for the postsolve: w takes
+    v's value and its entry in an unbounded ray, and the tie row the
+    multiplier `tie_multipliers` gives it.
     """
 
     __slots__ = (
-        "model", "refs", "position", "slot", "columns", "scale", "rows", "cost", "cost_scale", "checks", "objective"
+        "model", "refs", "position", "slot", "columns", "scale", "rows", "cost", "cost_scale", "checks", "objective",
+        "ties",
     )
 
     def __init__(self, model: MipModel, refs: tuple[VarRef, ...]):
@@ -224,24 +246,85 @@ class _Rows:
         self.slot = [0] * len(model.variables)
         for k, v in enumerate(refs):
             self.slot[self.position[v]] = ~k
-        self.columns = [i for i, s in enumerate(self.slot) if s >= 0]
+        self.ties = self._ties()
+        absorbed = {w for _, _, w, _, _ in self.ties}
+        self.columns = [i for i, s in enumerate(self.slot) if s >= 0 and i not in absorbed]
         for j, i in enumerate(self.columns):
             self.slot[i] = j
+        for _, v, w, _, _ in self.ties:
+            self.slot[w] = self.slot[v]
         self.scale = lcm(*{c.denominator for con in model.constraints for c in (con.rhs, *con.coeffs.values())})
         self.rows = [self.split(con) for con in model.constraints]
-        self.cost_scale, self.cost = _scaled([model.objective.get(model.variables[i], _ZERO) for i in self.columns])
+        cost = [model.objective.get(model.variables[i], _ZERO) for i in self.columns]
+        for _, v, w, _, _ in self.ties:
+            cost[self.slot[v]] += model.objective.get(model.variables[w], _ZERO)
+        self.cost_scale, self.cost = _scaled(cost)
         self.checks = [self.check(con) for con in model.constraints]
         obj_scale, obj = _scaled(list(model.objective.values()))
         self.objective = obj_scale, [(self.position[v], c) for v, c in zip(model.objective, obj)]
 
+    def _ties(self) -> list[tuple[int, int, int, Fraction, list[tuple[int, Fraction]]]]:
+        """The merges, in row order: each tie of two free variables that no
+        earlier merge touches, with v's terms in the model's other rows."""
+        ties, merged = [], set()
+        for r, con in enumerate(self.model.constraints):
+            if len(con.coeffs) != 2 or con.sense != "=" or con.rhs:
+                continue
+            (x, a), (z, b) = con.coeffs.items()
+            i, k = self.position[x], self.position[z]
+            if a + b or self.slot[i] < 0 or self.slot[k] < 0 or i in merged or k in merged:
+                continue
+            v, w, a = (i, k, a) if i < k else (k, i, b)
+            ties.append((r, v, w, a, []))
+            merged.update((v, w))
+        if ties:
+            kept = {self.model.variables[v]: (r, terms) for r, v, _, _, terms in ties}
+            for s, con in enumerate(self.model.constraints):
+                for x, c in con.coeffs.items():
+                    if x in kept and kept[x][0] != s:
+                        kept[x][1].append((s, c))
+        return ties
+
+    def tie_multipliers(self, u: list[Fraction], extra: Sequence[LinearConstraint], priced: bool) -> None:
+        """Give each merged tie row its multiplier in `u`, one per model row
+        and then per row of `extra`, once every other row has its own.
+
+        With g^rest the other rows' combination, the tie's multiplier
+        lambda adds lambda a to g_v and takes it from g_w; the merged column
+        saw g^rest_v + g^rest_w.  For duals (`priced`), lambda a = c_v -
+        g^rest_v, the top of [g^rest_w - c_w, c_v - g^rest_v], which is
+        nonempty because the merged column prices nonnegatively; so both
+        columns price.  For a ray, lambda a = -g^rest_v, which leaves g_v = 0
+        and g_w = g^rest_v + g^rest_w <= 0.
+        """
+        if not self.ties:
+            return
+        on_extra: dict[VarRef, Fraction] = {}
+        for ur, con in zip(u[len(self.rows):], extra):
+            if ur:
+                for x, c in con.coeffs.items():
+                    on_extra[x] = on_extra.get(x, _ZERO) + ur * c
+        variables, objective = self.model.variables, self.model.objective
+        for r, v, _, a, terms in self.ties:
+            x = variables[v]
+            rest = sum((u[s] * c for s, c in terms if u[s]), on_extra.get(x, _ZERO))
+            u[r] = ((objective.get(x, _ZERO) if priced else _ZERO) - rest) / a
+
     def split(self, con: LinearConstraint) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, str]:
         """(free terms, pinned terms, rhs, sense) of a row, times `scale`.
-        A row added after the model's must have denominators that divide
-        `scale`, as a branch row's integral data does."""
+        With ties merged, terms on one column add up, and a column whose
+        terms cancel is left out.  A row added after the model's must have
+        denominators that divide `scale`, as a branch row's integral data
+        does."""
         free, pinned, scale = [], [], self.scale
         for v, c in con.coeffs.items():
             s = self.slot[self.position[v]]
             (free if s >= 0 else pinned).append((s if s >= 0 else ~s, c.numerator * (scale // c.denominator)))
+        if self.ties:
+            summed: dict[int, int] = {}
+            for j, c in free:
+                summed[j] = summed.get(j, 0) + c
+            free = [(j, c) for j, c in summed.items() if c]
         return free, pinned, con.rhs.numerator * (scale // con.rhs.denominator), con.sense
 
     def check(self, con: LinearConstraint) -> tuple[str, list[tuple[int, int]], int, str]:
@@ -281,10 +364,10 @@ def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> 
     Pinned terms move to the right-hand side, b(y) being one dot product per
     row; for pinned values with denominators, every row is first scaled by
     their lcm q, and the tableau by `rows.scale` times q.  A row left with no
-    free variable is a constant check; a row with a negative right-hand side
-    is negated.  Columns are the free variables in model order, then a slack
-    per inequality row, then an artificial per `=` or `>=` row, each in row
-    order.  Returns the tableau, scaled in uniformly, whose one reduced-cost
+    free variable is a constant check, a merged tie's 0 = 0 among them; a row
+    with a negative right-hand side is negated.  Columns are `rows.columns`,
+    then a slack per inequality row, then an artificial per `=` or `>=` row,
+    each in row order.  Returns the tableau, scaled in uniformly, whose one reduced-cost
     row is phase 2's for the final basis, or, when infeasible, the
     Infeasible answer with its Farkas ray.  It keeps the artificial columns,
     so B^-1 stays readable there.  Each artificial costs one in phase 1 and
@@ -297,6 +380,7 @@ def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> 
     red1.  It is the rational tableau's value (a uniform row scaling leaves
     the duals as they are), signed back to model row origin[r].  A failed
     constant row is a ray by itself: +-1 on that row, by the sign of its rhs.
+    Either way the merged ties' multipliers come last (`tie_multipliers`).
     """
     q, pins = _scaled(y)
     every = rows.rows + [rows.split(con) for con in extra]
@@ -307,6 +391,7 @@ def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> 
             if not holds(0, sense, b):
                 ray = [_ZERO] * len(every)
                 ray[r] = _ONE if b > 0 else -_ONE
+                rows.tie_multipliers(ray, extra, priced=False)
                 return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), dict(zip(rows.refs, map(Fraction, y))))
             continue
         kept.append((r, -1, free, -b, _FLIP[sense]) if b < 0 else (r, 1, free, b, sense))
@@ -347,6 +432,7 @@ def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> 
     ray = [_ZERO] * len(every)
     for j, (r, sign) in zip(start, origin):
         ray[r] = Fraction(sign * ((den1 if j >= width else 0) - red1[j]), den1)
+    rows.tie_multipliers(ray, extra, priced=False)
     return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), dict(zip(rows.refs, map(Fraction, y))))
 
 
@@ -381,6 +467,8 @@ def _solve(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> L
     basic = [(i, row, den) for row, i, den in zip(t.rows, t.basis, t.den) if i < len(columns)]
     for i, row, den in basic:
         point[columns[i]] = Fraction(row[-1], den)
+    for _, v, w, _, _ in rows.ties:
+        point[w] = point[v]
     bad, objective = _recheck(rows, point, extra)
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
@@ -390,11 +478,15 @@ def _solve(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> L
         ray = {variables[columns[i]]: Fraction(-row[unbounded], den) for i, row, den in basic if row[unbounded]}
         if unbounded < len(columns):
             ray[variables[columns[unbounded]]] = _ONE
+        for _, v, w, _, _ in rows.ties:
+            if variables[v] in ray:
+                ray[variables[w]] = ray[variables[v]]
         return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), fixed, ray)
     red, den = t.reds[0], t.red_den[0]
     duals = [_ZERO] * (len(rows.rows) + len(extra))
     for j, (r, sign) in zip(t.start, t.origin):
         duals[r] = Fraction(-sign * red[j] * t.scale, den * t.cost_scale)
+    rows.tie_multipliers(duals, extra, priced=True)
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), fixed)
 
 
@@ -408,11 +500,13 @@ def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIX
     before being returned (`_recheck`).  The duals are read off the final
     phase-2 reduced-cost row at each row's starting column, whose phase-2
     cost is zero: u = -red[start[r]], scaled back to the rational model and
-    signed back to model row origin[r].  An Infeasible answer carries phase 1's
-    Farkas ray (see _phase1).  An Unbounded one carries the last basic
-    point, checked like an optimum, and the ray along the column that
-    entered with no row to leave: that column rises by one and each basic
-    variable falls by its cell in it.
+    signed back to model row origin[r]; a merged tie's dual is the one that
+    prices both of its columns (`_Rows.tie_multipliers`).  An Infeasible
+    answer carries phase 1's Farkas ray (see _phase1).  An Unbounded one
+    carries the last basic point, checked like an optimum, and the ray
+    along the column that entered with no row to leave: that column rises
+    by one and each basic variable falls by its cell in it; a merged
+    variable moves with the column it merged into.
     """
     pinned = pinned_values(model, fixed)
     if any(v not in pinned for v in model.integer):

@@ -11,8 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netcap import solver, transform
-from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, load_instance, symmetric_counterpart
-from netcap.cuts import check_cut_validity, cutset_inequality, phi_minus, phi_plus, translate_to_bidirected
+from netcap.core import (
+    FacilityMenu,
+    Instance,
+    Network,
+    TrafficMatrix,
+    load_instance,
+    scale_traffic,
+    symmetric_counterpart,
+)
+from netcap.cuts import (
+    CutsetSpec,
+    check_cut_validity,
+    cutset_inequality,
+    phi_minus,
+    phi_plus,
+    translate_to_bidirected,
+)
 from netcap.enumeration import graded_box
 from netcap.errors import MissingBoundError, NetcapError, PreconditionError, VacuousCutError
 from netcap.formulate import (
@@ -21,6 +36,7 @@ from netcap.formulate import (
     ModelKind,
     VarRef,
     add_flow_symmetry,
+    build,
     build_bidirected,
     build_directed,
     build_undirected,
@@ -48,7 +64,9 @@ from netcap.solver import (
     solve_lp,
     solve_mip,
 )
-from netcap.projlab import capacity_bound, project
+from netcap.projlab import capacity_bound, capacity_box, project
+
+_TRIANGLE = Path(__file__).resolve().parent / "data" / "instances" / "triangle.json"
 
 def _two_node(menu=(1,), t12=Fraction(1), t21=Fraction(0)):
     net = Network(("1", "2"), (("1", "2"),))
@@ -489,7 +507,7 @@ def test_relabelled_answer_does_not_certify():
 def test_answer_naming_a_variable_off_the_model_does_not_certify():
     """An Optimal or Unbounded point with a value on a variable the model
     lacks does not certify, though no row reads that variable."""
-    inst = load_instance(Path(__file__).resolve().parent / "data" / "instances" / "triangle.json")
+    inst = load_instance(_TRIANGLE)
     model = build_directed(inst)
     sol = solve_lp(model, fixed={v: 3 for v in model.integer})
     assert sol.status is SolveStatus.OPTIMAL and certify(model, sol)
@@ -608,9 +626,158 @@ def test_symmetrized_flows_need_symmetric_traffic():
     y = VarRef.cap_edge(1, ("1", "2"))
     model = add_flow_symmetry(build_for_feasibility(lopsided, ModelKind.UNDIRECTED))
     assert not feasible_with_capacity(model, {y: 5})
+    # The merged sym rows make the mirrored commodity's balance rows the
+    # negations of the other's, with right-hand sides that disagree; the ray
+    # still certifies against the model as written, tie rows and all.
+    ties = _Rows(model, (y,)).ties
+    assert ties
+    sol = solve_lp(model.with_objective({}), fixed={y: 5})
+    assert sol.status is SolveStatus.INFEASIBLE and len(sol.duals) == len(model.constraints)
+    assert certify(model, sol)
+    assert any(sol.duals[r] for r, *_ in ties)
     balanced = _two_node(t12=Fraction(1), t21=Fraction(1))
     model = add_flow_symmetry(build_for_feasibility(balanced, ModelKind.UNDIRECTED))
     assert feasible_with_capacity(model, {y: 2})
+
+
+def _criterion_1_draws(n):
+    """The first n triangles of acceptance criterion 1, each with its bound
+    and the averaged undirected and doubled-averaged bidirected models that
+    `verify_corollary` builds, before mirror-flow rows."""
+    rng = random.Random(100)
+    for _ in range(n):
+        inst = triangle_corollary_instance(rng)
+        tstar = symmetric_counterpart(inst.traffic)
+        averaged = build_for_feasibility(inst.with_traffic(tstar), ModelKind.UNDIRECTED)
+        doubled = build_for_feasibility(inst.with_traffic(scale_traffic(tstar, 2)), ModelKind.BIDIRECTED)
+        yield inst, capacity_bound(inst), (averaged, doubled)
+
+
+def _tie_interval(model, answer, r):
+    """(a, low, high) for tie row r, a v - a w = 0: given the answer's other
+    multipliers, a times r's multiplier lies in [low, high] exactly when v
+    and w both price (duals: g <= c) or both keep g <= 0 (a ray)."""
+    (v, a), (w, _) = model.constraints[r].coeffs.items()
+    rest = {v: Fraction(0), w: Fraction(0)}
+    for s, (u, con) in enumerate(zip(answer.duals, model.constraints)):
+        if s != r and u:
+            for x in rest:
+                rest[x] += u * con.coeffs.get(x, 0)
+    priced = answer.status is SolveStatus.OPTIMAL
+    cost = {x: model.objective.get(x, Fraction(0)) if priced else Fraction(0) for x in rest}
+    return a, rest[w] - cost[w], cost[v] - rest[v]
+
+
+def test_mirror_flow_answers_certify_against_the_model(monkeypatch):
+    """Every answer on a mirror-flow reading, where each sym row merges two
+    flow columns, carries one multiplier per row of the model as written
+    and certifies against it: a sweep's rays, pinned LPs and branch-and-bound
+    nodes.  A tie's multiplier moved out of the interval where both of its
+    columns price, or where both keep g <= 0, does not certify.  The merged
+    reading's tableau has no more rows than the plain one's."""
+    rays = _record_learned_rays(monkeypatch)
+    solves = _record_solves(monkeypatch)
+    rng = random.Random(8)
+    pinned = []
+    for inst, bound, plain in _criterion_1_draws(3):
+        for model in plain:
+            mirror = add_flow_symmetry(model)
+            refs = capacity_box(mirror, bound)
+            merged = _Rows(mirror, refs).ties
+            assert {mirror.constraints[r].name[:4] for r, *_ in merged} == {"sym["}
+            top = (bound,) * len(refs)
+            assert len(_phase1(_Rows(mirror, refs), top).rows) <= len(_phase1(_Rows(model, refs), top).rows)
+            project(mirror, bound)
+            costs = {v: Fraction(rng.choice((-1, 0, 1, 2))) for v in mirror.variables if v.kind == "flow"}
+            priced = mirror.with_objective(costs)
+            for vec in list(graded_box(len(refs), bound))[::11]:
+                pinned.append((priced, solve_lp(priced, fixed=dict(zip(refs, vec)))))
+        star = inst.with_traffic(symmetric_counterpart(inst.traffic))
+        assert solve_mip(add_flow_symmetry(build_undirected(star)), bound).status is SolveStatus.OPTIMAL
+    nodes = [(m, sol) for m, sol in solves if m.integer]
+    assert any(c.name.startswith("br") for m, _ in nodes for c in m.constraints)
+    for answers, statuses in (
+        (rays, {SolveStatus.INFEASIBLE}),
+        (pinned, {SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL}),
+        (nodes, {SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL}),
+    ):
+        assert {sol.status for _, sol in answers} == statuses
+        for model, sol in answers:
+            assert len(sol.duals) == len(model.constraints)
+            assert certify(model, sol)
+        ties = [
+            (model, sol, r)
+            for model, sol in answers[:6]
+            for r, c in enumerate(model.constraints)
+            if c.name.startswith("sym[")
+        ]
+        assert any(sol.duals[r] for model, sol, r in ties)
+        for model, sol, r in ties:
+            a, low, high = _tie_interval(model, sol, r)
+            assert low <= a * sol.duals[r] <= high
+            for outside in (low - 1, high + 1):
+                duals = list(sol.duals)
+                duals[r] = outside / a
+                assert not certify(model, replace(sol, duals=tuple(duals)))
+
+
+def test_tie_free_models_keep_their_pivots(monkeypatch):
+    """A model with no tie takes the path it took before ties merged: on the
+    first criterion-1 draw the plain readings' sweeps decide and pivot as
+    they did.  Plain models can hold ties too: on two nodes, the balance
+    rows of a reverse commodity with no traffic are x[k|1>2] - x[k|2>1] = 0.
+    Such a cut check keeps its verdict, its points and its violations, for
+    the cut and for the cut with its rhs raised by one."""
+    pivots = []
+    inner = solver._pivot
+    monkeypatch.setattr(solver, "_pivot", lambda t, leave, enter: pivots.append(enter) or inner(t, leave, enter))
+    (inst, bound, (averaged, doubled)), = _criterion_1_draws(1)
+    counts = []
+    for model in (build_for_feasibility(inst, ModelKind.UNDIRECTED), averaged, doubled):
+        refs = capacity_box(model, bound)
+        assert not _Rows(model, refs).ties
+        sweep = CapacitySweep(model, refs)
+        pivots.clear()
+        for vec in graded_box(len(refs), bound):
+            sweep.decide(vec)
+        counts.append((sweep.lp_solved, sweep.ray_refuted, len(pivots)))
+    assert counts == [(9, 31, 72), (9, 31, 73), (9, 31, 79)]
+
+    inst = _two_node(menu=(2, 5), t12=Fraction(0), t21=Fraction(2))
+    model = build(inst, ModelKind.DIRECTED, commodities=reduced_commodities(inst))
+    assert _Rows(model, capacity_box(model, capacity_bound(inst))).ties
+    cut = cutset_inequality(inst, CutsetSpec({"1"}, {("2", "1")}, {("1", "2")}, facility=2))
+    failing = [((0, 0, 0, 1), 2), ((0, 1, 0, 0), 2), ((0, 1, 0, 1), 2)]
+    for row, violations in ((cut, []), (replace(cut, rhs=cut.rhs + 1), failing)):
+        directed = check_cut_validity(inst, row)
+        bidirected = check_cut_validity(inst, translate_to_bidirected(row), kind=ModelKind.BIDIRECTED)
+        assert (directed.points, list(directed.violations)) == (12, violations)
+        assert (bidirected.points, bidirected.violations) == (3, ())
+
+
+def test_equalized_directed_triangle_pays_both_orientations(monkeypatch):
+    """equalize_directed ties the two orientations' integer capacities, and
+    branch and bound merges each pair and branches on merged columns.  Both
+    orientations are paid for, so the optimum is twice the bidirected one,
+    at an integral point whose orientations agree."""
+    inst = load_instance(_TRIANGLE)
+    bound = capacity_bound(inst)
+    model = equalize_directed(build_directed(inst))
+    merged = _Rows(model, ()).ties
+    assert {model.constraints[r].name[:3] for r, *_ in merged} == {"eq["}
+    assert all(model.variables[v] in model.integer for _, v, _, _, _ in merged)
+    nodes = _record_solves(monkeypatch)
+    res = solve_mip(model, bound)
+    pairs = {model.variables[i] for _, v, w, _, _ in merged for i in (v, w)}
+    assert any(c.name.startswith("br") and set(c.coeffs) <= pairs for m, _ in nodes for c in m.constraints)
+    assert all(len(sol.duals) == len(m.constraints) and certify(m, sol) for m, sol in nodes)
+    bidirected = solve_mip(build_bidirected(inst), bound)
+    assert (res.status, res.objective, bidirected.objective) == (SolveStatus.OPTIMAL, 4, 2)
+    assert not model.violations(res.values)
+    for v in model.integer:
+        assert res.values.get(v, Fraction(0)).denominator == 1
+        back = VarRef.cap_arc(v.facility, v.arc[::-1])
+        assert res.values.get(v, Fraction(0)) == res.values.get(back, Fraction(0))
 
 
 def test_reduced_commodities():
@@ -772,8 +939,9 @@ def _kernel_run(model, fixed):
     return (sol, pivots), cells
 
 
-# A drive-out pivot on a negative cell, and a rational rhs (scale 6 > 1).
-NEGATIVE_DRIVE_OUT = _small_lp([((1, 1), "=", 0), ((1, -1), "=", 0), ((0, 1), "<=", 1)], (1, -1))
+# A drive-out pivot on a negative cell (x0 - 2 x1 = 0 is no tie, so it is a
+# row of the tableau), and a rational rhs (scale 6 > 1).
+NEGATIVE_DRIVE_OUT = _small_lp([((1, 1), "=", 0), ((1, -2), "=", 0), ((0, 1), "<=", 1)], (1, -1))
 RATIONAL_RHS = _small_lp([((1, 1), ">=", Fraction(5, 3)), ((1, -1), "<=", Fraction(4, 3))], (1, 2), [(1, Fraction(1, 2))])
 # Phase 1 ends at once here; scaling the second row alone by 2 would give x
 # a negative phase-1 reduced cost and a pivot.
@@ -781,6 +949,22 @@ ROW_WEIGHTS = _small_lp([((1,), "<=", -1), ((1,), ">=", Fraction(1, 2))], (0,))
 # Row 0 (3 x0 = 2) is last touched by the first of three pivots, so its
 # basic value 2/3 is read over a denominator that lags the final d.
 LAGGING_ROW = _small_lp([((3, 0), "=", 2), ((0, 1), ">=", 1), ((-2, 2), "=", 3)], (-1, -1))
+# Ties, a v - a w = 0 rows.  Two free columns merge, whatever a is.
+FREE_PAIR = _small_lp([((1, 1), "=", 0), ((1, -1), "=", 0), ((0, 1), "<=", 1)], (1, -1))
+# The merged column x0 + x1 is priced out by x2, so its tie's multiplier has
+# a whole interval to lie in, and the kernel takes the top for x0.
+SCALED_PAIR = _small_lp([((2, -2, 0), "=", 0), ((1, 1, 1), ">=", 1)], (1, 2, 1))
+# x2 merges into x0, past x1; x1 - x2 = 0 shares x2 with that merge, so it
+# stays a row.
+CHAINED_TIES = _small_lp([((1, 0, -1), "=", 0), ((0, 1, -1), "=", 0), ((1, 1, 0), ">=", 2)], (1, 0, -1))
+# x1 is pinned, so the tie is the row x0 = 1/2.
+PINNED_TIE = _small_lp([((1, -1), "=", 0), ((1, 1), ">=", 1)], (1, 1), [(1, Fraction(1, 2))])
+# Merged, x0 >= 1 and x1 <= 0 are one column's, which phase 1 refutes; and
+# x0 - x1 >= 1 is the failed constant row 0 >= 1.
+INFEASIBLE_TIE = _small_lp([((1, -1), "=", 0), ((1, 0), ">=", 1), ((0, 1), "<=", 0)], (0, 1))
+CONSTANT_TIE = _small_lp([((1, -1), "=", 0), ((1, -1), ">=", 1)], (1, 0))
+UNBOUNDED_TIE = _small_lp([((1, -1), "=", 0), ((1, 0, 1), ">=", 1)], (-1, 0, 0))
+TIES = (FREE_PAIR, SCALED_PAIR, CHAINED_TIES, PINNED_TIE, INFEASIBLE_TIE, CONSTANT_TIE, UNBOUNDED_TIE)
 
 
 def test_kernel_examples_reach_their_cases():
@@ -811,6 +995,64 @@ def test_kernel_examples_reach_their_cases():
     ]
     assert lagging and sol.values[_LP_VARS[0]] == Fraction(2, 3)
 
+    # the tie examples: what merges, and how each ends
+    merges = [len(_Rows(m, tuple(fixed)).ties) for m, fixed in TIES]
+    assert merges == [1, 1, 1, 0, 1, 1, 1]
+    assert [solve_lp(m, fixed=fixed).status.value for m, fixed in TIES] == [
+        "optimal", "optimal", "optimal", "optimal", "infeasible", "infeasible", "unbounded"
+    ]
+    model, fixed = CONSTANT_TIE
+    assert isinstance(_phase1(_Rows(model, tuple(fixed)), tuple(fixed.values())), LpSolution)
+
+
+def _merged_ties(model, fixed):
+    """The ties the kernel merges, as (row, kept variable, merged variable):
+    in row order, each `=` row a v - a w = 0 of two unpinned variables that
+    no earlier merge touches; the kept one comes first in the model."""
+    ties, merged = [], set(fixed)
+    for r, con in enumerate(model.constraints):
+        if con.sense == "=" and not con.rhs and len(con.coeffs) == 2 and not sum(con.coeffs.values()):
+            v, w = sorted(con.coeffs, key=model.variables.index)
+            if not {v, w} & merged:
+                ties.append((r, v, w))
+                merged |= {v, w}
+    return ties
+
+
+def _substituted(model, ties):
+    """The model with each tie's merged variable written as its kept one;
+    the tie rows become 0 = 0."""
+    into = {w: v for _, v, w in ties}
+
+    def substitute(coeffs):
+        out = {}
+        for x, c in coeffs.items():
+            out[into.get(x, x)] = out.get(into.get(x, x), 0) + c
+        return out
+
+    return MipModel(
+        model.kind,
+        tuple(v for v in model.variables if v not in into),
+        frozenset(into.get(v, v) for v in model.integer),
+        tuple(replace(con, coeffs=substitute(con.coeffs)) for con in model.constraints),
+        substitute(model.objective),
+    )
+
+
+def _tie_postsolve(model, ties, status, values, multipliers, ray):
+    """The reference's answer on the substituted model, put back on the
+    model: w takes v's value and ray entry, and tie row a v - a w = 0 the
+    multiplier with a lambda = c_v - g_v (duals) or -g_v (a ray), g_v
+    being v's coefficient in the other rows' combination."""
+    values = values | {w: values[v] for _, v, w in ties if v in values}
+    ray = ray | {w: ray[v] for _, v, w in ties if v in ray}
+    u = list(multipliers)
+    for r, v, _ in ties if u else ():  # an Unbounded answer has no multipliers
+        g = sum(x * con.coeffs.get(v, 0) for s, (x, con) in enumerate(zip(u, model.constraints)) if s != r)
+        cost = model.objective.get(v, 0) if status is SolveStatus.OPTIMAL else 0
+        u[r] = (cost - g) / model.constraints[r].coeffs[v]
+    return values, tuple(u), ray
+
 
 @settings(max_examples=300, deadline=None)
 @given(_small_lps())
@@ -818,18 +1060,29 @@ def test_kernel_examples_reach_their_cases():
 @example(RATIONAL_RHS)
 @example(ROW_WEIGHTS)
 @example(LAGGING_ROW)
+@example(FREE_PAIR)
+@example(SCALED_PAIR)
+@example(CHAINED_TIES)
+@example(PINNED_TIE)
+@example(INFEASIBLE_TIE)
+@example(CONSTANT_TIE)
+@example(UNBOUNDED_TIE)
 def test_integer_kernel_matches_rational_reference(lp):
     """Same status, pivots, values, model-row duals or Farkas ray, and
     unbounded ray as the Fraction tableau; every answer is certified.  An
     unbounded ray is compared up to a positive factor: the kernel steps a
-    slack scaled in with its row."""
+    slack scaled in with its row.  The kernel merges ties, so the reference
+    solves the model with each merged tie substituted, and its answer is
+    put back on the model's variables and rows (`_tie_postsolve`)."""
     model, fixed = lp
     (sol, pivots), _ = _kernel_run(model, fixed)
 
     def unit(ray):
         return {v: c / sum(ray.values()) for v, c in ray.items()}
 
-    status, values, duals, ray, reference_pivots = _rational_simplex(model, fixed)
+    ties = _merged_ties(model, fixed)
+    status, values, duals, ray, reference_pivots = _rational_simplex(_substituted(model, ties), fixed)
+    values, duals, ray = _tie_postsolve(model, ties, status, values, duals, ray)
     assert (sol.status, dict(sol.values), sol.duals, unit(sol.ray), pivots) == (
         status, values, duals, unit(ray), reference_pivots
     )
