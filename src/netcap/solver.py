@@ -1,7 +1,8 @@
 """Exact rational LP and MIP solving.
 
-Two-phase primal simplex with Bland's rule for both the entering and
-leaving choices, so no cycling and no tolerances.  The tableau is
+Two-phase primal simplex, and a dual simplex for re-solves, with Bland's
+rule for both the entering and leaving choices, so no cycling and no
+tolerances.  The tableau is
 integer-preserving (Edmonds 1967; Bareiss 1968): each row is an integer
 vector over its own denominator, the absolute basis determinant at the
 last pivot that touched it.  A pivot leaves alone every row whose cell in
@@ -28,7 +29,7 @@ the row nor w.  Each answer is postsolved onto the model's own rows: w
 takes v's value, and its entry in an unbounded ray, and the tie row the
 multiplier under which both columns price (duals) or both keep a
 nonpositive coefficient (a ray).  Phase 1, the drive-out of leftover
-artificials and phase 2 share one pivot routine.
+artificials, the dual simplex and phase 2 share one pivot routine.
 The point a solve returns is re-checked against every model row in
 integers, each row scaled from the model's own coefficients rather than
 read off the tableau (`_recheck`).  Every answer carries a certificate in
@@ -36,7 +37,8 @@ the model's own terms, and one check, `certify`, reads it against the
 model's rows alone, without any of the simplex: an Optimal answer carries
 one dual per model row, read off its final reduced-cost row and signed
 back to the row as written; an Infeasible one a Farkas ray, one multiplier
-per model row read off the final phase-1 row; an Unbounded one a feasible
+per model row read off the final phase-1 row, or off the row of B^-1 that
+refutes a re-solve; an Unbounded one a feasible
 point and a direction of unbounded descent read off the column that
 entered with no row to leave.  The duals and the ray each combine the
 model's rows into one row g x >= alpha that every point satisfies
@@ -47,7 +49,12 @@ at every capacity vector, and the duals of an Optimal answer bound the
 objective from below at every feasible one (weak duality).  Each is
 checked before it is kept, so the sweep refutes a vector, or proves a
 `>=` row at a vector known to be feasible, with one integer dot product
-instead of an LP.  Integer models are solved by depth-first branch and
+instead of an LP.  The sweep also keeps the tableau of its last LP: the
+pins move only the right-hand side, so every later vector is re-solved
+from it (`_resolve`), the rhs refreshed as B^-1 b(y) from the kept
+starting columns and a Bland dual simplex (Lemke 1954) restoring
+feasibility, exactly, as Applegate, Cook, Dash and Espinoza (2007)
+re-solve exact LPs from a kept basis.  Integer models are solved by depth-first branch and
 bound on the first fractional integer variable in model order, pruning on
 exact bound comparisons, the bound rounded up to the objective's step when
 every term is integral.  Sized for desk-scale models (a few hundred
@@ -203,6 +210,9 @@ def _bland_simplex(t: _Tableau, width: int) -> int:
 
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+# A row as `_Rows.check` states it: (name, terms by variable position, rhs,
+# sense, lcm), the coefficients and rhs times the lcm of their denominators.
+_Check = tuple[str, list[tuple[int, int]], int, str, int]
 
 
 class _Rows:
@@ -210,16 +220,18 @@ class _Rows:
     every solve pins: a sweep pins its capacities at each vector of a box,
     and branch and bound pins nothing and adds branch rows at each node.
 
-    `rows` holds, per model row, its free terms (column, coefficient), its
-    pinned terms (index into `refs`, coefficient), its rhs and its sense,
-    all times `scale`, one lcm over every row; so with integral pinned
-    values, b(y) is one integer dot product per row.  Columns are the free
-    variables in model order, less the merged ones.  `cost` is the
-    objective on them times `cost_scale`.  `checks` re-states each row on
-    its own, from the model's coefficients and with its own lcm, over
-    positions in `model.variables`, and `objective` the objective likewise,
-    for the check of a returned point (`_recheck`); nothing there is read
-    off the tableau.
+    `checks` states each row on its own, from the model's coefficients
+    times the row's own lcm, over positions in `model.variables`, and
+    `objective` the objective likewise: these are what a returned point
+    (`_recheck`) and a certificate (`_proved_row`) are checked against, and
+    nothing there is read off the tableau.  Each term's position is looked
+    up once, there.  `rows` holds, per model row, its free terms (column,
+    coefficient), its pinned terms (index into `refs`, coefficient), its
+    rhs and its sense, all times `scale`, one lcm over every row, taken
+    from the row's check; so with integral pinned values, b(y) is one
+    integer dot product per row.  Columns are the free variables in model
+    order, less the merged ones.  `cost` is the objective on them times
+    `cost_scale`.
 
     A tie, an `=` row a v - a w = 0 of two free variables, merges w into v,
     the earlier of the two in model order, when neither is merged already:
@@ -242,6 +254,9 @@ class _Rows:
     def __init__(self, model: MipModel, refs: tuple[VarRef, ...]):
         self.model, self.refs = model, refs
         self.position = {v: i for i, v in enumerate(model.variables)}
+        self.checks = [self.check(con) for con in model.constraints]
+        obj_scale, obj = _scaled(list(model.objective.values()))
+        self.objective = obj_scale, [(self.position[v], c) for v, c in zip(model.objective, obj)]
         # per model variable: its free column j >= 0, or ~k for refs[k]
         self.slot = [0] * len(model.variables)
         for k, v in enumerate(refs):
@@ -253,36 +268,34 @@ class _Rows:
             self.slot[i] = j
         for _, v, w, _, _ in self.ties:
             self.slot[w] = self.slot[v]
-        self.scale = lcm(*{c.denominator for con in model.constraints for c in (con.rhs, *con.coeffs.values())})
-        self.rows = [self.split(con) for con in model.constraints]
-        cost = [model.objective.get(model.variables[i], _ZERO) for i in self.columns]
+        self.scale = lcm(*(own for *_, own in self.checks))
+        self.rows = [self.split(check) for check in self.checks]
+        on = dict(zip((i for i, _ in self.objective[1]), model.objective.values()))
+        cost = [on.get(i, _ZERO) for i in self.columns]
         for _, v, w, _, _ in self.ties:
-            cost[self.slot[v]] += model.objective.get(model.variables[w], _ZERO)
+            cost[self.slot[v]] += on.get(w, _ZERO)
         self.cost_scale, self.cost = _scaled(cost)
-        self.checks = [self.check(con) for con in model.constraints]
-        obj_scale, obj = _scaled(list(model.objective.values()))
-        self.objective = obj_scale, [(self.position[v], c) for v, c in zip(model.objective, obj)]
 
     def _ties(self) -> list[tuple[int, int, int, Fraction, list[tuple[int, Fraction]]]]:
         """The merges, in row order: each tie of two free variables that no
         earlier merge touches, with v's terms in the model's other rows."""
-        ties, merged = [], set()
-        for r, con in enumerate(self.model.constraints):
-            if len(con.coeffs) != 2 or con.sense != "=" or con.rhs:
+        ties, merged, slot, constraints = [], set(), self.slot, self.model.constraints
+        for r, (_, terms, rhs, sense, _) in enumerate(self.checks):
+            if len(terms) != 2 or sense != "=" or rhs:
                 continue
-            (x, a), (z, b) = con.coeffs.items()
-            i, k = self.position[x], self.position[z]
-            if a + b or self.slot[i] < 0 or self.slot[k] < 0 or i in merged or k in merged:
+            (i, a), (k, b) = terms
+            if a + b or slot[i] < 0 or slot[k] < 0 or i in merged or k in merged:
                 continue
-            v, w, a = (i, k, a) if i < k else (k, i, b)
+            first, second = constraints[r].coeffs.values()
+            v, w, a = (i, k, first) if i < k else (k, i, second)
             ties.append((r, v, w, a, []))
             merged.update((v, w))
         if ties:
-            kept = {self.model.variables[v]: (r, terms) for r, v, _, _, terms in ties}
-            for s, con in enumerate(self.model.constraints):
-                for x, c in con.coeffs.items():
-                    if x in kept and kept[x][0] != s:
-                        kept[x][1].append((s, c))
+            kept = {v: (r, terms) for r, v, _, _, terms in ties}
+            for s, ((_, terms, *_), con) in enumerate(zip(self.checks, constraints)):
+                for (i, _), c in zip(terms, con.coeffs.values()):
+                    if i in kept and kept[i][0] != s:
+                        kept[i][1].append((s, c))
         return ties
 
     def tie_multipliers(self, u: list[Fraction], extra: Sequence[LinearConstraint], priced: bool) -> None:
@@ -310,27 +323,32 @@ class _Rows:
             rest = sum((u[s] * c for s, c in terms if u[s]), on_extra.get(x, _ZERO))
             u[r] = ((objective.get(x, _ZERO) if priced else _ZERO) - rest) / a
 
-    def split(self, con: LinearConstraint) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, str]:
-        """(free terms, pinned terms, rhs, sense) of a row, times `scale`.
-        With ties merged, terms on one column add up, and a column whose
-        terms cancel is left out.  A row added after the model's must have
-        denominators that divide `scale`, as a branch row's integral data
-        does."""
-        free, pinned, scale = [], [], self.scale
-        for v, c in con.coeffs.items():
-            s = self.slot[self.position[v]]
-            (free if s >= 0 else pinned).append((s if s >= 0 else ~s, c.numerator * (scale // c.denominator)))
+    def split(self, check: _Check) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, str]:
+        """(free terms, pinned terms, rhs, sense) of a row given by its
+        check, times `scale`.  With ties merged, terms on one column add up,
+        and a column whose terms cancel is left out.  A row added after the
+        model's must have denominators that divide `scale`, as a branch
+        row's integral data does."""
+        _, terms, rhs, sense, own = check
+        free, pinned, up, slot = [], [], self.scale // own, self.slot
+        for i, c in terms:
+            s = slot[i]
+            if s >= 0:
+                free.append((s, c * up))
+            else:
+                pinned.append((~s, c * up))
         if self.ties:
             summed: dict[int, int] = {}
             for j, c in free:
                 summed[j] = summed.get(j, 0) + c
             free = [(j, c) for j, c in summed.items() if c]
-        return free, pinned, con.rhs.numerator * (scale // con.rhs.denominator), con.sense
+        return free, pinned, rhs * up, sense
 
-    def check(self, con: LinearConstraint) -> tuple[str, list[tuple[int, int]], int, str]:
-        """(name, terms by variable position, rhs, sense) of a row, times its own lcm."""
-        _, (rhs, *coeffs) = _scaled((con.rhs, *con.coeffs.values()))
-        return con.name, [(self.position[v], c) for v, c in zip(con.coeffs, coeffs)], rhs, con.sense
+    def check(self, con: LinearConstraint) -> _Check:
+        """(name, terms by variable position, rhs, sense, lcm) of a row: its
+        coefficients and rhs times `lcm`, the lcm of their denominators."""
+        own, (rhs, *coeffs) = _scaled((con.rhs, *con.coeffs.values()))
+        return con.name, [(self.position[v], c) for v, c in zip(con.coeffs, coeffs)], rhs, con.sense, own
 
 
 def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
@@ -349,7 +367,7 @@ def _recheck(rows: _Rows, point: list, extra: Iterable[LinearConstraint] = ()) -
     """
     common, xs = _scaled(point)
     bad = []
-    for name, terms, rhs, sense in (*rows.checks, *map(rows.check, extra)):
+    for name, terms, rhs, sense, _ in (*rows.checks, *map(rows.check, extra)):
         if not holds(sum(c * xs[i] for i, c in terms), sense, rhs * common):
             bad.append(name)
     bad.extend(v.name for v, x in zip(rows.model.variables, xs) if x < 0)
@@ -357,56 +375,71 @@ def _recheck(rows: _Rows, point: list, extra: Iterable[LinearConstraint] = ()) -
     return bad, Fraction(sum(c * xs[i] for i, c in terms), obj_scale * common)
 
 
-def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> _Tableau | LpSolution:
-    """Phase 1 of the model with `rows.refs` pinned to the values `y` and
-    the rows `extra` added after the model's.
+def _infeasible(rows: _Rows, ray: Mapping[int, Fraction], extra: Sequence[LinearConstraint], y: tuple) -> LpSolution:
+    """The Infeasible answer with `rows.refs` pinned to `y` whose Farkas ray
+    is `ray` on the rows it names, one multiplier per model row and then per
+    row of `extra`; the merged ties' multipliers come last
+    (`tie_multipliers`)."""
+    multipliers = [_ZERO] * (len(rows.rows) + len(extra))
+    for r, u in ray.items():
+        multipliers[r] = u
+    rows.tie_multipliers(multipliers, extra, priced=False)
+    return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(multipliers), dict(zip(rows.refs, map(Fraction, y))))
 
-    Pinned terms move to the right-hand side, b(y) being one dot product per
-    row; for pinned values with denominators, every row is first scaled by
-    their lcm q, and the tableau by `rows.scale` times q.  A row left with no
-    free variable is a constant check, a merged tie's 0 = 0 among them; a row
-    with a negative right-hand side is negated.  Columns are `rows.columns`,
-    then a slack per inequality row, then an artificial per `=` or `>=` row,
-    each in row order.  Returns the tableau, scaled in uniformly, whose one reduced-cost
-    row is phase 2's for the final basis, or, when infeasible, the
-    Infeasible answer with its Farkas ray.  It keeps the artificial columns,
-    so B^-1 stays readable there.  Each artificial costs one in phase 1 and
-    starts basic in its row, so the phase-1 row starts as minus the sum of
-    the artificial rows; the starting basis costs zero in phase 2, so the
-    phase-2 row starts as the cost vector.
 
-    The ray is phase 1's optimal dual: at row r's starting column, whose
-    phase-1 cost is 1 for an artificial and 0 for a slack, y_r = cost1 -
-    red1.  It is the rational tableau's value (a uniform row scaling leaves
-    the duals as they are), signed back to model row origin[r].  A failed
-    constant row is a ray by itself: +-1 on that row, by the sign of its rhs.
-    Either way the merged ties' multipliers come last (`tie_multipliers`).
-    """
+def _rhs(rows: _Rows, every: list, y: tuple, extra: Sequence[LinearConstraint]) -> tuple[int, list[int]] | LpSolution:
+    """(q, b(y)): the lcm q of the pinned values' denominators, and per row
+    of `every` (split rows, the model's then `extra`'s) its rhs less its
+    pinned terms, times q; one dot product per row.  A row left with no
+    free variable is a constant check, a merged tie's 0 = 0 among them, and
+    the first that fails is returned instead, as the Infeasible answer whose
+    ray is +-1 on that row alone, by the sign of its rhs."""
     q, pins = _scaled(y)
-    every = rows.rows + [rows.split(con) for con in extra]
-    kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
+    b = []
     for r, (free, pinned, rhs, sense) in enumerate(every):
-        b = rhs * q - sum(c * pins[k] for k, c in pinned)
-        if not free:
-            if not holds(0, sense, b):
-                ray = [_ZERO] * len(every)
-                ray[r] = _ONE if b > 0 else -_ONE
-                rows.tie_multipliers(ray, extra, priced=False)
-                return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), dict(zip(rows.refs, map(Fraction, y))))
-            continue
-        kept.append((r, -1, free, -b, _FLIP[sense]) if b < 0 else (r, 1, free, b, sense))
+        br = rhs * q - sum(c * pins[k] for k, c in pinned)
+        if not free and not holds(0, sense, br):
+            return _infeasible(rows, {r: _ONE if br > 0 else -_ONE}, extra, y)
+        b.append(br)
+    return q, b
+
+
+def _tableau(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> _Tableau | LpSolution:
+    """The phase-1 tableau of the model with `rows.refs` pinned to the values
+    `y` and the rows `extra` added after the model's, or the answer of a
+    failed constant row (`_rhs`).
+
+    For pinned values with denominators, every row is scaled by their lcm q,
+    and the tableau by `rows.scale` times q.  Constant rows are left out,
+    and a row with a negative right-hand side is negated.  Columns are
+    `rows.columns`, then a slack per inequality row, then an artificial per
+    `=` or `>=` row, each in row order; the artificial columns stay, so B^-1
+    stays readable at each row's starting column.  Each artificial costs
+    one in phase 1 and starts basic in its row, so the phase-1 row starts
+    as minus the sum of the artificial rows; the starting basis costs zero
+    in phase 2, so the phase-2 row starts as the cost vector.
+    """
+    every = rows.rows + [rows.split(rows.check(con)) for con in extra]
+    pinned = _rhs(rows, every, y, extra)
+    if isinstance(pinned, LpSolution):
+        return pinned
+    q, b = pinned
+    kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
+    for r, ((free, _, _, sense), br) in enumerate(zip(every, b)):
+        if free:
+            kept.append((r, -1, free, -br, _FLIP[sense]) if br < 0 else (r, 1, free, br, sense))
     n = slack = len(rows.columns)
     art = width = n + sum(sense != "=" for *_, sense in kept)
     total = width + sum(sense != "<=" for *_, sense in kept)
     table: list[list[int]] = []
     start: list[int] = []
     red1 = [0] * (total + 1)  # the last cell holds minus the artificials' total
-    for _, sign, free, b, sense in kept:
+    for _, sign, free, br, sense in kept:
         row = [0] * (total + 1)
         unit = sign * q
         for j, c in free:
             row[j] = unit * c
-        row[-1] = b
+        row[-1] = br
         if sense != "=":
             row[slack] = 1 if sense == "<=" else -1
             slack += 1
@@ -417,47 +450,126 @@ def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> 
                 red1[j] -= row[j]
             if sense == ">=":
                 red1[slack - 1] += 1
-            red1[-1] -= b
+            red1[-1] -= br
             row[art] = 1
             start.append(art)
             art += 1
         table.append(row)
     red2 = rows.cost + [0] * (total + 1 - n)
     origin = [(r, sign) for r, sign, *_ in kept]
-    t = _Tableau(table, [red1, red2], start, origin, width, rows.scale * q, rows.cost_scale)
-    _bland_simplex(t, total)  # bounded below by 0, never unbounded
-    red1, den1 = t.reds.pop(0), t.red_den.pop(0)  # phase 1's row retires; its last cell is 0 iff feasible
+    return _Tableau(table, [red1, red2], start, origin, width, rows.scale * q, rows.cost_scale)
+
+
+def _run_phase1(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> LpSolution | None:
+    """Run phase 1 on a fresh tableau, then retire its phase-1 row: None when
+    the LP is feasible, else the Infeasible answer with its Farkas ray.
+
+    The ray is phase 1's optimal dual: at row r's starting column, whose
+    phase-1 cost is 1 for an artificial and 0 for a slack, y_r = cost1 -
+    red1.  It is the rational tableau's value (a uniform row scaling leaves
+    the duals as they are), signed back to model row origin[r].
+    """
+    _bland_simplex(t, len(t.reds[0]) - 1)  # bounded below by 0, never unbounded
+    red1, den1 = t.reds.pop(0), t.red_den.pop(0)  # its last cell is 0 iff feasible
     if not red1[-1]:
-        return t
-    ray = [_ZERO] * len(every)
-    for j, (r, sign) in zip(start, origin):
-        ray[r] = Fraction(sign * ((den1 if j >= width else 0) - red1[j]), den1)
-    rows.tie_multipliers(ray, extra, priced=False)
-    return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(ray), dict(zip(rows.refs, map(Fraction, y))))
+        return None
+    ray = {r: Fraction(sign * ((den1 if j >= t.width else 0) - red1[j]), den1) for j, (r, sign) in zip(t.start, t.origin)}
+    return _infeasible(rows, ray, extra, y)
 
 
-def _solve(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> LpSolution:
-    """Both phases of the model with `rows.refs` pinned to `y` and the rows
-    `extra` added after the model's; see `solve_lp`.  Multipliers index the
-    model's rows, then `extra`."""
-    t = _phase1(rows, y, extra)
+def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> _Tableau | LpSolution:
+    """Phase 1 of the model with `rows.refs` pinned to the values `y` and
+    the rows `extra` added after the model's (`_tableau`, `_run_phase1`).
+    Returns the tableau, scaled in uniformly, whose one reduced-cost row is
+    phase 2's for the final basis, or, when infeasible, the Infeasible
+    answer with its Farkas ray."""
+    t = _tableau(rows, y, extra)
     if isinstance(t, LpSolution):
         return t
+    infeasible = _run_phase1(rows, t, y, extra)
+    return t if infeasible is None else infeasible
+
+
+def _dual_simplex(t: _Tableau) -> int:
+    """Bland's dual simplex (Lemke 1954) from a dual feasible basis: the
+    reduced-cost row `t.reds[0]` nonnegative on every real column, or no
+    cost row at all, so that every basis is dual feasible.
+
+    While some row's rhs is negative, the one whose basic column comes first
+    leaves, and among the real columns with a negative cell in it the one
+    with the least ratio red_j / -a_j enters, ties going to the first
+    column; so the pivots do not cycle.  Each ratio divides a reduced cost
+    by a cell of the leaving row, so the two rows' denominators are common
+    to every ratio and cancel when two are cross-multiplied.  Returns -1
+    once no rhs is negative, or the leaving row when no cell in it is
+    negative: over nonnegative variables its left-hand side cannot be
+    negative, so the row refutes the LP.  Artificial columns never enter.
+    """
     n = t.width
-    # Drive artificials still basic (at level zero) out of the basis.  A row
-    # with no real column left is redundant and is dropped; its artificial
-    # costs zero, so the reduced-cost row, and the duals, are unchanged.
-    drop: list[int] = []
-    for i in range(len(t.rows)):
-        if t.basis[i] < n:
-            continue
-        enter = next((j for j in range(n) if t.rows[i][j]), -1)
-        if enter < 0:
-            drop.append(i)
+    while True:
+        leave = -1
+        for i, row in enumerate(t.rows):
+            if row[-1] < 0 and (leave < 0 or t.basis[i] < t.basis[leave]):
+                leave = i
+        if leave < 0:
+            return -1
+        row, enter = t.rows[leave], -1
+        if t.reds:
+            red = t.reds[0]
+            for j in range(n):
+                a = row[j]
+                # red_j / -a_j < red_enter / -a_enter, cross-multiplied
+                if a < 0 and (enter < 0 or red[j] * row[enter] > red[enter] * a):
+                    enter = j
         else:
-            _pivot(t, i, enter)
-    for i in reversed(drop):
-        del t.rows[i], t.den[i], t.basis[i]
+            enter = next((j for j in range(n) if row[j] < 0), -1)
+        if enter < 0:
+            return leave
+        _pivot(t, leave, enter)
+
+
+def _finish(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> LpSolution | None:
+    """Decide the LP of a tableau whose phase-1 row has retired and whose
+    right-hand side is b(y), through the one pivot routine.
+
+    Artificials still basic are driven out of the basis, each on the first
+    real column with a nonzero cell in its row.  A row with no real column
+    left is dependent: it moves after the others, which keep the indices
+    they would have without it, and stays, its artificial basic, so that a
+    later right-hand side can be checked against it; its artificial costs
+    zero, so the reduced-cost row and the duals are unchanged.  A dependent row with a nonzero rhs, or a row at which the
+    dual simplex stops (`_dual_simplex`), refutes the LP: its Farkas ray is
+    the row of B^-1, read at each row's starting column over the row's
+    denominator, signed back to model row origin[r] and negated when the
+    rhs is negative, so that it combines the rows into g x >= alpha with
+    g <= 0 on every free column and alpha > 0.  A tableau with no cost row
+    (a projection's) then returns None: the LP is feasible.  Else phase 2
+    runs, and the answer is read off the tableau as `solve_lp` describes,
+    its point re-checked (`_recheck`).  After phase 1 every rhs is
+    nonnegative and every dependent rhs zero, so for a fresh tableau this
+    is the drive-out and phase 2 alone.
+    """
+    n = t.width
+    for i in range(len(t.rows)):
+        if t.basis[i] >= n:
+            enter = next((j for j in range(n) if t.rows[i][j]), -1)
+            if enter >= 0:
+                _pivot(t, i, enter)
+    dependent = [i for i, j in enumerate(t.basis) if j >= n]
+    first = len(t.rows) - len(dependent)
+    if dependent and dependent[0] < first:
+        order = [i for i, j in enumerate(t.basis) if j < n] + dependent
+        t.rows, t.den, t.basis = ([xs[i] for i in order] for xs in (t.rows, t.den, t.basis))
+    leave = next((i for i in range(first, len(t.rows)) if t.rows[i][-1]), -1)
+    if leave < 0:
+        leave = _dual_simplex(t)
+    if leave >= 0:
+        row, den = t.rows[leave], t.den[leave]
+        s = 1 if row[-1] > 0 else -1
+        ray = {r: Fraction(s * sign * row[j], den) for j, (r, sign) in zip(t.start, t.origin) if row[j]}
+        return _infeasible(rows, ray, extra, y)
+    if not t.reds:
+        return None
     unbounded = _bland_simplex(t, n)
     variables, columns, y = rows.model.variables, rows.columns, tuple(map(Fraction, y))
     point: list = [_ZERO] * len(variables)
@@ -488,6 +600,42 @@ def _solve(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> L
         duals[r] = Fraction(-sign * red[j] * t.scale, den * t.cost_scale)
     rows.tie_multipliers(duals, extra, priced=True)
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), fixed)
+
+
+def _solve(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> LpSolution:
+    """Both phases of the model with `rows.refs` pinned to `y` and the rows
+    `extra` added after the model's, from a fresh tableau; see `solve_lp`.
+    Multipliers index the model's rows, then `extra`."""
+    t = _phase1(rows, y, extra)
+    return t if isinstance(t, LpSolution) else _finish(rows, t, y, extra)
+
+
+def _resolve(rows: _Rows, t: _Tableau, y: tuple[int, ...]) -> LpSolution | None:
+    """Re-solve a kept tableau of `rows`, built for integral pins, at the
+    integral pins `y`: a capacity sweep's one routine for its LPs
+    (Applegate, Cook, Dash and Espinoza 2007 re-solve exact LPs from a kept
+    basis the same way).
+
+    Only the right-hand side moves with the pins.  Constant rows are checked
+    first (`_rhs`).  Then each row's rhs becomes B^-1 b(y): row r of the
+    kept tableau started as sign_r times model row r with identity column
+    start[r], so that column now holds B^-1 e_r over each row's
+    denominator, and the new rhs of row i is the integer dot product of
+    row i at the starting columns with the signed b(y).  The basis, and so
+    its reduced costs, are unchanged: a basis that was optimal stays dual
+    feasible, as every basis is without a cost row, and `_finish` takes it
+    to the answer by the dual simplex.  On a tableau fresh from a feasible
+    phase 1, whose rhs already is b(y), `_finish` is the drive-out and
+    phase 2 of a cold solve.
+    """
+    pinned = _rhs(rows, rows.rows, y, ())
+    if isinstance(pinned, LpSolution):
+        return pinned
+    _, b = pinned
+    signed = [(j, sign * b[r]) for j, (r, sign) in zip(t.start, t.origin) if b[r]]
+    for row in t.rows:
+        row[-1] = sum([row[j] * br for j, br in signed])
+    return _finish(rows, t, y)
 
 
 def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> LpSolution:
@@ -522,10 +670,11 @@ def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED)
     return isinstance(_phase1(_Rows(model, tuple(pinned)), tuple(pinned.values())), _Tableau)
 
 
-def _proved_row(model: MipModel, answer: LpSolution) -> tuple[dict[VarRef, int], int, int] | None:
+def _proved_row(rows: _Rows, answer: LpSolution) -> tuple[list[int], int, int] | None:
     """The row g x >= alpha, times a positive `scale`, that an Infeasible
-    answer's ray or an Optimal answer's duals prove, as (g, alpha, scale) in
-    integers; None when they prove nothing.
+    answer's ray or an Optimal answer's duals prove on `rows.model`, as (g
+    by variable position, alpha, scale) in integers; None when they prove
+    nothing.
 
     The multipliers u, one per row, must each combine their row the valid
     way (u_r <= 0 on `<=`, u_r >= 0 on `>=`, either sign on `=`), and the
@@ -534,39 +683,48 @@ def _proved_row(model: MipModel, answer: LpSolution) -> tuple[dict[VarRef, int],
     must give g_v <= 0 on every free variable and alpha > g y, so no point
     has those pins; duals must price every free variable nonnegatively,
     c_v scale >= g_v, so the objective's free part is at least
-    (alpha - g y) / scale at every point (weak duality).  u and the rows are
-    scaled in by one lcm each, as the kernel scales its tableau.
+    (alpha - g y) / scale at every point (weak duality).  The rows are
+    `rows.checks`, each an integer row over its own lcm, brought to the lcm
+    of the rows that u uses; u is scaled in by its own lcm.
     """
     u, fixed = answer.duals, answer.fixed
-    if len(u) != len(model.constraints) or not set(fixed) <= set(model.variables):
+    pinned = [rows.position.get(v, -1) for v in fixed]
+    if len(u) != len(rows.checks) or -1 in pinned:
         return None
-    rows = [(ur, con) for ur, con in zip(u, model.constraints) if ur]
-    if any(ur > 0 and con.sense == "<=" or ur < 0 and con.sense == ">=" for ur, con in rows):
+    used = [(ur, check) for ur, check in zip(u, rows.checks) if ur]
+    if any(ur > 0 and check[3] == "<=" or ur < 0 and check[3] == ">=" for ur, check in used):
         return None
-    u_scale, us = _scaled([ur for ur, _ in rows])
-    row_scale = lcm(*(c.denominator for _, con in rows for c in (con.rhs, *con.coeffs.values())))
-    g: dict[VarRef, int] = {}
+    u_scale, us = _scaled([ur for ur, _ in used])
+    common = lcm(*(check[4] for _, check in used))
+    g = [0] * len(rows.position)
     alpha = 0
-    for n, (_, con) in zip(us, rows):
-        for v, a in con.coeffs.items():
-            g[v] = g.get(v, 0) + n * a.numerator * (row_scale // a.denominator)
-        alpha += n * con.rhs.numerator * (row_scale // con.rhs.denominator)
-    scale = u_scale * row_scale
+    for n, (_, (_, terms, rhs, _, own)) in zip(us, used):
+        n *= common // own
+        for i, c in terms:
+            g[i] += n * c
+        alpha += n * rhs
+    scale = u_scale * common
+    skip = set(pinned)
+    free = [(i, c) for i, c in enumerate(g) if i not in skip]
     if answer.status is SolveStatus.INFEASIBLE:
-        if any(c > 0 for v, c in g.items() if v not in fixed):
+        q, ys = _scaled(list(fixed.values()))
+        if any(c > 0 for _, c in free) or alpha * q <= sum(map(mul, (g[i] for i in pinned), ys)):
             return None
-        if alpha - sum(g.get(v, 0) * val for v, val in fixed.items()) <= 0:
+    elif answer.status is SolveStatus.OPTIMAL:
+        obj_scale, terms = rows.objective
+        cost = [0] * len(g)
+        for i, c in terms:
+            cost[i] = c
+        if any(cost[i] * scale < c * obj_scale for i, c in free):
             return None
-    elif answer.status is not SolveStatus.OPTIMAL or any(
-        model.objective.get(v, _ZERO) * scale < g.get(v, 0) for v in model.variables if v not in fixed
-    ):
+    else:
         return None
     return g, alpha, scale
 
 
 def certify(model: MipModel, answer: LpSolution) -> bool:
     """Whether an LP answer's certificate proves its status, read against
-    the model's rows alone; nothing is solved or standardized.
+    the model's rows alone; nothing is solved.
 
     Infeasible: the ray proves a row (`_proved_row`).  Optimal: the duals
     prove one, and its bound, (alpha - g y) / scale plus the pinned cost,
@@ -587,11 +745,12 @@ def certify(model: MipModel, answer: LpSolution) -> bool:
         if any(c < 0 for c in d.values()) or model.objective_value(d) >= 0:
             return False
     else:
-        proved = _proved_row(model, answer)
+        rows = _Rows(model, ())
+        proved = _proved_row(rows, answer)
         if proved is None or answer.status is SolveStatus.INFEASIBLE:
             return proved is not None
         g, alpha, scale = proved
-        dual_value = Fraction(alpha - sum(g.get(v, 0) * val for v, val in fixed.items()), scale)
+        dual_value = Fraction(alpha - sum(g[rows.position[v]] * val for v, val in fixed.items()), scale)
         if not dual_value + model.objective_value(fixed) == answer.objective == model.objective_value(answer.values):
             return False
     on_model = set(answer.values) <= set(model.variables)
@@ -726,12 +885,26 @@ class CapacitySweep:
     holds at y when that bound plus the row's terms on `refs` reaches its
     rhs, one test B y <= A.
 
+    Every LP after the first is re-solved from the tableau of the one
+    before (`_resolve`): the pins move only the right-hand side, so the
+    kept basis stays dual feasible and a Bland dual simplex (Lemke 1954)
+    takes it to the new vector's answer through the same pivot routine,
+    in fewer pivots than phase 1 from scratch.  Without a row, the LP has no cost, every basis is dual feasible, and
+    the sweep keeps the tableau of its first LP, feasible or not.  With a
+    row, the sweep solves cold, both phases, until an LP is Optimal, and
+    keeps that tableau.  A warm answer carries its certificate as a cold
+    one does: an Infeasible answer the ray read off the row that refutes
+    the LP, an Optimal one its point, re-checked (`_recheck`), and its
+    duals.  The kept tableau keeps its dependent rows and checks each new
+    right-hand side against them: phase 1 showed them consistent at its
+    own pins only, and at other pins they may refute the LP.
+
     `learn` checks each certificate by the row it proves (`_proved_row`),
     as `certify` does, before it keeps the test, as coprime integers, so
     that testing a vector is one integer dot product; a test already kept
-    is kept once.  `lp_solved`,
-    `ray_refuted` and `bound_proved` count how vectors were decided.  The
-    model's integer rows are built once, for the whole sweep.
+    is kept once.  `lp_solved`, `ray_refuted` and `bound_proved` count how
+    vectors were decided.  The model's integer rows are built once, for
+    the whole sweep.
     """
 
     def __init__(self, model: MipModel, refs: tuple[VarRef, ...], row: LinearConstraint | None = None):
@@ -743,7 +916,9 @@ class CapacitySweep:
         self._rays: dict[tuple[int, tuple[int, ...]], None] = {}
         self._bounds: dict[tuple[int, tuple[int, ...]], None] = {}
         self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
+        self._kept: _Tableau | None = None  # the tableau of the last LP, once it can be re-solved
         pinned_values(model, dict.fromkeys(refs, 0))  # refs are the model's variables
+        self._pinned = frozenset(refs)
         if row is not None:
             if row.sense != ">=":
                 raise PreconditionError(
@@ -753,6 +928,7 @@ class CapacitySweep:
             on_refs = [row.coeffs.get(v, _ZERO) for v in refs]
             self._row_scale, (self._rhs, *self._on_refs) = _scaled((row.rhs, *on_refs))
         self._rows = _Rows(self.model, refs)
+        self._ref_positions = [self._rows.position[v] for v in refs]
 
     def decide(self, vec: tuple[int, ...]) -> bool:
         """Whether the model is feasible with `refs` pinned to `vec`.
@@ -760,10 +936,10 @@ class CapacitySweep:
         A vector that dominates a recorded one is feasible, and without a row
         that settles it; with one, a kept dual test may prove the row there.
         An undominated vector that a kept ray refutes is infeasible.  Any
-        other is solved, by phase 1 alone without a row, and the answer's
-        certificate is learned; with a row, an Optimal answer whose point
-        breaks the row adds (vec, lhs) to `violations`.  An Infeasible answer
-        at a dominating vector raises, since monotonicity has broken.
+        other is solved (`_solve_at`), and the answer's certificate is
+        learned; with a row, an Optimal answer whose point breaks the row
+        adds (vec, lhs) to `violations`.  An Infeasible answer at a
+        dominating vector raises, since monotonicity has broken.
         """
         dominated = any(dominates(vec, m) for m in self.minimal)
         if dominated and self.row is None:
@@ -775,15 +951,12 @@ class CapacitySweep:
             self.ray_refuted += 1
             return False
         self.lp_solved += 1
-        if self.row is None:
-            answer = _phase1(self._rows, vec)
-            if isinstance(answer, _Tableau):
-                self.minimal.append(vec)
-                return True
-        else:
-            answer = _solve(self._rows, vec)
-            if answer.status is SolveStatus.INFEASIBLE and dominated:
-                raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
+        answer = self._solve_at(vec)
+        if answer is None:  # feasible, without a row
+            self.minimal.append(vec)
+            return True
+        if answer.status is SolveStatus.INFEASIBLE and dominated:
+            raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
         self.learn(answer)
         if answer.status is SolveStatus.INFEASIBLE:
             return False
@@ -793,6 +966,25 @@ class CapacitySweep:
         if lhs < self.row.rhs:
             self.violations.append((vec, lhs))
         return True
+
+    def _solve_at(self, vec: tuple[int, ...]) -> LpSolution | None:
+        """The LP at `vec`, re-solved from the kept tableau when there is
+        one; None when it is feasible and the sweep has no row."""
+        if self._kept is not None:
+            return _resolve(self._rows, self._kept, vec)
+        t = _tableau(self._rows, vec)
+        if isinstance(t, LpSolution):
+            return t
+        answer = _run_phase1(self._rows, t, vec)
+        if self.row is None:
+            t.reds, t.red_den = [], []  # no cost: every basis is dual feasible
+            self._kept = t
+            return answer
+        if answer is None:
+            answer = _resolve(self._rows, t, vec)
+            if answer.status is SolveStatus.OPTIMAL:
+                self._kept = t
+        return answer
 
     def refutes(self, vec: tuple[int, ...]) -> bool:
         """Whether a kept ray test beta y >= alpha fails at y = vec."""
@@ -808,14 +1000,14 @@ class CapacitySweep:
         learned give the same test, so they are neither checked nor combined
         again: a sweep over a failing row, where nearly every vector is
         solved, meets the same few duals over and over."""
-        if set(solution.fixed) != set(self.refs):
+        if solution.fixed.keys() != self._pinned:
             raise PreconditionError("the answer pins other variables than the sweep")
         optimal = solution.status is SolveStatus.OPTIMAL
         if optimal and self.row is None or solution.status is SolveStatus.UNBOUNDED:
             raise PreconditionError("only an Infeasible answer, or an Optimal one given a row, gives a test")
         if optimal and solution.duals in self._learned:
             return
-        proved = _proved_row(self.model, solution)
+        proved = _proved_row(self._rows, solution)
         if proved is None:
             raise NetcapError(
                 "solver returned duals that do not bound the objective"
@@ -823,12 +1015,13 @@ class CapacitySweep:
                 else "solver returned a Farkas ray that does not prove infeasibility"
             )
         g, alpha, scale = proved
+        beta = [g[i] for i in self._ref_positions]
         if not optimal:
-            self._rays[_coprime([alpha] + [g.get(v, 0) for v in self.refs])] = None
+            self._rays[_coprime([alpha, *beta])] = None
             return
         # Times row_scale * scale > 0: (alpha - g y) row_scale + scale (cap y - rhs) >= 0.
         test = [alpha * self._row_scale - scale * self._rhs]
-        test += [g.get(v, 0) * self._row_scale - scale * c for v, c in zip(self.refs, self._on_refs)]
+        test += [b * self._row_scale - scale * c for b, c in zip(beta, self._on_refs)]
         self._bounds[_coprime(test)] = None
         self._learned.add(solution.duals)
 

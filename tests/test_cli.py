@@ -123,6 +123,16 @@ def test_solve_points_match_recorded(tmp_path, capsys, flags, recorded):
         assert status == 0 and out.read_bytes() == (DATA / "solutions" / recorded).read_bytes()
 
 
+@pytest.mark.parametrize("model, bound", [("undirected", 2), ("bidirected", 2), ("directed", 1)])
+def test_project_prints_recorded_projection(capsys, model, bound):
+    """`netcap project` on tests/data/instances/triangle.json prints the
+    files under tests/data/projections/ byte for byte: the minimal vectors,
+    which no change to how the sweep decides a vector may move."""
+    status = run(["project", str(DATA / "instances" / "triangle.json"), "--model", model, "--bound", str(bound)])
+    recorded = (DATA / "projections" / f"triangle-{model}.txt").read_bytes()
+    assert status == 0 and capsys.readouterr().out.encode("utf-8") == recorded
+
+
 def test_solve_infeasible_exits_one(tmp_path, capsys):
     inst = Instance(
         Network(("1", "2", "3"), (("1", "2"),)),

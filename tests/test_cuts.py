@@ -529,18 +529,18 @@ def test_infeasible_lp_at_a_dominating_vector_raises():
     cut = cutset_inequality(inst, CutsetSpec(side_u=("1",), commodities=(("1", "2"),), s_plus=(("1", "2"),)))
     feasible_at = []
 
-    solve = solver._solve
+    resolve = solver._resolve
 
-    def lying(rows, vec, extra=()):
+    def lying(rows, t, vec):
         if any(dominates(vec, f) for f in feasible_at):
             return LpSolution(SolveStatus.INFEASIBLE, {}, None, (), dict(zip(rows.refs, vec)))
-        sol = solve(rows, vec, extra)
+        sol = resolve(rows, t, vec)
         if sol.status is SolveStatus.OPTIMAL:
             feasible_at.append(vec)
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_solve", lying)
+        mp.setattr(solver, "_resolve", lying)
         mp.setattr(CapacitySweep, "proves", lambda self, vec: False)
         with pytest.raises(NetcapError, match="dominates a feasible"):
             check_cut_validity(inst, cut)

@@ -56,6 +56,8 @@ from netcap.solver import (
     SolveStatus,
     _phase1,
     _Rows,
+    _solve,
+    _Tableau,
     build_for_feasibility,
     certify,
     feasible,
@@ -127,10 +129,10 @@ def test_mip_returns_feasible_integral_points():
 
 
 def _record_solves(monkeypatch):
-    """Rebind `solver._solve`, which runs both phases of every LP (each
-    `solve_lp` call, each branch-and-bound node, each LP of a capacity sweep
-    given a row), to keep every (model, solution) it returns; a node's
-    model carries its branch rows."""
+    """Rebind `solver._solve`, which runs both phases of every LP solved
+    from scratch (each `solve_lp` call, each branch-and-bound node), to keep
+    every (model, solution) it returns; a node's model carries its branch
+    rows."""
     seen = []
     inner = solver._solve
 
@@ -140,6 +142,24 @@ def _record_solves(monkeypatch):
         return sol
 
     monkeypatch.setattr(solver, "_solve", recording)
+    return seen
+
+
+def _record_resolves(monkeypatch):
+    """Rebind `solver._resolve`, which decides a capacity sweep's LPs from
+    its kept tableau (given a row, every LP that passes phase 1), to keep
+    every (model, solution) it returns; a vector that a projection finds
+    feasible returns none."""
+    seen = []
+    inner = solver._resolve
+
+    def recording(rows, t, y):
+        sol = inner(rows, t, y)
+        if sol is not None:
+            seen.append((rows.model, sol))
+        return sol
+
+    monkeypatch.setattr(solver, "_resolve", recording)
     return seen
 
 
@@ -192,10 +212,10 @@ def test_optimality_certificate_sweep(monkeypatch):
     assert any(c.name.startswith("sym[") for m, _ in node_lps for c in m.constraints)
 
     # cut-check probes: capacities fixed, flow part (with negative terms)
-    # minimized; the sweep calls solver._solve, which node_lps also wraps,
-    # so node_lps stops at the branch-and-bound LPs
+    # minimized; the sweep re-solves them by solver._resolve, which
+    # node_lps does not wrap
     node_lps = list(node_lps)
-    probes = _record_solves(monkeypatch)
+    probes = _record_resolves(monkeypatch)
     rays = _record_learned_rays(monkeypatch)
     checked = 0
     while checked < 4:
@@ -265,7 +285,7 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
 
     # Cut-check answers hold for the system with capacities pinned; with the
     # pinned values dropped, their duals no longer certify the model.
-    recorded = _record_solves(monkeypatch)
+    recorded = _record_resolves(monkeypatch)
     probes = []
     rng = random.Random(3)
     while len(probes) < 10:
@@ -724,7 +744,7 @@ def test_mirror_flow_answers_certify_against_the_model(monkeypatch):
 def test_tie_free_models_keep_their_pivots(monkeypatch):
     """A model with no tie takes the path it took before ties merged: on the
     first criterion-1 draw the plain readings' sweeps decide and pivot as
-    they did.  Plain models can hold ties too: on two nodes, the balance
+    pinned here.  Plain models can hold ties too: on two nodes, the balance
     rows of a reverse commodity with no traffic are x[k|1>2] - x[k|2>1] = 0.
     Such a cut check keeps its verdict, its points and its violations, for
     the cut and for the cut with its rhs raised by one."""
@@ -741,7 +761,7 @@ def test_tie_free_models_keep_their_pivots(monkeypatch):
         for vec in graded_box(len(refs), bound):
             sweep.decide(vec)
         counts.append((sweep.lp_solved, sweep.ray_refuted, len(pivots)))
-    assert counts == [(9, 31, 72), (9, 31, 73), (9, 31, 79)]
+    assert counts == [(11, 29, 33), (10, 30, 36), (10, 30, 32)]
 
     inst = _two_node(menu=(2, 5), t12=Fraction(0), t21=Fraction(2))
     model = build(inst, ModelKind.DIRECTED, commodities=reduced_commodities(inst))
@@ -753,6 +773,93 @@ def test_tie_free_models_keep_their_pivots(monkeypatch):
         bidirected = check_cut_validity(inst, translate_to_bidirected(row), kind=ModelKind.BIDIRECTED)
         assert (directed.points, list(directed.violations)) == (12, violations)
         assert (bidirected.points, bidirected.violations) == (3, ())
+
+
+def test_warm_resolves_match_cold_solves(monkeypatch):
+    """Every LP that a sweep re-solves from its kept tableau (`_resolve`)
+    gets the verdict of a cold solve at the same pins: `_phase1`'s in a
+    projection, and `_solve`'s status and least objective, the least
+    left-hand side less the cut's pinned terms, in a cut check.  Every warm
+    answer certifies.  A cut check's kept tableau stays dual feasible, so
+    once it has been re-solved, phase 2 after the dual simplex never
+    pivots.  Cases: the five readings of each criterion-1 draw, and
+    directed and bidirected checks of valid cut-set rows and of each with
+    its rhs raised by one, which fails somewhere."""
+    warm, seen, phase2 = [], {}, []  # seen holds each tableau, so no id is reused
+    resolve, simplex = solver._resolve, solver._bland_simplex
+
+    def recording(rows, t, y):
+        priced, again = bool(t.reds), id(t) in seen
+        seen[id(t)] = t
+        phase2.clear()
+        answer = resolve(rows, t, y)
+        assert not (priced and again and any(phase2))
+        warm.append((rows, y, priced, answer))
+        return answer
+
+    def pivoting(t, width):
+        basis = list(t.basis)
+        out = simplex(t, width)
+        phase2.append(basis != t.basis)
+        return out
+
+    monkeypatch.setattr(solver, "_resolve", recording)
+    monkeypatch.setattr(solver, "_bland_simplex", pivoting)
+    for inst, bound, (averaged, doubled) in _criterion_1_draws(30):
+        original = build_for_feasibility(inst, ModelKind.UNDIRECTED)
+        for model in (original, averaged, add_flow_symmetry(averaged), doubled, add_flow_symmetry(doubled)):
+            project(model, bound)
+    rng = random.Random(71)
+    raised_fail = 0
+    while raised_fail < 4:
+        inst = cut_check_instance(rng)
+        try:
+            cut = cutset_inequality(inst, random_cutset_spec(rng, inst))
+        except VacuousCutError:
+            continue
+        for kind, row in ((ModelKind.DIRECTED, cut), (ModelKind.BIDIRECTED, translate_to_bidirected(cut))):
+            assert check_cut_validity(inst, row, kind=kind).valid
+            raised_fail += not check_cut_validity(inst, replace(row, rhs=row.rhs + 1), kind=kind).valid
+
+    verdicts = {False: set(), True: set()}
+    for rows, y, priced, answer in warm:
+        if priced:
+            cold = _solve(rows, y)
+            assert answer.status is cold.status and answer.objective == cold.objective
+            verdicts[True].add(answer.status)
+        else:
+            feasible_cold = isinstance(_phase1(rows, y), _Tableau)
+            assert (answer is None) == feasible_cold
+            verdicts[False].add(feasible_cold)
+        assert answer is None or certify(rows.model, answer)
+    assert verdicts == {False: {True, False}, True: {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}}
+
+
+def test_kept_tableau_refutes_through_a_dependent_row():
+    """With y1 and y2 pinned, the rows x - y1 = 0 and x - y2 = 0 are
+    dependent: phase 1 at y = (1, 1) leaves the second row's artificial
+    basic with no real column to replace it, and a cold solve, which has
+    shown the row consistent, no longer reads it.  A kept tableau keeps it,
+    with and without a cost row: where y1 and y2 differ its rhs turns
+    nonzero and its ray, on both rows, refutes the LP; where they agree the
+    re-solve is feasible at x = y1.  Each re-solve agrees with a cold one,
+    and each ray certifies."""
+    model, _ = _small_lp([((1, -1, 0), "=", 0), ((1, 0, -1), "=", 0)], (1, 0, 0))
+    rows = _Rows(model, _LP_VARS[1:3])
+    pins = [(1, 1), (1, 2), (2, 2), (2, 1), (0, 0), (3, 1), (1, 1)]
+    for priced in (True, False):
+        t = _phase1(rows, pins[0])
+        if not priced:
+            t.reds, t.red_den = [], []
+        for y in pins:
+            answer, cold = solver._resolve(rows, t, y), _solve(rows, y)
+            assert len(t.rows) == 2 and t.basis[-1] >= t.width  # the dependent row stays
+            if y[0] == y[1]:
+                assert cold.status is SolveStatus.OPTIMAL and cold.values.get(_LP_VARS[0], 0) == y[0]
+                assert answer == cold if priced else answer is None
+            else:
+                assert answer.status is cold.status is SolveStatus.INFEASIBLE
+                assert all(answer.duals) and certify(model, answer)
 
 
 def test_equalized_directed_triangle_pays_both_orientations(monkeypatch):
