@@ -17,7 +17,7 @@ the pivots.  In the simplex, `Fraction` appears only where values and
 duals are read out.  A model's rows are turned into integers once for the
 variables every solve pins (`_Rows`): a capacity sweep pins the same
 capacities at each vector of its box, and branch and bound pins nothing
-and adds its branch rows after the model's at each node.  Per solve, the
+and adds a pair of bound rows per integer column.  Per solve, the
 pinned terms move to the right-hand side by one integer dot product per
 row, rows left constant are checked there, and rows with a negative rhs
 are negated; no reduced model or standard form is built.  Ties merge
@@ -54,22 +54,32 @@ pins move only the right-hand side, so every later vector is re-solved
 from it (`_resolve`), the rhs refreshed as B^-1 b(y) from the kept
 starting columns and a Bland dual simplex (Lemke 1954) restoring
 feasibility, exactly, as Applegate, Cook, Dash and Espinoza (2007)
-re-solve exact LPs from a kept basis.  Integer models are solved by depth-first branch and
-bound on the first fractional integer variable in model order, pruning on
-exact bound comparisons, the bound rounded up to the objective's step when
-every term is integral.  Sized for desk-scale models (a few hundred
-variables), which is all this package needs.
+re-solve exact LPs from a kept basis.  Integer models are solved by
+depth-first branch and bound on the first fractional integer variable in
+model order, pruning on exact bound comparisons, the bound rounded up to
+the objective's step when every term is integral.  A node is a right-hand
+side too: the bounded model carries v <= bound and -v <= 0 per integer
+column, a node sets only those rows' rhs to hi and -lo, and after one cold
+root solve every node is re-solved from the root's kept tableau by the
+same `_resolve`, within the exact branch and bound of Cook, Koch, Steffy
+and Wolter (2013).  Its point is re-checked against the rows with the
+node's bounds.  A warm node can stop at another vertex of a tied optimum,
+so `solve_mip` returns a canonical optimum, which depends on the model
+alone: the lexicographically least optimal integer vector, found through
+lexicographic weights in the objective, with the flows of a cold
+`solve_lp` at it.  Sized for desk-scale models (a few hundred variables),
+which is all this package needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import Instance
 from .enumeration import dominates
@@ -218,7 +228,9 @@ _Check = tuple[str, list[tuple[int, int]], int, str, int]
 class _Rows:
     """A model's rows in integers, built once for the variables `refs` that
     every solve pins: a sweep pins its capacities at each vector of a box,
-    and branch and bound pins nothing and adds branch rows at each node.
+    and branch and bound pins nothing.  Given a `bound`, the model is the
+    bounded one, its rows followed by `_bound_rows`, one pair per integer
+    column, whose right-hand sides a branch-and-bound node moves.
 
     `checks` states each row on its own, from the model's coefficients
     times the row's own lcm, over positions in `model.variables`, and
@@ -235,10 +247,10 @@ class _Rows:
 
     A tie, an `=` row a v - a w = 0 of two free variables, merges w into v,
     the earlier of the two in model order, when neither is merged already:
-    `slot[w]` is v's column, so w's coefficients in every row, branch rows
-    included, and its cost add onto v's column, and the tie row itself
-    becomes the constant row 0 = 0 (an integer mark needs nothing: w's value
-    is v's, and a branch row on w is a row on v's column).  A tie with a
+    `slot[w]` is v's column, so w's coefficients in every row and its cost
+    add onto v's column, and the tie row itself becomes the constant row 0
+    = 0 (an integer mark needs nothing: w's value is v's, and the column
+    has one pair of bound rows, not one per variable).  A tie with a
     pinned side and a tie that shares a column with an earlier merge stay
     rows.  `ties` lists each merge as (tie row, v's position, w's position,
     a, v's other terms as (row, coefficient)), for the postsolve: w takes
@@ -251,17 +263,22 @@ class _Rows:
         "ties",
     )
 
-    def __init__(self, model: MipModel, refs: tuple[VarRef, ...]):
+    def __init__(self, model: MipModel, refs: tuple[VarRef, ...], bound: int | None = None):
         self.model, self.refs = model, refs
         self.position = {v: i for i, v in enumerate(model.variables)}
         self.checks = [self.check(con) for con in model.constraints]
-        obj_scale, obj = _scaled(list(model.objective.values()))
-        self.objective = obj_scale, [(self.position[v], c) for v, c in zip(model.objective, obj)]
         # per model variable: its free column j >= 0, or ~k for refs[k]
         self.slot = [0] * len(model.variables)
         for k, v in enumerate(refs):
             self.slot[self.position[v]] = ~k
-        self.ties = self._ties()
+        merges = self._merges()
+        if bound is not None:
+            into = {model.variables[w]: model.variables[v] for _, v, w, _ in merges}
+            self.model = model.with_constraints(_bound_rows(model, bound, into))
+            self.checks += map(self.check, self.model.constraints[len(model.constraints):])
+        obj_scale, obj = _scaled(list(model.objective.values()))
+        self.objective = obj_scale, [(self.position[v], c) for v, c in zip(model.objective, obj)]
+        self.ties = self._ties(merges)
         absorbed = {w for _, _, w, _, _ in self.ties}
         self.columns = [i for i, s in enumerate(self.slot) if s >= 0 and i not in absorbed]
         for j, i in enumerate(self.columns):
@@ -276,10 +293,11 @@ class _Rows:
             cost[self.slot[v]] += on.get(w, _ZERO)
         self.cost_scale, self.cost = _scaled(cost)
 
-    def _ties(self) -> list[tuple[int, int, int, Fraction, list[tuple[int, Fraction]]]]:
-        """The merges, in row order: each tie of two free variables that no
-        earlier merge touches, with v's terms in the model's other rows."""
-        ties, merged, slot, constraints = [], set(), self.slot, self.model.constraints
+    def _merges(self) -> list[tuple[int, int, int, Fraction]]:
+        """The merges (tie row, v's position, w's position, a), in row
+        order: each tie of two free variables that no earlier merge
+        touches."""
+        merges, merged, slot, constraints = [], set(), self.slot, self.model.constraints
         for r, (_, terms, rhs, sense, _) in enumerate(self.checks):
             if len(terms) != 2 or sense != "=" or rhs:
                 continue
@@ -287,20 +305,25 @@ class _Rows:
             if a + b or slot[i] < 0 or slot[k] < 0 or i in merged or k in merged:
                 continue
             first, second = constraints[r].coeffs.values()
-            v, w, a = (i, k, first) if i < k else (k, i, second)
-            ties.append((r, v, w, a, []))
-            merged.update((v, w))
+            merges.append((r, i, k, first) if i < k else (r, k, i, second))
+            merged.update((i, k))
+        return merges
+
+    def _ties(self, merges: list) -> list[tuple[int, int, int, Fraction, list[tuple[int, Fraction]]]]:
+        """Each merge with v's terms in the model's other rows, the bound
+        rows included."""
+        ties = [(r, v, w, a, []) for r, v, w, a in merges]
         if ties:
             kept = {v: (r, terms) for r, v, _, _, terms in ties}
-            for s, ((_, terms, *_), con) in enumerate(zip(self.checks, constraints)):
+            for s, ((_, terms, *_), con) in enumerate(zip(self.checks, self.model.constraints)):
                 for (i, _), c in zip(terms, con.coeffs.values()):
                     if i in kept and kept[i][0] != s:
                         kept[i][1].append((s, c))
         return ties
 
-    def tie_multipliers(self, u: list[Fraction], extra: Sequence[LinearConstraint], priced: bool) -> None:
-        """Give each merged tie row its multiplier in `u`, one per model row
-        and then per row of `extra`, once every other row has its own.
+    def tie_multipliers(self, u: list[Fraction], priced: bool) -> None:
+        """Give each merged tie row its multiplier in `u`, one per model
+        row, once every other row has its own.
 
         With g^rest the other rows' combination, the tie's multiplier
         lambda adds lambda a to g_v and takes it from g_w; the merged column
@@ -310,25 +333,15 @@ class _Rows:
         columns price.  For a ray, lambda a = -g^rest_v, which leaves g_v = 0
         and g_w = g^rest_v + g^rest_w <= 0.
         """
-        if not self.ties:
-            return
-        on_extra: dict[VarRef, Fraction] = {}
-        for ur, con in zip(u[len(self.rows):], extra):
-            if ur:
-                for x, c in con.coeffs.items():
-                    on_extra[x] = on_extra.get(x, _ZERO) + ur * c
         variables, objective = self.model.variables, self.model.objective
         for r, v, _, a, terms in self.ties:
-            x = variables[v]
-            rest = sum((u[s] * c for s, c in terms if u[s]), on_extra.get(x, _ZERO))
-            u[r] = ((objective.get(x, _ZERO) if priced else _ZERO) - rest) / a
+            rest = sum((u[s] * c for s, c in terms if u[s]), _ZERO)
+            u[r] = ((objective.get(variables[v], _ZERO) if priced else _ZERO) - rest) / a
 
     def split(self, check: _Check) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, str]:
         """(free terms, pinned terms, rhs, sense) of a row given by its
         check, times `scale`.  With ties merged, terms on one column add up,
-        and a column whose terms cancel is left out.  A row added after the
-        model's must have denominators that divide `scale`, as a branch
-        row's integral data does."""
+        and a column whose terms cancel is left out."""
         _, terms, rhs, sense, own = check
         free, pinned, up, slot = [], [], self.scale // own, self.slot
         for i, c in terms:
@@ -358,16 +371,17 @@ def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _recheck(rows: _Rows, point: list, extra: Iterable[LinearConstraint] = ()) -> tuple[list[str], Fraction]:
+def _recheck(rows: _Rows, point: list, checks: Sequence[_Check] | None = None) -> tuple[list[str], Fraction]:
     """`model.violations` and `objective_value` of `point`, one value per
-    model variable, the model's rows followed by `extra`, in integers.
+    model variable, in integers, against `checks`, `rows.checks` unless
+    given (a branch-and-bound node's carry its own bounds).
 
     The point is put over one common denominator, and each row, scaled by
     its own lcm, is compared with its rhs by integer dot products.
     """
     common, xs = _scaled(point)
     bad = []
-    for name, terms, rhs, sense, _ in (*rows.checks, *map(rows.check, extra)):
+    for name, terms, rhs, sense, _ in rows.checks if checks is None else checks:
         if not holds(sum(c * xs[i] for i, c in terms), sense, rhs * common):
             bad.append(name)
     bad.extend(v.name for v, x in zip(rows.model.variables, xs) if x < 0)
@@ -375,39 +389,37 @@ def _recheck(rows: _Rows, point: list, extra: Iterable[LinearConstraint] = ()) -
     return bad, Fraction(sum(c * xs[i] for i, c in terms), obj_scale * common)
 
 
-def _infeasible(rows: _Rows, ray: Mapping[int, Fraction], extra: Sequence[LinearConstraint], y: tuple) -> LpSolution:
+def _infeasible(rows: _Rows, ray: Mapping[int, Fraction], y: tuple) -> LpSolution:
     """The Infeasible answer with `rows.refs` pinned to `y` whose Farkas ray
-    is `ray` on the rows it names, one multiplier per model row and then per
-    row of `extra`; the merged ties' multipliers come last
-    (`tie_multipliers`)."""
-    multipliers = [_ZERO] * (len(rows.rows) + len(extra))
+    is `ray` on the rows it names, one multiplier per model row; the merged
+    ties' multipliers come last (`tie_multipliers`)."""
+    multipliers = [_ZERO] * len(rows.rows)
     for r, u in ray.items():
         multipliers[r] = u
-    rows.tie_multipliers(multipliers, extra, priced=False)
+    rows.tie_multipliers(multipliers, priced=False)
     return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(multipliers), dict(zip(rows.refs, map(Fraction, y))))
 
 
-def _rhs(rows: _Rows, every: list, y: tuple, extra: Sequence[LinearConstraint]) -> tuple[int, list[int]] | LpSolution:
-    """(q, b(y)): the lcm q of the pinned values' denominators, and per row
-    of `every` (split rows, the model's then `extra`'s) its rhs less its
-    pinned terms, times q; one dot product per row.  A row left with no
-    free variable is a constant check, a merged tie's 0 = 0 among them, and
-    the first that fails is returned instead, as the Infeasible answer whose
-    ray is +-1 on that row alone, by the sign of its rhs."""
+def _rhs(rows: _Rows, y: tuple) -> tuple[int, list[int]] | LpSolution:
+    """(q, b(y)): the lcm q of the pinned values' denominators, and per
+    model row its rhs less its pinned terms, times q; one dot product per
+    row.  A row left with no free variable is a constant check, a merged
+    tie's 0 = 0 among them, and the first that fails is returned instead,
+    as the Infeasible answer whose ray is +-1 on that row alone, by the
+    sign of its rhs."""
     q, pins = _scaled(y)
     b = []
-    for r, (free, pinned, rhs, sense) in enumerate(every):
+    for r, (free, pinned, rhs, sense) in enumerate(rows.rows):
         br = rhs * q - sum(c * pins[k] for k, c in pinned)
         if not free and not holds(0, sense, br):
-            return _infeasible(rows, {r: _ONE if br > 0 else -_ONE}, extra, y)
+            return _infeasible(rows, {r: _ONE if br > 0 else -_ONE}, y)
         b.append(br)
     return q, b
 
 
-def _tableau(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> _Tableau | LpSolution:
+def _tableau(rows: _Rows, y: tuple) -> _Tableau | LpSolution:
     """The phase-1 tableau of the model with `rows.refs` pinned to the values
-    `y` and the rows `extra` added after the model's, or the answer of a
-    failed constant row (`_rhs`).
+    `y`, or the answer of a failed constant row (`_rhs`).
 
     For pinned values with denominators, every row is scaled by their lcm q,
     and the tableau by `rows.scale` times q.  Constant rows are left out,
@@ -419,13 +431,12 @@ def _tableau(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) ->
     as minus the sum of the artificial rows; the starting basis costs zero
     in phase 2, so the phase-2 row starts as the cost vector.
     """
-    every = rows.rows + [rows.split(rows.check(con)) for con in extra]
-    pinned = _rhs(rows, every, y, extra)
+    pinned = _rhs(rows, y)
     if isinstance(pinned, LpSolution):
         return pinned
     q, b = pinned
     kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
-    for r, ((free, _, _, sense), br) in enumerate(zip(every, b)):
+    for r, ((free, _, _, sense), br) in enumerate(zip(rows.rows, b)):
         if free:
             kept.append((r, -1, free, -br, _FLIP[sense]) if br < 0 else (r, 1, free, br, sense))
     n = slack = len(rows.columns)
@@ -460,7 +471,7 @@ def _tableau(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) ->
     return _Tableau(table, [red1, red2], start, origin, width, rows.scale * q, rows.cost_scale)
 
 
-def _run_phase1(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> LpSolution | None:
+def _run_phase1(rows: _Rows, t: _Tableau, y: tuple) -> LpSolution | None:
     """Run phase 1 on a fresh tableau, then retire its phase-1 row: None when
     the LP is feasible, else the Infeasible answer with its Farkas ray.
 
@@ -474,19 +485,18 @@ def _run_phase1(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstrain
     if not red1[-1]:
         return None
     ray = {r: Fraction(sign * ((den1 if j >= t.width else 0) - red1[j]), den1) for j, (r, sign) in zip(t.start, t.origin)}
-    return _infeasible(rows, ray, extra, y)
+    return _infeasible(rows, ray, y)
 
 
-def _phase1(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> _Tableau | LpSolution:
-    """Phase 1 of the model with `rows.refs` pinned to the values `y` and
-    the rows `extra` added after the model's (`_tableau`, `_run_phase1`).
-    Returns the tableau, scaled in uniformly, whose one reduced-cost row is
-    phase 2's for the final basis, or, when infeasible, the Infeasible
-    answer with its Farkas ray."""
-    t = _tableau(rows, y, extra)
+def _phase1(rows: _Rows, y: tuple) -> _Tableau | LpSolution:
+    """Phase 1 of the model with `rows.refs` pinned to the values `y`
+    (`_tableau`, `_run_phase1`).  Returns the tableau, scaled in uniformly,
+    whose one reduced-cost row is phase 2's for the final basis, or, when
+    infeasible, the Infeasible answer with its Farkas ray."""
+    t = _tableau(rows, y)
     if isinstance(t, LpSolution):
         return t
-    infeasible = _run_phase1(rows, t, y, extra)
+    infeasible = _run_phase1(rows, t, y)
     return t if infeasible is None else infeasible
 
 
@@ -528,7 +538,7 @@ def _dual_simplex(t: _Tableau) -> int:
         _pivot(t, leave, enter)
 
 
-def _finish(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> LpSolution | None:
+def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None = None) -> LpSolution | None:
     """Decide the LP of a tableau whose phase-1 row has retired and whose
     right-hand side is b(y), through the one pivot routine.
 
@@ -545,9 +555,9 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstraint, .
     g <= 0 on every free column and alpha > 0.  A tableau with no cost row
     (a projection's) then returns None: the LP is feasible.  Else phase 2
     runs, and the answer is read off the tableau as `solve_lp` describes,
-    its point re-checked (`_recheck`).  After phase 1 every rhs is
-    nonnegative and every dependent rhs zero, so for a fresh tableau this
-    is the drive-out and phase 2 alone.
+    its point re-checked against `checks` (`_recheck`).  After phase 1
+    every rhs is nonnegative and every dependent rhs zero, so for a fresh
+    tableau this is the drive-out and phase 2 alone.
     """
     n = t.width
     for i in range(len(t.rows)):
@@ -567,7 +577,7 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstraint, .
         row, den = t.rows[leave], t.den[leave]
         s = 1 if row[-1] > 0 else -1
         ray = {r: Fraction(s * sign * row[j], den) for j, (r, sign) in zip(t.start, t.origin) if row[j]}
-        return _infeasible(rows, ray, extra, y)
+        return _infeasible(rows, ray, y)
     if not t.reds:
         return None
     unbounded = _bland_simplex(t, n)
@@ -581,7 +591,7 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstraint, .
         point[columns[i]] = Fraction(row[-1], den)
     for _, v, w, _, _ in rows.ties:
         point[w] = point[v]
-    bad, objective = _recheck(rows, point, extra)
+    bad, objective = _recheck(rows, point, checks)
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
     assignment = {v: x for v, x in zip(variables, point) if x}
@@ -595,47 +605,43 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, extra: tuple[LinearConstraint, .
                 ray[variables[w]] = ray[variables[v]]
         return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), fixed, ray)
     red, den = t.reds[0], t.red_den[0]
-    duals = [_ZERO] * (len(rows.rows) + len(extra))
+    duals = [_ZERO] * len(rows.rows)
     for j, (r, sign) in zip(t.start, t.origin):
         duals[r] = Fraction(-sign * red[j] * t.scale, den * t.cost_scale)
-    rows.tie_multipliers(duals, extra, priced=True)
+    rows.tie_multipliers(duals, priced=True)
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), fixed)
 
 
-def _solve(rows: _Rows, y: tuple, extra: tuple[LinearConstraint, ...] = ()) -> LpSolution:
-    """Both phases of the model with `rows.refs` pinned to `y` and the rows
-    `extra` added after the model's, from a fresh tableau; see `solve_lp`.
-    Multipliers index the model's rows, then `extra`."""
-    t = _phase1(rows, y, extra)
-    return t if isinstance(t, LpSolution) else _finish(rows, t, y, extra)
+def _solve(rows: _Rows, y: tuple) -> LpSolution:
+    """Both phases of the model with `rows.refs` pinned to `y`, from a fresh
+    tableau; see `solve_lp`."""
+    t = _phase1(rows, y)
+    return t if isinstance(t, LpSolution) else _finish(rows, t, y)
 
 
-def _resolve(rows: _Rows, t: _Tableau, y: tuple[int, ...]) -> LpSolution | None:
-    """Re-solve a kept tableau of `rows`, built for integral pins, at the
-    integral pins `y`: a capacity sweep's one routine for its LPs
-    (Applegate, Cook, Dash and Espinoza 2007 re-solve exact LPs from a kept
-    basis the same way).
+def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[_Check] | None = None) -> LpSolution | None:
+    """Re-solve a kept tableau of `rows` at the right-hand side `b`, one
+    integer per model row over the tableau's scale, with `rows.refs` pinned
+    to `y`: the one routine for a capacity sweep's LPs, whose b is b(y)
+    (`_rhs`), and for every branch-and-bound node, whose b differs from the
+    root's in its bound rows alone (Applegate, Cook, Dash and Espinoza 2007
+    re-solve exact LPs from a kept basis the same way).
 
-    Only the right-hand side moves with the pins.  Constant rows are checked
-    first (`_rhs`).  Then each row's rhs becomes B^-1 b(y): row r of the
-    kept tableau started as sign_r times model row r with identity column
-    start[r], so that column now holds B^-1 e_r over each row's
-    denominator, and the new rhs of row i is the integer dot product of
-    row i at the starting columns with the signed b(y).  The basis, and so
-    its reduced costs, are unchanged: a basis that was optimal stays dual
-    feasible, as every basis is without a cost row, and `_finish` takes it
-    to the answer by the dual simplex.  On a tableau fresh from a feasible
-    phase 1, whose rhs already is b(y), `_finish` is the drive-out and
-    phase 2 of a cold solve.
+    Each row's rhs becomes B^-1 b: row r of the kept tableau started as
+    sign_r times model row r with identity column start[r], so that column
+    now holds B^-1 e_r over each row's denominator, and the new rhs of row
+    i is the integer dot product of row i at the starting columns with the
+    signed b.  The basis, and so its reduced costs, are unchanged: a basis
+    that was optimal stays dual feasible, as every basis is without a cost
+    row, and `_finish` takes it to the answer by the dual simplex, its
+    point re-checked against `checks`.  On a tableau fresh from a feasible
+    phase 1, whose rhs already is b, `_finish` is the drive-out and phase
+    2 of a cold solve.
     """
-    pinned = _rhs(rows, rows.rows, y, ())
-    if isinstance(pinned, LpSolution):
-        return pinned
-    _, b = pinned
     signed = [(j, sign * b[r]) for j, (r, sign) in zip(t.start, t.origin) if b[r]]
     for row in t.rows:
         row[-1] = sum([row[j] * br for j, br in signed])
-    return _finish(rows, t, y)
+    return _finish(rows, t, y, checks)
 
 
 def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> LpSolution:
@@ -758,54 +764,85 @@ def certify(model: MipModel, answer: LpSolution) -> bool:
     return on_model and pins_kept and not model.violations(answer.values)
 
 
-def _bound_rows(model: MipModel, bound: int) -> list[LinearConstraint]:
-    """An `ub[...]` row, v <= bound, per integer variable v, in model order."""
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
-        raise MissingBoundError(f"the bound on integer variables must be a nonnegative integer: {bound!r}")
-    ub = Fraction(bound)
-    return [LinearConstraint(f"ub[{v.name}]", {v: _ONE}, "<=", ub) for v in model.variables if v in model.integer]
+def _bound_rows(model: MipModel, bound: int, into: Mapping[VarRef, VarRef]) -> list[LinearConstraint]:
+    """An `ub[...]` row, v <= bound, and an `lb[...]` row, -v <= 0, per
+    integer column, in model order: a variable that a tie merges into
+    another (`into`) shares that one's column, and the column's rows name
+    the first integer variable on it.  A branch-and-bound node moves only
+    these rows' right-hand sides, to hi and -lo."""
+    ub, rows, seen = Fraction(bound), [], set()
+    for v in model.variables:
+        if v in model.integer and into.get(v, v) not in seen:
+            seen.add(into.get(v, v))
+            rows.append(LinearConstraint(f"ub[{v.name}]", {v: _ONE}, "<=", ub))
+            rows.append(LinearConstraint(f"lb[{v.name}]", {v: -_ONE}, "<=", _ZERO))
+    return rows
 
 
 def _objective_step(model: MipModel) -> int:
-    """The gcd of the objective's coefficients when every term is an integer
-    variable with an integer coefficient, so every integral point costs a
-    multiple of it; else 0."""
-    terms = model.objective.items()
+    """The gcd of the objective's nonzero coefficients when every such term
+    is an integer variable with an integer coefficient, so every integral
+    point costs a multiple of it, 1 when there is no such term; else 0."""
+    terms = [(v, c) for v, c in model.objective.items() if c]
     if not all(v in model.integer and c.denominator == 1 for v, c in terms):
         return 0
-    return gcd(*(c.numerator for _, c in terms))
+    return gcd(*(c.numerator for _, c in terms)) or 1
 
 
-def solve_mip(model: MipModel, bound: int) -> MipResult:
-    """Exact branch and bound over the model's integer variables.
+def _lexicographic(model: MipModel, integer: tuple[VarRef, ...], bound: int, step: int) -> MipModel:
+    """The model with the objective M c / step + sum_i (bound + 1)^(n-1-i) y_i
+    over its n integer variables y_i in model order, M = (bound + 1)^n, or
+    with the second sum alone when `step` is 0.  Each y_i lies in [0,
+    bound], so the sum reads y as a number in base bound + 1 and ranks the
+    integer vectors lexicographically, below M; and with step > 0, M c /
+    step is a multiple of M at every integral point, so the least value
+    has the least c first."""
+    base, n = bound + 1, len(integer)
+    weights = {v: Fraction(base ** (n - 1 - i)) for i, v in enumerate(integer)}
+    if step:
+        for v, c in model.objective.items():
+            weights[v] += base**n * c / step
+    return model.with_objective(weights)
 
-    Every integer variable lies in [0, bound], `bound` being one
-    nonnegative int; any other bound raises MissingBoundError.  Branching
-    picks the first fractional integer variable in model order and explores
-    the floor branch first; nodes are pruned when their LP bound cannot beat
-    the incumbent, all by exact comparison.  When every objective term is an
-    integer variable with an integer coefficient, as in the default
-    objective, the LP bound is first rounded up to a multiple of the
-    coefficients' gcd, which every integral point below the node costs at
-    least; such a node could only tie the incumbent, never replace it, so
-    the rounding saves nodes and changes no answer.  The integer rows of the
-    bounded model are built once; each node adds its branch rows after them.
-    A model with no integer variables is solved at the root, in one node.
-    An Unbounded result carries no point (`values` is empty), whether or
-    not the model has integer variables.
+
+def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
+    """Depth-first branch and bound over the integer variables of `model`
+    in [0, bound]: its optimal integral point as the search first reaches
+    it, and the number of nodes.
+
+    One cold solve at the root, whose tableau is kept: every node, the root
+    included, differs from it only in the right-hand sides of the bound
+    rows (`_bound_rows`), hi and -lo per integer column, so each is
+    re-solved from the kept tableau by `_resolve`, its point re-checked
+    against the rows with the node's bounds.  Branching picks the first
+    fractional integer variable in model order and explores the floor
+    branch first; nodes are pruned when their LP bound, rounded up to the
+    objective's step (`_objective_step`) when it has one, cannot beat the
+    incumbent, all by exact comparison.
     """
-    base = model.with_constraints(_bound_rows(model, bound))
-    rows = _Rows(base, ())
-    int_order = [v for v in base.variables if v in base.integer]
+    rows = _Rows(model, (), bound)
+    first = len(model.constraints)
+    fixed_b, fixed_checks = [rhs for _, _, rhs, _ in rows.rows[:first]], rows.checks[:first]
+    bound_checks = rows.checks[first:]
+    # each bound pair's column, from its `ub` row's one term, and each integer variable's pair
+    column = {rows.slot[terms[0][0]]: k for k, (_, terms, *_) in enumerate(bound_checks[::2])}
+    int_order = [(v, column[rows.slot[rows.position[v]]]) for v in model.variables if v in model.integer]
     step = _objective_step(model)
-    incumbent: Mapping[VarRef, Fraction] | None = None
+    t = _phase1(rows, ())
+    if isinstance(t, LpSolution):
+        return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=1)
+    incumbent: Mapping[VarRef, Fraction] = {}
     incumbent_obj: Fraction | None = None
     nodes = 0
-    stack: list[tuple[LinearConstraint, ...]] = [()]
+    stack = [tuple(rhs for _, _, rhs, _, _ in bound_checks)]  # (hi, -lo) per column
     while stack:
-        extra = stack.pop()
+        ends = stack.pop()
         nodes += 1
-        sol = _solve(rows, (), extra)
+        b = fixed_b + [rows.scale * end for end in ends]
+        checks = fixed_checks + [
+            (name, terms, end, sense, own) for (name, terms, _, sense, own), end in zip(bound_checks, ends)
+        ]
+        sol = _resolve(rows, t, (), b, checks)
         if sol.status is SolveStatus.INFEASIBLE:
             continue
         if sol.status is SolveStatus.UNBOUNDED:
@@ -813,28 +850,70 @@ def solve_mip(model: MipModel, bound: int) -> MipResult:
             # variables and survives any further branching: the MIP is
             # unbounded iff it is feasible at all.
             probe = solve_mip(model.with_objective({}), bound)
-            if probe.status is SolveStatus.OPTIMAL:
-                return MipResult(SolveStatus.UNBOUNDED, {}, None, nodes=nodes)
-            return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=nodes)
+            status = SolveStatus.UNBOUNDED if probe.status is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
+            return MipResult(status, {}, None, nodes=nodes)
         node_bound = -(-sol.objective // step) * step if step else sol.objective
         if incumbent_obj is not None and node_bound >= incumbent_obj:
             continue
-        frac = next(
-            (v for v in int_order if sol.values.get(v, _ZERO).denominator != 1), None
-        )
-        if frac is None:
-            incumbent = sol.values
-            incumbent_obj = sol.objective
+        branch = next(((k, x) for v, k in int_order if (x := sol.values.get(v, _ZERO)).denominator != 1), None)
+        if branch is None:
+            incumbent, incumbent_obj = sol.values, sol.objective
             continue
-        value = sol.values.get(frac, _ZERO)
+        k, value = branch
         floor = value.numerator // value.denominator
-        up = LinearConstraint(f"br>=[{frac.name}]", {frac: _ONE}, ">=", Fraction(floor + 1))
-        down = LinearConstraint(f"br<=[{frac.name}]", {frac: _ONE}, "<=", Fraction(floor))
-        stack.append(extra + (up,))
-        stack.append(extra + (down,))
-    if incumbent is None:
+        up, down = list(ends), list(ends)
+        up[2 * k + 1], down[2 * k] = -(floor + 1), floor
+        stack.append(tuple(up))
+        stack.append(tuple(down))
+    if incumbent_obj is None:
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=nodes)
     return MipResult(SolveStatus.OPTIMAL, incumbent, incumbent_obj, nodes=nodes)
+
+
+def solve_mip(model: MipModel, bound: int) -> MipResult:
+    """Exact branch and bound over the model's integer variables, returning
+    the canonical optimum: the lexicographically least integer vector, in
+    model order, among the optima, with the flows of a cold `solve_lp` at
+    that vector.
+
+    Every integer variable lies in [0, bound], `bound` being one
+    nonnegative int; any other bound raises MissingBoundError.  Each search
+    (`_branch_and_bound`) re-solves its nodes from one kept tableau, so the
+    vertex it stops at on a tied optimum depends on the search; the
+    canonical rule makes the answer depend on the model alone.  When the
+    objective c is integral in the integer variables (`_objective_step`
+    gives a step > 0, an empty objective included), one search finds the
+    vector, with the objective of `_lexicographic`.  Otherwise a first
+    search minimizes c, to z*, and a second minimizes the lexicographic
+    weights alone under the added row c x <= z*.  `nodes` counts the nodes
+    of every search; the cold LP at the end is not one.  That LP must reach
+    c at the search's point, or NetcapError is raised.  A model with no
+    integer variables is its root LP, in one node.  An Unbounded result
+    carries no point (`values` is empty), whether or not the model has
+    integer variables.
+    """
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+        raise MissingBoundError(f"the bound on integer variables must be a nonnegative integer: {bound!r}")
+    integer = tuple(v for v in model.variables if v in model.integer)
+    if not integer:
+        root = solve_lp(model)
+        optimal = root.status is SolveStatus.OPTIMAL
+        return MipResult(root.status, root.values if optimal else {}, root.objective, nodes=1)
+    step = _objective_step(model)
+    if step:
+        found = _branch_and_bound(_lexicographic(model, integer, bound, step), bound)
+    else:
+        found = _branch_and_bound(model, bound)
+        if found.status is SolveStatus.OPTIMAL:
+            at_most = LinearConstraint("optimum", model.objective, "<=", model.objective_value(found.values))
+            least = _branch_and_bound(_lexicographic(model.with_constraints([at_most]), integer, bound, 0), bound)
+            found = replace(least, nodes=found.nodes + least.nodes)
+    if found.status is not SolveStatus.OPTIMAL:
+        return found
+    answer = solve_lp(model, fixed={v: found.values.get(v, _ZERO) for v in integer})
+    if answer.objective != model.objective_value(found.values):
+        raise NetcapError("the LP at the optimal integer vector does not reach the optimum")
+    return MipResult(SolveStatus.OPTIMAL, answer.values, answer.objective, nodes=found.nodes)
 
 
 # -- feasibility of capacity vectors -----------------------------------------
@@ -970,20 +1049,24 @@ class CapacitySweep:
     def _solve_at(self, vec: tuple[int, ...]) -> LpSolution | None:
         """The LP at `vec`, re-solved from the kept tableau when there is
         one; None when it is feasible and the sweep has no row."""
-        if self._kept is not None:
-            return _resolve(self._rows, self._kept, vec)
-        t = _tableau(self._rows, vec)
-        if isinstance(t, LpSolution):
-            return t
-        answer = _run_phase1(self._rows, t, vec)
-        if self.row is None:
-            t.reds, t.red_den = [], []  # no cost: every basis is dual feasible
-            self._kept = t
-            return answer
-        if answer is None:
-            answer = _resolve(self._rows, t, vec)
-            if answer.status is SolveStatus.OPTIMAL:
+        rows, t = self._rows, self._kept
+        if t is None:
+            t = _tableau(rows, vec)
+            if isinstance(t, LpSolution):
+                return t
+            answer = _run_phase1(rows, t, vec)
+            if self.row is None:
+                t.reds, t.red_den = [], []  # no cost: every basis is dual feasible
                 self._kept = t
+                return answer
+            if answer is not None:
+                return answer
+        pinned = _rhs(rows, vec)
+        if isinstance(pinned, LpSolution):
+            return pinned
+        answer = _resolve(rows, t, vec, pinned[1])
+        if self._kept is None and answer.status is SolveStatus.OPTIMAL:
+            self._kept = t
         return answer
 
     def refutes(self, vec: tuple[int, ...]) -> bool:

@@ -531,10 +531,10 @@ def test_infeasible_lp_at_a_dominating_vector_raises():
 
     resolve = solver._resolve
 
-    def lying(rows, t, vec):
+    def lying(rows, t, vec, b, checks=None):
         if any(dominates(vec, f) for f in feasible_at):
             return LpSolution(SolveStatus.INFEASIBLE, {}, None, (), dict(zip(rows.refs, vec)))
-        sol = resolve(rows, t, vec)
+        sol = resolve(rows, t, vec, b, checks)
         if sol.status is SolveStatus.OPTIMAL:
             feasible_at.append(vec)
         return sol

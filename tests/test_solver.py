@@ -4,10 +4,11 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netcap import solver, transform
@@ -45,10 +46,13 @@ from netcap.formulate import (
     pinned_values,
 )
 from netcap.randgen import (
+    TRIANGLE_NODES,
     cut_check_instance,
     four_node_corollary_instance,
     random_cutset_spec,
+    random_traffic,
     triangle_corollary_instance,
+    triangle_network,
 )
 from netcap.solver import (
     CapacitySweep,
@@ -130,37 +134,52 @@ def test_mip_returns_feasible_integral_points():
 
 def _record_solves(monkeypatch):
     """Rebind `solver._solve`, which runs both phases of every LP solved
-    from scratch (each `solve_lp` call, each branch-and-bound node), to keep
-    every (model, solution) it returns; a node's model carries its branch
-    rows."""
+    from scratch (each `solve_lp` call, the cold LP at the end of
+    `solve_mip` among them), to keep every (model, solution) it returns."""
     seen = []
     inner = solver._solve
 
-    def recording(rows, y, extra=()):
-        sol = inner(rows, y, extra)
-        seen.append((rows.model.with_constraints(extra), sol))
+    def recording(rows, y):
+        sol = inner(rows, y)
+        seen.append((rows.model, sol))
         return sol
 
     monkeypatch.setattr(solver, "_solve", recording)
     return seen
 
 
-def _record_resolves(monkeypatch):
+def _node_model(rows, checks):
+    """The model that `checks` state, one per row of `rows.model`: a
+    branch-and-bound node's, the bounded model with that node's bounds."""
+    constraints = zip(rows.model.constraints, checks)
+    return replace(rows.model, constraints=tuple(replace(con, rhs=Fraction(rhs, own)) for con, (_, _, rhs, _, own) in constraints))
+
+
+def _record_resolves(monkeypatch, nodes=False):
     """Rebind `solver._resolve`, which decides a capacity sweep's LPs from
-    its kept tableau (given a row, every LP that passes phase 1), to keep
-    every (model, solution) it returns; a vector that a projection finds
-    feasible returns none."""
+    its kept tableau (given a row, every LP that passes phase 1) and every
+    branch-and-bound node, to keep every (model, solution) it returns, or,
+    with `nodes`, the nodes' alone; a node's model carries its own bounds
+    (`_node_model`), and a vector that a projection finds feasible returns
+    none."""
     seen = []
     inner = solver._resolve
 
-    def recording(rows, t, y):
-        sol = inner(rows, t, y)
-        if sol is not None:
-            seen.append((rows.model, sol))
+    def recording(rows, t, y, b, checks=None):
+        sol = inner(rows, t, y, b, checks)
+        if sol is not None and (checks is not None or not nodes):
+            seen.append((rows.model if checks is None else _node_model(rows, checks), sol))
         return sol
 
     monkeypatch.setattr(solver, "_resolve", recording)
     return seen
+
+
+def _branched(model):
+    """Whether a node's model has a lower bound raised by branching, an
+    `lb[...]` row -v <= -lo with lo > 0: every branching solves such a
+    node, its up branch."""
+    return any(c.name.startswith("lb[") and c.rhs < 0 for c in model.constraints)
 
 
 def _record_learned_rays(monkeypatch):
@@ -197,8 +216,8 @@ def test_optimality_certificate_sweep(monkeypatch):
             assert certify(model, sol)
             relaxations.append((model, sol))
 
-    # branch-and-bound node LPs: branch rows, and mirror-flow rows
-    node_lps = _record_solves(monkeypatch)
+    # branch-and-bound node LPs: branched bounds, and mirror-flow rows
+    node_lps = _record_resolves(monkeypatch, nodes=True)
     for _ in range(3):
         inst = triangle_corollary_instance(rng)
         star = inst.with_traffic(symmetric_counterpart(inst.traffic))
@@ -208,12 +227,11 @@ def test_optimality_certificate_sweep(monkeypatch):
             add_flow_symmetry(build_undirected(star)),
         ):
             assert solve_mip(model, capacity_bound(inst)).status is SolveStatus.OPTIMAL
-    assert any(c.name.startswith("br") for m, _ in node_lps for c in m.constraints)
+    assert any(_branched(m) for m, _ in node_lps)
     assert any(c.name.startswith("sym[") for m, _ in node_lps for c in m.constraints)
 
     # cut-check probes: capacities fixed, flow part (with negative terms)
-    # minimized; the sweep re-solves them by solver._resolve, which
-    # node_lps does not wrap
+    # minimized; the sweep re-solves them by solver._resolve too
     node_lps = list(node_lps)
     probes = _record_resolves(monkeypatch)
     rays = _record_learned_rays(monkeypatch)
@@ -388,13 +406,13 @@ def test_pinning_matches_fix_variables():
         for vec in graded_box(len(refs), bound):
             y = dict(zip(refs, vec))
             reference = fix_variables(model, y)
-            (pinned, pinned_pivots), _ = _kernel_run(model, y)
+            (pinned, pinned_pivots), _ = _kernel_run(lambda: solve_lp(model, fixed=y))
             if not reference.consistent:
                 assert pinned.status is SolveStatus.INFEASIBLE and not pinned_pivots
                 assert not feasible(model, y)
                 outcomes.add("inconsistent")
                 continue
-            (direct, direct_pivots), _ = _kernel_run(reference.model, {})
+            (direct, direct_pivots), _ = _kernel_run(lambda: solve_lp(reference.model))
             assert pinned_pivots == direct_pivots
             assert pinned.status is direct.status
             assert feasible(model, y) == (direct.status is SolveStatus.OPTIMAL)
@@ -696,7 +714,7 @@ def test_mirror_flow_answers_certify_against_the_model(monkeypatch):
     columns price, or where both keep g <= 0, does not certify.  The merged
     reading's tableau has no more rows than the plain one's."""
     rays = _record_learned_rays(monkeypatch)
-    solves = _record_solves(monkeypatch)
+    nodes = _record_resolves(monkeypatch, nodes=True)
     rng = random.Random(8)
     pinned = []
     for inst, bound, plain in _criterion_1_draws(3):
@@ -714,8 +732,7 @@ def test_mirror_flow_answers_certify_against_the_model(monkeypatch):
                 pinned.append((priced, solve_lp(priced, fixed=dict(zip(refs, vec)))))
         star = inst.with_traffic(symmetric_counterpart(inst.traffic))
         assert solve_mip(add_flow_symmetry(build_undirected(star)), bound).status is SolveStatus.OPTIMAL
-    nodes = [(m, sol) for m, sol in solves if m.integer]
-    assert any(c.name.startswith("br") for m, _ in nodes for c in m.constraints)
+    assert any(_branched(m) for m, _ in nodes)
     for answers, statuses in (
         (rays, {SolveStatus.INFEASIBLE}),
         (pinned, {SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL}),
@@ -788,11 +805,11 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
     warm, seen, phase2 = [], {}, []  # seen holds each tableau, so no id is reused
     resolve, simplex = solver._resolve, solver._bland_simplex
 
-    def recording(rows, t, y):
+    def recording(rows, t, y, b, checks=None):
         priced, again = bool(t.reds), id(t) in seen
         seen[id(t)] = t
         phase2.clear()
-        answer = resolve(rows, t, y)
+        answer = resolve(rows, t, y, b, checks)
         assert not (priced and again and any(phase2))
         warm.append((rows, y, priced, answer))
         return answer
@@ -852,7 +869,7 @@ def test_kept_tableau_refutes_through_a_dependent_row():
         if not priced:
             t.reds, t.red_den = [], []
         for y in pins:
-            answer, cold = solver._resolve(rows, t, y), _solve(rows, y)
+            answer, cold = solver._resolve(rows, t, y, solver._rhs(rows, y)[1]), _solve(rows, y)
             assert len(t.rows) == 2 and t.basis[-1] >= t.width  # the dependent row stays
             if y[0] == y[1]:
                 assert cold.status is SolveStatus.OPTIMAL and cold.values.get(_LP_VARS[0], 0) == y[0]
@@ -864,19 +881,27 @@ def test_kept_tableau_refutes_through_a_dependent_row():
 
 def test_equalized_directed_triangle_pays_both_orientations(monkeypatch):
     """equalize_directed ties the two orientations' integer capacities, and
-    branch and bound merges each pair and branches on merged columns.  Both
-    orientations are paid for, so the optimum is twice the bidirected one,
-    at an integral point whose orientations agree."""
+    branch and bound merges each pair and branches on merged columns.  A
+    merged pair is one column with one `ub[...]` and one `lb[...]` row,
+    named after its first variable: 30 model rows, less the 6 merged ties,
+    and 12 bound rows make 36 tableau rows, where a pair of bound rows per
+    variable would make 48.  Both orientations are paid for, so the optimum
+    is twice the bidirected one, at an integral point whose orientations
+    agree."""
     inst = load_instance(_TRIANGLE)
     bound = capacity_bound(inst)
     model = equalize_directed(build_directed(inst))
     merged = _Rows(model, ()).ties
     assert {model.constraints[r].name[:3] for r, *_ in merged} == {"eq["}
     assert all(model.variables[v] in model.integer for _, v, _, _, _ in merged)
-    nodes = _record_solves(monkeypatch)
+    rows = _Rows(model, (), bound)
+    bounded = rows.model.constraints[len(model.constraints):]
+    assert {c.name for c in bounded[::2]} == {f"ub[{model.variables[v].name}]" for _, v, _, _, _ in merged}
+    assert (len(model.constraints), len(bounded), len(_phase1(rows, ()).rows)) == (30, 12, 36)
+    nodes = _record_resolves(monkeypatch, nodes=True)
     res = solve_mip(model, bound)
-    pairs = {model.variables[i] for _, v, w, _, _ in merged for i in (v, w)}
-    assert any(c.name.startswith("br") and set(c.coeffs) <= pairs for m, _ in nodes for c in m.constraints)
+    pairs = {model.variables[i].name for _, v, w, _, _ in merged for i in (v, w)}
+    assert any(c.name.startswith("lb[") and c.rhs < 0 and c.name[3:-1] in pairs for m, _ in nodes for c in m.constraints)
     assert all(len(sol.duals) == len(m.constraints) and certify(m, sol) for m, sol in nodes)
     bidirected = solve_mip(build_bidirected(inst), bound)
     assert (res.status, res.objective, bidirected.objective) == (SolveStatus.OPTIMAL, 4, 2)
@@ -885,6 +910,160 @@ def test_equalized_directed_triangle_pays_both_orientations(monkeypatch):
         assert res.values.get(v, Fraction(0)).denominator == 1
         back = VarRef.cap_arc(v.facility, v.arc[::-1])
         assert res.values.get(v, Fraction(0)) == res.values.get(back, Fraction(0))
+
+
+def _triangle_readings():
+    """The bound of tests/data/instances/triangle.json and its readings:
+    the three plain ones, the mirror-flow ones of its symmetric
+    counterpart (undirected) and of twice that (bidirected), and the
+    equalized directed one."""
+    inst = load_instance(_TRIANGLE)
+    tstar = symmetric_counterpart(inst.traffic)
+    return capacity_bound(inst), {
+        "undirected": build_undirected(inst),
+        "bidirected": build_bidirected(inst),
+        "directed": build_directed(inst),
+        "undirected/mirror-flows": add_flow_symmetry(build_undirected(inst.with_traffic(tstar))),
+        "bidirected/mirror-flows": add_flow_symmetry(build_bidirected(inst.with_traffic(scale_traffic(tstar, 2)))),
+        "directed/equalized": equalize_directed(build_directed(inst)),
+    }
+
+
+def test_warm_nodes_match_cold_solves(monkeypatch):
+    """Branch and bound solves its root cold and re-solves every node from
+    the root's kept tableau (`_resolve`).  On each triangle reading, each
+    node's answer has the status and objective of a cold `_solve` of the
+    node's own model, the bounded model with the node's bounds, and
+    certifies against that model; so it is the node's LP, whatever vertex
+    the warm start stops at.  The nodes branch, and the warm re-solves of
+    the branched nodes take under a third of the cold solves' pivots."""
+    pivots = []
+    inner = solver._pivot
+    monkeypatch.setattr(solver, "_pivot", lambda t, leave, enter: pivots.append(enter) or inner(t, leave, enter))
+    resolve, warm = solver._resolve, []
+
+    def recording(rows, t, y, b, checks=None):
+        before = len(pivots)
+        answer = resolve(rows, t, y, b, checks)
+        warm.append((_node_model(rows, checks), answer, len(pivots) - before))
+        return answer
+
+    monkeypatch.setattr(solver, "_resolve", recording)
+    bound, readings = _triangle_readings()
+    for name, model in readings.items():
+        warm.clear()
+        assert solve_mip(model, bound).status is SolveStatus.OPTIMAL, name
+        assert any(_branched(m) for m, _, _ in warm), name
+        assert {answer.status for _, answer, _ in warm} == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}, name
+        warm_pivots = cold_pivots = 0
+        for node, answer, count in warm:
+            before = len(pivots)
+            cold = _solve(_Rows(node, ()), ())
+            if _branched(node):
+                warm_pivots, cold_pivots = warm_pivots + count, cold_pivots + len(pivots) - before
+            assert (answer.status, answer.objective) == (cold.status, cold.objective), name
+            assert len(answer.duals) == len(node.constraints) and certify(node, answer), name
+        assert 3 * warm_pivots < cold_pivots, (name, warm_pivots, cold_pivots)
+
+
+def test_triangle_points_do_not_depend_on_the_search(monkeypatch):
+    """`solve_mip` returns the same point, capacities and flows, on each
+    triangle reading whether its nodes are re-solved warm or each solved
+    cold from its own model, and whether the model's rows come in their
+    order or permuted; each search stops at its own vertices, so only the
+    canonical rule makes the points agree."""
+    bound, readings = _triangle_readings()
+    rng = random.Random(29)
+    warm = {name: solve_mip(model, bound) for name, model in readings.items()}
+    for name, model in readings.items():
+        for _ in range(3):
+            rows = list(model.constraints)
+            rng.shuffle(rows)
+            assert solve_mip(replace(model, constraints=tuple(rows)), bound).values == warm[name].values, name
+
+    def cold(rows, t, y, b, checks=None):
+        return _solve(_Rows(_node_model(rows, checks), ()), ())
+
+    monkeypatch.setattr(solver, "_resolve", cold)
+    for name, model in readings.items():
+        assert solve_mip(model, bound).values == warm[name].values, name
+
+
+def _canonical_cases():
+    """(model, bound) pairs in the style of acceptance criterion 7: small
+    traffic on two-node and triangle networks under each reading, bounds 1
+    and 2, with the default objective, whose optima tie now and then, with
+    half-integral flow costs added, which take the two-search path, and
+    with no objective, where every feasible vector ties.  The directed
+    triangle is left at bound 1, so every box stays small."""
+    rng = random.Random(23)
+    for trial in range(12):
+        bound = 1 + trial % 2
+        builds = (build_undirected, build_bidirected, build_directed)
+        if trial % 3 == 2:
+            net, nodes, menu = Network(("1", "2"), (("1", "2"),)), ("1", "2"), rng.choice(((1,), (1, 3)))
+        else:
+            net, nodes, menu = triangle_network(), TRIANGLE_NODES, (1,)
+            builds = builds[: 4 - bound]
+        traffic = random_traffic(rng, nodes, max_numerator=3, denominators=(4,), zero_chance=0.5)
+        inst = Instance(net, FacilityMenu(menu), traffic)
+        for build in builds:
+            model = build(inst)
+            yield model, bound
+            costs = {v: Fraction(rng.randint(0, 4), 2) for v in model.variables if v.kind == "flow"}
+            yield model.with_objective({**model.objective, **costs}), bound
+            yield model.with_objective({}), bound
+
+
+def _lex_least_optimum(model, bound):
+    """By brute force over the box, each vector's value the LP's with it
+    pinned: (the lexicographically least optimal integer vector in model
+    order, the optimum), or None when no vector is feasible."""
+    integer = [v for v in model.variables if v in model.integer]
+    best, ties = None, 0
+    for vec in product(range(bound + 1), repeat=len(integer)):  # lexicographic order
+        sol = solve_lp(model, fixed=dict(zip(integer, map(Fraction, vec))))
+        if sol.status is SolveStatus.OPTIMAL:
+            if best is None or sol.objective < best[1]:
+                best, ties = (vec, sol.objective), 0
+            ties += sol.objective == best[1]
+    return best and (*best, ties)
+
+
+def test_solve_mip_returns_the_canonical_optimum(monkeypatch):
+    """`solve_mip` returns the lexicographically least optimal integer
+    vector, as brute force finds it (`_lex_least_optimum`), with the point
+    of `solve_lp` pinned at that vector, and the same point when the
+    model's rows are permuted.  Some cases tie, so that another optimal
+    vector could have been returned.  An objective integral in the integer
+    variables, an empty one included, takes one search; any other takes
+    two."""
+    searches = []
+    inner = solver._branch_and_bound
+    monkeypatch.setattr(solver, "_branch_and_bound", lambda model, bound: searches.append(model) or inner(model, bound))
+    rng = random.Random(5)
+    tied = empty = two_searches = 0
+    for model, bound in _canonical_cases():
+        integer = [v for v in model.variables if v in model.integer]
+        expected = _lex_least_optimum(model, bound)
+        searches.clear()
+        res = solve_mip(model, bound)
+        if expected is None:
+            assert res.status is SolveStatus.INFEASIBLE
+            continue
+        vec, objective, ties = expected
+        assert (res.status, res.objective) == (SolveStatus.OPTIMAL, objective)
+        assert tuple(res.values.get(v, 0) for v in integer) == vec
+        assert res.values == solve_lp(model, fixed=dict(zip(integer, map(Fraction, vec)))).values
+        integral = all(v in model.integer and c.denominator == 1 for v, c in model.objective.items() if c)
+        assert len(searches) == (1 if integral else 2)
+        rows = list(model.constraints)
+        rng.shuffle(rows)
+        assert solve_mip(replace(model, constraints=tuple(rows)), bound).values == res.values
+        tied += ties > 1 and bool(model.objective)
+        empty += not model.objective
+        two_searches += len(searches) == 2
+    assert tied >= 5 and empty >= 10 and two_searches >= 10
 
 
 def test_reduced_commodities():
@@ -910,13 +1089,20 @@ def test_build_for_feasibility_matches_full_model():
 
 # -- the integer kernel against the rational tableau it replaced -------------
 
-def _rational_simplex(model, fixed):
+def _rational_simplex(model, fixed, rhs=None):
     """Reference: standardize (model, fixed) into a dense Fraction tableau and
     run two-phase Bland simplex on it, with the same column order, drive-out
     and read-outs.  Returns (status, values, one multiplier per model row, the
     unbounded ray, the (leave, enter) pivots): the multipliers are the duals
     when Optimal and the Farkas ray when Infeasible; values are the last
-    basic point unless Infeasible."""
+    basic point unless Infeasible.
+
+    Given `rhs`, one right-hand side per model row, an Optimal solve is
+    re-solved there from its final tableau, as a branch-and-bound node is
+    from the kept one: each row's rhs becomes B^-1 b, read at the rows'
+    starting columns, Bland's dual simplex restores feasibility, or finds
+    the row whose B^-1 row is the Farkas ray, and phase 2 follows; the
+    answer and the pivots are the re-solve's."""
     pivots = []
 
     def pivot(tab, basis, reds, leave, enter):
@@ -938,6 +1124,18 @@ def _rational_simplex(model, fixed):
             if not ratios:
                 return enter
             pivot(tab, basis, reds, min(ratios)[2], enter)
+
+    def dual_simplex(tab, basis, red, width):
+        """-1 once every rhs is nonnegative, else the refuting row."""
+        while True:
+            negative = [i for i, row in enumerate(tab) if row[-1] < 0]
+            if not negative:
+                return -1
+            leave = min(negative, key=basis.__getitem__)
+            ratios = [(red[j] / -a, j) for j, a in enumerate(tab[leave][:width]) if a < 0]
+            if not ratios:
+                return leave
+            pivot(tab, basis, [red], leave, min(ratios)[1])
 
     ray = [Fraction(0)] * len(model.constraints)
     free = [v for v in model.variables if v not in fixed]
@@ -989,6 +1187,18 @@ def _rational_simplex(model, fixed):
     keep = [i for i in range(len(tab)) if basis[i] < width]
     tab, basis = [tab[i] for i in keep], [basis[i] for i in keep]
     unbounded = simplex(tab, basis, [red2], width)
+    if rhs is not None and unbounded < 0:
+        del pivots[:]
+        b = [new - sum(c * fixed[v] for v, c in con.coeffs.items() if v in fixed) for new, con in zip(rhs, model.constraints)]
+        for row in tab:
+            row[-1] = sum(row[j] * sign * b[r] for (r, sign, *_), j in zip(rows, start))
+        leave = dual_simplex(tab, basis, red2, width)
+        if leave >= 0:
+            s = 1 if tab[leave][-1] > 0 else -1
+            for (r, sign, *_), j in zip(rows, start):
+                ray[r] = s * sign * tab[leave][j]
+            return SolveStatus.INFEASIBLE, {}, tuple(ray), {}, pivots
+        unbounded = simplex(tab, basis, [red2], width)
     point = {free[b]: row[-1] for row, b in zip(tab, basis) if b < n} | dict(fixed)
     values = {v: point[v] for v in model.variables if point.get(v)}
     if unbounded >= 0:
@@ -1029,9 +1239,9 @@ def _small_lps(draw):
     return _small_lp(rows, draw(coeffs), sorted(pins.items()))
 
 
-def _kernel_run(model, fixed):
-    """`solve_lp(model, fixed=fixed)` with its (leave, enter) pivots, and the
-    cells it pivoted on."""
+def _kernel_run(solve):
+    """The answer of `solve()`, an LP solve, with its (leave, enter) pivots,
+    and the cells it pivoted on."""
     pivots, cells = [], []
     inner = solver._pivot
 
@@ -1042,7 +1252,7 @@ def _kernel_run(model, fixed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_pivot", recording)
-        sol = solve_lp(model, fixed=fixed)
+        sol = solve()
     return (sol, pivots), cells
 
 
@@ -1075,7 +1285,7 @@ TIES = (FREE_PAIR, SCALED_PAIR, CHAINED_TIES, PINNED_TIE, INFEASIBLE_TIE, CONSTA
 
 
 def test_kernel_examples_reach_their_cases():
-    _, cells = _kernel_run(*NEGATIVE_DRIVE_OUT)
+    _, cells = _kernel_run(lambda: solve_lp(NEGATIVE_DRIVE_OUT[0], fixed=NEGATIVE_DRIVE_OUT[1]))
     assert any(c < 0 for c in cells)
     model, fixed = RATIONAL_RHS
     tableau = _phase1(_Rows(model, tuple(fixed)), tuple(fixed.values()))
@@ -1182,7 +1392,7 @@ def test_integer_kernel_matches_rational_reference(lp):
     solves the model with each merged tie substituted, and its answer is
     put back on the model's variables and rows (`_tie_postsolve`)."""
     model, fixed = lp
-    (sol, pivots), _ = _kernel_run(model, fixed)
+    (sol, pivots), _ = _kernel_run(lambda: solve_lp(model, fixed=fixed))
 
     def unit(ray):
         return {v: c / sum(ray.values()) for v, c in ray.items()}
@@ -1194,6 +1404,56 @@ def test_integer_kernel_matches_rational_reference(lp):
         status, values, duals, unit(ray), reference_pivots
     )
     assert certify(model, sol)
+
+
+# The optimum of min x0 + 2 x1 under x0 + x1 >= 2 and x0 <= 3 is x = (2, 0),
+# the second row's slack basic at 1.  With that row lowered by two the
+# slack turns negative and the dual simplex pivots x1 in, to x = (1, 1);
+# lowered by four, x0 <= -1, it pivots and then refutes the LP.  A shift of
+# 0 re-solves with no pivot.
+BOUND_ROW = _small_lp([((1, 1), ">=", 2), ((1, 0), "<=", 3)], (1, 2))
+
+
+def _shifted(model, rows, shifts):
+    """The model with each inequality row that keeps a free column moved by
+    its shift, as a branch-and-bound node moves its bound rows."""
+    constraints = zip(model.constraints, shifts, rows.rows)
+    moved = [replace(con, rhs=con.rhs + d) if con.sense != "=" and free else con for con, d, (free, *_) in constraints]
+    return replace(model, constraints=tuple(moved))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps(), st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+@example(BOUND_ROW, [0, 0, 0, 0])
+@example(BOUND_ROW, [0, -2, 0, 0])
+@example(BOUND_ROW, [0, -4, 0, 0])
+@example(SCALED_PAIR, [0, 1, 0, 0])
+def test_warm_resolve_matches_rational_reference(lp, shifts):
+    """A re-solve from a kept optimal tableau (`_resolve`) at a shifted
+    right-hand side takes the pivots of the Fraction tableau re-solved the
+    same way (`_rational_simplex` given `rhs`), and returns its status,
+    values, and duals or, up to a positive factor, Farkas ray, which
+    certify against the shifted model.  Merged ties are substituted in the reference as for a cold
+    solve, and the point is re-checked against the shifted rows."""
+    model, fixed = lp
+    refs, y = tuple(fixed), tuple(fixed.values())
+    rows = _Rows(model, refs)
+    t = _phase1(rows, y)
+    assume(isinstance(t, _Tableau) and solver._finish(rows, t, y).status is SolveStatus.OPTIMAL)
+    shifted = _shifted(model, rows, shifts)
+    moved = _Rows(shifted, refs)
+    (sol, pivots), _ = _kernel_run(lambda: solver._resolve(rows, t, y, solver._rhs(moved, y)[1], moved.checks))
+    ties = _merged_ties(model, fixed)
+    rhs = [con.rhs for con in shifted.constraints]
+    status, values, duals, _, reference_pivots = _rational_simplex(_substituted(model, ties), fixed, rhs)
+    values, duals, _ = _tie_postsolve(shifted, ties, status, values, duals, {})
+    if status is SolveStatus.INFEASIBLE:
+        # read off B^-1 of the rows as scaled in, a positive multiple of the reference's
+        first = next(u for u in duals if u) / next(u for u in sol.duals if u)
+        assert first > 0
+        duals = tuple(u / first for u in duals)
+    assert (sol.status, dict(sol.values), sol.duals, pivots) == (status, values, duals, reference_pivots)
+    assert certify(shifted, sol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1219,15 +1479,39 @@ def test_mip_without_integer_variables_is_its_root_lp(lp):
 @example(LAGGING_ROW, [Fraction(2, 3), Fraction(13, 6), Fraction(0), Fraction(0)], 1)  # every row holds
 def test_integer_recheck_names_what_violations_names(lp, values, kept):
     """`_recheck` reads a point in integers as `model.violations` and
-    `objective_value` read it in Fractions, with negative values and with
-    rows added after the model's."""
+    `objective_value` read it in Fractions, with negative values, against
+    the model's rows or against the checks it is given instead (a
+    branch-and-bound node's carry the node's bounds)."""
     model, _ = lp
     point = values[: len(model.variables)]
-    rows = _Rows(replace(model, constraints=model.constraints[:kept]), ())
-    bad, objective = solver._recheck(rows, point, model.constraints[kept:])
+    rows = _Rows(model, ())
     assignment = dict(zip(model.variables, point))
-    assert bad == model.violations(assignment)
-    assert objective == model.objective_value(assignment)
+    head = replace(model, constraints=model.constraints[:kept])
+    for checks, checked in ((None, model), (rows.checks[:kept], head)):
+        bad, objective = solver._recheck(rows, point, checks)
+        assert bad == checked.violations(assignment)
+        assert objective == model.objective_value(assignment)
+
+
+def test_node_point_is_checked_against_the_node_bounds():
+    """A branch-and-bound node's point is re-checked against the rows with
+    the node's own bounds: min x0 + 2 x1 under x0 + x1 >= 1, x integral in
+    [0, 3], is re-solved at the node x0 <= 0, and a right-hand side that
+    misses the node's bound, leaving x0 = 1, raises with the bound row's
+    name."""
+    lp, _ = _small_lp([((1, 1), ">=", 1)], (1, 2))
+    model = replace(lp, integer=frozenset(lp.variables))
+    rows = _Rows(model, (), 3)
+    assert [c.name for c in rows.model.constraints[1:]] == [f"{end}[{v.name}]" for v in lp.variables for end in ("ub", "lb")]
+    node = list(rows.checks)
+    node[1] = node[1][:2] + (0,) + node[1][3:]  # ub[x0]: x0 <= 0
+    root_b = [rhs for _, _, rhs, _ in rows.rows]
+    node_b = root_b[:1] + [0] + root_b[2:]
+    t = _phase1(rows, ())
+    assert solver._resolve(rows, t, (), root_b).values == {_LP_VARS[0]: 1}
+    assert solver._resolve(rows, t, (), node_b, node).values == {_LP_VARS[1]: 1}
+    with pytest.raises(NetcapError, match=rf"broken rows {re.escape(repr([rows.model.constraints[1].name]))}"):
+        solver._resolve(rows, t, (), root_b, node)
 
 
 def test_solve_lp_refuses_a_point_that_breaks_a_row(monkeypatch):
