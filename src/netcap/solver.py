@@ -63,12 +63,18 @@ column, a node sets only those rows' rhs to hi and -lo, and after one cold
 root solve every node is re-solved from the root's kept tableau by the
 same `_resolve`, within the exact branch and bound of Cook, Koch, Steffy
 and Wolter (2013).  Its point is re-checked against the rows with the
-node's bounds.  A warm node can stop at another vertex of a tied optimum,
-so `solve_mip` returns a canonical optimum, which depends on the model
+node's bounds.  On networks of at most six nodes the bounded model also
+carries the paper's cut-set rows, beta y >= r per node set S, beta the
+capacity crossing S, in every reading alike: each enters vacuous, a
+slack row that phase 1 leaves alone, and r is its LP bound on beta, its
+duals checked by `_proved_row`, rounded up (Chvatal-Gomory), so every
+integral point meets it (Bienstock and Gunluk 1996; Achterberg and Raack
+2010).  A warm node can stop at another vertex of a tied optimum, so
+`solve_mip` returns a canonical optimum, which depends on the model
 alone: the lexicographically least optimal integer vector, found through
 lexicographic weights in the objective, with the flows of a cold
-`solve_lp` at it.  Sized for desk-scale models (a few hundred variables),
-which is all this package needs.
+`solve_lp` at it.  Sized for desk-scale models (a few hundred
+variables), which is all this package needs.
 """
 
 from __future__ import annotations
@@ -139,9 +145,12 @@ class _Tableau:
     touched its row, and `d` is the current one.  Row r started with
     identity column `start[r]` and is model row `origin[r][0]` times the sign
     `origin[r][1]`; columns from `width` on are artificial.  The rows were
-    scaled in by `scale`, the cost by `cost_scale`."""
+    scaled in by `scale`, the cost by `cost_scale`.  The last `dependent`
+    rows are the dependent ones that the drive-out left (`_drive_out`)."""
 
-    __slots__ = ("rows", "den", "reds", "red_den", "basis", "start", "origin", "width", "scale", "cost_scale", "d")
+    __slots__ = (
+        "rows", "den", "reds", "red_den", "basis", "start", "origin", "width", "scale", "cost_scale", "d", "dependent",
+    )
 
     def __init__(
         self,
@@ -155,7 +164,7 @@ class _Tableau:
     ):
         self.rows, self.reds, self.basis, self.start, self.origin = rows, reds, list(start), start, origin
         self.den, self.red_den = [1] * len(rows), [1] * len(reds)  # identity basis
-        self.width, self.scale, self.cost_scale, self.d = width, scale, cost_scale, 1
+        self.width, self.scale, self.cost_scale, self.d, self.dependent = width, scale, cost_scale, 1, 0
 
 
 def _pivot(t: _Tableau, leave: int, enter: int) -> None:
@@ -321,22 +330,23 @@ class _Rows:
                         kept[i][1].append((s, c))
         return ties
 
-    def tie_multipliers(self, u: list[Fraction], priced: bool) -> None:
+    def tie_multipliers(self, u: list[Fraction], objective: Mapping[VarRef, Fraction]) -> None:
         """Give each merged tie row its multiplier in `u`, one per model
-        row, once every other row has its own.
+        row, once every other row has its own: duals priced against
+        `objective`, or a ray, given no objective.
 
         With g^rest the other rows' combination, the tie's multiplier
         lambda adds lambda a to g_v and takes it from g_w; the merged column
-        saw g^rest_v + g^rest_w.  For duals (`priced`), lambda a = c_v -
-        g^rest_v, the top of [g^rest_w - c_w, c_v - g^rest_v], which is
-        nonempty because the merged column prices nonnegatively; so both
-        columns price.  For a ray, lambda a = -g^rest_v, which leaves g_v = 0
-        and g_w = g^rest_v + g^rest_w <= 0.
+        saw g^rest_v + g^rest_w.  For duals, lambda a = c_v - g^rest_v, the
+        top of [g^rest_w - c_w, c_v - g^rest_v], which is nonempty because
+        the merged column prices nonnegatively; so both columns price.  For
+        a ray, c = 0 and lambda a = -g^rest_v, which leaves g_v = 0 and g_w =
+        g^rest_v + g^rest_w <= 0.
         """
-        variables, objective = self.model.variables, self.model.objective
+        variables = self.model.variables
         for r, v, _, a, terms in self.ties:
             rest = sum((u[s] * c for s, c in terms if u[s]), _ZERO)
-            u[r] = ((objective.get(variables[v], _ZERO) if priced else _ZERO) - rest) / a
+            u[r] = (objective.get(variables[v], _ZERO) - rest) / a
 
     def split(self, check: _Check) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, str]:
         """(free terms, pinned terms, rhs, sense) of a row given by its
@@ -396,7 +406,7 @@ def _infeasible(rows: _Rows, ray: Mapping[int, Fraction], y: tuple) -> LpSolutio
     multipliers = [_ZERO] * len(rows.rows)
     for r, u in ray.items():
         multipliers[r] = u
-    rows.tie_multipliers(multipliers, priced=False)
+    rows.tie_multipliers(multipliers, {})
     return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(multipliers), dict(zip(rows.refs, map(Fraction, y))))
 
 
@@ -538,29 +548,21 @@ def _dual_simplex(t: _Tableau) -> int:
         _pivot(t, leave, enter)
 
 
-def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None = None) -> LpSolution | None:
-    """Decide the LP of a tableau whose phase-1 row has retired and whose
-    right-hand side is b(y), through the one pivot routine.
+def _drive_out(t: _Tableau) -> None:
+    """Drive the artificials still basic after phase 1 out of the basis,
+    each on the first real column with a nonzero cell in its row, through
+    the one pivot routine.
 
-    Artificials still basic are driven out of the basis, each on the first
-    real column with a nonzero cell in its row.  A row with no real column
-    left is dependent: it moves after the others, which keep the indices
-    they would have without it, and stays, its artificial basic, so that a
-    later right-hand side can be checked against it; its artificial costs
-    zero, so the reduced-cost row and the duals are unchanged.  A dependent row with a nonzero rhs, or a row at which the
-    dual simplex stops (`_dual_simplex`), refutes the LP: its Farkas ray is
-    the row of B^-1, read at each row's starting column over the row's
-    denominator, signed back to model row origin[r] and negated when the
-    rhs is negative, so that it combines the rows into g x >= alpha with
-    g <= 0 on every free column and alpha > 0.  A tableau with no cost row
-    (a projection's) then returns None: the LP is feasible.  Else phase 2
-    runs, and the answer is read off the tableau as `solve_lp` describes,
-    its point re-checked against `checks` (`_recheck`).  After phase 1
-    every rhs is nonnegative and every dependent rhs zero, so for a fresh
-    tableau this is the drive-out and phase 2 alone.
+    A row with no real column left is dependent: it moves after the others,
+    which keep the indices they would have without it, and stays, its
+    artificial basic, so that a later right-hand side can be checked
+    against it; its artificial costs zero, so the reduced-cost rows and the
+    duals are unchanged.  Artificials never enter a basis, so a later call
+    finds no artificial basic before the dependent block (`t.dependent`
+    rows) and scans only the rows before it.
     """
     n = t.width
-    for i in range(len(t.rows)):
+    for i in range(len(t.rows) - t.dependent):
         if t.basis[i] >= n:
             enter = next((j for j in range(n) if t.rows[i][j]), -1)
             if enter >= 0:
@@ -570,6 +572,43 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None 
     if dependent and dependent[0] < first:
         order = [i for i, j in enumerate(t.basis) if j < n] + dependent
         t.rows, t.den, t.basis = ([xs[i] for i in order] for xs in (t.rows, t.den, t.basis))
+    t.dependent = len(dependent)
+
+
+def _duals(
+    rows: _Rows, t: _Tableau, red: list[int], den: int, cost_scale: int, objective: Mapping[VarRef, Fraction]
+) -> tuple[Fraction, ...]:
+    """One dual per model row, read off the optimal reduced-cost row `red`
+    (over `den`) of the cost `objective`, which entered times `cost_scale`:
+    at row r's starting column, whose cost is zero, u = -red, scaled back to
+    the rational model and signed back to model row origin[r]; a merged
+    tie's dual prices both of its columns (`_Rows.tie_multipliers`)."""
+    duals = [_ZERO] * len(rows.rows)
+    for j, (r, sign) in zip(t.start, t.origin):
+        duals[r] = Fraction(-sign * red[j] * t.scale, den * cost_scale)
+    rows.tie_multipliers(duals, objective)
+    return tuple(duals)
+
+
+def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None = None) -> LpSolution | None:
+    """Decide the LP of a tableau whose phase-1 row has retired and whose
+    right-hand side is b(y), through the one pivot routine.
+
+    Leftover artificials are driven out first (`_drive_out`).  A dependent
+    row with a nonzero rhs, or a row at which the dual simplex stops
+    (`_dual_simplex`), refutes the LP: its Farkas ray is the row of B^-1,
+    read at each row's starting column over the row's denominator, signed
+    back to model row origin[r] and negated when the rhs is negative, so
+    that it combines the rows into g x >= alpha with g <= 0 on every free
+    column and alpha > 0.  A tableau with no cost row (a projection's) then
+    returns None: the LP is feasible.  Else phase 2 runs, and the answer is
+    read off the tableau as `solve_lp` describes, its point re-checked
+    against `checks` (`_recheck`).  After phase 1 every rhs is nonnegative
+    and every dependent rhs zero, so for a fresh tableau this is the
+    drive-out and phase 2 alone.
+    """
+    _drive_out(t)
+    n, first = t.width, len(t.rows) - t.dependent
     leave = next((i for i in range(first, len(t.rows)) if t.rows[i][-1]), -1)
     if leave < 0:
         leave = _dual_simplex(t)
@@ -604,12 +643,8 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None 
             if variables[v] in ray:
                 ray[variables[w]] = ray[variables[v]]
         return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), fixed, ray)
-    red, den = t.reds[0], t.red_den[0]
-    duals = [_ZERO] * len(rows.rows)
-    for j, (r, sign) in zip(t.start, t.origin):
-        duals[r] = Fraction(-sign * red[j] * t.scale, den * t.cost_scale)
-    rows.tie_multipliers(duals, priced=True)
-    return LpSolution(SolveStatus.OPTIMAL, assignment, objective, tuple(duals), fixed)
+    duals = _duals(rows, t, t.reds[0], t.red_den[0], t.cost_scale, rows.model.objective)
+    return LpSolution(SolveStatus.OPTIMAL, assignment, objective, duals, fixed)
 
 
 def _solve(rows: _Rows, y: tuple) -> LpSolution:
@@ -676,11 +711,15 @@ def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED)
     return isinstance(_phase1(_Rows(model, tuple(pinned)), tuple(pinned.values())), _Tableau)
 
 
-def _proved_row(rows: _Rows, answer: LpSolution) -> tuple[list[int], int, int] | None:
+def _proved_row(
+    rows: _Rows, answer: LpSolution, objective: tuple[int, list[tuple[int, int]]] | None = None
+) -> tuple[list[int], int, int] | None:
     """The row g x >= alpha, times a positive `scale`, that an Infeasible
     answer's ray or an Optimal answer's duals prove on `rows.model`, as (g
     by variable position, alpha, scale) in integers; None when they prove
-    nothing.
+    nothing.  Duals price `objective`, given as `rows.objective` is (a
+    scale and integer terms by variable position), the model's own unless
+    given: a root row's LP minimizes its left-hand side instead.
 
     The multipliers u, one per row, must each combine their row the valid
     way (u_r <= 0 on `<=`, u_r >= 0 on `>=`, either sign on `=`), and the
@@ -717,7 +756,7 @@ def _proved_row(rows: _Rows, answer: LpSolution) -> tuple[list[int], int, int] |
         if any(c > 0 for _, c in free) or alpha * q <= sum(map(mul, (g[i] for i in pinned), ys)):
             return None
     elif answer.status is SolveStatus.OPTIMAL:
-        obj_scale, terms = rows.objective
+        obj_scale, terms = rows.objective if objective is None else objective
         cost = [0] * len(g)
         for i, c in terms:
             cost[i] = c
@@ -805,23 +844,134 @@ def _lexicographic(model: MipModel, integer: tuple[VarRef, ...], bound: int, ste
     return model.with_objective(weights)
 
 
+# The most network nodes that get root rows: there are 2^n - 2 node sets,
+# each a tableau row and an LP at every search's root, and past six nodes
+# that cost outgrew what the rows saved (ROADMAP item 5).
+_ROOT_ROW_NODES = 6
+
+
+def _root_rows(model: MipModel) -> list[LinearConstraint]:
+    """The cut-set rows that branch and bound adds at its root, each as
+    `root[S]: -beta y <= 0`, one per node subset S that the model's integer
+    capacity variables cross.
+
+    beta sums the edge-keyed variables with one end in S and the arc-keyed
+    ones leaving S, each weighted ceil(c_v / c_min): c_v is v's largest
+    coefficient magnitude in the model's rows, a facility's size in a
+    capacity row, and c_min the least nonzero c_v; a variable in no row
+    weighs 1.  A subset whose beta an earlier one has (its complement, for
+    edge keys) or that no variable crosses adds no row, so an edge-keyed
+    model has one row per bipartition.  A model whose variables touch more
+    than `_ROOT_ROW_NODES` nodes gets no rows: the family doubles with each
+    node, and its cost at the root outgrows what it saves in the search.
+    Each row is vacuous as written;
+    `_branch_and_bound` raises its rhs to minus the rounded LP bound on beta
+    (`_root_bound`).  beta is integral on integer variables, so every such
+    bound, rounded up, holds at every integral point: the weights and the
+    subsets set the rows' strength, never their validity.  In every reading
+    these are the cut-set rows of Bienstock and Gunluk (1996), rounded
+    Chvatal-Gomory style from the model's own rows.
+    """
+    caps = [v for v in model.variables if v in model.integer and v.kind == "capacity"]
+    largest = dict.fromkeys(caps, _ZERO)
+    for con in model.constraints:
+        for v, c in con.coeffs.items():
+            if v in largest and abs(c) > largest[v]:
+                largest[v] = abs(c)
+    least = min(filter(None, largest.values()), default=_ONE)
+    weight = {v: -(-c // least) if c else 1 for v, c in largest.items()}
+    nodes = sorted({end for v in caps for end in v.edge or v.arc})
+    if len(nodes) > _ROOT_ROW_NODES:
+        return []
+    rows, seen = [], set()
+    for mask in range(1, 2 ** len(nodes) - 1):
+        side = {node for i, node in enumerate(nodes) if mask >> i & 1}
+        beta = {
+            v: Fraction(-weight[v])
+            for v in caps
+            if ((v.edge[0] in side) != (v.edge[1] in side) if v.edge else v.arc[0] in side and v.arc[1] not in side)
+        }
+        if beta and frozenset(beta) not in seen:
+            seen.add(frozenset(beta))
+            rows.append(LinearConstraint(f"root[{','.join(sorted(side))}]", beta, "<=", _ZERO))
+    return rows
+
+
+def _priced(t: _Tableau, cost: Mapping[int, int]) -> list[int]:
+    """The reduced-cost row, over t.d, of the integer `cost` by column at
+    t's basis: c_j - sum_i c_basis(i) a_ij, each row i brought from its own
+    denominator to t.d, exactly."""
+    d = t.d
+    red = [0] * len(t.reds[0])
+    for j, c in cost.items():
+        red[j] = c * d
+    for row, den, j in zip(t.rows, t.den, t.basis):
+        c = cost.get(j)
+        if c:
+            for k, a in enumerate(row):
+                if a:
+                    red[k] -= c * (a * d // den)
+    return red
+
+
+def _rounded_bound(rows: _Rows, duals: Sequence[Fraction], objective: Mapping[VarRef, Fraction]) -> int:
+    """The least integer at or above the bound that `duals` prove on
+    `objective` over `rows.model` (`_proved_row`, given the objective);
+    NetcapError when they prove none."""
+    obj_scale, coeffs = _scaled(list(objective.values()))
+    terms = [(rows.position[v], c) for v, c in zip(objective, coeffs)]
+    proved = _proved_row(rows, LpSolution(SolveStatus.OPTIMAL, {}, None, tuple(duals)), (obj_scale, terms))
+    if proved is None:
+        raise NetcapError("the duals of a root row's LP do not bound its left-hand side")
+    _, alpha, scale = proved
+    return -(-alpha // scale)
+
+
+def _root_bound(rows: _Rows, t: _Tableau, r: int) -> int:
+    """Minimize root row r's beta y (`_root_rows`) over the bounded
+    relaxation from t's feasible basis, by the primal simplex on beta's
+    reduced-cost row (`_priced`), the phase-2 row carried along, and return
+    the certified optimum rounded up (`_rounded_bound`).  beta >= 0 on
+    nonnegative variables, so the LP is bounded."""
+    objective = {v: -c for v, c in rows.model.constraints[r].coeffs.items()}
+    t.reds.insert(0, _priced(t, {j: -c // rows.scale for j, c in rows.rows[r][0]}))
+    t.red_den.insert(0, t.d)
+    _bland_simplex(t, t.width)
+    red, den = t.reds.pop(0), t.red_den.pop(0)
+    return _rounded_bound(rows, _duals(rows, t, red, den, 1, objective), objective)
+
+
 def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
     """Depth-first branch and bound over the integer variables of `model`
     in [0, bound]: its optimal integral point as the search first reaches
     it, and the number of nodes.
 
-    One cold solve at the root, whose tableau is kept: every node, the root
-    included, differs from it only in the right-hand sides of the bound
-    rows (`_bound_rows`), hi and -lo per integer column, so each is
-    re-solved from the kept tableau by `_resolve`, its point re-checked
-    against the rows with the node's bounds.  Branching picks the first
-    fractional integer variable in model order and explores the floor
-    branch first; nodes are pruned when their LP bound, rounded up to the
-    objective's step (`_objective_step`) when it has one, cannot beat the
-    incumbent, all by exact comparison.
+    The bounded model carries the root rows (`_root_rows`) after the
+    model's own, each once: of rows that merged ties (`_Rows`) make equal,
+    only the first is kept.  One cold phase 1 finds a feasible basis; from
+    it each root row's beta is minimized in turn (`_root_bound`, not a
+    node), and the row's rhs set to minus the rounded bound, so that every
+    node's LP holds beta y >= ceil(LP bound), which every integral point of
+    the box satisfies.  Phase 2 on the model's cost follows, and its
+    tableau is kept: every node, the root included, differs from it only in
+    the right-hand sides of the root rows, set once, and of the bound rows
+    (`_bound_rows`), hi and -lo per integer column, so each is re-solved
+    from the kept tableau by `_resolve`, its point re-checked against the
+    rows with those right-hand sides.  Branching picks the first fractional
+    integer variable in model order and explores the floor branch first;
+    nodes are pruned when their LP bound, rounded up to the objective's
+    step (`_objective_step`) when it has one, cannot beat the incumbent,
+    all by exact comparison.
     """
-    rows = _Rows(model, (), bound)
-    first = len(model.constraints)
+    roots = _root_rows(model)
+    rows = _Rows(model.with_constraints(roots), (), bound)
+    distinct: dict[tuple, LinearConstraint] = {}
+    for con, (free, *_) in zip(roots, rows.rows[len(model.constraints):]):
+        distinct.setdefault(tuple(sorted(free)), con)
+    if len(distinct) < len(roots):
+        roots = list(distinct.values())
+        rows = _Rows(model.with_constraints(roots), (), bound)
+    first = len(model.constraints) + len(roots)
     fixed_b, fixed_checks = [rhs for _, _, rhs, _ in rows.rows[:first]], rows.checks[:first]
     bound_checks = rows.checks[first:]
     # each bound pair's column, from its `ub` row's one term, and each integer variable's pair
@@ -831,6 +981,18 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
     t = _phase1(rows, ())
     if isinstance(t, LpSolution):
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=1)
+    _drive_out(t)
+    for r in range(len(model.constraints), first):
+        least = _root_bound(rows, t, r)
+        name, terms, _, sense, own = fixed_checks[r]
+        fixed_b[r], fixed_checks[r] = -least * rows.scale, (name, terms, -least, sense, own)
+    if _bland_simplex(t, t.width) >= 0:
+        # Integer variables are boxed, so the ray lives in continuous
+        # variables, and every node, which moves only right-hand sides,
+        # keeps it: the MIP is unbounded iff it is feasible at all.
+        probe = solve_mip(model.with_objective({}), bound)
+        status = SolveStatus.UNBOUNDED if probe.status is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
+        return MipResult(status, {}, None, nodes=1)
     incumbent: Mapping[VarRef, Fraction] = {}
     incumbent_obj: Fraction | None = None
     nodes = 0
@@ -845,13 +1007,6 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
         sol = _resolve(rows, t, (), b, checks)
         if sol.status is SolveStatus.INFEASIBLE:
             continue
-        if sol.status is SolveStatus.UNBOUNDED:
-            # Integer variables are boxed, so the ray lives in continuous
-            # variables and survives any further branching: the MIP is
-            # unbounded iff it is feasible at all.
-            probe = solve_mip(model.with_objective({}), bound)
-            status = SolveStatus.UNBOUNDED if probe.status is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
-            return MipResult(status, {}, None, nodes=nodes)
         node_bound = -(-sol.objective // step) * step if step else sol.objective
         if incumbent_obj is not None and node_bound >= incumbent_obj:
             continue
@@ -880,14 +1035,17 @@ def solve_mip(model: MipModel, bound: int) -> MipResult:
     nonnegative int; any other bound raises MissingBoundError.  Each search
     (`_branch_and_bound`) re-solves its nodes from one kept tableau, so the
     vertex it stops at on a tied optimum depends on the search; the
-    canonical rule makes the answer depend on the model alone.  When the
-    objective c is integral in the integer variables (`_objective_step`
-    gives a step > 0, an empty objective included), one search finds the
-    vector, with the objective of `_lexicographic`.  Otherwise a first
-    search minimizes c, to z*, and a second minimizes the lexicographic
-    weights alone under the added row c x <= z*.  `nodes` counts the nodes
-    of every search; the cold LP at the end is not one.  That LP must reach
-    c at the search's point, or NetcapError is raised.  A model with no
+    canonical rule makes the answer depend on the model alone, and so not
+    on the cut-set rows that each search adds at its root (`_root_rows`),
+    which every integral point of the box meets.  When the objective c is
+    integral in the integer variables (`_objective_step` gives a step > 0,
+    an empty objective included), one search finds the vector, with the
+    objective of `_lexicographic`.  Otherwise a first search minimizes c,
+    to z*, and a second minimizes the lexicographic weights alone under
+    the added row c x <= z*.  `nodes` counts the nodes of every search;
+    neither the root rows' LPs nor the cold LP at the end is one.  That LP
+    carries no root row, and it must reach c at the search's point, or
+    NetcapError is raised.  A model with no
     integer variables is its root LP, in one node.  An Unbounded result
     carries no point (`values` is empty), whether or not the model has
     integer variables.

@@ -107,8 +107,9 @@ DATA = Path(__file__).resolve().parent / "data"
         (["--model", "undirected", "--variant", "symmetrized-flows"], None),
         (["--model", "bidirected"], "triangle-bidirected.json"),
         (["--model", "directed"], "triangle-directed.json"),
+        (["--model", "directed", "--variant", "equalized"], "triangle-directed-equalized.json"),
     ],
-    ids=["undirected", "undirected-symmetrized", "bidirected", "directed"],
+    ids=["undirected", "undirected-symmetrized", "bidirected", "directed", "directed-equalized"],
 )
 def test_solve_points_match_recorded(tmp_path, capsys, flags, recorded):
     """`netcap solve -o` on tests/data/instances/triangle.json writes the

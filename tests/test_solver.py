@@ -2,6 +2,7 @@
 
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,7 @@ from netcap.core import (
     Instance,
     Network,
     TrafficMatrix,
+    edge_between,
     load_instance,
     scale_traffic,
     symmetric_counterpart,
@@ -182,6 +184,16 @@ def _branched(model):
     return any(c.name.startswith("lb[") and c.rhs < 0 for c in model.constraints)
 
 
+@contextmanager
+def _without_root_rows(monkeypatch):
+    """A context in which branch and bound adds no root rows: with them,
+    the small searches here meet no Infeasible node, and without them the
+    same searches do."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_root_rows", lambda model: [])
+        yield
+
+
 def _record_learned_rays(monkeypatch):
     """Rebind `CapacitySweep.learn` to keep every (model, Infeasible answer)
     a capacity sweep learns from."""
@@ -216,8 +228,10 @@ def test_optimality_certificate_sweep(monkeypatch):
             assert certify(model, sol)
             relaxations.append((model, sol))
 
-    # branch-and-bound node LPs: branched bounds, and mirror-flow rows
+    # branch-and-bound node LPs: branched bounds, and mirror-flow rows; the
+    # same searches without root rows meet Infeasible nodes too
     node_lps = _record_resolves(monkeypatch, nodes=True)
+    searches = []
     for _ in range(3):
         inst = triangle_corollary_instance(rng)
         star = inst.with_traffic(symmetric_counterpart(inst.traffic))
@@ -226,8 +240,14 @@ def test_optimality_certificate_sweep(monkeypatch):
             build_bidirected(inst),
             add_flow_symmetry(build_undirected(star)),
         ):
-            assert solve_mip(model, capacity_bound(inst)).status is SolveStatus.OPTIMAL
+            searches.append((model, capacity_bound(inst)))
+    for model, bound in searches:
+        assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
+    with _without_root_rows(monkeypatch):
+        for model, bound in searches:
+            assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
     assert any(_branched(m) for m, _ in node_lps)
+    assert any(c.name.startswith("root[") for m, _ in node_lps for c in m.constraints)
     assert any(c.name.startswith("sym[") for m, _ in node_lps for c in m.constraints)
 
     # cut-check probes: capacities fixed, flow part (with negative terms)
@@ -731,7 +751,10 @@ def test_mirror_flow_answers_certify_against_the_model(monkeypatch):
             for vec in list(graded_box(len(refs), bound))[::11]:
                 pinned.append((priced, solve_lp(priced, fixed=dict(zip(refs, vec)))))
         star = inst.with_traffic(symmetric_counterpart(inst.traffic))
-        assert solve_mip(add_flow_symmetry(build_undirected(star)), bound).status is SolveStatus.OPTIMAL
+        mirror = add_flow_symmetry(build_undirected(star))
+        assert solve_mip(mirror, bound).status is SolveStatus.OPTIMAL
+        with _without_root_rows(monkeypatch):
+            assert solve_mip(mirror, bound).status is SolveStatus.OPTIMAL
     assert any(_branched(m) for m, _ in nodes)
     for answers, statuses in (
         (rays, {SolveStatus.INFEASIBLE}),
@@ -870,7 +893,7 @@ def test_kept_tableau_refutes_through_a_dependent_row():
             t.reds, t.red_den = [], []
         for y in pins:
             answer, cold = solver._resolve(rows, t, y, solver._rhs(rows, y)[1]), _solve(rows, y)
-            assert len(t.rows) == 2 and t.basis[-1] >= t.width  # the dependent row stays
+            assert len(t.rows) == 2 and t.basis[-1] >= t.width and t.dependent == 1  # the dependent row stays
             if y[0] == y[1]:
                 assert cold.status is SolveStatus.OPTIMAL and cold.values.get(_LP_VARS[0], 0) == y[0]
                 assert answer == cold if priced else answer is None
@@ -935,8 +958,10 @@ def test_warm_nodes_match_cold_solves(monkeypatch):
     node's answer has the status and objective of a cold `_solve` of the
     node's own model, the bounded model with the node's bounds, and
     certifies against that model; so it is the node's LP, whatever vertex
-    the warm start stops at.  The nodes branch, and the warm re-solves of
-    the branched nodes take under a third of the cold solves' pivots."""
+    the warm start stops at.  Each reading is searched with its root rows
+    and again without them, where Infeasible nodes occur.  The nodes
+    branch, and the warm re-solves of the branched nodes take under a third
+    of the cold solves' pivots."""
     pivots = []
     inner = solver._pivot
     monkeypatch.setattr(solver, "_pivot", lambda t, leave, enter: pivots.append(enter) or inner(t, leave, enter))
@@ -953,6 +978,8 @@ def test_warm_nodes_match_cold_solves(monkeypatch):
     for name, model in readings.items():
         warm.clear()
         assert solve_mip(model, bound).status is SolveStatus.OPTIMAL, name
+        with _without_root_rows(monkeypatch):
+            assert solve_mip(model, bound).status is SolveStatus.OPTIMAL, name
         assert any(_branched(m) for m, _, _ in warm), name
         assert {answer.status for _, answer, _ in warm} == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}, name
         warm_pivots = cold_pivots = 0
@@ -969,9 +996,9 @@ def test_warm_nodes_match_cold_solves(monkeypatch):
 def test_triangle_points_do_not_depend_on_the_search(monkeypatch):
     """`solve_mip` returns the same point, capacities and flows, on each
     triangle reading whether its nodes are re-solved warm or each solved
-    cold from its own model, and whether the model's rows come in their
-    order or permuted; each search stops at its own vertices, so only the
-    canonical rule makes the points agree."""
+    cold from its own model, whether the model's rows come in their order
+    or permuted, and with or without root rows; each search stops at its
+    own vertices, so only the canonical rule makes the points agree."""
     bound, readings = _triangle_readings()
     rng = random.Random(29)
     warm = {name: solve_mip(model, bound) for name, model in readings.items()}
@@ -980,6 +1007,9 @@ def test_triangle_points_do_not_depend_on_the_search(monkeypatch):
             rows = list(model.constraints)
             rng.shuffle(rows)
             assert solve_mip(replace(model, constraints=tuple(rows)), bound).values == warm[name].values, name
+    with _without_root_rows(monkeypatch):
+        for name, model in readings.items():
+            assert solve_mip(model, bound).values == warm[name].values, name
 
     def cold(rows, t, y, b, checks=None):
         return _solve(_Rows(_node_model(rows, checks), ()), ())
@@ -1034,7 +1064,7 @@ def test_solve_mip_returns_the_canonical_optimum(monkeypatch):
     """`solve_mip` returns the lexicographically least optimal integer
     vector, as brute force finds it (`_lex_least_optimum`), with the point
     of `solve_lp` pinned at that vector, and the same point when the
-    model's rows are permuted.  Some cases tie, so that another optimal
+    model's rows are permuted and when branch and bound adds no root rows.  Some cases tie, so that another optimal
     vector could have been returned.  An objective integral in the integer
     variables, an empty one included, takes one search; any other takes
     two."""
@@ -1057,13 +1087,158 @@ def test_solve_mip_returns_the_canonical_optimum(monkeypatch):
         assert res.values == solve_lp(model, fixed=dict(zip(integer, map(Fraction, vec)))).values
         integral = all(v in model.integer and c.denominator == 1 for v, c in model.objective.items() if c)
         assert len(searches) == (1 if integral else 2)
+        two_searches += len(searches) == 2
         rows = list(model.constraints)
         rng.shuffle(rows)
         assert solve_mip(replace(model, constraints=tuple(rows)), bound).values == res.values
+        with _without_root_rows(monkeypatch):
+            assert solve_mip(model, bound).values == res.values
         tied += ties > 1 and bool(model.objective)
         empty += not model.objective
-        two_searches += len(searches) == 2
     assert tied >= 5 and empty >= 10 and two_searches >= 10
+
+
+def _record_root_rows(monkeypatch):
+    """Rebind `solver._root_bound`, which minimizes a root row's beta at
+    the root of branch and bound, and `solver._rounded_bound`, which checks
+    and rounds that LP's bound, to keep, per root row, (its name, the
+    bounded model's rows with every root row at rhs 0, the duals, beta, the
+    rounded bound)."""
+    seen, named = [], []
+    root_bound, rounded_bound = solver._root_bound, solver._rounded_bound
+
+    def naming(rows, t, r):
+        named.append(rows.model.constraints[r].name)
+        return root_bound(rows, t, r)
+
+    def recording(rows, duals, objective):
+        least = rounded_bound(rows, duals, objective)
+        seen.append((named[-1], rows, duals, objective, least))
+        return least
+
+    monkeypatch.setattr(solver, "_root_bound", naming)
+    monkeypatch.setattr(solver, "_rounded_bound", recording)
+    return seen
+
+
+def test_root_rows_are_the_classical_cut_set_rows(monkeypatch):
+    """On criterion-1 triangles, with one module size c and no existing
+    capacity, each root row reads beta y >= r, beta the capacity crossing a
+    node set S (leaving it, for arcs), and r, its LP bound rounded up, is
+    the classical cut-set rhs: ceil((d+(S) + d-(S)) / c) undirected,
+    ceil(max(d+(S), d-(S)) / c) bidirected and ceil(d+(S) / c) directed,
+    d+(S) being the traffic leaving S and d-(S) the traffic entering it.
+    So the undirected rows of T are the bidirected rows of 2T*, the
+    paper's theorem row by row.  Each row's duals certify on the bounded
+    relaxation that minimizes beta, and r is that LP's optimum rounded
+    up."""
+    roots = _record_root_rows(monkeypatch)
+    classical = {
+        ModelKind.UNDIRECTED: lambda out, into: out + into,
+        ModelKind.BIDIRECTED: max,
+        ModelKind.DIRECTED: lambda out, into: out,
+    }
+    for inst, bound, _ in _criterion_1_draws(10):
+        (c,) = inst.facilities.capacities
+        doubled = inst.with_traffic(scale_traffic(symmetric_counterpart(inst.traffic), 2))
+        rhs = {}
+        for case, model in (
+            (inst, build_undirected(inst)),
+            (inst, build_bidirected(inst)),
+            (inst, build_directed(inst)),
+            (doubled, build_bidirected(doubled)),
+        ):
+            roots.clear()
+            assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
+            assert len(roots) == (6 if model.kind is ModelKind.DIRECTED else 3)
+            for name, rows, duals, beta, least in roots:
+                side = set(name[len("root["):-1].split(","))
+                crossing = {
+                    v for v in model.integer
+                    if (len(side & set(v.edge)) == 1 if v.edge else v.arc[0] in side and v.arc[1] not in side)
+                }
+                assert set(beta) == crossing and set(beta.values()) == {1}
+                out = sum((t for (o, d), t in case.traffic.items() if o in side and d not in side), Fraction(0))
+                into = sum((t for (o, d), t in case.traffic.items() if o not in side and d in side), Fraction(0))
+                assert least == -(-classical[model.kind](out, into) // c), (name, model.kind)
+                relaxed = replace(rows.model, integer=frozenset()).with_objective(beta)
+                lp = solve_lp(relaxed)
+                assert certify(relaxed, replace(lp, duals=duals)) and least == -(-lp.objective // 1)
+            rhs[case is doubled, model.kind] = {name: least for name, *_, least in roots}
+        assert rhs[False, ModelKind.UNDIRECTED] == rhs[True, ModelKind.BIDIRECTED]
+
+
+def test_root_row_duals_that_prove_nothing_raise(monkeypatch):
+    """A root row's rhs comes only from duals that `_proved_row` accepts
+    with beta as the objective.  Duals doubled past the optimum, or with
+    the sign of a `<=` row's multiplier flipped, raise NetcapError, and so
+    does `solve_mip` when every root row's duals come back doubled."""
+    bound, readings = _triangle_readings()
+    model = readings["undirected"]
+    roots = _record_root_rows(monkeypatch)
+    solved = solve_mip(model, bound)
+    positive = [(rows, duals, beta) for _, rows, duals, beta, least in roots if least > 0]
+    assert positive
+    for rows, duals, beta in positive:
+        with pytest.raises(NetcapError):
+            solver._rounded_bound(rows, [2 * u for u in duals], beta)
+        r = next(r for r, (u, con) in enumerate(zip(duals, rows.model.constraints)) if u and con.sense == "<=")
+        flipped = list(duals)
+        flipped[r] = -flipped[r]
+        with pytest.raises(NetcapError):
+            solver._rounded_bound(rows, flipped, beta)
+    inner = solver._duals
+
+    def doubled(rows, t, red, den, cost_scale, objective):
+        duals = inner(rows, t, red, den, cost_scale, objective)
+        return duals if objective is rows.model.objective else tuple(2 * u for u in duals)
+
+    monkeypatch.setattr(solver, "_duals", doubled)
+    with pytest.raises(NetcapError):
+        solve_mip(model, bound)
+    assert solved.status is SolveStatus.OPTIMAL
+
+
+def test_root_rows_are_carried_once_per_merged_row(monkeypatch):
+    """On the equalized directed triangle each arc pair's capacities tie
+    into one column, so its six arc-keyed node sets give three distinct
+    rows once merged (S and its complement cross the same pairs); branch
+    and bound carries, and minimizes, only those three."""
+    bound, readings = _triangle_readings()
+    model = readings["directed/equalized"]
+    assert len(solver._root_rows(model)) == 6
+    roots = _record_root_rows(monkeypatch)
+    assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
+    assert len({name for name, *_ in roots}) == 3
+    for _, rows, *_ in roots:
+        carried = [r for r, con in enumerate(rows.model.constraints) if con.name.startswith("root[")]
+        assert len(carried) == 3 and len({tuple(sorted(rows.rows[r][0])) for r in carried}) == 3
+
+
+def _ring(size):
+    """A ring of `size` nodes, one module size 1, and traffic 1/2 from
+    node 1 to node 2."""
+    nodes = tuple(str(i + 1) for i in range(size))
+    net = Network(nodes, tuple(edge_between(a, nodes[(i + 1) % size]) for i, a in enumerate(nodes)))
+    return Instance(net, FacilityMenu((1,)), TrafficMatrix({("1", "2"): Fraction(1, 2)}))
+
+
+def test_root_rows_stop_past_the_measured_node_count(monkeypatch):
+    """On an n-node ring the root-row family has one row per bipartition
+    on edge keys and one per proper node set on arc keys, 2^(n-1) - 1 and
+    2^n - 2 rows, up to `_ROOT_ROW_NODES` nodes; one node more and it has
+    none, so a search on a larger network carries no root row and solves no
+    LP for one."""
+    n = solver._ROOT_ROW_NODES
+    for size, edge_rows, arc_rows in ((n, 2 ** (n - 1) - 1, 2**n - 2), (n + 1, 0, 0)):
+        inst = _ring(size)
+        assert len(solver._root_rows(build_undirected(inst))) == edge_rows
+        assert len(solver._root_rows(build_bidirected(inst))) == edge_rows
+        assert len(solver._root_rows(build_directed(inst))) == arc_rows
+    roots = _record_root_rows(monkeypatch)
+    inst = _ring(n + 1)
+    assert solve_mip(build_directed(inst), capacity_bound(inst)).status is SolveStatus.OPTIMAL
+    assert roots == []
 
 
 def test_reduced_commodities():
