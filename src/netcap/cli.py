@@ -8,7 +8,8 @@ project (capacity projections), verify (exhaustive structural checks).
 
 Exit codes: 0 on success or full agreement, 1 when a verification fails,
 `verify corollary`, `cut --check` or `project` finds no feasible capacity
-vector in its box, a solve ends without an optimal point, or a requested
+vector in its box, a solve ends without an optimal point, no capacity can
+route the traffic (a network whose components it crosses), or a requested
 cut is vacuous, 2 on usage and input errors, and 141, with no message,
 when the reader of standard output closes it early.  All numbers print as
 exact rationals.
@@ -107,18 +108,21 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _box_bound(inst: Instance, bound: int | None) -> int | None:
+    """`bound`, or if None the instance's default box bound (`capacity_bound`);
+    None, the reason printed, when no capacity routes the traffic: exit 1."""
+    try:
+        return capacity_bound(inst) if bound is None else bound
+    except NoRoutingError as exc:
+        print(f"status: infeasible\nnote: {exc}")
+        return None
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     model = _model_from_args(inst, args)
-    if args.bound is not None:
-        bound = args.bound
-    else:
-        try:
-            bound = capacity_bound(inst)
-        except NoRoutingError as exc:
-            print("status: infeasible")
-            print(f"note: {exc}")
-            return 1
+    if (bound := _box_bound(inst, args.bound)) is None:
+        return 1
     result = solve_mip(model, bound)
     print(f"status: {result.status.value}")
     print(f"nodes: {result.nodes}")
@@ -187,26 +191,21 @@ def cmd_cut(args: argparse.Namespace) -> int:
         print(f"translated: {translated.render()}")
     if not args.check:
         return 0
-    ok = _report_check(
-        "directed", check_cut_validity(inst, ineq, bound=args.bound)
-    )
+    if (bound := _box_bound(inst, args.bound)) is None:
+        return 1
+    ok = _report_check("directed", check_cut_validity(inst, ineq, bound=bound))
     if translated is not None:
-        ok = (
-            _report_check(
-                "bidirected",
-                check_cut_validity(
-                    inst, translated, kind=ModelKind.BIDIRECTED, bound=args.bound
-                ),
-            )
-            and ok
-        )
+        bidirected = check_cut_validity(inst, translated, kind=ModelKind.BIDIRECTED, bound=bound)
+        ok = _report_check("bidirected", bidirected) and ok
     return 0 if ok else 1
 
 
 def cmd_project(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     model = _model_from_args(inst, args, build_for_feasibility)
-    result = project(model, capacity_bound(inst) if args.bound is None else args.bound)
+    if (bound := _box_bound(inst, args.bound)) is None:
+        return 1
+    result = project(model, bound)
     print(result.describe())
     return 0 if result.minimal else 1
 
@@ -242,7 +241,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
             cases = [(f"trial {i}", gen(rng)) for i in range(args.trials)]
         for label, inst in cases:
-            rep = verify_corollary(inst, bound=args.bound)
+            if (bound := _box_bound(inst, args.bound)) is None:
+                return 1
+            rep = verify_corollary(inst, bound=bound)
             print(f"{label}: {rep.describe()}")
             empty += rep.equal and not rep.minimal_count
             failures += 0 if rep.equal else 1

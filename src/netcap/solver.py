@@ -29,8 +29,9 @@ the row nor w.  Each answer is postsolved onto the model's own rows: w
 takes v's value, and its entry in an unbounded ray, and the tie row the
 multiplier under which both columns price (duals) or both keep a
 nonpositive coefficient (a ray).  Phase 1, the drive-out of leftover
-artificials, the dual simplex and phase 2 share one pivot routine.
-The point a solve returns is re-checked against every model row in
+artificials, the dual simplex and phase 2 share one pivot routine.  A
+tableau carries only the reduced-cost row of the LP it is solving, priced
+at the basis where that LP starts (`_priced`).  The point a solve returns is re-checked against every model row in
 integers, each row scaled from the model's own coefficients rather than
 read off the tableau (`_recheck`).  Every answer carries a certificate in
 the model's own terms, and one check, `certify`, reads it against the
@@ -49,12 +50,14 @@ at every capacity vector, and the duals of an Optimal answer bound the
 objective from below at every feasible one (weak duality).  Each is
 checked before it is kept, so the sweep refutes a vector, or proves a
 `>=` row at a vector known to be feasible, with one integer dot product
-instead of an LP.  The sweep also keeps the tableau of its last LP: the
-pins move only the right-hand side, so every later vector is re-solved
-from it (`_resolve`), the rhs refreshed as B^-1 b(y) from the kept
-starting columns and a Bland dual simplex (Lemke 1954) restoring
-feasibility, exactly, as Applegate, Cook, Dash and Espinoza (2007)
-re-solve exact LPs from a kept basis.  Integer models are solved by
+instead of an LP.  The sweep also keeps the tableau of its first LP,
+feasible or not: the pins move only the right-hand side, so every later
+vector is re-solved from it (`_resolve`), the rhs refreshed as B^-1 b(y)
+from the kept starting columns and a Bland dual simplex (Lemke 1954)
+restoring feasibility, exactly, as Applegate, Cook, Dash and Espinoza
+(2007) re-solve exact LPs from a kept basis: until an LP is feasible the
+tableau has no cost row, and an optimal basis stays dual feasible.
+Integer models are solved by
 depth-first branch and bound on the first fractional integer variable in
 model order, pruning on exact bound comparisons, the bound rounded up to
 the objective's step when every term is integral.  A node is a right-hand
@@ -139,32 +142,33 @@ class MipResult:
 
 
 class _Tableau:
-    """Row i of `rows` (rhs last) holds `den[i]` times its values, and
-    reduced-cost row k of `reds` holds `red_den[k]` times its own.  Each
-    denominator is the absolute basis determinant at the last pivot that
-    touched its row, and `d` is the current one.  Row r started with
-    identity column `start[r]` and is model row `origin[r][0]` times the sign
-    `origin[r][1]`; columns from `width` on are artificial.  The rows were
-    scaled in by `scale`, the cost by `cost_scale`.  The last `dependent`
-    rows are the dependent ones that the drive-out left (`_drive_out`)."""
+    """Row i of `rows` (rhs last) holds `den[i]` times its values; `red`,
+    the reduced-cost row of the LP being solved or None, holds `red_den`
+    times its own.  Each denominator is the absolute basis determinant at
+    the last pivot that touched its row, and `d` is the current one.  Row r started with identity column `start[r]` and is
+    model row `origin[r][0]` times the sign `origin[r][1]`; columns from
+    `width` on are artificial.  The rows were scaled in by `scale`, and
+    phase 2's `cost` by `cost_scale`; None asks feasibility alone.  The last
+    `dependent` rows are the dependent ones that the drive-out left."""
 
     __slots__ = (
-        "rows", "den", "reds", "red_den", "basis", "start", "origin", "width", "scale", "cost_scale", "d", "dependent",
+        "rows", "den", "red", "red_den", "basis", "start", "origin", "width", "scale", "cost", "cost_scale", "d",
+        "dependent",
     )
 
     def __init__(
         self,
         rows: list[list[int]],
-        reds: list[list[int]],
         start: list[int],
         origin: list[tuple[int, int]],
         width: int,
         scale: int,
+        cost: Mapping[int, int] | None,
         cost_scale: int,
     ):
-        self.rows, self.reds, self.basis, self.start, self.origin = rows, reds, list(start), start, origin
-        self.den, self.red_den = [1] * len(rows), [1] * len(reds)  # identity basis
-        self.width, self.scale, self.cost_scale, self.d, self.dependent = width, scale, cost_scale, 1, 0
+        self.rows, self.basis, self.start, self.origin = rows, list(start), start, origin
+        self.den, self.red, self.red_den, self.d = [1] * len(rows), None, 1, 1  # identity basis
+        self.width, self.scale, self.cost, self.cost_scale, self.dependent = width, scale, cost, cost_scale, 0
 
 
 def _pivot(t: _Tableau, leave: int, enter: int) -> None:
@@ -177,7 +181,8 @@ def _pivot(t: _Tableau, leave: int, enter: int) -> None:
     keeps its denominator.  Any other row, over its own denominator den,
     becomes (p*a - f*prow[j]) // den over p, which is p*a // den off the
     pivot row's support.  Every division is exact: a row over any earlier
-    determinant is integral over the current one.
+    determinant is integral over the current one.  The reduced-cost row,
+    if the tableau carries one, is updated as any other row.
     """
     prow, d, was = t.rows[leave], t.d, t.den[leave]
     if was != d:
@@ -188,31 +193,38 @@ def _pivot(t: _Tableau, leave: int, enter: int) -> None:
         p = -p
     t.rows[leave] = prow
     support = [j for j, a in enumerate(prow) if a]
-    for rows, den in ((t.rows, t.den), (t.reds, t.red_den)):
-        for i, row in enumerate(rows):
-            f = row[enter]
-            if not f or row is prow:
-                continue
-            was = den[i]
-            new = row if p == was else [a and p * a // was for a in row]
-            for j in support:
-                new[j] = (p * row[j] - f * prow[j]) // was
-            rows[i], den[i] = new, p
-    t.den[leave] = t.d = p
+    rows, den = t.rows, t.den
+    for i, row in enumerate(rows):
+        f = row[enter]
+        if not f or row is prow:
+            continue
+        was = den[i]
+        new = row if p == was else [a and p * a // was for a in row]
+        for j in support:
+            new[j] = (p * row[j] - f * prow[j]) // was
+        rows[i], den[i] = new, p
+    red = t.red
+    if red is not None and red[enter]:
+        f, was = red[enter], t.red_den
+        new = red if p == was else [a and p * a // was for a in red]
+        for j in support:
+            new[j] = (p * red[j] - f * prow[j]) // was
+        t.red, t.red_den = new, p
+    den[leave] = t.d = p
     t.basis[leave] = enter
 
 
 def _bland_simplex(t: _Tableau, width: int) -> int:
-    """Run simplex to completion on reduced-cost row `t.reds[0]` (minimization).
+    """Run simplex to completion on the reduced-cost row `t.red` (minimization).
 
     Columns at index >= width are blocked from entering.  Returns -1 at an
     optimum, or the entering column whose ratio test found no row when the
-    cost is unbounded below.  Later rows of `t.reds` are carried along.  Only
-    signs and cross-multiplied ratios are compared, and each ratio divides
-    two cells of one row, so it does not depend on the row's denominator.
+    cost is unbounded below.  Only signs and cross-multiplied ratios are
+    compared, and each ratio divides two cells of one row, so it does not
+    depend on the row's denominator.
     """
     while True:
-        red = t.reds[0]
+        red = t.red
         enter = next((j for j in range(width) if red[j] < 0), -1)
         if enter < 0:
             return -1
@@ -252,7 +264,7 @@ class _Rows:
     from the row's check; so with integral pinned values, b(y) is one
     integer dot product per row.  Columns are the free variables in model
     order, less the merged ones.  `cost` is the objective on them times
-    `cost_scale`.
+    `cost_scale`, by column, its zero terms left out.
 
     A tie, an `=` row a v - a w = 0 of two free variables, merges w into v,
     the earlier of the two in model order, when neither is merged already:
@@ -300,7 +312,8 @@ class _Rows:
         cost = [on.get(i, _ZERO) for i in self.columns]
         for _, v, w, _, _ in self.ties:
             cost[self.slot[v]] += on.get(w, _ZERO)
-        self.cost_scale, self.cost = _scaled(cost)
+        self.cost_scale, scaled = _scaled(cost)
+        self.cost = {j: c for j, c in enumerate(scaled) if c}
 
     def _merges(self) -> list[tuple[int, int, int, Fraction]]:
         """The merges (tie row, v's position, w's position, a), in row
@@ -427,34 +440,27 @@ def _rhs(rows: _Rows, y: tuple) -> tuple[int, list[int]] | LpSolution:
     return q, b
 
 
-def _tableau(rows: _Rows, y: tuple) -> _Tableau | LpSolution:
-    """The phase-1 tableau of the model with `rows.refs` pinned to the values
-    `y`, or the answer of a failed constant row (`_rhs`).
+def _tableau(rows: _Rows, q: int, b: list[int], cost: Mapping[int, int] | None) -> _Tableau:
+    """The starting tableau of the model at the right-hand side `b`, one
+    integer per model row times the lcm q of the pinned values'
+    denominators (`_rhs`), for phase 2's `cost` (`_Tableau`).
 
-    For pinned values with denominators, every row is scaled by their lcm q,
-    and the tableau by `rows.scale` times q.  Constant rows are left out,
-    and a row with a negative right-hand side is negated.  Columns are
-    `rows.columns`, then a slack per inequality row, then an artificial per
-    `=` or `>=` row, each in row order; the artificial columns stay, so B^-1
-    stays readable at each row's starting column.  Each artificial costs
-    one in phase 1 and starts basic in its row, so the phase-1 row starts
-    as minus the sum of the artificial rows; the starting basis costs zero
-    in phase 2, so the phase-2 row starts as the cost vector.
+    Every row is scaled by q, and the tableau by `rows.scale` times q.
+    Constant rows are left out, and a row with a negative right-hand side
+    is negated.  Columns are `rows.columns`, then a slack per inequality
+    row, then an artificial per `=` or `>=` row, each in row order; the
+    artificial columns stay, so B^-1 stays readable at each row's starting
+    column.  No reduced-cost row is built: phase 1 prices its own.
     """
-    pinned = _rhs(rows, y)
-    if isinstance(pinned, LpSolution):
-        return pinned
-    q, b = pinned
     kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
     for r, ((free, _, _, sense), br) in enumerate(zip(rows.rows, b)):
         if free:
             kept.append((r, -1, free, -br, _FLIP[sense]) if br < 0 else (r, 1, free, br, sense))
-    n = slack = len(rows.columns)
-    art = width = n + sum(sense != "=" for *_, sense in kept)
+    slack = len(rows.columns)
+    art = width = slack + sum(sense != "=" for *_, sense in kept)
     total = width + sum(sense != "<=" for *_, sense in kept)
     table: list[list[int]] = []
     start: list[int] = []
-    red1 = [0] * (total + 1)  # the last cell holds minus the artificials' total
     for _, sign, free, br, sense in kept:
         row = [0] * (total + 1)
         unit = sign * q
@@ -467,31 +473,27 @@ def _tableau(rows: _Rows, y: tuple) -> _Tableau | LpSolution:
         if sense == "<=":
             start.append(slack - 1)
         else:
-            for j, _ in free:
-                red1[j] -= row[j]
-            if sense == ">=":
-                red1[slack - 1] += 1
-            red1[-1] -= br
             row[art] = 1
             start.append(art)
             art += 1
         table.append(row)
-    red2 = rows.cost + [0] * (total + 1 - n)
     origin = [(r, sign) for r, sign, *_ in kept]
-    return _Tableau(table, [red1, red2], start, origin, width, rows.scale * q, rows.cost_scale)
+    return _Tableau(table, start, origin, width, rows.scale * q, cost, rows.cost_scale)
 
 
 def _run_phase1(rows: _Rows, t: _Tableau, y: tuple) -> LpSolution | None:
-    """Run phase 1 on a fresh tableau, then retire its phase-1 row: None when
-    the LP is feasible, else the Infeasible answer with its Farkas ray.
+    """Run phase 1, cost 1 on each artificial, on a fresh tableau, then
+    retire its row: None when the LP is feasible, else the Infeasible
+    answer with its Farkas ray.
 
     The ray is phase 1's optimal dual: at row r's starting column, whose
     phase-1 cost is 1 for an artificial and 0 for a slack, y_r = cost1 -
     red1.  It is the rational tableau's value (a uniform row scaling leaves
     the duals as they are), signed back to model row origin[r].
     """
-    _bland_simplex(t, len(t.reds[0]) - 1)  # bounded below by 0, never unbounded
-    red1, den1 = t.reds.pop(0), t.red_den.pop(0)  # its last cell is 0 iff feasible
+    _priced(t, {j: 1 for j in t.start if j >= t.width})
+    _bland_simplex(t, len(t.red) - 1)  # bounded below by 0, never unbounded
+    red1, den1, t.red = t.red, t.red_den, None  # its last cell is 0 iff feasible
     if not red1[-1]:
         return None
     ray = {r: Fraction(sign * ((den1 if j >= t.width else 0) - red1[j]), den1) for j, (r, sign) in zip(t.start, t.origin)}
@@ -500,20 +502,21 @@ def _run_phase1(rows: _Rows, t: _Tableau, y: tuple) -> LpSolution | None:
 
 def _phase1(rows: _Rows, y: tuple) -> _Tableau | LpSolution:
     """Phase 1 of the model with `rows.refs` pinned to the values `y`
-    (`_tableau`, `_run_phase1`).  Returns the tableau, scaled in uniformly,
-    whose one reduced-cost row is phase 2's for the final basis, or, when
+    (`_rhs`, `_tableau`, `_run_phase1`).  Returns the tableau, scaled in
+    uniformly, with no reduced-cost row and phase 2's cost, or, when
     infeasible, the Infeasible answer with its Farkas ray."""
-    t = _tableau(rows, y)
-    if isinstance(t, LpSolution):
-        return t
+    pinned = _rhs(rows, y)
+    if isinstance(pinned, LpSolution):
+        return pinned
+    t = _tableau(rows, *pinned, rows.cost)
     infeasible = _run_phase1(rows, t, y)
     return t if infeasible is None else infeasible
 
 
 def _dual_simplex(t: _Tableau) -> int:
     """Bland's dual simplex (Lemke 1954) from a dual feasible basis: the
-    reduced-cost row `t.reds[0]` nonnegative on every real column, or no
-    cost row at all, so that every basis is dual feasible.
+    reduced-cost row `t.red` nonnegative on every real column, or no cost
+    row at all, so that every basis is dual feasible.
 
     While some row's rhs is negative, the one whose basic column comes first
     leaves, and among the real columns with a negative cell in it the one
@@ -533,9 +536,8 @@ def _dual_simplex(t: _Tableau) -> int:
                 leave = i
         if leave < 0:
             return -1
-        row, enter = t.rows[leave], -1
-        if t.reds:
-            red = t.reds[0]
+        row, enter, red = t.rows[leave], -1, t.red
+        if red is not None:
             for j in range(n):
                 a = row[j]
                 # red_j / -a_j < red_enter / -a_enter, cross-multiplied
@@ -556,7 +558,7 @@ def _drive_out(t: _Tableau) -> None:
     A row with no real column left is dependent: it moves after the others,
     which keep the indices they would have without it, and stays, its
     artificial basic, so that a later right-hand side can be checked
-    against it; its artificial costs zero, so the reduced-cost rows and the
+    against it; its artificial costs zero, so a reduced-cost row and the
     duals are unchanged.  Artificials never enter a basis, so a later call
     finds no artificial basic before the dependent block (`t.dependent`
     rows) and scans only the rows before it.
@@ -575,15 +577,13 @@ def _drive_out(t: _Tableau) -> None:
     t.dependent = len(dependent)
 
 
-def _duals(
-    rows: _Rows, t: _Tableau, red: list[int], den: int, cost_scale: int, objective: Mapping[VarRef, Fraction]
-) -> tuple[Fraction, ...]:
-    """One dual per model row, read off the optimal reduced-cost row `red`
-    (over `den`) of the cost `objective`, which entered times `cost_scale`:
+def _duals(rows: _Rows, t: _Tableau, cost_scale: int, objective: Mapping[VarRef, Fraction]) -> tuple[Fraction, ...]:
+    """One dual per model row, read off t's optimal reduced-cost row of the
+    cost `objective`, which entered times `cost_scale`:
     at row r's starting column, whose cost is zero, u = -red, scaled back to
     the rational model and signed back to model row origin[r]; a merged
     tie's dual prices both of its columns (`_Rows.tie_multipliers`)."""
-    duals = [_ZERO] * len(rows.rows)
+    duals, red, den = [_ZERO] * len(rows.rows), t.red, t.red_den
     for j, (r, sign) in zip(t.start, t.origin):
         duals[r] = Fraction(-sign * red[j] * t.scale, den * cost_scale)
     rows.tie_multipliers(duals, objective)
@@ -591,8 +591,8 @@ def _duals(
 
 
 def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None = None) -> LpSolution | None:
-    """Decide the LP of a tableau whose phase-1 row has retired and whose
-    right-hand side is b(y), through the one pivot routine.
+    """Decide the LP of a tableau past phase 1 whose right-hand side is
+    b(y), through the one pivot routine.
 
     Leftover artificials are driven out first (`_drive_out`).  A dependent
     row with a nonzero rhs, or a row at which the dual simplex stops
@@ -600,8 +600,9 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None 
     read at each row's starting column over the row's denominator, signed
     back to model row origin[r] and negated when the rhs is negative, so
     that it combines the rows into g x >= alpha with g <= 0 on every free
-    column and alpha > 0.  A tableau with no cost row (a projection's) then
-    returns None: the LP is feasible.  Else phase 2 runs, and the answer is
+    column and alpha > 0.  Else a tableau with no cost (a projection's)
+    returns None: the LP is feasible.  Otherwise phase 2 runs, on the kept
+    cost row or on one priced at the feasible basis, and the answer is
     read off the tableau as `solve_lp` describes, its point re-checked
     against `checks` (`_recheck`).  After phase 1 every rhs is nonnegative
     and every dependent rhs zero, so for a fresh tableau this is the
@@ -617,8 +618,10 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None 
         s = 1 if row[-1] > 0 else -1
         ray = {r: Fraction(s * sign * row[j], den) for j, (r, sign) in zip(t.start, t.origin) if row[j]}
         return _infeasible(rows, ray, y)
-    if not t.reds:
-        return None
+    if t.red is None:
+        if t.cost is None:
+            return None
+        _priced(t, t.cost)
     unbounded = _bland_simplex(t, n)
     variables, columns, y = rows.model.variables, rows.columns, tuple(map(Fraction, y))
     point: list = [_ZERO] * len(variables)
@@ -643,7 +646,7 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None 
             if variables[v] in ray:
                 ray[variables[w]] = ray[variables[v]]
         return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), fixed, ray)
-    duals = _duals(rows, t, t.reds[0], t.red_den[0], t.cost_scale, rows.model.objective)
+    duals = _duals(rows, t, t.cost_scale, rows.model.objective)
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, duals, fixed)
 
 
@@ -666,9 +669,9 @@ def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[
     sign_r times model row r with identity column start[r], so that column
     now holds B^-1 e_r over each row's denominator, and the new rhs of row
     i is the integer dot product of row i at the starting columns with the
-    signed b.  The basis, and so its reduced costs, are unchanged: a basis
-    that was optimal stays dual feasible, as every basis is without a cost
-    row, and `_finish` takes it to the answer by the dual simplex, its
+    signed b.  The basis, and so its reduced costs, are unchanged: a kept
+    cost row was optimal and stays dual feasible, as every basis is without
+    one, and `_finish` takes it to the answer by the dual simplex, its
     point re-checked against `checks`.  On a tableau fresh from a feasible
     phase 1, whose rhs already is b, `_finish` is the drive-out and phase
     2 of a cold solve.
@@ -897,12 +900,13 @@ def _root_rows(model: MipModel) -> list[LinearConstraint]:
     return rows
 
 
-def _priced(t: _Tableau, cost: Mapping[int, int]) -> list[int]:
-    """The reduced-cost row, over t.d, of the integer `cost` by column at
-    t's basis: c_j - sum_i c_basis(i) a_ij, each row i brought from its own
-    denominator to t.d, exactly."""
+def _priced(t: _Tableau, cost: Mapping[int, int]) -> None:
+    """Give t the reduced-cost row, over t.d, of the integer `cost` by
+    column at t's basis: c_j - sum_i c_basis(i) a_ij, each row i brought
+    from its own denominator to t.d, exactly.  Every reduced-cost row is
+    written here: phase 1's, phase 2's and each root row's."""
     d = t.d
-    red = [0] * len(t.reds[0])
+    red = [0] * (len(t.rows[0]) if t.rows else t.width + 1)
     for j, c in cost.items():
         red[j] = c * d
     for row, den, j in zip(t.rows, t.den, t.basis):
@@ -911,7 +915,7 @@ def _priced(t: _Tableau, cost: Mapping[int, int]) -> list[int]:
             for k, a in enumerate(row):
                 if a:
                     red[k] -= c * (a * d // den)
-    return red
+    t.red, t.red_den = red, d
 
 
 def _rounded_bound(rows: _Rows, duals: Sequence[Fraction], objective: Mapping[VarRef, Fraction]) -> int:
@@ -930,15 +934,13 @@ def _rounded_bound(rows: _Rows, duals: Sequence[Fraction], objective: Mapping[Va
 def _root_bound(rows: _Rows, t: _Tableau, r: int) -> int:
     """Minimize root row r's beta y (`_root_rows`) over the bounded
     relaxation from t's feasible basis, by the primal simplex on beta's
-    reduced-cost row (`_priced`), the phase-2 row carried along, and return
-    the certified optimum rounded up (`_rounded_bound`).  beta >= 0 on
+    reduced-cost row, priced at that basis (`_priced`), and return the
+    certified optimum rounded up (`_rounded_bound`).  beta >= 0 on
     nonnegative variables, so the LP is bounded."""
     objective = {v: -c for v, c in rows.model.constraints[r].coeffs.items()}
-    t.reds.insert(0, _priced(t, {j: -c // rows.scale for j, c in rows.rows[r][0]}))
-    t.red_den.insert(0, t.d)
+    _priced(t, {j: -c // rows.scale for j, c in rows.rows[r][0]})
     _bland_simplex(t, t.width)
-    red, den = t.reds.pop(0), t.red_den.pop(0)
-    return _rounded_bound(rows, _duals(rows, t, red, den, 1, objective), objective)
+    return _rounded_bound(rows, _duals(rows, t, 1, objective), objective)
 
 
 def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
@@ -952,7 +954,8 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
     it each root row's beta is minimized in turn (`_root_bound`, not a
     node), and the row's rhs set to minus the rounded bound, so that every
     node's LP holds beta y >= ceil(LP bound), which every integral point of
-    the box satisfies.  Phase 2 on the model's cost follows, and its
+    the box satisfies.  Phase 2 on the model's cost follows, its
+    reduced-cost row priced at the basis the root rows' LPs end at, and its
     tableau is kept: every node, the root included, differs from it only in
     the right-hand sides of the root rows, set once, and of the bound rows
     (`_bound_rows`), hi and -lo per integer column, so each is re-solved
@@ -986,6 +989,7 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
         least = _root_bound(rows, t, r)
         name, terms, _, sense, own = fixed_checks[r]
         fixed_b[r], fixed_checks[r] = -least * rows.scale, (name, terms, -least, sense, own)
+    _priced(t, t.cost)
     if _bland_simplex(t, t.width) >= 0:
         # Integer variables are boxed, so the ray lives in continuous
         # variables, and every node, which moves only right-hand sides,
@@ -1122,19 +1126,18 @@ class CapacitySweep:
     holds at y when that bound plus the row's terms on `refs` reaches its
     rhs, one test B y <= A.
 
-    Every LP after the first is re-solved from the tableau of the one
-    before (`_resolve`): the pins move only the right-hand side, so the
-    kept basis stays dual feasible and a Bland dual simplex (Lemke 1954)
-    takes it to the new vector's answer through the same pivot routine,
-    in fewer pivots than phase 1 from scratch.  Without a row, the LP has no cost, every basis is dual feasible, and
-    the sweep keeps the tableau of its first LP, feasible or not.  With a
-    row, the sweep solves cold, both phases, until an LP is Optimal, and
-    keeps that tableau.  A warm answer carries its certificate as a cold
-    one does: an Infeasible answer the ray read off the row that refutes
-    the LP, an Optimal one its point, re-checked (`_recheck`), and its
-    duals.  The kept tableau keeps its dependent rows and checks each new
-    right-hand side against them: phase 1 showed them consistent at its
-    own pins only, and at other pins they may refute the LP.
+    The sweep keeps the tableau of its first LP, feasible or not, and
+    re-solves every later LP from it (`_resolve`): the pins move only the
+    right-hand side, so a Bland dual simplex (Lemke 1954) takes the kept
+    basis to the new vector's answer, in fewer pivots than phase 1 from
+    scratch.  The basis is dual feasible: the tableau has no cost row until
+    an LP with a row is first feasible, and then an optimal one.  A warm
+    answer carries its certificate as a cold one does: an Infeasible answer
+    the ray read off the row that refutes the LP, an Optimal one its point,
+    re-checked (`_recheck`), and its duals.  The kept tableau keeps its
+    dependent rows and checks each new right-hand side against them:
+    phase 1 showed them consistent at its own pins only, and at other pins
+    they may refute the LP.
 
     `learn` checks each certificate by the row it proves (`_proved_row`),
     as `certify` does, before it keeps the test, as coprime integers, so
@@ -1153,7 +1156,7 @@ class CapacitySweep:
         self._rays: dict[tuple[int, tuple[int, ...]], None] = {}
         self._bounds: dict[tuple[int, tuple[int, ...]], None] = {}
         self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
-        self._kept: _Tableau | None = None  # the tableau of the last LP, once it can be re-solved
+        self._kept: _Tableau | None = None  # the first LP's tableau, re-solved at every later vector
         pinned_values(model, dict.fromkeys(refs, 0))  # refs are the model's variables
         self._pinned = frozenset(refs)
         if row is not None:
@@ -1205,27 +1208,17 @@ class CapacitySweep:
         return True
 
     def _solve_at(self, vec: tuple[int, ...]) -> LpSolution | None:
-        """The LP at `vec`, re-solved from the kept tableau when there is
-        one; None when it is feasible and the sweep has no row."""
+        """The LP at `vec`, re-solved from the kept tableau, or the first
+        LP's from scratch; None when it is feasible and the sweep has no row."""
         rows, t = self._rows, self._kept
-        if t is None:
-            t = _tableau(rows, vec)
-            if isinstance(t, LpSolution):
-                return t
-            answer = _run_phase1(rows, t, vec)
-            if self.row is None:
-                t.reds, t.red_den = [], []  # no cost: every basis is dual feasible
-                self._kept = t
-                return answer
-            if answer is not None:
-                return answer
         pinned = _rhs(rows, vec)
         if isinstance(pinned, LpSolution):
             return pinned
-        answer = _resolve(rows, t, vec, pinned[1])
-        if self._kept is None and answer.status is SolveStatus.OPTIMAL:
-            self._kept = t
-        return answer
+        if t is not None:
+            return _resolve(rows, t, vec, pinned[1])
+        self._kept = t = _tableau(rows, *pinned, None if self.row is None else rows.cost)
+        answer = _run_phase1(rows, t, vec)
+        return answer if answer is not None or t.cost is None else _finish(rows, t, vec)
 
     def refutes(self, vec: tuple[int, ...]) -> bool:
         """Whether a kept ray test beta y >= alpha fails at y = vec."""

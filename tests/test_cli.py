@@ -412,6 +412,42 @@ def test_project_with_no_feasible_vector_exits_one(flags, bound, capsys):
     assert capsys.readouterr().out == f"no capacity vector in the box is feasible (bound {bound})\n"
 
 
+_ACROSS = "status: infeasible\nnote: some commodity's endpoints lie in different components; no capacity level can route it\n"
+_CUT_LINES = "cut: 1 x[1>3|1>2] >= 1/2\n"
+
+
+@pytest.mark.parametrize("bound", [[], ["--bound", "1"]], ids=["default-bound", "bound-1"])
+@pytest.mark.parametrize(
+    "command, flags, tail",
+    [
+        (["project"], ["--model", "undirected"], "no capacity vector in the box is feasible (bound 1)\n"),
+        (["verify", "corollary"], [], "instance: no capacity vector in the box is feasible (bound 1)\n"),
+        (["solve"], ["--model", "undirected"], "status: infeasible\nnodes: 1\n"),
+        (
+            ["cut"],
+            ["--side-u", "1", "--commodities", "1>3", "--check"],
+            "directed: no capacity vector in the box is feasible (bound 1)\n",
+        ),
+    ],
+    ids=["project", "verify-corollary", "solve", "cut-check"],
+)
+def test_traffic_across_components_exits_one(tmp_path, capsys, command, flags, tail, bound):
+    """Traffic from 1 to 3 on a network whose edges 1-2 and 3-4 leave them
+    in different components: no capacity routes it, so every command exits
+    1, with or without `--bound`.  Without one, the default bound says why
+    (`capacity_bound` raises), in the one way for every command; with one,
+    the box holds no feasible vector."""
+    path = tmp_path / "apart.json"
+    net = Network(("1", "2", "3", "4"), (("1", "2"), ("3", "4")))
+    save_instance(Instance(net, FacilityMenu((1,)), TrafficMatrix({("1", "3"): Fraction(1, 2)})), path)
+    assert run([*command, str(path), *flags, *bound]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith(tail if bound else _ACROSS)
+    if command == ["cut"]:
+        assert _CUT_LINES in captured.out
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--model", "undirected", "--variant", "equalized"], ["--model", "directed", "--variant", "sideways"]],

@@ -391,7 +391,7 @@ def test_cut_check_counts_cover_the_box():
     one, proved by a dual bound; the counts repeat from run to run."""
     inst, cut = _readme_cut()
     check = check_cut_validity(inst, cut, bound=1)
-    assert (check.points, check.lp_solved, check.ray_refuted, check.bound_proved) == (3000, 27, 1089, 2980)
+    assert (check.points, check.lp_solved, check.ray_refuted, check.bound_proved) == (3000, 24, 1092, 2980)
     rng = random.Random(71)
     checks = []
     while len(checks) < 8:

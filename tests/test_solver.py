@@ -815,36 +815,10 @@ def test_tie_free_models_keep_their_pivots(monkeypatch):
         assert (bidirected.points, bidirected.violations) == (3, ())
 
 
-def test_warm_resolves_match_cold_solves(monkeypatch):
-    """Every LP that a sweep re-solves from its kept tableau (`_resolve`)
-    gets the verdict of a cold solve at the same pins: `_phase1`'s in a
-    projection, and `_solve`'s status and least objective, the least
-    left-hand side less the cut's pinned terms, in a cut check.  Every warm
-    answer certifies.  A cut check's kept tableau stays dual feasible, so
-    once it has been re-solved, phase 2 after the dual simplex never
-    pivots.  Cases: the five readings of each criterion-1 draw, and
-    directed and bidirected checks of valid cut-set rows and of each with
-    its rhs raised by one, which fails somewhere."""
-    warm, seen, phase2 = [], {}, []  # seen holds each tableau, so no id is reused
-    resolve, simplex = solver._resolve, solver._bland_simplex
-
-    def recording(rows, t, y, b, checks=None):
-        priced, again = bool(t.reds), id(t) in seen
-        seen[id(t)] = t
-        phase2.clear()
-        answer = resolve(rows, t, y, b, checks)
-        assert not (priced and again and any(phase2))
-        warm.append((rows, y, priced, answer))
-        return answer
-
-    def pivoting(t, width):
-        basis = list(t.basis)
-        out = simplex(t, width)
-        phase2.append(basis != t.basis)
-        return out
-
-    monkeypatch.setattr(solver, "_resolve", recording)
-    monkeypatch.setattr(solver, "_bland_simplex", pivoting)
+def _sweep_draws():
+    """Run the sweeps of the five readings of each criterion-1 draw, and
+    of directed and bidirected checks of valid cut-set rows (seed 71) and
+    of each with its rhs raised by one, which fails somewhere."""
     for inst, bound, (averaged, doubled) in _criterion_1_draws(30):
         original = build_for_feasibility(inst, ModelKind.UNDIRECTED)
         for model in (original, averaged, add_flow_symmetry(averaged), doubled, add_flow_symmetry(doubled)):
@@ -861,6 +835,36 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
             assert check_cut_validity(inst, row, kind=kind).valid
             raised_fail += not check_cut_validity(inst, replace(row, rhs=row.rhs + 1), kind=kind).valid
 
+
+def test_warm_resolves_match_cold_solves(monkeypatch):
+    """Every LP that a sweep re-solves from its kept tableau (`_resolve`)
+    gets the verdict of a cold solve at the same pins: `_phase1`'s in a
+    projection, and `_solve`'s status and least objective, the least
+    left-hand side less the cut's pinned terms, in a cut check.  Every warm
+    answer certifies.  A kept cost row stays dual feasible, so once a cost
+    row is kept, phase 2 after the dual simplex never pivots.  Cases: the
+    sweeps of `_sweep_draws`."""
+    warm, phase2 = [], []
+    resolve, simplex = solver._resolve, solver._bland_simplex
+
+    def recording(rows, t, y, b, checks=None):
+        priced, kept = t.cost is not None, t.red is not None
+        phase2.clear()
+        answer = resolve(rows, t, y, b, checks)
+        assert not (kept and any(phase2))
+        warm.append((rows, y, priced, answer))
+        return answer
+
+    def pivoting(t, width):
+        basis = list(t.basis)
+        out = simplex(t, width)
+        phase2.append(basis != t.basis)
+        return out
+
+    monkeypatch.setattr(solver, "_resolve", recording)
+    monkeypatch.setattr(solver, "_bland_simplex", pivoting)
+    _sweep_draws()
+
     verdicts = {False: set(), True: set()}
     for rows, y, priced, answer in warm:
         if priced:
@@ -873,6 +877,39 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
             verdicts[False].add(feasible_cold)
         assert answer is None or certify(rows.model, answer)
     assert verdicts == {False: {True, False}, True: {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}}
+
+
+def test_every_sweep_builds_one_tableau(monkeypatch):
+    """A sweep keeps the tableau of its first LP, feasible or not, and
+    re-solves every later LP from it: each sweep of `_sweep_draws` that
+    solves an LP calls `_tableau` exactly once, a projection and a cut
+    check alike.  Some cut checks keep a tableau whose first LP was
+    infeasible and re-solve it to an optimum."""
+    sweeps, built = {}, []
+    solve_at, tableau = CapacitySweep._solve_at, solver._tableau
+
+    def solving(sweep, vec):
+        before = len(built)
+        answer = solve_at(sweep, vec)
+        sweeps.setdefault(sweep, []).append((len(built) - before, answer and answer.status))  # (tableaux, status)
+        return answer
+
+    def building(*args):
+        built.append(None)
+        return tableau(*args)
+
+    monkeypatch.setattr(CapacitySweep, "_solve_at", solving)
+    monkeypatch.setattr(solver, "_tableau", building)
+    _sweep_draws()
+    solved = {sweep: lps for sweep, lps in sweeps.items() if any(n for n, _ in lps)}
+    assert {sweep.row is None for sweep in solved} == {True, False}
+    assert all(sum(n for n, _ in lps) == 1 for lps in solved.values())
+    assert any(
+        next(status for n, status in lps if n) is SolveStatus.INFEASIBLE
+        and SolveStatus.OPTIMAL in [status for _, status in lps]
+        for sweep, lps in solved.items()
+        if sweep.row is not None
+    )
 
 
 def test_kept_tableau_refutes_through_a_dependent_row():
@@ -890,7 +927,7 @@ def test_kept_tableau_refutes_through_a_dependent_row():
     for priced in (True, False):
         t = _phase1(rows, pins[0])
         if not priced:
-            t.reds, t.red_den = [], []
+            t.cost = None
         for y in pins:
             answer, cold = solver._resolve(rows, t, y, solver._rhs(rows, y)[1]), _solve(rows, y)
             assert len(t.rows) == 2 and t.basis[-1] >= t.width and t.dependent == 1  # the dependent row stays
@@ -1189,8 +1226,8 @@ def test_root_row_duals_that_prove_nothing_raise(monkeypatch):
             solver._rounded_bound(rows, flipped, beta)
     inner = solver._duals
 
-    def doubled(rows, t, red, den, cost_scale, objective):
-        duals = inner(rows, t, red, den, cost_scale, objective)
+    def doubled(rows, t, cost_scale, objective):
+        duals = inner(rows, t, cost_scale, objective)
         return duals if objective is rows.model.objective else tuple(2 * u for u in duals)
 
     monkeypatch.setattr(solver, "_duals", doubled)
@@ -1699,7 +1736,7 @@ def test_solve_lp_refuses_a_point_that_breaks_a_row(monkeypatch):
     def shifted(by):
         def wrong(t, width):
             out = simplex(t, width)
-            if len(t.reds) == 1:  # phase 2: move every basic variable by `by`
+            if width == t.width:  # phase 2, no artificial may enter: move every basic variable by `by`
                 for i, b in enumerate(t.basis):
                     if b < len(model.variables):
                         t.rows[i][-1] += by * t.den[i]
