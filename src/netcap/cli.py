@@ -257,6 +257,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for label, traffic, nodes in traffics:
             rep = verify_triangle_remark(traffic, args.bound, nodes)
             print(f"{label}: {rep.describe()}")
+            empty += rep.passed and not rep.minimal_count
             total += 1
             failures += 0 if rep.passed else 1
     if failures:

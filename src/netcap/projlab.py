@@ -107,8 +107,8 @@ def project(model: MipModel, bound: int) -> ProjectionSet:
 
     Enumerates the box in graded order and decides each vector with one
     `CapacitySweep`: by dominance over the minimal vectors found so far, by
-    a kept Farkas ray, or by phase 1 of the flow LP with its capacities
-    pinned.  Dominance keeps the LPs near the boundary of the feasible set,
+    a kept Farkas ray, or by the flow LP with its capacities pinned, solved
+    with no cost up to its first feasible basis.  Dominance keeps the LPs near the boundary of the feasible set,
     and the kept rays keep them off most vectors below it.
     """
     refs = capacity_box(model, bound)
@@ -256,19 +256,25 @@ def triangle_bidirected_projection(
 
 @dataclass(frozen=True)
 class TriangleReport:
-    """Closed form vs. LP enumeration on a triangle, plus the symmetric checks."""
+    """Closed form vs. LP enumeration on a triangle, plus the symmetric
+    checks; `minimal_count` counts the bidirected projection's minimal
+    vectors in the box."""
 
     bound: int
     points: int
     mismatches: tuple[tuple[int, ...], ...]
     ceiling_ok: bool
     halves_equal: bool
+    minimal_count: int
 
     @property
     def passed(self) -> bool:
         return not self.mismatches and self.ceiling_ok and self.halves_equal
 
     def describe(self) -> str:
+        """The line `netcap verify triangle` prints for this report."""
+        if self.passed and not self.minimal_count:  # the checks agree over nothing
+            return no_feasible_vector(self.bound)
         if self.passed:
             return (
                 f"closed form agrees with LP membership on {self.points} vectors; "
@@ -333,4 +339,5 @@ def verify_triangle_remark(
         mismatches=tuple(mismatches),
         ceiling_ok=ceiling_ok,
         halves_equal=halves_equal,
+        minimal_count=len(proj.minimal),
     )

@@ -1,83 +1,88 @@
 """Exact rational LP and MIP solving.
 
-Two-phase primal simplex, and a dual simplex for re-solves, with Bland's
-rule for both the entering and leaving choices, so no cycling and no
-tolerances.  The tableau is
+Every LP takes one path: the `=` rows' artificials are driven out of the
+basis, a dual simplex with no cost row (so that every basis is dual
+feasible) reaches a feasible basis or a row that refutes the LP, and the
+primal simplex (phase 2) follows on a reduced-cost row priced at that
+basis.  Both simplex methods use Bland's rule for the entering and the
+leaving choice, so there is no cycling and no tolerance.  The tableau is
 integer-preserving (Edmonds 1967; Bareiss 1968): each row is an integer
 vector over its own denominator, the absolute basis determinant at the
 last pivot that touched it.  A pivot leaves alone every row whose cell in
 the entering column is zero, brings only the pivot row to the current
-determinant, and divides exactly; every comparison is an integer sign test
-or a cross-multiplication of two cells of one row.  The LP enters scaled
-uniformly: free-column coefficients and rhs by one lcm, the cost by its
-own, slacks and artificials left at +-1.  That is a positive change of
-variables, so the pivots are the rational tableau's, whatever the lcm.
-Scaling row by row would re-weight the phase-1 artificials and so change
-the pivots.  In the simplex, `Fraction` appears only where values and
-duals are read out.  A model's rows are turned into integers once for the
-variables every solve pins (`_Rows`): a capacity sweep pins the same
-capacities at each vector of its box, and branch and bound pins nothing
-and adds a pair of bound rows per integer column.  Per solve, the
-pinned terms move to the right-hand side by one integer dot product per
-row, rows left constant are checked there, and rows with a negative rhs
-are negated; no reduced model or standard form is built.  Ties merge
-there too, a classical presolve step (Andersen and Andersen 1995): an `=`
-row a v - a w = 0 of two free variables, such as a mirror-flow `sym[...]`
-row, or an `eq[...]` row when nothing is pinned, puts w's terms and cost
-on v's column and leaves the row 0 = 0, so the tableau carries neither
-the row nor w.  Each answer is postsolved onto the model's own rows: w
-takes v's value, and its entry in an unbounded ray, and the tie row the
-multiplier under which both columns price (duals) or both keep a
-nonpositive coefficient (a ray).  Phase 1, the drive-out of leftover
-artificials, the dual simplex and phase 2 share one pivot routine.  A
-tableau carries only the reduced-cost row of the LP it is solving, priced
-at the basis where that LP starts (`_priced`).  The point a solve returns is re-checked against every model row in
+determinant, and divides exactly; every comparison is an integer sign
+test or a cross-multiplication of two cells of one row.  The LP enters
+scaled uniformly: free-column coefficients and rhs by one lcm, the cost by
+its own, slacks and artificials left at +-1.  That is a positive change of
+variables, so the pivots are the rational tableau's, whatever the lcm.  In
+the simplex, `Fraction` appears only where values and duals are read out.
+
+A model's rows are turned into integers once for the variables every
+solve pins (`_Rows`): a capacity sweep pins the same capacities at each
+vector of its box, and branch and bound pins nothing and adds a pair of
+bound rows per integer column.  Per solve, the pinned terms move to the
+right-hand side by one integer dot product per row, and rows left
+constant are checked there; no reduced model or standard form is built.
+A row's sign in the tableau comes from its sense alone, and the rows come
+in a canonical order, so the tableau's layout depends on neither the pins
+nor the order of the model's rows.  Ties merge there too, a classical
+presolve step (Andersen and Andersen 1995): an `=` row a v - a w = 0 of
+two free variables, such as a mirror-flow `sym[...]` row, or an `eq[...]`
+row when nothing is pinned, puts w's terms and cost on v's column and
+leaves the row 0 = 0, so the tableau carries neither the row nor w.  Each
+answer is postsolved onto the model's own rows: w takes v's value, and
+its entry in an unbounded ray, and the tie row the multiplier under which
+both columns price (duals) or both keep a nonpositive coefficient (a
+ray).  A tableau carries only the reduced-cost row of the LP it is
+solving, priced at the basis where that LP reaches phase 2 (`_priced`).
+
+The point a solve returns is re-checked against every model row in
 integers, each row scaled from the model's own coefficients rather than
 read off the tableau (`_recheck`).  Every answer carries a certificate in
 the model's own terms, and one check, `certify`, reads it against the
 model's rows alone, without any of the simplex: an Optimal answer carries
 one dual per model row, read off its final reduced-cost row and signed
-back to the row as written; an Infeasible one a Farkas ray, one multiplier
-per model row read off the final phase-1 row, or off the row of B^-1 that
-refutes a re-solve; an Unbounded one a feasible
-point and a direction of unbounded descent read off the column that
-entered with no row to leave.  The duals and the ray each combine the
-model's rows into one row g x >= alpha that every point satisfies
-(`_proved_row`).  A capacity sweep (`CapacitySweep`) pins the same
-variables at every vector of a box and keeps the rows it meets: a Farkas
-ray found with the capacities pinned is a capacity-only inequality valid
-at every capacity vector, and the duals of an Optimal answer bound the
-objective from below at every feasible one (weak duality).  Each is
-checked before it is kept, so the sweep refutes a vector, or proves a
-`>=` row at a vector known to be feasible, with one integer dot product
-instead of an LP.  The sweep also keeps the tableau of its first LP,
-feasible or not: the pins move only the right-hand side, so every later
-vector is re-solved from it (`_resolve`), the rhs refreshed as B^-1 b(y)
-from the kept starting columns and a Bland dual simplex (Lemke 1954)
-restoring feasibility, exactly, as Applegate, Cook, Dash and Espinoza
-(2007) re-solve exact LPs from a kept basis: until an LP is feasible the
-tableau has no cost row, and an optimal basis stays dual feasible.
-Integer models are solved by
-depth-first branch and bound on the first fractional integer variable in
-model order, pruning on exact bound comparisons, the bound rounded up to
-the objective's step when every term is integral.  A node is a right-hand
-side too: the bounded model carries v <= bound and -v <= 0 per integer
-column, a node sets only those rows' rhs to hi and -lo, and after one cold
-root solve every node is re-solved from the root's kept tableau by the
+back to the row as written; an Infeasible one a Farkas ray, one
+multiplier per model row read off the row of B^-1 that refutes the LP,
+or off a failed constant row; an Unbounded one a feasible point and a
+direction of unbounded descent read off the column that entered with no
+row to leave.  The duals and the ray each combine the model's rows into
+one row g x >= alpha that every point satisfies (`_proved_row`).
+
+A capacity sweep (`CapacitySweep`) pins the same variables at every
+vector of a box and keeps the rows it meets: a Farkas ray found with the
+capacities pinned is a capacity-only inequality valid at every capacity
+vector, and the duals of an Optimal answer bound the objective from below
+at every feasible one (weak duality).  Each is checked before it is kept,
+so the sweep refutes a vector, or proves a `>=` row at a vector known to
+be feasible, with one integer dot product instead of an LP.  The sweep
+builds one tableau and solves every vector's LP on it (`_resolve`): the
+pins move only the right-hand side, refreshed as B^-1 b(y) from the kept
+starting columns, and the Bland dual simplex (Lemke 1954) restores
+feasibility, exactly, as Applegate, Cook, Dash and Espinoza (2007)
+re-solve exact LPs from a kept basis: until an LP is feasible the tableau
+has no cost row, and an optimal basis stays dual feasible.
+
+Integer models are solved by depth-first branch and bound on the first
+fractional integer variable in model order, pruning on exact bound
+comparisons, the bound rounded up to the objective's step when every term
+is integral.  A node is a right-hand side too: the bounded model carries
+v <= bound and -v <= 0 per integer column, a node sets only those rows'
+rhs to hi and -lo, and every node is solved on the root's tableau by the
 same `_resolve`, within the exact branch and bound of Cook, Koch, Steffy
 and Wolter (2013).  Its point is re-checked against the rows with the
 node's bounds.  On networks of at most six nodes the bounded model also
 carries the paper's cut-set rows, beta y >= r per node set S, beta the
-capacity crossing S, in every reading alike: each enters vacuous, a
-slack row that phase 1 leaves alone, and r is its LP bound on beta, its
-duals checked by `_proved_row`, rounded up (Chvatal-Gomory), so every
-integral point meets it (Bienstock and Gunluk 1996; Achterberg and Raack
-2010).  A warm node can stop at another vertex of a tied optimum, so
-`solve_mip` returns a canonical optimum, which depends on the model
-alone: the lexicographically least optimal integer vector, found through
+capacity crossing S, in every reading alike: each enters vacuous, as the
+slack row -beta y <= 0, and r is its LP bound on beta, its duals checked
+by `_proved_row`, rounded up (Chvatal-Gomory), so every integral point
+meets it (Bienstock and Gunluk 1996; Achterberg and Raack 2010).  A node
+can stop at another vertex of a tied optimum, so `solve_mip` returns a
+canonical optimum, which depends on the model alone: the
+lexicographically least optimal integer vector, found through
 lexicographic weights in the objective, with the flows of a cold
-`solve_lp` at it.  Sized for desk-scale models (a few hundred
-variables), which is all this package needs.
+`solve_lp` at it.  Sized for desk-scale models (a few hundred variables),
+which is all this package needs.
 """
 
 from __future__ import annotations
@@ -145,10 +150,11 @@ class _Tableau:
     """Row i of `rows` (rhs last) holds `den[i]` times its values; `red`,
     the reduced-cost row of the LP being solved or None, holds `red_den`
     times its own.  Each denominator is the absolute basis determinant at
-    the last pivot that touched its row, and `d` is the current one.  Row r started with identity column `start[r]` and is
-    model row `origin[r][0]` times the sign `origin[r][1]`; columns from
-    `width` on are artificial.  The rows were scaled in by `scale`, and
-    phase 2's `cost` by `cost_scale`; None asks feasibility alone.  The last
+    the last pivot that touched its row, and `d` is the current one.  Row
+    r started with identity column `start[r]` and is model row
+    `origin[r][0]` times the sign `origin[r][1]`; columns from `width` on
+    are the `=` rows' artificials.  The rows were scaled in by `scale`, and
+    `cost` by `cost_scale`; None asks feasibility alone.  The last
     `dependent` rows are the dependent ones that the drive-out left."""
 
     __slots__ = (
@@ -214,18 +220,18 @@ def _pivot(t: _Tableau, leave: int, enter: int) -> None:
     t.basis[leave] = enter
 
 
-def _bland_simplex(t: _Tableau, width: int) -> int:
+def _bland_simplex(t: _Tableau) -> int:
     """Run simplex to completion on the reduced-cost row `t.red` (minimization).
 
-    Columns at index >= width are blocked from entering.  Returns -1 at an
-    optimum, or the entering column whose ratio test found no row when the
-    cost is unbounded below.  Only signs and cross-multiplied ratios are
-    compared, and each ratio divides two cells of one row, so it does not
-    depend on the row's denominator.
+    Artificial columns never enter.  Returns -1 at an optimum, or the
+    entering column whose ratio test found no row when the cost is
+    unbounded below.  Only signs and cross-multiplied ratios are compared,
+    and each ratio divides two cells of one row, so it does not depend on
+    the row's denominator.
     """
     while True:
         red = t.red
-        enter = next((j for j in range(width) if red[j] < 0), -1)
+        enter = next((j for j in range(t.width) if red[j] < 0), -1)
         if enter < 0:
             return -1
         leave, best_b, best_a = -1, 0, 1
@@ -240,7 +246,6 @@ def _bland_simplex(t: _Tableau, width: int) -> int:
         _pivot(t, leave, enter)
 
 
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 # A row as `_Rows.check` states it: (name, terms by variable position, rhs,
 # sense, lcm), the coefficients and rhs times the lcm of their denominators.
 _Check = tuple[str, list[tuple[int, int]], int, str, int]
@@ -267,16 +272,17 @@ class _Rows:
     `cost_scale`, by column, its zero terms left out.
 
     A tie, an `=` row a v - a w = 0 of two free variables, merges w into v,
-    the earlier of the two in model order, when neither is merged already:
-    `slot[w]` is v's column, so w's coefficients in every row and its cost
-    add onto v's column, and the tie row itself becomes the constant row 0
-    = 0 (an integer mark needs nothing: w's value is v's, and the column
-    has one pair of bound rows, not one per variable).  A tie with a
-    pinned side and a tie that shares a column with an earlier merge stay
-    rows.  `ties` lists each merge as (tie row, v's position, w's position,
-    a, v's other terms as (row, coefficient)), for the postsolve: w takes
-    v's value and its entry in an unbounded ray, and the tie row the
-    multiplier `tie_multipliers` gives it.
+    the earlier of the two in model order, when neither is merged already,
+    ties taken in the canonical row order (`_canonical`): `slot[w]` is v's
+    column, so w's coefficients in every row and its cost add onto v's
+    column, and the tie row itself becomes the constant row 0 = 0 (an
+    integer mark needs nothing: w's value is v's, and the column has one
+    pair of bound rows, not one per variable).  A tie with a pinned side
+    and a tie that shares a column with an earlier merge stay rows.
+    `ties` lists each merge as (tie row, v's position, w's position, a, v's
+    other terms as (row, coefficient)), for the postsolve: w takes v's
+    value and its entry in an unbounded ray, and the tie row the multiplier
+    `tie_multipliers` gives it.
     """
 
     __slots__ = (
@@ -316,11 +322,12 @@ class _Rows:
         self.cost = {j: c for j, c in enumerate(scaled) if c}
 
     def _merges(self) -> list[tuple[int, int, int, Fraction]]:
-        """The merges (tie row, v's position, w's position, a), in row
-        order: each tie of two free variables that no earlier merge
-        touches."""
+        """The merges (tie row, v's position, w's position, a), in the
+        canonical row order (`_canonical`): each tie of two free variables
+        that no earlier merge touches."""
         merges, merged, slot, constraints = [], set(), self.slot, self.model.constraints
-        for r, (_, terms, rhs, sense, _) in enumerate(self.checks):
+        for r in _canonical(self.checks):
+            _, terms, rhs, sense, _ = self.checks[r]
             if len(terms) != 2 or sense != "=" or rhs:
                 continue
             (i, a), (k, b) = terms
@@ -387,6 +394,13 @@ class _Rows:
         return con.name, [(self.position[v], c) for v, c in zip(con.coeffs, coeffs)], rhs, con.sense, own
 
 
+def _canonical(checks: Sequence[_Check]) -> list[int]:
+    """The rows' indices in one canonical order, sorted by their checks
+    (name, terms, rhs, sense), so that what is read in it does not depend
+    on the order of the model's rows."""
+    return sorted(range(len(checks)), key=lambda r: checks[r][:4])
+
+
 def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """The lcm of the values' denominators, and each value times it: the
     values as integers over one positive denominator."""
@@ -440,77 +454,44 @@ def _rhs(rows: _Rows, y: tuple) -> tuple[int, list[int]] | LpSolution:
     return q, b
 
 
-def _tableau(rows: _Rows, q: int, b: list[int], cost: Mapping[int, int] | None) -> _Tableau:
-    """The starting tableau of the model at the right-hand side `b`, one
-    integer per model row times the lcm q of the pinned values'
-    denominators (`_rhs`), for phase 2's `cost` (`_Tableau`).
+def _tableau(rows: _Rows, q: int, cost: Mapping[int, int] | None) -> _Tableau:
+    """The starting tableau of the model for pinned values whose
+    denominators have the lcm q (`_rhs`), for `cost` (`_Tableau`), with a
+    zero right-hand side, which `_resolve` sets.
 
     Every row is scaled by q, and the tableau by `rows.scale` times q.
-    Constant rows are left out, and a row with a negative right-hand side
-    is negated.  Columns are `rows.columns`, then a slack per inequality
-    row, then an artificial per `=` or `>=` row, each in row order; the
-    artificial columns stay, so B^-1 stays readable at each row's starting
-    column.  No reduced-cost row is built: phase 1 prices its own.
+    Constant rows are left out, and the others come in the canonical order
+    (`_canonical`), so that no answer depends on the order of the model's
+    rows.  A row's sign comes from its sense alone: a `>=` row enters
+    negated, so every inequality starts on a +1 slack, and only the `=`
+    rows carry artificials.  Columns are `rows.columns`, then a slack per
+    inequality row, then an artificial per `=` row, each in tableau row
+    order; the artificial columns stay, so B^-1 stays readable at each
+    row's starting column.  No reduced-cost row is built: an LP prices its
+    own once its basis is feasible (`_finish`).
     """
-    kept = []  # (model row, sign, free terms, rhs, sense), rhs >= 0
-    for r, ((free, _, _, sense), br) in enumerate(zip(rows.rows, b)):
-        if free:
-            kept.append((r, -1, free, -br, _FLIP[sense]) if br < 0 else (r, 1, free, br, sense))
+    kept = [r for r in _canonical(rows.checks) if rows.rows[r][0]]
+    equal = sum(rows.rows[r][3] == "=" for r in kept)
     slack = len(rows.columns)
-    art = width = slack + sum(sense != "=" for *_, sense in kept)
-    total = width + sum(sense != "<=" for *_, sense in kept)
+    art = width = slack + len(kept) - equal
     table: list[list[int]] = []
     start: list[int] = []
-    for _, sign, free, br, sense in kept:
-        row = [0] * (total + 1)
-        unit = sign * q
+    origin: list[tuple[int, int]] = []
+    for r in kept:
+        free, _, _, sense = rows.rows[r]
+        sign = -1 if sense == ">=" else 1
+        row = [0] * (width + equal + 1)
         for j, c in free:
-            row[j] = unit * c
-        row[-1] = br
-        if sense != "=":
-            row[slack] = 1 if sense == "<=" else -1
-            slack += 1
-        if sense == "<=":
-            start.append(slack - 1)
+            row[j] = sign * q * c
+        if sense == "=":
+            j, art = art, art + 1
         else:
-            row[art] = 1
-            start.append(art)
-            art += 1
+            j, slack = slack, slack + 1
+        row[j] = 1
         table.append(row)
-    origin = [(r, sign) for r, sign, *_ in kept]
+        start.append(j)
+        origin.append((r, sign))
     return _Tableau(table, start, origin, width, rows.scale * q, cost, rows.cost_scale)
-
-
-def _run_phase1(rows: _Rows, t: _Tableau, y: tuple) -> LpSolution | None:
-    """Run phase 1, cost 1 on each artificial, on a fresh tableau, then
-    retire its row: None when the LP is feasible, else the Infeasible
-    answer with its Farkas ray.
-
-    The ray is phase 1's optimal dual: at row r's starting column, whose
-    phase-1 cost is 1 for an artificial and 0 for a slack, y_r = cost1 -
-    red1.  It is the rational tableau's value (a uniform row scaling leaves
-    the duals as they are), signed back to model row origin[r].
-    """
-    _priced(t, {j: 1 for j in t.start if j >= t.width})
-    _bland_simplex(t, len(t.red) - 1)  # bounded below by 0, never unbounded
-    red1, den1, t.red = t.red, t.red_den, None  # its last cell is 0 iff feasible
-    if not red1[-1]:
-        return None
-    ray = {r: Fraction(sign * ((den1 if j >= t.width else 0) - red1[j]), den1) for j, (r, sign) in zip(t.start, t.origin)}
-    return _infeasible(rows, ray, y)
-
-
-def _phase1(rows: _Rows, y: tuple) -> _Tableau | LpSolution:
-    """Phase 1 of the model with `rows.refs` pinned to the values `y`
-    (`_rhs`, `_tableau`, `_run_phase1`).  Returns the tableau, scaled in
-    uniformly, with no reduced-cost row and phase 2's cost, or, when
-    infeasible, the Infeasible answer with its Farkas ray."""
-    pinned = _rhs(rows, y)
-    if isinstance(pinned, LpSolution):
-        return pinned
-    t = _tableau(rows, *pinned, rows.cost)
-    infeasible = _run_phase1(rows, t, y)
-    return t if infeasible is None else infeasible
 
 
 def _dual_simplex(t: _Tableau) -> int:
@@ -551,15 +532,13 @@ def _dual_simplex(t: _Tableau) -> int:
 
 
 def _drive_out(t: _Tableau) -> None:
-    """Drive the artificials still basic after phase 1 out of the basis,
-    each on the first real column with a nonzero cell in its row, through
-    the one pivot routine.
+    """Drive each `=` row's artificial out of the basis, on the first real
+    column with a nonzero cell in its row, through the one pivot routine.
 
     A row with no real column left is dependent: it moves after the others,
     which keep the indices they would have without it, and stays, its
     artificial basic, so that a later right-hand side can be checked
-    against it; its artificial costs zero, so a reduced-cost row and the
-    duals are unchanged.  Artificials never enter a basis, so a later call
+    against it.  Artificials never enter a basis, so a later call
     finds no artificial basic before the dependent block (`t.dependent`
     rows) and scans only the rows before it.
     """
@@ -591,25 +570,26 @@ def _duals(rows: _Rows, t: _Tableau, cost_scale: int, objective: Mapping[VarRef,
 
 
 def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None = None) -> LpSolution | None:
-    """Decide the LP of a tableau past phase 1 whose right-hand side is
-    b(y), through the one pivot routine.
+    """Decide the LP of a tableau whose right-hand side is b(y), through
+    the one pivot routine: the one path of every LP, on a fresh tableau or
+    on a kept one.
 
-    Leftover artificials are driven out first (`_drive_out`).  A dependent
-    row with a nonzero rhs, or a row at which the dual simplex stops
-    (`_dual_simplex`), refutes the LP: its Farkas ray is the row of B^-1,
-    read at each row's starting column over the row's denominator, signed
-    back to model row origin[r] and negated when the rhs is negative, so
-    that it combines the rows into g x >= alpha with g <= 0 on every free
-    column and alpha > 0.  Else a tableau with no cost (a projection's)
-    returns None: the LP is feasible.  Otherwise phase 2 runs, on the kept
-    cost row or on one priced at the feasible basis, and the answer is
-    read off the tableau as `solve_lp` describes, its point re-checked
-    against `checks` (`_recheck`).  After phase 1 every rhs is nonnegative
-    and every dependent rhs zero, so for a fresh tableau this is the
-    drive-out and phase 2 alone.
+    Each `=` row's artificial is driven out first (`_drive_out`; a kept
+    tableau has none left to drive).  A dependent row with a nonzero rhs,
+    or a row at which the dual simplex stops (`_dual_simplex`), refutes the
+    LP: its Farkas ray is the row of B^-1, read at each row's starting
+    column over the row's denominator, signed back to model row origin[r]
+    and negated when the rhs is negative, so that it combines the rows
+    into g x >= alpha with g <= 0 on every free column and alpha > 0.  The
+    dual simplex runs on a kept optimal cost row, or on none, so that
+    every basis is dual feasible.  Else a tableau with no cost (a
+    projection's) returns None: the LP is feasible.  Otherwise phase 2
+    runs, on the kept cost row or on one priced at the feasible basis, and
+    the answer is read off the tableau as `solve_lp` describes, its point
+    re-checked against `checks` (`_recheck`).
     """
     _drive_out(t)
-    n, first = t.width, len(t.rows) - t.dependent
+    first = len(t.rows) - t.dependent
     leave = next((i for i in range(first, len(t.rows)) if t.rows[i][-1]), -1)
     if leave < 0:
         leave = _dual_simplex(t)
@@ -622,7 +602,7 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None 
         if t.cost is None:
             return None
         _priced(t, t.cost)
-    unbounded = _bland_simplex(t, n)
+    unbounded = _bland_simplex(t)
     variables, columns, y = rows.model.variables, rows.columns, tuple(map(Fraction, y))
     point: list = [_ZERO] * len(variables)
     for k, i in enumerate(rows.slot):
@@ -650,20 +630,25 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None 
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, duals, fixed)
 
 
-def _solve(rows: _Rows, y: tuple) -> LpSolution:
-    """Both phases of the model with `rows.refs` pinned to `y`, from a fresh
-    tableau; see `solve_lp`."""
-    t = _phase1(rows, y)
-    return t if isinstance(t, LpSolution) else _finish(rows, t, y)
+def _solve(rows: _Rows, y: tuple, priced: bool = True) -> LpSolution | None:
+    """The LP of the model with `rows.refs` pinned to `y`, from a fresh
+    tableau (`_rhs`, `_tableau`, `_resolve`); see `solve_lp`.  Unless
+    `priced`, it has no cost, and a feasible LP returns None."""
+    pinned = _rhs(rows, y)
+    if isinstance(pinned, LpSolution):
+        return pinned
+    q, b = pinned
+    return _resolve(rows, _tableau(rows, q, rows.cost if priced else None), y, b)
 
 
 def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[_Check] | None = None) -> LpSolution | None:
-    """Re-solve a kept tableau of `rows` at the right-hand side `b`, one
-    integer per model row over the tableau's scale, with `rows.refs` pinned
-    to `y`: the one routine for a capacity sweep's LPs, whose b is b(y)
-    (`_rhs`), and for every branch-and-bound node, whose b differs from the
-    root's in its bound rows alone (Applegate, Cook, Dash and Espinoza 2007
-    re-solve exact LPs from a kept basis the same way).
+    """Solve a tableau of `rows`, fresh or kept, at the right-hand side
+    `b`, one integer per model row over the tableau's scale, with
+    `rows.refs` pinned to `y`: the one routine for every LP, a cold one
+    (`_solve`), a capacity sweep's, whose b is b(y) (`_rhs`), and every
+    branch-and-bound node's, whose b differs from the root's in its bound
+    rows alone (Applegate, Cook, Dash and Espinoza 2007 re-solve exact LPs
+    from a kept basis the same way).
 
     Each row's rhs becomes B^-1 b: row r of the kept tableau started as
     sign_r times model row r with identity column start[r], so that column
@@ -672,9 +657,8 @@ def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[
     signed b.  The basis, and so its reduced costs, are unchanged: a kept
     cost row was optimal and stays dual feasible, as every basis is without
     one, and `_finish` takes it to the answer by the dual simplex, its
-    point re-checked against `checks`.  On a tableau fresh from a feasible
-    phase 1, whose rhs already is b, `_finish` is the drive-out and phase
-    2 of a cold solve.
+    point re-checked against `checks`.  On a fresh tableau B^-1 is the
+    identity, so each row's rhs is its own signed b.
     """
     signed = [(j, sign * b[r]) for j, (r, sign) in zip(t.start, t.origin) if b[r]]
     for row in t.rows:
@@ -690,15 +674,16 @@ def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIX
     Optimal points include the pinned values, count them in the objective,
     and are re-checked in integers against every original constraint
     before being returned (`_recheck`).  The duals are read off the final
-    phase-2 reduced-cost row at each row's starting column, whose phase-2
-    cost is zero: u = -red[start[r]], scaled back to the rational model and
-    signed back to model row origin[r]; a merged tie's dual is the one that
-    prices both of its columns (`_Rows.tie_multipliers`).  An Infeasible
-    answer carries phase 1's Farkas ray (see _phase1).  An Unbounded one
-    carries the last basic point, checked like an optimum, and the ray
-    along the column that entered with no row to leave: that column rises
-    by one and each basic variable falls by its cell in it; a merged
-    variable moves with the column it merged into.
+    reduced-cost row at each row's starting column, whose cost is zero: u
+    = -red[start[r]], scaled back to the rational model and signed back to
+    model row origin[r]; a merged tie's dual is the one that prices both
+    of its columns (`_Rows.tie_multipliers`).  An Infeasible answer carries
+    the Farkas ray read off one row of B^-1 (`_finish`), or off a failed
+    constant row (`_rhs`).  An Unbounded one carries the last basic point,
+    checked like an optimum, and the ray along the column that entered
+    with no row to leave: that column rises by one and each basic variable
+    falls by its cell in it; a merged variable moves with the column it
+    merged into.
     """
     pinned = pinned_values(model, fixed)
     if any(v not in pinned for v in model.integer):
@@ -709,9 +694,10 @@ def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIX
 
 
 def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> bool:
-    """Phase-1 feasibility of the continuous relaxation, `fixed` variables pinned."""
+    """Feasibility of the continuous relaxation, `fixed` variables pinned:
+    `solve_lp`'s path with no cost, which stops at the first feasible basis."""
     pinned = pinned_values(model, fixed)
-    return isinstance(_phase1(_Rows(model, tuple(pinned)), tuple(pinned.values())), _Tableau)
+    return _solve(_Rows(model, tuple(pinned)), tuple(pinned.values()), priced=False) is None
 
 
 def _proved_row(
@@ -904,7 +890,7 @@ def _priced(t: _Tableau, cost: Mapping[int, int]) -> None:
     """Give t the reduced-cost row, over t.d, of the integer `cost` by
     column at t's basis: c_j - sum_i c_basis(i) a_ij, each row i brought
     from its own denominator to t.d, exactly.  Every reduced-cost row is
-    written here: phase 1's, phase 2's and each root row's."""
+    written here: phase 2's and each root row's."""
     d = t.d
     red = [0] * (len(t.rows[0]) if t.rows else t.width + 1)
     for j, c in cost.items():
@@ -939,7 +925,7 @@ def _root_bound(rows: _Rows, t: _Tableau, r: int) -> int:
     nonnegative variables, so the LP is bounded."""
     objective = {v: -c for v, c in rows.model.constraints[r].coeffs.items()}
     _priced(t, {j: -c // rows.scale for j, c in rows.rows[r][0]})
-    _bland_simplex(t, t.width)
+    _bland_simplex(t)
     return _rounded_bound(rows, _duals(rows, t, 1, objective), objective)
 
 
@@ -950,17 +936,17 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
 
     The bounded model carries the root rows (`_root_rows`) after the
     model's own, each once: of rows that merged ties (`_Rows`) make equal,
-    only the first is kept.  One cold phase 1 finds a feasible basis; from
-    it each root row's beta is minimized in turn (`_root_bound`, not a
-    node), and the row's rhs set to minus the rounded bound, so that every
-    node's LP holds beta y >= ceil(LP bound), which every integral point of
-    the box satisfies.  Phase 2 on the model's cost follows, its
-    reduced-cost row priced at the basis the root rows' LPs end at, and its
-    tableau is kept: every node, the root included, differs from it only in
-    the right-hand sides of the root rows, set once, and of the bound rows
-    (`_bound_rows`), hi and -lo per integer column, so each is re-solved
-    from the kept tableau by `_resolve`, its point re-checked against the
-    rows with those right-hand sides.  Branching picks the first fractional
+    only the first is kept.  The root LP with no cost finds a feasible
+    basis (`_resolve`); from it each root row's beta is minimized in turn
+    (`_root_bound`, not a node), and the row's rhs set to minus the rounded
+    bound, so that every node's LP holds beta y >= ceil(LP bound), which
+    every integral point of the box satisfies.  Phase 2 on the model's
+    cost follows, its reduced-cost row priced at the basis the root rows'
+    LPs end at, and its tableau is kept: every node, the root included,
+    differs from it only in the right-hand sides of the root rows, set
+    once, and of the bound rows (`_bound_rows`), hi and -lo per integer
+    column, so each is re-solved from the kept tableau by `_resolve`, its
+    point re-checked against the rows with those right-hand sides.  Branching picks the first fractional
     integer variable in model order and explores the floor branch first;
     nodes are pruned when their LP bound, rounded up to the objective's
     step (`_objective_step`) when it has one, cannot beat the incumbent,
@@ -981,16 +967,16 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
     column = {rows.slot[terms[0][0]]: k for k, (_, terms, *_) in enumerate(bound_checks[::2])}
     int_order = [(v, column[rows.slot[rows.position[v]]]) for v in model.variables if v in model.integer]
     step = _objective_step(model)
-    t = _phase1(rows, ())
-    if isinstance(t, LpSolution):
+    root, t = _rhs(rows, ()), _tableau(rows, 1, None)
+    if isinstance(root, LpSolution) or _resolve(rows, t, (), root[1]) is not None:
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=1)
-    _drive_out(t)
+    t.cost = rows.cost
     for r in range(len(model.constraints), first):
         least = _root_bound(rows, t, r)
         name, terms, _, sense, own = fixed_checks[r]
         fixed_b[r], fixed_checks[r] = -least * rows.scale, (name, terms, -least, sense, own)
     _priced(t, t.cost)
-    if _bland_simplex(t, t.width) >= 0:
+    if _bland_simplex(t) >= 0:
         # Integer variables are boxed, so the ray lives in continuous
         # variables, and every node, which moves only right-hand sides,
         # keeps it: the MIP is unbounded iff it is feasible at all.
@@ -1097,7 +1083,7 @@ def _as_cap_refs(
 
 
 def feasible_with_capacity(model: MipModel, capacities: Mapping[VarRef, int | Fraction]) -> bool:
-    """Phase-1 feasibility of the flow system once capacities are pinned."""
+    """Feasibility of the flow system once capacities are pinned (`feasible`)."""
     return feasible(model, _as_cap_refs(model, capacities))
 
 
@@ -1126,18 +1112,16 @@ class CapacitySweep:
     holds at y when that bound plus the row's terms on `refs` reaches its
     rhs, one test B y <= A.
 
-    The sweep keeps the tableau of its first LP, feasible or not, and
-    re-solves every later LP from it (`_resolve`): the pins move only the
-    right-hand side, so a Bland dual simplex (Lemke 1954) takes the kept
-    basis to the new vector's answer, in fewer pivots than phase 1 from
-    scratch.  The basis is dual feasible: the tableau has no cost row until
-    an LP with a row is first feasible, and then an optimal one.  A warm
+    The sweep builds one tableau, at its first LP, and solves every LP on
+    it (`_resolve`): the pins move only the right-hand side, so a Bland
+    dual simplex (Lemke 1954) takes the kept basis to the new vector's
+    answer.  The basis is dual feasible: the tableau has no cost row until
+    an LP with a row is first feasible, and then an optimal one.  Every
     answer carries its certificate as a cold one does: an Infeasible answer
     the ray read off the row that refutes the LP, an Optimal one its point,
     re-checked (`_recheck`), and its duals.  The kept tableau keeps its
-    dependent rows and checks each new right-hand side against them:
-    phase 1 showed them consistent at its own pins only, and at other pins
-    they may refute the LP.
+    dependent rows and checks each new right-hand side against them: at
+    some pins they may refute the LP.
 
     `learn` checks each certificate by the row it proves (`_proved_row`),
     as `certify` does, before it keeps the test, as coprime integers, so
@@ -1156,7 +1140,7 @@ class CapacitySweep:
         self._rays: dict[tuple[int, tuple[int, ...]], None] = {}
         self._bounds: dict[tuple[int, tuple[int, ...]], None] = {}
         self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
-        self._kept: _Tableau | None = None  # the first LP's tableau, re-solved at every later vector
+        self._kept: _Tableau | None = None  # the one tableau, built at the first LP
         pinned_values(model, dict.fromkeys(refs, 0))  # refs are the model's variables
         self._pinned = frozenset(refs)
         if row is not None:
@@ -1208,17 +1192,16 @@ class CapacitySweep:
         return True
 
     def _solve_at(self, vec: tuple[int, ...]) -> LpSolution | None:
-        """The LP at `vec`, re-solved from the kept tableau, or the first
-        LP's from scratch; None when it is feasible and the sweep has no row."""
-        rows, t = self._rows, self._kept
+        """The LP at `vec`, solved on the sweep's one tableau, built at its
+        first LP; None when it is feasible and the sweep has no row."""
+        rows = self._rows
         pinned = _rhs(rows, vec)
         if isinstance(pinned, LpSolution):
             return pinned
-        if t is not None:
-            return _resolve(rows, t, vec, pinned[1])
-        self._kept = t = _tableau(rows, *pinned, None if self.row is None else rows.cost)
-        answer = _run_phase1(rows, t, vec)
-        return answer if answer is not None or t.cost is None else _finish(rows, t, vec)
+        q, b = pinned
+        if self._kept is None:
+            self._kept = _tableau(rows, q, None if self.row is None else rows.cost)
+        return _resolve(rows, self._kept, vec, b)
 
     def refutes(self, vec: tuple[int, ...]) -> bool:
         """Whether a kept ray test beta y >= alpha fails at y = vec."""

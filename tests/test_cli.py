@@ -480,6 +480,13 @@ def test_verify_corollary_with_no_feasible_vector_exits_one(capsys):
     assert capsys.readouterr().out == "trial 0: no capacity vector in the box is feasible (bound 0)\n"
 
 
+def test_verify_triangle_with_no_feasible_vector_exits_one(capsys):
+    """The closed form and LP membership agree on every vector of a box
+    that holds no feasible one, but over nothing: no agreement."""
+    assert run(["verify", "triangle", "--trials", "1", "--seed", "1", "--bound", "0"]) == 1
+    assert capsys.readouterr().out == "trial 0: no capacity vector in the box is feasible (bound 0)\n"
+
+
 def test_verify_triangle_trials_deterministic(capsys):
     argv = ["verify", "triangle", "--trials", "2", "--seed", "1"]
     assert run(argv) == 0

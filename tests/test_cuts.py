@@ -388,10 +388,12 @@ def _readme_cut():
 
 def test_cut_check_counts_cover_the_box():
     """Each vector is solved, refuted by a ray or, dominating a feasible
-    one, proved by a dual bound; the counts repeat from run to run."""
+    one, proved by a dual bound; the counts repeat from run to run, and
+    the three add up to the box, 2^12 vectors."""
     inst, cut = _readme_cut()
     check = check_cut_validity(inst, cut, bound=1)
-    assert (check.points, check.lp_solved, check.ray_refuted, check.bound_proved) == (3000, 24, 1092, 2980)
+    assert (check.points, check.lp_solved, check.ray_refuted, check.bound_proved) == (3000, 23, 1093, 2980)
+    assert check.lp_solved + check.ray_refuted + check.bound_proved == 2**12
     rng = random.Random(71)
     checks = []
     while len(checks) < 8:

@@ -225,14 +225,19 @@ def test_empty_corollary_report_says_the_box_holds_nothing_feasible():
 
 
 def test_failing_triangle_report_names_each_failed_check():
-    every = TriangleReport(bound=3, points=64, mismatches=((1, 0, 2), (2, 2, 0)), ceiling_ok=False, halves_equal=False)
+    every = TriangleReport(
+        bound=3, points=64, mismatches=((1, 0, 2), (2, 2, 0)), ceiling_ok=False, halves_equal=False, minimal_count=0
+    )
     assert not every.passed
     assert every.describe() == (
         "triangle check failed: 2 membership mismatches, first (1, 0, 2); "
         "ceiling inequality fails; half-traffic projection differs"
     )
-    halves = TriangleReport(bound=3, points=64, mismatches=(), ceiling_ok=True, halves_equal=False)
+    halves = TriangleReport(bound=3, points=64, mismatches=(), ceiling_ok=True, halves_equal=False, minimal_count=4)
     assert halves.describe() == "triangle check failed: half-traffic projection differs"
+    # checks that pass over an empty projection agree over nothing
+    empty = TriangleReport(bound=0, points=1, mismatches=(), ceiling_ok=True, halves_equal=True, minimal_count=0)
+    assert empty.passed and empty.describe() == "no capacity vector in the box is feasible (bound 0)"
 
 
 def test_triangle_closed_form_pinned():
