@@ -1,21 +1,25 @@
 """Exact rational LP and MIP solving.
 
-Every LP takes one path: the `=` rows' artificials are driven out of the
-basis, a dual simplex with no cost row (so that every basis is dual
-feasible) reaches a feasible basis or a row that refutes the LP, and the
-primal simplex (phase 2) follows on a reduced-cost row priced at that
-basis.  Both simplex methods use Bland's rule for the entering and the
-leaving choice, so there is no cycling and no tolerance.  The tableau is
-integer-preserving (Edmonds 1967; Bareiss 1968): each row is an integer
-vector over its own denominator, the absolute basis determinant at the
-last pivot that touched it.  A pivot leaves alone every row whose cell in
-the entering column is zero, brings only the pivot row to the current
-determinant, and divides exactly; every comparison is an integer sign
-test or a cross-multiplication of two cells of one row.  The LP enters
-scaled uniformly: free-column coefficients and rhs by one lcm, the cost by
-its own, slacks and artificials left at +-1.  That is a positive change of
-variables, so the pivots are the rational tableau's, whatever the lcm.  In
-the simplex, `Fraction` appears only where values and duals are read out.
+A tableau is built with the `=` rows' artificials driven out of the
+basis, once: no drive-out pivot reads the right-hand side, and a row
+left with no real column is kept as a dependent row.  Every LP is then
+decided by one routine (`_resolve`): the right-hand side is set to
+B^-1 b, a dependent row with a nonzero rhs or a dual simplex with no
+cost row (so that every basis is dual feasible) refutes the LP or
+reaches a feasible basis, and the primal simplex (phase 2) follows on a
+reduced-cost row priced at that basis.  Both simplex methods use Bland's
+rule for the entering and the leaving choice, so there is no cycling and
+no tolerance.  The tableau is integer-preserving (Edmonds 1967; Bareiss
+1968): each row is an integer vector over its own denominator, the
+absolute basis determinant at the last pivot that touched it.  A pivot
+leaves alone every row whose cell in the entering column is zero, brings
+only the pivot row to the current determinant, and divides exactly;
+every comparison is an integer sign test or a cross-multiplication of
+two cells of one row.  The LP enters scaled uniformly: free-column
+coefficients and rhs by one lcm, the cost by its own, slacks and
+artificials left at +-1.  That is a positive change of variables, so the
+pivots are the rational tableau's, whatever the lcm.  In the simplex,
+`Fraction` appears only where values and duals are read out.
 
 A model's rows are turned into integers once for the variables every
 solve pins (`_Rows`): a capacity sweep pins the same capacities at each
@@ -153,13 +157,12 @@ class _Tableau:
     the last pivot that touched its row, and `d` is the current one.  Row
     r started with identity column `start[r]` and is model row
     `origin[r][0]` times the sign `origin[r][1]`; columns from `width` on
-    are the `=` rows' artificials.  The rows were scaled in by `scale`, and
-    `cost` by `cost_scale`; None asks feasibility alone.  The last
-    `dependent` rows are the dependent ones that the drive-out left."""
+    are the `=` rows' artificials.  The rows were scaled in by `scale`;
+    `cost` is `_Rows.cost`, or None to ask feasibility alone.  `dependent`
+    lists the rows that the drive-out (`_drive_out`) left dependent."""
 
     __slots__ = (
-        "rows", "den", "red", "red_den", "basis", "start", "origin", "width", "scale", "cost", "cost_scale", "d",
-        "dependent",
+        "rows", "den", "red", "red_den", "basis", "start", "origin", "width", "scale", "cost", "d", "dependent",
     )
 
     def __init__(
@@ -170,11 +173,10 @@ class _Tableau:
         width: int,
         scale: int,
         cost: Mapping[int, int] | None,
-        cost_scale: int,
     ):
         self.rows, self.basis, self.start, self.origin = rows, list(start), start, origin
         self.den, self.red, self.red_den, self.d = [1] * len(rows), None, 1, 1  # identity basis
-        self.width, self.scale, self.cost, self.cost_scale, self.dependent = width, scale, cost, cost_scale, 0
+        self.width, self.scale, self.cost, self.dependent = width, scale, cost, []
 
 
 def _pivot(t: _Tableau, leave: int, enter: int) -> None:
@@ -455,9 +457,10 @@ def _rhs(rows: _Rows, y: tuple) -> tuple[int, list[int]] | LpSolution:
 
 
 def _tableau(rows: _Rows, q: int, cost: Mapping[int, int] | None) -> _Tableau:
-    """The starting tableau of the model for pinned values whose
-    denominators have the lcm q (`_rhs`), for `cost` (`_Tableau`), with a
-    zero right-hand side, which `_resolve` sets.
+    """The tableau of the model for pinned values whose denominators have
+    the lcm q (`_rhs`), for `cost` (`_Tableau`), with each `=` row's
+    artificial driven out (`_drive_out`) and a zero right-hand side, which
+    `_resolve` sets.
 
     Every row is scaled by q, and the tableau by `rows.scale` times q.
     Constant rows are left out, and the others come in the canonical order
@@ -468,7 +471,7 @@ def _tableau(rows: _Rows, q: int, cost: Mapping[int, int] | None) -> _Tableau:
     inequality row, then an artificial per `=` row, each in tableau row
     order; the artificial columns stay, so B^-1 stays readable at each
     row's starting column.  No reduced-cost row is built: an LP prices its
-    own once its basis is feasible (`_finish`).
+    own once its basis is feasible (`_resolve`).
     """
     kept = [r for r in _canonical(rows.checks) if rows.rows[r][0]]
     equal = sum(rows.rows[r][3] == "=" for r in kept)
@@ -491,7 +494,9 @@ def _tableau(rows: _Rows, q: int, cost: Mapping[int, int] | None) -> _Tableau:
         table.append(row)
         start.append(j)
         origin.append((r, sign))
-    return _Tableau(table, start, origin, width, rows.scale * q, cost, rows.cost_scale)
+    t = _Tableau(table, start, origin, width, rows.scale * q, cost)
+    _drive_out(t)
+    return t
 
 
 def _dual_simplex(t: _Tableau) -> int:
@@ -533,27 +538,21 @@ def _dual_simplex(t: _Tableau) -> int:
 
 def _drive_out(t: _Tableau) -> None:
     """Drive each `=` row's artificial out of the basis, on the first real
-    column with a nonzero cell in its row, through the one pivot routine.
+    column with a nonzero cell in its row, through the one pivot routine;
+    no choice reads the right-hand side.
 
-    A row with no real column left is dependent: it moves after the others,
-    which keep the indices they would have without it, and stays, its
-    artificial basic, so that a later right-hand side can be checked
-    against it.  Artificials never enter a basis, so a later call
-    finds no artificial basic before the dependent block (`t.dependent`
-    rows) and scans only the rows before it.
+    A row with no real column left is dependent, and `t.dependent` lists
+    it: it stays where it is, its artificial basic, and no later pivot
+    touches it, since its cell in every real column is zero, so that each
+    right-hand side is checked against it (`_resolve`).
     """
     n = t.width
-    for i in range(len(t.rows) - t.dependent):
-        if t.basis[i] >= n:
-            enter = next((j for j in range(n) if t.rows[i][j]), -1)
+    for i, j in enumerate(t.basis):
+        if j >= n:
+            enter = next((k for k in range(n) if t.rows[i][k]), -1)
             if enter >= 0:
                 _pivot(t, i, enter)
-    dependent = [i for i, j in enumerate(t.basis) if j >= n]
-    first = len(t.rows) - len(dependent)
-    if dependent and dependent[0] < first:
-        order = [i for i, j in enumerate(t.basis) if j < n] + dependent
-        t.rows, t.den, t.basis = ([xs[i] for i in order] for xs in (t.rows, t.den, t.basis))
-    t.dependent = len(dependent)
+    t.dependent = [i for i, j in enumerate(t.basis) if j >= n]
 
 
 def _duals(rows: _Rows, t: _Tableau, cost_scale: int, objective: Mapping[VarRef, Fraction]) -> tuple[Fraction, ...]:
@@ -569,28 +568,37 @@ def _duals(rows: _Rows, t: _Tableau, cost_scale: int, objective: Mapping[VarRef,
     return tuple(duals)
 
 
-def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None = None) -> LpSolution | None:
-    """Decide the LP of a tableau whose right-hand side is b(y), through
-    the one pivot routine: the one path of every LP, on a fresh tableau or
-    on a kept one.
+def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[_Check] | None = None) -> LpSolution | None:
+    """Decide the LP of a tableau of `rows` at the right-hand side `b`, one
+    integer per model row over the tableau's scale, with `rows.refs` pinned
+    to `y`: the one routine for every LP, a cold one (`_solve`), a capacity
+    sweep's, whose b is b(y) (`_rhs`), and every branch-and-bound node's,
+    whose b differs from the root's in its bound rows alone (Applegate,
+    Cook, Dash and Espinoza 2007 re-solve exact LPs from a kept basis the
+    same way).
 
-    Each `=` row's artificial is driven out first (`_drive_out`; a kept
-    tableau has none left to drive).  A dependent row with a nonzero rhs,
-    or a row at which the dual simplex stops (`_dual_simplex`), refutes the
-    LP: its Farkas ray is the row of B^-1, read at each row's starting
-    column over the row's denominator, signed back to model row origin[r]
-    and negated when the rhs is negative, so that it combines the rows
-    into g x >= alpha with g <= 0 on every free column and alpha > 0.  The
-    dual simplex runs on a kept optimal cost row, or on none, so that
-    every basis is dual feasible.  Else a tableau with no cost (a
-    projection's) returns None: the LP is feasible.  Otherwise phase 2
+    Each row's rhs becomes B^-1 b: row r started as sign_r times model row
+    r with identity column start[r], so that column now holds B^-1 e_r over
+    each row's denominator, and the new rhs of row i is the integer dot
+    product of row i at the starting columns with the signed b.  The
+    basis, and so its reduced costs, are unchanged: a kept cost row was
+    optimal and stays dual feasible, as every basis is without one.
+
+    A dependent row (`_drive_out`) with a nonzero rhs, or a row at which
+    the dual simplex stops (`_dual_simplex`), refutes the LP: its Farkas ray
+    is the row of B^-1, read at each row's starting column over the row's
+    denominator, signed back to model row origin[r] and negated when the
+    rhs is negative, so that it combines the rows into g x >= alpha with g
+    <= 0 on every free column and alpha > 0.  Else a tableau with no cost
+    (a projection's) returns None: the LP is feasible.  Otherwise phase 2
     runs, on the kept cost row or on one priced at the feasible basis, and
     the answer is read off the tableau as `solve_lp` describes, its point
     re-checked against `checks` (`_recheck`).
     """
-    _drive_out(t)
-    first = len(t.rows) - t.dependent
-    leave = next((i for i in range(first, len(t.rows)) if t.rows[i][-1]), -1)
+    signed = [(j, sign * b[r]) for j, (r, sign) in zip(t.start, t.origin) if b[r]]
+    for row in t.rows:
+        row[-1] = sum([row[j] * br for j, br in signed])
+    leave = next((i for i in t.dependent if t.rows[i][-1]), -1)
     if leave < 0:
         leave = _dual_simplex(t)
     if leave >= 0:
@@ -626,7 +634,7 @@ def _finish(rows: _Rows, t: _Tableau, y: tuple, checks: Sequence[_Check] | None 
             if variables[v] in ray:
                 ray[variables[w]] = ray[variables[v]]
         return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), fixed, ray)
-    duals = _duals(rows, t, t.cost_scale, rows.model.objective)
+    duals = _duals(rows, t, rows.cost_scale, rows.model.objective)
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, duals, fixed)
 
 
@@ -641,31 +649,6 @@ def _solve(rows: _Rows, y: tuple, priced: bool = True) -> LpSolution | None:
     return _resolve(rows, _tableau(rows, q, rows.cost if priced else None), y, b)
 
 
-def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[_Check] | None = None) -> LpSolution | None:
-    """Solve a tableau of `rows`, fresh or kept, at the right-hand side
-    `b`, one integer per model row over the tableau's scale, with
-    `rows.refs` pinned to `y`: the one routine for every LP, a cold one
-    (`_solve`), a capacity sweep's, whose b is b(y) (`_rhs`), and every
-    branch-and-bound node's, whose b differs from the root's in its bound
-    rows alone (Applegate, Cook, Dash and Espinoza 2007 re-solve exact LPs
-    from a kept basis the same way).
-
-    Each row's rhs becomes B^-1 b: row r of the kept tableau started as
-    sign_r times model row r with identity column start[r], so that column
-    now holds B^-1 e_r over each row's denominator, and the new rhs of row
-    i is the integer dot product of row i at the starting columns with the
-    signed b.  The basis, and so its reduced costs, are unchanged: a kept
-    cost row was optimal and stays dual feasible, as every basis is without
-    one, and `_finish` takes it to the answer by the dual simplex, its
-    point re-checked against `checks`.  On a fresh tableau B^-1 is the
-    identity, so each row's rhs is its own signed b.
-    """
-    signed = [(j, sign * b[r]) for j, (r, sign) in zip(t.start, t.origin) if b[r]]
-    for row in t.rows:
-        row[-1] = sum([row[j] * br for j, br in signed])
-    return _finish(rows, t, y, checks)
-
-
 def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> LpSolution:
     """Solve the model as a pure LP, exactly, with the `fixed` variables pinned.
 
@@ -678,7 +661,7 @@ def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIX
     = -red[start[r]], scaled back to the rational model and signed back to
     model row origin[r]; a merged tie's dual is the one that prices both
     of its columns (`_Rows.tie_multipliers`).  An Infeasible answer carries
-    the Farkas ray read off one row of B^-1 (`_finish`), or off a failed
+    the Farkas ray read off one row of B^-1 (`_resolve`), or off a failed
     constant row (`_rhs`).  An Unbounded one carries the last basic point,
     checked like an optimum, and the ray along the column that entered
     with no row to leave: that column rises by one and each basic variable
@@ -946,11 +929,14 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
     differs from it only in the right-hand sides of the root rows, set
     once, and of the bound rows (`_bound_rows`), hi and -lo per integer
     column, so each is re-solved from the kept tableau by `_resolve`, its
-    point re-checked against the rows with those right-hand sides.  Branching picks the first fractional
-    integer variable in model order and explores the floor branch first;
-    nodes are pruned when their LP bound, rounded up to the objective's
-    step (`_objective_step`) when it has one, cannot beat the incumbent,
-    all by exact comparison.
+    point re-checked against the rows with those right-hand sides.
+    Branching picks the first fractional integer variable in model order
+    and explores the floor branch first; nodes are pruned when their LP
+    bound, rounded up to the objective's step (`_objective_step`) when it
+    has one, cannot beat the incumbent, all by exact comparison.  When the
+    root's phase 2 is unbounded, a search of the model with no objective
+    settles whether any integral point exists: the answer is Unbounded if
+    one does and Infeasible if not, its nodes the root plus the search's.
     """
     roots = _root_rows(model)
     rows = _Rows(model.with_constraints(roots), (), bound)
@@ -979,10 +965,11 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
     if _bland_simplex(t) >= 0:
         # Integer variables are boxed, so the ray lives in continuous
         # variables, and every node, which moves only right-hand sides,
-        # keeps it: the MIP is unbounded iff it is feasible at all.
-        probe = solve_mip(model.with_objective({}), bound)
+        # keeps it: the MIP is unbounded iff it is feasible at all, which a
+        # search with no objective settles at its first integral node.
+        probe = _branch_and_bound(model.with_objective({}), bound)
         status = SolveStatus.UNBOUNDED if probe.status is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
-        return MipResult(status, {}, None, nodes=1)
+        return MipResult(status, {}, None, nodes=1 + probe.nodes)
     incumbent: Mapping[VarRef, Fraction] = {}
     incumbent_obj: Fraction | None = None
     nodes = 0

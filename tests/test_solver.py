@@ -626,6 +626,34 @@ def test_unbounded_statuses():
     assert solve_mip(contradictory, 3).status is SolveStatus.INFEASIBLE
 
 
+def test_unbounded_relaxation_searches_for_an_integral_point():
+    """When the root relaxation is unbounded (min -x, x rising freely),
+    the MIP is Unbounded if it has an integral point at all and Infeasible
+    if not, which a search with no objective settles at its first integral
+    node; `nodes` counts the root and every node of that search.  2y = 2
+    has one; 2y = 1 and 1 <= 3y <= 2 have none, and their search ends at
+    its root on the rounded cut-set row y >= 1.  With a second integer
+    variable z, which no cut-set row reads, 2z = 1 and 2z + y = 3 each
+    branch once, on z."""
+    base, x, y = _free_variable_model()
+    z = VarRef.flow(("2", "1"), ("2", "1"))
+    cases = [
+        ((x, y), [LinearConstraint("two", {y: 2}, "=", 2)], SolveStatus.UNBOUNDED, 2),
+        ((x, y), [LinearConstraint("half", {y: 2}, "=", 1)], SolveStatus.INFEASIBLE, 2),
+        ((x, y), [LinearConstraint("lo", {y: 3}, ">=", 1), LinearConstraint("hi", {y: 3}, "<=", 2)],
+         SolveStatus.INFEASIBLE, 2),
+        ((x, y, z), [LinearConstraint("half", {z: 2}, "=", 1)], SolveStatus.INFEASIBLE, 4),
+        ((x, y, z), [LinearConstraint("odd", {z: 2, y: 1}, "=", 3)], SolveStatus.UNBOUNDED, 4),
+    ]
+    for variables, rows, status, nodes in cases:
+        integer = frozenset(variables) - {x}
+        model = MipModel(ModelKind.UNDIRECTED, variables, integer, tuple(rows), base.objective)
+        assert solve_lp(_relaxed(model)).status is SolveStatus.UNBOUNDED
+        probe = solver._branch_and_bound(model.with_objective({}), 3)
+        found = solve_mip(model, 3)
+        assert (found.status, found.values, found.nodes) == (status, {}, nodes) == (status, {}, 1 + probe.nodes)
+
+
 def test_bound_validation():
     inst = _two_node()
     model = build_undirected(inst)
@@ -901,11 +929,12 @@ def test_every_sweep_builds_one_tableau(monkeypatch):
 
 def test_kept_tableau_refutes_through_a_dependent_row():
     """With y1 and y2 pinned, the rows x - y1 = 0 and x - y2 = 0 are
-    dependent: the drive-out leaves the second row's artificial basic with
-    no real column to replace it.  The tableau keeps the row, with and
-    without a cost row: where y1 and y2 differ its rhs turns nonzero and
-    its ray, on both rows, refutes the LP; where they agree the LP is
-    feasible at x = y1.  Each re-solve of one kept tableau agrees with a
+    dependent: the drive-out, when the tableau is built, leaves the second
+    row's artificial basic with no real column to replace it, and
+    `t.dependent` lists that row.  The tableau keeps the row in its place,
+    with and without a cost row: where y1 and y2 differ its rhs turns
+    nonzero and its ray, on both rows, refutes the LP; where they agree the
+    LP is feasible at x = y1.  Each re-solve of one kept tableau agrees with a
     cold solve, and each ray certifies."""
     model, _ = _small_lp([((1, -1, 0), "=", 0), ((1, 0, -1), "=", 0)], (1, 0, 0))
     rows = _Rows(model, _LP_VARS[1:3])
@@ -914,13 +943,50 @@ def test_kept_tableau_refutes_through_a_dependent_row():
         t = _tableau(rows, 1, rows.cost if priced else None)
         for y in pins:
             answer, cold = solver._resolve(rows, t, y, _rhs(rows, y)[1]), _solve(rows, y)
-            assert len(t.rows) == 2 and t.basis[-1] >= t.width and t.dependent == 1  # the dependent row stays
+            assert len(t.rows) == 2 and t.basis[1] >= t.width and t.dependent == [1]  # the dependent row stays
             if y[0] == y[1]:
                 assert cold.status is SolveStatus.OPTIMAL and cold.values.get(_LP_VARS[0], 0) == y[0]
                 assert answer == cold if priced else answer is None
             else:
                 assert answer.status is cold.status is SolveStatus.INFEASIBLE
                 assert all(answer.duals) and certify(model, answer)
+
+
+def test_tableaux_are_built_driven_out(monkeypatch):
+    """Every tableau is built with its `=` rows' artificials driven out
+    (`_drive_out`): right after `_tableau`, the rows with a basic
+    artificial are exactly those that `t.dependent` lists, and each is zero
+    on every real column.  So no pivot touches a dependent row, and over a
+    sweep's later re-solves (`_resolve`) none changes but for its rhs.
+    Cases: the sweeps of `_sweep_draws`, many of whose tableaux keep
+    dependent rows."""
+    tableau, resolve = solver._tableau, solver._resolve
+    built = {}  # id(t) -> (t, each dependent row less its rhs, with its denominator and basic column)
+
+    def dependent_rows(t):
+        return [(t.rows[i][:-1], t.den[i], t.basis[i]) for i in t.dependent]
+
+    def building(*args):
+        t = tableau(*args)
+        assert [i for i, j in enumerate(t.basis) if j >= t.width] == t.dependent
+        assert not any(any(t.rows[i][: t.width]) for i in t.dependent)
+        built[id(t)] = t, dependent_rows(t)
+        return t
+
+    resolves = []
+
+    def resolving(rows, t, *args):
+        answer = resolve(rows, t, *args)
+        kept, rows_as_built = built[id(t)]
+        assert kept is t and dependent_rows(t) == rows_as_built
+        if t.dependent:
+            resolves.append(id(t))
+        return answer
+
+    monkeypatch.setattr(solver, "_tableau", building)
+    monkeypatch.setattr(solver, "_resolve", resolving)
+    _sweep_draws()
+    assert len(resolves) > len(set(resolves)) > 0  # a tableau with dependent rows is re-solved
 
 
 def test_equalized_directed_triangle_pays_both_orientations(monkeypatch):
@@ -1337,7 +1403,7 @@ def _rational_simplex(model, fixed, rhs=None):
     merged ties are substituted (`_merged_ties`), and its rows taken in the
     canonical order of the model's own rows; a `>=` row enters negated,
     every inequality on a +1 slack and every `=` row on an artificial.
-    Each artificial is driven out, dependent rows move last, and a
+    Each artificial is driven out, dependent rows staying in place, and a
     dependent row with a nonzero rhs, or the row at which Bland's dual
     simplex with no cost row stops, refutes the LP with its row of B^-1
     at the starting columns; otherwise Bland's primal simplex runs phase
@@ -1431,8 +1497,6 @@ def _rational_simplex(model, fixed, rhs=None):
             enter = next((j for j in range(width) if tab[i][j]), -1)
             if enter >= 0:
                 pivot(i, enter)
-    moved = sorted(range(len(tab)), key=lambda i: basis[i] >= width)  # the dependent rows last
-    tab, basis = [tab[i] for i in moved], [basis[i] for i in moved]
     leave, unbounded = decide(False)
     if rhs is not None and leave < 0 and unbounded < 0:
         del pivots[:]
@@ -1518,6 +1582,10 @@ REFUTED_AT_ONCE = _small_lp([((1,), "<=", -1), ((1,), ">=", Fraction(1, 2))], (0
 # brings x2 in; so its basic value 2/3 is read over a denominator, 3, that
 # lags the final d.
 LAGGING_ROW = _small_lp([((3, 0, 0), "=", 2), ((0, 2, 0), ">=", 1), ((0, 1, 1), "<=", 4)], (-1, 0, -1))
+# Row 1 (2 x0 + 2 x1 = 2) is left dependent by the drive-out and stays in
+# place, so the dual simplex leaves on row 2 (x0 <= 1/2, whose rhs is -1/2
+# once x0 is basic), not on row 1 as it would with dependent rows last.
+MIDDLE_DEPENDENT = _small_lp([((1, 1), "=", 1), ((2, 2), "=", 2), ((1, 0), "<=", Fraction(1, 2))], (-1, 0))
 # Ties, a v - a w = 0 rows.  Two free columns merge, whatever a is.
 FREE_PAIR = _small_lp([((1, 1), "=", 0), ((1, -1), "=", 0), ((0, 1), "<=", 1)], (1, -1))
 # The merged column x0 + x1 is priced out by x2, so its tie's multiplier has
@@ -1539,8 +1607,8 @@ TIES = (FREE_PAIR, SCALED_PAIR, CHAINED_TIES, PINNED_TIE, INFEASIBLE_TIE, CONSTA
 def test_kernel_examples_reach_their_cases():
     """Each example reaches the case it is named for: a drive-out pivot on
     a negative cell, a rational rhs, a refutation with no pivot, a basic
-    row read over a lagging denominator, and, among the ties, a failed
-    constant row."""
+    row read over a lagging denominator, a dependent row before a row that
+    pivots, and, among the ties, a failed constant row."""
     pivots, dens, tableaux = [], [], []
     pivot, simplex = solver._pivot, solver._bland_simplex
 
@@ -1574,6 +1642,10 @@ def test_kernel_examples_reach_their_cases():
     rows = _Rows(model, tuple(fixed))
     q, _ = _rhs(rows, tuple(fixed.values()))
     assert _tableau(rows, q, None).scale == 6
+
+    (sol, pivots), _ = _kernel_run(lambda: solve_lp(MIDDLE_DEPENDENT[0]))
+    assert _tableau(_Rows(MIDDLE_DEPENDENT[0], ()), 1, None).dependent == [1]
+    assert pivots == [(0, 0), (2, 1)] and sol.values == {_LP_VARS[0]: Fraction(1, 2), _LP_VARS[1]: Fraction(1, 2)}
 
     # the tie examples: what merges, and how each ends
     merges = [len(_Rows(m, tuple(fixed)).ties) for m, fixed in TIES]
@@ -1644,6 +1716,7 @@ def _tie_postsolve(model, ties, status, values, multipliers, ray):
 @example(RATIONAL_RHS)
 @example(REFUTED_AT_ONCE)
 @example(LAGGING_ROW)
+@example(MIDDLE_DEPENDENT)
 @example(FREE_PAIR)
 @example(SCALED_PAIR)
 @example(CHAINED_TIES)
