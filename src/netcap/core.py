@@ -170,11 +170,19 @@ class Network:
             (o, d) for o in sorted(self.nodes) for d in sorted(self.nodes) if o != d
         )
 
+    @cached_property
+    def _incident(self) -> dict[Node, tuple[tuple[Arc, ...], tuple[Arc, ...]]]:
+        """Per node, the arcs out of it and the arcs into it, in `arcs` order."""
+        return {
+            n: (tuple(a for a in self.arcs if a[0] == n), tuple(a for a in self.arcs if a[1] == n))
+            for n in self.nodes
+        }
+
     def out_arcs(self, node: Node) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a[0] == node)
+        return self._incident.get(node, ((), ()))[0]
 
     def in_arcs(self, node: Node) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a[1] == node)
+        return self._incident.get(node, ((), ()))[1]
 
     def is_routable(self, traffic: TrafficMatrix) -> bool:
         """True when every commodity with positive traffic has its endpoints

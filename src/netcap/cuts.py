@@ -353,7 +353,8 @@ def check_cut_validity(
             ks.add((v.commodity[1], v.commodity[0]))
     model = build(inst, kind, commodities=ks)
 
-    stray = [v.name for v in cut.coeffs if v.kind == "capacity" and v not in model.variables]
+    known = set(model.variables)
+    stray = [v.name for v in cut.coeffs if v.kind == "capacity" and v not in known]
     if stray:
         raise PreconditionError(
             f"inequality names capacity variables missing from the {kind.value} model: {stray!r}"

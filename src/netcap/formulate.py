@@ -14,12 +14,19 @@ merging rows:
 
 Variable order is deterministic: flows sorted by (commodity, arc), then
 capacity variables by (facility, edge or arc), all lexicographic.
+
+Values are checked once, where they enter: a row or an objective takes a
+`Fraction` as it is and reads anything else through `parse_rational`, the
+one checker, and a model derived by `with_constraints` or `with_objective`
+checks only what it adds.  A build makes one `VarRef` per variable, and
+every row that names the variable holds that object, so a lookup keyed by
+the model's variables hits each row's keys by identity.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -38,6 +45,24 @@ from .core import (
     render_rational,
 )
 from .errors import InvalidInstanceError, ParseError, PreconditionError
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+
+def _exact(values: Mapping[VarRef, Fraction]) -> dict[VarRef, Fraction]:
+    """The nonzero entries of `values`, each a Fraction: one is taken as it
+    is, anything else is read by `parse_rational`, which refuses bools,
+    floats and malformed text."""
+    out = {}
+    for v, c in values.items():
+        if type(c) is not Fraction:
+            c = parse_rational(c)
+        if c:
+            out[v] = c
+    return out
 
 
 class ModelKind(Enum):
@@ -130,7 +155,9 @@ class LinearConstraint:
     """A named row: sum(coeffs) <sense> rhs, with zero-free coefficients.
 
     Model rows and cut-set inequalities alike; a cut is a `>=` row that a
-    model can take with `with_constraints`.
+    model can take with `with_constraints`.  The coefficients and the rhs
+    are checked here, once: a Fraction is kept as it is, and any other
+    value is read by `parse_rational`.
     """
 
     name: str
@@ -141,9 +168,9 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.sense not in ("<=", "=", ">="):
             raise InvalidInstanceError(f"bad constraint sense {self.sense!r}")
-        coeffs = {v: parse_rational(c) for v, c in self.coeffs.items()}
-        object.__setattr__(self, "coeffs", {v: c for v, c in coeffs.items() if c})
-        object.__setattr__(self, "rhs", parse_rational(self.rhs))
+        object.__setattr__(self, "coeffs", _exact(self.coeffs))
+        if type(self.rhs) is not Fraction:
+            object.__setattr__(self, "rhs", parse_rational(self.rhs))
 
     def __hash__(self) -> int:  # consistent with the generated __eq__, whatever the key order
         return hash((self.name, frozenset(self.coeffs.items()), self.sense, self.rhs))
@@ -165,7 +192,14 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class MipModel:
-    """Immutable minimization model over flow and capacity variables."""
+    """Immutable minimization model over flow and capacity variables.
+
+    The constructor checks every member: distinct variables, integer marks
+    and objective and row terms on them, objective values as
+    `LinearConstraint` checks its own.  A model derived by
+    `with_constraints` or `with_objective` shares the rest and checks only
+    the rows or the objective it adds.
+    """
 
     kind: ModelKind
     variables: tuple[VarRef, ...]
@@ -174,26 +208,40 @@ class MipModel:
     objective: Mapping[VarRef, Fraction]
 
     def __post_init__(self) -> None:
-        known = set(self.variables)
+        known = frozenset(self.variables)
         if len(known) != len(self.variables):
             raise InvalidInstanceError("duplicate variable in model")
         if not self.integer <= known:
             raise InvalidInstanceError("integer flag on unknown variable")
-        stray = set(self.objective) - known
+        object.__setattr__(self, "_known", known)  # kept, so a derived model checks against it
+        self._check_objective(self.objective)
+        self._check_rows(self.constraints)
+        object.__setattr__(self, "objective", _exact(self.objective))
+
+    def _check_objective(self, objective: Mapping[VarRef, Fraction]) -> None:
+        stray = set(objective) - self._known
         if stray:
             raise InvalidInstanceError(f"objective references unknown variables {sorted(stray, key=lambda v: v.sort_key)!r}")
-        for con in self.constraints:
-            missing = set(con.coeffs) - known
-            if missing:
+
+    def _check_rows(self, rows: Iterable[LinearConstraint]) -> None:
+        for con in rows:
+            if not self._known.issuperset(con.coeffs):
                 raise InvalidInstanceError(f"constraint {con.name!r} references unknown variables")
-        objective = {v: parse_rational(c) for v, c in self.objective.items()}
-        object.__setattr__(self, "objective", {v: c for v, c in objective.items() if c})
+
+    def _derived(self, **changes) -> MipModel:
+        """This model with `changes`, which the caller has checked."""
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__, **changes)
+        return model
 
     def with_constraints(self, extra: Iterable[LinearConstraint]) -> MipModel:
-        return replace(self, constraints=self.constraints + tuple(extra))
+        extra = tuple(extra)
+        self._check_rows(extra)
+        return self._derived(constraints=self.constraints + extra)
 
     def with_objective(self, objective: Mapping[VarRef, Fraction]) -> MipModel:
-        return replace(self, objective=dict(objective))
+        self._check_objective(objective)
+        return self._derived(objective=_exact(objective))
 
     def objective_value(self, values: Mapping[VarRef, Fraction]) -> Fraction:
         return sum(
@@ -221,7 +269,7 @@ class FixResult:
 
 def pinned_values(model: MipModel, fixed: Mapping[VarRef, Fraction]) -> dict[VarRef, Fraction]:
     """Fixed values as Fractions, checked to be nonnegative and on model variables."""
-    stray = set(fixed) - set(model.variables)
+    stray = set(fixed) - model._known
     if stray:
         raise PreconditionError(f"fixing unknown variables {sorted(stray, key=lambda v: v.sort_key)!r}")
     pinned = {v: parse_rational(val) for v, val in fixed.items()}
@@ -277,19 +325,25 @@ def _commodity_set(
     universe = inst.network.commodities
     if commodities is None:
         return universe
-    chosen = sorted(set(commodities))
+    picked = set(commodities)
+    chosen = sorted(picked)
     known = set(universe)
     for k in chosen:
         if k not in known:
             raise PreconditionError(f"unknown commodity {k!r}")
-        if (k[1], k[0]) not in set(chosen):
+        if (k[1], k[0]) not in picked:
             raise PreconditionError(
                 f"commodity subset must be closed under reversal: missing {(k[1], k[0])!r}"
             )
-    uncovered = [k for k, t in inst.traffic.items() if t > 0 and k not in set(chosen)]
+    uncovered = [k for k, t in inst.traffic.items() if t > 0 and k not in picked]
     if uncovered:
         raise PreconditionError(f"commodity subset drops positive traffic {uncovered!r}")
     return tuple(chosen)
+
+
+def _flow_vars(network: Network, commodities: Iterable[Commodity]) -> dict[Commodity, dict[Arc, VarRef]]:
+    """One VarRef per flow variable, by commodity and then by arc."""
+    return {k: {a: VarRef.flow(k, a) for a in network.arcs} for k in commodities}
 
 
 def balance_rows(
@@ -297,17 +351,23 @@ def balance_rows(
 ) -> list[LinearConstraint]:
     """Flow balance, stated once for every model and transform: per commodity
     and node, `bal[o>d|n]`: outflow - inflow = +t at the origin, -t at the
-    destination and 0 elsewhere, over the network's arcs."""
+    destination and 0 elsewhere, over the network's arcs.  The rows share
+    one VarRef per flow variable."""
+    return _balance_rows(network, traffic, _flow_vars(network, commodities))
+
+
+def _balance_rows(
+    network: Network, traffic: TrafficMatrix, flows: Mapping[Commodity, Mapping[Arc, VarRef]]
+) -> list[LinearConstraint]:
+    """`balance_rows` over the given flow variables (`_flow_vars`)."""
     rows = []
-    for o, d in commodities:
+    nodes = sorted(network.nodes)
+    for (o, d), x in flows.items():
         t = traffic.get(o, d)
-        for node in sorted(network.nodes):
-            coeffs: dict[VarRef, Fraction] = {}
-            for a in network.out_arcs(node):
-                coeffs[VarRef.flow((o, d), a)] = Fraction(1)
-            for a in network.in_arcs(node):
-                coeffs[VarRef.flow((o, d), a)] = Fraction(-1)
-            rhs = t if node == o else (-t if node == d else Fraction(0))
+        for node in nodes:
+            coeffs = {x[a]: _ONE for a in network.out_arcs(node)}
+            coeffs.update((x[a], _MINUS_ONE) for a in network.in_arcs(node))
+            rhs = t if node == o else (-t if node == d else _ZERO)
             rows.append(LinearConstraint(f"bal[{o}>{d}|{node}]", coeffs, "=", rhs))
     return rows
 
@@ -326,7 +386,8 @@ def build(
     keys capacity by arc; the bidirected and undirected readings key it by
     edge, and the undirected one merges an edge's two arc rows into one row
     over both directions.  Without `objective`, the cost is the total
-    installed capacity.
+    installed capacity.  The build makes one VarRef per variable, and
+    every row that names the variable holds that object.
     """
     directed = kind is ModelKind.DIRECTED
     if inst.existing_arc and not directed:
@@ -340,7 +401,10 @@ def build(
     else:
         keys, cap, existing = inst.network.edges, VarRef.cap_edge, inst.edge_capacity
     sizes = [(m, Fraction(inst.facilities.capacity(m))) for m in inst.facilities.indices]
-    rows = balance_rows(inst.network, inst.traffic, ks)
+    x = _flow_vars(inst.network, ks)
+    y = {(m, key): cap(m, key) for m, _ in sizes for key in keys}
+    rows = _balance_rows(inst.network, inst.traffic, x)
+    negated = [(m, -size) for m, size in sizes]
     for key in keys:
         arcs = (key,) if directed else (key, key[::-1])
         if kind is ModelKind.UNDIRECTED:
@@ -348,12 +412,12 @@ def build(
         else:
             groups = [("{}>{}".format(*a), (a,)) for a in arcs]
         for label, group in groups:
-            coeffs = {VarRef.flow(k, a): Fraction(1) for k in ks for a in group}
-            coeffs.update((cap(m, key), -size) for m, size in sizes)
+            coeffs = {x[k][a]: _ONE for k in ks for a in group}
+            coeffs.update((y[m, key], c) for m, c in negated)
             rows.append(LinearConstraint(f"cap[{label}]", coeffs, "<=", existing(key)))
     # Facility-major, which is also the default objective's term order.
-    unit_cost = {cap(m, key): size for m, size in sizes for key in keys}
-    flows = [VarRef.flow(k, a) for k in ks for a in inst.network.arcs]
+    unit_cost = {y[m, key]: size for m, size in sizes for key in keys}
+    flows = [v for on_k in x.values() for v in on_k.values()]
     return MipModel(
         kind=kind,
         variables=tuple(sorted(flows + list(unit_cost), key=lambda v: v.sort_key)),
@@ -383,7 +447,7 @@ def _with_ties(model: MipModel, ties: Iterable[tuple[str, VarRef, VarRef]]) -> M
     """Append a `name: v - w = 0` row for each tie whose name the model lacks."""
     present = {c.name for c in model.constraints}
     return model.with_constraints(
-        LinearConstraint(name, {v: Fraction(1), w: Fraction(-1)}, "=", Fraction(0))
+        LinearConstraint(name, {v: _ONE, w: _MINUS_ONE}, "=", _ZERO)
         for name, v, w in ties
         if name not in present
     )
@@ -393,14 +457,15 @@ def add_flow_symmetry(model: MipModel) -> MipModel:
     """Append x[(u,v),(i,j)] = x[(v,u),(j,i)] rows, once per unordered pair.
 
     Already-present rows are not duplicated, so the operation is idempotent.
+    Each row holds the model's own VarRefs; a mirror the model lacks makes
+    the row name an unknown variable, which `with_constraints` refuses.
     """
+    flows = {(v.commodity, v.arc): v for v in model.variables if v.kind == "flow"}
     ties = []
-    for v in model.variables:
-        if v.kind != "flow":
-            continue
-        (o, d), (i, j) = v.commodity, v.arc
-        if ((o, d), (i, j)) <= ((d, o), (j, i)):  # else the mirrored variable ties this one
-            ties.append((f"sym[{o}>{d}|{i}>{j}]", v, VarRef.flow((d, o), (j, i))))
+    for ((o, d), (i, j)), v in flows.items():
+        mirror = (d, o), (j, i)
+        if ((o, d), (i, j)) <= mirror:  # else the mirrored variable ties this one
+            ties.append((f"sym[{o}>{d}|{i}>{j}]", v, flows.get(mirror) or VarRef.flow(*mirror)))
     return _with_ties(model, ties)
 
 
@@ -408,10 +473,11 @@ def equalize_directed(model: MipModel) -> MipModel:
     """Append y[m|(i,j)] = y[m|(j,i)] rows tying the two orientations."""
     if model.kind is not ModelKind.DIRECTED:
         raise PreconditionError(f"equalize_directed needs a directed model, got {model.kind.value}")
+    caps = {(v.facility, v.arc): v for v in model.variables if v.kind == "capacity" and v.arc is not None}
     ties = [
-        (f"eq[{v.facility}|{v.arc[0]}-{v.arc[1]}]", v, VarRef.cap_arc(v.facility, v.arc[::-1]))
-        for v in model.variables
-        if v.kind == "capacity" and v.arc is not None and v.arc[0] <= v.arc[1]
+        (f"eq[{m}|{i}-{j}]", v, caps.get((m, (j, i))) or VarRef.cap_arc(m, (j, i)))
+        for (m, (i, j)), v in caps.items()
+        if i <= j
     ]
     return _with_ties(model, ties)
 

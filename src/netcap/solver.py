@@ -265,11 +265,13 @@ class _Rows:
     `objective` the objective likewise: these are what a returned point
     (`_recheck`) and a certificate (`_proved_row`) are checked against, and
     nothing there is read off the tableau.  Each term's position is looked
-    up once, there.  `rows` holds, per model row, its free terms (column,
-    coefficient), its pinned terms (index into `refs`, coefficient), its
-    rhs and its sense, all times `scale`, one lcm over every row, taken
-    from the row's check; so with integral pinned values, b(y) is one
-    integer dot product per row.  Columns are the free variables in model
+    up once, there; a built model's rows hold its own VarRefs, so each
+    lookup finds its key by identity, and the values, exact already, are
+    not checked again (`_scaled`).  `rows` holds, per model row, its free
+    terms (column, coefficient), its pinned terms (index into `refs`,
+    coefficient), its rhs and its sense, all times `scale`, one lcm over
+    every row, taken from the row's check; so with integral pinned values,
+    b(y) is one integer dot product per row.  Columns are the free variables in model
     order, less the merged ones.  `cost` is the objective on them times
     `cost_scale`, by column, its zero terms left out.
 
@@ -405,9 +407,14 @@ def _canonical(checks: Sequence[_Check]) -> list[int]:
 
 def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """The lcm of the values' denominators, and each value times it: the
-    values as integers over one positive denominator."""
-    scale = lcm(*(x.denominator for x in values))
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
+    values as integers over one positive denominator.  The values are exact
+    already, so nothing is checked; integral ones, as most rows are, are
+    read off their numerators."""
+    dens = [x.denominator for x in values]
+    scale = lcm(*dens)
+    if scale == 1:
+        return 1, [x.numerator for x in values]
+    return scale, [x.numerator * (scale // d) for x, d in zip(values, dens)]
 
 
 def _recheck(rows: _Rows, point: list, checks: Sequence[_Check] | None = None) -> tuple[list[str], Fraction]:

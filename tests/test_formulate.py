@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix
-from netcap.errors import ParseError, PreconditionError
+from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, parse_rational
+from netcap.errors import InvalidInstanceError, ParseError, PreconditionError
 from netcap.formulate import (
     LinearConstraint,
     MipModel,
@@ -24,7 +24,7 @@ from netcap.formulate import (
     render_model,
 )
 from netcap.randgen import four_node_corollary_instance, triangle_corollary_instance
-from netcap.solver import SolveStatus, solve_mip
+from netcap.solver import SolveStatus, build_for_feasibility, solve_mip
 from netcap.projlab import capacity_bound
 
 
@@ -346,3 +346,68 @@ def test_model_validates_members():
             ),
             objective={},
         )
+
+
+def test_rows_and_objectives_read_values_as_parse_rational_does():
+    """A Fraction is taken as it is and any other value goes through
+    `parse_rational`, as a coefficient, a rhs or an objective value alike,
+    so the two agree on every accepted value and bools and floats are
+    refused."""
+    v = VarRef.cap_edge(1, ("1", "2"))
+    for value in (3, -2, "5/2", "1.25", "-0.5", Fraction(7, 3), Fraction(0), 0):
+        row = LinearConstraint("r", {v: value}, "<=", value)
+        model = MipModel(ModelKind.UNDIRECTED, (v,), frozenset(), (), {v: value})
+        exact = parse_rational(value)
+        assert row.rhs == exact and type(row.rhs) is Fraction
+        assert row.coeffs == ({v: exact} if exact else {})
+        assert model.objective == row.coeffs
+        assert model.with_objective({v: value}).objective == row.coeffs
+        assert all(type(c) is Fraction for c in (*row.coeffs.values(), *model.objective.values()))
+    for bad in (True, False, 1.5, 2.0, "x", None):
+        with pytest.raises(ParseError):
+            LinearConstraint("r", {v: bad}, "<=", 0)
+        with pytest.raises(ParseError):
+            LinearConstraint("r", {v: 1}, "<=", bad)
+        with pytest.raises(ParseError):
+            MipModel(ModelKind.UNDIRECTED, (v,), frozenset(), (), {v: bad})
+        model = MipModel(ModelKind.UNDIRECTED, (v,), frozenset(), (), {})
+        with pytest.raises(ParseError):
+            model.with_objective({v: bad})
+
+
+def test_derived_models_check_what_they_add():
+    """`with_constraints` and `with_objective` refuse a row or an objective
+    term on a variable the model lacks, and otherwise give the model that
+    the constructor builds from the same members."""
+    model = build_undirected(_triangle(menu=(1, 3)))
+    stranger = VarRef.cap_arc(1, ("1", "2"))
+    with pytest.raises(InvalidInstanceError):
+        model.with_constraints([LinearConstraint("r", {stranger: 1}, "<=", 1)])
+    with pytest.raises(InvalidInstanceError):
+        model.with_constraints(iter([LinearConstraint("r", {model.variables[0]: 1, stranger: 1}, "<=", 1)]))
+    with pytest.raises(InvalidInstanceError):
+        model.with_objective({model.variables[0]: 1, stranger: 1})
+    row = LinearConstraint("r", {model.variables[0]: 1}, "<=", 1)
+    derived = model.with_constraints(iter([row])).with_objective({model.variables[-1]: "3/2"})
+    assert derived == MipModel(
+        model.kind, model.variables, model.integer, model.constraints + (row,), {model.variables[-1]: Fraction(3, 2)}
+    )
+    assert model.constraints == build_undirected(_triangle(menu=(1, 3))).constraints  # the base is unchanged
+
+
+def test_rows_hold_the_models_own_variables():
+    """Every builder's rows name a variable by the very object in
+    `model.variables`, one VarRef per variable."""
+    inst = _triangle(menu=(1, 3))
+    models = [build(inst, kind) for kind in ModelKind]
+    models += [add_flow_symmetry(m) for m in models]
+    models.append(equalize_directed(build_directed(inst)))
+    models += [build_for_feasibility(inst, kind) for kind in ModelKind]
+    models.append(add_flow_symmetry(build_for_feasibility(inst, ModelKind.BIDIRECTED)))
+    models.append(equalize_directed(build_for_feasibility(inst, ModelKind.DIRECTED)))
+    for model in models:
+        own = {id(v) for v in model.variables}
+        assert len(own) == len(model.variables)
+        for con in model.constraints:
+            assert all(id(v) in own for v in con.coeffs), (model.kind, con.name)
+        assert all(id(v) in own for v in model.objective)

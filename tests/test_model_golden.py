@@ -1,12 +1,16 @@
-"""Built models match their recorded LP text byte for byte.
+"""Built models match their recorded LP text and term order byte for byte.
 
-The files under tests/data/models/ pin every builder's output: variable
-order, row order, coefficient order within each row, integer set and
-objective.  After an intended change to model text, rewrite them with
+The files under tests/data/models/ pin every builder's output: each
+`.lp` file the variable order, row order, integer set and objective, and
+each `.order.json` file the order in which every row's terms were
+inserted, which the LP text does not show (it lists a row's terms in
+variable order) but the solver reads.  After an intended change to
+model text or term order, rewrite them with
 
     PYTHONPATH=src python3 tests/test_model_golden.py
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,14 +63,24 @@ MODELS = {
 }
 
 
+def term_order(model) -> str:
+    """Each row's name and its terms' variable names, in insertion order,
+    as JSON, one row per line."""
+    rows = [json.dumps([con.name, [v.name for v in con.coeffs]]) for con in model.constraints]
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_text_matches_recorded(name):
-    recorded = (DATA / f"{name}.lp").read_text()
-    assert render_model(MODELS[name]()) == recorded
+    model = MODELS[name]()
+    assert render_model(model) == (DATA / f"{name}.lp").read_text()
+    assert term_order(model) == (DATA / f"{name}.order.json").read_text()
 
 
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name, make in sorted(MODELS.items()):
-        (DATA / f"{name}.lp").write_text(render_model(make()))
-        print(f"wrote {DATA / name}.lp")
+        model = make()
+        (DATA / f"{name}.lp").write_text(render_model(model))
+        (DATA / f"{name}.order.json").write_text(term_order(model))
+        print(f"wrote {DATA / name}.lp and {name}.order.json")

@@ -1548,6 +1548,14 @@ def _small_lps(draw):
     n = draw(st.integers(1, 4))
     coeffs = st.lists(_RATIONALS, min_size=n, max_size=n)
     rows = draw(st.lists(st.tuples(coeffs, st.sampled_from(("<=", ">=", "=")), _RATIONALS), min_size=1, max_size=4))
+    # Some `=` rows combine the rows before them.  One that weighs only `=`
+    # rows is left dependent by the drive-out, ahead of any later row that
+    # pivots.
+    for i in range(1, len(rows)):
+        weights = draw(st.one_of(st.none(), st.lists(st.integers(-2, 2), min_size=i, max_size=i)))
+        if weights is not None:
+            combined = [sum(w * row[0][k] for w, row in zip(weights, rows)) for k in range(n)]
+            rows[i] = combined, "=", sum(w * row[2] for w, row in zip(weights, rows))
     pins = draw(st.dictionaries(st.integers(0, n - 1), st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))))
     return _small_lp(rows, draw(coeffs), sorted(pins.items()))
 
