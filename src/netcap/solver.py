@@ -18,8 +18,7 @@ every comparison is an integer sign test or a cross-multiplication of
 two cells of one row.  The LP enters scaled uniformly: free-column
 coefficients and rhs by one lcm, the cost by its own, slacks and
 artificials left at +-1.  That is a positive change of variables, so the
-pivots are the rational tableau's, whatever the lcm.  In the simplex,
-`Fraction` appears only where values and duals are read out.
+pivots are the rational tableau's, whatever the lcm.
 
 A model's rows are turned into integers once for the variables every
 solve pins (`_Rows`): a capacity sweep pins the same capacities at each
@@ -42,22 +41,29 @@ solving, priced at the basis where that LP reaches phase 2 (`_priced`).
 
 The point a solve returns is re-checked against every model row in
 integers, each row scaled from the model's own coefficients rather than
-read off the tableau (`_recheck`).  Every answer carries a certificate in
-the model's own terms, and one check, `certify`, reads it against the
-model's rows alone, without any of the simplex: an Optimal answer carries
-one dual per model row, read off its final reduced-cost row and signed
-back to the row as written; an Infeasible one a Farkas ray, one
-multiplier per model row read off the row of B^-1 that refutes the LP,
-or off a failed constant row; an Unbounded one a feasible point and a
-direction of unbounded descent read off the column that entered with no
-row to leave.  The duals and the ray each combine the model's rows into
-one row g x >= alpha that every point satisfies (`_proved_row`).
+read off the tableau (`_recheck`).  A certificate stays in integers from
+the tableau to its check: the duals are read off the final reduced-cost
+row (`_duals`), and a Farkas ray off the row of B^-1 that refutes the LP
+(`_ray`) or off a failed constant row (`_rhs`), as one integer
+multiplier per model row over one positive scale, the merged ties'
+postsolved in integers (`_tied`).  Either combines the model's rows into
+one row g x >= alpha that every point satisfies, and one check,
+`_proved_row`, proves that row from the multipliers as they are.
+`Fraction` appears only in answers returned to a caller: the values, and
+the certificate that `solve_lp` returns in the model's own terms, one
+dual or ray multiplier per model row signed back to the row as written
+(`_fractions`), or, when Unbounded, a feasible point and a direction of
+unbounded descent read off the column that entered with no row to leave.
+`certify` turns such multipliers into integers once and reads them
+against the model's rows alone, without any of the simplex, by the same
+`_proved_row`.
 
 A capacity sweep (`CapacitySweep`) pins the same variables at every
 vector of a box and keeps the rows it meets: a Farkas ray found with the
 capacities pinned is a capacity-only inequality valid at every capacity
-vector, and the duals of an Optimal answer bound the objective from below
-at every feasible one (weak duality).  Each is checked before it is kept,
+vector, and the duals of an Optimal LP bound the objective from below at
+every feasible one (weak duality).  Each is read off the tableau in
+integers and checked before it is kept, and no answer is built for it,
 so the sweep refutes a vector, or proves a `>=` row at a vector known to
 be feasible, with one integer dot product instead of an LP.  The sweep
 builds one tableau and solves every vector's LP on it (`_resolve`): the
@@ -75,17 +81,18 @@ v <= bound and -v <= 0 per integer column, a node sets only those rows'
 rhs to hi and -lo, and every node is solved on the root's tableau by the
 same `_resolve`, within the exact branch and bound of Cook, Koch, Steffy
 and Wolter (2013).  Its point is re-checked against the rows with the
-node's bounds.  On networks of at most six nodes the bounded model also
-carries the paper's cut-set rows, beta y >= r per node set S, beta the
-capacity crossing S, in every reading alike: each enters vacuous, as the
-slack row -beta y <= 0, and r is its LP bound on beta, its duals checked
-by `_proved_row`, rounded up (Chvatal-Gomory), so every integral point
-meets it (Bienstock and Gunluk 1996; Achterberg and Raack 2010).  A node
-can stop at another vertex of a tied optimum, so `solve_mip` returns a
-canonical optimum, which depends on the model alone: the
-lexicographically least optimal integer vector, found through
-lexicographic weights in the objective, with the flows of a cold
-`solve_lp` at it.  Sized for desk-scale models (a few hundred variables),
+node's bounds, and it reads no certificate, since nothing reads one: the
+search takes only its status, point and bound.  On networks of at most
+six nodes the bounded model also carries the paper's cut-set rows, beta
+y >= r per node set S, beta the capacity crossing S, in every reading
+alike: each enters vacuous, as the slack row -beta y <= 0, and r is its
+LP bound on beta, its duals checked by `_proved_row`, rounded up
+(Chvatal-Gomory), so every integral point meets it (Bienstock and Gunluk
+1996; Achterberg and Raack 2010).  A node can stop at another vertex of
+a tied optimum, so `solve_mip` returns a canonical optimum, which
+depends on the model alone: the lexicographically least optimal integer
+vector, found through lexicographic weights in the objective, with the
+flows of a cold LP at it, read with no certificate.  Sized for desk-scale models (a few hundred variables),
 which is all this package needs.
 """
 
@@ -284,9 +291,9 @@ class _Rows:
     pair of bound rows, not one per variable).  A tie with a pinned side
     and a tie that shares a column with an earlier merge stay rows.
     `ties` lists each merge as (tie row, v's position, w's position, a, v's
-    other terms as (row, coefficient)), for the postsolve: w takes v's
-    value and its entry in an unbounded ray, and the tie row the multiplier
-    `tie_multipliers` gives it.
+    other terms as (row, coefficient)), a and the coefficients read off the
+    rows' checks, for the postsolve: w takes v's value and its entry in an
+    unbounded ray, and the tie row the multiplier `_tied` gives it.
     """
 
     __slots__ = (
@@ -325,11 +332,11 @@ class _Rows:
         self.cost_scale, scaled = _scaled(cost)
         self.cost = {j: c for j, c in enumerate(scaled) if c}
 
-    def _merges(self) -> list[tuple[int, int, int, Fraction]]:
-        """The merges (tie row, v's position, w's position, a), in the
-        canonical row order (`_canonical`): each tie of two free variables
-        that no earlier merge touches."""
-        merges, merged, slot, constraints = [], set(), self.slot, self.model.constraints
+    def _merges(self) -> list[tuple[int, int, int, int]]:
+        """The merges (tie row, v's position, w's position, v's coefficient
+        in the tie's check), in the canonical row order (`_canonical`): each
+        tie of two free variables that no earlier merge touches."""
+        merges, merged, slot = [], set(), self.slot
         for r in _canonical(self.checks):
             _, terms, rhs, sense, _ = self.checks[r]
             if len(terms) != 2 or sense != "=" or rhs:
@@ -337,40 +344,21 @@ class _Rows:
             (i, a), (k, b) = terms
             if a + b or slot[i] < 0 or slot[k] < 0 or i in merged or k in merged:
                 continue
-            first, second = constraints[r].coeffs.values()
-            merges.append((r, i, k, first) if i < k else (r, k, i, second))
+            merges.append((r, i, k, a) if i < k else (r, k, i, b))
             merged.update((i, k))
         return merges
 
-    def _ties(self, merges: list) -> list[tuple[int, int, int, Fraction, list[tuple[int, Fraction]]]]:
-        """Each merge with v's terms in the model's other rows, the bound
+    def _ties(self, merges: list) -> list[tuple[int, int, int, int, list[tuple[int, int]]]]:
+        """Each merge with v's terms in the other rows' checks, the bound
         rows included."""
         ties = [(r, v, w, a, []) for r, v, w, a in merges]
         if ties:
             kept = {v: (r, terms) for r, v, _, _, terms in ties}
-            for s, ((_, terms, *_), con) in enumerate(zip(self.checks, self.model.constraints)):
-                for (i, _), c in zip(terms, con.coeffs.values()):
+            for s, (_, terms, *_) in enumerate(self.checks):
+                for i, c in terms:
                     if i in kept and kept[i][0] != s:
                         kept[i][1].append((s, c))
         return ties
-
-    def tie_multipliers(self, u: list[Fraction], objective: Mapping[VarRef, Fraction]) -> None:
-        """Give each merged tie row its multiplier in `u`, one per model
-        row, once every other row has its own: duals priced against
-        `objective`, or a ray, given no objective.
-
-        With g^rest the other rows' combination, the tie's multiplier
-        lambda adds lambda a to g_v and takes it from g_w; the merged column
-        saw g^rest_v + g^rest_w.  For duals, lambda a = c_v - g^rest_v, the
-        top of [g^rest_w - c_w, c_v - g^rest_v], which is nonempty because
-        the merged column prices nonnegatively; so both columns price.  For
-        a ray, c = 0 and lambda a = -g^rest_v, which leaves g_v = 0 and g_w =
-        g^rest_v + g^rest_w <= 0.
-        """
-        variables = self.model.variables
-        for r, v, _, a, terms in self.ties:
-            rest = sum((u[s] * c for s, c in terms if u[s]), _ZERO)
-            u[r] = (objective.get(variables[v], _ZERO) - rest) / a
 
     def split(self, check: _Check) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, str]:
         """(free terms, pinned terms, rhs, sense) of a row given by its
@@ -435,32 +423,77 @@ def _recheck(rows: _Rows, point: list, checks: Sequence[_Check] | None = None) -
     return bad, Fraction(sum(c * xs[i] for i, c in terms), obj_scale * common)
 
 
-def _infeasible(rows: _Rows, ray: Mapping[int, Fraction], y: tuple) -> LpSolution:
+def _fractions(rows: _Rows, m: list[int], scale: int) -> tuple[Fraction, ...]:
+    """Integer multipliers m on `rows.checks` over `scale` as one
+    multiplier per model row in the row's own terms, u_r = m_r own_r /
+    scale: the form a caller receives."""
+    return tuple(Fraction(x * check[4], scale) if x else _ZERO for x, check in zip(m, rows.checks))
+
+
+def _integral(rows: _Rows, u: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Multipliers u, one per model row in the row's own terms, as integers
+    on `rows.checks` over one positive scale (`_fractions` undone)."""
+    scale, m = _scaled([Fraction(x.numerator, x.denominator * check[4]) for x, check in zip(u, rows.checks)])
+    return m, scale
+
+
+def _tied(
+    rows: _Rows, m: list[int], scale: int, objective: tuple[int, list[tuple[int, int]]] | None = None
+) -> tuple[list[int], int]:
+    """Give each merged tie row its multiplier in m, integer multipliers on
+    `rows.checks` over `scale`, once every other row has its own: duals
+    priced against `objective`, given as `rows.objective` is, or a ray,
+    given none.  Returns m and the scale, both multiplied by one positive
+    factor when a division below is not exact, which leaves the
+    certificate as it was.
+
+    With g^rest the other rows' combination, the tie's multiplier lambda
+    adds lambda a to g_v and takes it from g_w; the merged column saw
+    g^rest_v + g^rest_w.  For duals, lambda a = c_v - g^rest_v, the top of
+    [g^rest_w - c_w, c_v - g^rest_v], which is nonempty because the merged
+    column prices nonnegatively; so both columns price.  For a ray, c = 0
+    and lambda a = -g^rest_v, which leaves g_v = 0 and g_w = g^rest_v +
+    g^rest_w <= 0.  In integers, a being v's coefficient in the tie's check
+    and the objective over obj_scale, lambda = (c_v scale - obj_scale
+    g^rest_v) / (obj_scale a).
+    """
+    if not rows.ties:
+        return m, scale
+    obj_scale, terms = objective or (1, ())
+    cost = dict(terms)
+    for r, v, _, a, rest in rows.ties:
+        top = cost.get(v, 0) * scale - obj_scale * sum(m[s] * c for s, c in rest if m[s])
+        divisor = obj_scale * a
+        if top % divisor:
+            k = abs(divisor) // gcd(top, divisor)
+            m, scale, top = [x * k for x in m], scale * k, top * k
+        m[r] = top // divisor
+    return m, scale
+
+
+def _infeasible(rows: _Rows, ray: tuple[list[int], int], y: tuple) -> LpSolution:
     """The Infeasible answer with `rows.refs` pinned to `y` whose Farkas ray
-    is `ray` on the rows it names, one multiplier per model row; the merged
-    ties' multipliers come last (`tie_multipliers`)."""
-    multipliers = [_ZERO] * len(rows.rows)
-    for r, u in ray.items():
-        multipliers[r] = u
-    rows.tie_multipliers(multipliers, {})
-    return LpSolution(SolveStatus.INFEASIBLE, {}, None, tuple(multipliers), dict(zip(rows.refs, map(Fraction, y))))
+    is the integer `ray` (`_ray`, `_rhs`)."""
+    return LpSolution(SolveStatus.INFEASIBLE, {}, None, _fractions(rows, *ray), dict(zip(rows.refs, map(Fraction, y))))
 
 
-def _rhs(rows: _Rows, y: tuple) -> tuple[int, list[int]] | LpSolution:
-    """(q, b(y)): the lcm q of the pinned values' denominators, and per
-    model row its rhs less its pinned terms, times q; one dot product per
-    row.  A row left with no free variable is a constant check, a merged
-    tie's 0 = 0 among them, and the first that fails is returned instead,
-    as the Infeasible answer whose ray is +-1 on that row alone, by the
-    sign of its rhs."""
+def _rhs(rows: _Rows, y: tuple) -> tuple[int, list[int], tuple[list[int], int] | None]:
+    """(q, b(y), ray): the lcm q of the pinned values' denominators, and
+    per model row its rhs less its pinned terms, times q; one dot product
+    per row.  A row left with no free variable is a constant check, a
+    merged tie's 0 = 0 among them, and the first that fails ends b and
+    gives the Farkas ray, +-1 on that row alone by the sign of its rhs, in
+    integers as `_ray` gives one; else the ray is None."""
     q, pins = _scaled(y)
     b = []
     for r, (free, pinned, rhs, sense) in enumerate(rows.rows):
         br = rhs * q - sum(c * pins[k] for k, c in pinned)
-        if not free and not holds(0, sense, br):
-            return _infeasible(rows, {r: _ONE if br > 0 else -_ONE}, y)
         b.append(br)
-    return q, b
+        if not free and not holds(0, sense, br):
+            m = [0] * len(rows.checks)
+            m[r] = 1 if br > 0 else -1
+            return q, b, _tied(rows, m, rows.checks[r][4])
+    return q, b, None
 
 
 def _tableau(rows: _Rows, q: int, cost: Mapping[int, int] | None) -> _Tableau:
@@ -562,20 +595,46 @@ def _drive_out(t: _Tableau) -> None:
     t.dependent = [i for i, j in enumerate(t.basis) if j >= n]
 
 
-def _duals(rows: _Rows, t: _Tableau, cost_scale: int, objective: Mapping[VarRef, Fraction]) -> tuple[Fraction, ...]:
-    """One dual per model row, read off t's optimal reduced-cost row of the
-    cost `objective`, which entered times `cost_scale`:
-    at row r's starting column, whose cost is zero, u = -red, scaled back to
-    the rational model and signed back to model row origin[r]; a merged
-    tie's dual prices both of its columns (`_Rows.tie_multipliers`)."""
-    duals, red, den = [_ZERO] * len(rows.rows), t.red, t.red_den
+def _ray(rows: _Rows, t: _Tableau, i: int) -> tuple[list[int], int]:
+    """The Farkas ray of tableau row i, which refutes the LP (`_resolve`),
+    as integer multipliers on `rows.checks` over a positive scale, the
+    merged ties' last (`_tied`): the row of B^-1, read at each row's
+    starting column over the row's denominator, signed back to model row
+    origin[r] and negated when the rhs is negative, so that it combines the
+    rows into g x >= alpha with g <= 0 on every free column and alpha > 0.
+    Row r entered as sign_r times its check times scale / own_r, so s
+    sign_r times its cell times scale / own_r, s the sign of the rhs, is
+    its multiplier, over den times scale."""
+    row, m, scale = t.rows[i], [0] * len(rows.checks), rows.scale
+    s = 1 if row[-1] > 0 else -1
     for j, (r, sign) in zip(t.start, t.origin):
-        duals[r] = Fraction(-sign * red[j] * t.scale, den * cost_scale)
-    rows.tie_multipliers(duals, objective)
-    return tuple(duals)
+        if row[j]:
+            m[r] = s * sign * row[j] * (scale // rows.checks[r][4])
+    return _tied(rows, m, t.den[i] * scale)
 
 
-def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[_Check] | None = None) -> LpSolution | None:
+def _duals(
+    rows: _Rows, t: _Tableau, objective: tuple[int, list[tuple[int, int]]], cost_scale: int
+) -> tuple[list[int], int]:
+    """The duals of t's optimal reduced-cost row, of `objective` (given as
+    `rows.objective` is), which entered the tableau times `cost_scale`, as
+    integer multipliers on `rows.checks` over a positive scale, the merged
+    ties' last (`_tied`): at row r's starting column, whose cost is zero,
+    u = -red, signed back to model row origin[r].  The tableau is scaled
+    by t.scale, so the cell times -sign_r t.scale / own_r is r's
+    multiplier, over red_den times cost_scale."""
+    red, m = t.red, [0] * len(rows.checks)
+    for j, (r, sign) in zip(t.start, t.origin):
+        if red[j]:
+            m[r] = -sign * red[j] * (t.scale // rows.checks[r][4])
+    return _tied(rows, m, t.red_den * cost_scale, objective)
+
+
+# What `_resolve` decides: (status, refuting row or entering column, point, objective).
+_Outcome = tuple[SolveStatus, int, list | None, Fraction | None]
+
+
+def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[_Check] | None = None) -> _Outcome | None:
     """Decide the LP of a tableau of `rows` at the right-hand side `b`, one
     integer per model row over the tableau's scale, with `rows.refs` pinned
     to `y`: the one routine for every LP, a cold one (`_solve`), a capacity
@@ -592,15 +651,17 @@ def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[
     optimal and stays dual feasible, as every basis is without one.
 
     A dependent row (`_drive_out`) with a nonzero rhs, or a row at which
-    the dual simplex stops (`_dual_simplex`), refutes the LP: its Farkas ray
-    is the row of B^-1, read at each row's starting column over the row's
-    denominator, signed back to model row origin[r] and negated when the
-    rhs is negative, so that it combines the rows into g x >= alpha with g
-    <= 0 on every free column and alpha > 0.  Else a tableau with no cost
+    the dual simplex stops (`_dual_simplex`), refutes the LP: the outcome
+    is (INFEASIBLE, that row, None, None), and the callers that take its
+    Farkas ray read it off that row (`_ray`).  Else a tableau with no cost
     (a projection's) returns None: the LP is feasible.  Otherwise phase 2
     runs, on the kept cost row or on one priced at the feasible basis, and
-    the answer is read off the tableau as `solve_lp` describes, its point
-    re-checked against `checks` (`_recheck`).
+    the basic point, with the pins and each merged variable at its
+    column's value, is re-checked against `checks` (`_recheck`): the
+    outcome is (OPTIMAL, -1, point, objective), or (UNBOUNDED, the column
+    that entered with no row to leave, point, objective).  No certificate
+    is read here: `_answer` reads one for `solve_lp`, a sweep when it
+    keeps a test, and a branch-and-bound node none.
     """
     signed = [(j, sign * b[r]) for j, (r, sign) in zip(t.start, t.origin) if b[r]]
     for row in t.rows:
@@ -609,51 +670,70 @@ def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[
     if leave < 0:
         leave = _dual_simplex(t)
     if leave >= 0:
-        row, den = t.rows[leave], t.den[leave]
-        s = 1 if row[-1] > 0 else -1
-        ray = {r: Fraction(s * sign * row[j], den) for j, (r, sign) in zip(t.start, t.origin) if row[j]}
-        return _infeasible(rows, ray, y)
+        return SolveStatus.INFEASIBLE, leave, None, None
     if t.red is None:
         if t.cost is None:
             return None
         _priced(t, t.cost)
     unbounded = _bland_simplex(t)
-    variables, columns, y = rows.model.variables, rows.columns, tuple(map(Fraction, y))
-    point: list = [_ZERO] * len(variables)
+    columns, y = rows.columns, tuple(map(Fraction, y))
+    point: list = [_ZERO] * len(rows.slot)
     for k, i in enumerate(rows.slot):
         if i < 0:
             point[k] = y[~i]
-    basic = [(i, row, den) for row, i, den in zip(t.rows, t.basis, t.den) if i < len(columns)]
-    for i, row, den in basic:
-        point[columns[i]] = Fraction(row[-1], den)
+    for row, i, den in zip(t.rows, t.basis, t.den):
+        if i < len(columns):
+            point[columns[i]] = Fraction(row[-1], den)
     for _, v, w, _, _ in rows.ties:
         point[w] = point[v]
     bad, objective = _recheck(rows, point, checks)
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
+    return SolveStatus.UNBOUNDED if unbounded >= 0 else SolveStatus.OPTIMAL, unbounded, point, objective
+
+
+def _answer(rows: _Rows, t: _Tableau, y: tuple, outcome: _Outcome | None) -> LpSolution | None:
+    """The answer that `solve_lp` returns for `_resolve`'s outcome on t,
+    read off t before any later LP moves it, its certificate as Fractions
+    (`_fractions`): an Infeasible one's Farkas ray (`_ray`), an Optimal
+    one's duals (`_duals`), and an Unbounded one's ray along the column
+    that entered, which rises by one while each basic variable falls by
+    its cell in it, a merged variable moving with the column it merged
+    into.  None stays None."""
+    if outcome is None:
+        return None
+    status, k, point, objective = outcome
+    if status is SolveStatus.INFEASIBLE:
+        return _infeasible(rows, _ray(rows, t, k), y)
+    variables, columns = rows.model.variables, rows.columns
     assignment = {v: x for v, x in zip(variables, point) if x}
-    fixed = dict(zip(rows.refs, y))
-    if unbounded >= 0:
-        ray = {variables[columns[i]]: Fraction(-row[unbounded], den) for i, row, den in basic if row[unbounded]}
-        if unbounded < len(columns):
-            ray[variables[columns[unbounded]]] = _ONE
+    fixed = dict(zip(rows.refs, map(Fraction, y)))
+    if status is SolveStatus.UNBOUNDED:
+        ray = {
+            variables[columns[i]]: Fraction(-row[k], den)
+            for row, i, den in zip(t.rows, t.basis, t.den)
+            if i < len(columns) and row[k]
+        }
+        if k < len(columns):
+            ray[variables[columns[k]]] = _ONE
         for _, v, w, _, _ in rows.ties:
             if variables[v] in ray:
                 ray[variables[w]] = ray[variables[v]]
         return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), fixed, ray)
-    duals = _duals(rows, t, rows.cost_scale, rows.model.objective)
+    duals = _fractions(rows, *_duals(rows, t, rows.objective, rows.cost_scale))
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, duals, fixed)
 
 
 def _solve(rows: _Rows, y: tuple, priced: bool = True) -> LpSolution | None:
     """The LP of the model with `rows.refs` pinned to `y`, from a fresh
-    tableau (`_rhs`, `_tableau`, `_resolve`); see `solve_lp`.  Unless
-    `priced`, it has no cost, and a feasible LP returns None."""
-    pinned = _rhs(rows, y)
-    if isinstance(pinned, LpSolution):
-        return pinned
-    q, b = pinned
-    return _resolve(rows, _tableau(rows, q, rows.cost if priced else None), y, b)
+    tableau (`_rhs`, `_tableau`, `_resolve`), as `solve_lp` answers it
+    (`_answer`).  Unless `priced`, it has no cost, and a feasible LP
+    returns None."""
+    q, b, ray = _rhs(rows, y)
+    if ray:
+        return _infeasible(rows, ray, y)
+    t = _tableau(rows, q, rows.cost if priced else None)
+    return _answer(rows, t, y, _resolve(rows, t, y, b))
 
 
 def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> LpSolution:
@@ -663,17 +743,14 @@ def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIX
     the model without integer marks, `replace(model, integer=frozenset())`.
     Optimal points include the pinned values, count them in the objective,
     and are re-checked in integers against every original constraint
-    before being returned (`_recheck`).  The duals are read off the final
-    reduced-cost row at each row's starting column, whose cost is zero: u
-    = -red[start[r]], scaled back to the rational model and signed back to
-    model row origin[r]; a merged tie's dual is the one that prices both
-    of its columns (`_Rows.tie_multipliers`).  An Infeasible answer carries
-    the Farkas ray read off one row of B^-1 (`_resolve`), or off a failed
-    constant row (`_rhs`).  An Unbounded one carries the last basic point,
-    checked like an optimum, and the ray along the column that entered
-    with no row to leave: that column rises by one and each basic variable
-    falls by its cell in it; a merged variable moves with the column it
-    merged into.
+    before being returned (`_recheck`).  The certificate is read off the
+    final tableau (`_answer`): the duals off the reduced-cost row
+    (`_duals`), an Infeasible answer's Farkas ray off one row of B^-1
+    (`_ray`) or a failed constant row (`_rhs`), each signed back to the
+    rows as written, a merged tie's multiplier postsolved (`_tied`); an
+    Unbounded answer carries the last basic point, checked like an
+    optimum, and the ray along the column that entered with no row to
+    leave.
     """
     pinned = pinned_values(model, fixed)
     if any(v not in pinned for v in model.integer):
@@ -685,79 +762,77 @@ def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIX
 
 def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> bool:
     """Feasibility of the continuous relaxation, `fixed` variables pinned:
-    `solve_lp`'s path with no cost, which stops at the first feasible basis."""
+    `solve_lp`'s path with no cost, which stops at the first feasible
+    basis and reads no ray."""
     pinned = pinned_values(model, fixed)
-    return _solve(_Rows(model, tuple(pinned)), tuple(pinned.values()), priced=False) is None
+    rows, y = _Rows(model, tuple(pinned)), tuple(pinned.values())
+    q, b, ray = _rhs(rows, y)
+    return not ray and _resolve(rows, _tableau(rows, q, None), y, b) is None
 
 
 def _proved_row(
-    rows: _Rows, answer: LpSolution, objective: tuple[int, list[tuple[int, int]]] | None = None
-) -> tuple[list[int], int, int] | None:
-    """The row g x >= alpha, times a positive `scale`, that an Infeasible
-    answer's ray or an Optimal answer's duals prove on `rows.model`, as (g
-    by variable position, alpha, scale) in integers; None when they prove
-    nothing.  Duals price `objective`, given as `rows.objective` is (a
-    scale and integer terms by variable position), the model's own unless
-    given: a root row's LP minimizes its left-hand side instead.
+    rows: _Rows,
+    m: Sequence[int],
+    scale: int,
+    pinned: Sequence[int],
+    objective: tuple[int, list[tuple[int, int]]] | None = None,
+    y: tuple[int, Sequence[int]] = (1, ()),
+) -> tuple[list[int], int] | None:
+    """The row g x >= alpha, times the positive `scale`, that the integer
+    multipliers m, one per row of `rows.checks`, prove on `rows.model`, as
+    (g by variable position, alpha); None when they prove nothing.  This is
+    the one check of every certificate, a sweep's, a root row's and one
+    given to `certify` alike.  With no `objective`, m is a Farkas ray found
+    with the variables at positions `pinned` pinned to y, given as (q, the
+    values times q); with one, given as `rows.objective` is (a scale and
+    integer terms by variable position), m are duals that price it.
 
-    The multipliers u, one per row, must each combine their row the valid
-    way (u_r <= 0 on `<=`, u_r >= 0 on `>=`, either sign on `=`), and the
-    answer may pin only the model's variables: then g = sum_r u_r a_r and
-    alpha = sum_r u_r rhs_r hold at every point.  With the pins y, a ray
-    must give g_v <= 0 on every free variable and alpha > g y, so no point
-    has those pins; duals must price every free variable nonnegatively,
-    c_v scale >= g_v, so the objective's free part is at least
-    (alpha - g y) / scale at every point (weak duality).  The rows are
-    `rows.checks`, each an integer row over its own lcm, brought to the lcm
-    of the rows that u uses; u is scaled in by its own lcm.
+    Each multiplier must combine its row the valid way (m_r <= 0 on `<=`,
+    m_r >= 0 on `>=`, either sign on `=`): then g = sum_r m_r a_r and alpha
+    = sum_r m_r rhs_r, over the checks, hold at every point.  A ray must
+    give g_v <= 0 on every free variable and alpha > g y, so no point has
+    those pins; duals must price every free variable nonnegatively, c_v
+    scale >= g_v, so the objective's free part is at least (alpha - g y) /
+    scale at every point (weak duality).
     """
-    u, fixed = answer.duals, answer.fixed
-    pinned = [rows.position.get(v, -1) for v in fixed]
-    if len(u) != len(rows.checks) or -1 in pinned:
-        return None
-    used = [(ur, check) for ur, check in zip(u, rows.checks) if ur]
-    if any(ur > 0 and check[3] == "<=" or ur < 0 and check[3] == ">=" for ur, check in used):
-        return None
-    u_scale, us = _scaled([ur for ur, _ in used])
-    common = lcm(*(check[4] for _, check in used))
     g = [0] * len(rows.position)
     alpha = 0
-    for n, (_, (_, terms, rhs, _, own)) in zip(us, used):
-        n *= common // own
-        for i, c in terms:
-            g[i] += n * c
-        alpha += n * rhs
-    scale = u_scale * common
+    for x, (_, terms, rhs, sense, _) in zip(m, rows.checks):
+        if x:
+            if x > 0 and sense == "<=" or x < 0 and sense == ">=":
+                return None
+            for i, c in terms:
+                g[i] += x * c
+            alpha += x * rhs
     skip = set(pinned)
     free = [(i, c) for i, c in enumerate(g) if i not in skip]
-    if answer.status is SolveStatus.INFEASIBLE:
-        q, ys = _scaled(list(fixed.values()))
+    if objective is None:
+        q, ys = y
         if any(c > 0 for _, c in free) or alpha * q <= sum(map(mul, (g[i] for i in pinned), ys)):
             return None
-    elif answer.status is SolveStatus.OPTIMAL:
-        obj_scale, terms = rows.objective if objective is None else objective
+    else:
+        obj_scale, terms = objective
         cost = [0] * len(g)
         for i, c in terms:
             cost[i] = c
         if any(cost[i] * scale < c * obj_scale for i, c in free):
             return None
-    else:
-        return None
-    return g, alpha, scale
+    return g, alpha
 
 
 def certify(model: MipModel, answer: LpSolution) -> bool:
     """Whether an LP answer's certificate proves its status, read against
     the model's rows alone; nothing is solved.
 
-    Infeasible: the ray proves a row (`_proved_row`).  Optimal: the duals
-    prove one, and its bound, (alpha - g y) / scale plus the pinned cost,
-    equals the reported objective and the point's.  Unbounded: the ray d
-    leaves the pins alone, is nonnegative, keeps every row's sense (a_r d
-    <= 0 on `<=`, >= 0 on `>=`, = 0 on `=`) and lowers the cost (c d < 0).
-    Optimal and Unbounded: the point names only model variables, holds
-    the pins and satisfies every row.  An answer relabelled with another
-    status does not certify.
+    Infeasible: the ray, turned into integers once (`_integral`), proves a
+    row (`_proved_row`).  Optimal: the duals prove one, and its bound,
+    (alpha - g y) / scale plus the pinned cost, equals the reported
+    objective and the point's.  Unbounded: the ray d leaves the pins alone,
+    is nonnegative, keeps every row's sense (a_r d <= 0 on `<=`, >= 0 on
+    `>=`, = 0 on `=`) and lowers the cost (c d < 0).  Optimal and
+    Unbounded: the point names only model variables, holds the pins and
+    satisfies every row.  An answer relabelled with another status does
+    not certify.
     """
     fixed = answer.fixed
     if answer.status is SolveStatus.UNBOUNDED:
@@ -770,11 +845,17 @@ def certify(model: MipModel, answer: LpSolution) -> bool:
             return False
     else:
         rows = _Rows(model, ())
-        proved = _proved_row(rows, answer)
-        if proved is None or answer.status is SolveStatus.INFEASIBLE:
-            return proved is not None
-        g, alpha, scale = proved
-        dual_value = Fraction(alpha - sum(g[rows.position[v]] * val for v, val in fixed.items()), scale)
+        pinned = [rows.position.get(v, -1) for v in fixed]
+        if len(answer.duals) != len(rows.checks) or -1 in pinned:
+            return False
+        m, scale = _integral(rows, answer.duals)
+        if answer.status is SolveStatus.INFEASIBLE:
+            return _proved_row(rows, m, scale, pinned, y=_scaled(list(fixed.values()))) is not None
+        proved = _proved_row(rows, m, scale, pinned, rows.objective)
+        if proved is None:
+            return False
+        g, alpha = proved
+        dual_value = Fraction(alpha - sum(g[i] * val for i, val in zip(pinned, fixed.values())), scale)
         if not dual_value + model.objective_value(fixed) == answer.objective == model.objective_value(answer.values):
             return False
     on_model = set(answer.values) <= set(model.variables)
@@ -894,29 +975,22 @@ def _priced(t: _Tableau, cost: Mapping[int, int]) -> None:
     t.red, t.red_den = red, d
 
 
-def _rounded_bound(rows: _Rows, duals: Sequence[Fraction], objective: Mapping[VarRef, Fraction]) -> int:
-    """The least integer at or above the bound that `duals` prove on
-    `objective` over `rows.model` (`_proved_row`, given the objective);
-    NetcapError when they prove none."""
-    obj_scale, coeffs = _scaled(list(objective.values()))
-    terms = [(rows.position[v], c) for v, c in zip(objective, coeffs)]
-    proved = _proved_row(rows, LpSolution(SolveStatus.OPTIMAL, {}, None, tuple(duals)), (obj_scale, terms))
-    if proved is None:
-        raise NetcapError("the duals of a root row's LP do not bound its left-hand side")
-    _, alpha, scale = proved
-    return -(-alpha // scale)
-
-
 def _root_bound(rows: _Rows, t: _Tableau, r: int) -> int:
     """Minimize root row r's beta y (`_root_rows`) over the bounded
     relaxation from t's feasible basis, by the primal simplex on beta's
     reduced-cost row, priced at that basis (`_priced`), and return the
-    certified optimum rounded up (`_rounded_bound`).  beta >= 0 on
-    nonnegative variables, so the LP is bounded."""
-    objective = {v: -c for v, c in rows.model.constraints[r].coeffs.items()}
+    optimum that the LP's duals prove (`_duals`, `_proved_row` given beta
+    as the objective), rounded up; NetcapError when they prove none.  beta
+    >= 0 on nonnegative variables, so the LP is bounded."""
+    _, terms, _, _, own = rows.checks[r]
+    beta = own, [(i, -c) for i, c in terms]
     _priced(t, {j: -c // rows.scale for j, c in rows.rows[r][0]})
     _bland_simplex(t)
-    return _rounded_bound(rows, _duals(rows, t, 1, objective), objective)
+    m, scale = _duals(rows, t, beta, 1)
+    proved = _proved_row(rows, m, scale, (), beta)
+    if proved is None:
+        raise NetcapError("the duals of a root row's LP do not bound its left-hand side")
+    return -(-proved[1] // scale)
 
 
 def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
@@ -958,10 +1032,11 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
     bound_checks = rows.checks[first:]
     # each bound pair's column, from its `ub` row's one term, and each integer variable's pair
     column = {rows.slot[terms[0][0]]: k for k, (_, terms, *_) in enumerate(bound_checks[::2])}
-    int_order = [(v, column[rows.slot[rows.position[v]]]) for v in model.variables if v in model.integer]
+    int_order = [(i, column[rows.slot[i]]) for i, v in enumerate(model.variables) if v in model.integer]
     step = _objective_step(model)
-    root, t = _rhs(rows, ()), _tableau(rows, 1, None)
-    if isinstance(root, LpSolution) or _resolve(rows, t, (), root[1]) is not None:
+    _, root_b, ray = _rhs(rows, ())
+    t = _tableau(rows, 1, None)
+    if ray or _resolve(rows, t, (), root_b) is not None:
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=1)
     t.cost = rows.cost
     for r in range(len(model.constraints), first):
@@ -977,7 +1052,7 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
         probe = _branch_and_bound(model.with_objective({}), bound)
         status = SolveStatus.UNBOUNDED if probe.status is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
         return MipResult(status, {}, None, nodes=1 + probe.nodes)
-    incumbent: Mapping[VarRef, Fraction] = {}
+    incumbent: list = []
     incumbent_obj: Fraction | None = None
     nodes = 0
     stack = [tuple(rhs for _, _, rhs, _, _ in bound_checks)]  # (hi, -lo) per column
@@ -988,15 +1063,15 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
         checks = fixed_checks + [
             (name, terms, end, sense, own) for (name, terms, _, sense, own), end in zip(bound_checks, ends)
         ]
-        sol = _resolve(rows, t, (), b, checks)
-        if sol.status is SolveStatus.INFEASIBLE:
+        status, _, point, objective = _resolve(rows, t, (), b, checks)
+        if status is SolveStatus.INFEASIBLE:
             continue
-        node_bound = -(-sol.objective // step) * step if step else sol.objective
+        node_bound = -(-objective // step) * step if step else objective
         if incumbent_obj is not None and node_bound >= incumbent_obj:
             continue
-        branch = next(((k, x) for v, k in int_order if (x := sol.values.get(v, _ZERO)).denominator != 1), None)
+        branch = next(((k, x) for i, k in int_order if (x := point[i]).denominator != 1), None)
         if branch is None:
-            incumbent, incumbent_obj = sol.values, sol.objective
+            incumbent, incumbent_obj = point, objective
             continue
         k, value = branch
         floor = value.numerator // value.denominator
@@ -1006,7 +1081,8 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
         stack.append(tuple(down))
     if incumbent_obj is None:
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=nodes)
-    return MipResult(SolveStatus.OPTIMAL, incumbent, incumbent_obj, nodes=nodes)
+    values = {v: x for v, x in zip(model.variables, incumbent) if x}
+    return MipResult(SolveStatus.OPTIMAL, values, incumbent_obj, nodes=nodes)
 
 
 def solve_mip(model: MipModel, bound: int) -> MipResult:
@@ -1038,9 +1114,7 @@ def solve_mip(model: MipModel, bound: int) -> MipResult:
         raise MissingBoundError(f"the bound on integer variables must be a nonnegative integer: {bound!r}")
     integer = tuple(v for v in model.variables if v in model.integer)
     if not integer:
-        root = solve_lp(model)
-        optimal = root.status is SolveStatus.OPTIMAL
-        return MipResult(root.status, root.values if optimal else {}, root.objective, nodes=1)
+        return _cold(model, {}, 1)
     step = _objective_step(model)
     if step:
         found = _branch_and_bound(_lexicographic(model, integer, bound, step), bound)
@@ -1052,10 +1126,24 @@ def solve_mip(model: MipModel, bound: int) -> MipResult:
             found = replace(least, nodes=found.nodes + least.nodes)
     if found.status is not SolveStatus.OPTIMAL:
         return found
-    answer = solve_lp(model, fixed={v: found.values.get(v, _ZERO) for v in integer})
+    answer = _cold(model, {v: found.values.get(v, _ZERO) for v in integer}, found.nodes)
     if answer.objective != model.objective_value(found.values):
         raise NetcapError("the LP at the optimal integer vector does not reach the optimum")
-    return MipResult(SolveStatus.OPTIMAL, answer.values, answer.objective, nodes=found.nodes)
+    return answer
+
+
+def _cold(model: MipModel, fixed: Mapping[VarRef, Fraction], nodes: int) -> MipResult:
+    """The status of `solve_lp` with `fixed` pinned and, at an optimum,
+    its point and objective, read with no certificate, with `nodes`: the
+    LPs of `solve_mip` outside its searches."""
+    rows, y = _Rows(model, tuple(fixed)), tuple(fixed.values())
+    q, b, ray = _rhs(rows, y)
+    if ray:
+        return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes)
+    status, _, point, objective = _resolve(rows, _tableau(rows, q, rows.cost), y, b)
+    if status is not SolveStatus.OPTIMAL:
+        return MipResult(status, {}, None, nodes)
+    return MipResult(status, {v: x for v, x in zip(model.variables, point) if x}, objective, nodes)
 
 
 # -- feasibility of capacity vectors -----------------------------------------
@@ -1100,7 +1188,7 @@ class CapacitySweep:
     which replaces the model's objective, and each vector where an LP finds
     the row broken is recorded with the row's least left-hand side there,
     as (vec, lhs), in `violations`.  The dual feasible set does not depend
-    on y, so the row g x >= alpha (times `scale`) that an Optimal answer's
+    on y, so the row g x >= alpha (times `scale`) that an Optimal LP's
     duals prove bounds the objective at every feasible y from below by
     (alpha - g y) / scale: weak duality, a Benders optimality cut.  The row
     holds at y when that bound plus the row's terms on `refs` reaches its
@@ -1110,18 +1198,19 @@ class CapacitySweep:
     it (`_resolve`): the pins move only the right-hand side, so a Bland
     dual simplex (Lemke 1954) takes the kept basis to the new vector's
     answer.  The basis is dual feasible: the tableau has no cost row until
-    an LP with a row is first feasible, and then an optimal one.  Every
-    answer carries its certificate as a cold one does: an Infeasible answer
-    the ray read off the row that refutes the LP, an Optimal one its point,
-    re-checked (`_recheck`), and its duals.  The kept tableau keeps its
-    dependent rows and checks each new right-hand side against them: at
-    some pins they may refute the LP.
+    an LP with a row is first feasible, and then an optimal one.  An
+    Infeasible LP's ray is read off the row that refutes it (`_ray`), and
+    an Optimal one's point is re-checked (`_recheck`) and its duals read
+    (`_duals`), both as integer multipliers; no answer is built.  The kept
+    tableau keeps its dependent rows and checks each new right-hand side
+    against them: at some pins they may refute the LP.
 
-    `learn` checks each certificate by the row it proves (`_proved_row`),
-    as `certify` does, before it keeps the test, as coprime integers, so
+    Each certificate is checked by the row it proves (`_proved_row`), as
+    `certify` checks one, before its test is kept, as coprime integers, so
     that testing a vector is one integer dot product; a test already kept
-    is kept once.  `lp_solved`, `ray_refuted` and `bound_proved` count how
-    vectors were decided.  The model's integer rows are built once, for
+    is kept once.  `learn` takes an answer's certificate in Fractions to
+    the same check.  `lp_solved`, `ray_refuted` and `bound_proved` count
+    how vectors were decided.  The model's integer rows are built once, for
     the whole sweep.
     """
 
@@ -1133,7 +1222,7 @@ class CapacitySweep:
         # (alpha, beta) and (A, B), in learning order
         self._rays: dict[tuple[int, tuple[int, ...]], None] = {}
         self._bounds: dict[tuple[int, tuple[int, ...]], None] = {}
-        self._learned: set[tuple[Fraction, ...]] = set()  # duals whose test is kept
+        self._learned: set[tuple[int, tuple[int, ...]]] = set()  # coprime (scale, duals) whose test is kept
         self._kept: _Tableau | None = None  # the one tableau, built at the first LP
         pinned_values(model, dict.fromkeys(refs, 0))  # refs are the model's variables
         self._pinned = frozenset(refs)
@@ -1154,10 +1243,11 @@ class CapacitySweep:
         A vector that dominates a recorded one is feasible, and without a row
         that settles it; with one, a kept dual test may prove the row there.
         An undominated vector that a kept ray refutes is infeasible.  Any
-        other is solved (`_solve_at`), and the answer's certificate is
-        learned; with a row, an Optimal answer whose point breaks the row
-        adds (vec, lhs) to `violations`.  An Infeasible answer at a
-        dominating vector raises, since monotonicity has broken.
+        other is solved (`_solve_at`), and the LP's certificate is kept
+        (`_keep`); with a row, an Optimal LP whose least left-hand side,
+        its objective plus the row's terms on `refs`, is below the rhs adds
+        (vec, lhs) to `violations`.  An Infeasible LP at a dominating vector
+        raises, since monotonicity has broken.
         """
         dominated = any(dominates(vec, m) for m in self.minimal)
         if dominated and self.row is None:
@@ -1169,33 +1259,42 @@ class CapacitySweep:
             self.ray_refuted += 1
             return False
         self.lp_solved += 1
-        answer = self._solve_at(vec)
-        if answer is None:  # feasible, without a row
+        status, objective, ray = self._solve_at(vec)
+        if status is None:  # feasible, without a row
             self.minimal.append(vec)
             return True
-        if answer.status is SolveStatus.INFEASIBLE and dominated:
-            raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
-        self.learn(answer)
-        if answer.status is SolveStatus.INFEASIBLE:
+        if status is SolveStatus.INFEASIBLE:
+            if dominated:
+                raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
+            self._keep(*ray, (1, vec))
             return False
+        self._keep(*_duals(self._rows, self._kept, self._rows.objective, self._rows.cost_scale))
         if not dominated:
             self.minimal.append(vec)
-        lhs = self.row.lhs_value(answer.values)
+        lhs = objective + Fraction(sum(map(mul, self._on_refs, vec)), self._row_scale)
         if lhs < self.row.rhs:
             self.violations.append((vec, lhs))
         return True
 
-    def _solve_at(self, vec: tuple[int, ...]) -> LpSolution | None:
+    def _solve_at(self, vec: tuple[int, ...]) -> tuple[SolveStatus | None, Fraction | None, tuple | None]:
         """The LP at `vec`, solved on the sweep's one tableau, built at its
-        first LP; None when it is feasible and the sweep has no row."""
+        first LP, as (status, objective, ray): the status None when the LP
+        is feasible and the sweep has no row, the objective when it is
+        Optimal, and when it is Infeasible its Farkas ray (`_ray`,
+        `_rhs`)."""
         rows = self._rows
-        pinned = _rhs(rows, vec)
-        if isinstance(pinned, LpSolution):
-            return pinned
-        q, b = pinned
+        q, b, ray = _rhs(rows, vec)
+        if ray:
+            return SolveStatus.INFEASIBLE, None, ray
         if self._kept is None:
             self._kept = _tableau(rows, q, None if self.row is None else rows.cost)
-        return _resolve(rows, self._kept, vec, b)
+        outcome = _resolve(rows, self._kept, vec, b)
+        if outcome is None:
+            return None, None, None
+        status, k, _, objective = outcome
+        if status is SolveStatus.INFEASIBLE:
+            return status, None, _ray(rows, self._kept, k)
+        return status, objective, None
 
     def refutes(self, vec: tuple[int, ...]) -> bool:
         """Whether a kept ray test beta y >= alpha fails at y = vec."""
@@ -1207,25 +1306,42 @@ class CapacitySweep:
 
     def learn(self, solution: LpSolution) -> None:
         """Keep the test of an Infeasible answer's ray or, with a row, of an
-        Optimal answer's duals, found with `refs` pinned.  Duals already
-        learned give the same test, so they are neither checked nor combined
-        again: a sweep over a failing row, where nearly every vector is
-        solved, meets the same few duals over and over."""
+        Optimal answer's duals, found with `refs` pinned: the multipliers
+        are turned into integers once (`_integral`) and kept as the sweep
+        keeps its own (`_keep`)."""
         if solution.fixed.keys() != self._pinned:
             raise PreconditionError("the answer pins other variables than the sweep")
         optimal = solution.status is SolveStatus.OPTIMAL
         if optimal and self.row is None or solution.status is SolveStatus.UNBOUNDED:
             raise PreconditionError("only an Infeasible answer, or an Optimal one given a row, gives a test")
-        if optimal and solution.duals in self._learned:
-            return
-        proved = _proved_row(self._rows, solution)
+        if len(solution.duals) != len(self._rows.checks):
+            raise NetcapError("the answer does not carry one multiplier per row of the sweep's model")
+        pins = None if optimal else _scaled([solution.fixed[v] for v in self.refs])
+        self._keep(*_integral(self._rows, solution.duals), pins)
+
+    def _keep(self, m: list[int], scale: int, pins: tuple[int, list[int]] | None = None) -> None:
+        """Check integer multipliers m on the rows' checks, over `scale`, by
+        the row they prove (`_proved_row`), and keep their test: a Farkas
+        ray's, found with `refs` pinned to `pins`, given as (q, the values
+        times q), or, with no pins, the duals'.  Duals already learned, up to
+        a positive factor, give the same test, so they are neither checked
+        nor combined again: a sweep over a failing row, where nearly every
+        vector is solved, meets the same few duals over and over."""
+        rows, optimal = self._rows, pins is None
+        if optimal:
+            key = _coprime([scale, *m])
+            if key in self._learned:
+                return
+            proved = _proved_row(rows, m, scale, self._ref_positions, rows.objective)
+        else:
+            proved = _proved_row(rows, m, scale, self._ref_positions, y=pins)
         if proved is None:
             raise NetcapError(
                 "solver returned duals that do not bound the objective"
                 if optimal
                 else "solver returned a Farkas ray that does not prove infeasibility"
             )
-        g, alpha, scale = proved
+        g, alpha = proved
         beta = [g[i] for i in self._ref_positions]
         if not optimal:
             self._rays[_coprime([alpha, *beta])] = None
@@ -1234,7 +1350,7 @@ class CapacitySweep:
         test = [alpha * self._row_scale - scale * self._rhs]
         test += [b * self._row_scale - scale * c for b, c in zip(beta, self._on_refs)]
         self._bounds[_coprime(test)] = None
-        self._learned.add(solution.duals)
+        self._learned.add(key)
 
 
 def _coprime(ints: list[int]) -> tuple[int, tuple[int, ...]]:

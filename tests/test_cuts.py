@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netcap import cuts, solver
+from netcap import solver
 from netcap.core import FacilityMenu, Instance, Network, TrafficMatrix, load_instance
 from netcap.cuts import (
     CutsetSpec,
@@ -30,7 +30,6 @@ from netcap.projlab import capacity_bound, capacity_box
 from netcap.randgen import cut_check_instance, random_cutset_spec, triangle_network
 from netcap.solver import (
     CapacitySweep,
-    LpSolution,
     SolveStatus,
     build_for_feasibility,
     certify,
@@ -413,19 +412,28 @@ def test_cut_check_counts_cover_the_box():
     assert all(sum(getattr(c, name) for c in checks) for name in ("lp_solved", "ray_refuted", "bound_proved"))
 
 
+def _optimal_answers(recorded):
+    """Rebind `solver._resolve`, which decides each LP of a sweep, to keep
+    in `recorded`, for each Optimal LP, (its rows, the answer `solve_lp`
+    would return, its duals read off the tableau as the LP leaves it,
+    `solver._answer`)."""
+    resolve = solver._resolve
+
+    def recording(rows, t, y, b, checks=None):
+        outcome = resolve(rows, t, y, b, checks)
+        if outcome is not None and outcome[0] is SolveStatus.OPTIMAL:
+            recorded.append((rows, solver._answer(rows, t, y, outcome)))
+        return outcome
+
+    return recording
+
+
 def _bound_answers(inst, cut):
-    """The sweep of a directed cut check, bound 1, and each Optimal answer
-    it learned from."""
+    """The rows of a directed cut check's sweep, bound 1, whose model and
+    refs are the sweep's, and each Optimal answer its LPs reach."""
     kept = []
-
-    class Recording(CapacitySweep):
-        def learn(self, solution):
-            super().learn(solution)
-            if solution.status is SolveStatus.OPTIMAL:
-                kept.append((self, solution))
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuts, "CapacitySweep", Recording)
+        mp.setattr(solver, "_resolve", _optimal_answers(kept))
         check_cut_validity(inst, cut, bound=1)
     return kept
 
@@ -476,25 +484,21 @@ def test_dual_bound_cache_refuses_tampered_duals():
 
 def test_dual_bound_cache_checks_each_dual_once(monkeypatch):
     """A cut that fails is solved at most vectors of the box, yet its LPs
-    return the same few duals again and again; each is checked once."""
+    reach the same few duals again and again; each is checked once, by
+    the one integer check (`_proved_row`)."""
     inst, cut = _readme_cut()
-    learned, checked = [], []
+    optimal, checked = [], []
     proved_row = solver._proved_row
 
-    class Recording(CapacitySweep):
-        def learn(self, solution):
-            if solution.status is SolveStatus.OPTIMAL:
-                learned.append(solution.duals)
-            super().learn(solution)
+    def counting(rows, m, scale, pinned, objective=None, y=(1, ())):
+        if objective is not None:
+            checked.append(solver._fractions(rows, m, scale))
+        return proved_row(rows, m, scale, pinned, objective, y)
 
-    def counting(model, solution):
-        if solution.status is SolveStatus.OPTIMAL:
-            checked.append(solution.duals)
-        return proved_row(model, solution)
-
-    monkeypatch.setattr(cuts, "CapacitySweep", Recording)
+    monkeypatch.setattr(solver, "_resolve", _optimal_answers(optimal))
     monkeypatch.setattr(solver, "_proved_row", counting)
     check = check_cut_validity(inst, replace(cut, rhs=cut.rhs + 1), bound=1)
+    learned = [sol.duals for _, sol in optimal]
     assert check.violations and len(learned) > 1000
     assert sorted(checked) == sorted(set(learned)) and len(checked) < 10
 
@@ -535,11 +539,11 @@ def test_infeasible_lp_at_a_dominating_vector_raises():
 
     def lying(rows, t, vec, b, checks=None):
         if any(dominates(vec, f) for f in feasible_at):
-            return LpSolution(SolveStatus.INFEASIBLE, {}, None, (), dict(zip(rows.refs, vec)))
-        sol = resolve(rows, t, vec, b, checks)
-        if sol.status is SolveStatus.OPTIMAL:
+            return SolveStatus.INFEASIBLE, 0, None, None  # row 0 refutes nothing
+        outcome = resolve(rows, t, vec, b, checks)
+        if outcome is not None and outcome[0] is SolveStatus.OPTIMAL:
             feasible_at.append(vec)
-        return sol
+        return outcome
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_resolve", lying)

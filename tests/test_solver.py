@@ -145,18 +145,21 @@ def _node_model(rows, checks):
 def _record_resolves(monkeypatch, nodes=False):
     """Rebind `solver._resolve`, which decides every LP, a capacity
     sweep's and a branch-and-bound node's among them, to keep every (model,
-    solution) it returns, or, with `nodes`, the nodes' alone; a node's
-    model carries its own bounds (`_node_model`), and an LP with no cost
-    that is feasible (a projection's vector, the root of a search) returns
-    None and is not kept."""
+    answer) it decides, or, with `nodes`, the nodes' alone.  The answer is
+    the one `solve_lp` would return (`_answer`), its certificate read off
+    the tableau as the LP leaves it, though neither a sweep nor a node
+    reads one as Fractions.  A node's model carries its own bounds
+    (`_node_model`), and an LP with no cost that is feasible (a
+    projection's vector, the root of a search) is not kept."""
     seen = []
     inner = solver._resolve
 
     def recording(rows, t, y, b, checks=None):
-        sol = inner(rows, t, y, b, checks)
-        if sol is not None and (checks is not None or not nodes):
-            seen.append((rows.model if checks is None else _node_model(rows, checks), sol))
-        return sol
+        outcome = inner(rows, t, y, b, checks)
+        if outcome is not None and (checks is not None or not nodes):
+            model = rows.model if checks is None else _node_model(rows, checks)
+            seen.append((model, solver._answer(rows, t, y, outcome)))
+        return outcome
 
     monkeypatch.setattr(solver, "_resolve", recording)
     return seen
@@ -180,17 +183,21 @@ def _without_root_rows(monkeypatch):
 
 
 def _record_learned_rays(monkeypatch):
-    """Rebind `CapacitySweep.learn` to keep every (model, Infeasible answer)
-    a capacity sweep learns from."""
+    """Rebind `CapacitySweep._keep` to keep every (model, Infeasible answer)
+    a capacity sweep keeps a ray from, the answer carrying the integer ray
+    as `solve_lp` would (`_fractions`)."""
     seen = []
-    inner = solver.CapacitySweep.learn
+    inner = solver.CapacitySweep._keep
 
-    def recording(sweep, sol):
-        if sol.status is SolveStatus.INFEASIBLE:
+    def recording(sweep, m, scale, pins=None):
+        if pins is not None:
+            q, ys = pins
+            fixed = {v: Fraction(y, q) for v, y in zip(sweep.refs, ys)}
+            sol = LpSolution(SolveStatus.INFEASIBLE, {}, None, solver._fractions(sweep._rows, m, scale), fixed)
             seen.append((sweep.model, sol))
-        return inner(sweep, sol)
+        return inner(sweep, m, scale, pins)
 
-    monkeypatch.setattr(solver.CapacitySweep, "learn", recording)
+    monkeypatch.setattr(solver.CapacitySweep, "_keep", recording)
     return seen
 
 
@@ -865,10 +872,10 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
     def recording(rows, t, y, b, checks=None):
         priced, kept = t.cost is not None, t.red is not None
         phase2.clear()
-        answer = resolve(rows, t, y, b, checks)
+        outcome = resolve(rows, t, y, b, checks)
         assert not (kept and any(phase2))
-        warm.append((rows, y, priced, answer))
-        return answer
+        warm.append((rows, y, priced, solver._answer(rows, t, y, outcome)))
+        return outcome
 
     def pivoting(t):
         basis = list(t.basis)
@@ -906,7 +913,7 @@ def test_every_sweep_builds_one_tableau(monkeypatch):
     def solving(sweep, vec):
         before = len(built)
         answer = solve_at(sweep, vec)
-        sweeps.setdefault(sweep, []).append((len(built) - before, answer and answer.status))  # (tableaux, status)
+        sweeps.setdefault(sweep, []).append((len(built) - before, answer[0]))  # (tableaux, status)
         return answer
 
     def building(*args):
@@ -927,6 +934,58 @@ def test_every_sweep_builds_one_tableau(monkeypatch):
     )
 
 
+def _single_test(scratch, keep):
+    """The one test that `keep` makes `scratch`, a sweep of the same model,
+    refs and row, keep, from empty."""
+    scratch._rays, scratch._bounds, scratch._learned = {}, {}, set()
+    keep(scratch)
+    (test,) = [*scratch._rays, *scratch._bounds]
+    return test
+
+
+def test_integer_certificates_give_the_public_answers_tests(monkeypatch):
+    """Every LP of a sweep keeps the test that `solve_lp`'s answer at its
+    vector gives: the Farkas ray or duals read off the kept tableau in
+    integers (`_ray`, `_rhs`, `_duals`) and checked by `_proved_row` give,
+    after `_coprime`, the test that the answer's Fraction multipliers give
+    through `learn`, and the sweep holds it.
+    Cases: the sweeps of the README cut, as given and with its rhs raised
+    by one, which fails, and the projections of the triangle readings at
+    bound 1, mirror-flow readings included."""
+    lps = []
+    solve_at = CapacitySweep._solve_at
+
+    def solving(sweep, vec):
+        status, objective, ray = solve_at(sweep, vec)
+        if status is SolveStatus.INFEASIBLE:
+            lps.append((sweep, vec, (*ray, (1, vec))))
+        elif status is SolveStatus.OPTIMAL:
+            rows = sweep._rows
+            lps.append((sweep, vec, (*solver._duals(rows, sweep._kept, rows.objective, rows.cost_scale), None)))
+        return status, objective, ray
+
+    monkeypatch.setattr(CapacitySweep, "_solve_at", solving)
+    inst = load_instance(_TRIANGLE)
+    cut = cutset_inequality(inst, CutsetSpec(side_u=("1",), commodities=(("1", "2"),), s_plus=(("1", "2"),)))
+    for row in (cut, replace(cut, rhs=cut.rhs + 1)):
+        check_cut_validity(inst, row, bound=1)
+    _, readings = _triangle_readings()
+    for model in readings.values():
+        project(model, 1)
+    assert len(lps) > 1100 and {sweep.row is None for sweep, *_ in lps} == {True, False}
+    assert {pins is None for *_, (_, _, pins) in lps} == {True, False}
+    assert any(c.name.startswith("sym[") for sweep, *_ in lps for c in sweep.model.constraints)
+    scratch = {}
+    for sweep, vec, (m, scale, pins) in lps:
+        if sweep not in scratch:
+            scratch[sweep] = CapacitySweep(sweep.model, sweep.refs, sweep.row)
+        answer = solve_lp(sweep.model, fixed=dict(zip(sweep.refs, vec)))
+        assert answer.status is (SolveStatus.OPTIMAL if pins is None else SolveStatus.INFEASIBLE)
+        test = _single_test(scratch[sweep], lambda fresh: fresh._keep(m, scale, pins))
+        assert test == _single_test(scratch[sweep], lambda fresh: fresh.learn(answer))
+        assert test in (sweep._bounds if pins is None else sweep._rays)
+
+
 def test_kept_tableau_refutes_through_a_dependent_row():
     """With y1 and y2 pinned, the rows x - y1 = 0 and x - y2 = 0 are
     dependent: the drive-out, when the tableau is built, leaves the second
@@ -942,7 +1001,7 @@ def test_kept_tableau_refutes_through_a_dependent_row():
     for priced in (True, False):
         t = _tableau(rows, 1, rows.cost if priced else None)
         for y in pins:
-            answer, cold = solver._resolve(rows, t, y, _rhs(rows, y)[1]), _solve(rows, y)
+            answer, cold = solver._answer(rows, t, y, solver._resolve(rows, t, y, _rhs(rows, y)[1])), _solve(rows, y)
             assert len(t.rows) == 2 and t.basis[1] >= t.width and t.dependent == [1]  # the dependent row stays
             if y[0] == y[1]:
                 assert cold.status is SolveStatus.OPTIMAL and cold.values.get(_LP_VARS[0], 0) == y[0]
@@ -1056,10 +1115,10 @@ def test_warm_nodes_match_cold_solves(monkeypatch):
 
     def recording(rows, t, y, b, checks=None):
         before = len(pivots)
-        answer = resolve(rows, t, y, b, checks)
-        if checks is not None:  # a node; the root's LP with no cost and `solve_lp` pass none
-            warm.append((_node_model(rows, checks), answer, len(pivots) - before))
-        return answer
+        outcome = resolve(rows, t, y, b, checks)
+        if checks is not None:  # a node; the root's LP with no cost and the cold LP at the end pass none
+            warm.append((_node_model(rows, checks), solver._answer(rows, t, y, outcome), len(pivots) - before))
+        return outcome
 
     bound, readings = _triangle_readings()
     for name, model in readings.items():
@@ -1080,6 +1139,42 @@ def test_warm_nodes_match_cold_solves(monkeypatch):
             assert (answer.status, answer.objective) == (cold.status, cold.objective), name
             assert len(answer.duals) == len(node.constraints) and certify(node, answer), name
         assert 3 * warm_pivots < cold_pivots, (name, warm_pivots, cold_pivots)
+
+
+def test_searches_read_duals_for_root_rows_alone(monkeypatch):
+    """Branch and bound reads no node's duals and no Farkas ray, and the
+    cold LP at the end of `solve_mip` reads no duals either: over
+    `solve_mip` on each triangle reading, with its root rows and without,
+    each read of duals (`_duals`) is a root row's LP's (`_root_bound`),
+    one per root row, and no certificate is read out as Fractions or read
+    off a refuting row."""
+    reads, roots = [], []
+    duals, root_bound = solver._duals, solver._root_bound
+
+    def reading(rows, t, objective, cost_scale):
+        reads.append(len(roots))
+        return duals(rows, t, objective, cost_scale)
+
+    def bounding(rows, t, r):
+        roots.append(r)
+        return root_bound(rows, t, r)
+
+    def unread(*args):
+        raise AssertionError("a search read a certificate that nothing receives")
+
+    monkeypatch.setattr(solver, "_duals", reading)
+    monkeypatch.setattr(solver, "_root_bound", bounding)
+    for name in ("_ray", "_fractions", "_answer"):
+        monkeypatch.setattr(solver, name, unread)
+    bound, readings = _triangle_readings()
+    for name, model in readings.items():
+        reads.clear()
+        roots.clear()
+        assert solve_mip(model, bound).status is SolveStatus.OPTIMAL, name
+        assert roots and reads == list(range(1, len(roots) + 1)), name
+        with _without_root_rows(monkeypatch):
+            assert solve_mip(model, bound).status is SolveStatus.OPTIMAL, name
+        assert reads == list(range(1, len(roots) + 1)), name
 
 
 def test_triangle_points_do_not_depend_on_the_search(monkeypatch):
@@ -1225,24 +1320,28 @@ def test_solve_lp_does_not_depend_on_the_row_order():
 
 def _record_root_rows(monkeypatch):
     """Rebind `solver._root_bound`, which minimizes a root row's beta at
-    the root of branch and bound, and `solver._rounded_bound`, which checks
-    and rounds that LP's bound, to keep, per root row, (its name, the
-    bounded model's rows with every root row at rhs 0, the duals, beta, the
-    rounded bound)."""
-    seen, named = [], []
-    root_bound, rounded_bound = solver._root_bound, solver._rounded_bound
+    the root of branch and bound and rounds up the bound its duals prove,
+    and `solver._duals`, which reads those duals, to keep, per root row,
+    (its name, the bounded model's rows with every root row at rhs 0, the
+    duals as Fractions, beta, the rounded bound, and the integer duals as
+    (multipliers, scale, beta as `_proved_row` takes it))."""
+    seen, read = [], []
+    root_bound, duals = solver._root_bound, solver._duals
 
-    def naming(rows, t, r):
-        named.append(rows.model.constraints[r].name)
-        return root_bound(rows, t, r)
+    def reading(rows, t, objective, cost_scale):
+        read.append(duals(rows, t, objective, cost_scale) + (objective,))
+        return read[-1][:2]
 
-    def recording(rows, duals, objective):
-        least = rounded_bound(rows, duals, objective)
-        seen.append((named[-1], rows, duals, objective, least))
+    def recording(rows, t, r):
+        read.clear()
+        least = root_bound(rows, t, r)
+        (m, scale, objective), = read
+        beta = {v: -c for v, c in rows.model.constraints[r].coeffs.items()}
+        seen.append((rows.model.constraints[r].name, rows, solver._fractions(rows, m, scale), beta, least, read[0]))
         return least
 
-    monkeypatch.setattr(solver, "_root_bound", naming)
-    monkeypatch.setattr(solver, "_rounded_bound", recording)
+    monkeypatch.setattr(solver, "_root_bound", recording)
+    monkeypatch.setattr(solver, "_duals", reading)
     return seen
 
 
@@ -1276,7 +1375,7 @@ def test_root_rows_are_the_classical_cut_set_rows(monkeypatch):
             roots.clear()
             assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
             assert len(roots) == (6 if model.kind is ModelKind.DIRECTED else 3)
-            for name, rows, duals, beta, least in roots:
+            for name, rows, duals, beta, least, _ in roots:
                 side = set(name[len("root["):-1].split(","))
                 crossing = {
                     v for v in model.integer
@@ -1289,38 +1388,47 @@ def test_root_rows_are_the_classical_cut_set_rows(monkeypatch):
                 relaxed = replace(rows.model, integer=frozenset()).with_objective(beta)
                 lp = solve_lp(relaxed)
                 assert certify(relaxed, replace(lp, duals=duals)) and least == -(-lp.objective // 1)
-            rhs[case is doubled, model.kind] = {name: least for name, *_, least in roots}
+            rhs[case is doubled, model.kind] = {name: least for name, _, _, _, least, _ in roots}
         assert rhs[False, ModelKind.UNDIRECTED] == rhs[True, ModelKind.BIDIRECTED]
+
+
+def _doubled(m, checks):
+    return [2 * x for x in m]
+
+
+def _flipped(m, checks):
+    """m with the first nonzero multiplier on a `<=` row negated."""
+    r = next(r for r, (x, check) in enumerate(zip(m, checks)) if x and check[3] == "<=")
+    return m[:r] + [-m[r]] + m[r + 1 :]
 
 
 def test_root_row_duals_that_prove_nothing_raise(monkeypatch):
     """A root row's rhs comes only from duals that `_proved_row` accepts
     with beta as the objective.  Duals doubled past the optimum, or with
-    the sign of a `<=` row's multiplier flipped, raise NetcapError, and so
-    does `solve_mip` when every root row's duals come back doubled."""
+    the sign of a `<=` row's multiplier flipped, prove nothing, and
+    `solve_mip` raises NetcapError when every root row's duals come back
+    doubled, or flipped."""
     bound, readings = _triangle_readings()
     model = readings["undirected"]
     roots = _record_root_rows(monkeypatch)
     solved = solve_mip(model, bound)
-    positive = [(rows, duals, beta) for _, rows, duals, beta, least in roots if least > 0]
+    positive = [(rows, integral) for _, rows, _, _, least, integral in roots if least > 0]
     assert positive
-    for rows, duals, beta in positive:
-        with pytest.raises(NetcapError):
-            solver._rounded_bound(rows, [2 * u for u in duals], beta)
-        r = next(r for r, (u, con) in enumerate(zip(duals, rows.model.constraints)) if u and con.sense == "<=")
-        flipped = list(duals)
-        flipped[r] = -flipped[r]
-        with pytest.raises(NetcapError):
-            solver._rounded_bound(rows, flipped, beta)
+    for rows, (m, scale, beta) in positive:
+        assert solver._proved_row(rows, m, scale, (), beta) is not None
+        for tamper in (_doubled, _flipped):
+            assert solver._proved_row(rows, tamper(m, rows.checks), scale, (), beta) is None
     inner = solver._duals
+    for tamper in (_doubled, _flipped):
 
-    def doubled(rows, t, cost_scale, objective):
-        duals = inner(rows, t, cost_scale, objective)
-        return duals if objective is rows.model.objective else tuple(2 * u for u in duals)
+        def tampered(rows, t, objective, cost_scale):
+            m, scale = inner(rows, t, objective, cost_scale)
+            return (m if objective is rows.objective else tamper(m, rows.checks)), scale
 
-    monkeypatch.setattr(solver, "_duals", doubled)
-    with pytest.raises(NetcapError):
-        solve_mip(model, bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_duals", tampered)
+            with pytest.raises(NetcapError, match="root row"):
+                solve_mip(model, bound)
     assert solved.status is SolveStatus.OPTIMAL
 
 
@@ -1610,6 +1718,10 @@ INFEASIBLE_TIE = _small_lp([((1, -1), "=", 0), ((1, 0), ">=", 1), ((0, 1), "<=",
 CONSTANT_TIE = _small_lp([((1, -1), "=", 0), ((1, -1), ">=", 1)], (1, 0))
 UNBOUNDED_TIE = _small_lp([((1, -1), "=", 0), ((1, 0, 1), ">=", 1)], (-1, 0, 0))
 TIES = (FREE_PAIR, SCALED_PAIR, CHAINED_TIES, PINNED_TIE, INFEASIBLE_TIE, CONSTANT_TIE, UNBOUNDED_TIE)
+# The merged column's cost is 1/2 over a tie coefficient of 2: the tie's
+# dual, 1/8, is no integer over the duals' scale, so the integer postsolve
+# (`_tied`) scales every multiplier up first.
+HALF_COST_TIE = _small_lp([((2, -2, 0), "=", 0), ((1, 1, 1), ">=", 1)], (Fraction(1, 2), 0, 1))
 
 
 def test_kernel_examples_reach_their_cases():
@@ -1648,7 +1760,7 @@ def test_kernel_examples_reach_their_cases():
 
     model, fixed = RATIONAL_RHS
     rows = _Rows(model, tuple(fixed))
-    q, _ = _rhs(rows, tuple(fixed.values()))
+    q, _, _ = _rhs(rows, tuple(fixed.values()))
     assert _tableau(rows, q, None).scale == 6
 
     (sol, pivots), _ = _kernel_run(lambda: solve_lp(MIDDLE_DEPENDENT[0]))
@@ -1662,7 +1774,7 @@ def test_kernel_examples_reach_their_cases():
         "optimal", "optimal", "optimal", "optimal", "infeasible", "infeasible", "unbounded"
     ]
     model, fixed = CONSTANT_TIE
-    assert isinstance(_rhs(_Rows(model, tuple(fixed)), tuple(fixed.values())), LpSolution)
+    assert _rhs(_Rows(model, tuple(fixed)), tuple(fixed.values()))[2] is not None
 
 
 def _merged_ties(model, fixed):
@@ -1732,6 +1844,7 @@ def _tie_postsolve(model, ties, status, values, multipliers, ray):
 @example(INFEASIBLE_TIE)
 @example(CONSTANT_TIE)
 @example(UNBOUNDED_TIE)
+@example(HALF_COST_TIE)
 def test_integer_kernel_matches_rational_reference(lp):
     """Same status, pivots, values, model-row duals or Farkas ray, and
     unbounded ray as the Fraction tableau; every answer is certified.  A
@@ -1801,13 +1914,14 @@ def test_warm_resolve_matches_rational_reference(lp, shifts):
     model, fixed = lp
     refs, y = tuple(fixed), tuple(fixed.values())
     rows = _Rows(model, refs)
-    pinned = _rhs(rows, y)
-    assume(not isinstance(pinned, LpSolution))
-    t = _tableau(rows, pinned[0], rows.cost)
-    assume(solver._resolve(rows, t, y, pinned[1]).status is SolveStatus.OPTIMAL)
+    q, b, ray = _rhs(rows, y)
+    assume(ray is None)
+    t = _tableau(rows, q, rows.cost)
+    assume(solver._resolve(rows, t, y, b)[0] is SolveStatus.OPTIMAL)
     shifted = _shifted(model, rows, shifts)
     moved = _Rows(shifted, refs)
-    (sol, pivots), _ = _kernel_run(lambda: solver._resolve(rows, t, y, _rhs(moved, y)[1], moved.checks))
+    (outcome, pivots), _ = _kernel_run(lambda: solver._resolve(rows, t, y, _rhs(moved, y)[1], moved.checks))
+    sol = solver._answer(rows, t, y, outcome)
     rhs = [con.rhs for con in shifted.constraints]
     status, values, duals, _, reference_pivots = _rational_simplex(model, fixed, rhs)
     duals = _ray_like(sol, status, duals)
@@ -1867,8 +1981,8 @@ def test_node_point_is_checked_against_the_node_bounds():
     root_b = [rhs for _, _, rhs, _ in rows.rows]
     node_b = root_b[:1] + [0] + root_b[2:]
     t = _tableau(rows, 1, rows.cost)
-    assert solver._resolve(rows, t, (), root_b).values == {_LP_VARS[0]: 1}
-    assert solver._resolve(rows, t, (), node_b, node).values == {_LP_VARS[1]: 1}
+    assert solver._answer(rows, t, (), solver._resolve(rows, t, (), root_b)).values == {_LP_VARS[0]: 1}
+    assert solver._answer(rows, t, (), solver._resolve(rows, t, (), node_b, node)).values == {_LP_VARS[1]: 1}
     with pytest.raises(NetcapError, match=rf"broken rows {re.escape(repr([rows.model.constraints[1].name]))}"):
         solver._resolve(rows, t, (), root_b, node)
 
