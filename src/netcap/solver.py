@@ -39,21 +39,23 @@ both columns price (duals) or both keep a nonpositive coefficient (a
 ray).  A tableau carries only the reduced-cost row of the LP it is
 solving, priced at the basis where that LP reaches phase 2 (`_priced`).
 
-The point a solve returns is re-checked against every model row in
-integers, each row scaled from the model's own coefficients rather than
-read off the tableau (`_recheck`).  A certificate stays in integers from
-the tableau to its check: the duals are read off the final reduced-cost
-row (`_duals`), and a Farkas ray off the row of B^-1 that refutes the LP
-(`_ray`) or off a failed constant row (`_rhs`), as one integer
-multiplier per model row over one positive scale, the merged ties'
-postsolved in integers (`_tied`).  Either combines the model's rows into
+A point stays in integers from the tableau to its answer, one integer
+per model variable over one common denominator, and is re-checked
+against every model row in integers, each row scaled from the model's
+own coefficients rather than read off the tableau (`_recheck`).  A
+certificate stays in integers from the tableau to its check: the duals
+are read off the final reduced-cost row (`_duals`), and a Farkas ray off
+the row of B^-1 that refutes the LP (`_ray`) or off a failed constant
+row (`_rhs`), as one integer multiplier per model row over one positive
+scale, the merged ties' postsolved in integers (`_tied`).  Either combines the model's rows into
 one row g x >= alpha that every point satisfies, and one check,
 `_proved_row`, proves that row from the multipliers as they are.
-`Fraction` appears only in answers returned to a caller: the values, and
-the certificate that `solve_lp` returns in the model's own terms, one
-dual or ray multiplier per model row signed back to the row as written
-(`_fractions`), or, when Unbounded, a feasible point and a direction of
-unbounded descent read off the column that entered with no row to leave.
+`Fraction` appears only in answers returned to a caller, besides one
+objective per LP: the values (`_values`), and the certificate that
+`solve_lp` returns in the model's own terms, one dual or ray multiplier
+per model row signed back to the row as written (`_fractions`), or, when
+Unbounded, a feasible point and a direction of unbounded descent read
+off the column that entered with no row to leave.
 `certify` turns such multipliers into integers once and reads them
 against the model's rows alone, without any of the simplex, by the same
 `_proved_row`.
@@ -92,8 +94,9 @@ LP bound on beta, its duals checked by `_proved_row`, rounded up
 a tied optimum, so `solve_mip` returns a canonical optimum, which
 depends on the model alone: the lexicographically least optimal integer
 vector, found through lexicographic weights in the objective, with the
-flows of a cold LP at it, read with no certificate.  Sized for desk-scale models (a few hundred variables),
-which is all this package needs.
+flows of a cold LP at it, read with no certificate.  Sized for
+desk-scale models (a few hundred variables), which is all this package
+needs.
 """
 
 from __future__ import annotations
@@ -258,6 +261,9 @@ def _bland_simplex(t: _Tableau) -> int:
 # A row as `_Rows.check` states it: (name, terms by variable position, rhs,
 # sense, lcm), the coefficients and rhs times the lcm of their denominators.
 _Check = tuple[str, list[tuple[int, int]], int, str, int]
+# A point as `_resolve` reads it: (common, xs), one integer per model
+# variable over one positive common denominator, in lowest terms.
+_Point = tuple[int, list[int]]
 
 
 class _Rows:
@@ -278,9 +284,10 @@ class _Rows:
     terms (column, coefficient), its pinned terms (index into `refs`,
     coefficient), its rhs and its sense, all times `scale`, one lcm over
     every row, taken from the row's check; so with integral pinned values,
-    b(y) is one integer dot product per row.  Columns are the free variables in model
-    order, less the merged ones.  `cost` is the objective on them times
-    `cost_scale`, by column, its zero terms left out.
+    b(y) is one integer dot product per row.  Columns are the free
+    variables in model order, less the merged ones.  `cost` is
+    `objective`'s integer terms summed by column, over `objective`'s
+    scale, its zero terms left out.
 
     A tie, an `=` row a v - a w = 0 of two free variables, merges w into v,
     the earlier of the two in model order, when neither is merged already,
@@ -297,8 +304,7 @@ class _Rows:
     """
 
     __slots__ = (
-        "model", "refs", "position", "slot", "columns", "scale", "rows", "cost", "cost_scale", "checks", "objective",
-        "ties",
+        "model", "refs", "position", "slot", "columns", "scale", "rows", "cost", "checks", "objective", "ties",
     )
 
     def __init__(self, model: MipModel, refs: tuple[VarRef, ...], bound: int | None = None):
@@ -325,12 +331,11 @@ class _Rows:
             self.slot[w] = self.slot[v]
         self.scale = lcm(*(own for *_, own in self.checks))
         self.rows = [self.split(check) for check in self.checks]
-        on = dict(zip((i for i, _ in self.objective[1]), model.objective.values()))
-        cost = [on.get(i, _ZERO) for i in self.columns]
-        for _, v, w, _, _ in self.ties:
-            cost[self.slot[v]] += on.get(w, _ZERO)
-        self.cost_scale, scaled = _scaled(cost)
-        self.cost = {j: c for j, c in enumerate(scaled) if c}
+        cost: dict[int, int] = {}
+        for i, c in self.objective[1]:
+            if self.slot[i] >= 0:
+                cost[self.slot[i]] = cost.get(self.slot[i], 0) + c
+        self.cost = {j: c for j, c in cost.items() if c}
 
     def _merges(self) -> list[tuple[int, int, int, int]]:
         """The merges (tie row, v's position, w's position, v's coefficient
@@ -405,15 +410,12 @@ def _scaled(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // d) for x, d in zip(values, dens)]
 
 
-def _recheck(rows: _Rows, point: list, checks: Sequence[_Check] | None = None) -> tuple[list[str], Fraction]:
-    """`model.violations` and `objective_value` of `point`, one value per
-    model variable, in integers, against `checks`, `rows.checks` unless
-    given (a branch-and-bound node's carry its own bounds).
-
-    The point is put over one common denominator, and each row, scaled by
-    its own lcm, is compared with its rhs by integer dot products.
-    """
-    common, xs = _scaled(point)
+def _recheck(rows: _Rows, point: _Point, checks: Sequence[_Check] | None = None) -> tuple[list[str], Fraction]:
+    """`model.violations` and `objective_value` of `point` in integers,
+    against `checks`, `rows.checks` unless given (a branch-and-bound
+    node's carry its own bounds): each row, scaled by its own lcm, is
+    compared with its rhs by integer dot products."""
+    common, xs = point
     bad = []
     for name, terms, rhs, sense, _ in rows.checks if checks is None else checks:
         if not holds(sum(c * xs[i] for i, c in terms), sense, rhs * common):
@@ -421,6 +423,12 @@ def _recheck(rows: _Rows, point: list, checks: Sequence[_Check] | None = None) -
     bad.extend(v.name for v, x in zip(rows.model.variables, xs) if x < 0)
     obj_scale, terms = rows.objective
     return bad, Fraction(sum(c * xs[i] for i, c in terms), obj_scale * common)
+
+
+def _values(variables: Sequence[VarRef], point: _Point) -> dict[VarRef, Fraction]:
+    """A point's nonzero values as Fractions, as a caller receives them."""
+    common, xs = point
+    return {v: Fraction(x, common) for v, x in zip(variables, xs) if x}
 
 
 def _fractions(rows: _Rows, m: list[int], scale: int) -> tuple[Fraction, ...]:
@@ -613,25 +621,24 @@ def _ray(rows: _Rows, t: _Tableau, i: int) -> tuple[list[int], int]:
     return _tied(rows, m, t.den[i] * scale)
 
 
-def _duals(
-    rows: _Rows, t: _Tableau, objective: tuple[int, list[tuple[int, int]]], cost_scale: int
-) -> tuple[list[int], int]:
+def _duals(rows: _Rows, t: _Tableau, objective: tuple[int, list[tuple[int, int]]]) -> tuple[list[int], int]:
     """The duals of t's optimal reduced-cost row, of `objective` (given as
-    `rows.objective` is), which entered the tableau times `cost_scale`, as
-    integer multipliers on `rows.checks` over a positive scale, the merged
-    ties' last (`_tied`): at row r's starting column, whose cost is zero,
-    u = -red, signed back to model row origin[r].  The tableau is scaled
-    by t.scale, so the cell times -sign_r t.scale / own_r is r's
-    multiplier, over red_den times cost_scale."""
+    `rows.objective` is), which entered the tableau as its integer terms
+    by column, so times its scale, as integer multipliers on `rows.checks`
+    over a positive scale, the merged ties' last (`_tied`): at row r's
+    starting column, whose cost is zero, u = -red, signed back to model
+    row origin[r].  The tableau is scaled by t.scale, so the cell times
+    -sign_r t.scale / own_r is r's multiplier, over red_den times the
+    objective's scale."""
     red, m = t.red, [0] * len(rows.checks)
     for j, (r, sign) in zip(t.start, t.origin):
         if red[j]:
             m[r] = -sign * red[j] * (t.scale // rows.checks[r][4])
-    return _tied(rows, m, t.red_den * cost_scale, objective)
+    return _tied(rows, m, t.red_den * objective[0], objective)
 
 
 # What `_resolve` decides: (status, refuting row or entering column, point, objective).
-_Outcome = tuple[SolveStatus, int, list | None, Fraction | None]
+_Outcome = tuple[SolveStatus, int, _Point | None, Fraction | None]
 
 
 def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[_Check] | None = None) -> _Outcome | None:
@@ -662,6 +669,13 @@ def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[
     that entered with no row to leave, point, objective).  No certificate
     is read here: `_answer` reads one for `solve_lp`, a sweep when it
     keeps a test, and a branch-and-bound node none.
+
+    The point is (common, xs), one integer per model variable over one
+    denominator, in lowest terms: over d q, d the current determinant and
+    q the lcm of the pins' denominators, a basic value row[-1] / den is
+    row[-1] d // den q, exact since a row is integral over any later
+    determinant (`_pivot`), and a pin y_k = pins[k] / q is pins[k] d.
+    The objective is the one Fraction built here.
     """
     signed = [(j, sign * b[r]) for j, (r, sign) in zip(t.start, t.origin) if b[r]]
     for row in t.rows:
@@ -676,16 +690,18 @@ def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[
             return None
         _priced(t, t.cost)
     unbounded = _bland_simplex(t)
-    columns, y = rows.columns, tuple(map(Fraction, y))
-    point: list = [_ZERO] * len(rows.slot)
+    (q, pins), d, columns = _scaled(y), t.d, rows.columns
+    xs = [0] * len(rows.slot)
     for k, i in enumerate(rows.slot):
         if i < 0:
-            point[k] = y[~i]
+            xs[k] = pins[~i] * d
     for row, i, den in zip(t.rows, t.basis, t.den):
         if i < len(columns):
-            point[columns[i]] = Fraction(row[-1], den)
+            xs[columns[i]] = row[-1] * d // den * q
     for _, v, w, _, _ in rows.ties:
-        point[w] = point[v]
+        xs[w] = xs[v]
+    common = gcd(d * q, *xs)
+    point = d * q // common, [x // common for x in xs]
     bad, objective = _recheck(rows, point, checks)
     if bad:
         raise NetcapError(f"solver returned an infeasible point; broken rows {bad!r}")
@@ -694,19 +710,19 @@ def _resolve(rows: _Rows, t: _Tableau, y: tuple, b: list[int], checks: Sequence[
 
 def _answer(rows: _Rows, t: _Tableau, y: tuple, outcome: _Outcome | None) -> LpSolution | None:
     """The answer that `solve_lp` returns for `_resolve`'s outcome on t,
-    read off t before any later LP moves it, its certificate as Fractions
-    (`_fractions`): an Infeasible one's Farkas ray (`_ray`), an Optimal
-    one's duals (`_duals`), and an Unbounded one's ray along the column
-    that entered, which rises by one while each basic variable falls by
-    its cell in it, a merged variable moving with the column it merged
-    into.  None stays None."""
+    read off t before any later LP moves it, its point (`_values`) and
+    certificate as Fractions (`_fractions`): an Infeasible one's Farkas
+    ray (`_ray`), an Optimal one's duals (`_duals`), and an Unbounded
+    one's ray along the column that entered, which rises by one while each
+    basic variable falls by its cell in it, a merged variable moving with
+    the column it merged into.  None stays None."""
     if outcome is None:
         return None
     status, k, point, objective = outcome
     if status is SolveStatus.INFEASIBLE:
         return _infeasible(rows, _ray(rows, t, k), y)
     variables, columns = rows.model.variables, rows.columns
-    assignment = {v: x for v, x in zip(variables, point) if x}
+    assignment = _values(variables, point)
     fixed = dict(zip(rows.refs, map(Fraction, y)))
     if status is SolveStatus.UNBOUNDED:
         ray = {
@@ -720,7 +736,7 @@ def _answer(rows: _Rows, t: _Tableau, y: tuple, outcome: _Outcome | None) -> LpS
             if variables[v] in ray:
                 ray[variables[w]] = ray[variables[v]]
         return LpSolution(SolveStatus.UNBOUNDED, assignment, None, (), fixed, ray)
-    duals = _fractions(rows, *_duals(rows, t, rows.objective, rows.cost_scale))
+    duals = _fractions(rows, *_duals(rows, t, rows.objective))
     return LpSolution(SolveStatus.OPTIMAL, assignment, objective, duals, fixed)
 
 
@@ -762,12 +778,10 @@ def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIX
 
 def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> bool:
     """Feasibility of the continuous relaxation, `fixed` variables pinned:
-    `solve_lp`'s path with no cost, which stops at the first feasible
-    basis and reads no ray."""
+    `solve_lp`'s path with no cost (`_solve`), which stops at the first
+    feasible basis."""
     pinned = pinned_values(model, fixed)
-    rows, y = _Rows(model, tuple(pinned)), tuple(pinned.values())
-    q, b, ray = _rhs(rows, y)
-    return not ray and _resolve(rows, _tableau(rows, q, None), y, b) is None
+    return _solve(_Rows(model, tuple(pinned)), tuple(pinned.values()), priced=False) is None
 
 
 def _proved_row(
@@ -984,9 +998,9 @@ def _root_bound(rows: _Rows, t: _Tableau, r: int) -> int:
     >= 0 on nonnegative variables, so the LP is bounded."""
     _, terms, _, _, own = rows.checks[r]
     beta = own, [(i, -c) for i, c in terms]
-    _priced(t, {j: -c // rows.scale for j, c in rows.rows[r][0]})
+    _priced(t, {j: -c * own // rows.scale for j, c in rows.rows[r][0]})
     _bland_simplex(t)
-    m, scale = _duals(rows, t, beta, 1)
+    m, scale = _duals(rows, t, beta)
     proved = _proved_row(rows, m, scale, (), beta)
     if proved is None:
         raise NetcapError("the duals of a root row's LP do not bound its left-hand side")
@@ -1052,7 +1066,7 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
         probe = _branch_and_bound(model.with_objective({}), bound)
         status = SolveStatus.UNBOUNDED if probe.status is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
         return MipResult(status, {}, None, nodes=1 + probe.nodes)
-    incumbent: list = []
+    incumbent: _Point = (1, [])
     incumbent_obj: Fraction | None = None
     nodes = 0
     stack = [tuple(rhs for _, _, rhs, _, _ in bound_checks)]  # (hi, -lo) per column
@@ -1066,23 +1080,23 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
         status, _, point, objective = _resolve(rows, t, (), b, checks)
         if status is SolveStatus.INFEASIBLE:
             continue
-        node_bound = -(-objective // step) * step if step else objective
+        node_bound = -(-objective.numerator // (objective.denominator * step)) * step if step else objective
         if incumbent_obj is not None and node_bound >= incumbent_obj:
             continue
-        branch = next(((k, x) for i, k in int_order if (x := point[i]).denominator != 1), None)
+        common, xs = point
+        branch = next(((k, x) for i, k in int_order if (x := xs[i]) % common), None)
         if branch is None:
             incumbent, incumbent_obj = point, objective
             continue
-        k, value = branch
-        floor = value.numerator // value.denominator
+        k, x = branch
+        floor = x // common
         up, down = list(ends), list(ends)
         up[2 * k + 1], down[2 * k] = -(floor + 1), floor
         stack.append(tuple(up))
         stack.append(tuple(down))
     if incumbent_obj is None:
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=nodes)
-    values = {v: x for v, x in zip(model.variables, incumbent) if x}
-    return MipResult(SolveStatus.OPTIMAL, values, incumbent_obj, nodes=nodes)
+    return MipResult(SolveStatus.OPTIMAL, _values(model.variables, incumbent), incumbent_obj, nodes=nodes)
 
 
 def solve_mip(model: MipModel, bound: int) -> MipResult:
@@ -1105,10 +1119,9 @@ def solve_mip(model: MipModel, bound: int) -> MipResult:
     the added row c x <= z*.  `nodes` counts the nodes of every search;
     neither the root rows' LPs nor the cold LP at the end is one.  That LP
     carries no root row, and it must reach c at the search's point, or
-    NetcapError is raised.  A model with no
-    integer variables is its root LP, in one node.  An Unbounded result
-    carries no point (`values` is empty), whether or not the model has
-    integer variables.
+    NetcapError is raised.  A model with no integer variables is its root
+    LP, in one node.  An Unbounded result carries no point (`values` is
+    empty), whether or not the model has integer variables.
     """
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise MissingBoundError(f"the bound on integer variables must be a nonnegative integer: {bound!r}")
@@ -1143,7 +1156,7 @@ def _cold(model: MipModel, fixed: Mapping[VarRef, Fraction], nodes: int) -> MipR
     status, _, point, objective = _resolve(rows, _tableau(rows, q, rows.cost), y, b)
     if status is not SolveStatus.OPTIMAL:
         return MipResult(status, {}, None, nodes)
-    return MipResult(status, {v: x for v, x in zip(model.variables, point) if x}, objective, nodes)
+    return MipResult(status, _values(model.variables, point), objective, nodes)
 
 
 # -- feasibility of capacity vectors -----------------------------------------
@@ -1208,9 +1221,8 @@ class CapacitySweep:
     Each certificate is checked by the row it proves (`_proved_row`), as
     `certify` checks one, before its test is kept, as coprime integers, so
     that testing a vector is one integer dot product; a test already kept
-    is kept once.  `learn` takes an answer's certificate in Fractions to
-    the same check.  `lp_solved`, `ray_refuted` and `bound_proved` count
-    how vectors were decided.  The model's integer rows are built once, for
+    is kept once.  `lp_solved`, `ray_refuted` and `bound_proved` count how
+    vectors were decided.  The model's integer rows are built once, for
     the whole sweep.
     """
 
@@ -1225,7 +1237,6 @@ class CapacitySweep:
         self._learned: set[tuple[int, tuple[int, ...]]] = set()  # coprime (scale, duals) whose test is kept
         self._kept: _Tableau | None = None  # the one tableau, built at the first LP
         pinned_values(model, dict.fromkeys(refs, 0))  # refs are the model's variables
-        self._pinned = frozenset(refs)
         if row is not None:
             if row.sense != ">=":
                 raise PreconditionError(
@@ -1268,7 +1279,7 @@ class CapacitySweep:
                 raise NetcapError(f"y={vec!r} is infeasible but dominates a feasible capacity vector")
             self._keep(*ray, (1, vec))
             return False
-        self._keep(*_duals(self._rows, self._kept, self._rows.objective, self._rows.cost_scale))
+        self._keep(*_duals(self._rows, self._kept, self._rows.objective))
         if not dominated:
             self.minimal.append(vec)
         lhs = objective + Fraction(sum(map(mul, self._on_refs, vec)), self._row_scale)
@@ -1303,21 +1314,6 @@ class CapacitySweep:
     def proves(self, vec: tuple[int, ...]) -> bool:
         """Whether a kept dual test B y <= A holds at y = vec."""
         return any(sum(map(mul, b, vec)) <= a for a, b in self._bounds)
-
-    def learn(self, solution: LpSolution) -> None:
-        """Keep the test of an Infeasible answer's ray or, with a row, of an
-        Optimal answer's duals, found with `refs` pinned: the multipliers
-        are turned into integers once (`_integral`) and kept as the sweep
-        keeps its own (`_keep`)."""
-        if solution.fixed.keys() != self._pinned:
-            raise PreconditionError("the answer pins other variables than the sweep")
-        optimal = solution.status is SolveStatus.OPTIMAL
-        if optimal and self.row is None or solution.status is SolveStatus.UNBOUNDED:
-            raise PreconditionError("only an Infeasible answer, or an Optimal one given a row, gives a test")
-        if len(solution.duals) != len(self._rows.checks):
-            raise NetcapError("the answer does not carry one multiplier per row of the sweep's model")
-        pins = None if optimal else _scaled([solution.fixed[v] for v in self.refs])
-        self._keep(*_integral(self._rows, solution.duals), pins)
 
     def _keep(self, m: list[int], scale: int, pins: tuple[int, list[int]] | None = None) -> None:
         """Check integer multipliers m on the rows' checks, over `scale`, by

@@ -101,22 +101,43 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize(
-    "flags, recorded",
+    "instance, flags, recorded",
     [
-        (["--model", "undirected"], "triangle-undirected.json"),
-        (["--model", "undirected", "--variant", "symmetrized-flows"], None),
-        (["--model", "bidirected"], "triangle-bidirected.json"),
-        (["--model", "directed"], "triangle-directed.json"),
-        (["--model", "directed", "--variant", "equalized"], "triangle-directed-equalized.json"),
+        ("triangle.json", ["--model", "undirected"], "triangle-undirected.json"),
+        ("triangle.json", ["--model", "undirected", "--variant", "symmetrized-flows"], None),
+        ("triangle.json", ["--model", "bidirected"], "triangle-bidirected.json"),
+        ("triangle.json", ["--model", "directed"], "triangle-directed.json"),
+        ("triangle.json", ["--model", "directed", "--variant", "equalized"], "triangle-directed-equalized.json"),
+        (
+            "triangle-symmetric.json",
+            ["--model", "undirected", "--variant", "symmetrized-flows"],
+            "triangle-symmetric-undirected-mirror-flows.json",
+        ),
+        (
+            "triangle-symmetric.json",
+            ["--model", "bidirected", "--variant", "symmetrized-flows"],
+            "triangle-symmetric-bidirected-mirror-flows.json",
+        ),
     ],
-    ids=["undirected", "undirected-symmetrized", "bidirected", "directed", "directed-equalized"],
+    ids=[
+        "undirected",
+        "undirected-symmetrized",
+        "bidirected",
+        "directed",
+        "directed-equalized",
+        "symmetric-undirected-mirror-flows",
+        "symmetric-bidirected-mirror-flows",
+    ],
 )
-def test_solve_points_match_recorded(tmp_path, capsys, flags, recorded):
-    """`netcap solve -o` on tests/data/instances/triangle.json writes the
-    point files under tests/data/solutions/ byte for byte.  Its traffic is
-    not symmetric, so mirror-flow rows leave it infeasible and no file."""
+def test_solve_points_match_recorded(tmp_path, capsys, instance, flags, recorded):
+    """`netcap solve -o` on the instances under tests/data/instances/
+    writes the point files under tests/data/solutions/ byte for byte.
+    triangle.json's traffic is not symmetric, so mirror-flow rows leave it
+    infeasible and no file; triangle-symmetric.json's is, and its
+    mirror-flow optima carry flows that merged ties (`sym[...]` rows) give
+    their mirror columns."""
     out = tmp_path / "point.json"
-    status = run(["solve", str(DATA / "instances" / "triangle.json"), *flags, "-o", str(out)])
+    status = run(["solve", str(DATA / "instances" / instance), *flags, "-o", str(out)])
     text = capsys.readouterr().out
     if recorded is None:
         assert status == 1 and "status: infeasible" in text and not out.exists()

@@ -444,9 +444,11 @@ def _with_dual(solution, r, u):
 
 def test_dual_bound_cache_refuses_tampered_duals():
     """A dual that combines a row the wrong way, or that prices a free flow
-    column below zero, bounds nothing, an answer found with other pins
-    belongs to another sweep, and an Optimal answer read as Infeasible
-    carries no Farkas ray: each raises and nothing is kept."""
+    column below zero, bounds nothing, and an Optimal answer's duals read
+    as a Farkas ray at its pins prove no infeasibility: each raises and
+    nothing is kept.  The answers' Fraction multipliers are turned into
+    integers once (`_integral`) and kept as the sweep keeps its own
+    (`_keep`)."""
     inst, cut = _readme_cut()
     cache, sol = next(
         (c, s)
@@ -455,7 +457,11 @@ def test_dual_bound_cache_refuses_tampered_duals():
     )
     model, box = cache.model, list(graded_box(len(cache.refs), 1))
     fresh = CapacitySweep(model, cache.refs, cut)
-    fresh.learn(sol)
+
+    def keep(answer, pins=None):
+        fresh._keep(*solver._integral(fresh._rows, answer.duals), pins)
+
+    keep(sol)
     proved = [fresh.proves(vec) for vec in box]
     assert any(proved)
 
@@ -470,16 +476,11 @@ def test_dual_bound_cache_refuses_tampered_duals():
     for bad in (flipped, underpriced):
         assert not certify(model, bad)
         with pytest.raises(NetcapError):
-            fresh.learn(bad)
-    with pytest.raises(PreconditionError):
-        fresh.learn(replace(sol, fixed=dict(list(sol.fixed.items())[1:])))
+            keep(bad)
     with pytest.raises(NetcapError, match="Farkas ray"):
-        fresh.learn(replace(sol, status=SolveStatus.INFEASIBLE))
+        keep(sol, solver._scaled([sol.fixed[v] for v in cache.refs]))
     assert [fresh.proves(vec) for vec in box] == proved
     assert not any(fresh.refutes(vec) for vec in box)
-    # without a row, an Optimal answer gives no test
-    with pytest.raises(PreconditionError):
-        CapacitySweep(model, cache.refs).learn(sol)
 
 
 def test_dual_bound_cache_checks_each_dual_once(monkeypatch):

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -335,6 +335,20 @@ def test_optimality_certificate_rejects_tampering(monkeypatch):
     assert not certify(m, replace(s, values={**s.values, v: val + 1}))
 
 
+def test_farkas_ray_must_combine_each_row_the_valid_way():
+    """A Farkas ray combines a `<=` row with no positive multiplier and a
+    `>=` row with no negative one.  The one-row models -x <= 5 and x >= -5
+    are feasible, at x = 0, yet +1 on the first or -1 on the second
+    combines it into -x >= 5, which no x >= 0 meets; only the sign rule of
+    `_proved_row` refuses those rays.  The other sign gives x >= -5,
+    which refutes nothing.  `certify` refuses every such claim."""
+    for coeff, sense, rhs in ((-1, "<=", 5), (1, ">=", -5)):
+        model, _ = _small_lp([((coeff,), sense, rhs)], (0,))
+        assert solve_lp(model).status is SolveStatus.OPTIMAL
+        for u in (1, -1):
+            assert not certify(model, LpSolution(SolveStatus.INFEASIBLE, {}, None, (Fraction(u),)))
+
+
 def test_infeasibility_certificate_rejects_tampering():
     rng = random.Random(41)
     model = build_for_feasibility(triangle_corollary_instance(rng), ModelKind.UNDIRECTED)
@@ -481,15 +495,14 @@ def test_constant_row_ray_refutes_its_vectors():
     assert sol.duals == tuple(Fraction(-1) if i == eq else 0 for i in range(len(model.constraints)))
     assert certify(model, sol)
     sweep = CapacitySweep(model, refs)
-    sweep.learn(sol)
+    pins = solver._scaled([sol.fixed[v] for v in refs])
+    sweep._keep(*solver._integral(sweep._rows, sol.duals), pins)
     for vec in graded_box(2, 3):
         assert sweep.refutes(vec) == (vec[0] > vec[1])
         assert not (sweep.refutes(vec) and feasible_with_capacity(model, dict(zip(refs, vec))))
-    # a ray that does not certify, or one found with other pins, is not kept
+    # a ray that does not certify is not kept
     with pytest.raises(NetcapError):
-        sweep.learn(replace(sol, duals=tuple(-u for u in sol.duals)))
-    with pytest.raises(PreconditionError):
-        sweep.learn(replace(sol, fixed={y12: Fraction(1)}))
+        sweep._keep(*solver._integral(sweep._rows, [-u for u in sol.duals]), pins)
 
 
 _Y = VarRef.cap_edge(1, ("1", "2"))
@@ -947,8 +960,8 @@ def test_integer_certificates_give_the_public_answers_tests(monkeypatch):
     """Every LP of a sweep keeps the test that `solve_lp`'s answer at its
     vector gives: the Farkas ray or duals read off the kept tableau in
     integers (`_ray`, `_rhs`, `_duals`) and checked by `_proved_row` give,
-    after `_coprime`, the test that the answer's Fraction multipliers give
-    through `learn`, and the sweep holds it.
+    after `_coprime`, the test that the answer's Fraction multipliers give,
+    turned into integers once (`_integral`), and the sweep holds it.
     Cases: the sweeps of the README cut, as given and with its rhs raised
     by one, which fails, and the projections of the triangle readings at
     bound 1, mirror-flow readings included."""
@@ -961,7 +974,7 @@ def test_integer_certificates_give_the_public_answers_tests(monkeypatch):
             lps.append((sweep, vec, (*ray, (1, vec))))
         elif status is SolveStatus.OPTIMAL:
             rows = sweep._rows
-            lps.append((sweep, vec, (*solver._duals(rows, sweep._kept, rows.objective, rows.cost_scale), None)))
+            lps.append((sweep, vec, (*solver._duals(rows, sweep._kept, rows.objective), None)))
         return status, objective, ray
 
     monkeypatch.setattr(CapacitySweep, "_solve_at", solving)
@@ -982,7 +995,8 @@ def test_integer_certificates_give_the_public_answers_tests(monkeypatch):
         answer = solve_lp(sweep.model, fixed=dict(zip(sweep.refs, vec)))
         assert answer.status is (SolveStatus.OPTIMAL if pins is None else SolveStatus.INFEASIBLE)
         test = _single_test(scratch[sweep], lambda fresh: fresh._keep(m, scale, pins))
-        assert test == _single_test(scratch[sweep], lambda fresh: fresh.learn(answer))
+        integral = solver._integral(scratch[sweep]._rows, answer.duals)
+        assert test == _single_test(scratch[sweep], lambda fresh: fresh._keep(*integral, pins))
         assert test in (sweep._bounds if pins is None else sweep._rays)
 
 
@@ -1151,9 +1165,9 @@ def test_searches_read_duals_for_root_rows_alone(monkeypatch):
     reads, roots = [], []
     duals, root_bound = solver._duals, solver._root_bound
 
-    def reading(rows, t, objective, cost_scale):
+    def reading(rows, t, objective):
         reads.append(len(roots))
-        return duals(rows, t, objective, cost_scale)
+        return duals(rows, t, objective)
 
     def bounding(rows, t, r):
         roots.append(r)
@@ -1328,8 +1342,8 @@ def _record_root_rows(monkeypatch):
     seen, read = [], []
     root_bound, duals = solver._root_bound, solver._duals
 
-    def reading(rows, t, objective, cost_scale):
-        read.append(duals(rows, t, objective, cost_scale) + (objective,))
+    def reading(rows, t, objective):
+        read.append(duals(rows, t, objective) + (objective,))
         return read[-1][:2]
 
     def recording(rows, t, r):
@@ -1421,8 +1435,8 @@ def test_root_row_duals_that_prove_nothing_raise(monkeypatch):
     inner = solver._duals
     for tamper in (_doubled, _flipped):
 
-        def tampered(rows, t, objective, cost_scale):
-            m, scale = inner(rows, t, objective, cost_scale)
+        def tampered(rows, t, objective):
+            m, scale = inner(rows, t, objective)
             return (m if objective is rows.objective else tamper(m, rows.checks)), scale
 
         with monkeypatch.context() as patch:
@@ -1961,7 +1975,7 @@ def test_integer_recheck_names_what_violations_names(lp, values, kept):
     assignment = dict(zip(model.variables, point))
     head = replace(model, constraints=model.constraints[:kept])
     for checks, checked in ((None, model), (rows.checks[:kept], head)):
-        bad, objective = solver._recheck(rows, point, checks)
+        bad, objective = solver._recheck(rows, solver._scaled(point), checks)
         assert bad == checked.violations(assignment)
         assert objective == model.objective_value(assignment)
 
@@ -1985,6 +1999,51 @@ def test_node_point_is_checked_against_the_node_bounds():
     assert solver._answer(rows, t, (), solver._resolve(rows, t, (), node_b, node)).values == {_LP_VARS[1]: 1}
     with pytest.raises(NetcapError, match=rf"broken rows {re.escape(repr([rows.model.constraints[1].name]))}"):
         solver._resolve(rows, t, (), root_b, node)
+
+
+def test_sweep_and_search_points_stay_in_integers(monkeypatch):
+    """Every Optimal LP that `_resolve` decides in a cut check's sweep and
+    in a `solve_mip` search carries its point as (common, xs), ints in
+    lowest terms whose quotients are the values of the answer `solve_lp`
+    would build (`_answer`).  `_resolve` builds one Fraction for an
+    Optimal LP, its objective, and none for any other.  Cases: the
+    triangle cut's sweeps, as given and with its rhs raised by one, and
+    the searches of the triangle readings, mirror-flow readings included."""
+    built, inside, seen = [0], [False], []
+    fraction, resolve = solver.Fraction, solver._resolve
+
+    def counting(*args):
+        built[0] += inside[0]
+        return fraction(*args)
+
+    def recording(rows, t, y, b, checks=None):
+        built[0], inside[0] = 0, True
+        try:
+            outcome = resolve(rows, t, y, b, checks)
+        finally:
+            inside[0] = False
+        optimal = outcome is not None and outcome[0] is SolveStatus.OPTIMAL
+        assert built[0] == optimal
+        if optimal:
+            seen.append((rows, outcome[2], solver._answer(rows, t, y, outcome).values))
+        return outcome
+
+    monkeypatch.setattr(solver, "Fraction", counting)
+    monkeypatch.setattr(solver, "_resolve", recording)
+    inst = load_instance(_TRIANGLE)
+    cut = cutset_inequality(inst, CutsetSpec(side_u=("1",), commodities=(("1", "2"),), s_plus=(("1", "2"),)))
+    for row in (cut, replace(cut, rhs=cut.rhs + 1)):
+        check_cut_validity(inst, row, bound=1)
+    swept = len(seen)
+    bound, readings = _triangle_readings()
+    for model in readings.values():
+        assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
+    assert swept and len(seen) > swept and any(rows.ties for rows, *_ in seen[swept:])
+    assert any(common > 1 for _, (common, _), _ in seen)
+    for rows, (common, xs), values in seen:
+        assert type(common) is int and all(type(x) is int for x in xs)
+        assert common > 0 and gcd(common, *xs) == 1
+        assert {v: Fraction(x, common) for v, x in zip(rows.model.variables, xs) if x} == values
 
 
 def test_solve_lp_refuses_a_point_that_breaks_a_row(monkeypatch):
