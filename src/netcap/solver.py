@@ -20,15 +20,15 @@ coefficients and rhs by one lcm, the cost by its own, slacks and
 artificials left at +-1.  That is a positive change of variables, so the
 pivots are the rational tableau's, whatever the lcm.
 
-A model's rows are turned into integers once for the variables every
-solve pins (`_Rows`): a capacity sweep pins the same capacities at each
-vector of its box, and branch and bound pins nothing and adds a pair of
-bound rows per integer column.  Per solve, the pinned terms move to the
-right-hand side by one integer dot product per row, and rows left
-constant are checked there; no reduced model or standard form is built.
-A row's sign in the tableau comes from its sense alone, and the rows come
-in a canonical order, so the tableau's layout depends on neither the pins
-nor the order of the model's rows.  Ties merge there too, a classical
+A model's rows are turned into integers once (`_Checked`) and laid out
+for the variables every solve pins (`_Rows`): a capacity sweep pins the
+same capacities at each vector of its box, and branch and bound pins
+nothing and lays its own rows out after the model's.  Per solve, the
+pinned terms move to the right-hand side by one integer dot product per
+row, and rows left constant are checked there; no reduced model or
+standard form is built.  A row's sign in the tableau comes from its
+sense alone, and the rows come in a canonical order, so the tableau's
+layout depends on neither the pins nor the order of the model's rows.  Ties merge there too, a classical
 presolve step (Andersen and Andersen 1995): an `=` row a v - a w = 0 of
 two free variables, such as a mirror-flow `sym[...]` row, or an `eq[...]`
 row when nothing is pinned, puts w's terms and cost on v's column and
@@ -78,25 +78,28 @@ has no cost row, and an optimal basis stays dual feasible.
 Integer models are solved by depth-first branch and bound on the first
 fractional integer variable in model order, pruning on exact bound
 comparisons, the bound rounded up to the objective's step when every term
-is integral.  A node is a right-hand side too: the bounded model carries
-v <= bound and -v <= 0 per integer column, a node sets only those rows'
-rhs to hi and -lo, and every node is solved on the root's tableau by the
-same `_resolve`, within the exact branch and bound of Cook, Koch, Steffy
-and Wolter (2013).  Its point is re-checked against the rows with the
-node's bounds, and it reads no certificate, since nothing reads one: the
-search takes only its status, point and bound.  On networks of at most
-six nodes the bounded model also carries the paper's cut-set rows, beta
-y >= r per node set S, beta the capacity crossing S, in every reading
-alike: each enters vacuous, as the slack row -beta y <= 0, and r is its
-LP bound on beta, its duals checked by `_proved_row`, rounded up
+is integral.  `solve_mip` checks the model's rows once, and every search
+lays its tableau out from those checks and its own rows, each written
+directly as an integer check over the model's positions: v <= bound and
+-v <= 0 per integer column, and on networks of at most six nodes the
+paper's cut-set rows.  A node is a right-hand side too: it sets only the
+bound rows' rhs, to hi and -lo, and every node is solved on the root's
+tableau by the same `_resolve`, within the exact branch and bound of
+Cook, Koch, Steffy and Wolter (2013).  Its point is re-checked against
+the rows with the node's bounds, and it reads no certificate, since
+nothing reads one: the search takes only its status, point and bound.
+A cut-set row reads beta y >= r per node set S, beta the capacity
+crossing S weighted from the model's own rows, in every reading alike:
+each enters vacuous, as the slack row -beta y <= 0, and r is its LP
+bound on beta, its duals checked by `_proved_row`, rounded up
 (Chvatal-Gomory), so every integral point meets it (Bienstock and Gunluk
 1996; Achterberg and Raack 2010).  A node can stop at another vertex of
 a tied optimum, so `solve_mip` returns a canonical optimum, which
 depends on the model alone: the lexicographically least optimal integer
-vector, found through lexicographic weights in the objective, with the
-flows of a cold LP at it, read with no certificate.  Sized for
-desk-scale models (a few hundred variables), which is all this package
-needs.
+vector, found through lexicographic weights, an integer objective, with
+the flows of a cold LP at it, laid out from the same checks and read
+with no certificate.  Sized for desk-scale models (a few hundred
+variables), which is all this package needs.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .core import Instance
 from .enumeration import dominates
@@ -258,71 +261,91 @@ def _bland_simplex(t: _Tableau) -> int:
         _pivot(t, leave, enter)
 
 
-# A row as `_Rows.check` states it: (name, terms by variable position, rhs,
+# A row as `_Checked.check` states it: (name, terms by variable position, rhs,
 # sense, lcm), the coefficients and rhs times the lcm of their denominators.
 _Check = tuple[str, list[tuple[int, int]], int, str, int]
+# An objective as `_Checked.objective` states it: (scale, terms by variable
+# position), the coefficients times the lcm of their denominators.
+_Objective = tuple[int, list[tuple[int, int]]]
 # A point as `_resolve` reads it: (common, xs), one integer per model
 # variable over one positive common denominator, in lowest terms.
 _Point = tuple[int, list[int]]
 
 
+class _Checked:
+    """A model's rows and objective in integers, each row checked once
+    (`check`).  `checks` states each row on its own, from the model's
+    coefficients times the row's own lcm, over positions in
+    `model.variables`, and `objective` the objective likewise: these are
+    what a returned point (`_recheck`) and a certificate (`_proved_row`)
+    are checked against, and nothing there is read off the tableau.  Each
+    term's position is looked up once, here; a built model's rows hold its
+    own VarRefs, so each lookup finds its key by identity, and the values,
+    exact already, are not checked again (`_scaled`).  Every layout of the
+    model (`_Rows`) starts from these: `solve_mip` checks its model once
+    for its searches and its cold LP.  `merges` are the ties that merge
+    when nothing is pinned (`_merges`), found once: every search's, which
+    `solve_mip` writes its own rows against."""
+
+    __slots__ = ("model", "position", "checks", "objective", "merges")
+
+    def __init__(self, model: MipModel):
+        self.model, self.position = model, {v: i for i, v in enumerate(model.variables)}
+        self.checks = [self.check(con) for con in model.constraints]
+        obj_scale, obj = _scaled(list(model.objective.values()))
+        self.objective = obj_scale, [(self.position[v], c) for v, c in zip(model.objective, obj)]
+        self.merges = _merges(self.checks, [0] * len(model.variables))
+
+    def check(self, con: LinearConstraint) -> _Check:
+        """(name, terms by variable position, rhs, sense, lcm) of a row: its
+        coefficients and rhs times `lcm`, the lcm of their denominators."""
+        own, (rhs, *coeffs) = _scaled((con.rhs, *con.coeffs.values()))
+        return con.name, [(self.position[v], c) for v, c in zip(con.coeffs, coeffs)], rhs, con.sense, own
+
+
 class _Rows:
-    """A model's rows in integers, built once for the variables `refs` that
-    every solve pins: a sweep pins its capacities at each vector of a box,
-    and branch and bound pins nothing.  Given a `bound`, the model is the
-    bounded one, its rows followed by `_bound_rows`, one pair per integer
-    column, whose right-hand sides a branch-and-bound node moves.
+    """A checked model's rows (`_Checked`), followed by the `added` checks,
+    laid out in integers for the variables `refs` that every solve pins,
+    and `objective`, given as `_Checked.objective` is, or the model's when
+    None: a sweep pins its capacities at each vector of a box, and branch
+    and bound pins nothing and adds its own rows and objective.  `checks`
+    and `objective` are what a point and a certificate are checked
+    against.
 
-    `checks` states each row on its own, from the model's coefficients
-    times the row's own lcm, over positions in `model.variables`, and
-    `objective` the objective likewise: these are what a returned point
-    (`_recheck`) and a certificate (`_proved_row`) are checked against, and
-    nothing there is read off the tableau.  Each term's position is looked
-    up once, there; a built model's rows hold its own VarRefs, so each
-    lookup finds its key by identity, and the values, exact already, are
-    not checked again (`_scaled`).  `rows` holds, per model row, its free
-    terms (column, coefficient), its pinned terms (index into `refs`,
-    coefficient), its rhs and its sense, all times `scale`, one lcm over
-    every row, taken from the row's check; so with integral pinned values,
-    b(y) is one integer dot product per row.  Columns are the free
-    variables in model order, less the merged ones.  `cost` is
-    `objective`'s integer terms summed by column, over `objective`'s
-    scale, its zero terms left out.
+    `rows` holds, per row, its free terms (column, coefficient), its pinned
+    terms (index into `refs`, coefficient), its rhs and its sense, all
+    times `scale`, one lcm over every row, taken from the row's check; so
+    with integral pinned values, b(y) is one integer dot product per row.
+    Columns are the free variables in model order, less the merged ones.
+    `cost` is `objective`'s integer terms summed by column, over
+    `objective`'s scale, its zero terms left out.
 
-    A tie, an `=` row a v - a w = 0 of two free variables, merges w into v,
-    the earlier of the two in model order, when neither is merged already,
-    ties taken in the canonical row order (`_canonical`): `slot[w]` is v's
-    column, so w's coefficients in every row and its cost add onto v's
+    A tie (`_merges`) among the model's rows, the same for every layout
+    that pins nothing (`_Checked.merges`), merges w into v: `slot[w]` is
+    v's column, so w's coefficients in every row and its cost add onto v's
     column, and the tie row itself becomes the constant row 0 = 0 (an
     integer mark needs nothing: w's value is v's, and the column has one
-    pair of bound rows, not one per variable).  A tie with a pinned side
-    and a tie that shares a column with an earlier merge stay rows.
-    `ties` lists each merge as (tie row, v's position, w's position, a, v's
-    other terms as (row, coefficient)), a and the coefficients read off the
-    rows' checks, for the postsolve: w takes v's value and its entry in an
-    unbounded ray, and the tie row the multiplier `_tied` gives it.
+    pair of bound rows, not one per variable).  `ties` lists each merge as (tie row, v's
+    position, w's position, a, v's other terms as (row, coefficient)), a
+    and the coefficients read off the rows' checks, for the postsolve: w
+    takes v's value and its entry in an unbounded ray, and the tie row the
+    multiplier `_tied` gives it.
     """
 
     __slots__ = (
         "model", "refs", "position", "slot", "columns", "scale", "rows", "cost", "checks", "objective", "ties",
     )
 
-    def __init__(self, model: MipModel, refs: tuple[VarRef, ...], bound: int | None = None):
-        self.model, self.refs = model, refs
-        self.position = {v: i for i, v in enumerate(model.variables)}
-        self.checks = [self.check(con) for con in model.constraints]
+    def __init__(
+        self, base: _Checked, refs: tuple[VarRef, ...], added: Sequence[_Check] = (), objective: _Objective | None = None
+    ):
+        self.model, self.refs, self.position = base.model, refs, base.position
+        self.checks, self.objective = [*base.checks, *added], objective or base.objective
         # per model variable: its free column j >= 0, or ~k for refs[k]
-        self.slot = [0] * len(model.variables)
+        self.slot = [0] * len(self.model.variables)
         for k, v in enumerate(refs):
             self.slot[self.position[v]] = ~k
-        merges = self._merges()
-        if bound is not None:
-            into = {model.variables[w]: model.variables[v] for _, v, w, _ in merges}
-            self.model = model.with_constraints(_bound_rows(model, bound, into))
-            self.checks += map(self.check, self.model.constraints[len(model.constraints):])
-        obj_scale, obj = _scaled(list(model.objective.values()))
-        self.objective = obj_scale, [(self.position[v], c) for v, c in zip(model.objective, obj)]
-        self.ties = self._ties(merges)
+        self.ties = self._ties(_merges(base.checks, self.slot) if refs else base.merges)
         absorbed = {w for _, _, w, _, _ in self.ties}
         self.columns = [i for i, s in enumerate(self.slot) if s >= 0 and i not in absorbed]
         for j, i in enumerate(self.columns):
@@ -331,30 +354,10 @@ class _Rows:
             self.slot[w] = self.slot[v]
         self.scale = lcm(*(own for *_, own in self.checks))
         self.rows = [self.split(check) for check in self.checks]
-        cost: dict[int, int] = {}
-        for i, c in self.objective[1]:
-            if self.slot[i] >= 0:
-                cost[self.slot[i]] = cost.get(self.slot[i], 0) + c
-        self.cost = {j: c for j, c in cost.items() if c}
-
-    def _merges(self) -> list[tuple[int, int, int, int]]:
-        """The merges (tie row, v's position, w's position, v's coefficient
-        in the tie's check), in the canonical row order (`_canonical`): each
-        tie of two free variables that no earlier merge touches."""
-        merges, merged, slot = [], set(), self.slot
-        for r in _canonical(self.checks):
-            _, terms, rhs, sense, _ = self.checks[r]
-            if len(terms) != 2 or sense != "=" or rhs:
-                continue
-            (i, a), (k, b) = terms
-            if a + b or slot[i] < 0 or slot[k] < 0 or i in merged or k in merged:
-                continue
-            merges.append((r, i, k, a) if i < k else (r, k, i, b))
-            merged.update((i, k))
-        return merges
+        self.cost = dict(_summed((self.slot[i], c) for i, c in self.objective[1] if self.slot[i] >= 0))
 
     def _ties(self, merges: list) -> list[tuple[int, int, int, int, list[tuple[int, int]]]]:
-        """Each merge with v's terms in the other rows' checks, the bound
+        """Each merge with v's terms in the other rows' checks, the added
         rows included."""
         ties = [(r, v, w, a, []) for r, v, w, a in merges]
         if ties:
@@ -378,17 +381,36 @@ class _Rows:
             else:
                 pinned.append((~s, c * up))
         if self.ties:
-            summed: dict[int, int] = {}
-            for j, c in free:
-                summed[j] = summed.get(j, 0) + c
-            free = [(j, c) for j, c in summed.items() if c]
+            free = _summed(free)
         return free, pinned, rhs * up, sense
 
-    def check(self, con: LinearConstraint) -> _Check:
-        """(name, terms by variable position, rhs, sense, lcm) of a row: its
-        coefficients and rhs times `lcm`, the lcm of their denominators."""
-        own, (rhs, *coeffs) = _scaled((con.rhs, *con.coeffs.values()))
-        return con.name, [(self.position[v], c) for v, c in zip(con.coeffs, coeffs)], rhs, con.sense, own
+
+def _summed(terms: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Terms (key, coefficient) summed by key, in the order each key first
+    appears, the keys whose sum is zero left out."""
+    summed: dict[int, int] = {}
+    for k, c in terms:
+        summed[k] = summed.get(k, 0) + c
+    return [(k, c) for k, c in summed.items() if c]
+
+
+def _merges(checks: Sequence[_Check], slot: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """The ties that merge, in the canonical row order (`_canonical`): an
+    `=` row a v - a w = 0 of two free variables (slot >= 0) that no earlier
+    merge touches, v the earlier of the two in model order, as (tie row,
+    v's position, w's position, a).  A tie with a pinned side and a tie
+    that shares a variable with an earlier merge stay rows."""
+    merges, merged = [], set()
+    for r in _canonical(checks):
+        _, terms, rhs, sense, _ = checks[r]
+        if len(terms) != 2 or sense != "=" or rhs:
+            continue
+        (i, a), (k, b) = terms
+        if a + b or slot[i] < 0 or slot[k] < 0 or i in merged or k in merged:
+            continue
+        merges.append((r, i, k, a) if i < k else (r, k, i, b))
+        merged.update((i, k))
+    return merges
 
 
 def _canonical(checks: Sequence[_Check]) -> list[int]:
@@ -445,9 +467,7 @@ def _integral(rows: _Rows, u: Sequence[Fraction]) -> tuple[list[int], int]:
     return m, scale
 
 
-def _tied(
-    rows: _Rows, m: list[int], scale: int, objective: tuple[int, list[tuple[int, int]]] | None = None
-) -> tuple[list[int], int]:
+def _tied(rows: _Rows, m: list[int], scale: int, objective: _Objective | None = None) -> tuple[list[int], int]:
     """Give each merged tie row its multiplier in m, integer multipliers on
     `rows.checks` over `scale`, once every other row has its own: duals
     priced against `objective`, given as `rows.objective` is, or a ray,
@@ -621,7 +641,7 @@ def _ray(rows: _Rows, t: _Tableau, i: int) -> tuple[list[int], int]:
     return _tied(rows, m, t.den[i] * scale)
 
 
-def _duals(rows: _Rows, t: _Tableau, objective: tuple[int, list[tuple[int, int]]]) -> tuple[list[int], int]:
+def _duals(rows: _Rows, t: _Tableau, objective: _Objective) -> tuple[list[int], int]:
     """The duals of t's optimal reduced-cost row, of `objective` (given as
     `rows.objective` is), which entered the tableau as its integer terms
     by column, so times its scale, as integer multipliers on `rows.checks`
@@ -773,7 +793,7 @@ def solve_lp(model: MipModel, *, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIX
         raise PreconditionError(
             "model has integer variables; use solve_mip, pin them, or clear the model's integer marks"
         )
-    return _solve(_Rows(model, tuple(pinned)), tuple(pinned.values()))
+    return _solve(_Rows(_Checked(model), tuple(pinned)), tuple(pinned.values()))
 
 
 def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED) -> bool:
@@ -781,7 +801,7 @@ def feasible(model: MipModel, fixed: Mapping[VarRef, Fraction] = _NOTHING_FIXED)
     `solve_lp`'s path with no cost (`_solve`), which stops at the first
     feasible basis."""
     pinned = pinned_values(model, fixed)
-    return _solve(_Rows(model, tuple(pinned)), tuple(pinned.values()), priced=False) is None
+    return _solve(_Rows(_Checked(model), tuple(pinned)), tuple(pinned.values()), priced=False) is None
 
 
 def _proved_row(
@@ -789,7 +809,7 @@ def _proved_row(
     m: Sequence[int],
     scale: int,
     pinned: Sequence[int],
-    objective: tuple[int, list[tuple[int, int]]] | None = None,
+    objective: _Objective | None = None,
     y: tuple[int, Sequence[int]] = (1, ()),
 ) -> tuple[list[int], int] | None:
     """The row g x >= alpha, times the positive `scale`, that the integer
@@ -858,7 +878,7 @@ def certify(model: MipModel, answer: LpSolution) -> bool:
         if any(c < 0 for c in d.values()) or model.objective_value(d) >= 0:
             return False
     else:
-        rows = _Rows(model, ())
+        rows = _Rows(_Checked(model), ())
         pinned = [rows.position.get(v, -1) for v in fixed]
         if len(answer.duals) != len(rows.checks) or -1 in pinned:
             return False
@@ -877,97 +897,102 @@ def certify(model: MipModel, answer: LpSolution) -> bool:
     return on_model and pins_kept and not model.violations(answer.values)
 
 
-def _bound_rows(model: MipModel, bound: int, into: Mapping[VarRef, VarRef]) -> list[LinearConstraint]:
-    """An `ub[...]` row, v <= bound, and an `lb[...]` row, -v <= 0, per
-    integer column, in model order: a variable that a tie merges into
-    another (`into`) shares that one's column, and the column's rows name
-    the first integer variable on it.  A branch-and-bound node moves only
-    these rows' right-hand sides, to hi and -lo."""
-    ub, rows, seen = Fraction(bound), [], set()
-    for v in model.variables:
-        if v in model.integer and into.get(v, v) not in seen:
-            seen.add(into.get(v, v))
-            rows.append(LinearConstraint(f"ub[{v.name}]", {v: _ONE}, "<=", ub))
-            rows.append(LinearConstraint(f"lb[{v.name}]", {v: -_ONE}, "<=", _ZERO))
+def _bound_rows(base: _Checked, bound: int, into: Mapping[int, int]) -> list[_Check]:
+    """The checks of an `ub[...]` row, v <= bound, and an `lb[...]` row,
+    -v <= 0, per integer column, in model order: a variable that a tie
+    merges into another (`into`, w's position to v's) shares that one's
+    column, and the column's rows name the first integer variable on it.
+    A branch-and-bound node moves only these rows' right-hand sides, to hi
+    and -lo."""
+    rows, seen = [], set()
+    for i, v in enumerate(base.model.variables):
+        if v in base.model.integer and into.get(i, i) not in seen:
+            seen.add(into.get(i, i))
+            rows += (f"ub[{v.name}]", [(i, 1)], bound, "<=", 1), (f"lb[{v.name}]", [(i, -1)], 0, "<=", 1)
     return rows
 
 
-def _objective_step(model: MipModel) -> int:
-    """The gcd of the objective's nonzero coefficients when every such term
-    is an integer variable with an integer coefficient, so every integral
-    point costs a multiple of it, 1 when there is no such term; else 0."""
-    terms = [(v, c) for v, c in model.objective.items() if c]
-    if not all(v in model.integer and c.denominator == 1 for v, c in terms):
+def _objective_step(objective: _Objective, integer: Collection[int]) -> int:
+    """The gcd of the coefficients of `objective`, given as
+    `_Checked.objective` is, when every term is on an integer position and
+    integral, so every integral point costs a multiple of it, 1 when there
+    is no term; else 0."""
+    scale, terms = objective
+    if not all(i in integer and c % scale == 0 for i, c in terms):
         return 0
-    return gcd(*(c.numerator for _, c in terms)) or 1
+    return gcd(*(c // scale for _, c in terms)) or 1
 
 
-def _lexicographic(model: MipModel, integer: tuple[VarRef, ...], bound: int, step: int) -> MipModel:
-    """The model with the objective M c / step + sum_i (bound + 1)^(n-1-i) y_i
-    over its n integer variables y_i in model order, M = (bound + 1)^n, or
-    with the second sum alone when `step` is 0.  Each y_i lies in [0,
-    bound], so the sum reads y as a number in base bound + 1 and ranks the
-    integer vectors lexicographically, below M; and with step > 0, M c /
-    step is a multiple of M at every integral point, so the least value
-    has the least c first."""
+def _lexicographic(objective: _Objective, integer: Sequence[int], bound: int, step: int) -> _Objective:
+    """The objective M c / step + sum_i (bound + 1)^(n-1-i) y_i over the n
+    integer positions y_i in model order, M = (bound + 1)^n and c the given
+    `objective`, or the second sum alone when `step` is 0, as integers over
+    scale 1.  Each y_i lies in [0, bound], so the sum reads y as a number in
+    base bound + 1 and ranks the integer vectors lexicographically, below
+    M; and with step > 0, M c / step is a multiple of M at every integral
+    point, so the least value has the least c first."""
     base, n = bound + 1, len(integer)
-    weights = {v: Fraction(base ** (n - 1 - i)) for i, v in enumerate(integer)}
-    if step:
-        for v, c in model.objective.items():
-            weights[v] += base**n * c / step
-    return model.with_objective(weights)
+    weights = {i: base ** (n - 1 - k) for k, i in enumerate(integer)}
+    scale, terms = objective if step else (1, [])
+    for i, c in terms:
+        weights[i] += base**n * c // (scale * step)
+    return 1, list(weights.items())
 
 
 # The most network nodes that get root rows: there are 2^n - 2 node sets,
 # each a tableau row and an LP at every search's root, and past six nodes
-# that cost outgrew what the rows saved (ROADMAP item 5).
+# that cost outgrew what the rows saved (ROADMAP item 6).
 _ROOT_ROW_NODES = 6
 
 
-def _root_rows(model: MipModel) -> list[LinearConstraint]:
-    """The cut-set rows that branch and bound adds at its root, each as
-    `root[S]: -beta y <= 0`, one per node subset S that the model's integer
-    capacity variables cross.
+def _root_rows(base: _Checked, into: Mapping[int, int]) -> list[_Check]:
+    """The cut-set rows that branch and bound adds at its root, each the
+    check of `root[S]: -beta y <= 0` over the model's positions, one per
+    node subset S that the model's integer capacity variables cross.
 
     beta sums the edge-keyed variables with one end in S and the arc-keyed
     ones leaving S, each weighted ceil(c_v / c_min): c_v is v's largest
-    coefficient magnitude in the model's rows, a facility's size in a
-    capacity row, and c_min the least nonzero c_v; a variable in no row
-    weighs 1.  A subset whose beta an earlier one has (its complement, for
-    edge keys) or that no variable crosses adds no row, so an edge-keyed
-    model has one row per bipartition.  A model whose variables touch more
-    than `_ROOT_ROW_NODES` nodes gets no rows: the family doubles with each
+    coefficient magnitude in the model's own rows, a facility's size in a
+    capacity row, and c_min the least nonzero c_v, both read off the checks
+    brought to one scale; a variable in no row weighs 1.  A subset whose
+    beta equals an earlier one's once each merged variable's term is put on
+    the variable it merges into (`into`, w's position to v's) adds no row,
+    nor does one that no variable crosses: an edge-keyed model has one row
+    per bipartition, and a subset's complement crosses the same merged
+    pairs as it does.  A model whose variables touch more than
+    `_ROOT_ROW_NODES` nodes gets no rows: the family doubles with each
     node, and its cost at the root outgrows what it saves in the search.
-    Each row is vacuous as written;
-    `_branch_and_bound` raises its rhs to minus the rounded LP bound on beta
-    (`_root_bound`).  beta is integral on integer variables, so every such
-    bound, rounded up, holds at every integral point: the weights and the
-    subsets set the rows' strength, never their validity.  In every reading
-    these are the cut-set rows of Bienstock and Gunluk (1996), rounded
-    Chvatal-Gomory style from the model's own rows.
+    Each row is vacuous as written; `_branch_and_bound` raises its rhs to
+    minus the rounded LP bound on beta (`_root_bound`).  beta is integral
+    on integer variables, so every such bound, rounded up, holds at every
+    integral point: the weights and the subsets set the rows' strength,
+    never their validity.  In every reading these are the cut-set rows of
+    Bienstock and Gunluk (1996), rounded Chvatal-Gomory style from the
+    model's own rows.
     """
-    caps = [v for v in model.variables if v in model.integer and v.kind == "capacity"]
-    largest = dict.fromkeys(caps, _ZERO)
-    for con in model.constraints:
-        for v, c in con.coeffs.items():
-            if v in largest and abs(c) > largest[v]:
-                largest[v] = abs(c)
-    least = min(filter(None, largest.values()), default=_ONE)
-    weight = {v: -(-c // least) if c else 1 for v, c in largest.items()}
-    nodes = sorted({end for v in caps for end in v.edge or v.arc})
+    caps = [(i, v) for i, v in enumerate(base.model.variables) if v in base.model.integer and v.kind == "capacity"]
+    nodes = sorted({end for _, v in caps for end in v.edge or v.arc})
     if len(nodes) > _ROOT_ROW_NODES:
         return []
+    scale = lcm(*(own for *_, own in base.checks))
+    largest = {i: 0 for i, _ in caps}
+    for _, terms, _, _, own in base.checks:
+        for i, c in terms:
+            if i in largest:
+                largest[i] = max(largest[i], abs(c) * (scale // own))
+    least = min(filter(None, largest.values()), default=1)
+    weight = {i: -(-c // least) or 1 for i, c in largest.items()}
     rows, seen = [], set()
     for mask in range(1, 2 ** len(nodes) - 1):
-        side = {node for i, node in enumerate(nodes) if mask >> i & 1}
-        beta = {
-            v: Fraction(-weight[v])
-            for v in caps
+        side = {node for k, node in enumerate(nodes) if mask >> k & 1}
+        beta = [
+            (i, -weight[i])
+            for i, v in caps
             if ((v.edge[0] in side) != (v.edge[1] in side) if v.edge else v.arc[0] in side and v.arc[1] not in side)
-        }
-        if beta and frozenset(beta) not in seen:
-            seen.add(frozenset(beta))
-            rows.append(LinearConstraint(f"root[{','.join(sorted(side))}]", beta, "<=", _ZERO))
+        ]
+        if beta and (key := frozenset(_summed((into.get(i, i), c) for i, c in beta))) not in seen:
+            seen.add(key)
+            rows.append((f"root[{','.join(sorted(side))}]", beta, 0, "<=", 1))
     return rows
 
 
@@ -990,12 +1015,13 @@ def _priced(t: _Tableau, cost: Mapping[int, int]) -> None:
 
 
 def _root_bound(rows: _Rows, t: _Tableau, r: int) -> int:
-    """Minimize root row r's beta y (`_root_rows`) over the bounded
-    relaxation from t's feasible basis, by the primal simplex on beta's
-    reduced-cost row, priced at that basis (`_priced`), and return the
-    optimum that the LP's duals prove (`_duals`, `_proved_row` given beta
-    as the objective), rounded up; NetcapError when they prove none.  beta
-    >= 0 on nonnegative variables, so the LP is bounded."""
+    """Minimize root row r's beta y (`_root_rows`) over the search's
+    relaxation, its bound rows included, from t's feasible basis, by the
+    primal simplex on beta's reduced-cost row, priced at that basis
+    (`_priced`), and return the optimum that the LP's duals prove
+    (`_duals`, `_proved_row` given beta as the objective), rounded up;
+    NetcapError when they prove none.  beta >= 0 on nonnegative
+    variables, so the LP is bounded."""
     _, terms, _, _, own = rows.checks[r]
     beta = own, [(i, -c) for i, c in terms]
     _priced(t, {j: -c * own // rows.scale for j, c in rows.rows[r][0]})
@@ -1007,53 +1033,49 @@ def _root_bound(rows: _Rows, t: _Tableau, r: int) -> int:
     return -(-proved[1] // scale)
 
 
-def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
-    """Depth-first branch and bound over the integer variables of `model`
-    in [0, bound]: its optimal integral point as the search first reaches
-    it, and the number of nodes.
+def _branch_and_bound(
+    base: _Checked, objective: _Objective, roots: list[_Check], bounds: list[_Check], optimum: Sequence[_Check] = ()
+) -> MipResult:
+    """Depth-first branch and bound of `objective`, given as
+    `_Checked.objective` is, over the integer variables of the checked
+    model, each in [0, bound] by its bound rows: its optimal integral point
+    as the search first reaches it, and the number of nodes.
 
-    The bounded model carries the root rows (`_root_rows`) after the
-    model's own, each once: of rows that merged ties (`_Rows`) make equal,
-    only the first is kept.  The root LP with no cost finds a feasible
-    basis (`_resolve`); from it each root row's beta is minimized in turn
+    The search lays out one `_Rows`: the model's checks, then the
+    `optimum` row if given, the root rows (`_root_rows`) and the bound
+    rows (`_bound_rows`), which `solve_mip` writes once for all its
+    searches.  The root LP with no cost finds a feasible basis
+    (`_resolve`); from it each root row's beta is minimized in turn
     (`_root_bound`, not a node), and the row's rhs set to minus the rounded
     bound, so that every node's LP holds beta y >= ceil(LP bound), which
-    every integral point of the box satisfies.  Phase 2 on the model's
-    cost follows, its reduced-cost row priced at the basis the root rows'
-    LPs end at, and its tableau is kept: every node, the root included,
+    every integral point of the box satisfies.  Phase 2 on the objective
+    follows, its reduced-cost row priced at the basis the root rows' LPs
+    end at, and its tableau is kept: every node, the root included,
     differs from it only in the right-hand sides of the root rows, set
-    once, and of the bound rows (`_bound_rows`), hi and -lo per integer
-    column, so each is re-solved from the kept tableau by `_resolve`, its
-    point re-checked against the rows with those right-hand sides.
-    Branching picks the first fractional integer variable in model order
-    and explores the floor branch first; nodes are pruned when their LP
-    bound, rounded up to the objective's step (`_objective_step`) when it
-    has one, cannot beat the incumbent, all by exact comparison.  When the
-    root's phase 2 is unbounded, a search of the model with no objective
-    settles whether any integral point exists: the answer is Unbounded if
-    one does and Infeasible if not, its nodes the root plus the search's.
+    once, and of the bound rows, hi and -lo per integer column, so each is
+    re-solved from the kept tableau by `_resolve`, its point re-checked
+    against the rows with those right-hand sides.  Branching picks the
+    first fractional integer variable in model order and explores the
+    floor branch first; nodes are pruned when their LP bound, rounded up
+    to the objective's step (`_objective_step`) when it has one, cannot
+    beat the incumbent, all by exact comparison.  When the root's phase 2
+    is unbounded, a search of the same rows with no objective settles
+    whether any integral point exists: the answer is Unbounded if one
+    does and Infeasible if not, its nodes the root plus the search's.
     """
-    roots = _root_rows(model)
-    rows = _Rows(model.with_constraints(roots), (), bound)
-    distinct: dict[tuple, LinearConstraint] = {}
-    for con, (free, *_) in zip(roots, rows.rows[len(model.constraints):]):
-        distinct.setdefault(tuple(sorted(free)), con)
-    if len(distinct) < len(roots):
-        roots = list(distinct.values())
-        rows = _Rows(model.with_constraints(roots), (), bound)
-    first = len(model.constraints) + len(roots)
+    rows = _Rows(base, (), [*optimum, *roots, *bounds], objective)
+    first = len(rows.checks) - len(bounds)
     fixed_b, fixed_checks = [rhs for _, _, rhs, _ in rows.rows[:first]], rows.checks[:first]
-    bound_checks = rows.checks[first:]
     # each bound pair's column, from its `ub` row's one term, and each integer variable's pair
-    column = {rows.slot[terms[0][0]]: k for k, (_, terms, *_) in enumerate(bound_checks[::2])}
-    int_order = [(i, column[rows.slot[i]]) for i, v in enumerate(model.variables) if v in model.integer]
-    step = _objective_step(model)
+    column = {rows.slot[terms[0][0]]: k for k, (_, terms, *_) in enumerate(bounds[::2])}
+    int_order = [(i, column[rows.slot[i]]) for i, v in enumerate(base.model.variables) if v in base.model.integer]
+    step = _objective_step(objective, {i for i, _ in int_order})
     _, root_b, ray = _rhs(rows, ())
     t = _tableau(rows, 1, None)
     if ray or _resolve(rows, t, (), root_b) is not None:
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=1)
     t.cost = rows.cost
-    for r in range(len(model.constraints), first):
+    for r in range(first - len(roots), first):
         least = _root_bound(rows, t, r)
         name, terms, _, sense, own = fixed_checks[r]
         fixed_b[r], fixed_checks[r] = -least * rows.scale, (name, terms, -least, sense, own)
@@ -1063,40 +1085,39 @@ def _branch_and_bound(model: MipModel, bound: int) -> MipResult:
         # variables, and every node, which moves only right-hand sides,
         # keeps it: the MIP is unbounded iff it is feasible at all, which a
         # search with no objective settles at its first integral node.
-        probe = _branch_and_bound(model.with_objective({}), bound)
+        probe = _branch_and_bound(base, (1, []), roots, bounds, optimum)
         status = SolveStatus.UNBOUNDED if probe.status is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
         return MipResult(status, {}, None, nodes=1 + probe.nodes)
     incumbent: _Point = (1, [])
     incumbent_obj: Fraction | None = None
     nodes = 0
-    stack = [tuple(rhs for _, _, rhs, _, _ in bound_checks)]  # (hi, -lo) per column
+    stack = [tuple(rhs for _, _, rhs, _, _ in bounds)]  # (hi, -lo) per column
     while stack:
         ends = stack.pop()
         nodes += 1
         b = fixed_b + [rows.scale * end for end in ends]
         checks = fixed_checks + [
-            (name, terms, end, sense, own) for (name, terms, _, sense, own), end in zip(bound_checks, ends)
+            (name, terms, end, sense, own) for (name, terms, _, sense, own), end in zip(bounds, ends)
         ]
-        status, _, point, objective = _resolve(rows, t, (), b, checks)
+        status, _, point, value = _resolve(rows, t, (), b, checks)
         if status is SolveStatus.INFEASIBLE:
             continue
-        node_bound = -(-objective.numerator // (objective.denominator * step)) * step if step else objective
+        node_bound = -(-value.numerator // (value.denominator * step)) * step if step else value
         if incumbent_obj is not None and node_bound >= incumbent_obj:
             continue
         common, xs = point
         branch = next(((k, x) for i, k in int_order if (x := xs[i]) % common), None)
         if branch is None:
-            incumbent, incumbent_obj = point, objective
+            incumbent, incumbent_obj = point, value
             continue
         k, x = branch
         floor = x // common
         up, down = list(ends), list(ends)
         up[2 * k + 1], down[2 * k] = -(floor + 1), floor
-        stack.append(tuple(up))
-        stack.append(tuple(down))
+        stack += tuple(up), tuple(down)
     if incumbent_obj is None:
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes=nodes)
-    return MipResult(SolveStatus.OPTIMAL, _values(model.variables, incumbent), incumbent_obj, nodes=nodes)
+    return MipResult(SolveStatus.OPTIMAL, _values(rows.model.variables, incumbent), incumbent_obj, nodes=nodes)
 
 
 def solve_mip(model: MipModel, bound: int) -> MipResult:
@@ -1106,8 +1127,10 @@ def solve_mip(model: MipModel, bound: int) -> MipResult:
     that vector.
 
     Every integer variable lies in [0, bound], `bound` being one
-    nonnegative int; any other bound raises MissingBoundError.  Each search
-    (`_branch_and_bound`) re-solves its nodes from one kept tableau, so the
+    nonnegative int; any other bound raises MissingBoundError.  The
+    model's rows are checked once (`_Checked`), and its root and bound
+    rows written once, for every search (`_branch_and_bound`) and the cold
+    LP.  Each search re-solves its nodes from one kept tableau, so the
     vertex it stops at on a tied optimum depends on the search; the
     canonical rule makes the answer depend on the model alone, and so not
     on the cut-set rows that each search adds at its root (`_root_rows`),
@@ -1116,47 +1139,52 @@ def solve_mip(model: MipModel, bound: int) -> MipResult:
     an empty objective included), one search finds the vector, with the
     objective of `_lexicographic`.  Otherwise a first search minimizes c,
     to z*, and a second minimizes the lexicographic weights alone under
-    the added row c x <= z*.  `nodes` counts the nodes of every search;
-    neither the root rows' LPs nor the cold LP at the end is one.  That LP
-    carries no root row, and it must reach c at the search's point, or
-    NetcapError is raised.  A model with no integer variables is its root
-    LP, in one node.  An Unbounded result carries no point (`values` is
-    empty), whether or not the model has integer variables.
+    the added row `optimum`, c x <= z*.  `nodes` counts the nodes of every
+    search; neither the root rows' LPs nor the cold LP at the end is one.
+    That LP carries no root row, and it must reach c at the search's
+    point, or NetcapError is raised.  A model with no integer variables is
+    its root LP, in one node.  An Unbounded result carries no point
+    (`values` is empty), whether or not the model has integer variables.
     """
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise MissingBoundError(f"the bound on integer variables must be a nonnegative integer: {bound!r}")
-    integer = tuple(v for v in model.variables if v in model.integer)
+    base = _Checked(model)
+    integer = [i for i, v in enumerate(model.variables) if v in model.integer]
     if not integer:
-        return _cold(model, {}, 1)
-    step = _objective_step(model)
+        return _cold(base, {}, 1)
+    step = _objective_step(base.objective, set(integer))
+    into = {w: v for _, v, w, _ in base.merges}
+    roots, bounds = _root_rows(base, into), _bound_rows(base, bound, into)
     if step:
-        found = _branch_and_bound(_lexicographic(model, integer, bound, step), bound)
+        found = _branch_and_bound(base, _lexicographic(base.objective, integer, bound, step), roots, bounds)
     else:
-        found = _branch_and_bound(model, bound)
+        found = _branch_and_bound(base, base.objective, roots, bounds)
         if found.status is SolveStatus.OPTIMAL:
-            at_most = LinearConstraint("optimum", model.objective, "<=", model.objective_value(found.values))
-            least = _branch_and_bound(_lexicographic(model.with_constraints([at_most]), integer, bound, 0), bound)
+            (scale, terms), z = base.objective, found.objective
+            own = lcm(scale, z.denominator)
+            at_most = "optimum", [(i, c * own // scale) for i, c in terms], z.numerator * own // z.denominator, "<=", own
+            least = _branch_and_bound(base, _lexicographic(base.objective, integer, bound, 0), roots, bounds, [at_most])
             found = replace(least, nodes=found.nodes + least.nodes)
     if found.status is not SolveStatus.OPTIMAL:
         return found
-    answer = _cold(model, {v: found.values.get(v, _ZERO) for v in integer}, found.nodes)
+    answer = _cold(base, {v: found.values.get(v, _ZERO) for v in model.variables if v in model.integer}, found.nodes)
     if answer.objective != model.objective_value(found.values):
         raise NetcapError("the LP at the optimal integer vector does not reach the optimum")
     return answer
 
 
-def _cold(model: MipModel, fixed: Mapping[VarRef, Fraction], nodes: int) -> MipResult:
-    """The status of `solve_lp` with `fixed` pinned and, at an optimum,
-    its point and objective, read with no certificate, with `nodes`: the
-    LPs of `solve_mip` outside its searches."""
-    rows, y = _Rows(model, tuple(fixed)), tuple(fixed.values())
+def _cold(base: _Checked, fixed: Mapping[VarRef, Fraction], nodes: int) -> MipResult:
+    """The status of `solve_lp` of the checked model with `fixed` pinned
+    and, at an optimum, its point and objective, read with no certificate,
+    with `nodes`: the LPs of `solve_mip` outside its searches."""
+    rows, y = _Rows(base, tuple(fixed)), tuple(fixed.values())
     q, b, ray = _rhs(rows, y)
     if ray:
         return MipResult(SolveStatus.INFEASIBLE, {}, None, nodes)
     status, _, point, objective = _resolve(rows, _tableau(rows, q, rows.cost), y, b)
     if status is not SolveStatus.OPTIMAL:
         return MipResult(status, {}, None, nodes)
-    return MipResult(status, _values(model.variables, point), objective, nodes)
+    return MipResult(status, _values(rows.model.variables, point), objective, nodes)
 
 
 # -- feasibility of capacity vectors -----------------------------------------
@@ -1245,7 +1273,7 @@ class CapacitySweep:
             self.model = model.with_objective({v: c for v, c in row.coeffs.items() if v not in refs})
             on_refs = [row.coeffs.get(v, _ZERO) for v in refs]
             self._row_scale, (self._rhs, *self._on_refs) = _scaled((row.rhs, *on_refs))
-        self._rows = _Rows(self.model, refs)
+        self._rows = _Rows(_Checked(self.model), refs)
         self._ref_positions = [self._rows.position[v] for v in refs]
 
     def decide(self, vec: tuple[int, ...]) -> bool:

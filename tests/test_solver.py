@@ -61,6 +61,7 @@ from netcap.solver import (
     CapacitySweep,
     LpSolution,
     SolveStatus,
+    _Checked,
     _rhs,
     _Rows,
     _solve,
@@ -136,10 +137,20 @@ def test_mip_returns_feasible_integral_points():
 
 
 def _node_model(rows, checks):
-    """The model that `checks` state, one per row of `rows.model`: a
-    branch-and-bound node's, the bounded model with that node's bounds."""
-    constraints = zip(rows.model.constraints, checks)
-    return replace(rows.model, constraints=tuple(replace(con, rhs=Fraction(rhs, own)) for con, (_, _, rhs, _, own) in constraints))
+    """The model that `checks`, one per row of `rows.checks`, and
+    `rows.objective` state over `rows.model`'s variables: a
+    branch-and-bound node's, the model's rows and the search's own
+    (`optimum`, root and bound rows) with that node's bounds, under the
+    search's objective."""
+    variables = rows.model.variables
+
+    def terms(pairs, scale):
+        return {variables[i]: Fraction(c, scale) for i, c in pairs}
+
+    constraints = tuple(
+        LinearConstraint(name, terms(t, own), sense, Fraction(rhs, own)) for name, t, rhs, sense, own in checks
+    )
+    return replace(rows.model, constraints=constraints, objective=terms(rows.objective[1], rows.objective[0]))
 
 
 def _record_resolves(monkeypatch, nodes=False):
@@ -148,16 +159,17 @@ def _record_resolves(monkeypatch, nodes=False):
     answer) it decides, or, with `nodes`, the nodes' alone.  The answer is
     the one `solve_lp` would return (`_answer`), its certificate read off
     the tableau as the LP leaves it, though neither a sweep nor a node
-    reads one as Fractions.  A node's model carries its own bounds
-    (`_node_model`), and an LP with no cost that is feasible (a
-    projection's vector, the root of a search) is not kept."""
+    reads one as Fractions.  The model is the one the LP's checks state
+    (`_node_model`), a node's carrying its own bounds, and an LP with no
+    cost that is feasible (a projection's vector, the root of a search) is
+    not kept."""
     seen = []
     inner = solver._resolve
 
     def recording(rows, t, y, b, checks=None):
         outcome = inner(rows, t, y, b, checks)
         if outcome is not None and (checks is not None or not nodes):
-            model = rows.model if checks is None else _node_model(rows, checks)
+            model = _node_model(rows, rows.checks if checks is None else checks)
             seen.append((model, solver._answer(rows, t, y, outcome)))
         return outcome
 
@@ -178,7 +190,7 @@ def _without_root_rows(monkeypatch):
     the small searches here meet no Infeasible node, and without them the
     same searches do."""
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_root_rows", lambda model: [])
+        patch.setattr(solver, "_root_rows", lambda base, into: [])
         yield
 
 
@@ -470,7 +482,7 @@ def test_pinned_certificate_reads_constant_and_negated_rows():
     names = [c.name for c in model.constraints]
     eq, cut = next(i for i, name in enumerate(names) if name.startswith("eq[")), names.index("cut")
     assert set(model.constraints[eq].coeffs) <= set(fixed)
-    rows = _Rows(model, tuple(fixed))
+    rows = _Rows(_Checked(model), tuple(fixed))
     assert (cut, -1) in _tableau(rows, 1, None).origin and _rhs(rows, tuple(fixed.values()))[1][cut] < 0
 
     sol = solve_lp(model, fixed=fixed)
@@ -646,7 +658,7 @@ def test_unbounded_statuses():
     assert solve_mip(contradictory, 3).status is SolveStatus.INFEASIBLE
 
 
-def test_unbounded_relaxation_searches_for_an_integral_point():
+def test_unbounded_relaxation_searches_for_an_integral_point(monkeypatch):
     """When the root relaxation is unbounded (min -x, x rising freely),
     the MIP is Unbounded if it has an integral point at all and Infeasible
     if not, which a search with no objective settles at its first integral
@@ -654,7 +666,17 @@ def test_unbounded_relaxation_searches_for_an_integral_point():
     has one; 2y = 1 and 1 <= 3y <= 2 have none, and their search ends at
     its root on the rounded cut-set row y >= 1.  With a second integer
     variable z, which no cut-set row reads, 2z = 1 and 2z + y = 3 each
-    branch once, on z."""
+    branch once, on z.  The probe is the search with no objective, (1, [])
+    as `_Checked.objective` gives one, on the same rows."""
+    searches = []
+    inner = solver._branch_and_bound
+
+    def searching(checked, objective, *rows):
+        found = inner(checked, objective, *rows)
+        searches.append((objective, found))
+        return found
+
+    monkeypatch.setattr(solver, "_branch_and_bound", searching)
     base, x, y = _free_variable_model()
     z = VarRef.flow(("2", "1"), ("2", "1"))
     cases = [
@@ -669,8 +691,10 @@ def test_unbounded_relaxation_searches_for_an_integral_point():
         integer = frozenset(variables) - {x}
         model = MipModel(ModelKind.UNDIRECTED, variables, integer, tuple(rows), base.objective)
         assert solve_lp(_relaxed(model)).status is SolveStatus.UNBOUNDED
-        probe = solver._branch_and_bound(model.with_objective({}), 3)
+        searches.clear()
         found = solve_mip(model, 3)
+        (empty, probe), _ = searches  # the probe returns first
+        assert empty == (1, [])
         assert (found.status, found.values, found.nodes) == (status, {}, nodes) == (status, {}, 1 + probe.nodes)
 
 
@@ -723,7 +747,7 @@ def test_symmetrized_flows_need_symmetric_traffic():
     # The merged sym rows make the mirrored commodity's balance rows the
     # negations of the other's, with right-hand sides that disagree; the ray
     # still certifies against the model as written, tie rows and all.
-    ties = _Rows(model, (y,)).ties
+    ties = _Rows(_Checked(model), (y,)).ties
     assert ties
     sol = solve_lp(model.with_objective({}), fixed={y: 5})
     assert sol.status is SolveStatus.INFEASIBLE and len(sol.duals) == len(model.constraints)
@@ -777,9 +801,10 @@ def test_mirror_flow_answers_certify_against_the_model(monkeypatch):
         for model in plain:
             mirror = add_flow_symmetry(model)
             refs = capacity_box(mirror, bound)
-            merged = _Rows(mirror, refs).ties
+            layout = _Rows(_Checked(mirror), refs)
+            merged = layout.ties
             assert {mirror.constraints[r].name[:4] for r, *_ in merged} == {"sym["}
-            assert len(_tableau(_Rows(mirror, refs), 1, None).rows) <= len(_tableau(_Rows(model, refs), 1, None).rows)
+            assert len(_tableau(layout, 1, None).rows) <= len(_tableau(_Rows(_Checked(model), refs), 1, None).rows)
             project(mirror, bound)
             costs = {v: Fraction(rng.choice((-1, 0, 1, 2))) for v in mirror.variables if v.kind == "flow"}
             priced = mirror.with_objective(costs)
@@ -830,7 +855,7 @@ def test_tie_free_models_keep_their_pivots(monkeypatch):
     counts = []
     for model in (build_for_feasibility(inst, ModelKind.UNDIRECTED), averaged, doubled):
         refs = capacity_box(model, bound)
-        assert not _Rows(model, refs).ties
+        assert not _Rows(_Checked(model), refs).ties
         sweep = CapacitySweep(model, refs)
         pivots.clear()
         for vec in graded_box(len(refs), bound):
@@ -840,7 +865,7 @@ def test_tie_free_models_keep_their_pivots(monkeypatch):
 
     inst = _two_node(menu=(2, 5), t12=Fraction(0), t21=Fraction(2))
     model = build(inst, ModelKind.DIRECTED, commodities=reduced_commodities(inst))
-    assert _Rows(model, capacity_box(model, capacity_bound(inst))).ties
+    assert _Rows(_Checked(model), capacity_box(model, capacity_bound(inst))).ties
     cut = cutset_inequality(inst, CutsetSpec({"1"}, {("2", "1")}, {("1", "2")}, facility=2))
     failing = [((0, 0, 0, 1), 2), ((0, 1, 0, 0), 2), ((0, 1, 0, 1), 2)]
     for row, violations in ((cut, []), (replace(cut, rhs=cut.rhs + 1), failing)):
@@ -1010,7 +1035,7 @@ def test_kept_tableau_refutes_through_a_dependent_row():
     LP is feasible at x = y1.  Each re-solve of one kept tableau agrees with a
     cold solve, and each ray certifies."""
     model, _ = _small_lp([((1, -1, 0), "=", 0), ((1, 0, -1), "=", 0)], (1, 0, 0))
-    rows = _Rows(model, _LP_VARS[1:3])
+    rows = _Rows(_Checked(model), _LP_VARS[1:3])
     pins = [(1, 1), (1, 2), (2, 2), (2, 1), (0, 0), (3, 1), (1, 1)]
     for priced in (True, False):
         t = _tableau(rows, 1, rows.cost if priced else None)
@@ -1066,23 +1091,35 @@ def test_equalized_directed_triangle_pays_both_orientations(monkeypatch):
     """equalize_directed ties the two orientations' integer capacities, and
     branch and bound merges each pair and branches on merged columns.  A
     merged pair is one column with one `ub[...]` and one `lb[...]` row,
-    named after its first variable: 30 model rows, less the 6 merged ties,
-    and 12 bound rows make 36 tableau rows, where a pair of bound rows per
-    variable would make 48.  Both orientations are paid for, so the optimum
-    is twice the bidirected one, at an integral point whose orientations
-    agree."""
+    named after its first variable: in the rows the search lays out, 30
+    model rows, less the 6 merged ties, and 12 bound rows make 36 tableau
+    rows besides the root rows, where a pair of bound rows per variable
+    would make 48, and every node carries the 12.  Both orientations are
+    paid for, so the optimum is twice the bidirected one, at an integral
+    point whose orientations agree."""
     inst = load_instance(_TRIANGLE)
     bound = capacity_bound(inst)
     model = equalize_directed(build_directed(inst))
-    merged = _Rows(model, ()).ties
+    base = _Checked(model)
+    merged = _Rows(base, ()).ties
     assert {model.constraints[r].name[:3] for r, *_ in merged} == {"eq["}
     assert all(model.variables[v] in model.integer for _, v, _, _, _ in merged)
-    rows = _Rows(model, (), bound)
-    bounded = rows.model.constraints[len(model.constraints):]
-    assert {c.name for c in bounded[::2]} == {f"ub[{model.variables[v].name}]" for _, v, _, _, _ in merged}
-    assert (len(model.constraints), len(bounded), len(_tableau(rows, 1, None).rows)) == (30, 12, 36)
+    built = []
+
+    class Recorded(solver._Rows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(solver, "_Rows", Recorded)
     nodes = _record_resolves(monkeypatch, nodes=True)
     res = solve_mip(model, bound)
+    (rows,) = [rows for rows in built if not rows.refs]
+    bounded = [check for check in rows.checks if check[0][:3] in ("ub[", "lb[")]
+    roots = [check for check in rows.checks if check[0].startswith("root[")]
+    assert {name for name, *_ in bounded[::2]} == {f"ub[{model.variables[v].name}]" for _, v, _, _, _ in merged}
+    assert (len(model.constraints), len(bounded), len(_tableau(rows, 1, None).rows) - len(roots)) == (30, 12, 36)
+    assert all(sum(c.name[:3] in ("ub[", "lb[") for c in m.constraints) == 12 for m, _ in nodes)
     pairs = {model.variables[i].name for _, v, w, _, _ in merged for i in (v, w)}
     assert any(c.name.startswith("lb[") and c.rhs < 0 and c.name[3:-1] in pairs for m, _ in nodes for c in m.constraints)
     assert all(len(sol.duals) == len(m.constraints) and certify(m, sol) for m, sol in nodes)
@@ -1116,12 +1153,12 @@ def test_warm_nodes_match_cold_solves(monkeypatch):
     """Branch and bound solves every node on the root's kept tableau
     (`_resolve`).  On each triangle reading, each node's answer has the
     status and objective of a cold `_solve` of the node's own model, the
-    bounded model with the node's bounds, and certifies against that
-    model; so it is the node's LP, whatever vertex the warm start stops
-    at.  Each reading is searched with its root rows and again without
-    them, where Infeasible nodes occur.  The nodes branch, and the warm
-    re-solves of the branched nodes take under a third of the cold solves'
-    pivots."""
+    model's rows and the search's with the node's bounds, and certifies
+    against that model; so it is the node's LP, whatever vertex the warm
+    start stops at.  Each reading is searched with its root rows and again
+    without them, where Infeasible nodes occur.  The nodes branch, and the
+    warm re-solves of the branched nodes take under a third of the cold
+    solves' pivots."""
     pivots = []
     inner = solver._pivot
     monkeypatch.setattr(solver, "_pivot", lambda t, leave, enter: pivots.append(enter) or inner(t, leave, enter))
@@ -1147,7 +1184,7 @@ def test_warm_nodes_match_cold_solves(monkeypatch):
         warm_pivots = cold_pivots = 0
         for node, answer, count in warm:
             before = len(pivots)
-            cold = _solve(_Rows(node, ()), ())
+            cold = _solve(_Rows(_Checked(node), ()), ())
             if _branched(node):
                 warm_pivots, cold_pivots = warm_pivots + count, cold_pivots + len(pivots) - before
             assert (answer.status, answer.objective) == (cold.status, cold.objective), name
@@ -1214,7 +1251,7 @@ def test_triangle_points_do_not_depend_on_the_search(monkeypatch):
     def cold(rows, t, y, b, checks=None):
         if checks is None:  # not a node: the root's LP with no cost, or `solve_lp`'s
             return resolve(rows, t, y, b)
-        node = _Rows(_node_model(rows, checks), ())
+        node = _Rows(_Checked(_node_model(rows, checks)), ())
         return resolve(node, _tableau(node, 1, node.cost), (), _rhs(node, ())[1])
 
     monkeypatch.setattr(solver, "_resolve", cold)
@@ -1273,7 +1310,7 @@ def test_solve_mip_returns_the_canonical_optimum(monkeypatch):
     two."""
     searches = []
     inner = solver._branch_and_bound
-    monkeypatch.setattr(solver, "_branch_and_bound", lambda model, bound: searches.append(model) or inner(model, bound))
+    monkeypatch.setattr(solver, "_branch_and_bound", lambda *args: searches.append(args) or inner(*args))
     rng = random.Random(5)
     tied = empty = two_searches = 0
     for model, bound in _canonical_cases():
@@ -1336,7 +1373,7 @@ def _record_root_rows(monkeypatch):
     """Rebind `solver._root_bound`, which minimizes a root row's beta at
     the root of branch and bound and rounds up the bound its duals prove,
     and `solver._duals`, which reads those duals, to keep, per root row,
-    (its name, the bounded model's rows with every root row at rhs 0, the
+    (its name, the search's rows with every root row at rhs 0, the
     duals as Fractions, beta, the rounded bound, and the integer duals as
     (multipliers, scale, beta as `_proved_row` takes it))."""
     seen, read = [], []
@@ -1350,8 +1387,9 @@ def _record_root_rows(monkeypatch):
         read.clear()
         least = root_bound(rows, t, r)
         (m, scale, objective), = read
-        beta = {v: -c for v, c in rows.model.constraints[r].coeffs.items()}
-        seen.append((rows.model.constraints[r].name, rows, solver._fractions(rows, m, scale), beta, least, read[0]))
+        name, terms, _, _, own = rows.checks[r]
+        beta = {rows.model.variables[i]: Fraction(-c, own) for i, c in terms}
+        seen.append((name, rows, solver._fractions(rows, m, scale), beta, least, read[0]))
         return least
 
     monkeypatch.setattr(solver, "_root_bound", recording)
@@ -1399,7 +1437,7 @@ def test_root_rows_are_the_classical_cut_set_rows(monkeypatch):
                 out = sum((t for (o, d), t in case.traffic.items() if o in side and d not in side), Fraction(0))
                 into = sum((t for (o, d), t in case.traffic.items() if o not in side and d in side), Fraction(0))
                 assert least == -(-classical[model.kind](out, into) // c), (name, model.kind)
-                relaxed = replace(rows.model, integer=frozenset()).with_objective(beta)
+                relaxed = replace(_node_model(rows, rows.checks), integer=frozenset()).with_objective(beta)
                 lp = solve_lp(relaxed)
                 assert certify(relaxed, replace(lp, duals=duals)) and least == -(-lp.objective // 1)
             rhs[case is doubled, model.kind] = {name: least for name, _, _, _, least, _ in roots}
@@ -1453,12 +1491,12 @@ def test_root_rows_are_carried_once_per_merged_row(monkeypatch):
     and bound carries, and minimizes, only those three."""
     bound, readings = _triangle_readings()
     model = readings["directed/equalized"]
-    assert len(solver._root_rows(model)) == 6
+    assert len(solver._root_rows(_Checked(model), {})) == 6
     roots = _record_root_rows(monkeypatch)
     assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
     assert len({name for name, *_ in roots}) == 3
     for _, rows, *_ in roots:
-        carried = [r for r, con in enumerate(rows.model.constraints) if con.name.startswith("root[")]
+        carried = [r for r, (name, *_) in enumerate(rows.checks) if name.startswith("root[")]
         assert len(carried) == 3 and len({tuple(sorted(rows.rows[r][0])) for r in carried}) == 3
 
 
@@ -1479,13 +1517,102 @@ def test_root_rows_stop_past_the_measured_node_count(monkeypatch):
     n = solver._ROOT_ROW_NODES
     for size, edge_rows, arc_rows in ((n, 2 ** (n - 1) - 1, 2**n - 2), (n + 1, 0, 0)):
         inst = _ring(size)
-        assert len(solver._root_rows(build_undirected(inst))) == edge_rows
-        assert len(solver._root_rows(build_bidirected(inst))) == edge_rows
-        assert len(solver._root_rows(build_directed(inst))) == arc_rows
+        assert len(solver._root_rows(_Checked(build_undirected(inst)), {})) == edge_rows
+        assert len(solver._root_rows(_Checked(build_bidirected(inst)), {})) == edge_rows
+        assert len(solver._root_rows(_Checked(build_directed(inst)), {})) == arc_rows
     roots = _record_root_rows(monkeypatch)
     inst = _ring(n + 1)
     assert solve_mip(build_directed(inst), capacity_bound(inst)).status is SolveStatus.OPTIMAL
     assert roots == []
+
+
+def _priced_triangle():
+    """The bound of tests/data/instances/triangle.json and its undirected
+    reading with cost 7 on each capacity and 1/2 on each flow: an objective
+    that is not integral in the integer variables, so `solve_mip` takes
+    two searches."""
+    inst = load_instance(_TRIANGLE)
+    model = build_undirected(inst)
+    costs = {v: Fraction(7) if v.kind == "capacity" else Fraction(1, 2) for v in model.variables}
+    return capacity_bound(inst), model.with_objective(costs)
+
+
+def test_both_searches_weigh_root_rows_by_the_model_rows(monkeypatch):
+    """The root rows' weights come from the model's own rows, once per
+    `solve_mip`, and both searches of a two-search model carry the same
+    root rows: on `_priced_triangle`, each search's root[1] weighs the
+    size-4 facility 4, as the capacity rows do, and not 1, as the second
+    search's `optimum` row, which costs every capacity 7, would have it."""
+    bound, model = _priced_triangle()
+    roots = _record_root_rows(monkeypatch)
+    searches = []
+    inner = solver._branch_and_bound
+    monkeypatch.setattr(solver, "_branch_and_bound", lambda *args: searches.append(args) or inner(*args))
+    assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
+    assert len(searches) == 2
+    by_search = {}
+    for name, rows, _, beta, _, _ in roots:
+        by_search.setdefault(id(rows), {})[name] = beta
+    first, second = by_search.values()
+    y = {(k, e): VarRef.cap_edge(k, e) for k in (1, 2) for e in (("1", "2"), ("1", "3"))}
+    assert first["root[1]"] == {y[1, ("1", "2")]: 1, y[1, ("1", "3")]: 1, y[2, ("1", "2")]: 4, y[2, ("1", "3")]: 4}
+    assert first == second and len(first) == 3
+
+
+def test_solve_mip_checks_its_rows_once_and_writes_the_search_rows_in_integers(monkeypatch):
+    """Each `solve_mip` turns its model's rows into integers once, one
+    `_Checked.check` per model row; each search (`_branch_and_bound`) lays
+    out one `_Rows`, and the cold LP at the end one more.  No
+    `LinearConstraint` or `MipModel` is built, so none for a root, bound or
+    `optimum` row or the lexicographic objective, and no Fraction is built
+    outside `_resolve`, which builds one objective per Optimal LP, and
+    `_values`, which builds the points it returns.  Cases: the triangle
+    readings, mirror-flow and equalized ones included, with one search
+    each, and `_priced_triangle`, with two."""
+    counts = dict.fromkeys(("check", "rows", "searches", "built", "fractions"), 0)
+    exempt = [False]
+    fraction = solver.Fraction
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    def exempting(inner):
+        def wrapper(*args, **kwargs):
+            exempt[0] = True
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                exempt[0] = False
+        return wrapper
+
+    def building(*args):
+        counts["fractions"] += not exempt[0]
+        return fraction(*args)
+
+    monkeypatch.setattr(solver._Checked, "check", counting("check", solver._Checked.check))
+    monkeypatch.setattr(solver._Rows, "__init__", counting("rows", solver._Rows.__init__))
+    monkeypatch.setattr(solver, "_branch_and_bound", counting("searches", solver._branch_and_bound))
+    monkeypatch.setattr(LinearConstraint, "__post_init__", counting("built", LinearConstraint.__post_init__))
+    monkeypatch.setattr(MipModel, "__post_init__", counting("built", MipModel.__post_init__))
+    monkeypatch.setattr(MipModel, "_derived", counting("built", MipModel._derived))
+    monkeypatch.setattr(solver, "_resolve", exempting(solver._resolve))
+    monkeypatch.setattr(solver, "_values", exempting(solver._values))
+    monkeypatch.setattr(solver, "Fraction", building)
+    bound, readings = _triangle_readings()
+    priced_bound, priced = _priced_triangle()
+    cases = [(model, bound) for model in readings.values()] + [(priced, priced_bound)]
+    searched = []
+    for model, bound in cases:
+        counts.update(dict.fromkeys(counts, 0))
+        assert solve_mip(model, bound).status is SolveStatus.OPTIMAL
+        assert counts["check"] == len(model.constraints)
+        assert counts["rows"] == counts["searches"] + 1
+        assert counts["built"] == counts["fractions"] == 0
+        searched.append(counts["searches"])
+    assert searched == [1] * len(readings) + [2]
 
 
 def test_reduced_commodities():
@@ -1773,22 +1900,22 @@ def test_kernel_examples_reach_their_cases():
     assert lagging and sol.values[_LP_VARS[0]] == Fraction(2, 3)
 
     model, fixed = RATIONAL_RHS
-    rows = _Rows(model, tuple(fixed))
+    rows = _Rows(_Checked(model), tuple(fixed))
     q, _, _ = _rhs(rows, tuple(fixed.values()))
     assert _tableau(rows, q, None).scale == 6
 
     (sol, pivots), _ = _kernel_run(lambda: solve_lp(MIDDLE_DEPENDENT[0]))
-    assert _tableau(_Rows(MIDDLE_DEPENDENT[0], ()), 1, None).dependent == [1]
+    assert _tableau(_Rows(_Checked(MIDDLE_DEPENDENT[0]), ()), 1, None).dependent == [1]
     assert pivots == [(0, 0), (2, 1)] and sol.values == {_LP_VARS[0]: Fraction(1, 2), _LP_VARS[1]: Fraction(1, 2)}
 
     # the tie examples: what merges, and how each ends
-    merges = [len(_Rows(m, tuple(fixed)).ties) for m, fixed in TIES]
+    merges = [len(_Rows(_Checked(m), tuple(fixed)).ties) for m, fixed in TIES]
     assert merges == [1, 1, 1, 0, 1, 1, 1]
     assert [solve_lp(m, fixed=fixed).status.value for m, fixed in TIES] == [
         "optimal", "optimal", "optimal", "optimal", "infeasible", "infeasible", "unbounded"
     ]
     model, fixed = CONSTANT_TIE
-    assert _rhs(_Rows(model, tuple(fixed)), tuple(fixed.values()))[2] is not None
+    assert _rhs(_Rows(_Checked(model), tuple(fixed)), tuple(fixed.values()))[2] is not None
 
 
 def _merged_ties(model, fixed):
@@ -1927,13 +2054,13 @@ def test_warm_resolve_matches_rational_reference(lp, shifts):
     re-checked against the shifted rows."""
     model, fixed = lp
     refs, y = tuple(fixed), tuple(fixed.values())
-    rows = _Rows(model, refs)
+    rows = _Rows(_Checked(model), refs)
     q, b, ray = _rhs(rows, y)
     assume(ray is None)
     t = _tableau(rows, q, rows.cost)
     assume(solver._resolve(rows, t, y, b)[0] is SolveStatus.OPTIMAL)
     shifted = _shifted(model, rows, shifts)
-    moved = _Rows(shifted, refs)
+    moved = _Rows(_Checked(shifted), refs)
     (outcome, pivots), _ = _kernel_run(lambda: solver._resolve(rows, t, y, _rhs(moved, y)[1], moved.checks))
     sol = solver._answer(rows, t, y, outcome)
     rhs = [con.rhs for con in shifted.constraints]
@@ -1971,7 +2098,7 @@ def test_integer_recheck_names_what_violations_names(lp, values, kept):
     branch-and-bound node's carry the node's bounds)."""
     model, _ = lp
     point = values[: len(model.variables)]
-    rows = _Rows(model, ())
+    rows = _Rows(_Checked(model), ())
     assignment = dict(zip(model.variables, point))
     head = replace(model, constraints=model.constraints[:kept])
     for checks, checked in ((None, model), (rows.checks[:kept], head)):
@@ -1988,8 +2115,9 @@ def test_node_point_is_checked_against_the_node_bounds():
     name."""
     lp, _ = _small_lp([((1, 1), ">=", 1)], (1, 2))
     model = replace(lp, integer=frozenset(lp.variables))
-    rows = _Rows(model, (), 3)
-    assert [c.name for c in rows.model.constraints[1:]] == [f"{end}[{v.name}]" for v in lp.variables for end in ("ub", "lb")]
+    base = _Checked(model)
+    rows = _Rows(base, (), solver._bound_rows(base, 3, {}))
+    assert [name for name, *_ in rows.checks[1:]] == [f"{end}[{v.name}]" for v in lp.variables for end in ("ub", "lb")]
     node = list(rows.checks)
     node[1] = node[1][:2] + (0,) + node[1][3:]  # ub[x0]: x0 <= 0
     root_b = [rhs for _, _, rhs, _ in rows.rows]
@@ -1997,7 +2125,7 @@ def test_node_point_is_checked_against_the_node_bounds():
     t = _tableau(rows, 1, rows.cost)
     assert solver._answer(rows, t, (), solver._resolve(rows, t, (), root_b)).values == {_LP_VARS[0]: 1}
     assert solver._answer(rows, t, (), solver._resolve(rows, t, (), node_b, node)).values == {_LP_VARS[1]: 1}
-    with pytest.raises(NetcapError, match=rf"broken rows {re.escape(repr([rows.model.constraints[1].name]))}"):
+    with pytest.raises(NetcapError, match=rf"broken rows {re.escape(repr([rows.checks[1][0]]))}"):
         solver._resolve(rows, t, (), root_b, node)
 
 
